@@ -57,12 +57,17 @@ import (
 	"aqppp/internal/store"
 )
 
-// DB is a registry of in-memory tables plus the prepared AQP++ state built
-// over them. It is safe for concurrent readers once tables are registered
+// DB is a registry of tables plus the prepared AQP++ state built over
+// them. It is safe for concurrent readers once tables are registered
 // and preparations built.
 type DB struct {
-	mu     sync.RWMutex
-	tables map[string]*engine.Table
+	mu sync.RWMutex
+	// tables is the one registry: a name resolves to the table its
+	// statements compile against and the target that answers them,
+	// whether the rows are resident (Register, OpenStore), partitioned
+	// in process (RegisterSharded, Reshard) or behind a replica fleet
+	// (RegisterDistributed).
+	tables map[string]registered
 	// preps tracks the prepared state built over each table so Drop can
 	// invalidate it: a stale Prepared/MultiPrepared answers with an
 	// ErrUnknownTable-kind error instead of silently serving a table the
@@ -75,18 +80,21 @@ type DB struct {
 	// against a since-dropped table can never be served once the name is
 	// re-registered — the current generation has moved past the key's.
 	gens map[string]uint64
-	// shards maps sharded table names to their partitioned form; queries
-	// against such tables run scatter-gather (see RegisterSharded).
-	shards map[string]*shard.Sharded
-	// dist maps distributed table names to the coordinator answering for
-	// them; the registered table is then a zero-row schema table and
-	// every plan routes over the network (see RegisterDistributed).
-	dist map[string]exec.Distributed
 	// stores maps table names to the open store container serving them
 	// (see OpenStore); Drop closes and forgets the entry.
 	stores map[string]*store.Store
 	ex     *exec.Executor
 	budget exec.Budget
+}
+
+// registered is one registry entry.
+type registered struct {
+	tbl    *engine.Table
+	target exec.Target
+	// fleet is set for distributed tables only: tbl is then a zero-row
+	// schema table, so nothing can be built over it in this process, and
+	// preparations bind a replica-side handle instead (DistPrepared).
+	fleet Fleet
 }
 
 // prepState is the liveness flag shared between the DB and one
@@ -99,11 +107,9 @@ type prepState struct {
 // NewDB returns an empty database.
 func NewDB() *DB {
 	return &DB{
-		tables: make(map[string]*engine.Table),
+		tables: make(map[string]registered),
 		preps:  make(map[string][]*prepState),
 		gens:   make(map[string]uint64),
-		shards: make(map[string]*shard.Sharded),
-		dist:   make(map[string]exec.Distributed),
 		stores: make(map[string]*store.Store),
 		ex:     exec.New(),
 	}
@@ -137,13 +143,18 @@ func (db *DB) track(table string) *prepState {
 // Register adds a table. Registering a second table with the same name is
 // an error (drop and re-register to replace).
 func (db *DB) Register(tbl *engine.Table) error {
+	return db.register(registered{tbl: tbl, target: exec.Resident{Table: tbl}})
+}
+
+// register installs a registry entry under its table's name.
+func (db *DB) register(e registered) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if _, ok := db.tables[tbl.Name]; ok {
-		return fmt.Errorf("aqppp: table %q already registered", tbl.Name)
+	if _, ok := db.tables[e.tbl.Name]; ok {
+		return fmt.Errorf("aqppp: table %q already registered", e.tbl.Name)
 	}
-	db.tables[tbl.Name] = tbl
-	db.gens[tbl.Name]++
+	db.tables[e.tbl.Name] = e
+	db.gens[e.tbl.Name]++
 	return nil
 }
 
@@ -155,8 +166,6 @@ func (db *DB) Drop(name string) {
 	defer db.mu.Unlock()
 	if _, ok := db.tables[name]; ok {
 		delete(db.tables, name)
-		delete(db.shards, name)
-		delete(db.dist, name)
 		db.gens[name]++
 	}
 	if s, ok := db.stores[name]; ok {
@@ -188,20 +197,48 @@ func (db *DB) Generation(name string) uint64 {
 // ErrUnknownTable kind, so Prepare on a missing table classifies the
 // same way a query on one does.
 func (db *DB) Table(name string) (*engine.Table, error) {
-	t, ok := db.LookupTable(name)
-	if !ok {
-		return nil, &exec.Error{Kind: exec.UnknownTable, Op: "table", Err: fmt.Errorf("no table %q", name)}
-	}
-	return t, nil
+	e, err := db.lookup(name)
+	return e.tbl, err
 }
 
-// LookupTable resolves a table name; it implements the executor's
-// TableSource.
+// lookup resolves a registry entry, failing with the ErrUnknownTable
+// kind.
+func (db *DB) lookup(name string) (registered, error) {
+	db.mu.RLock()
+	e, ok := db.tables[name]
+	db.mu.RUnlock()
+	if !ok {
+		return registered{}, &exec.Error{Kind: exec.UnknownTable, Op: "table", Err: fmt.Errorf("no table %q", name)}
+	}
+	return e, nil
+}
+
+// lookupResident is lookup for entry points that build over the
+// table's rows (Prepare, PrepareMulti, Reshard): a distributed table
+// holds none in this process, so they report ErrUnsupported.
+func (db *DB) lookupResident(name, op string) (registered, error) {
+	e, err := db.lookup(name)
+	if err == nil && e.fleet != nil {
+		err = &exec.Error{Kind: exec.Unsupported, Op: op,
+			Err: fmt.Errorf("table %q is distributed: its rows and preparations live on the replicas", name)}
+	}
+	return e, err
+}
+
+// LookupTable resolves a table name.
 func (db *DB) LookupTable(name string) (*engine.Table, bool) {
+	tbl, _, ok := db.LookupTarget(name)
+	return tbl, ok
+}
+
+// LookupTarget resolves a table name to the table its statements
+// compile against and the target that answers them; it implements the
+// executor's TargetSource.
+func (db *DB) LookupTarget(name string) (*engine.Table, exec.Target, bool) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	t, ok := db.tables[name]
-	return t, ok
+	e, ok := db.tables[name]
+	return e.tbl, e.target, ok
 }
 
 // TableNames lists registered tables.
@@ -286,21 +323,12 @@ func (db *DB) ExactWithBudget(ctx context.Context, statement string, b Budget) (
 // PlanExact parses and compiles a statement into an executor plan
 // without running it. A serving layer plans once, derives a response
 // cache key from the plan (exec.Plan.CacheKey), and on a cache miss
-// runs the very same plan with RunExactPlan — no double parse. Plans
-// over sharded tables carry the shard layout, so they scatter-gather
-// and their cache keys fold the layout in.
+// runs the very same plan with RunExactPlan — no double parse. The
+// plan carries the table's registered target, so sharded and
+// distributed tables scatter-gather and their cache keys fold the
+// layout in.
 func (db *DB) PlanExact(statement string) (*exec.Plan, error) {
-	p, err := exec.PlanExactStatement(db, statement)
-	if err != nil {
-		return nil, err
-	}
-	if s, ok := db.lookupSharded(p.Table.Name); ok {
-		p.Shards = s
-	}
-	if d, ok := db.lookupDistributed(p.Table.Name); ok {
-		p.Dist = d
-	}
-	return p, nil
+	return exec.PlanExactStatement(db, statement)
 }
 
 // RunExactPlan executes a plan built by PlanExact under the context and
@@ -346,26 +374,24 @@ type PrepareOptions struct {
 	LocalAdjustment bool
 }
 
-// Prepared answers queries for one template using AQP++. Over a
-// sharded table the preparation holds one processor per shard (shp set,
-// proc nil) and answers merge per-stratum; otherwise a single processor
-// answers directly.
+// Prepared answers queries for one template using AQP++. Every query
+// plans against target — a single processor, one processor per shard
+// merged per stratum, or a prepared handle on a replica fleet — and
+// nothing above the target asks which.
 type Prepared struct {
-	db         *DB
-	tbl        *engine.Table
-	proc       *core.Processor
-	shp        *shard.Prepared
-	stats      core.BuildStats
+	db     *DB
+	tbl    *engine.Table
+	target exec.Target
+	// proc is the target's processor when the sample and cube are
+	// resident, nil over sharded and distributed tables: Insert,
+	// contracts, progressive streams and SaveStore work on the sample
+	// and cube themselves, not on answers.
+	proc *core.Processor
+	conf float64
+	// stats is the preprocessing cost as known at construction.
+	stats      PreprocessingStats
 	maintainer *core.Maintainer
 	state      *prepState
-
-	// A distributed preparation (see DB.DistPrepared) has proc and shp
-	// nil: queries route to the fleet through dist under distHandle, and
-	// distConf/distSampleRows describe the handle as replicas report it.
-	dist           exec.Distributed
-	distHandle     string
-	distConf       float64
-	distSampleRows int
 }
 
 // Prepare builds the sample and BP-Cube for a template (the offline
@@ -386,7 +412,7 @@ func (db *DB) PrepareContext(ctx context.Context, opts PrepareOptions) (*Prepare
 // replacing the DB-wide default, so a serving layer can bound one
 // build's wall time without changing the DB's configuration.
 func (db *DB) PrepareWithBudget(ctx context.Context, opts PrepareOptions, b Budget) (*Prepared, error) {
-	tbl, err := db.Table(opts.Table)
+	e, err := db.lookupResident(opts.Table, "prepare")
 	if err != nil {
 		return nil, err
 	}
@@ -411,24 +437,40 @@ func (db *DB) PrepareWithBudget(ctx context.Context, opts PrepareOptions, b Budg
 		WithCountCube:      opts.WithCountCube,
 		WithMinMax:         opts.WithMinMax,
 	}
-	if s, ok := db.lookupSharded(opts.Table); ok {
-		sp, err := db.ex.PrepareSharded(ctx, s, cfg, 0, b)
+	if st, ok := e.target.(exec.Sharded); ok {
+		sp, err := db.ex.PrepareSharded(ctx, st.S, cfg, b)
 		if err != nil {
 			return nil, err
 		}
-		return &Prepared{db: db, tbl: tbl, shp: sp, state: db.track(opts.Table)}, nil
+		return db.newSharded(e.tbl, exec.Sharded{S: st.S, Prep: sp}), nil
 	}
-	proc, st, err := db.ex.Prepare(ctx, tbl, cfg, b)
+	proc, st, err := db.ex.Prepare(ctx, e.tbl, cfg, b)
 	if err != nil {
 		return nil, err
 	}
-	return &Prepared{db: db, tbl: tbl, proc: proc, stats: st, state: db.track(opts.Table)}, nil
+	return db.newResident(e.tbl, proc, st), nil
+}
+
+// newResident wraps a built (or, with zero build stats, reloaded)
+// processor over tbl as a Prepared.
+func (db *DB) newResident(tbl *engine.Table, proc *core.Processor, bs core.BuildStats) *Prepared {
+	return &Prepared{
+		db: db, tbl: tbl, target: exec.Resident{Table: tbl, Proc: proc}, proc: proc,
+		conf: proc.Confidence,
+		stats: PreprocessingStats{
+			SampleBytes:  bs.SampleBytes,
+			CubeBytes:    bs.CubeBytes,
+			CubeShape:    bs.Shape,
+			TotalSeconds: bs.TotalTime().Seconds(),
+		},
+		state: db.track(tbl.Name),
+	}
 }
 
 // live reports whether the preparation's table is still registered;
 // after DB.Drop it returns an ErrUnknownTable-kind error.
 func (p *Prepared) live(op string) error {
-	if p.state != nil && p.state.dropped.Load() {
+	if p.state.dropped.Load() {
 		return &exec.Error{Kind: exec.UnknownTable, Op: op, Err: errDropped(p.tbl.Name)}
 	}
 	return nil
@@ -499,61 +541,23 @@ func (p *Prepared) PlanQuery(statement string) (*exec.Plan, error) {
 	if err := p.live("query"); err != nil {
 		return nil, err
 	}
-	if p.dist != nil {
-		return exec.PlanDistQueryStatement(p.dist, p.distHandle, p.tbl, statement)
-	}
-	if p.shp != nil {
-		return exec.PlanShardedQueryStatement(p.shp, p.tbl, statement)
-	}
-	return exec.PlanQueryStatement(p.proc, p.tbl, statement)
+	return exec.PlanQueryStatement(p.target, p.tbl, statement)
 }
 
 // RunPlan executes a plan built by PlanQuery or PlanBootstrap under the
-// context and an explicit budget. The liveness check runs again here,
-// so a preparation dropped between planning and running still refuses
-// to answer.
+// context and an explicit budget, and converts the outcome. The
+// liveness check runs again here, so a preparation dropped between
+// planning and running still refuses to answer.
 func (p *Prepared) RunPlan(ctx context.Context, plan *exec.Plan, b Budget) (Result, error) {
 	if err := p.live(plan.Kind.String()); err != nil {
 		return Result{}, err
 	}
-	return p.runWithBudget(ctx, plan, b)
-}
-
-// QueryStruct answers an engine.Query approximately.
-func (p *Prepared) QueryStruct(q engine.Query) (Result, error) {
-	return p.QueryStructContext(context.Background(), q)
-}
-
-// QueryStructContext is QueryStruct with cancellation.
-func (p *Prepared) QueryStructContext(ctx context.Context, q engine.Query) (Result, error) {
-	if err := p.live("query"); err != nil {
-		return Result{}, err
-	}
-	if p.dist != nil {
-		return Result{}, &exec.Error{Kind: exec.Unsupported, Op: "query",
-			Err: errDist("QueryStruct")}
-	}
-	if p.shp != nil {
-		return p.run(ctx, exec.PlanShardedQueryStruct(p.shp, p.tbl, q))
-	}
-	return p.run(ctx, exec.PlanQueryStruct(p.proc, p.tbl, q))
-}
-
-// run executes a plan through the DB's executor under the DB-wide
-// default budget and converts the outcome.
-func (p *Prepared) run(ctx context.Context, plan *exec.Plan) (Result, error) {
-	return p.runWithBudget(ctx, plan, p.db.defaultBudget())
-}
-
-// runWithBudget executes a plan through the DB's executor under an
-// explicit budget and converts the outcome.
-func (p *Prepared) runWithBudget(ctx context.Context, plan *exec.Plan, b Budget) (Result, error) {
 	out, err := p.db.ex.Run(ctx, plan, b)
 	if err != nil {
 		return Result{}, err
 	}
 	if len(plan.Query.GroupBy) > 0 {
-		res := Result{Confidence: p.confidence(), Partial: out.Partial}
+		res := Result{Confidence: p.conf, Partial: out.Partial}
 		for _, g := range out.Groups {
 			res.Groups = append(res.Groups, GroupResult{Key: g.Key, Result: toResult(g.Answer)})
 		}
@@ -564,15 +568,14 @@ func (p *Prepared) runWithBudget(ctx context.Context, plan *exec.Plan, b Budget)
 	return res, nil
 }
 
-// confidence reports the preparation's CI level, whichever form it took.
-func (p *Prepared) confidence() float64 {
-	if p.dist != nil {
-		return p.distConf
-	}
-	if p.shp != nil {
-		return p.shp.Confidence
-	}
-	return p.proc.Confidence
+// QueryStruct answers an engine.Query approximately.
+func (p *Prepared) QueryStruct(q engine.Query) (Result, error) {
+	return p.QueryStructContext(context.Background(), q)
+}
+
+// QueryStructContext is QueryStruct with cancellation.
+func (p *Prepared) QueryStructContext(ctx context.Context, q engine.Query) (Result, error) {
+	return p.RunPlan(ctx, exec.PlanQueryStruct(p.target, p.tbl, q), p.db.defaultBudget())
 }
 
 func toResult(a core.Answer) Result {
@@ -589,34 +592,16 @@ func toResult(a core.Answer) Result {
 // sharded preparation the figures aggregate across shards (rows, bytes
 // and cells sum; seconds sum the per-shard build times, which overstates
 // wall clock since shards build in parallel; the shape is left nil —
-// each shard climbs its own partition points).
+// each shard climbs its own partition points). A fleet's preprocessing
+// lives on the replicas; only the total sample size is known here.
 func (p *Prepared) Stats() PreprocessingStats {
-	if p.dist != nil {
-		// The fleet's preprocessing lives on the replicas; only the total
-		// sample size is known here.
-		return PreprocessingStats{SampleRows: p.distSampleRows}
+	st := p.stats
+	st.CubeShape = append([]int(nil), st.CubeShape...)
+	if p.proc != nil {
+		// Insert grows the resident sample, so sizes are read live.
+		st.SampleRows, st.CubeCells = p.proc.Sample.Size(), p.proc.Cube.NumCells()
 	}
-	if p.shp != nil {
-		st := PreprocessingStats{SampleRows: p.shp.SampleSize()}
-		for h, bs := range p.shp.BuildStats {
-			if p.shp.Procs[h] == nil {
-				continue
-			}
-			st.SampleBytes += bs.SampleBytes
-			st.CubeCells += p.shp.Procs[h].Cube.NumCells()
-			st.CubeBytes += bs.CubeBytes
-			st.TotalSeconds += bs.TotalTime().Seconds()
-		}
-		return st
-	}
-	return PreprocessingStats{
-		SampleRows:   p.proc.Sample.Size(),
-		SampleBytes:  p.stats.SampleBytes,
-		CubeCells:    p.proc.Cube.NumCells(),
-		CubeBytes:    p.stats.CubeBytes,
-		CubeShape:    append([]int(nil), p.stats.Shape...),
-		TotalSeconds: p.stats.TotalTime().Seconds(),
-	}
+	return st
 }
 
 // PreprocessingStats summarizes the offline cost (the paper's
@@ -634,7 +619,7 @@ type PreprocessingStats struct {
 func (p *Prepared) TableName() string { return p.tbl.Name }
 
 // Confidence reports the CI level this preparation answers at.
-func (p *Prepared) Confidence() float64 { return p.confidence() }
+func (p *Prepared) Confidence() float64 { return p.conf }
 
 // Sample exposes the underlying sample (read-only use). Sharded
 // preparations have one sample per shard, not a single one, so this
@@ -653,4 +638,7 @@ func (p *Prepared) Processor() *core.Processor { return p.proc }
 
 // ShardedProcessor exposes the per-shard preparation when this Prepared
 // was built over a sharded table; nil otherwise.
-func (p *Prepared) ShardedProcessor() *shard.Prepared { return p.shp }
+func (p *Prepared) ShardedProcessor() *shard.Prepared {
+	st, _ := p.target.(exec.Sharded)
+	return st.Prep
+}

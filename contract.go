@@ -60,11 +60,7 @@ func (p *Prepared) PlanContract(statement string, c Contract) (*exec.Plan, error
 	if err := p.live("contract"); err != nil {
 		return nil, err
 	}
-	if p.proc == nil {
-		return nil, &exec.Error{Kind: exec.Unsupported, Op: "contract",
-			Err: errDist("QueryWithContract")}
-	}
-	return exec.PlanContractStatement(p.proc, p.tbl, statement, c, contractSeed)
+	return exec.PlanContractStatement(p.target, p.tbl, statement, c, contractSeed)
 }
 
 // contractSeed fixes the subsample drawn by the approx rung, so equal

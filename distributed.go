@@ -7,36 +7,23 @@ import (
 	"aqppp/internal/exec"
 )
 
+// Fleet is a replica fleet as the registry sees it: something that
+// hands out execution targets with one of its prepared handles bound
+// in ("" binds none and serves exact plans). *dist.Coordinator
+// implements it; the root package names only this interface so library
+// users do not link the network stack.
+type Fleet interface {
+	Target(handle string) exec.Target
+}
+
 // RegisterDistributed registers a remote table: a zero-row schema table
 // (typically dist.Coordinator.SchemaTable()) whose data lives on a
-// replica fleet, with d answering every plan against it. Exact queries
+// replica fleet, with f answering every plan against it. Exact queries
 // against the name scatter-gather over the network and merge
 // bit-identically to the in-process sharded path; DistPrepared exposes
 // the fleet's prepared handles for approximate queries.
-func (db *DB) RegisterDistributed(tbl *engine.Table, d exec.Distributed) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if _, ok := db.tables[tbl.Name]; ok {
-		return fmt.Errorf("aqppp: table %q already registered", tbl.Name)
-	}
-	db.tables[tbl.Name] = tbl
-	db.dist[tbl.Name] = d
-	db.gens[tbl.Name]++
-	return nil
-}
-
-// lookupDistributed resolves a table's fleet, if it has one.
-func (db *DB) lookupDistributed(name string) (exec.Distributed, bool) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	d, ok := db.dist[name]
-	return d, ok
-}
-
-// Distributed reports a table's fleet, or nil if the table is resident.
-func (db *DB) Distributed(name string) exec.Distributed {
-	d, _ := db.lookupDistributed(name)
-	return d
+func (db *DB) RegisterDistributed(tbl *engine.Table, f Fleet) error {
+	return db.register(registered{tbl: tbl, target: f.Target(""), fleet: f})
 }
 
 // DistPrepared wraps one of a distributed table's prepared handles —
@@ -45,24 +32,25 @@ func (db *DB) Distributed(name string) exec.Distributed {
 // the fleet; confidence and sampleRows describe the handle as the
 // replicas reported it (dist.Coordinator.Handles()).
 func (db *DB) DistPrepared(table, handle string, confidence float64, sampleRows int) (*Prepared, error) {
-	tbl, err := db.Table(table)
+	e, err := db.lookup(table)
 	if err != nil {
 		return nil, err
 	}
-	d, ok := db.lookupDistributed(table)
-	if !ok {
+	if e.fleet == nil {
 		return nil, &exec.Error{Kind: exec.Unsupported, Op: "prepare",
 			Err: fmt.Errorf("table %q is not distributed", table)}
 	}
 	return &Prepared{
-		db: db, tbl: tbl, dist: d, distHandle: handle,
-		distConf: confidence, distSampleRows: sampleRows,
+		db: db, tbl: e.tbl, target: e.fleet.Target(handle), conf: confidence,
+		stats: PreprocessingStats{SampleRows: sampleRows},
 		state: db.track(table),
 	}, nil
 }
 
-// errDist is the cause carried by operations a distributed preparation
-// does not support.
-func errDist(what string) error {
-	return fmt.Errorf("%s is not supported over a distributed table", what)
+// notResident is the ErrUnsupported-kind failure of operations that
+// work on the sample and cube themselves, which only a resident
+// preparation holds.
+func (p *Prepared) notResident(op, what string) error {
+	return &exec.Error{Kind: exec.Unsupported, Op: op,
+		Err: fmt.Errorf("%s needs a resident preparation; table %q is sharded or distributed", what, p.tbl.Name)}
 }

@@ -19,13 +19,8 @@ func (p *Prepared) Insert(vals ...interface{}) error {
 	if err := p.live("insert"); err != nil {
 		return err
 	}
-	if p.shp != nil {
-		return &exec.Error{Kind: exec.Unsupported, Op: "insert",
-			Err: errSharded("incremental maintenance")}
-	}
-	if p.dist != nil {
-		return &exec.Error{Kind: exec.Unsupported, Op: "insert",
-			Err: errDist("incremental maintenance")}
+	if p.proc == nil {
+		return p.notResident("insert", "incremental maintenance")
 	}
 	if p.maintainer == nil {
 		m, err := core.NewMaintainer(p.tbl, p.proc, 0x5eed5eed)
@@ -70,13 +65,7 @@ func (p *Prepared) PlanBootstrap(statement string, resamples int) (*exec.Plan, e
 	if err := p.live("bootstrap"); err != nil {
 		return nil, err
 	}
-	if p.dist != nil {
-		return exec.PlanDistBootstrapStatement(p.dist, p.distHandle, p.tbl, statement, resamples, 0xb007)
-	}
-	if p.shp != nil {
-		return exec.PlanShardedBootstrapStatement(p.shp, p.tbl, statement, resamples, 0xb007)
-	}
-	return exec.PlanBootstrapStatement(p.proc, p.tbl, statement, resamples, 0xb007)
+	return exec.PlanBootstrapStatement(p.target, p.tbl, statement, resamples, 0xb007)
 }
 
 // MultiPrepareOptions configures PrepareMulti: several templates sharing
@@ -117,10 +106,11 @@ func (db *DB) PrepareMulti(opts MultiPrepareOptions) (*MultiPrepared, error) {
 // PrepareMultiContext is PrepareMulti with cancellation, at the same
 // granularity as PrepareContext (one climb step).
 func (db *DB) PrepareMultiContext(ctx context.Context, opts MultiPrepareOptions) (*MultiPrepared, error) {
-	tbl, err := db.Table(opts.Table)
+	e, err := db.lookupResident(opts.Table, "prepare")
 	if err != nil {
 		return nil, err
 	}
+	tbl := e.tbl
 	if opts.SampleRate == 0 {
 		opts.SampleRate = 0.01
 	}

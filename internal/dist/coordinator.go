@@ -55,9 +55,9 @@ func (r *replica) observe(d time.Duration) {
 
 // Coordinator implements the shard fan-out contract over the network:
 // it owns the fleet topology discovered by Dial, builds shard.Groups
-// whose executors are remote replicas, and implements exec.Distributed
-// so plans route to it exactly like they route to in-process shards.
-// Because the Group — pruning, fan-out, algebraic exact merge,
+// whose executors are remote replicas, and hands out exec.Targets
+// (see Target) so plans run on it exactly like they run on in-process
+// shards. Because the Group — pruning, fan-out, algebraic exact merge,
 // stratified CI merge — is byte-for-byte the code the in-process path
 // runs, distributed answers are bit-identical (exact) and CI-identical
 // (approx) to their in-process sharded counterparts.
@@ -92,11 +92,6 @@ func (c *Coordinator) Handles() []HandleInfo { return c.handles }
 // Layout reports the fleet's shard layout.
 func (c *Coordinator) Layout() shard.Layout { return c.layout }
 
-// Signature implements exec.Distributed.
-func (c *Coordinator) Signature() string {
-	return fmt.Sprintf("%s@t%d", c.layout.Signature(), c.topoGen.Load())
-}
-
 func (c *Coordinator) confidenceFor(handle string) float64 {
 	for _, h := range c.handles {
 		if h.Name == handle {
@@ -126,36 +121,64 @@ func (c *Coordinator) group(handle string) *shard.Group {
 	return g
 }
 
-// Exact implements exec.Distributed.
-func (c *Coordinator) Exact(ctx context.Context, q engine.Query) (engine.Result, error) {
-	return c.group("").Exact(ctx, q)
+// Target returns the fleet as an execution target whose approximate
+// plans answer through the named prepared handle on every active
+// replica; "" names no handle and serves exact plans only.
+func (c *Coordinator) Target(handle string) exec.Target {
+	return fleetTarget{c: c, handle: handle}
 }
 
-// Approx implements exec.Distributed.
-func (c *Coordinator) Approx(ctx context.Context, handle string, q engine.Query) (core.Answer, bool, error) {
-	a, deg, err := c.group(handle).Answer(ctx, q)
-	c.noteDegraded(deg)
-	return a, deg != nil, err
+// fleetTarget is a Coordinator with one prepared handle bound in.
+type fleetTarget struct {
+	c      *Coordinator
+	handle string
 }
 
-// ApproxGroups implements exec.Distributed.
-func (c *Coordinator) ApproxGroups(ctx context.Context, handle string, q engine.Query) ([]core.GroupAnswer, bool, error) {
-	groups, deg, err := c.group(handle).AnswerGroups(ctx, q)
-	c.noteDegraded(deg)
-	return groups, deg != nil, err
-}
-
-// Bootstrap implements exec.Distributed.
-func (c *Coordinator) Bootstrap(ctx context.Context, handle string, q engine.Query, resamples int, seed uint64) (core.Answer, bool, error) {
-	a, deg, err := c.group(handle).AnswerBootstrap(ctx, q, resamples, seed)
-	c.noteDegraded(deg)
-	return a, deg != nil, err
-}
-
-func (c *Coordinator) noteDegraded(deg *shard.Degradation) {
-	if deg != nil {
-		c.degraded.Add(1)
+// Signature implements exec.Target: the layout and the topology
+// generation, so cached answers die with the membership that computed
+// them; the handle distinguishes fleets serving several preparations.
+func (t fleetTarget) Signature() string {
+	sig := fmt.Sprintf("dist=%s@t%d", t.c.layout.Signature(), t.c.topoGen.Load())
+	if t.handle != "" {
+		sig += "|dh=" + t.handle
 	}
+	return sig
+}
+
+// Exact implements exec.Target. Exact answers never degrade: a lost
+// replica is an Unavailable error.
+func (t fleetTarget) Exact(ctx context.Context, q engine.Query) (engine.Result, error) {
+	return t.c.group("").Exact(ctx, q)
+}
+
+// Approx implements exec.Target.
+func (t fleetTarget) Approx(ctx context.Context, q engine.Query) (core.Answer, bool, error) {
+	a, deg, err := t.c.group(t.handle).Answer(ctx, q)
+	return a, t.partial(deg), err
+}
+
+// ApproxGroups implements exec.Target.
+func (t fleetTarget) ApproxGroups(ctx context.Context, q engine.Query) ([]core.GroupAnswer, bool, error) {
+	groups, deg, err := t.c.group(t.handle).AnswerGroups(ctx, q)
+	return groups, t.partial(deg), err
+}
+
+// Bootstrap implements exec.Target with per-replica bootstrap streams.
+func (t fleetTarget) Bootstrap(ctx context.Context, q engine.Query, resamples int, seed uint64) (core.Answer, bool, error) {
+	a, deg, err := t.c.group(t.handle).AnswerBootstrap(ctx, q, resamples, seed)
+	return a, t.partial(deg), err
+}
+
+// ScratchRows implements exec.Target: resampling happens on the
+// replicas, so no scratch is charged here.
+func (fleetTarget) ScratchRows() int { return 0 }
+
+// partial reports whether an answer was degraded, counting it if so.
+func (t fleetTarget) partial(deg *shard.Degradation) bool {
+	if deg != nil {
+		t.c.degraded.Add(1)
+	}
+	return deg != nil
 }
 
 // remoteExec adapts one replica to shard.Executor: each method is one

@@ -361,6 +361,68 @@ func TestDistDegradedApprox(t *testing.T) {
 	}
 }
 
+// TestDistributedTableHasOneTarget is the regression test for a silent
+// wrong answer: a name registered with RegisterDistributed resolves to
+// a zero-row schema table, so Reshard used to partition nothing, stack
+// a shard layout on top of the fleet (cache key "…|shards=…|dist=…"),
+// and let Prepare build per-shard processors over no rows that answered
+// every query 0 ± 0 with no error. A name has exactly one target:
+// building anything over a distributed table is ErrUnsupported, and
+// the fleet keeps answering.
+func TestDistributedTableHasOneTarget(t *testing.T) {
+	tbl := fleetTable(fleetRows, 7)
+	coord, _ := startFleet(t, tbl, 2, dist.Config{Timeout: 10 * time.Second})
+	db, prep := coordDB(t, coord)
+	const stmt = "SELECT SUM(v) FROM demo WHERE k BETWEEN 20 AND 470"
+
+	if err := db.Reshard("demo", aqppp.ShardOptions{Column: "k", Shards: 2}); aqppp.ErrorKindOf(err) != aqppp.ErrUnsupported {
+		t.Errorf("Reshard over a distributed table: err = %v, want kind %v", err, aqppp.ErrUnsupported)
+	}
+	_, err := db.Prepare(aqppp.PrepareOptions{
+		Table: "demo", Aggregate: "v", Dimensions: []string{"k"},
+		SampleRate: fleetRate, CellBudget: fleetBudget, Seed: fleetSeed,
+	})
+	if aqppp.ErrorKindOf(err) != aqppp.ErrUnsupported {
+		t.Errorf("Prepare over a distributed table: err = %v, want kind %v", err, aqppp.ErrUnsupported)
+	}
+
+	p, err := db.PlanExact(stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if key := p.CacheKey(); strings.Contains(key, "shards=") || !strings.Contains(key, "dist=") {
+		t.Errorf("cache key %q: want the fleet's signature and no shard layout", key)
+	}
+	want, err := tbl.Execute(p.Query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := db.Exact(stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !stats.ApproxEqual(got.Value, want.Value, 1e-12) {
+		t.Errorf("exact over the fleet = %v, want %v", got.Value, want.Value)
+	}
+	// The refused Reshard invalidated nothing: the handle still answers,
+	// with the truth inside a non-degenerate interval.
+	res, err := prep.Query(stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.HalfWidth == 0 || math.Abs(res.Value-want.Value) > 3*res.HalfWidth {
+		t.Errorf("approx over the fleet = %v ± %v, truth %v", res.Value, res.HalfWidth, want.Value)
+	}
+	// The struct path plans on the same target as the SQL path.
+	sres, err := prep.QueryStruct(p.Query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sres.Value != res.Value || sres.HalfWidth != res.HalfWidth {
+		t.Errorf("QueryStruct = %v ± %v, Query = %v ± %v", sres.Value, sres.HalfWidth, res.Value, res.HalfWidth)
+	}
+}
+
 // fakeReplica serves a valid single-shard handshake but answers
 // /v1/partial with the given handler — the knob for failure-injection
 // tests.
@@ -414,7 +476,7 @@ func TestDistRetryHonorsDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := coord.Exact(ctx, engine.Query{Func: engine.Count})
+	_, err := coord.Target("").Exact(ctx, engine.Query{Func: engine.Count})
 	elapsed := time.Since(start)
 	if kind := aqppp.ErrorKindOf(err); kind != aqppp.ErrUnavailable {
 		t.Fatalf("err = %v (kind %v), want kind %v", err, kind, aqppp.ErrUnavailable)

@@ -7,7 +7,6 @@ import (
 	"aqppp/internal/aqp"
 	"aqppp/internal/contract"
 	"aqppp/internal/core"
-	"aqppp/internal/engine"
 	"aqppp/internal/ident"
 )
 
@@ -79,27 +78,13 @@ func (ex *Executor) runRung(ctx context.Context, p *Plan, rung contract.Rung, co
 		if b.MaxResamples > 0 && resamples > b.MaxResamples {
 			resamples = b.MaxResamples
 		}
-		sc, release, err := ex.scratchFor(p.Proc.Sample.Size(), b)
-		if err != nil {
-			return core.Answer{}, err
-		}
-		defer release()
 		shadow := *p.Proc
 		shadow.Confidence = conf
-		return shadow.AnswerBootstrap(ctx, p.Query, resamples, p.Seed, sc)
+		ans, _, err := bootstrap(ctx, Resident{Table: p.Table, Proc: &shadow}, p.Query, resamples, p.Seed, b)
+		return ans, err
 
 	default: // contract.StrategyExact
-		workers := p.Workers
-		if workers == 0 {
-			workers = ex.Workers
-		}
-		var res engine.Result
-		var err error
-		if workers > 1 {
-			res, err = p.Table.ExecuteParallelContext(ctx, p.Query, workers)
-		} else {
-			res, err = p.Table.ExecuteContext(ctx, p.Query)
-		}
+		res, err := p.Target.Exact(ctx, p.Query)
 		if err != nil {
 			return core.Answer{}, err
 		}

@@ -18,7 +18,7 @@ func TestContractCacheKey(t *testing.T) {
 	stmt := "SELECT SUM(v) FROM t WHERE k BETWEEN 50 AND 150"
 	key := func(c contract.Contract) string {
 		t.Helper()
-		p, err := PlanContractStatement(proc, tbl, stmt, c, 7)
+		p, err := PlanContractStatement(Resident{Table: tbl, Proc: proc}, tbl, stmt, c, 7)
 		if err != nil {
 			t.Fatalf("plan (%+v): %v", c, err)
 		}
@@ -36,7 +36,7 @@ func TestContractCacheKey(t *testing.T) {
 	}
 	// An ordinary approx plan of the same statement must not collide
 	// with any contract plan.
-	plain, err := PlanQueryStatement(proc, tbl, stmt)
+	plain, err := PlanQueryStatement(Resident{Table: tbl, Proc: proc}, tbl, stmt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestContractCacheKey(t *testing.T) {
 func TestContractPlanErrors(t *testing.T) {
 	tbl := execTable(2000)
 	proc := execProcessor(t, tbl)
-	_, err := PlanContractStatement(proc, tbl,
+	_, err := PlanContractStatement(Resident{Table: tbl, Proc: proc}, tbl,
 		"SELECT SUM(v) FROM t WHERE k BETWEEN 50 AND 150",
 		contract.Contract{MaxRelError: 1e-12}, 7)
 	if KindOf(err) != ContractInfeasible {
@@ -61,12 +61,12 @@ func TestContractPlanErrors(t *testing.T) {
 	if !errors.As(err, &inf) {
 		t.Error("ContractInfeasible error does not unwrap to *InfeasibleError")
 	}
-	_, err = PlanContractStatement(proc, tbl,
+	_, err = PlanContractStatement(Resident{Table: tbl, Proc: proc}, tbl,
 		"SELECT SUM(v) FROM t", contract.Contract{}, 7)
 	if KindOf(err) != Parse {
 		t.Errorf("empty contract: kind = %v, want Parse", KindOf(err))
 	}
-	_, err = PlanContractStatement(proc, tbl,
+	_, err = PlanContractStatement(Resident{Table: tbl, Proc: proc}, tbl,
 		"SELECT SUM(v) FROM t GROUP BY k", contract.Contract{MaxRelError: 0.5}, 7)
 	if KindOf(err) != Unsupported {
 		t.Errorf("GROUP BY contract: kind = %v, want Unsupported", KindOf(err))
@@ -85,7 +85,7 @@ func TestContractRunMeetsBound(t *testing.T) {
 	ex := New()
 	for _, rel := range []float64{0.5, 0.1, 0.05} {
 		c := contract.Contract{MaxRelError: rel}
-		p, err := PlanContractStatement(proc, tbl,
+		p, err := PlanContractStatement(Resident{Table: tbl, Proc: proc}, tbl,
 			"SELECT SUM(v) FROM t WHERE k BETWEEN 40 AND 160", c, 7)
 		if err != nil {
 			t.Fatalf("rel %v: %v", rel, err)
@@ -112,7 +112,7 @@ func TestContractExactRung(t *testing.T) {
 	proc := execProcessor(t, tbl)
 	stmt := "SELECT SUM(v) FROM t WHERE k BETWEEN 50 AND 150"
 	c := contract.Contract{MaxRelError: 1e-12, AllowExact: true}
-	p, err := PlanContractStatement(proc, tbl, stmt, c, 7)
+	p, err := PlanContractStatement(Resident{Table: tbl, Proc: proc}, tbl, stmt, c, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestContractExactRung(t *testing.T) {
 func TestContractCanceled(t *testing.T) {
 	tbl := execTable(5000)
 	proc := execProcessor(t, tbl)
-	p, err := PlanContractStatement(proc, tbl,
+	p, err := PlanContractStatement(Resident{Table: tbl, Proc: proc}, tbl,
 		"SELECT SUM(v) FROM t WHERE k BETWEEN 50 AND 150",
 		contract.Contract{MaxRelError: 0.5}, 7)
 	if err != nil {

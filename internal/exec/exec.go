@@ -3,7 +3,6 @@ package exec
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"aqppp/internal/core"
@@ -51,18 +50,10 @@ type Outcome struct {
 	ContractEscalated bool
 }
 
-// Executor runs Plans. It is safe for concurrent use; scratch buffers
-// are pooled across queries.
-type Executor struct {
-	// Workers bounds PlanExact parallelism when the plan itself does
-	// not set one; <= 1 keeps exact scans serial (bit-identical to
-	// Table.Execute).
-	Workers int
+// Executor runs Plans. It is stateless and safe for concurrent use.
+type Executor struct{}
 
-	scratch sync.Pool // *core.BootstrapScratch
-}
-
-// New returns an Executor with serial exact scans.
+// New returns an Executor.
 func New() *Executor { return &Executor{} }
 
 // Run executes a Plan under the context and budget, returning a
@@ -95,13 +86,10 @@ func (ex *Executor) Prepare(ctx context.Context, tbl *engine.Table, cfg core.Bui
 
 // PrepareSharded builds per-shard processors (sample + BP-cube slice
 // per shard, in parallel) under the context and budget.
-func (ex *Executor) PrepareSharded(ctx context.Context, s *shard.Sharded, cfg core.BuildConfig, workers int, b Budget) (*shard.Prepared, error) {
+func (ex *Executor) PrepareSharded(ctx context.Context, s *shard.Sharded, cfg core.BuildConfig, b Budget) (*shard.Prepared, error) {
 	run, cancel, budgeted := b.bound(ctx)
 	defer cancel()
-	if workers == 0 {
-		workers = ex.Workers
-	}
-	sp, err := shard.Prepare(run, s, cfg, workers)
+	sp, err := shard.Prepare(run, s, cfg, 0)
 	if err != nil {
 		return nil, classify(ctx, run, "prepare", budgeted, err)
 	}
@@ -130,60 +118,38 @@ func (b Budget) bound(ctx context.Context) (context.Context, context.CancelFunc,
 	return run, cancel, true
 }
 
+// dispatch runs the plan's kind against its target. No arm asks what
+// the target is: resident, sharded and fleet plans differ only in the
+// Target they carry.
 func (ex *Executor) dispatch(ctx context.Context, p *Plan, b Budget) (Outcome, error) {
 	if err := ctx.Err(); err != nil {
 		return Outcome{}, err
 	}
-	if p.Dist != nil {
-		return ex.dispatchDist(ctx, p, b)
+	// The contract ladder draws subsamples of a resident processor and
+	// multi-template routing needs its manager; a plan built without
+	// one (over a sharded or distributed target) is refused, not run.
+	if (p.Kind == PlanContract && p.Proc == nil) || (p.Kind == PlanMulti && p.Mgr == nil) {
+		return Outcome{}, &Error{Kind: Unsupported, Op: p.Kind.String(),
+			Err: fmt.Errorf("%v plans need resident prepared state", p.Kind)}
 	}
 	switch p.Kind {
 	case PlanExact:
-		workers := p.Workers
-		if workers == 0 {
-			workers = ex.Workers
-		}
-		var res engine.Result
-		var err error
-		switch {
-		case p.Shards != nil:
-			res, err = p.Shards.ExecuteContext(ctx, p.Query, workers)
-		case workers > 1:
-			res, err = p.Table.ExecuteParallelContext(ctx, p.Query, workers)
-		default:
-			res, err = p.Table.ExecuteContext(ctx, p.Query)
-		}
+		res, err := p.Target.Exact(ctx, p.Query)
 		return Outcome{Exact: res}, err
 
 	case PlanApprox:
-		workers := p.Workers
-		if workers == 0 {
-			workers = ex.Workers
-		}
 		if len(p.Query.GroupBy) > 0 {
-			var groups []core.GroupAnswer
-			var err error
-			if p.ShardPrep != nil {
-				groups, err = p.ShardPrep.AnswerGroups(ctx, p.Query, workers)
-			} else {
-				groups, err = p.Proc.AnswerGroups(ctx, p.Query)
-			}
+			groups, partial, err := p.Target.ApproxGroups(ctx, p.Query)
 			if err != nil {
 				return Outcome{}, err
 			}
-			return Outcome{Groups: groups}, nil
+			return Outcome{Groups: groups, Partial: partial}, nil
 		}
-		var ans core.Answer
-		var err error
-		if p.ShardPrep != nil {
-			ans, err = p.ShardPrep.Answer(ctx, p.Query, workers)
-		} else {
-			ans, err = p.Proc.Answer(p.Query)
-		}
+		ans, partial, err := p.Target.Approx(ctx, p.Query)
 		if err != nil {
 			return Outcome{}, err
 		}
-		return Outcome{Answer: ans}, nil
+		return Outcome{Answer: ans, Partial: partial}, nil
 
 	case PlanBootstrap:
 		resamples := p.Resamples
@@ -194,35 +160,11 @@ func (ex *Executor) dispatch(ctx context.Context, p *Plan, b Budget) (Outcome, e
 			return Outcome{}, &Error{Kind: BudgetExceeded, Op: "bootstrap",
 				Err: fmt.Errorf("%d resamples exceed the budget's cap of %d", resamples, b.MaxResamples)}
 		}
-		if p.ShardPrep != nil {
-			// Per-shard bootstraps allocate their own scratch inside the
-			// shard layer; enforce the budget's cap against the summed
-			// footprint up front, same accounting as the single path.
-			need := core.BootstrapScratchBytes(p.ShardPrep.SampleSize())
-			if b.MaxScratchBytes > 0 && need > b.MaxScratchBytes {
-				return Outcome{}, &Error{Kind: BudgetExceeded, Op: "bootstrap",
-					Err: fmt.Errorf("bootstrap needs %d scratch bytes, budget caps at %d", need, b.MaxScratchBytes)}
-			}
-			workers := p.Workers
-			if workers == 0 {
-				workers = ex.Workers
-			}
-			ans, err := p.ShardPrep.AnswerBootstrap(ctx, p.Query, resamples, p.Seed, workers)
-			if err != nil {
-				return Outcome{}, err
-			}
-			return Outcome{Answer: ans}, nil
-		}
-		sc, release, err := ex.scratchFor(p.Proc.Sample.Size(), b)
+		ans, partial, err := bootstrap(ctx, p.Target, p.Query, resamples, p.Seed, b)
 		if err != nil {
 			return Outcome{}, err
 		}
-		defer release()
-		ans, err := p.Proc.AnswerBootstrap(ctx, p.Query, resamples, p.Seed, sc)
-		if err != nil {
-			return Outcome{}, err
-		}
-		return Outcome{Answer: ans}, nil
+		return Outcome{Answer: ans, Partial: partial}, nil
 
 	case PlanContract:
 		return ex.dispatchContract(ctx, p, b)
@@ -240,19 +182,13 @@ func (ex *Executor) dispatch(ctx context.Context, p *Plan, b Budget) (Outcome, e
 	}
 }
 
-// scratchFor hands out a pooled bootstrap scratch sized for an n-row
-// sample, enforcing the budget's scratch cap. release returns the
-// buffers to the pool.
-func (ex *Executor) scratchFor(n int, b Budget) (*core.BootstrapScratch, func(), error) {
-	need := core.BootstrapScratchBytes(n)
+// bootstrap runs t's bootstrap under the budget's scratch cap, charged
+// against the rows t resamples in this process before any work starts.
+func bootstrap(ctx context.Context, t Target, q engine.Query, resamples int, seed uint64, b Budget) (core.Answer, bool, error) {
+	need := core.BootstrapScratchBytes(t.ScratchRows())
 	if b.MaxScratchBytes > 0 && need > b.MaxScratchBytes {
-		return nil, nil, &Error{Kind: BudgetExceeded, Op: "bootstrap",
+		return core.Answer{}, false, &Error{Kind: BudgetExceeded, Op: "bootstrap",
 			Err: fmt.Errorf("bootstrap needs %d scratch bytes, budget caps at %d", need, b.MaxScratchBytes)}
 	}
-	sc, _ := ex.scratch.Get().(*core.BootstrapScratch)
-	if sc == nil {
-		sc = &core.BootstrapScratch{}
-	}
-	sc.Grow(n)
-	return sc, func() { ex.scratch.Put(sc) }, nil
+	return t.Bootstrap(ctx, q, resamples, seed)
 }

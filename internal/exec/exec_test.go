@@ -38,12 +38,22 @@ func execProcessor(t *testing.T, tbl *engine.Table) *core.Processor {
 	return proc
 }
 
-// mapSource is a trivial TableSource for tests.
+// mapSource is a trivial TargetSource of resident tables for tests.
 type mapSource map[string]*engine.Table
 
-func (m mapSource) LookupTable(name string) (*engine.Table, bool) {
+func (m mapSource) LookupTarget(name string) (*engine.Table, Target, bool) {
 	tbl, ok := m[name]
-	return tbl, ok
+	return tbl, Resident{Table: tbl}, ok
+}
+
+// targetSource resolves its one table to a fixed target.
+type targetSource struct {
+	tbl *engine.Table
+	t   Target
+}
+
+func (s targetSource) LookupTarget(name string) (*engine.Table, Target, bool) {
+	return s.tbl, s.t, name == s.tbl.Name
 }
 
 func TestPlanErrorKinds(t *testing.T) {
@@ -56,10 +66,10 @@ func TestPlanErrorKinds(t *testing.T) {
 		t.Errorf("missing table: kind = %v, want UnknownTable", KindOf(err))
 	}
 	proc := execProcessor(t, tbl)
-	if _, err := PlanQueryStatement(proc, tbl, "SELECT SUM(v) FROM other"); KindOf(err) != UnknownTable {
+	if _, err := PlanQueryStatement(Resident{Table: tbl, Proc: proc}, tbl, "SELECT SUM(v) FROM other"); KindOf(err) != UnknownTable {
 		t.Errorf("table mismatch: kind = %v, want UnknownTable", KindOf(err))
 	}
-	if _, err := PlanQueryStatement(proc, tbl, "SELECT SUM(nope) FROM t"); KindOf(err) != Parse {
+	if _, err := PlanQueryStatement(Resident{Table: tbl, Proc: proc}, tbl, "SELECT SUM(nope) FROM t"); KindOf(err) != Parse {
 		t.Errorf("bad column: kind = %v, want Parse", KindOf(err))
 	}
 	if KindOf(nil) != Internal {
@@ -95,7 +105,7 @@ func TestRunExactMatchesEngine(t *testing.T) {
 func TestUnsupportedKind(t *testing.T) {
 	tbl := execTable(2000)
 	proc := execProcessor(t, tbl)
-	p, err := PlanBootstrapStatement(proc, tbl, "SELECT AVG(v) FROM t", 10, 1)
+	p, err := PlanBootstrapStatement(Resident{Table: tbl, Proc: proc}, tbl, "SELECT AVG(v) FROM t", 10, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +121,7 @@ func TestUnsupportedKind(t *testing.T) {
 func TestBudgetMaxResamples(t *testing.T) {
 	tbl := execTable(2000)
 	proc := execProcessor(t, tbl)
-	p, err := PlanBootstrapStatement(proc, tbl, "SELECT SUM(v) FROM t", 500, 1)
+	p, err := PlanBootstrapStatement(Resident{Table: tbl, Proc: proc}, tbl, "SELECT SUM(v) FROM t", 500, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +139,7 @@ func TestBudgetMaxResamples(t *testing.T) {
 func TestBudgetScratchCap(t *testing.T) {
 	tbl := execTable(2000)
 	proc := execProcessor(t, tbl)
-	p, err := PlanBootstrapStatement(proc, tbl, "SELECT SUM(v) FROM t", 20, 1)
+	p, err := PlanBootstrapStatement(Resident{Table: tbl, Proc: proc}, tbl, "SELECT SUM(v) FROM t", 20, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +159,7 @@ func TestBudgetScratchCap(t *testing.T) {
 func TestCancelVsBudgetDeadline(t *testing.T) {
 	tbl := execTable(2000)
 	proc := execProcessor(t, tbl)
-	p, err := PlanBootstrapStatement(proc, tbl, "SELECT SUM(v) FROM t", 50, 1)
+	p, err := PlanBootstrapStatement(Resident{Table: tbl, Proc: proc}, tbl, "SELECT SUM(v) FROM t", 50, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

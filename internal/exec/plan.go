@@ -9,7 +9,6 @@ import (
 	"aqppp/internal/contract"
 	"aqppp/internal/core"
 	"aqppp/internal/engine"
-	"aqppp/internal/shard"
 	"aqppp/internal/sql"
 )
 
@@ -53,15 +52,20 @@ func (k PlanKind) String() string {
 	}
 }
 
-// Plan is the executor's IR: what to run, fully resolved — the concrete
-// table, the compiled predicate, and the processor or manager that will
-// answer. Plans are built by the Plan* constructors (which own the
-// parse/resolve/compile error classification) and run by Executor.Run.
+// Plan is the executor's IR: what to run, fully resolved — the compiled
+// predicate and the Target that will answer it. Plans are built by the
+// Plan* constructors (which own the parse/resolve/compile error
+// classification) and run by Executor.Run.
 type Plan struct {
-	Kind  PlanKind
+	Kind PlanKind
+	// Table is the table the statement compiled against (a fleet's
+	// zero-row schema table, for a distributed plan).
 	Table *engine.Table
 	Query engine.Query
-	// Proc answers PlanApprox and PlanBootstrap plans.
+	// Target answers the plan, whatever the kind.
+	Target Target
+	// Proc is the resident processor a PlanContract plan's ladder draws
+	// subsamples from; only a Resident target can supply one.
 	Proc *core.Processor
 	// Mgr answers PlanMulti plans.
 	Mgr *core.Manager
@@ -70,24 +74,6 @@ type Plan struct {
 	Resamples int
 	// Seed drives bootstrap resampling.
 	Seed uint64
-	// Workers bounds PlanExact parallelism; <= 1 runs the serial path
-	// (bit-identical to Table.Execute). For sharded plans it bounds the
-	// scatter-gather pool instead (<= 0 selects GOMAXPROCS).
-	Workers int
-	// Shards, when set, routes a PlanExact scan scatter-gather across
-	// the table's partitions instead of the single-table path.
-	Shards *shard.Sharded
-	// ShardPrep, when set, answers PlanApprox/PlanBootstrap plans from
-	// per-shard processors with a stratified CI merge (a shard is a
-	// stratum); Proc is nil on such plans.
-	ShardPrep *shard.Prepared
-	// Dist, when set, routes the plan to a remote replica fleet (the
-	// cross-process analogue of Shards/ShardPrep); Proc, Shards and
-	// ShardPrep are nil on such plans.
-	Dist Distributed
-	// DistHandle names the prepared handle every replica answers
-	// Dist-routed approx/bootstrap plans through.
-	DistHandle string
 	// Contract is the a-priori error bound of a PlanContract plan, and
 	// Decision the planner's strategy choice for it (computed at plan
 	// time from prepared state, so infeasible contracts never reach the
@@ -142,46 +128,30 @@ func (p *Plan) CacheKey() string {
 		b.WriteString("|contract=")
 		b.WriteString(p.Contract.Key())
 	}
-	// The shard layout folds into the key: merged float aggregates
-	// reassociate differently across layouts, and per-shard samples
-	// differ, so answers computed under one layout must never serve a
-	// plan running under another. (Unsharded plans keep their exact
-	// pre-sharding keys.)
-	if p.Shards != nil {
-		b.WriteString("|shards=")
-		b.WriteString(p.Shards.Layout.Signature())
-	} else if p.ShardPrep != nil {
-		b.WriteString("|shards=")
-		b.WriteString(p.ShardPrep.S.Layout.Signature())
-	}
-	// The fleet signature folds the replica topology generation in, so
-	// cached answers die with the membership that computed them; the
-	// handle distinguishes fleets serving several preparations.
-	if p.Dist != nil {
-		b.WriteString("|dist=")
-		b.WriteString(p.Dist.Signature())
-		if p.DistHandle != "" {
-			b.WriteString("|dh=")
-			b.WriteString(p.DistHandle)
-		}
+	// The target folds in last: answers computed under one shard layout
+	// or fleet topology must never serve a plan running under another.
+	if sig := p.Target.Signature(); sig != "" {
+		b.WriteByte('|')
+		b.WriteString(sig)
 	}
 	return b.String()
 }
 
-// TableSource resolves table names for PlanExact. *aqppp.DB implements
-// it; any registry can.
-type TableSource interface {
-	LookupTable(name string) (*engine.Table, bool)
+// TargetSource resolves table names for PlanExact: the table
+// statements compile against and the target that scans it. *aqppp.DB
+// implements it; any registry can.
+type TargetSource interface {
+	LookupTarget(name string) (*engine.Table, Target, bool)
 }
 
 // PlanExactStatement parses a statement, resolves its table against src
 // and compiles the predicate into an exact-scan plan.
-func PlanExactStatement(src TableSource, statement string) (*Plan, error) {
+func PlanExactStatement(src TargetSource, statement string) (*Plan, error) {
 	st, err := sql.Parse(statement)
 	if err != nil {
 		return nil, &Error{Kind: Parse, Op: "exact", Err: err}
 	}
-	tbl, ok := src.LookupTable(st.Table)
+	tbl, t, ok := src.LookupTarget(st.Table)
 	if !ok {
 		return nil, &Error{Kind: UnknownTable, Op: "exact", Err: fmt.Errorf("no table %q", st.Table)}
 	}
@@ -189,77 +159,51 @@ func PlanExactStatement(src TableSource, statement string) (*Plan, error) {
 	if err != nil {
 		return nil, &Error{Kind: Parse, Op: "exact", Err: err}
 	}
-	return &Plan{Kind: PlanExact, Table: tbl, Query: q}, nil
+	return &Plan{Kind: PlanExact, Table: tbl, Query: q, Target: t}, nil
 }
 
-// PlanQueryStatement compiles a statement against a prepared
-// processor's table into an AQP++ plan.
-func PlanQueryStatement(proc *core.Processor, tbl *engine.Table, statement string) (*Plan, error) {
-	q, err := compileFor("query", tbl, statement)
+// PlanQueryStatement compiles a statement against a prepared target's
+// table into an AQP++ plan.
+func PlanQueryStatement(t Target, tbl *engine.Table, statement string) (*Plan, error) {
+	q, err := CompileStatement(tbl, "query", statement)
 	if err != nil {
 		return nil, err
 	}
-	return &Plan{Kind: PlanApprox, Table: tbl, Query: q, Proc: proc}, nil
+	return PlanQueryStruct(t, tbl, q), nil
 }
 
 // PlanQueryStruct wraps an already-compiled engine.Query into an AQP++
 // plan (the advanced-use path that skips SQL).
-func PlanQueryStruct(proc *core.Processor, tbl *engine.Table, q engine.Query) *Plan {
-	return &Plan{Kind: PlanApprox, Table: tbl, Query: q, Proc: proc}
+func PlanQueryStruct(t Target, tbl *engine.Table, q engine.Query) *Plan {
+	return &Plan{Kind: PlanApprox, Table: tbl, Query: q, Target: t}
 }
 
 // PlanBootstrapStatement compiles a statement into a bootstrap plan.
-func PlanBootstrapStatement(proc *core.Processor, tbl *engine.Table, statement string, resamples int, seed uint64) (*Plan, error) {
-	q, err := compileFor("bootstrap", tbl, statement)
+func PlanBootstrapStatement(t Target, tbl *engine.Table, statement string, resamples int, seed uint64) (*Plan, error) {
+	q, err := CompileStatement(tbl, "bootstrap", statement)
 	if err != nil {
 		return nil, err
 	}
-	return &Plan{Kind: PlanBootstrap, Table: tbl, Query: q, Proc: proc, Resamples: resamples, Seed: seed}, nil
+	return &Plan{Kind: PlanBootstrap, Table: tbl, Query: q, Target: t, Resamples: resamples, Seed: seed}, nil
 }
 
-// PlanShardedQueryStatement compiles a statement against a sharded
-// preparation's source table into a scatter-gather AQP++ plan.
-func PlanShardedQueryStatement(sp *shard.Prepared, tbl *engine.Table, statement string) (*Plan, error) {
-	q, err := compileFor("query", tbl, statement)
+// PlanContractStatement compiles a statement into a contract plan: the
+// contract planner runs here, at plan time, so an infeasible contract
+// fails fast (kind ContractInfeasible) before any cache, gate, or scan
+// work. Contract planning inverts the resident sample's interval and
+// the ladder draws subsamples of it, so any target but a prepared
+// Resident is Unsupported.
+func PlanContractStatement(t Target, tbl *engine.Table, statement string, c contract.Contract, seed uint64) (*Plan, error) {
+	r, ok := t.(Resident)
+	if !ok || r.Proc == nil {
+		return nil, &Error{Kind: Unsupported, Op: "contract",
+			Err: fmt.Errorf("contracts need a resident preparation over %q", tbl.Name)}
+	}
+	q, err := CompileStatement(tbl, "contract", statement)
 	if err != nil {
 		return nil, err
 	}
-	return &Plan{Kind: PlanApprox, Table: tbl, Query: q, ShardPrep: sp}, nil
-}
-
-// PlanShardedQueryStruct wraps an already-compiled engine.Query into a
-// scatter-gather AQP++ plan.
-func PlanShardedQueryStruct(sp *shard.Prepared, tbl *engine.Table, q engine.Query) *Plan {
-	return &Plan{Kind: PlanApprox, Table: tbl, Query: q, ShardPrep: sp}
-}
-
-// PlanShardedBootstrapStatement compiles a statement into a per-shard
-// bootstrap plan (independent seeded streams per shard, CI merge at the
-// coordinator).
-func PlanShardedBootstrapStatement(sp *shard.Prepared, tbl *engine.Table, statement string, resamples int, seed uint64) (*Plan, error) {
-	q, err := compileFor("bootstrap", tbl, statement)
-	if err != nil {
-		return nil, err
-	}
-	return &Plan{Kind: PlanBootstrap, Table: tbl, Query: q, ShardPrep: sp, Resamples: resamples, Seed: seed}, nil
-}
-
-// PlanContractStatement compiles a statement against a prepared
-// processor's table into a contract plan: the contract planner runs
-// here, at plan time, so an infeasible contract fails fast (kind
-// ContractInfeasible) before any cache, gate, or scan work.
-func PlanContractStatement(proc *core.Processor, tbl *engine.Table, statement string, c contract.Contract, seed uint64) (*Plan, error) {
-	q, err := compileFor("contract", tbl, statement)
-	if err != nil {
-		return nil, err
-	}
-	return PlanContractStruct(proc, tbl, q, c, seed)
-}
-
-// PlanContractStruct wraps an already-compiled engine.Query into a
-// contract plan (the advanced-use path that skips SQL).
-func PlanContractStruct(proc *core.Processor, tbl *engine.Table, q engine.Query, c contract.Contract, seed uint64) (*Plan, error) {
-	d, err := contract.Decide(proc, q, c)
+	d, err := contract.Decide(r.Proc, q, c)
 	if err != nil {
 		var inf *contract.InfeasibleError
 		if errors.As(err, &inf) {
@@ -270,32 +214,27 @@ func PlanContractStruct(proc *core.Processor, tbl *engine.Table, q engine.Query,
 		}
 		return nil, &Error{Kind: Parse, Op: "contract", Err: err}
 	}
-	cc := c
-	return &Plan{Kind: PlanContract, Table: tbl, Query: q, Proc: proc,
-		Contract: &cc, Decision: d, Seed: seed}, nil
+	return &Plan{Kind: PlanContract, Table: tbl, Query: q, Target: t, Proc: r.Proc,
+		Contract: &c, Decision: d, Seed: seed}, nil
 }
 
 // PlanMultiStatement compiles a statement into a multi-template plan.
+// A manager's templates share one resident sample, so the plan's target
+// is the resident table it was built over.
 func PlanMultiStatement(mgr *core.Manager, tbl *engine.Table, statement string) (*Plan, error) {
-	q, err := compileFor("multi", tbl, statement)
+	q, err := CompileStatement(tbl, "multi", statement)
 	if err != nil {
 		return nil, err
 	}
-	return &Plan{Kind: PlanMulti, Table: tbl, Query: q, Mgr: mgr}, nil
+	return &Plan{Kind: PlanMulti, Table: tbl, Query: q, Target: Resident{Table: tbl}, Mgr: mgr}, nil
 }
 
 // CompileStatement parses and compiles a statement against a single
-// known table with the executor's error classification. Exported for
+// known table, classifying a table mismatch as UnknownTable and
+// everything else the parser or compiler rejects as Parse. Exported for
 // the root progressive path, which streams rounds outside the Plan IR
 // but must classify compile failures identically.
 func CompileStatement(tbl *engine.Table, op, statement string) (engine.Query, error) {
-	return compileFor(op, tbl, statement)
-}
-
-// compileFor parses and compiles a statement against a single known
-// table, classifying a table mismatch as UnknownTable and everything
-// else the parser or compiler rejects as Parse.
-func compileFor(op string, tbl *engine.Table, statement string) (engine.Query, error) {
 	st, err := sql.Parse(statement)
 	if err != nil {
 		return engine.Query{}, &Error{Kind: Parse, Op: op, Err: err}

@@ -1,8 +1,14 @@
 package exec
 
 import (
+	"context"
 	"strings"
 	"testing"
+
+	"aqppp/internal/contract"
+	"aqppp/internal/core"
+	"aqppp/internal/cube"
+	"aqppp/internal/shard"
 )
 
 // TestCacheKeyCanonical pins the property the response cache depends
@@ -66,19 +72,19 @@ func TestCacheKeyDiscriminatesAnswerPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	approx, err := PlanQueryStatement(proc, tbl, stmt)
+	approx, err := PlanQueryStatement(Resident{Table: tbl, Proc: proc}, tbl, stmt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	boot100, err := PlanBootstrapStatement(proc, tbl, stmt, 100, 0xb007)
+	boot100, err := PlanBootstrapStatement(Resident{Table: tbl, Proc: proc}, tbl, stmt, 100, 0xb007)
 	if err != nil {
 		t.Fatal(err)
 	}
-	boot200, err := PlanBootstrapStatement(proc, tbl, stmt, 200, 0xb007)
+	boot200, err := PlanBootstrapStatement(Resident{Table: tbl, Proc: proc}, tbl, stmt, 200, 0xb007)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bootSeed, err := PlanBootstrapStatement(proc, tbl, stmt, 100, 0xdead)
+	bootSeed, err := PlanBootstrapStatement(Resident{Table: tbl, Proc: proc}, tbl, stmt, 100, 0xdead)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,5 +112,70 @@ func TestCacheKeyDiscriminatesAnswerPath(t *testing.T) {
 	}
 	if !strings.Contains(g.CacheKey(), "by:k") {
 		t.Errorf("group-by key %q missing by:k", g.CacheKey())
+	}
+}
+
+// TestCacheKeyGolden pins CacheKey byte for byte against strings
+// recorded at the commit before plans moved onto exec.Target: a cache
+// warmed by one build must keep serving the next, so the key is a
+// stable format, not an implementation detail. One plan of every kind
+// per in-process target; the fleet's goldens live in
+// internal/dist/conformance_test.go, next to the fixtures that build
+// fleets (this package cannot import internal/dist).
+func TestCacheKeyGolden(t *testing.T) {
+	tbl := execTable(500)
+	const stmt = "SELECT SUM(v) FROM t WHERE k BETWEEN 10 AND 50"
+	const gstmt = "SELECT COUNT(*) FROM t WHERE v BETWEEN 0 AND 100 GROUP BY k"
+	resident := Resident{Table: tbl, Proc: execProcessor(t, tbl)}
+	s, err := shard.Partition(tbl, shard.Layout{Strategy: shard.ByRange, Column: "k", N: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, err := shard.Prepare(context.Background(), s, core.BuildConfig{
+		Template:   cube.Template{Agg: "v", Dims: []string{"k"}},
+		SampleRate: 0.2, CellBudget: 64, Seed: 3,
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sharded := Sharded{S: s, Prep: sp}
+	shardedSource := targetSource{tbl: tbl, t: sharded}
+
+	const ranges = "|k:0x1.4p+03..0x1.9p+05"
+	const groups = "query|t|COUNT()|v:0x0p+00..0x1.9p+06|by:k"
+	for _, c := range []struct {
+		name string
+		plan func() (*Plan, error)
+		want string
+	}{
+		{"resident exact", func() (*Plan, error) { return PlanExactStatement(mapSource{"t": tbl}, stmt) },
+			"exact|t|SUM(v)" + ranges},
+		{"resident query", func() (*Plan, error) { return PlanQueryStatement(resident, tbl, stmt) },
+			"query|t|SUM(v)" + ranges},
+		{"resident groups", func() (*Plan, error) { return PlanQueryStatement(resident, tbl, gstmt) },
+			groups},
+		{"resident bootstrap", func() (*Plan, error) { return PlanBootstrapStatement(resident, tbl, stmt, 100, 0xb007) },
+			"bootstrap|t|SUM(v)" + ranges + "|n=100|seed=45063"},
+		{"resident contract", func() (*Plan, error) {
+			return PlanContractStatement(resident, tbl, stmt, contract.Contract{MaxRelError: 0.5, AllowExact: true}, 7)
+		}, "contract|t|SUM(v)" + ranges + "|contract=rel:3fe0000000000000,abs:0,conf:3fee666666666666,exact:1"},
+		{"resident multi", func() (*Plan, error) { return PlanMultiStatement(nil, tbl, stmt) },
+			"multi|t|SUM(v)" + ranges},
+		{"sharded exact", func() (*Plan, error) { return PlanExactStatement(shardedSource, stmt) },
+			"exact|t|SUM(v)" + ranges + "|shards=range:k:4"},
+		{"sharded query", func() (*Plan, error) { return PlanQueryStatement(sharded, tbl, stmt) },
+			"query|t|SUM(v)" + ranges + "|shards=range:k:4"},
+		{"sharded groups", func() (*Plan, error) { return PlanQueryStatement(sharded, tbl, gstmt) },
+			groups + "|shards=range:k:4"},
+		{"sharded bootstrap", func() (*Plan, error) { return PlanBootstrapStatement(sharded, tbl, stmt, 100, 0xb007) },
+			"bootstrap|t|SUM(v)" + ranges + "|n=100|seed=45063|shards=range:k:4"},
+	} {
+		p, err := c.plan()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := p.CacheKey(); got != c.want {
+			t.Errorf("%s: key %q, want %q", c.name, got, c.want)
+		}
 	}
 }

@@ -7,9 +7,11 @@ import (
 	"time"
 
 	"aqppp"
+	"aqppp/internal/core"
 	"aqppp/internal/dist"
 	"aqppp/internal/engine"
 	"aqppp/internal/exec"
+	"aqppp/internal/shard"
 )
 
 // This file is the server's distributed-execution surface: the three
@@ -98,13 +100,54 @@ func (s *Server) handlePartial(w http.ResponseWriter, r *http.Request, ri *reqIn
 	}
 	defer release()
 	t0 := time.Now()
-	resp := dist.PartialResponse{V: dist.WireVersion, Shard: role.Ident.Index, Mode: preq.Mode}
+	// One stratum answers the same way in process and behind this
+	// endpoint: through a shard.Local over the slice (exact) or over the
+	// handle's processor (approximate).
+	local := shard.Local{Shard: &shard.Shard{Index: role.Ident.Index}}
 	switch preq.Mode {
 	case dist.ModeExact:
-		pr, err := s.partialExact(r.Context(), role.Table, q)
-		if err != nil {
-			s.writePartialError(r.Context(), w, ri, err)
+		tbl, ok := s.db.LookupTable(role.Table)
+		if !ok {
+			s.writePartialError(r.Context(), w, ri, &exec.Error{Kind: exec.UnknownTable, Op: "exact",
+				Err: fmt.Errorf("no table %q", role.Table)})
 			return
+		}
+		local.Shard.Table = tbl
+	case dist.ModeApprox, dist.ModeGroups, dist.ModeBootstrap:
+		prep, _, found := s.lookupPrepared(preq.Handle)
+		if !found {
+			s.writeServerError(w, ri, http.StatusNotFound, "unknown-prepared",
+				fmt.Sprintf("no prepared handle %q", preq.Handle))
+			return
+		}
+		if local.Proc = prep.Processor(); local.Proc == nil {
+			s.writeServerError(w, ri, http.StatusUnprocessableEntity, aqppp.ErrUnsupported.String(),
+				fmt.Sprintf("handle %q is not a single-processor preparation", preq.Handle))
+			return
+		}
+	default:
+		s.writeServerError(w, ri, http.StatusBadRequest, "parse",
+			fmt.Sprintf("unknown partial mode %q", preq.Mode))
+		return
+	}
+	resp, err := answerPartial(r.Context(), local, &preq, q)
+	if err != nil {
+		s.writePartialError(r.Context(), w, ri, err)
+		return
+	}
+	resp.ElapsedUS = time.Since(t0).Microseconds()
+	s.writeJSON(w, http.StatusOK, resp)
+}
+
+// answerPartial runs one validated partial request against the stratum
+// and renders the answer in wire form.
+func answerPartial(ctx context.Context, local shard.Local, preq *dist.PartialRequest, q engine.Query) (dist.PartialResponse, error) {
+	resp := dist.PartialResponse{V: dist.WireVersion, Shard: local.Shard.Index, Mode: preq.Mode}
+	switch preq.Mode {
+	case dist.ModeExact:
+		pr, err := local.ExactPartial(ctx, q)
+		if err != nil {
+			return resp, err
 		}
 		if len(q.GroupBy) > 0 {
 			for _, g := range pr.Groups {
@@ -114,65 +157,29 @@ func (s *Server) handlePartial(w http.ResponseWriter, r *http.Request, ri *reqIn
 			sc := dist.ToWirePartial(pr.Scalar)
 			resp.Scalar = &sc
 		}
-
-	case dist.ModeApprox, dist.ModeGroups, dist.ModeBootstrap:
-		prep, _, found := s.lookupPrepared(preq.Handle)
-		if !found {
-			s.writeServerError(w, ri, http.StatusNotFound, "unknown-prepared",
-				fmt.Sprintf("no prepared handle %q", preq.Handle))
-			return
+	case dist.ModeGroups:
+		groups, err := local.ApproxGroups(ctx, q)
+		if err != nil {
+			return resp, err
 		}
-		proc := prep.Processor()
-		if proc == nil {
-			s.writeServerError(w, ri, http.StatusUnprocessableEntity, aqppp.ErrUnsupported.String(),
-				fmt.Sprintf("handle %q is not a single-processor preparation", preq.Handle))
-			return
+		for _, g := range groups {
+			resp.AnswerGroups = append(resp.AnswerGroups, dist.WireGroupAnswer{Key: g.Key, Answer: dist.ToWireAnswer(g.Answer)})
 		}
-		switch preq.Mode {
-		case dist.ModeApprox:
-			a, err := proc.Answer(q)
-			if err != nil {
-				s.writePartialError(r.Context(), w, ri, err)
-				return
-			}
-			wa := dist.ToWireAnswer(a)
-			resp.Answer = &wa
-		case dist.ModeGroups:
-			groups, err := proc.AnswerGroups(r.Context(), q)
-			if err != nil {
-				s.writePartialError(r.Context(), w, ri, err)
-				return
-			}
-			for _, g := range groups {
-				resp.AnswerGroups = append(resp.AnswerGroups, dist.WireGroupAnswer{Key: g.Key, Answer: dist.ToWireAnswer(g.Answer)})
-			}
-		case dist.ModeBootstrap:
-			a, err := proc.AnswerBootstrap(r.Context(), q, preq.Resamples, preq.Seed, nil)
-			if err != nil {
-				s.writePartialError(r.Context(), w, ri, err)
-				return
-			}
-			wa := dist.ToWireAnswer(a)
-			resp.Answer = &wa
+	default: // ModeApprox and ModeBootstrap both answer one scalar
+		var a core.Answer
+		var err error
+		if preq.Mode == dist.ModeBootstrap {
+			a, err = local.ApproxBootstrap(ctx, q, preq.Resamples, preq.Seed)
+		} else {
+			a, err = local.ApproxAnswer(ctx, q)
 		}
-
-	default:
-		s.writeServerError(w, ri, http.StatusBadRequest, "parse",
-			fmt.Sprintf("unknown partial mode %q", preq.Mode))
-		return
+		if err != nil {
+			return resp, err
+		}
+		wa := dist.ToWireAnswer(a)
+		resp.Answer = &wa
 	}
-	resp.ElapsedUS = time.Since(t0).Microseconds()
-	s.writeJSON(w, http.StatusOK, resp)
-}
-
-// partialExact runs one exact partial against the replica's slice.
-func (s *Server) partialExact(ctx context.Context, table string, q engine.Query) (engine.PartialResult, error) {
-	tbl, ok := s.db.LookupTable(table)
-	if !ok {
-		return engine.PartialResult{}, &exec.Error{Kind: exec.UnknownTable, Op: "exact",
-			Err: fmt.Errorf("no table %q", table)}
-	}
-	return tbl.ExecutePartialContext(ctx, q)
+	return resp, nil
 }
 
 // writePartialError classifies a partial-execution failure so the

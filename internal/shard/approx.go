@@ -97,19 +97,6 @@ func (p *Prepared) group(workers int) *Group {
 	return p.S.group(p.Procs, p.Confidence, workers)
 }
 
-// activeWithProc is activeShards filtered to shards that hold a
-// processor.
-func (p *Prepared) activeWithProc(q engine.Query) []int {
-	active := p.S.activeShards(q.Ranges)
-	out := active[:0]
-	for _, h := range active {
-		if p.Procs[h] != nil {
-			out = append(out, h)
-		}
-	}
-	return out
-}
-
 // mergeAdditive composes per-shard answers for an additive aggregate
 // (SUM/COUNT): point estimates add; since shards are disjoint strata
 // with independent samples, variances add too, so the merged half-width

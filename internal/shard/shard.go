@@ -186,42 +186,6 @@ func mix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// activeShards returns the indices of shards a query with the given
-// ranges must scan, in shard order. Empty shards are skipped outright;
-// under a range layout, a shard whose bound interval misses any range
-// on the layout column is pruned (every row would fail that conjunct)
-// and counted in the pruned metric.
-func (s *Sharded) activeShards(ranges []engine.Range) []int {
-	out := make([]int, 0, len(s.Shards))
-	for i, sh := range s.Shards {
-		if sh.Rows == 0 {
-			continue
-		}
-		if s.Layout.Strategy == ByRange && s.prunedBy(sh, ranges) {
-			s.pruned.Add(1)
-			continue
-		}
-		out = append(out, i)
-	}
-	return out
-}
-
-// prunedBy reports whether some range on the layout column excludes the
-// whole shard. Bounds are inclusive on both sides, so overlap requires
-// r.Lo <= sh.Hi && r.Hi >= sh.Lo; adjacent shards that share a boundary
-// value both stay active (ties can land either side of a cut).
-func (s *Sharded) prunedBy(sh *Shard, ranges []engine.Range) bool {
-	for _, r := range ranges {
-		if r.Col != s.Layout.Column {
-			continue
-		}
-		if r.Hi < sh.Lo || r.Lo > sh.Hi {
-			return true
-		}
-	}
-	return false
-}
-
 // recordScan notes one sub-plan execution against shard h.
 func (s *Sharded) recordScan(h int, d time.Duration) {
 	us := d.Seconds() * 1e6

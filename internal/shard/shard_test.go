@@ -132,7 +132,7 @@ func TestRangePruning(t *testing.T) {
 
 	// A narrow range on the layout column hits few shards.
 	narrow := []engine.Range{{Col: "k", Lo: 500, Hi: 520}}
-	active := s.activeShards(narrow)
+	active := s.group(nil, 0, 0).active(narrow, false)
 	if len(active) == 0 || len(active) > 2 {
 		t.Errorf("narrow range active shards = %v, want 1-2 of 8", active)
 	}
@@ -141,13 +141,13 @@ func TestRangePruning(t *testing.T) {
 	}
 
 	// A range on another column prunes nothing.
-	if got := s.activeShards([]engine.Range{{Col: "c", Lo: 0, Hi: 10}}); len(got) != 8 {
+	if got := s.group(nil, 0, 0).active([]engine.Range{{Col: "c", Lo: 0, Hi: 10}}, false); len(got) != 8 {
 		t.Errorf("off-column range pruned to %v", got)
 	}
 
 	// Hash layouts never prune.
 	hs := mustPartition(t, tbl, Layout{Strategy: ByHash, Column: "k", N: 8})
-	if got := hs.activeShards(narrow); len(got) != 8 {
+	if got := hs.group(nil, 0, 0).active(narrow, false); len(got) != 8 {
 		t.Errorf("hash layout pruned to %v", got)
 	}
 	if hs.PrunedCount() != 0 {

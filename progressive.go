@@ -90,14 +90,13 @@ func (p *Prepared) QueryProgressiveBudget(ctx context.Context, statement string,
 		return ProgressiveSummary{}, err
 	}
 	if p.proc == nil {
-		return ProgressiveSummary{}, &exec.Error{Kind: exec.Unsupported, Op: "progressive",
-			Err: errDist("QueryProgressive")}
+		return ProgressiveSummary{}, p.notResident("progressive", "a progressive stream")
 	}
 	q, err := exec.CompileStatement(p.tbl, "progressive", statement)
 	if err != nil {
 		return ProgressiveSummary{}, err
 	}
-	conf := p.confidence()
+	conf := p.conf
 	if opts.Contract != nil {
 		if err := opts.Contract.Validate(); err != nil {
 			return ProgressiveSummary{}, &exec.Error{Kind: exec.Parse, Op: "progressive", Err: err}

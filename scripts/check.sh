@@ -52,6 +52,16 @@ step "go test -race ./..."
 go test -race ./...
 step_done
 
+step "benchmark harness (go -C benchmark vet + test)"
+# benchmark/ is a module of its own (replace aqppp => ../), so the root
+# ./... patterns above never compile it. Its one package main builds
+# against the root API and drives the real aqppp-serve in all five
+# BENCHMARK.json shapes; a refactor that breaks that surface must fail
+# here, not in the benchmark driver.
+go -C benchmark vet ./...
+go -C benchmark test -count=1 ./...
+step_done
+
 step "cancellation flake hunt (-race -run Cancel -count=5)"
 # Cancellation is inherently racy machinery: a stop flag armed by
 # context.AfterFunc, polled by scan/climb/resample loops. Run the

@@ -1,7 +1,6 @@
 package aqppp
 
 import (
-	"context"
 	"fmt"
 	"sort"
 
@@ -43,15 +42,7 @@ func (db *DB) RegisterSharded(tbl *engine.Table, opts ShardOptions) error {
 	if err != nil {
 		return err
 	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if _, ok := db.tables[tbl.Name]; ok {
-		return fmt.Errorf("aqppp: table %q already registered", tbl.Name)
-	}
-	db.tables[tbl.Name] = tbl
-	db.shards[tbl.Name] = s
-	db.gens[tbl.Name]++
-	return nil
+	return db.register(registered{tbl: tbl, target: exec.Sharded{S: s}})
 }
 
 // Reshard repartitions a registered table under a new layout (or shards
@@ -60,23 +51,24 @@ func (db *DB) RegisterSharded(tbl *engine.Table, opts ShardOptions) error {
 // merged under one layout must never mix with plans or cached entries
 // from another. Repartitioning runs outside the lock; if the table is
 // dropped or replaced concurrently, Reshard fails without installing
-// anything.
+// anything. A distributed table has no rows here to repartition, so
+// resharding one is ErrUnsupported.
 func (db *DB) Reshard(name string, opts ShardOptions) error {
-	tbl, err := db.Table(name)
+	e, err := db.lookupResident(name, "reshard")
 	if err != nil {
 		return err
 	}
-	s, err := shard.Partition(tbl, opts.layout())
+	s, err := shard.Partition(e.tbl, opts.layout())
 	if err != nil {
 		return err
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if cur, ok := db.tables[name]; !ok || cur != tbl {
+	if cur, ok := db.tables[name]; !ok || cur.tbl != e.tbl {
 		return &exec.Error{Kind: exec.UnknownTable, Op: "reshard",
 			Err: fmt.Errorf("table %q changed during reshard", name)}
 	}
-	db.shards[name] = s
+	db.tables[name] = registered{tbl: e.tbl, target: exec.Sharded{S: s}}
 	db.gens[name]++
 	for _, st := range db.preps[name] {
 		st.dropped.Store(true)
@@ -85,19 +77,12 @@ func (db *DB) Reshard(name string, opts ShardOptions) error {
 	return nil
 }
 
-// lookupSharded resolves a table's shard layout, if it has one.
-func (db *DB) lookupSharded(name string) (*shard.Sharded, bool) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	s, ok := db.shards[name]
-	return s, ok
-}
-
 // Sharded reports a table's partitioned form, or nil if the table is
 // not sharded (advanced use: direct scatter-gather execution).
 func (db *DB) Sharded(name string) *shard.Sharded {
-	s, _ := db.lookupSharded(name)
-	return s
+	_, t, _ := db.LookupTarget(name)
+	st, _ := t.(exec.Sharded)
+	return st.S
 }
 
 // ShardSnapshots captures the layout and per-shard scan counters of
@@ -105,39 +90,33 @@ func (db *DB) Sharded(name string) *shard.Sharded {
 // these into /statusz and /metrics.
 func (db *DB) ShardSnapshots() []shard.Snapshot {
 	db.mu.RLock()
-	names := make([]string, 0, len(db.shards))
-	for n := range db.shards {
-		names = append(names, n)
+	var sharded []*shard.Sharded
+	for _, e := range db.tables {
+		if st, ok := e.target.(exec.Sharded); ok {
+			sharded = append(sharded, st.S)
+		}
 	}
 	db.mu.RUnlock()
-	sort.Strings(names)
-	snaps := make([]shard.Snapshot, 0, len(names))
-	for _, n := range names {
-		if s, ok := db.lookupSharded(n); ok {
-			snaps = append(snaps, s.Snapshot())
-		}
+	sort.Slice(sharded, func(i, j int) bool { return sharded[i].Name < sharded[j].Name })
+	snaps := make([]shard.Snapshot, len(sharded))
+	for i, s := range sharded {
+		snaps[i] = s.Snapshot()
 	}
 	return snaps
 }
 
-// ExactSharded runs a statement scatter-gather against a sharded table
-// with an explicit fan-out (<= 0 selects GOMAXPROCS); the ordinary
-// Exact path does the same with the default fan-out.
-func (db *DB) ExactSharded(ctx context.Context, statement string, workers int) (engine.Result, error) {
-	p, err := db.PlanExact(statement)
-	if err != nil {
-		return engine.Result{}, err
+// newSharded wraps freshly built per-shard processors over tbl as a
+// Prepared, aggregating their build cost.
+func (db *DB) newSharded(tbl *engine.Table, t exec.Sharded) *Prepared {
+	st := PreprocessingStats{SampleRows: t.Prep.SampleSize()}
+	for h, bs := range t.Prep.BuildStats {
+		if t.Prep.Procs[h] == nil {
+			continue
+		}
+		st.SampleBytes += bs.SampleBytes
+		st.CubeCells += t.Prep.Procs[h].Cube.NumCells()
+		st.CubeBytes += bs.CubeBytes
+		st.TotalSeconds += bs.TotalTime().Seconds()
 	}
-	if p.Shards == nil {
-		return engine.Result{}, &exec.Error{Kind: exec.Unsupported, Op: "exact",
-			Err: fmt.Errorf("table %q is not sharded", p.Table.Name)}
-	}
-	p.Workers = workers
-	return db.RunExactPlan(ctx, p, db.defaultBudget())
-}
-
-// errSharded is the cause carried by operations a sharded preparation
-// does not support.
-func errSharded(what string) error {
-	return fmt.Errorf("%s is not supported over a sharded table", what)
+	return &Prepared{db: db, tbl: tbl, target: t, conf: t.Prep.Confidence, stats: st, state: db.track(tbl.Name)}
 }

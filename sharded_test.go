@@ -1,7 +1,6 @@
 package aqppp
 
 import (
-	"context"
 	"math"
 	"strings"
 	"sync"
@@ -9,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"aqppp/internal/exec"
 	"aqppp/internal/stats"
 )
 
@@ -60,8 +60,8 @@ func TestRegisterShardedEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Shards == nil {
-		t.Fatal("sharded plan has no shard layout")
+	if _, ok := p.Target.(exec.Sharded); !ok {
+		t.Fatalf("sharded plan runs on %T, want exec.Sharded", p.Target)
 	}
 	if !strings.Contains(p.CacheKey(), "shards=range:k:4") {
 		t.Errorf("cache key %q does not carry the layout", p.CacheKey())
@@ -140,18 +140,6 @@ func TestRegisterShardedEndToEnd(t *testing.T) {
 	}
 	if db.Sharded("demo") == nil || db.Sharded("nope") != nil {
 		t.Error("Sharded lookup wrong")
-	}
-
-	// ExactSharded with explicit fan-out; refuses unsharded tables.
-	r2, err := db.ExactSharded(context.Background(), sumStmt, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !stats.ApproxEqual(r2.Value, want.Value, 1e-12) {
-		t.Errorf("ExactSharded %v vs truth %v", r2.Value, want.Value)
-	}
-	if _, err := plain.ExactSharded(context.Background(), sumStmt, 2); ErrorKindOf(err) != ErrUnsupported {
-		t.Errorf("ExactSharded over unsharded table: %v", err)
 	}
 }
 

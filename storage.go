@@ -49,9 +49,8 @@ func (db *DB) SaveStore(path, table string, preps ...NamedPrep) error {
 		if err := p.live("save"); err != nil {
 			return err
 		}
-		if p.shp != nil {
-			return &exec.Error{Kind: exec.Unsupported, Op: "save",
-				Err: fmt.Errorf("sharded preparation over %q cannot be persisted", p.tbl.Name)}
+		if p.proc == nil {
+			return p.notResident("save", "persisting a preparation")
 		}
 		if p.tbl.Name != table {
 			return &exec.Error{Kind: exec.Unsupported, Op: "save",
@@ -123,10 +122,7 @@ func (db *DB) OpenStoreWithOptions(path string, opts StoreOptions) ([]NamedPrep,
 			MinMax:     sp.MinMax,
 			Confidence: sp.Confidence,
 		}
-		preps[i] = NamedPrep{
-			Name: sp.Name,
-			Prep: &Prepared{db: db, tbl: tbl, proc: proc, state: db.track(tbl.Name)},
-		}
+		preps[i] = NamedPrep{Name: sp.Name, Prep: db.newResident(tbl, proc, core.BuildStats{})}
 	}
 	return preps, nil
 }
