@@ -15,27 +15,31 @@
 //
 //	db := aqppp.NewDB()
 //	db.Register(table)                        // an *engine.Table you built or loaded
-//	prep, err := db.Prepare(aqppp.PrepareOptions{
+//	prep, err := db.Prepare(ctx, aqppp.PrepareOptions{
 //	    Table:      "lineitem",
 //	    Aggregate:  "l_extendedprice",
 //	    Dimensions: []string{"l_orderkey", "l_suppkey"},
 //	    SampleRate: 0.01,
 //	    CellBudget: 50000,
 //	})
-//	res, err := prep.Query("SELECT SUM(l_extendedprice) FROM lineitem WHERE l_orderkey BETWEEN 10 AND 500")
+//	res, err := prep.Query(ctx, "SELECT SUM(l_extendedprice) FROM lineitem WHERE l_orderkey BETWEEN 10 AND 500")
 //	fmt.Printf("%.0f ± %.0f (95%%)\n", res.Value, res.HalfWidth)
 //
 // # Cancellation and budgets
 //
-// Every query and prepare entry point has a *Context variant
-// (ExactContext, PrepareContext, QueryContext, ...) that threads a
-// context.Context down to the layers that actually loop — block kernels,
-// the hill climber, the bootstrap resampler — so a canceled context
-// unwinds within one block chunk, climb step, or resample. All entry
-// points route through one internal executor and return the unified
-// Error type; classify failures with ErrorKindOf or errors.As. A
-// DB-wide Budget (SetDefaultBudget) adds per-query deadlines, resample
-// caps and scratch-memory caps on top.
+// Every entry point that scans, builds or resamples exists once and
+// takes a context.Context first. The context reaches the layers that
+// actually loop — block kernels, the hill climber, the bootstrap
+// resampler — so a canceled context unwinds within one block chunk,
+// climb step, or resample. All entry points route through one internal
+// executor and return the unified Error type; classify failures with
+// ErrorKindOf or errors.As.
+//
+// A Budget adds a deadline, a resample cap and a scratch-memory cap.
+// Every call runs under the DB-wide default (SetDefaultBudget) unless
+// its context carries one of its own: WithBudget(ctx, b) replaces the
+// default for the calls made with that context, the same way a
+// context deadline is scoped to a request.
 //
 // See the examples/ directory for runnable end-to-end programs.
 package aqppp
@@ -116,15 +120,32 @@ func NewDB() *DB {
 }
 
 // SetDefaultBudget sets the budget applied to every query and prepare
-// run through this DB and its preparations. The zero Budget (the
-// default) is unlimited.
+// run through this DB and its preparations whose context carries none
+// (see WithBudget). The zero Budget (the default) is unlimited.
 func (db *DB) SetDefaultBudget(b Budget) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	db.budget = b
 }
 
-func (db *DB) defaultBudget() exec.Budget {
+type budgetKey struct{}
+
+// WithBudget returns a context whose calls run under b instead of the
+// DB-wide default. A Budget is a deadline plus two work caps, scoped to
+// a request exactly like the deadline a context already carries: a
+// serving layer attaches each request's remaining time here, so an
+// overrun classifies as ErrBudgetExceeded rather than ErrCanceled.
+// b.Timeout counts from the moment each call starts.
+func WithBudget(ctx context.Context, b Budget) context.Context {
+	return context.WithValue(ctx, budgetKey{}, b)
+}
+
+// budgetFor resolves the budget one call runs under: the one its
+// context carries, else the DB-wide default.
+func (db *DB) budgetFor(ctx context.Context) Budget {
+	if b, ok := ctx.Value(budgetKey{}).(Budget); ok {
+		return b
+	}
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	return db.budget
@@ -252,41 +273,12 @@ func (db *DB) TableNames() []string {
 	return names
 }
 
-// LoadCSV reads a CSV (with header) into a new registered table.
-func (db *DB) LoadCSV(name string, r io.Reader) (*engine.Table, error) {
-	return db.LoadCSVContext(context.Background(), name, r)
-}
-
-// LoadCSVContext is LoadCSV with cancellation: the reader checks ctx
-// once per row batch, so a canceled context (e.g. an aborted upload
-// request) unwinds the load within one batch instead of parsing the
-// rest of the file.
-func (db *DB) LoadCSVContext(ctx context.Context, name string, r io.Reader) (*engine.Table, error) {
+// LoadCSV reads a CSV (with header) into a new registered table. The
+// reader checks ctx once per row batch, so a canceled context (e.g. an
+// aborted upload request) unwinds the load within one batch instead of
+// parsing the rest of the file.
+func (db *DB) LoadCSV(ctx context.Context, name string, r io.Reader) (*engine.Table, error) {
 	tbl, err := engine.ReadCSVContext(ctx, name, r)
-	if err != nil {
-		return nil, err
-	}
-	if err := db.Register(tbl); err != nil {
-		return nil, err
-	}
-	return tbl, nil
-}
-
-// LoadBinary reads a table in the engine's binary format and registers it.
-//
-// The AQPT stream it reads is the legacy format: the whole table is
-// materialized in memory and nothing prepared survives a restart.
-// Prefer store containers (SaveStore/OpenStore), which load lazily and
-// carry samples and cubes; convert old files once with
-// `aqppp-gen -convert old.bin new.aqps`.
-func (db *DB) LoadBinary(r io.Reader) (*engine.Table, error) {
-	return db.LoadBinaryContext(context.Background(), r)
-}
-
-// LoadBinaryContext is LoadBinary with cancellation, at the same
-// per-row-batch granularity as LoadCSVContext.
-func (db *DB) LoadBinaryContext(ctx context.Context, r io.Reader) (*engine.Table, error) {
-	tbl, err := engine.ReadBinaryContext(ctx, r)
 	if err != nil {
 		return nil, err
 	}
@@ -298,26 +290,13 @@ func (db *DB) LoadBinaryContext(ctx context.Context, r io.Reader) (*engine.Table
 
 // Exact runs a SQL statement exactly over the full table (the slow path a
 // user falls back to for MIN/MAX/VAR or when perfect answers are needed).
-func (db *DB) Exact(statement string) (engine.Result, error) {
-	return db.ExactContext(context.Background(), statement)
-}
-
-// ExactContext is Exact with cancellation: the scan checks ctx once per
-// zone block, so a canceled context unwinds within one block.
-func (db *DB) ExactContext(ctx context.Context, statement string) (engine.Result, error) {
-	return db.ExactWithBudget(ctx, statement, db.defaultBudget())
-}
-
-// ExactWithBudget is ExactContext with an explicit per-call Budget that
-// replaces the DB-wide default for this one statement. A serving layer
-// uses it to map a per-request deadline onto the executor's budget, so
-// an overrun classifies as ErrBudgetExceeded rather than ErrCanceled.
-func (db *DB) ExactWithBudget(ctx context.Context, statement string, b Budget) (engine.Result, error) {
+// The scan checks ctx once per zone block.
+func (db *DB) Exact(ctx context.Context, statement string) (engine.Result, error) {
 	p, err := db.PlanExact(statement)
 	if err != nil {
 		return engine.Result{}, err
 	}
-	return db.RunExactPlan(ctx, p, b)
+	return db.RunExactPlan(ctx, p)
 }
 
 // PlanExact parses and compiles a statement into an executor plan
@@ -331,10 +310,9 @@ func (db *DB) PlanExact(statement string) (*exec.Plan, error) {
 	return exec.PlanExactStatement(db, statement)
 }
 
-// RunExactPlan executes a plan built by PlanExact under the context and
-// an explicit budget.
-func (db *DB) RunExactPlan(ctx context.Context, p *exec.Plan, b Budget) (engine.Result, error) {
-	out, err := db.ex.Run(ctx, p, b)
+// RunExactPlan executes a plan built by PlanExact.
+func (db *DB) RunExactPlan(ctx context.Context, p *exec.Plan) (engine.Result, error) {
+	out, err := db.ex.Run(ctx, p, db.budgetFor(ctx))
 	if err != nil {
 		return engine.Result{}, err
 	}
@@ -396,22 +374,10 @@ type Prepared struct {
 
 // Prepare builds the sample and BP-Cube for a template (the offline
 // stage): sample → per-dimension error profiles → cube shape → hill-climbed
-// partition points → one full-data scan to fill the cube.
-func (db *DB) Prepare(opts PrepareOptions) (*Prepared, error) {
-	return db.PrepareContext(context.Background(), opts)
-}
-
-// PrepareContext is Prepare with cancellation: the hill climber checks
-// ctx once per climb step, so a canceled context unwinds the build
-// within one iteration.
-func (db *DB) PrepareContext(ctx context.Context, opts PrepareOptions) (*Prepared, error) {
-	return db.PrepareWithBudget(ctx, opts, db.defaultBudget())
-}
-
-// PrepareWithBudget is PrepareContext with an explicit per-call Budget
-// replacing the DB-wide default, so a serving layer can bound one
-// build's wall time without changing the DB's configuration.
-func (db *DB) PrepareWithBudget(ctx context.Context, opts PrepareOptions, b Budget) (*Prepared, error) {
+// partition points → one full-data scan to fill the cube. The hill
+// climber checks ctx once per climb step.
+func (db *DB) Prepare(ctx context.Context, opts PrepareOptions) (*Prepared, error) {
+	b := db.budgetFor(ctx)
 	e, err := db.lookupResident(opts.Table, "prepare")
 	if err != nil {
 		return nil, err
@@ -449,6 +415,14 @@ func (db *DB) PrepareWithBudget(ctx context.Context, opts PrepareOptions, b Budg
 		return nil, err
 	}
 	return db.newResident(e.tbl, proc, st), nil
+}
+
+// PrepareContext forwards to Prepare.
+//
+// Deprecated: call Prepare. The frozen benchmark/trace.go is the only
+// caller; the shim goes when a benchmark PR may edit it.
+func (db *DB) PrepareContext(ctx context.Context, opts PrepareOptions) (*Prepared, error) {
+	return db.Prepare(ctx, opts)
 }
 
 // newResident wraps a built (or, with zero build stats, reloaded)
@@ -511,26 +485,14 @@ type GroupResult struct {
 	Result
 }
 
-// Query parses and answers a SQL statement approximately.
-func (p *Prepared) Query(statement string) (Result, error) {
-	return p.QueryContext(context.Background(), statement)
-}
-
-// QueryContext is Query with cancellation; GROUP BY answers check ctx
-// once per group.
-func (p *Prepared) QueryContext(ctx context.Context, statement string) (Result, error) {
-	return p.QueryWithBudget(ctx, statement, p.db.defaultBudget())
-}
-
-// QueryWithBudget is QueryContext with an explicit per-call Budget
-// replacing the DB-wide default, so a serving layer can map each
-// request's deadline onto the executor's budget.
-func (p *Prepared) QueryWithBudget(ctx context.Context, statement string, b Budget) (Result, error) {
+// Query parses and answers a SQL statement approximately; GROUP BY
+// answers check ctx once per group.
+func (p *Prepared) Query(ctx context.Context, statement string) (Result, error) {
 	plan, err := p.PlanQuery(statement)
 	if err != nil {
 		return Result{}, err
 	}
-	return p.RunPlan(ctx, plan, b)
+	return p.RunPlan(ctx, plan)
 }
 
 // PlanQuery parses and compiles a statement into a closed-form AQP++
@@ -544,15 +506,15 @@ func (p *Prepared) PlanQuery(statement string) (*exec.Plan, error) {
 	return exec.PlanQueryStatement(p.target, p.tbl, statement)
 }
 
-// RunPlan executes a plan built by PlanQuery or PlanBootstrap under the
-// context and an explicit budget, and converts the outcome. The
-// liveness check runs again here, so a preparation dropped between
-// planning and running still refuses to answer.
-func (p *Prepared) RunPlan(ctx context.Context, plan *exec.Plan, b Budget) (Result, error) {
+// RunPlan executes a plan built by PlanQuery or PlanBootstrap and
+// converts the outcome. The liveness check runs again here, so a
+// preparation dropped between planning and running still refuses to
+// answer.
+func (p *Prepared) RunPlan(ctx context.Context, plan *exec.Plan) (Result, error) {
 	if err := p.live(plan.Kind.String()); err != nil {
 		return Result{}, err
 	}
-	out, err := p.db.ex.Run(ctx, plan, b)
+	out, err := p.db.ex.Run(ctx, plan, p.db.budgetFor(ctx))
 	if err != nil {
 		return Result{}, err
 	}
@@ -569,13 +531,8 @@ func (p *Prepared) RunPlan(ctx context.Context, plan *exec.Plan, b Budget) (Resu
 }
 
 // QueryStruct answers an engine.Query approximately.
-func (p *Prepared) QueryStruct(q engine.Query) (Result, error) {
-	return p.QueryStructContext(context.Background(), q)
-}
-
-// QueryStructContext is QueryStruct with cancellation.
-func (p *Prepared) QueryStructContext(ctx context.Context, q engine.Query) (Result, error) {
-	return p.RunPlan(ctx, exec.PlanQueryStruct(p.target, p.tbl, q), p.db.defaultBudget())
+func (p *Prepared) QueryStruct(ctx context.Context, q engine.Query) (Result, error) {
+	return p.RunPlan(ctx, exec.PlanQueryStruct(p.target, p.tbl, q))
 }
 
 func toResult(a core.Answer) Result {

@@ -1,8 +1,10 @@
 package aqppp
 
 import (
-	"bytes"
+	"context"
 	"math"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -101,17 +103,17 @@ func TestExact(t *testing.T) {
 	if err := db.Register(demoTable(1000, 2)); err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.Exact("SELECT COUNT(*) FROM demo")
+	res, err := db.Exact(context.Background(), "SELECT COUNT(*) FROM demo")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Value != 1000 {
 		t.Errorf("COUNT = %v", res.Value)
 	}
-	if _, err := db.Exact("SELECT COUNT(*) FROM missing"); err == nil {
+	if _, err := db.Exact(context.Background(), "SELECT COUNT(*) FROM missing"); err == nil {
 		t.Error("missing table accepted")
 	}
-	if _, err := db.Exact("garbage"); err == nil {
+	if _, err := db.Exact(context.Background(), "garbage"); err == nil {
 		t.Error("garbage SQL accepted")
 	}
 }
@@ -122,7 +124,7 @@ func TestPrepareAndQuery(t *testing.T) {
 	if err := db.Register(tbl); err != nil {
 		t.Fatal(err)
 	}
-	prep, err := db.Prepare(PrepareOptions{
+	prep, err := db.Prepare(context.Background(), PrepareOptions{
 		Table: "demo", Aggregate: "v", Dimensions: []string{"k"},
 		SampleRate: 0.05, CellBudget: 25, Seed: 7,
 	})
@@ -130,11 +132,11 @@ func TestPrepareAndQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	stmt := "SELECT SUM(v) FROM demo WHERE k BETWEEN 50 AND 300"
-	res, err := prep.Query(stmt)
+	res, err := prep.Query(context.Background(), stmt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	truth, _ := db.Exact(stmt)
+	truth, _ := db.Exact(context.Background(), stmt)
 	if rel := math.Abs(res.Value-truth.Value) / truth.Value; rel > 0.05 {
 		t.Errorf("approximate answer off by %v", rel)
 	}
@@ -156,21 +158,21 @@ func TestQueryGroupBy(t *testing.T) {
 	if err := db.Register(tbl); err != nil {
 		t.Fatal(err)
 	}
-	prep, err := db.Prepare(PrepareOptions{
+	prep, err := db.Prepare(context.Background(), PrepareOptions{
 		Table: "demo", Aggregate: "v", Dimensions: []string{"k", "tier"},
 		SampleRate: 0.05, CellBudget: 60, Seed: 9,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := prep.Query("SELECT SUM(v) FROM demo WHERE k BETWEEN 1 AND 400 GROUP BY tier")
+	res, err := prep.Query(context.Background(), "SELECT SUM(v) FROM demo WHERE k BETWEEN 1 AND 400 GROUP BY tier")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Groups) != 2 {
 		t.Fatalf("groups = %+v", res.Groups)
 	}
-	truthRes, _ := db.Exact("SELECT SUM(v) FROM demo WHERE k BETWEEN 1 AND 400 GROUP BY tier")
+	truthRes, _ := db.Exact(context.Background(), "SELECT SUM(v) FROM demo WHERE k BETWEEN 1 AND 400 GROUP BY tier")
 	truth := map[string]float64{}
 	for _, g := range truthRes.Groups {
 		truth[g.Key] = g.Value
@@ -193,27 +195,27 @@ func TestQueryWrongTable(t *testing.T) {
 	if err := db.Register(other); err != nil {
 		t.Fatal(err)
 	}
-	prep, err := db.Prepare(PrepareOptions{
+	prep, err := db.Prepare(context.Background(), PrepareOptions{
 		Table: "demo", Aggregate: "v", Dimensions: []string{"k"},
 		SampleRate: 0.1, CellBudget: 10, Seed: 11,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := prep.Query("SELECT SUM(v) FROM other"); err == nil {
+	if _, err := prep.Query(context.Background(), "SELECT SUM(v) FROM other"); err == nil {
 		t.Error("cross-table query accepted")
 	}
 }
 
 func TestPrepareValidation(t *testing.T) {
 	db := NewDB()
-	if _, err := db.Prepare(PrepareOptions{Table: "nope"}); err == nil {
+	if _, err := db.Prepare(context.Background(), PrepareOptions{Table: "nope"}); err == nil {
 		t.Error("missing table accepted")
 	}
 	if err := db.Register(demoTable(100, 7)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Prepare(PrepareOptions{Table: "demo", Aggregate: "nope", Dimensions: []string{"k"}}); err == nil {
+	if _, err := db.Prepare(context.Background(), PrepareOptions{Table: "demo", Aggregate: "nope", Dimensions: []string{"k"}}); err == nil {
 		t.Error("bad aggregate accepted")
 	}
 }
@@ -221,14 +223,14 @@ func TestPrepareValidation(t *testing.T) {
 func TestLoadCSV(t *testing.T) {
 	db := NewDB()
 	csv := "k,v\n1,10.5\n2,20.5\n3,30.5\n"
-	tbl, err := db.LoadCSV("csvt", strings.NewReader(csv))
+	tbl, err := db.LoadCSV(context.Background(), "csvt", strings.NewReader(csv))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tbl.NumRows() != 3 {
 		t.Errorf("rows = %d", tbl.NumRows())
 	}
-	res, err := db.Exact("SELECT SUM(v) FROM csvt")
+	res, err := db.Exact(context.Background(), "SELECT SUM(v) FROM csvt")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,28 +239,12 @@ func TestLoadCSV(t *testing.T) {
 	}
 }
 
-func TestLoadBinary(t *testing.T) {
-	src := demoTable(50, 8)
-	var buf bytes.Buffer
-	if err := src.WriteBinary(&buf); err != nil {
-		t.Fatal(err)
-	}
-	db := NewDB()
-	tbl, err := db.LoadBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tbl.NumRows() != 50 {
-		t.Errorf("rows = %d", tbl.NumRows())
-	}
-}
-
 func TestUsedPrecomputedFlag(t *testing.T) {
 	db := NewDB()
 	if err := db.Register(demoTable(30000, 9)); err != nil {
 		t.Fatal(err)
 	}
-	prep, err := db.Prepare(PrepareOptions{
+	prep, err := db.Prepare(context.Background(), PrepareOptions{
 		Table: "demo", Aggregate: "v", Dimensions: []string{"k"},
 		SampleRate: 0.05, CellBudget: 20, Seed: 13,
 	})
@@ -266,7 +252,7 @@ func TestUsedPrecomputedFlag(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A wide query spanning many blocks should use the cube.
-	res, err := prep.Query("SELECT SUM(v) FROM demo WHERE k BETWEEN 20 AND 450")
+	res, err := prep.Query(context.Background(), "SELECT SUM(v) FROM demo WHERE k BETWEEN 20 AND 450")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +298,7 @@ func TestForeignKeyJoinEndToEnd(t *testing.T) {
 	if err := db.Register(joined); err != nil {
 		t.Fatal(err)
 	}
-	prep, err := db.Prepare(PrepareOptions{
+	prep, err := db.Prepare(context.Background(), PrepareOptions{
 		Table: joined.Name, Aggregate: "amount",
 		Dimensions: []string{"o_supp", "supplier.rating"},
 		SampleRate: 0.05, CellBudget: 50, Seed: 41,
@@ -328,7 +314,7 @@ func TestForeignKeyJoinEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := prep.QueryStruct(q)
+	res, err := prep.QueryStruct(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,11 +324,58 @@ func TestForeignKeyJoinEndToEnd(t *testing.T) {
 	// Dotted identifiers also flow through SQL.
 	stmt := "SELECT SUM(amount) FROM " + joined.Name +
 		" WHERE o_supp BETWEEN 5 AND 35 AND supplier.rating BETWEEN 3 AND 5"
-	sqlRes, err := prep.Query(stmt)
+	sqlRes, err := prep.Query(context.Background(), stmt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sqlRes.Value != res.Value {
 		t.Errorf("SQL path %v != struct path %v", sqlRes.Value, res.Value)
+	}
+}
+
+// TestPublicSurface pins the exported method sets of the three root
+// types, so an X / XContext / XWithBudget sibling cannot grow back
+// unnoticed: every operation that reaches the executor or a reader
+// exists once, takes ctx first, and gets its Budget from the DB default
+// or from WithBudget(ctx, b). A new method means editing this list —
+// and answering why an existing one could not take the new case.
+func TestPublicSurface(t *testing.T) {
+	golden := map[reflect.Type][]string{
+		reflect.TypeOf(&DB{}): {
+			// The operations.
+			"Exact", "LoadCSV", "OpenStore", "Prepare", "PrepareMulti", "RunExactPlan",
+			// Planning and the default budget.
+			"PlanExact", "PlanSpace", "SetDefaultBudget",
+			// Registry, store and stats accessors.
+			"CloseStores", "DistPrepared", "Drop", "Generation", "LookupTable", "LookupTarget",
+			"Register", "RegisterDistributed", "RegisterSharded", "Reshard", "SaveStore",
+			"ShardSnapshots", "Sharded", "StoreFor", "StoreSnapshots", "Table", "TableNames",
+			// Deprecated one-line forward to Prepare: the frozen
+			// benchmark/trace.go calls it; goes with a benchmark PR.
+			"PrepareContext",
+		},
+		reflect.TypeOf(&Prepared{}): {
+			// The operations.
+			"Query", "QueryBootstrap", "QueryProgressive", "QueryStruct", "QueryWithContract",
+			"RunContractPlan", "RunPlan",
+			// Planning.
+			"PlanBootstrap", "PlanContract", "PlanQuery",
+			// Maintenance and accessors.
+			"Confidence", "Insert", "Processor", "Sample", "ShardedProcessor", "Stats", "TableName",
+			// Deprecated one-line forward to QueryProgressive: the frozen
+			// benchmark/trace.go calls it; goes with a benchmark PR.
+			"QueryProgressiveBudget",
+		},
+		reflect.TypeOf(&MultiPrepared{}): {"Budgets", "Query"},
+	}
+	for typ, want := range golden {
+		sort.Strings(want)
+		got := make([]string, typ.NumMethod())
+		for i := range got {
+			got[i] = typ.Method(i).Name
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%v exports\n  %v\nwant\n  %v", typ, got, want)
+		}
 	}
 }

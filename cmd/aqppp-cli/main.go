@@ -46,7 +46,6 @@ import (
 
 	"aqppp"
 	"aqppp/internal/dataset"
-	"aqppp/internal/engine"
 	"aqppp/internal/repl"
 )
 
@@ -128,7 +127,7 @@ func main() {
 	script := flag.String("e", "", "run semicolon-separated statements non-interactively and exit")
 	flag.Parse()
 
-	tbl, err := loadTable(*load, *csvPath, *demo, *rows, *seed)
+	tbl, err := dataset.Load(*load, *csvPath, *demo, *rows, *seed)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(exitCode(err))
@@ -147,7 +146,7 @@ func main() {
 	fmt.Printf("preparing AQP++ for [%s; %s] (rate %.3g, k %d)...\n", *agg, *dims, *rate, *k)
 	t0 := time.Now()
 	prepCtx, prepCancel := it.NewContext()
-	prep, err := db.PrepareContext(prepCtx, aqppp.PrepareOptions{
+	prep, err := db.Prepare(prepCtx, aqppp.PrepareOptions{
 		Table: tbl.Name, Aggregate: *agg,
 		Dimensions: strings.Split(*dims, ","),
 		SampleRate: *rate, CellBudget: *k, Seed: *seed,
@@ -182,37 +181,5 @@ func main() {
 	if err := session.Run(os.Stdin, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
-	}
-}
-
-func loadTable(load, csvPath, demo string, rows int, seed uint64) (*engine.Table, error) {
-	switch {
-	case load != "":
-		f, err := os.Open(load)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return engine.ReadBinary(f)
-	case csvPath != "":
-		f, err := os.Open(csvPath)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		base := csvPath
-		if i := strings.LastIndexByte(base, '/'); i >= 0 {
-			base = base[i+1:]
-		}
-		base = strings.TrimSuffix(base, ".csv")
-		return engine.ReadCSV(base, f)
-	case demo == "tpcd":
-		return dataset.TPCDSkew(dataset.TPCDConfig{Rows: rows, Seed: seed}), nil
-	case demo == "bigbench":
-		return dataset.BigBenchUserVisits(dataset.BigBenchConfig{Rows: rows, Seed: seed}), nil
-	case demo == "tlctrip":
-		return dataset.TLCTrip(dataset.TLCTripConfig{Rows: rows, Seed: seed}), nil
-	default:
-		return nil, fmt.Errorf("need one of -load, -csv, or -demo")
 	}
 }

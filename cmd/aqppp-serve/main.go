@@ -153,7 +153,7 @@ func run() int {
 		}
 	} else {
 		var err error
-		tbl, err = loadTable(*load, *csvPath, *demo, *rows, *seed)
+		tbl, err = dataset.Load(*load, *csvPath, *demo, *rows, *seed)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
@@ -302,7 +302,7 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "preparing handle %q for [%s; %s] (rate %.3g, k %d)...\n",
 			*handle, *agg, *dims, *rate, *k)
 		t0 := time.Now()
-		prep, err := db.Prepare(aqppp.PrepareOptions{
+		prep, err := db.Prepare(context.Background(), aqppp.PrepareOptions{
 			Table: tbl.Name, Aggregate: *agg,
 			Dimensions: strings.Split(*dims, ","),
 			SampleRate: *rate, CellBudget: prepBudget, Seed: prepSeed,
@@ -417,36 +417,4 @@ func storePaths(data string) ([]string, error) {
 	}
 	sort.Strings(matches)
 	return matches, nil
-}
-
-func loadTable(load, csvPath, demo string, rows int, seed uint64) (*engine.Table, error) {
-	switch {
-	case load != "":
-		f, err := os.Open(load)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return engine.ReadBinary(f)
-	case csvPath != "":
-		f, err := os.Open(csvPath)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		base := csvPath
-		if i := strings.LastIndexByte(base, '/'); i >= 0 {
-			base = base[i+1:]
-		}
-		base = strings.TrimSuffix(base, ".csv")
-		return engine.ReadCSV(base, f)
-	case demo == "tpcd":
-		return dataset.TPCDSkew(dataset.TPCDConfig{Rows: rows, Seed: seed}), nil
-	case demo == "bigbench":
-		return dataset.BigBenchUserVisits(dataset.BigBenchConfig{Rows: rows, Seed: seed}), nil
-	case demo == "tlctrip":
-		return dataset.TLCTrip(dataset.TLCTripConfig{Rows: rows, Seed: seed}), nil
-	default:
-		return nil, fmt.Errorf("need one of -load, -csv, or -demo")
-	}
 }

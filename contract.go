@@ -37,17 +37,11 @@ type ContractResult struct {
 // QueryWithContract answers a SQL statement under an a-priori error
 // contract. Infeasible contracts fail before any scan work.
 func (p *Prepared) QueryWithContract(ctx context.Context, statement string, c Contract) (ContractResult, error) {
-	return p.QueryWithContractBudget(ctx, statement, c, p.db.defaultBudget())
-}
-
-// QueryWithContractBudget is QueryWithContract with an explicit
-// per-call Budget replacing the DB-wide default.
-func (p *Prepared) QueryWithContractBudget(ctx context.Context, statement string, c Contract, b Budget) (ContractResult, error) {
 	plan, err := p.PlanContract(statement, c)
 	if err != nil {
 		return ContractResult{}, err
 	}
-	return p.RunContractPlan(ctx, plan, b)
+	return p.RunContractPlan(ctx, plan)
 }
 
 // PlanContract parses, compiles and contract-plans a statement without
@@ -67,13 +61,12 @@ func (p *Prepared) PlanContract(statement string, c Contract) (*exec.Plan, error
 // plans answer identically and cache keys stay honest.
 const contractSeed = 0x5eed
 
-// RunContractPlan executes a plan built by PlanContract under the
-// context and an explicit budget.
-func (p *Prepared) RunContractPlan(ctx context.Context, plan *exec.Plan, b Budget) (ContractResult, error) {
+// RunContractPlan executes a plan built by PlanContract.
+func (p *Prepared) RunContractPlan(ctx context.Context, plan *exec.Plan) (ContractResult, error) {
 	if err := p.live("contract"); err != nil {
 		return ContractResult{}, err
 	}
-	out, err := p.db.ex.Run(ctx, plan, b)
+	out, err := p.db.ex.Run(ctx, plan, p.db.budgetFor(ctx))
 	if err != nil {
 		return ContractResult{}, err
 	}

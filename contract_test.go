@@ -17,7 +17,7 @@ func contractPrep(t *testing.T, rows int, seed uint64) (*DB, *Prepared) {
 	if err := db.Register(tbl); err != nil {
 		t.Fatal(err)
 	}
-	prep, err := db.Prepare(PrepareOptions{
+	prep, err := db.Prepare(context.Background(), PrepareOptions{
 		Table: "demo", Aggregate: "v", Dimensions: []string{"k"},
 		SampleRate: 0.1, CellBudget: 25, Seed: 7, WithCountCube: true,
 	})
@@ -41,7 +41,7 @@ func TestQueryWithContract(t *testing.T) {
 	if res.Strategy == "" {
 		t.Error("result carries no strategy")
 	}
-	truth, err := db.Exact(stmt)
+	truth, err := db.Exact(context.Background(), stmt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestContractHonoredRandomized(t *testing.T) {
 			t.Errorf("%s rel=%v: realized hw %v at value %v misses the bound (strategy %s)",
 				stmt, c.MaxRelError, res.HalfWidth, res.Value, res.Strategy)
 		}
-		truth, err := db.Exact(stmt)
+		truth, err := db.Exact(context.Background(), stmt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -220,10 +220,9 @@ func TestQueryProgressiveBudgetExhausted(t *testing.T) {
 		time.Sleep(30 * time.Millisecond)
 		return nil
 	}
-	sum, err := prep.QueryProgressiveBudget(context.Background(),
+	sum, err := prep.QueryProgressive(WithBudget(context.Background(), Budget{Timeout: 80 * time.Millisecond}),
 		"SELECT SUM(v) FROM demo WHERE k BETWEEN 50 AND 300",
-		ProgressiveOptions{StepRows: 500, MaxRounds: 1000},
-		Budget{Timeout: 80 * time.Millisecond}, slow)
+		ProgressiveOptions{StepRows: 500, MaxRounds: 1000}, slow)
 	if err != nil {
 		t.Fatalf("budget expiry mid-stream must end gracefully, got %v", err)
 	}

@@ -28,7 +28,7 @@ func Example() {
 	if err := db.Register(tbl); err != nil {
 		log.Fatal(err)
 	}
-	prep, err := db.Prepare(aqppp.PrepareOptions{
+	prep, err := db.Prepare(context.Background(), aqppp.PrepareOptions{
 		Table: "toy", Aggregate: "v", Dimensions: []string{"k"},
 		SampleRate: 1.0, // full sample: answers are exact
 		CellBudget: 10,
@@ -37,7 +37,7 @@ func Example() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := prep.Query("SELECT SUM(v) FROM toy WHERE k BETWEEN 3 AND 6")
+	res, err := prep.Query(context.Background(), "SELECT SUM(v) FROM toy WHERE k BETWEEN 3 AND 6")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -45,11 +45,12 @@ func Example() {
 	// Output: 180 ± 0
 }
 
-// ExampleDB_ExactContext runs an exact query under a cancelable context
-// with a per-query budget. A generous deadline lets the query finish;
-// the same call returns an ErrCanceled-kind error if the caller cancels
-// first, or ErrBudgetExceeded if the budget's own timeout expires.
-func ExampleDB_ExactContext() {
+// ExampleDB_Exact runs an exact query under a cancelable context and a
+// budget. The DB-wide default's generous deadline lets the query
+// finish; a context carrying a tighter budget of its own overruns it
+// (ErrBudgetExceeded) for that call only; and a caller who cancels
+// first gets an ErrCanceled-kind error.
+func ExampleDB_Exact() {
 	keys := make([]int64, 100)
 	vals := make([]float64, 100)
 	for i := range keys {
@@ -68,16 +69,21 @@ func ExampleDB_ExactContext() {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	res, err := db.ExactContext(ctx, "SELECT SUM(v) FROM toy WHERE k BETWEEN 1 AND 10")
+	res, err := db.Exact(ctx, "SELECT SUM(v) FROM toy WHERE k BETWEEN 1 AND 10")
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("sum=%.0f\n", res.Value)
 
+	tight := aqppp.WithBudget(ctx, aqppp.Budget{Timeout: time.Nanosecond})
+	_, err = db.Exact(tight, "SELECT SUM(v) FROM toy")
+	fmt.Println("tight budget:", aqppp.ErrorKindOf(err))
+
 	cancel()
-	_, err = db.ExactContext(ctx, "SELECT SUM(v) FROM toy")
+	_, err = db.Exact(ctx, "SELECT SUM(v) FROM toy")
 	fmt.Println("after cancel:", aqppp.ErrorKindOf(err))
 	// Output:
 	// sum=55
+	// tight budget: budget-exceeded
 	// after cancel: canceled
 }

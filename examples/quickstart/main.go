@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -15,6 +16,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	// A synthetic "orders" table: 500k rows of (customer ID, amount).
 	const n = 500000
 	r := stats.NewRNG(1)
@@ -40,7 +42,7 @@ func main() {
 	// Offline: a 1% sample plus a 200-cell BP-Cube for the template
 	// [SUM(amount), customer].
 	t0 := time.Now()
-	prep, err := db.Prepare(aqppp.PrepareOptions{
+	prep, err := db.Prepare(ctx, aqppp.PrepareOptions{
 		Table:      "orders",
 		Aggregate:  "amount",
 		Dimensions: []string{"customer"},
@@ -59,14 +61,14 @@ func main() {
 	stmt := "SELECT SUM(amount) FROM orders WHERE customer BETWEEN 1200 AND 4700"
 
 	t1 := time.Now()
-	approx, err := prep.Query(stmt)
+	approx, err := prep.Query(ctx, stmt)
 	if err != nil {
 		log.Fatal(err)
 	}
 	approxTime := time.Since(t1)
 
 	t2 := time.Now()
-	exact, err := db.Exact(stmt)
+	exact, err := db.Exact(ctx, stmt)
 	if err != nil {
 		log.Fatal(err)
 	}

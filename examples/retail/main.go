@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -18,13 +19,14 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	tbl := dataset.TPCDSkew(dataset.TPCDConfig{Rows: 300000, Seed: 5})
 	db := aqppp.NewDB()
 	if err := db.Register(tbl); err != nil {
 		log.Fatal(err)
 	}
 
-	prep, err := db.Prepare(aqppp.PrepareOptions{
+	prep, err := db.Prepare(ctx, aqppp.PrepareOptions{
 		Table:      "lineitem",
 		Aggregate:  "l_extendedprice",
 		Dimensions: []string{"l_orderkey", "l_partkey", "l_suppkey"},
@@ -52,7 +54,7 @@ func main() {
 	}
 
 	for _, step := range exploration {
-		exact, err := db.Exact(step.stmt)
+		exact, err := db.Exact(ctx, step.stmt)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -64,7 +66,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		approx, err := prep.Query(step.stmt)
+		approx, err := prep.Query(ctx, step.stmt)
 		if err != nil {
 			log.Fatal(err)
 		}

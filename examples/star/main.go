@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -17,6 +18,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	r := stats.NewRNG(7)
 
 	// Dimension: 200 suppliers with a rating and a region.
@@ -63,7 +65,7 @@ func main() {
 	if err := db.Register(joined); err != nil {
 		log.Fatal(err)
 	}
-	prep, err := db.Prepare(aqppp.PrepareOptions{
+	prep, err := db.Prepare(ctx, aqppp.PrepareOptions{
 		Table: joined.Name, Aggregate: "amount",
 		Dimensions: []string{"o_supp", "supplier.rating"},
 		SampleRate: 0.01, CellBudget: 48, Seed: 9, // a tiny cube: 48 cells over 200×5 values
@@ -76,11 +78,11 @@ func main() {
 		"SELECT SUM(amount) FROM orders_supplier WHERE supplier.rating BETWEEN 4 AND 5",
 		"SELECT SUM(amount) FROM orders_supplier WHERE o_supp BETWEEN 20 AND 120 AND supplier.rating BETWEEN 2 AND 3",
 	} {
-		exact, err := db.Exact(stmt)
+		exact, err := db.Exact(ctx, stmt)
 		if err != nil {
 			log.Fatal(err)
 		}
-		approx, err := prep.Query(stmt)
+		approx, err := prep.Query(ctx, stmt)
 		if err != nil {
 			log.Fatal(err)
 		}

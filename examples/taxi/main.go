@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -17,6 +18,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	// 400k synthetic trips with realistic correlations (fare ~ distance,
 	// dropoff = pickup + duration, night surcharges).
 	tbl := dataset.TLCTrip(dataset.TLCTripConfig{Rows: 400000, Seed: 99})
@@ -25,7 +27,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	prep, err := db.Prepare(aqppp.PrepareOptions{
+	prep, err := db.Prepare(ctx, aqppp.PrepareOptions{
 		Table:      "tlctrip",
 		Aggregate:  "Distance",
 		Dimensions: []string{"Pickup_Date", "Pickup_Time", "Fare_Amt"},
@@ -53,7 +55,7 @@ func main() {
 
 	fmt.Printf("%-4s %12s %22s %22s %9s\n", "#", "exact", "AQP (same sample)", "AQP++", "gain")
 	for i, stmt := range dashboard {
-		exact, err := db.Exact(stmt)
+		exact, err := db.Exact(ctx, stmt)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -66,7 +68,7 @@ func main() {
 			log.Fatal(err)
 		}
 		t0 := time.Now()
-		approx, err := prep.Query(stmt)
+		approx, err := prep.Query(ctx, stmt)
 		if err != nil {
 			log.Fatal(err)
 		}

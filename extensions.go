@@ -34,27 +34,15 @@ func (p *Prepared) Insert(vals ...interface{}) error {
 
 // QueryBootstrap answers a SUM/COUNT statement with an empirical
 // (bootstrap) confidence interval instead of the closed form (§4.2.2).
-func (p *Prepared) QueryBootstrap(statement string, resamples int) (Result, error) {
-	return p.QueryBootstrapContext(context.Background(), statement, resamples)
-}
-
-// QueryBootstrapContext is QueryBootstrap with cancellation: the
-// resampling loop checks ctx once per replicate. The DB's default
-// budget caps the replicate count (MaxResamples) and the scratch
-// buffers (MaxScratchBytes).
-func (p *Prepared) QueryBootstrapContext(ctx context.Context, statement string, resamples int) (Result, error) {
-	return p.QueryBootstrapWithBudget(ctx, statement, resamples, p.db.defaultBudget())
-}
-
-// QueryBootstrapWithBudget is QueryBootstrapContext with an explicit
-// per-call Budget replacing the DB-wide default: the budget's
-// MaxResamples and MaxScratchBytes caps apply to this one statement.
-func (p *Prepared) QueryBootstrapWithBudget(ctx context.Context, statement string, resamples int, b Budget) (Result, error) {
+// The resampling loop checks ctx once per replicate; the budget caps
+// the replicate count (MaxResamples) and the scratch buffers
+// (MaxScratchBytes).
+func (p *Prepared) QueryBootstrap(ctx context.Context, statement string, resamples int) (Result, error) {
 	plan, err := p.PlanBootstrap(statement, resamples)
 	if err != nil {
 		return Result{}, err
 	}
-	return p.RunPlan(ctx, plan, b)
+	return p.RunPlan(ctx, plan)
 }
 
 // PlanBootstrap parses and compiles a statement into a bootstrap plan
@@ -98,14 +86,9 @@ type MultiPrepared struct {
 	state *prepState
 }
 
-// PrepareMulti builds a multi-template preparation.
-func (db *DB) PrepareMulti(opts MultiPrepareOptions) (*MultiPrepared, error) {
-	return db.PrepareMultiContext(context.Background(), opts)
-}
-
-// PrepareMultiContext is PrepareMulti with cancellation, at the same
-// granularity as PrepareContext (one climb step).
-func (db *DB) PrepareMultiContext(ctx context.Context, opts MultiPrepareOptions) (*MultiPrepared, error) {
+// PrepareMulti builds a multi-template preparation, cancellable at the
+// same granularity as Prepare (one climb step).
+func (db *DB) PrepareMulti(ctx context.Context, opts MultiPrepareOptions) (*MultiPrepared, error) {
 	e, err := db.lookupResident(opts.Table, "prepare")
 	if err != nil {
 		return nil, err
@@ -123,7 +106,7 @@ func (db *DB) PrepareMultiContext(ctx context.Context, opts MultiPrepareOptions)
 		TotalCells: opts.TotalCells,
 		SampleRate: opts.SampleRate,
 		Seed:       opts.Seed,
-	}, db.defaultBudget())
+	}, db.budgetFor(ctx))
 	if err != nil {
 		return nil, err
 	}
@@ -137,12 +120,7 @@ func (m *MultiPrepared) Budgets() []int {
 
 // Query answers a statement with the best-matching template's processor;
 // the second return value is the template index used.
-func (m *MultiPrepared) Query(statement string) (Result, int, error) {
-	return m.QueryContext(context.Background(), statement)
-}
-
-// QueryContext is Query with cancellation.
-func (m *MultiPrepared) QueryContext(ctx context.Context, statement string) (Result, int, error) {
+func (m *MultiPrepared) Query(ctx context.Context, statement string) (Result, int, error) {
 	if m.state != nil && m.state.dropped.Load() {
 		return Result{}, 0, &exec.Error{Kind: exec.UnknownTable, Op: "multi",
 			Err: errDropped(m.tbl.Name)}
@@ -151,7 +129,7 @@ func (m *MultiPrepared) QueryContext(ctx context.Context, statement string) (Res
 	if err != nil {
 		return Result{}, 0, err
 	}
-	out, err := m.db.ex.Run(ctx, plan, m.db.defaultBudget())
+	out, err := m.db.ex.Run(ctx, plan, m.db.budgetFor(ctx))
 	if err != nil {
 		return Result{}, 0, err
 	}

@@ -1,6 +1,7 @@
 package aqppp
 
 import (
+	"context"
 	"math"
 	"testing"
 	"time"
@@ -12,7 +13,7 @@ func TestPreparedInsertMaintains(t *testing.T) {
 	if err := db.Register(tbl); err != nil {
 		t.Fatal(err)
 	}
-	prep, err := db.Prepare(PrepareOptions{
+	prep, err := db.Prepare(context.Background(), PrepareOptions{
 		Table: "demo", Aggregate: "v", Dimensions: []string{"k"},
 		SampleRate: 0.05, CellBudget: 20, Seed: 21,
 	})
@@ -25,8 +26,8 @@ func TestPreparedInsertMaintains(t *testing.T) {
 		}
 	}
 	stmt := "SELECT SUM(v) FROM demo WHERE k BETWEEN 1 AND 500"
-	truth, _ := db.Exact(stmt)
-	res, err := prep.Query(stmt)
+	truth, _ := db.Exact(context.Background(), stmt)
+	res, err := prep.Query(context.Background(), stmt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +41,7 @@ func TestQueryBootstrap(t *testing.T) {
 	if err := db.Register(demoTable(20000, 22)); err != nil {
 		t.Fatal(err)
 	}
-	prep, err := db.Prepare(PrepareOptions{
+	prep, err := db.Prepare(context.Background(), PrepareOptions{
 		Table: "demo", Aggregate: "v", Dimensions: []string{"k"},
 		SampleRate: 0.05, CellBudget: 20, Seed: 23,
 	})
@@ -48,18 +49,18 @@ func TestQueryBootstrap(t *testing.T) {
 		t.Fatal(err)
 	}
 	stmt := "SELECT SUM(v) FROM demo WHERE k BETWEEN 40 AND 350"
-	closed, err := prep.Query(stmt)
+	closed, err := prep.Query(context.Background(), stmt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	boot, err := prep.QueryBootstrap(stmt, 200)
+	boot, err := prep.QueryBootstrap(context.Background(), stmt, 200)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(boot.Value-closed.Value) > 1e-6*math.Abs(closed.Value)+1e-9 {
 		t.Errorf("bootstrap point %v != closed %v", boot.Value, closed.Value)
 	}
-	if _, err := prep.QueryBootstrap("SELECT AVG(v) FROM demo", 10); err == nil {
+	if _, err := prep.QueryBootstrap(context.Background(), "SELECT AVG(v) FROM demo", 10); err == nil {
 		t.Error("AVG accepted by QueryBootstrap")
 	}
 }
@@ -69,7 +70,7 @@ func TestPrepareMulti(t *testing.T) {
 	if err := db.Register(demoTable(20000, 24)); err != nil {
 		t.Fatal(err)
 	}
-	multi, err := db.PrepareMulti(MultiPrepareOptions{
+	multi, err := db.PrepareMulti(context.Background(), MultiPrepareOptions{
 		Table: "demo",
 		Templates: []Template{
 			{Aggregate: "v", Dimensions: []string{"k"}},
@@ -85,8 +86,8 @@ func TestPrepareMulti(t *testing.T) {
 		t.Errorf("budgets = %v", budgets)
 	}
 	stmt := "SELECT SUM(v) FROM demo WHERE k BETWEEN 40 AND 350"
-	truth, _ := db.Exact(stmt)
-	res, used, err := multi.Query(stmt)
+	truth, _ := db.Exact(context.Background(), stmt)
+	res, used, err := multi.Query(context.Background(), stmt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +97,7 @@ func TestPrepareMulti(t *testing.T) {
 	if rel := math.Abs(res.Value-truth.Value) / truth.Value; rel > 0.1 {
 		t.Errorf("multi answer off by %v", rel)
 	}
-	if _, _, err := multi.Query("garbage"); err == nil {
+	if _, _, err := multi.Query(context.Background(), "garbage"); err == nil {
 		t.Error("bad SQL accepted")
 	}
 }
@@ -126,7 +127,7 @@ func TestPrepareWithMinMax(t *testing.T) {
 	if err := db.Register(demoTable(10000, 27)); err != nil {
 		t.Fatal(err)
 	}
-	prep, err := db.Prepare(PrepareOptions{
+	prep, err := db.Prepare(context.Background(), PrepareOptions{
 		Table: "demo", Aggregate: "v", Dimensions: []string{"k"},
 		SampleRate: 0.1, CellBudget: 10, Seed: 28, WithMinMax: true,
 	})
@@ -134,8 +135,8 @@ func TestPrepareWithMinMax(t *testing.T) {
 		t.Fatal(err)
 	}
 	stmt := "SELECT MAX(v) FROM demo WHERE k BETWEEN 50 AND 300"
-	truth, _ := db.Exact(stmt)
-	res, err := prep.Query(stmt)
+	truth, _ := db.Exact(context.Background(), stmt)
+	res, err := prep.Query(context.Background(), stmt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,7 +51,7 @@ func TestTargetConformance(t *testing.T) {
 	if err := rdb.Register(tbl); err != nil {
 		t.Fatal(err)
 	}
-	rprep, err := rdb.Prepare(aqppp.PrepareOptions{
+	rprep, err := rdb.Prepare(context.Background(), aqppp.PrepareOptions{
 		Table: tbl.Name, Aggregate: "v", Dimensions: []string{"k"},
 		SampleRate: fleetRate, CellBudget: fleetBudget, Seed: fleetSeed,
 	})
@@ -229,7 +229,7 @@ func TestTargetConformance(t *testing.T) {
 	}
 
 	// A fleet's rows live on its replicas: nothing builds over it here.
-	_, err = fdb.PrepareMulti(aqppp.MultiPrepareOptions{
+	_, err = fdb.PrepareMulti(context.Background(), aqppp.MultiPrepareOptions{
 		Table: tbl.Name, TotalCells: 64,
 		Templates: []aqppp.Template{{Aggregate: "v", Dimensions: []string{"k"}}},
 	})

@@ -92,7 +92,7 @@ func startReplica(t *testing.T, tbl *engine.Table, layout shard.Layout, index in
 	if err := db.Register(slice); err != nil {
 		t.Fatal(err)
 	}
-	prep, err := db.Prepare(aqppp.PrepareOptions{
+	prep, err := db.Prepare(context.Background(), aqppp.PrepareOptions{
 		Table: slice.Name, Aggregate: "v", Dimensions: []string{"k"},
 		SampleRate: fleetRate,
 		CellBudget: shard.SplitBudget(fleetBudget, layout.N),
@@ -155,7 +155,7 @@ func oracle(t *testing.T, tbl *engine.Table, n int) (*aqppp.DB, *aqppp.Prepared)
 	if err := db.RegisterSharded(tbl, aqppp.ShardOptions{Column: "k", Shards: n}); err != nil {
 		t.Fatal(err)
 	}
-	prep, err := db.Prepare(aqppp.PrepareOptions{
+	prep, err := db.Prepare(context.Background(), aqppp.PrepareOptions{
 		Table: tbl.Name, Aggregate: "v", Dimensions: []string{"k"},
 		SampleRate: fleetRate, CellBudget: fleetBudget, Seed: fleetSeed,
 	})
@@ -183,11 +183,11 @@ func TestDistEquivalence(t *testing.T) {
 		hi := lo + r.Intn(500-lo) + 1
 		agg := aggs[r.Intn(len(aggs))]
 		stmt := fmt.Sprintf("SELECT %s FROM demo WHERE k BETWEEN %d AND %d", agg, lo, hi)
-		want, err := odb.Exact(stmt)
+		want, err := odb.Exact(context.Background(), stmt)
 		if err != nil {
 			t.Fatalf("%s: oracle: %v", stmt, err)
 		}
-		got, err := ddb.Exact(stmt)
+		got, err := ddb.Exact(context.Background(), stmt)
 		if err != nil {
 			t.Fatalf("%s: distributed: %v", stmt, err)
 		}
@@ -207,11 +207,11 @@ func TestDistEquivalence(t *testing.T) {
 		hi := lo + r.Intn(500-lo) + 1
 		agg := approxAggs[r.Intn(len(approxAggs))]
 		stmt := fmt.Sprintf("SELECT %s FROM demo WHERE k BETWEEN %d AND %d", agg, lo, hi)
-		want, err := oprep.Query(stmt)
+		want, err := oprep.Query(context.Background(), stmt)
 		if err != nil {
 			t.Fatalf("%s: oracle approx: %v", stmt, err)
 		}
-		got, err := dprep.Query(stmt)
+		got, err := dprep.Query(context.Background(), stmt)
 		if err != nil {
 			t.Fatalf("%s: distributed approx: %v", stmt, err)
 		}
@@ -230,11 +230,11 @@ func TestDistEquivalence(t *testing.T) {
 
 	// Exact and approximate GROUP BY.
 	gstmt := "SELECT SUM(v) FROM demo WHERE k BETWEEN 20 AND 470 GROUP BY tier"
-	wantG, err := odb.Exact(gstmt)
+	wantG, err := odb.Exact(context.Background(), gstmt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotG, err := ddb.Exact(gstmt)
+	gotG, err := ddb.Exact(context.Background(), gstmt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,11 +247,11 @@ func TestDistEquivalence(t *testing.T) {
 			t.Errorf("exact group %d: %+v vs %+v", i, gotG.Groups[i], wantG.Groups[i])
 		}
 	}
-	wantAG, err := oprep.Query(gstmt)
+	wantAG, err := oprep.Query(context.Background(), gstmt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotAG, err := dprep.Query(gstmt)
+	gotAG, err := dprep.Query(context.Background(), gstmt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,11 +269,11 @@ func TestDistEquivalence(t *testing.T) {
 	// Bootstrap intervals: per-replica streams seeded exactly like the
 	// in-process per-shard streams, so the merged CI matches.
 	bstmt := "SELECT SUM(v) FROM demo WHERE k BETWEEN 40 AND 460"
-	wantB, err := oprep.QueryBootstrap(bstmt, 200)
+	wantB, err := oprep.QueryBootstrap(context.Background(), bstmt, 200)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotB, err := dprep.QueryBootstrap(bstmt, 200)
+	gotB, err := dprep.QueryBootstrap(context.Background(), bstmt, 200)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +293,7 @@ func TestDistReplicaLossFailsClosed(t *testing.T) {
 	ddb, dprep := coordDB(t, coord)
 
 	stmt := "SELECT SUM(v) FROM demo" // full range: no shard can be pruned
-	if _, err := ddb.Exact(stmt); err != nil {
+	if _, err := ddb.Exact(context.Background(), stmt); err != nil {
 		t.Fatalf("healthy fleet: %v", err)
 	}
 
@@ -303,10 +303,10 @@ func TestDistReplicaLossFailsClosed(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, err := ddb.Exact(stmt); aqppp.ErrorKindOf(err) != aqppp.ErrUnavailable {
+	if _, err := ddb.Exact(context.Background(), stmt); aqppp.ErrorKindOf(err) != aqppp.ErrUnavailable {
 		t.Fatalf("exact after replica loss: err = %v, want kind %v", err, aqppp.ErrUnavailable)
 	}
-	if _, err := dprep.Query(stmt); aqppp.ErrorKindOf(err) != aqppp.ErrUnavailable {
+	if _, err := dprep.Query(context.Background(), stmt); aqppp.ErrorKindOf(err) != aqppp.ErrUnavailable {
 		t.Fatalf("approx after replica loss: err = %v, want kind %v", err, aqppp.ErrUnavailable)
 	}
 }
@@ -323,7 +323,7 @@ func TestDistDegradedApprox(t *testing.T) {
 	ddb, dprep := coordDB(t, coord)
 
 	stmt := "SELECT SUM(v) FROM demo"
-	healthy, err := dprep.Query(stmt)
+	healthy, err := dprep.Query(context.Background(), stmt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +337,7 @@ func TestDistDegradedApprox(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	deg, err := dprep.Query(stmt)
+	deg, err := dprep.Query(context.Background(), stmt)
 	if err != nil {
 		t.Fatalf("degraded query failed: %v", err)
 	}
@@ -353,7 +353,7 @@ func TestDistDegradedApprox(t *testing.T) {
 		t.Errorf("degraded value %v too far from healthy %v", deg.Value, healthy.Value)
 	}
 	// Exact never degrades.
-	if _, err := ddb.Exact(stmt); aqppp.ErrorKindOf(err) != aqppp.ErrUnavailable {
+	if _, err := ddb.Exact(context.Background(), stmt); aqppp.ErrorKindOf(err) != aqppp.ErrUnavailable {
 		t.Fatalf("exact under degraded policy: err = %v, want kind %v", err, aqppp.ErrUnavailable)
 	}
 	if coord.Snapshot().Degraded == 0 {
@@ -378,7 +378,7 @@ func TestDistributedTableHasOneTarget(t *testing.T) {
 	if err := db.Reshard("demo", aqppp.ShardOptions{Column: "k", Shards: 2}); aqppp.ErrorKindOf(err) != aqppp.ErrUnsupported {
 		t.Errorf("Reshard over a distributed table: err = %v, want kind %v", err, aqppp.ErrUnsupported)
 	}
-	_, err := db.Prepare(aqppp.PrepareOptions{
+	_, err := db.Prepare(context.Background(), aqppp.PrepareOptions{
 		Table: "demo", Aggregate: "v", Dimensions: []string{"k"},
 		SampleRate: fleetRate, CellBudget: fleetBudget, Seed: fleetSeed,
 	})
@@ -397,7 +397,7 @@ func TestDistributedTableHasOneTarget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := db.Exact(stmt)
+	got, err := db.Exact(context.Background(), stmt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,7 +406,7 @@ func TestDistributedTableHasOneTarget(t *testing.T) {
 	}
 	// The refused Reshard invalidated nothing: the handle still answers,
 	// with the truth inside a non-degenerate interval.
-	res, err := prep.Query(stmt)
+	res, err := prep.Query(context.Background(), stmt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +414,7 @@ func TestDistributedTableHasOneTarget(t *testing.T) {
 		t.Errorf("approx over the fleet = %v ± %v, truth %v", res.Value, res.HalfWidth, want.Value)
 	}
 	// The struct path plans on the same target as the SQL path.
-	sres, err := prep.QueryStruct(p.Query)
+	sres, err := prep.QueryStruct(context.Background(), p.Query)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -549,7 +549,7 @@ func TestDistStatuszAndMetrics(t *testing.T) {
 	tbl := fleetTable(fleetRows, 7)
 	coord, _ := startFleet(t, tbl, 2, dist.Config{Timeout: 10 * time.Second})
 	ddb, dprep := coordDB(t, coord)
-	if _, err := dprep.Query("SELECT SUM(v) FROM demo WHERE k BETWEEN 10 AND 490"); err != nil {
+	if _, err := dprep.Query(context.Background(), "SELECT SUM(v) FROM demo WHERE k BETWEEN 10 AND 490"); err != nil {
 		t.Fatal(err)
 	}
 

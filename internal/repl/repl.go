@@ -173,7 +173,7 @@ func (s *Session) runApprox(w io.Writer, stmt string) error {
 	ctx, cancel := s.statementContext()
 	defer cancel()
 	t0 := time.Now()
-	res, err := s.Prepared.QueryContext(ctx, stmt)
+	res, err := s.Prepared.Query(ctx, stmt)
 	el := time.Since(t0)
 	if err != nil {
 		return err
@@ -246,7 +246,7 @@ func (s *Session) runExact(w io.Writer, stmt string) error {
 	ctx, cancel := s.statementContext()
 	defer cancel()
 	t0 := time.Now()
-	res, err := s.DB.ExactContext(ctx, stmt)
+	res, err := s.DB.Exact(ctx, stmt)
 	el := time.Since(t0)
 	if err != nil {
 		return err

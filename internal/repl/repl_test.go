@@ -1,6 +1,7 @@
 package repl
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -27,7 +28,7 @@ func newTestSession(t *testing.T) *Session {
 	if err := db.Register(tbl); err != nil {
 		t.Fatal(err)
 	}
-	prep, err := db.Prepare(aqppp.PrepareOptions{
+	prep, err := db.Prepare(context.Background(), aqppp.PrepareOptions{
 		Table: "demo", Aggregate: "v", Dimensions: []string{"k"},
 		SampleRate: 0.1, CellBudget: 20, Seed: 2,
 	})
@@ -182,7 +183,7 @@ func TestGroupByThroughShell(t *testing.T) {
 	if err := db.Register(tbl); err != nil {
 		t.Fatal(err)
 	}
-	prep, err := db.Prepare(aqppp.PrepareOptions{
+	prep, err := db.Prepare(context.Background(), aqppp.PrepareOptions{
 		Table: "demo", Aggregate: "v", Dimensions: []string{"k", "g"},
 		SampleRate: 0.2, CellBudget: 20, Seed: 3,
 	})

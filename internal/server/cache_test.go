@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"net/http"
 	"testing"
 	"time"
@@ -172,7 +173,7 @@ func TestServerCacheHitSkipsGate(t *testing.T) {
 // answers for the same SQL occupy distinct entries.
 func TestServerCacheApproxAndBootstrap(t *testing.T) {
 	db := newTestDB(t, 3000)
-	prep, err := db.Prepare(aqpppPrepareOptions())
+	prep, err := db.Prepare(context.Background(), aqpppPrepareOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +270,7 @@ func TestServerCacheDropRegisterInvalidates(t *testing.T) {
 // approximations.
 func TestServerCachePreparedEpoch(t *testing.T) {
 	db := newTestDB(t, 3000)
-	prep, err := db.Prepare(aqpppPrepareOptions())
+	prep, err := db.Prepare(context.Background(), aqpppPrepareOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +294,7 @@ func TestServerCachePreparedEpoch(t *testing.T) {
 	}
 	opts := aqpppPrepareOptions()
 	opts.Seed = 99
-	prep2, err := db.Prepare(opts)
+	prep2, err := db.Prepare(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}

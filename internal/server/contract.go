@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -14,10 +15,10 @@ import (
 // 422 with the tightest achievable error when it cannot) and POST
 // /v1/progressive (an SSE stream of refining estimates that terminates
 // when the contract is met, the sample runs out, or the budget
-// expires). Contract answers flow through the same cache → quota →
-// admission-gate chain as /v1/approx; progressive streams skip the
-// cache (a stream is not a cacheable value) and hold their admission
-// slot for the whole stream.
+// expires). Contract answers flow through the same pipeline as
+// /v1/query and /v1/approx (Server.answer); progressive streams skip
+// the cache (a stream is not a cacheable value) and hold their
+// admission slot for the whole stream.
 
 // handleContract answers POST /v1/contract through a named prepared
 // handle. Planning happens before the quota and the gate: an
@@ -28,73 +29,46 @@ func (s *Server) handleContract(w http.ResponseWriter, r *http.Request, ri *reqI
 	if !s.decode(w, r, ri, &req) {
 		return
 	}
-	if req.Prepared == "" {
-		s.writeServerError(w, ri, http.StatusBadRequest, "parse",
-			`missing "prepared": /v1/contract answers through a named handle (build one with /v1/prepare)`)
-		return
-	}
-	if req.MaxRelError == 0 && req.MaxAbsError == 0 {
+	// A missing handle name is reported first, by resolvePrepared.
+	if req.Prepared != "" && req.MaxRelError == 0 && req.MaxAbsError == 0 {
 		s.writeServerError(w, ri, http.StatusBadRequest, "parse",
 			`a contract needs "max_rel_error" and/or "max_abs_error"`)
 		return
 	}
-	prep, epoch, found := s.lookupPrepared(req.Prepared)
-	if !found {
-		s.writeServerError(w, ri, http.StatusNotFound, "unknown-prepared",
-			fmt.Sprintf("no prepared handle %q", req.Prepared))
+	prep, handleKey, ok := s.resolvePrepared(w, ri, req.Prepared)
+	if !ok {
 		return
 	}
-	c := aqppp.Contract{
+	// infeasible counts a contract no permitted strategy could meet —
+	// predicted at plan time, or realized when the ladder ran dry at run
+	// time; same counter, same 422.
+	infeasible := func(err error) error {
+		if aqppp.ErrorKindOf(err) == aqppp.ErrContractInfeasible {
+			s.met.observeContract(false, false)
+		}
+		return err
+	}
+	plan, err := prep.PlanContract(req.SQL, aqppp.Contract{
 		MaxRelError: req.MaxRelError,
 		MaxAbsError: req.MaxAbsError,
 		Confidence:  req.Confidence,
 		AllowExact:  req.AllowExact,
-	}
-	plan, err := prep.PlanContract(req.SQL, c)
+	})
 	if err != nil {
-		if aqppp.ErrorKindOf(err) == aqppp.ErrContractInfeasible {
-			s.met.observeContract(false, false)
-		}
-		s.writeError(w, ri, err)
+		s.writeError(w, ri, infeasible(err))
 		return
 	}
-	// Same keying discipline as /v1/approx (handle name + epoch folded
-	// in); the plan's own key already carries the contract's bounds, so
-	// a loose and a tight contract over one statement never collide.
-	key := fmt.Sprintf("%s|h=%s@%d", plan.CacheKey(), req.Prepared, epoch)
+	// The plan's own key already carries the contract's bounds, so a
+	// loose and a tight contract over one statement never collide.
 	gen := s.db.Generation(prep.TableName())
-	if resp, hit := s.cache.Get(key, gen); hit {
-		s.writeCached(w, ri, resp)
-		return
-	}
-	if !s.allowQuota(w, r, ri) {
-		return
-	}
-	release, budget, ok := s.admit(w, r, ri, req.TimeoutMS)
-	if !ok {
-		return
-	}
-	defer release()
-	if h := s.hookGated; h != nil {
-		h(r.Context())
-	}
-	t0 := time.Now()
-	res, err := prep.RunContractPlan(r.Context(), plan, budget)
-	if err != nil {
-		if aqppp.ErrorKindOf(err) == aqppp.ErrContractInfeasible {
-			// The ladder ran dry at run time (the planner's prediction
-			// was too optimistic); same counter, same 422.
-			s.met.observeContract(false, false)
+	s.answer(w, r, ri, req.TimeoutMS, plan.CacheKey()+handleKey, gen, func(ctx context.Context) (QueryResponse, error) {
+		res, err := prep.RunContractPlan(ctx, plan)
+		if err != nil {
+			return QueryResponse{}, infeasible(err)
 		}
-		s.writeError(w, ri, err)
-		return
-	}
-	s.met.observeContract(true, res.Escalated)
-	resp := contractResponse(ri.id, res, time.Since(t0))
-	if !resp.Partial {
-		s.cache.Put(key, gen, resp)
-	}
-	s.writeJSON(w, http.StatusOK, resp)
+		s.met.observeContract(true, res.Escalated)
+		return contractResponse(res), nil
+	})
 }
 
 // sseEvent writes one Server-Sent Event and flushes it to the client.
@@ -124,15 +98,8 @@ func (s *Server) handleProgressive(w http.ResponseWriter, r *http.Request, ri *r
 	if !s.decode(w, r, ri, &req) {
 		return
 	}
-	if req.Prepared == "" {
-		s.writeServerError(w, ri, http.StatusBadRequest, "parse",
-			`missing "prepared": /v1/progressive answers through a named handle (build one with /v1/prepare)`)
-		return
-	}
-	prep, _, found := s.lookupPrepared(req.Prepared)
-	if !found {
-		s.writeServerError(w, ri, http.StatusNotFound, "unknown-prepared",
-			fmt.Sprintf("no prepared handle %q", req.Prepared))
+	prep, _, ok := s.resolvePrepared(w, ri, req.Prepared)
+	if !ok {
 		return
 	}
 	opts := aqppp.ProgressiveOptions{
@@ -153,13 +120,13 @@ func (s *Server) handleProgressive(w http.ResponseWriter, r *http.Request, ri *r
 	if !s.allowQuota(w, r, ri) {
 		return
 	}
-	release, budget, ok := s.admit(w, r, ri, req.TimeoutMS)
+	ctx, release, ok := s.admit(w, r, ri, req.TimeoutMS)
 	if !ok {
 		return
 	}
 	defer release()
 	if h := s.hookGated; h != nil {
-		h(r.Context())
+		h(ctx)
 	}
 
 	started := false
@@ -186,7 +153,7 @@ func (s *Server) handleProgressive(w http.ResponseWriter, r *http.Request, ri *r
 		})
 	}
 	t0 := time.Now()
-	sum, err := prep.QueryProgressiveBudget(r.Context(), req.SQL, opts, budget, yield)
+	sum, err := prep.QueryProgressive(ctx, req.SQL, opts, yield)
 	if err != nil {
 		kind := aqppp.ErrorKindOf(err)
 		if !started {

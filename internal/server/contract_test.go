@@ -19,7 +19,7 @@ import (
 func contractTestServer(t *testing.T, rows int) (*aqppp.DB, *Server, string) {
 	t.Helper()
 	db := newTestDB(t, rows)
-	prep, err := db.Prepare(aqppp.PrepareOptions{
+	prep, err := db.Prepare(context.Background(), aqppp.PrepareOptions{
 		Table: "demo", Aggregate: "v", Dimensions: []string{"k"},
 		SampleRate: 0.1, CellBudget: 50, Seed: 11, WithCountCube: true,
 	})
@@ -88,7 +88,7 @@ func TestServerContractEndpoint(t *testing.T) {
 	if strat, _ := body["strategy"].(string); strat == "" {
 		t.Errorf("contract answer carries no strategy (body %v)", body)
 	}
-	truth, err := db.Exact(stmt)
+	truth, err := db.Exact(context.Background(), stmt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -94,11 +94,19 @@ func (s *Server) handlePartial(w http.ResponseWriter, r *http.Request, ri *reqIn
 		s.writeServerError(w, ri, http.StatusBadRequest, "parse", err.Error())
 		return
 	}
-	release, _, ok := s.admit(w, r, ri, preq.TimeoutMS)
+	ctx, release, ok := s.admit(w, r, ri, preq.TimeoutMS)
 	if !ok {
 		return
 	}
 	defer release()
+	// A stratum is answered by shard.Local, below the root API that
+	// reads the admitted budget, so the request deadline (the
+	// coordinator's remaining time) is applied to the scan here.
+	if deadline := s.requestDeadline(ri, preq.TimeoutMS); !deadline.IsZero() {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithDeadline(ctx, deadline)
+		defer cancel()
+	}
 	t0 := time.Now()
 	// One stratum answers the same way in process and behind this
 	// endpoint: through a shard.Local over the slice (exact) or over the
@@ -108,7 +116,7 @@ func (s *Server) handlePartial(w http.ResponseWriter, r *http.Request, ri *reqIn
 	case dist.ModeExact:
 		tbl, ok := s.db.LookupTable(role.Table)
 		if !ok {
-			s.writePartialError(r.Context(), w, ri, &exec.Error{Kind: exec.UnknownTable, Op: "exact",
+			s.writePartialError(ctx, w, ri, &exec.Error{Kind: exec.UnknownTable, Op: "exact",
 				Err: fmt.Errorf("no table %q", role.Table)})
 			return
 		}
@@ -130,9 +138,23 @@ func (s *Server) handlePartial(w http.ResponseWriter, r *http.Request, ri *reqIn
 			fmt.Sprintf("unknown partial mode %q", preq.Mode))
 		return
 	}
-	resp, err := answerPartial(r.Context(), local, &preq, q)
+	// The replicate cap, with the kind and status /v1/approx answers an
+	// over-cap request with: the coordinator enforces its own cap, but
+	// this endpoint is reachable directly.
+	if limit := s.cfg.MaxResamples; preq.Mode == dist.ModeBootstrap && limit > 0 {
+		n := preq.Resamples
+		if n <= 0 {
+			n = core.DefaultResamples
+		}
+		if n > limit {
+			s.writeError(w, ri, &exec.Error{Kind: exec.BudgetExceeded, Op: "bootstrap",
+				Err: fmt.Errorf("%d resamples exceed the budget's cap of %d", n, limit)})
+			return
+		}
+	}
+	resp, err := answerPartial(ctx, local, &preq, q)
 	if err != nil {
-		s.writePartialError(r.Context(), w, ri, err)
+		s.writePartialError(ctx, w, ri, err)
 		return
 	}
 	resp.ElapsedUS = time.Since(t0).Microseconds()

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -238,12 +239,16 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, ri *reqInfo, v a
 	return true
 }
 
-// requestBudget resolves one request's wall-time bound: its timeout_ms,
-// defaulted and capped by config, stamped into an executor Budget along
-// with the server-wide resample and scratch caps. The returned deadline
-// (zero = none) is measured from the request's arrival, so queue wait
-// spends the same budget the engine does.
-func (s *Server) requestBudget(ri *reqInfo, timeoutMS int64) (aqppp.Budget, time.Time) {
+// requestDeadline resolves one request's wall-time bound: its
+// timeout_ms, defaulted and capped by config, measured from the
+// request's arrival (zero = none), so queue wait spends the same budget
+// the engine does.
+func (s *Server) requestDeadline(ri *reqInfo, timeoutMS int64) time.Time {
+	// Clamped before the multiply: a huge timeout_ms would otherwise
+	// wrap time.Duration into a tiny or negative bound.
+	if timeoutMS > int64(math.MaxInt64/time.Millisecond) {
+		timeoutMS = int64(math.MaxInt64 / time.Millisecond)
+	}
 	timeout := time.Duration(timeoutMS) * time.Millisecond
 	if timeout <= 0 {
 		timeout = s.cfg.DefaultTimeout
@@ -251,22 +256,22 @@ func (s *Server) requestBudget(ri *reqInfo, timeoutMS int64) (aqppp.Budget, time
 	if s.cfg.MaxTimeout > 0 && (timeout <= 0 || timeout > s.cfg.MaxTimeout) {
 		timeout = s.cfg.MaxTimeout
 	}
-	b := aqppp.Budget{
-		MaxResamples:    s.cfg.MaxResamples,
-		MaxScratchBytes: s.cfg.MaxScratchBytes,
-	}
 	if timeout <= 0 {
-		return b, time.Time{}
+		return time.Time{}
 	}
-	return b, ri.start.Add(timeout)
+	return ri.start.Add(timeout)
 }
 
 // admit runs one request through the admission gate. On success the
-// caller holds a slot and must call release; the returned budget's
-// Timeout is the time remaining until the request deadline (queue wait
-// already spent). On failure admit has written the response.
-func (s *Server) admit(w http.ResponseWriter, r *http.Request, ri *reqInfo, timeoutMS int64) (func(), aqppp.Budget, bool) {
-	b, deadline := s.requestBudget(ri, timeoutMS)
+// caller holds a slot, must call release, and runs its work under the
+// returned context: the request's context carrying the request's
+// Budget — the server-wide resample and scratch caps, and as Timeout
+// the time left until the request deadline (queue wait already spent).
+// The context itself carries no deadline, so an overrun classifies as
+// budget-exceeded and only a client disconnect as canceled. On failure
+// admit has written the response.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, ri *reqInfo, timeoutMS int64) (context.Context, func(), bool) {
+	deadline := s.requestDeadline(ri, timeoutMS)
 	release, err := s.gate.Acquire(r.Context(), deadline)
 	if err != nil {
 		var o *Overload
@@ -280,23 +285,80 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, ri *reqInfo, time
 				Kind: aqppp.ErrCanceled.String(), Message: err.Error(), RequestID: ri.id,
 			}})
 		}
-		return nil, aqppp.Budget{}, false
+		return nil, nil, false
 	}
+	b := aqppp.Budget{MaxResamples: s.cfg.MaxResamples, MaxScratchBytes: s.cfg.MaxScratchBytes}
 	if !deadline.IsZero() {
-		remaining := time.Until(deadline)
-		if remaining < time.Millisecond {
-			remaining = time.Millisecond
+		b.Timeout = time.Until(deadline)
+		if b.Timeout < time.Millisecond {
+			b.Timeout = time.Millisecond
 		}
-		b.Timeout = remaining
 	}
-	return release, b, true
+	return aqppp.WithBudget(r.Context(), b), release, true
 }
 
-// handleQuery answers POST /v1/query: an exact scan with the request's
-// deadline mapped onto the executor budget. The statement is planned
-// once — the plan yields the canonical cache key, a hit is served in
-// front of the quota and the admission gate, and a miss runs the same
-// plan (no second parse).
+// answer is the one pipeline behind the three JSON answer endpoints
+// (/v1/query, /v1/approx, /v1/contract), which differ only in how they
+// plan and in the run closure. A cache hit is served in front of the
+// quota and the admission gate; a miss pays a quota token, takes a gate
+// slot, runs under the admitted context and is cached under (key, gen)
+// — unless key is empty (the caller could not vouch for the entry) or
+// the answer is partial: a degraded answer reflects which replicas
+// happened to be up, not the data, and must never outlive the outage.
+func (s *Server) answer(w http.ResponseWriter, r *http.Request, ri *reqInfo, timeoutMS int64,
+	key string, gen uint64, run func(context.Context) (QueryResponse, error)) {
+	if key != "" {
+		if resp, hit := s.cache.Get(key, gen); hit {
+			s.writeCached(w, ri, resp)
+			return
+		}
+	}
+	if !s.allowQuota(w, r, ri) {
+		return
+	}
+	ctx, release, ok := s.admit(w, r, ri, timeoutMS)
+	if !ok {
+		return
+	}
+	defer release()
+	if h := s.hookGated; h != nil {
+		h(ctx)
+	}
+	t0 := time.Now()
+	resp, err := run(ctx)
+	if err != nil {
+		s.writeError(w, ri, err)
+		return
+	}
+	resp.RequestID, resp.ElapsedMS = ri.id, toMS(time.Since(t0))
+	if key != "" && !resp.Partial {
+		s.cache.Put(key, gen, resp)
+	}
+	s.writeJSON(w, http.StatusOK, resp)
+}
+
+// resolvePrepared resolves the named handle an endpoint answers
+// through, and the suffix its cache keys carry: the name and its epoch,
+// because two handles over one table answer with different samples and
+// cubes, and a dropped and rebuilt handle must never serve its
+// predecessor's answers. On failure it has written the 400 or 404.
+func (s *Server) resolvePrepared(w http.ResponseWriter, ri *reqInfo, name string) (*aqppp.Prepared, string, bool) {
+	if name == "" {
+		s.writeServerError(w, ri, http.StatusBadRequest, "parse", fmt.Sprintf(
+			`missing "prepared": %s answers through a named handle (build one with /v1/prepare)`, ri.endpoint))
+		return nil, "", false
+	}
+	prep, epoch, found := s.lookupPrepared(name)
+	if !found {
+		s.writeServerError(w, ri, http.StatusNotFound, "unknown-prepared",
+			fmt.Sprintf("no prepared handle %q", name))
+	}
+	return prep, fmt.Sprintf("|h=%s@%d", name, epoch), found
+}
+
+// handleQuery answers POST /v1/query: an exact scan. The statement is
+// planned once — the plan yields the canonical cache key, and a miss
+// runs the same plan (no second parse).
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, ri *reqInfo) {
 	var req QueryRequest
 	if !s.decode(w, r, ri, &req) {
@@ -309,45 +371,23 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, ri *reqInfo
 	}
 	key := plan.CacheKey()
 	// The generation is captured before the query runs: if the table
-	// churns mid-flight, the entry we Put below can never match a later
+	// churns mid-flight, the entry put afterwards can never match a later
 	// Get and is stillborn rather than stale. One window remains — a
 	// churn between the plan resolving its table pointer and this capture
 	// would pair the old table's answer with the new generation — so the
 	// pointer is re-checked after the capture; on a mismatch this request
 	// simply skips the cache (correct answer, just not cached).
 	gen := s.db.Generation(plan.Table.Name)
-	cacheable := true
 	if tbl, ok := s.db.LookupTable(plan.Table.Name); !ok || tbl != plan.Table {
-		cacheable = false
+		key = ""
 	}
-	if cacheable {
-		if resp, hit := s.cache.Get(key, gen); hit {
-			s.writeCached(w, ri, resp)
-			return
+	s.answer(w, r, ri, req.TimeoutMS, key, gen, func(ctx context.Context) (QueryResponse, error) {
+		res, err := s.db.RunExactPlan(ctx, plan)
+		if err != nil {
+			return QueryResponse{}, err
 		}
-	}
-	if !s.allowQuota(w, r, ri) {
-		return
-	}
-	release, budget, ok := s.admit(w, r, ri, req.TimeoutMS)
-	if !ok {
-		return
-	}
-	defer release()
-	if h := s.hookGated; h != nil {
-		h(r.Context())
-	}
-	t0 := time.Now()
-	res, err := s.db.RunExactPlan(r.Context(), plan, budget)
-	if err != nil {
-		s.writeError(w, ri, err)
-		return
-	}
-	resp := exactResponse(ri.id, res, time.Since(t0))
-	if cacheable {
-		s.cache.Put(key, gen, resp)
-	}
-	s.writeJSON(w, http.StatusOK, resp)
+		return exactResponse(res), nil
+	})
 }
 
 // handleApprox answers POST /v1/approx through a named prepared handle,
@@ -357,15 +397,8 @@ func (s *Server) handleApprox(w http.ResponseWriter, r *http.Request, ri *reqInf
 	if !s.decode(w, r, ri, &req) {
 		return
 	}
-	if req.Prepared == "" {
-		s.writeServerError(w, ri, http.StatusBadRequest, "parse",
-			`missing "prepared": /v1/approx answers through a named handle (build one with /v1/prepare)`)
-		return
-	}
-	prep, epoch, found := s.lookupPrepared(req.Prepared)
-	if !found {
-		s.writeServerError(w, ri, http.StatusNotFound, "unknown-prepared",
-			fmt.Sprintf("no prepared handle %q", req.Prepared))
+	prep, handleKey, ok := s.resolvePrepared(w, ri, req.Prepared)
+	if !ok {
 		return
 	}
 	var plan *exec.Plan
@@ -379,43 +412,18 @@ func (s *Server) handleApprox(w http.ResponseWriter, r *http.Request, ri *reqInf
 		s.writeError(w, ri, err)
 		return
 	}
-	// The key folds in the handle name and its epoch: two handles over
-	// the same table answer with different samples/cubes, and a dropped
-	// and rebuilt handle must never serve its predecessor's answers.
 	// No pointer re-check is needed here (unlike handleQuery): a table
 	// churn before the generation capture poisons the preparation, so
-	// RunPlan's liveness re-check below refuses to answer; a churn after
-	// the capture leaves the Put stillborn.
-	key := fmt.Sprintf("%s|h=%s@%d", plan.CacheKey(), req.Prepared, epoch)
+	// RunPlan's liveness re-check refuses to answer; a churn after the
+	// capture leaves the Put stillborn.
 	gen := s.db.Generation(prep.TableName())
-	if resp, hit := s.cache.Get(key, gen); hit {
-		s.writeCached(w, ri, resp)
-		return
-	}
-	if !s.allowQuota(w, r, ri) {
-		return
-	}
-	release, budget, ok := s.admit(w, r, ri, req.TimeoutMS)
-	if !ok {
-		return
-	}
-	defer release()
-	if h := s.hookGated; h != nil {
-		h(r.Context())
-	}
-	t0 := time.Now()
-	res, err := prep.RunPlan(r.Context(), plan, budget)
-	if err != nil {
-		s.writeError(w, ri, err)
-		return
-	}
-	resp := approxResponse(ri.id, res, time.Since(t0))
-	if !resp.Partial {
-		// A degraded answer reflects which replicas happened to be up,
-		// not the data; it must never outlive the outage in the cache.
-		s.cache.Put(key, gen, resp)
-	}
-	s.writeJSON(w, http.StatusOK, resp)
+	s.answer(w, r, ri, req.TimeoutMS, plan.CacheKey()+handleKey, gen, func(ctx context.Context) (QueryResponse, error) {
+		res, err := prep.RunPlan(ctx, plan)
+		if err != nil {
+			return QueryResponse{}, err
+		}
+		return approxResponse(res), nil
+	})
 }
 
 // handlePrepare answers POST /v1/prepare: builds a preparation under
@@ -440,16 +448,16 @@ func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request, ri *reqIn
 	if !s.allowQuota(w, r, ri) {
 		return
 	}
-	release, budget, ok := s.admit(w, r, ri, req.TimeoutMS)
+	ctx, release, ok := s.admit(w, r, ri, req.TimeoutMS)
 	if !ok {
 		return
 	}
 	defer release()
 	if h := s.hookGated; h != nil {
-		h(r.Context())
+		h(ctx)
 	}
 	t0 := time.Now()
-	prep, err := s.db.PrepareWithBudget(r.Context(), aqppp.PrepareOptions{
+	prep, err := s.db.Prepare(ctx, aqppp.PrepareOptions{
 		Table:              req.Table,
 		Aggregate:          req.Aggregate,
 		Dimensions:         req.Dimensions,
@@ -460,7 +468,7 @@ func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request, ri *reqIn
 		WithCountCube:      req.WithCountCube,
 		WithMinMax:         req.WithMinMax,
 		EqualPartitionOnly: req.EqualPartitionOnly,
-	}, budget)
+	})
 	if err != nil {
 		s.writeError(w, ri, err)
 		return

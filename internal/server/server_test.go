@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"aqppp"
+	"aqppp/internal/dist"
 	"aqppp/internal/engine"
 	"aqppp/internal/stats"
 )
@@ -151,7 +152,7 @@ func TestServerEndToEnd(t *testing.T) {
 
 	// Exact query matches the library answer.
 	stmt := "SELECT SUM(v) FROM demo WHERE k BETWEEN 10 AND 400"
-	want, err := db.Exact(stmt)
+	want, err := db.Exact(context.Background(), stmt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,14 +245,14 @@ func TestServerEndToEnd(t *testing.T) {
 // requests against the routed handler.
 func TestServerErrorMapping(t *testing.T) {
 	db := newTestDB(t, 2000)
-	prep, err := db.Prepare(aqppp.PrepareOptions{
+	prep, err := db.Prepare(context.Background(), aqppp.PrepareOptions{
 		Table: "demo", Aggregate: "v", Dimensions: []string{"k"},
 		SampleRate: 0.2, CellBudget: 100, Seed: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(db, Config{MaxConcurrent: 2, MaxQueue: 2})
+	srv := New(db, Config{MaxConcurrent: 2, MaxQueue: 2, MaxTimeout: time.Minute})
 	if err := srv.RegisterPrepared("h", prep); err != nil {
 		t.Fatal(err)
 	}
@@ -300,6 +301,11 @@ func TestServerErrorMapping(t *testing.T) {
 		{"prepare-unknown-table", "POST", "/v1/prepare", PrepareRequest{Name: "x", Table: "nope", Dimensions: []string{"k"}}, 404, "unknown-table"},
 		{"delete-unknown", "DELETE", "/v1/prepared/ghost", nil, 404, "unknown-prepared"},
 		{"budget-exceeded", "POST", "/v1/approx", QueryRequest{Prepared: "h", SQL: "SELECT SUM(v) FROM demo", Resamples: 2_000_000, TimeoutMS: 40}, 408, "budget-exceeded"},
+		// A timeout_ms whose nanosecond form overflows time.Duration is
+		// clamped to MaxTimeout, not wrapped into a sub-millisecond bound
+		// (which the 5000 resamples would overrun).
+		{"timeout-wraps-positive", "POST", "/v1/approx", QueryRequest{Prepared: "h", SQL: "SELECT SUM(v) FROM demo", Resamples: 5000, TimeoutMS: 18446744073710}, 200, ""},
+		{"timeout-max-int64", "POST", "/v1/approx", QueryRequest{Prepared: "h", SQL: "SELECT SUM(v) FROM demo", TimeoutMS: math.MaxInt64}, 200, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -435,7 +441,7 @@ func TestServerAdmissionUnderLoad(t *testing.T) {
 // must return to zero long before the work could have finished.
 func TestServerClientDisconnectCancelsEngine(t *testing.T) {
 	db := newTestDB(t, 5000)
-	prep, err := db.Prepare(aqppp.PrepareOptions{
+	prep, err := db.Prepare(context.Background(), aqppp.PrepareOptions{
 		Table: "demo", Aggregate: "v", Dimensions: []string{"k"},
 		SampleRate: 0.2, CellBudget: 100, Seed: 5,
 	})
@@ -625,4 +631,49 @@ func TestServerDrainDeadlineHardCancels(t *testing.T) {
 		t.Errorf("Serve = %v, want nil", err)
 	}
 	waitFor(t, 5*time.Second, func() bool { return srv.Gate().InFlight() == 0 })
+}
+
+// TestPartialRunsUnderBudget posts to a replica's /v1/partial directly,
+// the way a coordinator (or anyone who can reach the port) does: the
+// request's timeout_ms must bound the stratum's work, not just its
+// queue wait, and the server's resample cap must hold here as it does
+// on /v1/approx.
+func TestPartialRunsUnderBudget(t *testing.T) {
+	db := newTestDB(t, 5000)
+	prep, err := db.Prepare(context.Background(), aqppp.PrepareOptions{
+		Table: "demo", Aggregate: "v", Dimensions: []string{"k"},
+		SampleRate: 0.2, CellBudget: 100, Seed: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(db, Config{
+		MaxResamples: 3_000_000,
+		Replica:      &ReplicaRole{Table: "demo", Ident: dist.ShardIdentity{Count: 1}},
+	})
+	if err := srv.RegisterPrepared("h", prep); err != nil {
+		t.Fatal(err)
+	}
+	base := startServer(t, srv)
+	partial := func(resamples int, timeoutMS int64) (int, string) {
+		code, body, _ := postJSON(t, http.DefaultClient, base+"/v1/partial", dist.PartialRequest{
+			V: dist.WireVersion, Mode: dist.ModeBootstrap, Table: "demo", Handle: "h",
+			Query:     dist.ToWireQuery(engine.Query{Func: engine.Sum, Col: "v"}),
+			Resamples: resamples, Seed: 1, TimeoutMS: timeoutMS,
+		})
+		return code, errKind(body)
+	}
+	if code, kind := partial(50, 0); code != http.StatusOK {
+		t.Fatalf("in-budget partial = %d kind %q", code, kind)
+	}
+	start := time.Now()
+	if code, kind := partial(2_000_000, 40); code != http.StatusRequestTimeout || kind != "budget-exceeded" {
+		t.Errorf("over-deadline partial = %d kind %q, want 408 budget-exceeded", code, kind)
+	}
+	if code, kind := partial(3_000_001, 0); code != http.StatusRequestTimeout || kind != "budget-exceeded" {
+		t.Errorf("over-cap partial = %d kind %q, want 408 budget-exceeded", code, kind)
+	}
+	if el := time.Since(start); el > 10*time.Second {
+		t.Errorf("refusals took %v: the deadline and the cap must stop the resampling", el)
+	}
 }

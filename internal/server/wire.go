@@ -265,9 +265,10 @@ func statusForKind(k aqppp.ErrorKind) int {
 	}
 }
 
-// exactResponse converts an engine result to the wire shape.
-func exactResponse(id string, res engine.Result, elapsed time.Duration) QueryResponse {
-	out := QueryResponse{RequestID: id, Value: res.Value, ElapsedMS: toMS(elapsed)}
+// exactResponse converts an engine result to the wire shape; the
+// answer pipeline stamps the request ID and elapsed time.
+func exactResponse(res engine.Result) QueryResponse {
+	out := QueryResponse{Value: res.Value}
 	for _, g := range res.Groups {
 		out.Groups = append(out.Groups, GroupJSON{Key: g.Key, Value: g.Value, Rows: g.Rows})
 	}
@@ -275,17 +276,15 @@ func exactResponse(id string, res engine.Result, elapsed time.Duration) QueryRes
 }
 
 // approxResponse converts an AQP++ result to the wire shape.
-func approxResponse(id string, res aqppp.Result, elapsed time.Duration) QueryResponse {
+func approxResponse(res aqppp.Result) QueryResponse {
 	hw, conf := res.HalfWidth, res.Confidence
 	out := QueryResponse{
-		RequestID:       id,
 		Value:           res.Value,
 		HalfWidth:       &hw,
 		Confidence:      &conf,
 		UsedPrecomputed: res.UsedPrecomputed,
 		Pre:             res.Pre,
 		Partial:         res.Partial,
-		ElapsedMS:       toMS(elapsed),
 	}
 	for _, g := range res.Groups {
 		ghw := g.HalfWidth
@@ -297,8 +296,8 @@ func approxResponse(id string, res aqppp.Result, elapsed time.Duration) QueryRes
 }
 
 // contractResponse converts a contract result to the wire shape.
-func contractResponse(id string, res aqppp.ContractResult, elapsed time.Duration) QueryResponse {
-	out := approxResponse(id, res.Result, elapsed)
+func contractResponse(res aqppp.ContractResult) QueryResponse {
+	out := approxResponse(res.Result)
 	out.Strategy = res.Strategy
 	out.Escalated = res.Escalated
 	return out

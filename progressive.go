@@ -76,16 +76,12 @@ type ProgressiveSummary struct {
 // estimator's repertoire); others report ErrUnsupported. yield may be
 // nil; a non-nil yield error cancels the stream and classifies as
 // ErrCanceled.
+//
+// The budget's deadline is checked between rounds; when it fires after
+// at least one round has streamed, the stream terminates gracefully
+// with reason "budget-exhausted" instead of failing — the rounds
+// already delivered are the answer.
 func (p *Prepared) QueryProgressive(ctx context.Context, statement string, opts ProgressiveOptions, yield func(ProgressiveRound) error) (ProgressiveSummary, error) {
-	return p.QueryProgressiveBudget(ctx, statement, opts, p.db.defaultBudget(), yield)
-}
-
-// QueryProgressiveBudget is QueryProgressive with an explicit per-call
-// Budget. The budget's deadline is checked between rounds; when it
-// fires after at least one round has streamed, the stream terminates
-// gracefully with reason "budget-exhausted" instead of failing — the
-// rounds already delivered are the answer.
-func (p *Prepared) QueryProgressiveBudget(ctx context.Context, statement string, opts ProgressiveOptions, b Budget, yield func(ProgressiveRound) error) (ProgressiveSummary, error) {
 	if err := p.live("progressive"); err != nil {
 		return ProgressiveSummary{}, err
 	}
@@ -126,7 +122,7 @@ func (p *Prepared) QueryProgressiveBudget(ctx context.Context, statement string,
 		maxRounds = 64
 	}
 	run, cancel, budgeted := ctx, context.CancelFunc(func() {}), false
-	if b.Timeout > 0 {
+	if b := p.db.budgetFor(ctx); b.Timeout > 0 {
 		run, cancel = context.WithTimeout(ctx, b.Timeout)
 		budgeted = true
 	}
@@ -173,6 +169,15 @@ func (p *Prepared) QueryProgressiveBudget(ctx context.Context, statement string,
 	}
 	sum.Reason = ProgressiveMaxRounds
 	return sum, nil
+}
+
+// QueryProgressiveBudget forwards to QueryProgressive.
+//
+// Deprecated: call QueryProgressive with WithBudget(ctx, b). The frozen
+// benchmark/trace.go is the only caller; the shim goes when a
+// benchmark PR may edit it.
+func (p *Prepared) QueryProgressiveBudget(ctx context.Context, statement string, opts ProgressiveOptions, b Budget, yield func(ProgressiveRound) error) (ProgressiveSummary, error) {
+	return p.QueryProgressive(WithBudget(ctx, b), statement, opts, yield)
 }
 
 // classifyProgressive maps a streaming failure onto the unified

@@ -1,6 +1,7 @@
 package aqppp
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -63,12 +64,12 @@ func TestRegistryRaceStress(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for !stop.Load() {
-				prep, err := db.Prepare(racePrepareOptions())
+				prep, err := db.Prepare(context.Background(), racePrepareOptions())
 				if err != nil {
 					okErr("prepare", err)
 					continue
 				}
-				_, err = prep.Query(raceStmt)
+				_, err = prep.Query(context.Background(), raceStmt)
 				okErr("prepared query", err)
 			}
 		}()
@@ -80,7 +81,7 @@ func TestRegistryRaceStress(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for !stop.Load() {
-				_, err := db.Exact(raceStmt)
+				_, err := db.Exact(context.Background(), raceStmt)
 				okErr("exact", err)
 			}
 		}()
@@ -89,14 +90,14 @@ func TestRegistryRaceStress(t *testing.T) {
 	wg.Wait()
 
 	// The registry must come out of the churn fully usable.
-	if _, err := db.Exact(raceStmt); err != nil {
+	if _, err := db.Exact(context.Background(), raceStmt); err != nil {
 		t.Fatalf("exact after churn: %v", err)
 	}
-	prep, err := db.Prepare(racePrepareOptions())
+	prep, err := db.Prepare(context.Background(), racePrepareOptions())
 	if err != nil {
 		t.Fatalf("prepare after churn: %v", err)
 	}
-	if _, err := prep.Query(raceStmt); err != nil {
+	if _, err := prep.Query(context.Background(), raceStmt); err != nil {
 		t.Fatalf("query after churn: %v", err)
 	}
 }
@@ -113,7 +114,7 @@ func TestDroppedHandlePoisonStickyUnderContention(t *testing.T) {
 	if err := db.Register(tbl); err != nil {
 		t.Fatal(err)
 	}
-	prep, err := db.Prepare(racePrepareOptions())
+	prep, err := db.Prepare(context.Background(), racePrepareOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +134,7 @@ func TestDroppedHandlePoisonStickyUnderContention(t *testing.T) {
 				// observed dead before this query started, it must not
 				// answer now.
 				wasPoisoned := poisoned.Load()
-				_, err := prep.Query(raceStmt)
+				_, err := prep.Query(context.Background(), raceStmt)
 				if err != nil {
 					if ErrorKindOf(err) != ErrUnknownTable {
 						t.Errorf("poisoned query kind = %v (%v)", ErrorKindOf(err), err)
@@ -182,15 +183,15 @@ func TestDroppedHandlePoisonStickyUnderContention(t *testing.T) {
 	wg.Wait()
 
 	// Direct stickiness check, single-threaded: still dead.
-	if _, err := prep.Query(raceStmt); ErrorKindOf(err) != ErrUnknownTable {
+	if _, err := prep.Query(context.Background(), raceStmt); ErrorKindOf(err) != ErrUnknownTable {
 		t.Errorf("stale handle after re-register: kind %v (%v)", ErrorKindOf(err), err)
 	}
 	// A fresh preparation over the re-registered table works.
-	fresh, err := db.Prepare(racePrepareOptions())
+	fresh, err := db.Prepare(context.Background(), racePrepareOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fresh.Query(raceStmt); err != nil {
+	if _, err := fresh.Query(context.Background(), raceStmt); err != nil {
 		t.Errorf("fresh handle after re-register: %v", err)
 	}
 }

@@ -1,6 +1,7 @@
 package aqppp
 
 import (
+	"context"
 	"math"
 	"strings"
 	"sync"
@@ -33,11 +34,11 @@ func TestRegisterShardedEndToEnd(t *testing.T) {
 	// Exact answers agree with the unsharded DB (float measure: up to
 	// reassociation; COUNT: bit-exact).
 	sumStmt := "SELECT SUM(v) FROM demo WHERE k BETWEEN 10 AND 400"
-	want, err := plain.Exact(sumStmt)
+	want, err := plain.Exact(context.Background(), sumStmt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := db.Exact(sumStmt)
+	got, err := db.Exact(context.Background(), sumStmt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,8 +46,8 @@ func TestRegisterShardedEndToEnd(t *testing.T) {
 		t.Errorf("sharded SUM %v vs unsharded %v", got.Value, want.Value)
 	}
 	cntStmt := "SELECT COUNT(*) FROM demo WHERE k BETWEEN 10 AND 400"
-	wantC, _ := plain.Exact(cntStmt)
-	gotC, err := db.Exact(cntStmt)
+	wantC, _ := plain.Exact(context.Background(), cntStmt)
+	gotC, err := db.Exact(context.Background(), cntStmt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +76,7 @@ func TestRegisterShardedEndToEnd(t *testing.T) {
 	}
 
 	// Approximate path: Prepare builds per-shard processors.
-	prep, err := db.Prepare(PrepareOptions{
+	prep, err := db.Prepare(context.Background(), PrepareOptions{
 		Table: "demo", Aggregate: "v", Dimensions: []string{"k"},
 		SampleRate: 0.2, CellBudget: 50, Seed: 4,
 	})
@@ -88,7 +89,7 @@ func TestRegisterShardedEndToEnd(t *testing.T) {
 	if prep.ShardedProcessor() == nil {
 		t.Fatal("sharded preparation has no per-shard state")
 	}
-	res, err := prep.Query(sumStmt)
+	res, err := prep.Query(context.Background(), sumStmt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +99,7 @@ func TestRegisterShardedEndToEnd(t *testing.T) {
 	if res.HalfWidth <= 0 || res.Confidence != 0.95 {
 		t.Errorf("approx interval = ±%v @ %v", res.HalfWidth, res.Confidence)
 	}
-	gres, err := prep.Query("SELECT AVG(v) FROM demo GROUP BY tier")
+	gres, err := prep.Query(context.Background(), "SELECT AVG(v) FROM demo GROUP BY tier")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func TestRegisterShardedEndToEnd(t *testing.T) {
 	}
 
 	// Bootstrap path.
-	bres, err := prep.QueryBootstrap(sumStmt, 100)
+	bres, err := prep.QueryBootstrap(context.Background(), sumStmt, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,11 +151,11 @@ func TestReshardInvalidates(t *testing.T) {
 		t.Fatal(err)
 	}
 	gen0 := db.Generation("demo")
-	prep, err := db.Prepare(racePrepareOptions())
+	prep, err := db.Prepare(context.Background(), racePrepareOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := prep.Query(raceStmt); err != nil {
+	if _, err := prep.Query(context.Background(), raceStmt); err != nil {
 		t.Fatal(err)
 	}
 
@@ -166,7 +167,7 @@ func TestReshardInvalidates(t *testing.T) {
 	if g := db.Generation("demo"); g != gen0+1 {
 		t.Errorf("generation after reshard = %d, want %d", g, gen0+1)
 	}
-	if _, err := prep.Query(raceStmt); ErrorKindOf(err) != ErrUnknownTable {
+	if _, err := prep.Query(context.Background(), raceStmt); ErrorKindOf(err) != ErrUnknownTable {
 		t.Errorf("stale prep after reshard: %v", err)
 	}
 	p, err := db.PlanExact(raceStmt)
@@ -189,11 +190,11 @@ func TestReshardInvalidates(t *testing.T) {
 	if p.CacheKey() == p2.CacheKey() {
 		t.Error("cache key did not change across layouts")
 	}
-	fresh, err := db.Prepare(racePrepareOptions())
+	fresh, err := db.Prepare(context.Background(), racePrepareOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fresh.Query(raceStmt); err != nil {
+	if _, err := fresh.Query(context.Background(), raceStmt); err != nil {
 		t.Fatal(err)
 	}
 
@@ -251,12 +252,12 @@ func TestShardChurnRace(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for !stop.Load() {
-				prep, err := db.Prepare(racePrepareOptions())
+				prep, err := db.Prepare(context.Background(), racePrepareOptions())
 				if err != nil {
 					okErr("prepare", err)
 					continue
 				}
-				_, err = prep.Query(raceStmt)
+				_, err = prep.Query(context.Background(), raceStmt)
 				okErr("prepared query", err)
 			}
 		}()
@@ -268,7 +269,7 @@ func TestShardChurnRace(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for !stop.Load() {
-				_, err := db.Exact(raceStmt)
+				_, err := db.Exact(context.Background(), raceStmt)
 				okErr("exact", err)
 			}
 		}()
@@ -280,14 +281,14 @@ func TestShardChurnRace(t *testing.T) {
 	if db.Sharded("demo") == nil {
 		t.Fatal("table not sharded after churn")
 	}
-	if _, err := db.Exact(raceStmt); err != nil {
+	if _, err := db.Exact(context.Background(), raceStmt); err != nil {
 		t.Fatalf("exact after churn: %v", err)
 	}
-	prep, err := db.Prepare(racePrepareOptions())
+	prep, err := db.Prepare(context.Background(), racePrepareOptions())
 	if err != nil {
 		t.Fatalf("prepare after churn: %v", err)
 	}
-	if _, err := prep.Query(raceStmt); err != nil {
+	if _, err := prep.Query(context.Background(), raceStmt); err != nil {
 		t.Fatalf("query after churn: %v", err)
 	}
 }

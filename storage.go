@@ -16,15 +16,6 @@ import (
 // reconstitutes the preparations without rebuilding anything — restart
 // cost is metadata, not sampling or cube scans.
 
-// StoreOptions configures OpenStore.
-type StoreOptions struct {
-	// CacheBytes bounds the store's decoded-block cache
-	// (0 = store.DefaultCacheBytes).
-	CacheBytes int64
-	// NoMmap forces the portable read path.
-	NoMmap bool
-}
-
 // NamedPrep pairs a preparation with the handle name it persists (and
 // reloads) under. Serving layers key handles by name, so the name round-
 // trips through the container with the preparation.
@@ -94,13 +85,7 @@ func prepLabel(proc *core.Processor, i int) string {
 // persisted names. No sample or cube is rebuilt, and no data block is
 // read until a query needs it.
 func (db *DB) OpenStore(path string) ([]NamedPrep, error) {
-	return db.OpenStoreWithOptions(path, StoreOptions{})
-}
-
-// OpenStoreWithOptions is OpenStore with an explicit cache bound and
-// mmap control.
-func (db *DB) OpenStoreWithOptions(path string, opts StoreOptions) ([]NamedPrep, error) {
-	s, err := store.Open(path, store.Options{CacheBytes: opts.CacheBytes, NoMmap: opts.NoMmap})
+	s, err := store.Open(path, store.Options{})
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package aqppp
 
 import (
+	"context"
 	"fmt"
 	"path/filepath"
 	"reflect"
@@ -21,7 +22,7 @@ func TestStoreRestartExactAndApprox(t *testing.T) {
 	if err := db.Register(demoTable(30000, 21)); err != nil {
 		t.Fatal(err)
 	}
-	prep, err := db.Prepare(PrepareOptions{
+	prep, err := db.Prepare(context.Background(), PrepareOptions{
 		Table: "demo", Aggregate: "v", Dimensions: []string{"k"},
 		SampleRate: 0.05, CellBudget: 25, Seed: 7, WithMinMax: true,
 	})
@@ -37,10 +38,10 @@ func TestStoreRestartExactAndApprox(t *testing.T) {
 	exactBefore := make([]engine.Result, len(stmts))
 	approxBefore := make([]Result, len(stmts))
 	for i, s := range stmts {
-		if exactBefore[i], err = db.Exact(s); err != nil {
+		if exactBefore[i], err = db.Exact(context.Background(), s); err != nil {
 			t.Fatal(err)
 		}
-		if approxBefore[i], err = prep.Query(s); err != nil {
+		if approxBefore[i], err = prep.Query(context.Background(), s); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -70,14 +71,14 @@ func TestStoreRestartExactAndApprox(t *testing.T) {
 	}
 
 	for i, stmt := range stmts {
-		got, err := db2.Exact(stmt)
+		got, err := db2.Exact(context.Background(), stmt)
 		if err != nil {
 			t.Fatalf("%s: %v", stmt, err)
 		}
 		if !reflect.DeepEqual(got, exactBefore[i]) {
 			t.Errorf("%s: exact drifted across restart: %+v != %+v", stmt, got, exactBefore[i])
 		}
-		ga, err := preps[0].Prep.Query(stmt)
+		ga, err := preps[0].Prep.Query(context.Background(), stmt)
 		if err != nil {
 			t.Fatalf("%s (approx): %v", stmt, err)
 		}
@@ -125,11 +126,11 @@ func TestStoreRestartRandomized(t *testing.T) {
 				"SELECT AVG(v) FROM demo WHERE k BETWEEN %d AND %d",
 			} {
 				stmt := fmt.Sprintf(tmpl, lo, hi)
-				want, err := db.Exact(stmt)
+				want, err := db.Exact(context.Background(), stmt)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := db2.Exact(stmt)
+				got, err := db2.Exact(context.Background(), stmt)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -157,7 +158,7 @@ func TestSaveStoreValidation(t *testing.T) {
 	if err := db.Register(other); err != nil {
 		t.Fatal(err)
 	}
-	prep, err := db.Prepare(PrepareOptions{
+	prep, err := db.Prepare(context.Background(), PrepareOptions{
 		Table: "demo", Aggregate: "v", Dimensions: []string{"k"},
 		SampleRate: 0.1, CellBudget: 10, Seed: 1,
 	})
