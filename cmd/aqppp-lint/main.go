@@ -1,11 +1,10 @@
 // Command aqppp-lint runs the repo's custom static analyzer (see
 // internal/lint) over the given package patterns and reports invariant
-// violations. The rule set spans plain AST walks (nondeterminism in the
+// violations. The rule set is six plain AST walks (nondeterminism in the
 // numeric core, float equality, dropped errors, library panics,
-// goroutine loop-variable captures, lock copies, ctx-first signatures)
-// and flow-aware analyses built on the CFG/dataflow framework in
-// internal/lint/cfg (lock-balance, cancel-leak, guarded-field,
-// atomic-mix, ctx-propagation).
+// ctx-first signatures, ctx-propagation) and one flow-aware analysis on
+// the CFG/dataflow framework in internal/lint/cfg (lock-balance); the
+// package doc of internal/lint says which tool owns the rest.
 //
 // Usage:
 //
@@ -17,17 +16,19 @@
 // present.
 //
 // After analysis the allowlist is checked for staleness: an entry whose
-// file pattern matched loaded files but which suppressed no diagnostic
-// is dead weight and is reported. -lenient downgrades stale entries
-// from an error to a warning (for use mid-refactor, never in CI).
+// file pattern matched loaded files but which suppressed no diagnostic,
+// or whose pattern matches no file under the module root at all, is
+// dead weight and is reported. -lenient downgrades stale entries from
+// an error to a warning (for use mid-refactor, never in CI).
 //
 // Exit status is a contract that scripts/check.sh and CI rely on:
 //
 //	0 — clean: no diagnostics, no stale allowlist entries
 //	1 — findings: diagnostics reported, or stale allowlist entries
 //	    found (unless -lenient)
-//	2 — operational failure: bad usage, unreadable allowlist, or a
-//	    package that fails to parse or type-check
+//	2 — operational failure: bad usage, an unreadable allowlist or one
+//	    naming an unknown rule, or a package that fails to parse or
+//	    type-check
 //
 // With -json, output is a single object (schema_version 1):
 //
@@ -83,8 +84,11 @@ func run(jsonOut, lenient bool, allowPath string, patterns []string) int {
 		return 2
 	}
 	var allow *lint.Allowlist
-	if allowPath == "" {
-		allowPath = defaultAllowlist(cwd)
+	root := moduleRoot(cwd)
+	if allowPath == "" && root != "" {
+		if p := filepath.Join(root, "lint.allow"); fileExists(p) {
+			allowPath = p
+		}
 	}
 	if allowPath != "" {
 		allow, err = lint.LoadAllowlist(allowPath)
@@ -101,7 +105,7 @@ func run(jsonOut, lenient bool, allowPath string, patterns []string) int {
 	diags := lint.Run(pkgs, lint.Rules(), allow)
 	var stale []string
 	if allow != nil {
-		stale = allow.Stale(pkgs)
+		stale = allow.Stale(root, pkgs)
 	}
 	if jsonOut {
 		rep := jsonReport{
@@ -155,16 +159,13 @@ func plural(n int, one, many string) string {
 	return many
 }
 
-// defaultAllowlist returns the lint.allow path at the module root
-// enclosing dir, or "" when neither a module nor the file exists.
-func defaultAllowlist(dir string) string {
+// moduleRoot returns the directory of the go.mod enclosing dir — where
+// the default lint.allow lives and what allowlist patterns are relative
+// to — or "" outside a module (Load then fails before it matters).
+func moduleRoot(dir string) string {
 	for d := dir; ; {
-		if _, err := os.Stat(filepath.Join(d, "go.mod")); err == nil {
-			p := filepath.Join(d, "lint.allow")
-			if _, err := os.Stat(p); err == nil {
-				return p
-			}
-			return ""
+		if fileExists(filepath.Join(d, "go.mod")) {
+			return d
 		}
 		parent := filepath.Dir(d)
 		if parent == d {
@@ -172,4 +173,9 @@ func defaultAllowlist(dir string) string {
 		}
 		d = parent
 	}
+}
+
+func fileExists(p string) bool {
+	_, err := os.Stat(p)
+	return err == nil
 }

@@ -140,3 +140,27 @@ func TestMinMaxSingleRow(t *testing.T) {
 		t.Error("empty range reported a value")
 	}
 }
+
+// Every row span of a table a little over three blocks long, so both
+// ends of a span land on, before and after every block boundary and the
+// trailing partial block is reached.
+func TestMinMaxEverySpanAcrossBlocks(t *testing.T) {
+	r := stats.NewRNG(11)
+	n := 3*minMaxBlock + 5
+	ords, vals := make([]float64, n), make([]float64, n)
+	for i := range vals {
+		ords[i], vals[i] = float64(i), float64(r.Intn(1000))
+	}
+	idx := newMinMaxFrom("c", "a", ords, vals)
+	for i := 0; i < n; i++ {
+		wantMin, wantMax := math.Inf(1), math.Inf(-1)
+		for j := i; j < n; j++ {
+			wantMin, wantMax = math.Min(wantMin, vals[j]), math.Max(wantMax, vals[j])
+			gotMin, _ := idx.Min(float64(i), float64(j))
+			gotMax, _ := idx.Max(float64(i), float64(j))
+			if gotMin != wantMin || gotMax != wantMax {
+				t.Fatalf("rows [%d, %d]: got min %v max %v, want %v %v", i, j, gotMin, gotMax, wantMin, wantMax)
+			}
+		}
+	}
+}

@@ -202,7 +202,7 @@ func (c *Coordinator) attempt(ctx context.Context, r *replica, op string, body [
 		return nil, false, &exec.Error{Kind: exec.Internal, Op: op, Err: err}
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.httpClient().Do(req)
+	status, header, data, err := roundTrip(c.httpClient(), req, maxPartialBody)
 	if err != nil {
 		if ctx.Err() != nil {
 			// The caller's deadline or cancellation, not the replica's
@@ -212,15 +212,7 @@ func (c *Coordinator) attempt(ctx context.Context, r *replica, op string, body [
 		}
 		return nil, true, unavailable(op, &ReplicaError{Replica: r.url, Shard: r.ident.Index, Attempts: 1, Err: err})
 	}
-	defer func() { _ = resp.Body.Close() }()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxPartialBody))
-	if err != nil {
-		if ctx.Err() != nil {
-			return nil, false, ctx.Err()
-		}
-		return nil, true, unavailable(op, &ReplicaError{Replica: r.url, Shard: r.ident.Index, Attempts: 1, Err: err})
-	}
-	if resp.StatusCode == http.StatusOK {
+	if status == http.StatusOK {
 		var pr PartialResponse
 		if err := json.Unmarshal(data, &pr); err != nil {
 			return nil, true, unavailable(op, &ReplicaError{Replica: r.url, Shard: r.ident.Index, Attempts: 1,
@@ -234,7 +226,7 @@ func (c *Coordinator) attempt(ctx context.Context, r *replica, op string, body [
 	}
 	var eb wireErrorBody
 	_ = json.Unmarshal(data, &eb)
-	if resp.StatusCode == http.StatusTooManyRequests {
+	if status == http.StatusTooManyRequests {
 		// The replica shed the request (admission gate or quota). Not
 		// retryable within this query — the backoff hint is for the
 		// client — and the hint must survive to the coordinator's own
@@ -242,7 +234,7 @@ func (c *Coordinator) attempt(ctx context.Context, r *replica, op string, body [
 		r.shed.Add(1)
 		ra := time.Duration(eb.Error.RetryAfterMS) * time.Millisecond
 		if ra <= 0 {
-			ra = retryAfterHeader(resp)
+			ra = retryAfterHeader(header)
 		}
 		return nil, false, unavailable(op, &ReplicaError{
 			Replica: r.url, Shard: r.ident.Index, Attempts: 1, RetryAfter: ra,
@@ -266,14 +258,32 @@ func (c *Coordinator) attempt(ctx context.Context, r *replica, op string, body [
 	// 5xx and anything unrecognized: retryable replica failure.
 	return nil, true, unavailable(op, &ReplicaError{
 		Replica: r.url, Shard: r.ident.Index, Attempts: 1,
-		Err: fmt.Errorf("replica status %d: %s", resp.StatusCode, eb.Error.Message),
+		Err: fmt.Errorf("replica status %d: %s", status, eb.Error.Message),
 	})
 }
 
+// roundTrip sends req and returns the response's status, headers and at
+// most limit bytes of its body; err is the transport's or the body
+// read's. Every outbound request in this package goes through it, so no
+// caller ever holds a *http.Response: the close below is the module's
+// only one, and there is no second place to forget it.
+func roundTrip(client *http.Client, req *http.Request, limit int64) (status int, header http.Header, body []byte, err error) {
+	resp, err := client.Do(req)
+	if err != nil {
+		return 0, nil, nil, err
+	}
+	defer func() { _ = resp.Body.Close() }()
+	body, err = io.ReadAll(io.LimitReader(resp.Body, limit))
+	if err != nil {
+		return 0, nil, nil, err
+	}
+	return resp.StatusCode, resp.Header, body, nil
+}
+
 // retryAfterHeader parses a whole-seconds Retry-After header.
-func retryAfterHeader(resp *http.Response) time.Duration {
+func retryAfterHeader(h http.Header) time.Duration {
 	var secs int64
-	if _, err := fmt.Sscanf(resp.Header.Get("Retry-After"), "%d", &secs); err == nil && secs > 0 {
+	if _, err := fmt.Sscanf(h.Get("Retry-After"), "%d", &secs); err == nil && secs > 0 {
 		return time.Duration(secs) * time.Second
 	}
 	return 0

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"sort"
@@ -68,17 +67,12 @@ func helloOnce(ctx context.Context, client *http.Client, peer string) (HelloResp
 	if err != nil {
 		return HelloResponse{}, err
 	}
-	resp, err := client.Do(req)
+	status, _, data, err := roundTrip(client, req, maxPartialBody)
 	if err != nil {
 		return HelloResponse{}, err
 	}
-	defer func() { _ = resp.Body.Close() }()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxPartialBody))
-	if err != nil {
-		return HelloResponse{}, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return HelloResponse{}, fmt.Errorf("status %d: %s", resp.StatusCode, data)
+	if status != http.StatusOK {
+		return HelloResponse{}, fmt.Errorf("status %d: %s", status, data)
 	}
 	var h HelloResponse
 	if err := json.Unmarshal(data, &h); err != nil {

@@ -15,8 +15,10 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"aqppp"
@@ -656,6 +658,146 @@ func TestDistQuotaLease(t *testing.T) {
 	}
 	if dead.Snapshot().FailOpen == 0 {
 		t.Error("fail-open counter did not advance")
+	}
+}
+
+// closeCounter is a transport that counts response bodies handed out
+// and Close calls received. next produces the response (nil delegates
+// to the default transport, so real servers can sit behind it).
+type closeCounter struct {
+	next           func(*http.Request) (*http.Response, error)
+	bodies, closes atomic.Int64
+}
+
+type countedBody struct {
+	io.ReadCloser
+	closes *atomic.Int64
+}
+
+func (b countedBody) Close() error {
+	b.closes.Add(1)
+	return b.ReadCloser.Close()
+}
+
+func (c *closeCounter) RoundTrip(req *http.Request) (*http.Response, error) {
+	next := c.next
+	if next == nil {
+		next = http.DefaultTransport.RoundTrip
+	}
+	resp, err := next(req)
+	if err != nil {
+		return nil, err
+	}
+	c.bodies.Add(1)
+	resp.Body = countedBody{ReadCloser: resp.Body, closes: &c.closes}
+	return resp, nil
+}
+
+// canned is a closeCounter.next that answers every request with the
+// given status and body, no listener involved.
+func canned(status int, body io.Reader) func(*http.Request) (*http.Response, error) {
+	return func(*http.Request) (*http.Response, error) {
+		return &http.Response{StatusCode: status, Header: http.Header{}, Body: io.NopCloser(body)}, nil
+	}
+}
+
+// TestRoundTripClosesBodyOnce pins the one place the module closes a
+// response body: every exit of dist's round-trip helper — transport
+// error, read error, oversized body, non-200, 200 — closes the body
+// exactly once or never had one, and all three callers (handshake,
+// partial, quota lease) go through it.
+func TestRoundTripClosesBodyOnce(t *testing.T) {
+	granted := `{"v":1,"granted":1}`
+	cases := []struct {
+		name       string
+		next       func(*http.Request) (*http.Response, error)
+		wantBodies int64
+		wantOpen   bool // the lease failed and Allow failed open
+	}{
+		{"transport error", func(*http.Request) (*http.Response, error) { return nil, io.ErrUnexpectedEOF }, 0, true},
+		{"read error", canned(http.StatusOK, io.MultiReader(strings.NewReader(`{"v":`), iotest.ErrReader(io.ErrUnexpectedEOF))), 1, true},
+		{"oversized body", canned(http.StatusOK, strings.NewReader(`{"v":1,"granted":1,"pad":"`+strings.Repeat("x", 1<<16)+`"}`)), 1, true},
+		{"non-200", canned(http.StatusInternalServerError, strings.NewReader(`boom`)), 1, true},
+		{"200", canned(http.StatusOK, strings.NewReader(granted)), 1, false},
+	}
+	for _, tc := range cases {
+		cc := &closeCounter{next: tc.next}
+		ql := dist.NewQuotaLease("http://authority.invalid", 1, &http.Client{Transport: cc})
+		ok, _, failedOpen := ql.Allow(context.Background(), "c")
+		if !ok || failedOpen != tc.wantOpen {
+			t.Errorf("%s: ok=%v failedOpen=%v, want ok with failedOpen=%v", tc.name, ok, failedOpen, tc.wantOpen)
+		}
+		if b, c := cc.bodies.Load(), cc.closes.Load(); b != tc.wantBodies || c != b {
+			t.Errorf("%s: %d bodies handed out, %d closes; want %d and %d", tc.name, b, c, tc.wantBodies, tc.wantBodies)
+		}
+	}
+
+	// The handshake and the partial round trip, against a real listener:
+	// a 200 handshake, a retryable 500 partial, then a final 400.
+	tbl := fleetTable(400, 7)
+	var calls atomic.Int64
+	ts := fakeReplica(t, tbl, func(w http.ResponseWriter, _ *http.Request) {
+		if calls.Add(1) == 1 {
+			w.WriteHeader(http.StatusInternalServerError)
+			return
+		}
+		w.WriteHeader(http.StatusBadRequest)
+		_, _ = io.WriteString(w, `{"error":{"kind":"parse","message":"no"}}`)
+	})
+	cc := &closeCounter{}
+	coord := dialOne(t, ts.URL, dist.Config{Retries: 1, Backoff: time.Millisecond, Client: &http.Client{Transport: cc}})
+	if _, err := coord.Target("").Exact(context.Background(), engine.Query{Func: engine.Count}); aqppp.ErrorKindOf(err) != aqppp.ErrParse {
+		t.Fatalf("err = %v, want the replica's parse error after one retry", err)
+	}
+	if b, c := cc.bodies.Load(), cc.closes.Load(); b != 3 || c != 3 {
+		t.Errorf("handshake + 2 partials: %d bodies handed out, %d closes; want 3 and 3", b, c)
+	}
+}
+
+// TestQuotaLeaseConcurrent is the -race hammer for the lease client's
+// token cache (QuotaLease.mu): Allow consumes and refills it from many
+// goroutines while Snapshot reads it. No static rule watches that map;
+// the race detector does, on the interleavings this test produces.
+// Tokens are conserved: every granted token was either spent on an
+// admission or is still cached.
+func TestQuotaLeaseConcurrent(t *testing.T) {
+	for _, tc := range []struct {
+		name             string
+		granted, clients int
+	}{
+		{"batch of 1, nothing cached", 1, 2},
+		{"batch of 3, one hot client", 3, 1},
+		{"batch of 5, several clients", 5, 4},
+	} {
+		body, err := json.Marshal(dist.LeaseResponse{V: dist.WireVersion, Granted: tc.granted})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cc := &closeCounter{next: func(*http.Request) (*http.Response, error) {
+			return &http.Response{StatusCode: http.StatusOK, Header: http.Header{}, Body: io.NopCloser(strings.NewReader(string(body)))}, nil
+		}}
+		ql := dist.NewQuotaLease("http://authority.invalid", tc.granted, &http.Client{Transport: cc})
+		const workers, rounds = 6, 50
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; i < rounds; i++ {
+					if ok, _, failedOpen := ql.Allow(context.Background(), fmt.Sprintf("c%d", (w+i)%tc.clients)); !ok || failedOpen {
+						t.Errorf("%s: ok=%v failedOpen=%v against an authority that always grants", tc.name, ok, failedOpen)
+					}
+					if snap := ql.Snapshot(); snap.CachedClients > tc.clients {
+						t.Errorf("%s: %d cached clients, only %d exist", tc.name, snap.CachedClients, tc.clients)
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+		snap := ql.Snapshot()
+		if got, want := int(snap.LeaseCalls)*tc.granted, workers*rounds+snap.CachedTokens; got != want {
+			t.Errorf("%s: %d tokens granted, %d spent or cached", tc.name, got, want)
+		}
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -100,17 +99,12 @@ func (q *QuotaLease) lease(ctx context.Context, client string) (granted int, ret
 		return 0, 0, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := q.client.Do(req)
+	status, _, data, err := roundTrip(q.client, req, 1<<16)
 	if err != nil {
 		return 0, 0, err
 	}
-	defer func() { _ = resp.Body.Close() }()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-	if err != nil {
-		return 0, 0, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return 0, 0, fmt.Errorf("lease authority status %d: %s", resp.StatusCode, data)
+	if status != http.StatusOK {
+		return 0, 0, fmt.Errorf("lease authority status %d: %s", status, data)
 	}
 	var lr LeaseResponse
 	if err := json.Unmarshal(data, &lr); err != nil {

@@ -2,6 +2,7 @@ package lint
 
 import (
 	"fmt"
+	"io/fs"
 	"os"
 	"path"
 	"strings"
@@ -40,8 +41,14 @@ type allowEntry struct {
 	used bool
 }
 
-// ParseAllowlist parses allowlist text.
+// ParseAllowlist parses allowlist text. An entry naming a rule that is
+// neither "*" nor in Rules() is an error: it could never suppress
+// anything, so it is a typo or has outlived its rule.
 func ParseAllowlist(data []byte) (*Allowlist, error) {
+	known := map[string]bool{"*": true}
+	for _, r := range Rules() {
+		known[r.Name()] = true
+	}
 	a := &Allowlist{}
 	for i, line := range strings.Split(string(data), "\n") {
 		line = strings.TrimSpace(line)
@@ -51,6 +58,9 @@ func ParseAllowlist(data []byte) (*Allowlist, error) {
 		fields := strings.Fields(line)
 		if len(fields) < 2 {
 			return nil, fmt.Errorf("allowlist line %d: need \"<rule> <file-pattern> [substring]\", got %q", i+1, line)
+		}
+		if !known[fields[0]] {
+			return nil, fmt.Errorf("allowlist line %d: unknown rule %q", i+1, fields[0])
 		}
 		e := allowEntry{rule: fields[0], pattern: fields[1], line: i + 1, raw: line}
 		if len(fields) > 2 {
@@ -98,13 +108,16 @@ func (a *Allowlist) Allows(d Diagnostic) bool {
 	return hit
 }
 
-// Stale returns a description of every entry that (a) was never marked
-// used by Allows since parsing and (b) is in scope — its file pattern
-// matches at least one file of the loaded packages. Condition (b) keeps
-// subset lints honest: running the analyzer over one subtree (or over
-// the testdata modules in the self-test) must not condemn entries whose
-// files were simply not loaded. Call after Run.
-func (a *Allowlist) Stale(pkgs []*Package) []string {
+// Stale returns a description of every entry that was never marked used
+// by Allows since parsing and is either in scope — its file pattern
+// matches at least one file of the loaded packages — or dead: its
+// pattern matches no file on disk under root, the module root the
+// patterns are relative to ("" skips that check). The in-scope
+// condition keeps subset lints honest: running the analyzer over one
+// subtree (or over the testdata modules in the self-test) must not
+// condemn entries whose files exist but were simply not loaded. Call
+// after Run.
+func (a *Allowlist) Stale(root string, pkgs []*Package) []string {
 	var files []string
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
@@ -117,17 +130,20 @@ func (a *Allowlist) Stale(pkgs []*Package) []string {
 		if e.used {
 			continue
 		}
-		inScope := false
+		loaded := false
 		for _, file := range files {
 			if ok, _ := path.Match(e.pattern, file); ok || e.pattern == file {
-				inScope = true
+				loaded = true
 				break
 			}
 		}
-		if !inScope {
-			continue
+		if loaded {
+			stale = append(stale, fmt.Sprintf("line %d: %q matches no current diagnostic", e.line, e.raw))
+		} else if root != "" {
+			if onDisk, _ := fs.Glob(os.DirFS(root), e.pattern); len(onDisk) == 0 {
+				stale = append(stale, fmt.Sprintf("line %d: %q matches no file under %s", e.line, e.raw, root))
+			}
 		}
-		stale = append(stale, fmt.Sprintf("line %d: %q matches no current diagnostic", e.line, e.raw))
 	}
 	return stale
 }

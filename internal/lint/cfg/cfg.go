@@ -1,9 +1,8 @@
 // Package cfg builds intraprocedural control-flow graphs over go/ast
 // function bodies and provides a small forward dataflow framework on
 // top of them. It is the flow-sensitive substrate for aqppp-lint's
-// path-aware rules (lock-balance, cancel-leak, guarded-field): the
-// AST walkers from PR 1 can see *sites*, but only a CFG can see the
-// early return between a Lock and its Unlock.
+// path-aware rule, lock-balance: the AST walkers can see *sites*, but
+// only a CFG can see the early return between a Lock and its Unlock.
 //
 // The graph is purely syntactic (no go/types): blocks hold the
 // statements and control-flow condition expressions in execution
@@ -23,10 +22,8 @@
 package cfg
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
-	"strings"
 )
 
 // Block is one basic block: a maximal straight-line sequence of nodes
@@ -80,52 +77,6 @@ func New(body *ast.BlockStmt) *Graph {
 	b.resolveGotos()
 	b.connectPreds()
 	return b.g
-}
-
-// Unreachable returns the blocks not reachable from the entry block,
-// excluding the synthetic Exit/Panic blocks (those are "reachable" by
-// construction of the analyses that consult them). Dead blocks arise
-// naturally from code after return/panic/branch statements; analyses
-// skip them, and the CFG property tests assert that every block is
-// reachable or reported here — never silently lost.
-func (g *Graph) Unreachable() []*Block {
-	reached := make([]bool, len(g.Blocks))
-	var stack []*Block
-	if len(g.Blocks) > 0 {
-		stack = append(stack, g.Blocks[0])
-		reached[0] = true
-	}
-	for len(stack) > 0 {
-		b := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, s := range b.Succs {
-			if !reached[s.Index] {
-				reached[s.Index] = true
-				stack = append(stack, s)
-			}
-		}
-	}
-	var dead []*Block
-	for _, b := range g.Blocks {
-		if !reached[b.Index] && b != g.Exit && b != g.Panic {
-			dead = append(dead, b)
-		}
-	}
-	return dead
-}
-
-// String renders the graph for debugging: one line per block with its
-// kind, node count, and successor indices.
-func (g *Graph) String() string {
-	var sb strings.Builder
-	for _, b := range g.Blocks {
-		fmt.Fprintf(&sb, "b%d(%s) %d nodes ->", b.Index, b.Kind, len(b.Nodes))
-		for _, s := range b.Succs {
-			fmt.Fprintf(&sb, " b%d", s.Index)
-		}
-		sb.WriteString("\n")
-	}
-	return sb.String()
 }
 
 // labelInfo tracks one label: the block a goto jumps to, plus the

@@ -14,11 +14,9 @@ import "go/ast"
 // greatest fixed point — the standard choice for must-analyses and
 // harmless for may-analyses since iteration continues to stability.
 //
-// Transfer is applied node by node (TransferNode) or block at a time
-// (Transfer); exactly one must be set. Facts must be treated as
-// immutable: Transfer receives the in-fact and returns a fresh (or
-// unchanged) out-fact, never mutating its argument, because in-facts
-// are shared across successor edges.
+// Facts must be treated as immutable: TransferNode receives the
+// in-fact and returns a fresh (or unchanged) out-fact, never mutating
+// its argument, because in-facts are shared across successor edges.
 type Forward[T any] struct {
 	// Entry is the fact at function entry.
 	Entry T
@@ -28,9 +26,6 @@ type Forward[T any] struct {
 	Equal func(a, b T) bool
 	// TransferNode advances the fact across one node of a block.
 	TransferNode func(n ast.Node, in T) T
-	// Transfer advances the fact across a whole block; overrides
-	// TransferNode when non-nil.
-	Transfer func(b *Block, in T) T
 }
 
 // Result holds the per-block facts computed by Run.
@@ -98,7 +93,7 @@ func (f *Forward[T]) Run(g *Graph) *Result[T] {
 
 // AtNode replays the block's transfer up to (but not including) node
 // i of block b, returning the fact in force just before that node.
-// Only valid for reached blocks with TransferNode set.
+// Only valid for reached blocks.
 func (r *Result[T]) AtNode(b *Block, i int) T {
 	fact := r.In[b.Index]
 	for j := 0; j < i && j < len(b.Nodes); j++ {
@@ -125,9 +120,6 @@ func (f *Forward[T]) mergePreds(b *Block, out []T, hasOut []bool) (T, bool) {
 }
 
 func (f *Forward[T]) transferBlock(b *Block, in T) T {
-	if f.Transfer != nil {
-		return f.Transfer(b, in)
-	}
 	fact := in
 	for _, n := range b.Nodes {
 		fact = f.TransferNode(n, fact)

@@ -10,38 +10,34 @@
 // repo's no-external-deps constraint), runs every rule, filters the
 // diagnostics through an allowlist, and reports the rest.
 //
-// Rules shipped today:
+// Rules shipped today — each one has either reported a true positive on
+// this repo or has a subject in the module and no other gate step or
+// type that enforces the property:
 //
-//   - determinism:       math/rand imports, time.Now/time.Since calls, and
+//   - determinism:     math/rand imports, time.Now/time.Since calls, and
 //     map-order-dependent iteration in the numeric packages
-//   - float-eq:          ==/!= between floating-point expressions
-//   - dropped-error:     discarded error return values
-//   - panic:             panic(...) in library (non-main) packages
-//   - goroutine-capture: go-closures capturing enclosing loop variables
-//   - mutex-copy:        by-value copies of types containing sync locks
-//   - ctx-first:         context.Context parameters that are not first,
+//   - float-eq:        ==/!= between floating-point expressions
+//   - dropped-error:   discarded error return values
+//   - panic:           panic(...) in library (non-main) packages
+//   - ctx-first:       context.Context parameters that are not first,
 //     and contexts stored in struct fields
-//   - lock-balance:      a path from Lock()/RLock() to a return without
+//   - lock-balance:    a path from Lock()/RLock() to a return without
 //     the matching Unlock (flow-sensitive, over internal/lint/cfg)
-//   - cancel-leak:       context cancel funcs not called or deferred on
-//     every path
-//   - body-close:        *http.Response bodies not closed on every path
-//     once the response is used (armed at first use, so the idiomatic
-//     nil-on-error return stays clean)
-//   - guarded-field:     struct fields accessed under the receiver's
-//     mutex in some methods but bare in others (uses the module call
-//     graph to recognize locked-section helpers)
-//   - atomic-mix:        the same field touched via sync/atomic and by
-//     plain read/write
-//   - ctx-propagation:   a ctx-holding function calling a sibling whose
+//   - ctx-propagation: a ctx-holding function calling a sibling whose
 //     ...Context variant exists in the same package
 //
-// The first seven are AST walkers from PR 1; the last six are
-// flow-aware, built on the CFG + dataflow framework in
-// internal/lint/cfg and the module-wide call graph in callgraph.go.
+// Six are AST walkers; lock-balance runs a forward dataflow over the
+// CFG in internal/lint/cfg. Properties this package does NOT own, and
+// who does (DESIGN.md §11 has the evidence per row): copied locks and
+// lost cancel funcs — go vet (copylocks, lostcancel), one step earlier
+// in scripts/check.sh; unsynchronised access to a mutex-guarded field —
+// go test -race; atomic/plain mixing — the typed sync/atomic values the
+// module uses exclusively; loop-variable capture — go 1.22 per-iteration
+// loop variables; unclosed response bodies — internal/dist's roundTrip
+// is the only function that holds a *http.Response.
 //
 // To add a rule, create a new file implementing Rule and append it in
-// Rules. Rules needing cross-package context implement ModuleRule.
+// Rules.
 // To suppress a finding, add a line to the allowlist file (see
 // Allowlist) with a comment explaining why — unused entries fail the
 // staleness check, so suppressions cannot outlive their findings.
@@ -111,14 +107,8 @@ func Rules() []Rule {
 		FloatEqRule{},
 		DroppedErrorRule{},
 		PanicRule{},
-		GoroutineCaptureRule{},
-		MutexCopyRule{},
 		CtxFirstRule{},
 		LockBalanceRule{},
-		CancelLeakRule{},
-		BodyCloseRule{},
-		&GuardedFieldRule{},
-		AtomicMixRule{},
 		CtxPropRule{},
 	}
 }
@@ -130,12 +120,6 @@ func Rules() []Rule {
 // shared dedup pass) keeps output deterministic regardless of
 // scheduling.
 func Run(pkgs []*Package, rules []Rule, allow *Allowlist) []Diagnostic {
-	module := &Module{Pkgs: pkgs}
-	for _, r := range rules {
-		if mr, ok := r.(ModuleRule); ok {
-			mr.Prepare(module)
-		}
-	}
 	// Fan out: one goroutine per package, diagnostics collected
 	// per-package so the merge below is scheduling-independent.
 	perPkg := make([][]Diagnostic, len(pkgs))

@@ -4,7 +4,9 @@ import (
 	"bufio"
 	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -66,8 +68,8 @@ func TestRulesOnTestdata(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pkgs) < 13 {
-		t.Fatalf("loaded %d testdata packages, want >= 13 (one per rule)", len(pkgs))
+	if len(pkgs) < 7 {
+		t.Fatalf("loaded %d testdata packages, want >= 7 (one per rule)", len(pkgs))
 	}
 	diags := Run(pkgs, Rules(), nil)
 	wants := parseWants(t, modDir)
@@ -85,13 +87,60 @@ func TestRulesOnTestdata(t *testing.T) {
 		rulesSeen[d.Rule] = true
 	}
 	for w, n := range wants {
-		if n > 0 {
+		if n > 0 && !strings.HasPrefix(w.rule, "vet:") {
 			t.Errorf("missing diagnostic (x%d): %s:%d [%s]", n, w.file, w.line, w.rule)
 		}
 	}
 	for _, r := range Rules() {
 		if !rulesSeen[r.Name()] {
 			t.Errorf("rule %s produced no diagnostic on testdata", r.Name())
+		}
+	}
+}
+
+// TestGoVetOwnsFixtures pins the sensitivity of the tool that replaced
+// the mutex-copy and cancel-leak rules: `go vet` over the two retained
+// fixtures must report exactly the lines their "// want vet:<pass>"
+// comments mark.
+func TestGoVetOwnsFixtures(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs go vet; skipped in -short")
+	}
+	modDir, err := filepath.Abs("testdata")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command("go", "vet", "./mutexcopy", "./cancelleak")
+	cmd.Dir = modDir
+	out, err := cmd.CombinedOutput()
+	if err == nil {
+		t.Fatalf("go vet found nothing on the seeded fixtures:\n%s", out)
+	}
+	wants := parseWants(t, modDir)
+	for _, line := range strings.Split(string(out), "\n") {
+		var pass string
+		switch {
+		case strings.Contains(line, "copies lock"), strings.Contains(line, "passes lock by value"):
+			pass = "vet:copylocks"
+		case strings.Contains(line, "cancel function"):
+			pass = "vet:lostcancel"
+		default:
+			continue // package headers, lostcancel's second "this return statement" line
+		}
+		parts := strings.SplitN(line, ":", 3)
+		n, err := strconv.Atoi(parts[1])
+		if err != nil {
+			t.Fatalf("unparsable go vet line %q", line)
+		}
+		w := want{file: filepath.ToSlash(parts[0]), line: n, rule: pass}
+		if wants[w] == 0 {
+			t.Errorf("unexpected go vet finding: %s", line)
+		}
+		wants[w]--
+	}
+	for w, n := range wants {
+		if n > 0 && strings.HasPrefix(w.rule, "vet:") {
+			t.Errorf("go vet no longer reports %s:%d [%s]\n%s", w.file, w.line, w.rule, out)
 		}
 	}
 }
@@ -119,7 +168,7 @@ determinism internal/core/build.go time.Now
 		{Diagnostic{Rule: "float-eq", File: "internal/cube/sub/exact.go"}, false},
 		{Diagnostic{Rule: "determinism", File: "internal/core/build.go", Message: "calls time.Now"}, true},
 		{Diagnostic{Rule: "determinism", File: "internal/core/build.go", Message: "ranges over a map"}, false},
-		{Diagnostic{Rule: "mutex-copy", File: "internal/experiments/table1.go"}, true},
+		{Diagnostic{Rule: "ctx-first", File: "internal/experiments/table1.go"}, true},
 	}
 	for _, c := range cases {
 		if got := a.Allows(c.d); got != c.allow {
@@ -128,10 +177,14 @@ determinism internal/core/build.go time.Now
 	}
 }
 
-// TestAllowlistStaleness checks used-entry tracking and the loaded-file
-// scoping: an unused entry is stale only when its pattern matched files
-// that were actually linted.
+// TestAllowlistStaleness checks used-entry tracking and the scoping: an
+// unused entry is stale when its pattern matched files that were
+// actually linted, or matches no file under the module root at all.
 func TestAllowlistStaleness(t *testing.T) {
+	root, err := filepath.Abs("testdata")
+	if err != nil {
+		t.Fatal(err)
+	}
 	pkgs, err := Load("testdata", []string{"./lockbalance"})
 	if err != nil {
 		t.Fatal(err)
@@ -141,8 +194,10 @@ func TestAllowlistStaleness(t *testing.T) {
 lock-balance lockbalance/lockbalance.go
 # stale: matches a loaded file but no diagnostic
 determinism lockbalance/lockbalance.go
-# out of scope: its files were not loaded in this run
-panic internal/engine/bitset.go
+# out of scope: the file exists but was not loaded in this run
+panic panicrule/panicrule.go
+# stale: the file is gone, whatever was loaded
+panic panicrule/gone.go
 `))
 	if err != nil {
 		t.Fatal(err)
@@ -153,15 +208,18 @@ panic internal/engine/bitset.go
 			t.Errorf("allowlisted diagnostic survived: %s", d)
 		}
 	}
-	stale := a.Stale(pkgs)
-	if len(stale) != 1 {
-		t.Fatalf("Stale() = %q, want exactly the determinism entry", stale)
+	stale := a.Stale(root, pkgs)
+	if len(stale) != 2 {
+		t.Fatalf("Stale() = %q, want exactly the determinism and gone.go entries", stale)
 	}
 	if !strings.Contains(stale[0], "determinism lockbalance/lockbalance.go") {
 		t.Errorf("stale report %q does not name the dead entry", stale[0])
 	}
 	if !strings.Contains(stale[0], "line 5:") {
 		t.Errorf("stale report %q does not carry the source line", stale[0])
+	}
+	if !strings.Contains(stale[1], "line 9:") || !strings.Contains(stale[1], "panic panicrule/gone.go") {
+		t.Errorf("stale report %q does not name the entry for the deleted file", stale[1])
 	}
 }
 
@@ -171,6 +229,10 @@ func TestParseAllowlistErrors(t *testing.T) {
 	}
 	if _, err := ParseAllowlist([]byte("panic [bad")); err == nil {
 		t.Error("malformed glob accepted")
+	}
+	_, err := ParseAllowlist([]byte("# header\npanic a.go\nno-such-rule internal/engine/gone.go\n* b.go"))
+	if err == nil || !strings.Contains(err.Error(), "line 3") || !strings.Contains(err.Error(), "no-such-rule") {
+		t.Errorf("unknown rule: err = %v, want one naming line 3 and the rule", err)
 	}
 }
 
@@ -197,7 +259,7 @@ func TestRepoIsLintClean(t *testing.T) {
 	for _, d := range Run(pkgs, Rules(), allow) {
 		t.Errorf("repo not lint-clean: %s", d)
 	}
-	for _, s := range allow.Stale(pkgs) {
+	for _, s := range allow.Stale(root, pkgs) {
 		t.Errorf("stale lint.allow entry: %s", s)
 	}
 }

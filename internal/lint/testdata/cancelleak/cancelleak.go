@@ -1,4 +1,7 @@
-// Package cancelleak is seeded testdata for the cancel-leak rule.
+// Package cancelleak is a go vet fixture: the lost-cancel property is
+// owned by vet's lostcancel pass, not by aqppp-lint. The want comments
+// mark the lines `go vet ./cancelleak` must report (TestGoVetOwnsFixtures
+// and CI's linter self-test check it); no aqppp-lint rule fires here.
 package cancelleak
 
 import (
@@ -8,7 +11,7 @@ import (
 
 // EarlyReturn drops the cancel on the error branch.
 func EarlyReturn(ctx context.Context, bad bool) error {
-	ctx, cancel := context.WithCancel(ctx) // want cancel-leak
+	ctx, cancel := context.WithCancel(ctx) // want vet:lostcancel
 	if bad {
 		return context.Canceled
 	}
@@ -18,16 +21,19 @@ func EarlyReturn(ctx context.Context, bad bool) error {
 }
 
 // NeverCalled obtains a timeout context and forgets the cancel
-// entirely.
+// entirely. A documented non-finding: lostcancel counts `_ = cancel` as
+// a use, where the deleted cancel-leak rule reported it. This is the one
+// seeded behaviour the move to go vet gave up; the module itself
+// contains no `_ = cancel`.
 func NeverCalled(ctx context.Context) error {
-	tctx, cancel := context.WithTimeout(ctx, time.Second) // want cancel-leak
+	tctx, cancel := context.WithTimeout(ctx, time.Second)
 	_ = cancel
 	return waitOn(tctx)
 }
 
 // Discarded blanks the cancel func outright.
 func Discarded(ctx context.Context) context.Context {
-	dctx, _ := context.WithDeadline(ctx, time.Now().Add(time.Second)) // want cancel-leak
+	dctx, _ := context.WithDeadline(ctx, time.Now().Add(time.Second)) // want vet:lostcancel
 	return dctx
 }
 

@@ -1,4 +1,7 @@
-// Package mutexcopy is seeded testdata for the mutex-copy rule.
+// Package mutexcopy is a go vet fixture: the copied-lock property is
+// owned by vet's copylocks pass, not by aqppp-lint. The want comments
+// mark the lines `go vet ./mutexcopy` must report (TestGoVetOwnsFixtures
+// and CI's linter self-test check it); no aqppp-lint rule fires here.
 package mutexcopy
 
 import "sync"
@@ -10,25 +13,25 @@ type Counter struct {
 }
 
 // Snapshot takes the counter by value.
-func Snapshot(c Counter) int { // want mutex-copy
+func Snapshot(c Counter) int { // want vet:copylocks
 	return c.n
 }
 
 // Value uses a value receiver.
-func (c Counter) Value() int { // want mutex-copy
+func (c Counter) Value() int { // want vet:copylocks
 	return c.n
 }
 
 // Fork dereferences and assigns, copying the lock.
 func Fork(c *Counter) int {
-	clone := *c // want mutex-copy
+	clone := *c // want vet:copylocks
 	return clone.n
 }
 
 // Each ranges over counters by value.
 func Each(cs []Counter) int {
 	total := 0
-	for _, c := range cs { // want mutex-copy
+	for _, c := range cs { // want vet:copylocks
 		total += c.n
 	}
 	return total
@@ -40,8 +43,8 @@ type pool struct {
 }
 
 func Grow(p *pool) sync.WaitGroup {
-	wg := p.wg // want mutex-copy
-	return wg
+	wg := p.wg // want vet:copylocks
+	return wg  // want vet:copylocks
 }
 
 // Inc is the accepted form: pointer receiver, pointer iteration.

@@ -126,12 +126,7 @@ func (s *Server) writeError(w http.ResponseWriter, ri *reqInfo, err error) {
 	var hinted interface{ RetryAfterHint() time.Duration }
 	if errors.As(err, &hinted) {
 		if ra := hinted.RetryAfterHint(); ra > 0 {
-			secs := int64((ra + time.Second - 1) / time.Second)
-			if secs < 1 {
-				secs = 1
-			}
-			w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-			detail.RetryAfterMS = int64(ra / time.Millisecond)
+			setRetryAfter(w, &detail, ra)
 		}
 	}
 	s.writeJSON(w, statusForKind(kind), ErrorBody{Error: detail})
@@ -145,22 +140,26 @@ func (s *Server) writeServerError(w http.ResponseWriter, ri *reqInfo, status int
 	}})
 }
 
-// writeShed emits the 429 for an admission-control shed, with the
-// Retry-After header (whole seconds, ceiling, minimum 1) and its
-// millisecond-resolution mirror in the body.
-func (s *Server) writeShed(w http.ResponseWriter, ri *reqInfo, o *Overload) {
-	s.met.observeKind("overloaded")
-	secs := int64((o.RetryAfter + time.Second - 1) / time.Second)
+// setRetryAfter writes a backoff hint both ways: the Retry-After header
+// (whole seconds, ceiling, minimum 1) and its millisecond-resolution
+// mirror in the error body.
+func setRetryAfter(w http.ResponseWriter, detail *ErrorDetail, wait time.Duration) {
+	secs := int64((wait + time.Second - 1) / time.Second)
 	if secs < 1 {
 		secs = 1
 	}
 	w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-	s.writeJSON(w, http.StatusTooManyRequests, ErrorBody{Error: ErrorDetail{
-		Kind:         "overloaded",
-		Message:      o.Error(),
-		RequestID:    ri.id,
-		RetryAfterMS: int64(o.RetryAfter / time.Millisecond),
-	}})
+	detail.RetryAfterMS = int64(wait / time.Millisecond)
+}
+
+// writeShed emits a 429 with its backoff hint: kind "overloaded" for an
+// admission-control shed, "quota-exceeded" for a per-client quota
+// rejection.
+func (s *Server) writeShed(w http.ResponseWriter, ri *reqInfo, kind, msg string, wait time.Duration) {
+	s.met.observeKind(kind)
+	detail := ErrorDetail{Kind: kind, Message: msg, RequestID: ri.id}
+	setRetryAfter(w, &detail, wait)
+	s.writeJSON(w, http.StatusTooManyRequests, ErrorBody{Error: detail})
 }
 
 // clientKey identifies the client for quota accounting: the explicit
@@ -198,18 +197,7 @@ func (s *Server) allowQuota(w http.ResponseWriter, r *http.Request, ri *reqInfo)
 	if ok {
 		return true
 	}
-	s.met.observeKind("quota-exceeded")
-	secs := int64((wait + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-	s.writeJSON(w, http.StatusTooManyRequests, ErrorBody{Error: ErrorDetail{
-		Kind:         "quota-exceeded",
-		Message:      "per-client quota exceeded; retry after backoff",
-		RequestID:    ri.id,
-		RetryAfterMS: int64(wait / time.Millisecond),
-	}})
+	s.writeShed(w, ri, "quota-exceeded", "per-client quota exceeded; retry after backoff", wait)
 	return false
 }
 
@@ -276,7 +264,7 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, ri *reqInfo, time
 	if err != nil {
 		var o *Overload
 		if errors.As(err, &o) {
-			s.writeShed(w, ri, o)
+			s.writeShed(w, ri, "overloaded", o.Error(), o.RetryAfter)
 		} else {
 			// The client went away while queued; 499 keeps the log and
 			// metrics honest even though nobody reads the response.

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -110,6 +112,61 @@ func TestQuotaClientEviction(t *testing.T) {
 	}
 	if got := q.Clients(); got != 2 {
 		t.Errorf("clients = %d, want 2 after re-insert", got)
+	}
+}
+
+// TestQuotaConcurrent is the -race hammer for the bucket table
+// (Quota.mu): Allow and AllowN debit it from many goroutines while Shed
+// and Clients read it. No static rule watches those fields; the race
+// detector does, on the interleavings this test produces. With the
+// clock held still nothing refills, so each client is granted exactly
+// its burst however the debits interleave.
+func TestQuotaConcurrent(t *testing.T) {
+	now := time.Unix(1000, 0)
+	for _, tc := range []struct {
+		name                 string
+		burst, clients, want int
+	}{
+		{"single tokens", 7, 3, 1},
+		{"leases of 4", 10, 2, 4},
+		{"lease wider than the burst", 3, 2, 8},
+	} {
+		q := NewQuota(1, tc.burst, 16)
+		granted := make([]atomic.Int64, tc.clients)
+		var sheds atomic.Int64
+		const workers, rounds = 6, 40
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; i < rounds; i++ {
+					c := (w + i) % tc.clients
+					n := 0
+					if i%2 == 0 {
+						n, _ = q.AllowN(fmt.Sprintf("c%d", c), tc.want, now)
+					} else if ok, _ := q.Allow(fmt.Sprintf("c%d", c), now); ok {
+						n = 1
+					}
+					granted[c].Add(int64(n))
+					if n == 0 {
+						sheds.Add(1)
+					}
+					if q.Clients() > tc.clients {
+						t.Errorf("%s: %d buckets, only %d clients exist", tc.name, q.Clients(), tc.clients)
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+		for c := range granted {
+			if got := granted[c].Load(); got != int64(tc.burst) {
+				t.Errorf("%s: client %d was granted %d tokens, want its burst %d", tc.name, c, got, tc.burst)
+			}
+		}
+		if q.Shed() != sheds.Load() {
+			t.Errorf("%s: shed counter %d, %d calls were refused", tc.name, q.Shed(), sheds.Load())
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"sync"
 	"testing"
 
 	"aqppp/internal/engine"
@@ -343,6 +344,59 @@ func TestSnapshot(t *testing.T) {
 	}
 	if int(scans)+int(snap.Pruned) != 4 {
 		t.Errorf("scans %d + pruned %d != shard count 4", scans, snap.Pruned)
+	}
+}
+
+// TestConcurrentScanCounters is the -race hammer for the per-shard
+// scan counters (shardObs.mu): ExecuteContext fan-outs record into them
+// while Snapshot reads them. No static rule watches those fields; the
+// race detector does, on the interleavings this test produces. The
+// counters must also add up: every execute either scans or prunes each
+// shard exactly once.
+func TestConcurrentScanCounters(t *testing.T) {
+	tbl := intTable(t, 4000, 8)
+	q := engine.Query{Func: engine.Sum, Col: "v",
+		Ranges: []engine.Range{{Col: "k", Lo: 0, Hi: 100}}}
+	for _, tc := range []struct {
+		name   string
+		layout Layout
+	}{
+		{"range, pruning", Layout{Strategy: ByRange, Column: "k", N: 4}},
+		{"hash, no pruning", Layout{Strategy: ByHash, Column: "k", N: 3}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := mustPartition(t, tbl, tc.layout)
+			const workers, rounds = 4, 25
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(2)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < rounds; i++ {
+						if _, err := s.ExecuteContext(context.Background(), q, 2); err != nil {
+							t.Error(err)
+						}
+					}
+				}()
+				go func() {
+					defer wg.Done()
+					for i := 0; i < rounds; i++ {
+						if got := len(s.Snapshot().Shards); got != tc.layout.N {
+							t.Errorf("snapshot has %d shards, want %d", got, tc.layout.N)
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			snap := s.Snapshot()
+			total := snap.Pruned
+			for _, sh := range snap.Shards {
+				total += sh.Scans
+			}
+			if want := uint64(workers * rounds * tc.layout.N); total != want {
+				t.Errorf("scans + pruned = %d, want %d (executes × shards)", total, want)
+			}
+		})
 	}
 }
 

@@ -3,6 +3,17 @@
 # Runs: build, gofmt, go vet, aqppp-lint, the race-enabled test suite,
 # the server smokes, and one-iteration bench smokes with the recorded
 # baselines loaded. Exits non-zero on the first failure.
+#
+# Each static property has one owner, so no step here is redundant and
+# none may be dropped or reordered away:
+#   go vet      — copied locks (copylocks) and lost context cancel funcs
+#                 (lostcancel); aqppp-lint no longer checks either.
+#   aqppp-lint  — determinism, float-eq, dropped-error, panic, ctx-first,
+#                 ctx-propagation, lock-balance (the only static check of
+#                 the Lock()s not followed by a defer Unlock).
+#   go test -race — unsynchronised access to mutex-guarded fields, on the
+#                 interleavings the per-type concurrent tests produce.
+# The typed sync/atomic values and go 1.22 loop variables need no step.
 set -eu
 
 cd "$(dirname "$0")/.."
