@@ -278,7 +278,7 @@ func (db *DB) TableNames() []string {
 // aborted upload request) unwinds the load within one batch instead of
 // parsing the rest of the file.
 func (db *DB) LoadCSV(ctx context.Context, name string, r io.Reader) (*engine.Table, error) {
-	tbl, err := engine.ReadCSVContext(ctx, name, r)
+	tbl, err := engine.ReadCSV(ctx, name, r)
 	if err != nil {
 		return nil, err
 	}

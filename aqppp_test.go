@@ -310,7 +310,7 @@ func TestForeignKeyJoinEndToEnd(t *testing.T) {
 		{Col: "o_supp", Lo: 5, Hi: 35},
 		{Col: "supplier.rating", Lo: 3, Hi: 5},
 	}}
-	truth, err := joined.Execute(q)
+	truth, err := joined.Execute(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}

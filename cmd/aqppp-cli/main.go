@@ -1,11 +1,11 @@
 // Command aqppp-cli is an interactive SQL shell over the engine with
 // three answering modes: approximate (AQP++), sample-only (plain AQP) and
-// exact. It loads a table from a binary/CSV file produced by aqppp-gen,
+// exact. It queries a store container or CSV file produced by aqppp-gen,
 // or generates a demo dataset in-process.
 //
 // Usage:
 //
-//	aqppp-cli -load lineitem.tbl -agg l_extendedprice -dims l_orderkey,l_suppkey
+//	aqppp-cli -data lineitem.aqps -agg l_extendedprice -dims l_orderkey,l_suppkey
 //	aqppp-cli -demo tpcd -rows 200000 -agg l_extendedprice -dims l_orderkey,l_suppkey
 //
 // Shell commands:
@@ -46,6 +46,7 @@ import (
 
 	"aqppp"
 	"aqppp/internal/dataset"
+	"aqppp/internal/engine"
 	"aqppp/internal/repl"
 )
 
@@ -109,8 +110,12 @@ func exitCode(err error) int {
 }
 
 func main() {
-	load := flag.String("load", "", "binary table file to load (from aqppp-gen)")
+	os.Exit(run())
+}
+
+func run() int {
 	csvPath := flag.String("csv", "", "CSV table file to load")
+	data := flag.String("data", "", "store container (.aqps file from aqppp-gen or aqppp-serve -save) to query from disk")
 	demo := flag.String("demo", "", "generate a demo dataset: tpcd | bigbench | tlctrip")
 	rows := flag.Int("rows", 200000, "rows for -demo")
 	agg := flag.String("agg", "", "aggregation attribute for the prepared template")
@@ -127,19 +132,16 @@ func main() {
 	script := flag.String("e", "", "run semicolon-separated statements non-interactively and exit")
 	flag.Parse()
 
-	tbl, err := dataset.Load(*load, *csvPath, *demo, *rows, *seed)
+	db := aqppp.NewDB()
+	defer func() { _ = db.CloseStores() }() // read-only stores
+	tbl, err := loadTable(db, *data, *csvPath, *demo, *rows, *seed)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(exitCode(err))
-	}
-	db := aqppp.NewDB()
-	if err := db.Register(tbl); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(exitCode(err))
+		return exitCode(err)
 	}
 	if *agg == "" || *dims == "" {
 		fmt.Fprintln(os.Stderr, "need -agg and -dims to prepare AQP++ (e.g. -agg l_extendedprice -dims l_orderkey,l_suppkey)")
-		os.Exit(2)
+		return 2
 	}
 	it := newInterrupter()
 
@@ -155,7 +157,7 @@ func main() {
 	prepCancel()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(exitCode(err))
+		return exitCode(err)
 	}
 	fmt.Printf("ready in %v. Table %q, %d rows. Type .help for commands.\n",
 		time.Since(t0).Round(time.Millisecond), tbl.Name, tbl.NumRows())
@@ -174,12 +176,34 @@ func main() {
 	if *script != "" {
 		if err := session.RunScript(*script, os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(exitCode(err))
+			return exitCode(err)
 		}
-		return
+		return 0
 	}
 	if err := session.Run(os.Stdin, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return 1
 	}
+	return 0
+}
+
+// loadTable registers the one table the shell queries: the store
+// container at data (served from disk, like aqppp-serve -data), or a
+// resident table from the -csv / -demo sources.
+func loadTable(db *aqppp.DB, data, csvPath, demo string, rows int, seed uint64) (*engine.Table, error) {
+	if data != "" {
+		if csvPath != "" || demo != "" {
+			return nil, fmt.Errorf("-data replaces -csv/-demo; pick one source")
+		}
+		if _, err := db.OpenStore(data); err != nil {
+			return nil, err
+		}
+		tbl, _ := db.LookupTable(db.TableNames()[0])
+		return tbl, nil
+	}
+	tbl, err := dataset.Load(context.Background(), csvPath, demo, rows, seed)
+	if err != nil {
+		return nil, err
+	}
+	return tbl, db.Register(tbl)
 }

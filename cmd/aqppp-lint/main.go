@@ -1,8 +1,8 @@
 // Command aqppp-lint runs the repo's custom static analyzer (see
 // internal/lint) over the given package patterns and reports invariant
-// violations. The rule set is six plain AST walks (nondeterminism in the
+// violations. The rule set is five plain AST walks (nondeterminism in the
 // numeric core, float equality, dropped errors, library panics,
-// ctx-first signatures, ctx-propagation) and one flow-aware analysis on
+// ctx-first signatures) and one flow-aware analysis on
 // the CFG/dataflow framework in internal/lint/cfg (lock-balance); the
 // package doc of internal/lint says which tool owns the rest.
 //

@@ -9,7 +9,7 @@
 // Usage:
 //
 //	aqppp-serve -demo tpcd -rows 200000 -agg l_extendedprice -dims l_orderkey,l_suppkey
-//	aqppp-serve -load lineitem.tbl -addr :8080
+//	aqppp-serve -csv trips.csv -addr :8080
 //	aqppp-serve -data lineitem.aqps
 //
 // With -agg and -dims the server pre-builds one prepared handle (named
@@ -64,7 +64,6 @@ func main() {
 
 func run() int {
 	addr := flag.String("addr", "127.0.0.1:8080", "listen address (host:port; port 0 picks a free port)")
-	load := flag.String("load", "", "binary table file to load (from aqppp-gen)")
 	csvPath := flag.String("csv", "", "CSV table file to load")
 	data := flag.String("data", "", "store container (.aqps file or directory of them) to serve from disk, with persisted prepared handles")
 	save := flag.String("save", "", "persist the table and startup handle to this store container after preparing")
@@ -107,7 +106,7 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "-coordinator and -replica are exclusive roles")
 		return 1
 	}
-	if *coordinator && (*load != "" || *csvPath != "" || *demo != "" || *data != "" || *shards > 1 || *save != "" || *agg != "" || *dims != "") {
+	if *coordinator && (*csvPath != "" || *demo != "" || *data != "" || *shards > 1 || *save != "" || *agg != "" || *dims != "") {
 		fmt.Fprintln(os.Stderr, "-coordinator loads and prepares nothing; it fronts the data and handles the -peers replicas own")
 		return 1
 	}
@@ -124,8 +123,8 @@ func run() int {
 	if *coordinator {
 		// The replicas own the data; the coordinator loads nothing.
 	} else if *data != "" {
-		if *load != "" || *csvPath != "" || *demo != "" {
-			fmt.Fprintln(os.Stderr, "-data replaces -load/-csv/-demo; pick one source")
+		if *csvPath != "" || *demo != "" {
+			fmt.Fprintln(os.Stderr, "-data replaces -csv/-demo; pick one source")
 			return 1
 		}
 		if *shards > 1 {
@@ -153,7 +152,7 @@ func run() int {
 		}
 	} else {
 		var err error
-		tbl, err = dataset.Load(*load, *csvPath, *demo, *rows, *seed)
+		tbl, err = dataset.Load(context.Background(), *csvPath, *demo, *rows, *seed)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1

@@ -62,7 +62,7 @@ func main() {
 		},
 		GroupBy: []string{"l_returnflag", "l_linestatus"},
 	}
-	truthRes, err := tbl.Execute(q)
+	truthRes, err := tbl.Execute(ctx, q)
 	if err != nil {
 		log.Fatal(err)
 	}

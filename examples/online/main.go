@@ -31,7 +31,7 @@ func main() {
 
 	q := engine.Query{Func: engine.Sum, Col: "l_extendedprice",
 		Ranges: []engine.Range{{Col: "l_orderkey", Lo: 50, Hi: 40000}}}
-	truth, err := tbl.Execute(q)
+	truth, err := tbl.Execute(context.Background(), q)
 	if err != nil {
 		log.Fatal(err)
 	}

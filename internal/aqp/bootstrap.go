@@ -24,7 +24,7 @@ func Bootstrap(ctx context.Context, s *sample.Sample, q engine.Query, confidence
 	if len(q.GroupBy) > 0 {
 		return Estimate{}, fmt.Errorf("aqp: Bootstrap does not handle GROUP BY")
 	}
-	plug, err := plugInEstimate(s, q)
+	plug, err := plugInEstimate(ctx, s, q)
 	if err != nil {
 		return Estimate{}, err
 	}
@@ -43,7 +43,7 @@ func Bootstrap(ctx context.Context, s *sample.Sample, q engine.Query, confidence
 			idx[i] = r.Intn(n)
 		}
 		rs := ResampleRows(s, idx)
-		v, err := plugInEstimate(rs, q)
+		v, err := plugInEstimate(ctx, rs, q)
 		if err != nil {
 			return Estimate{}, err
 		}
@@ -63,7 +63,7 @@ func Bootstrap(ctx context.Context, s *sample.Sample, q engine.Query, confidence
 // plugInEstimate evaluates the query on the sample with the appropriate
 // scaling: SUM and COUNT scale by inverse probabilities; AVG and VAR are
 // scale-free plug-ins.
-func plugInEstimate(s *sample.Sample, q engine.Query) (float64, error) {
+func plugInEstimate(ctx context.Context, s *sample.Sample, q engine.Query) (float64, error) {
 	switch q.Func {
 	case engine.Sum, engine.Count:
 		vals, err := ConditionVector(s, q)
@@ -72,7 +72,7 @@ func plugInEstimate(s *sample.Sample, q engine.Query) (float64, error) {
 		}
 		return SumOfValues(s, vals, 0.95).Value, nil
 	case engine.Avg, engine.Var, engine.Min, engine.Max:
-		res, err := s.Table.Execute(q)
+		res, err := s.Table.Execute(ctx, q)
 		if err != nil {
 			return 0, err
 		}

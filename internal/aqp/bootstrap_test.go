@@ -34,7 +34,7 @@ func TestBootstrapSumAgreesWithClosedForm(t *testing.T) {
 func TestBootstrapVar(t *testing.T) {
 	tbl := buildTable(20000, 23)
 	q := engine.Query{Func: engine.Var, Col: "v", Ranges: []engine.Range{{Col: "k", Lo: 1, Hi: 800}}}
-	truth, _ := tbl.Execute(q)
+	truth, _ := tbl.Execute(context.Background(), q)
 	s, _ := sample.NewUniform(tbl, 0.05, 24)
 	boot, err := Bootstrap(context.Background(), s, q, 0.95, 200, 25)
 	if err != nil {

@@ -1,6 +1,7 @@
 package aqp
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -35,7 +36,7 @@ func buildTable(n int, seed uint64) *engine.Table {
 func TestEstimateSumCloseToTruth(t *testing.T) {
 	tbl := buildTable(50000, 1)
 	q := engine.Query{Func: engine.Sum, Col: "v", Ranges: []engine.Range{{Col: "k", Lo: 100, Hi: 400}}}
-	truth, err := tbl.Execute(q)
+	truth, err := tbl.Execute(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestEstimateSumCloseToTruth(t *testing.T) {
 func TestEstimateCount(t *testing.T) {
 	tbl := buildTable(20000, 2)
 	q := engine.Query{Func: engine.Count, Ranges: []engine.Range{{Col: "k", Lo: 1, Hi: 500}}}
-	truth, _ := tbl.Execute(q)
+	truth, _ := tbl.Execute(context.Background(), q)
 	s, _ := sample.NewUniform(tbl, 0.1, 7)
 	est, err := EstimateSum(s, q, 0.95)
 	if err != nil {
@@ -86,7 +87,7 @@ func TestCoverageCalibration(t *testing.T) {
 	// non-flaky.
 	tbl := buildTable(20000, 4)
 	q := engine.Query{Func: engine.Sum, Col: "v", Ranges: []engine.Range{{Col: "k", Lo: 200, Hi: 700}}}
-	truth, _ := tbl.Execute(q)
+	truth, _ := tbl.Execute(context.Background(), q)
 	covered := 0
 	const trials = 100
 	for i := 0; i < trials; i++ {
@@ -112,7 +113,7 @@ func TestUnbiasednessAcrossSeeds(t *testing.T) {
 	// estimate over many independent samples and compare to the truth.
 	tbl := buildTable(10000, 5)
 	q := engine.Query{Func: engine.Sum, Col: "v", Ranges: []engine.Range{{Col: "k", Lo: 1, Hi: 300}}}
-	truth, _ := tbl.Execute(q)
+	truth, _ := tbl.Execute(context.Background(), q)
 	var mean stats.Moments
 	for i := 0; i < 60; i++ {
 		s, _ := sample.NewUniform(tbl, 0.02, uint64(2000+i))
@@ -127,7 +128,7 @@ func TestUnbiasednessAcrossSeeds(t *testing.T) {
 func TestMeasureBiasedEstimator(t *testing.T) {
 	tbl := buildTable(30000, 6)
 	q := engine.Query{Func: engine.Sum, Col: "v", Ranges: []engine.Range{{Col: "k", Lo: 100, Hi: 600}}}
-	truth, _ := tbl.Execute(q)
+	truth, _ := tbl.Execute(context.Background(), q)
 	s, err := sample.NewMeasureBiased(tbl, "v", 0.05, 9)
 	if err != nil {
 		t.Fatal(err)
@@ -144,7 +145,7 @@ func TestMeasureBiasedEstimator(t *testing.T) {
 func TestStratifiedEstimator(t *testing.T) {
 	tbl := buildTable(30000, 7)
 	q := engine.Query{Func: engine.Sum, Col: "v", Ranges: []engine.Range{{Col: "k", Lo: 100, Hi: 600}}}
-	truth, _ := tbl.Execute(q)
+	truth, _ := tbl.Execute(context.Background(), q)
 	s, err := sample.NewStratified(tbl, []string{"g"}, 0.05, 50, 11)
 	if err != nil {
 		t.Fatal(err)
@@ -170,7 +171,7 @@ func TestStratifiedFullySampledStratumExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := engine.Query{Func: engine.Sum, Col: "v", Ranges: []engine.Range{{Col: "k", Lo: 1, Hi: 1000}}}
-	truth, _ := tbl.Execute(q)
+	truth, _ := tbl.Execute(context.Background(), q)
 	est, err := EstimateSum(s, q, 0.95)
 	if err != nil {
 		t.Fatal(err)
@@ -186,7 +187,7 @@ func TestStratifiedFullySampledStratumExact(t *testing.T) {
 func TestEstimateAvg(t *testing.T) {
 	tbl := buildTable(40000, 9)
 	q := engine.Query{Func: engine.Avg, Col: "v", Ranges: []engine.Range{{Col: "k", Lo: 100, Hi: 800}}}
-	truth, _ := tbl.Execute(q)
+	truth, _ := tbl.Execute(context.Background(), q)
 	s, _ := sample.NewUniform(tbl, 0.05, 13)
 	est, err := EstimateAvg(s, q, 0.95)
 	if err != nil {
@@ -230,7 +231,7 @@ func TestEstimateGroups(t *testing.T) {
 	tbl := buildTable(30000, 12)
 	q := engine.Query{Func: engine.Sum, Col: "v", GroupBy: []string{"g"},
 		Ranges: []engine.Range{{Col: "k", Lo: 1, Hi: 700}}}
-	truthRes, _ := tbl.Execute(q)
+	truthRes, _ := tbl.Execute(context.Background(), q)
 	truth := map[string]float64{}
 	for _, g := range truthRes.Groups {
 		truth[g.Key] = g.Value
@@ -308,7 +309,7 @@ func TestStratifiedCoverageCalibration(t *testing.T) {
 	// The stratified CI should also cover the truth ~95% of the time.
 	tbl := buildTable(20000, 40)
 	q := engine.Query{Func: engine.Sum, Col: "v", Ranges: []engine.Range{{Col: "k", Lo: 200, Hi: 700}}}
-	truth, _ := tbl.Execute(q)
+	truth, _ := tbl.Execute(context.Background(), q)
 	covered := 0
 	const trials = 60
 	for i := 0; i < trials; i++ {
@@ -332,7 +333,7 @@ func TestStratifiedCoverageCalibration(t *testing.T) {
 func TestMeasureBiasedCoverageCalibration(t *testing.T) {
 	tbl := buildTable(20000, 41)
 	q := engine.Query{Func: engine.Sum, Col: "v", Ranges: []engine.Range{{Col: "k", Lo: 100, Hi: 600}}}
-	truth, _ := tbl.Execute(q)
+	truth, _ := tbl.Execute(context.Background(), q)
 	covered := 0
 	const trials = 60
 	for i := 0; i < trials; i++ {
@@ -377,7 +378,7 @@ func TestStratifiedBeatsUniformOnSmallGroups(t *testing.T) {
 	)
 	q := engine.Query{Func: engine.Sum, Col: "v", GroupBy: []string{"g"},
 		Ranges: []engine.Range{{Col: "k", Lo: 1, Hi: 1000}}}
-	truthRes, _ := tbl.Execute(q)
+	truthRes, _ := tbl.Execute(context.Background(), q)
 	truth := map[string]float64{}
 	for _, g := range truthRes.Groups {
 		truth[g.Key] = g.Value

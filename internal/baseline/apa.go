@@ -5,6 +5,7 @@
 package baseline
 
 import (
+	"context"
 	"fmt"
 	"math/bits"
 
@@ -55,8 +56,8 @@ type fact struct {
 }
 
 // NewAPA computes the facts over the full table, draws no new sample (it
-// reuses s), and calibrates the weights.
-func NewAPA(tbl *engine.Table, s *sample.Sample, cfg APAConfig) (*APA, error) {
+// reuses s), and calibrates the weights. ctx cancels the fact scans.
+func NewAPA(ctx context.Context, tbl *engine.Table, s *sample.Sample, cfg APAConfig) (*APA, error) {
 	if cfg.FactsPerDim == 0 {
 		cfg.FactsPerDim = 16
 	}
@@ -92,7 +93,7 @@ func NewAPA(tbl *engine.Table, s *sample.Sample, cfg APAConfig) (*APA, error) {
 			if bhi < blo {
 				continue
 			}
-			res, err := tbl.Execute(engine.Query{
+			res, err := tbl.Execute(ctx, engine.Query{
 				Func: engine.Sum, Col: cfg.Measure,
 				Ranges: []engine.Range{{Col: dim, Lo: blo, Hi: bhi}},
 			})

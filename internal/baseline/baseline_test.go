@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -42,7 +43,7 @@ func TestAggPreExact(t *testing.T) {
 		q := engine.Query{Func: engine.Sum, Col: "a", Ranges: []engine.Range{
 			{Col: "c1", Lo: lo1, Hi: hi1}, {Col: "c2", Lo: lo2, Hi: hi2},
 		}}
-		truth, _ := tbl.Execute(q)
+		truth, _ := tbl.Execute(context.Background(), q)
 		got, err := ap.Answer(q)
 		if err != nil {
 			t.Fatal(err)
@@ -84,7 +85,7 @@ func TestAPACalibrationSatisfiesFacts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	apa, err := NewAPA(tbl, s, APAConfig{
+	apa, err := NewAPA(context.Background(), tbl, s, APAConfig{
 		Measure: "a", Dims: []string{"c1"}, FactsPerDim: 8, Resamples: 10, Seed: 9,
 	})
 	if err != nil {
@@ -107,7 +108,7 @@ func TestAPACalibrationSatisfiesFacts(t *testing.T) {
 func TestAPAImprovesOnPlainAQPForFactAlignedQueries(t *testing.T) {
 	tbl := testTable(30000, 5)
 	s, _ := sample.NewUniform(tbl, 0.03, 11)
-	apa, err := NewAPA(tbl, s, APAConfig{
+	apa, err := NewAPA(context.Background(), tbl, s, APAConfig{
 		Measure: "a", Dims: []string{"c1"}, FactsPerDim: 10, Resamples: 30, Seed: 13,
 	})
 	if err != nil {
@@ -116,7 +117,7 @@ func TestAPAImprovesOnPlainAQPForFactAlignedQueries(t *testing.T) {
 	// A query spanning whole fact blocks is answered (nearly) exactly.
 	q := engine.Query{Func: engine.Sum, Col: "a",
 		Ranges: []engine.Range{{Col: "c1", Lo: 1, Hi: 25}}}
-	truth, _ := tbl.Execute(q)
+	truth, _ := tbl.Execute(context.Background(), q)
 	est, err := apa.Answer(q)
 	if err != nil {
 		t.Fatal(err)
@@ -129,7 +130,7 @@ func TestAPAImprovesOnPlainAQPForFactAlignedQueries(t *testing.T) {
 func TestAPAAnswerGeneralQuery(t *testing.T) {
 	tbl := testTable(30000, 6)
 	s, _ := sample.NewUniform(tbl, 0.05, 15)
-	apa, err := NewAPA(tbl, s, APAConfig{
+	apa, err := NewAPA(context.Background(), tbl, s, APAConfig{
 		Measure: "a", Dims: []string{"c1"}, FactsPerDim: 8, Resamples: 20, Seed: 17,
 	})
 	if err != nil {
@@ -137,7 +138,7 @@ func TestAPAAnswerGeneralQuery(t *testing.T) {
 	}
 	q := engine.Query{Func: engine.Sum, Col: "a",
 		Ranges: []engine.Range{{Col: "c1", Lo: 13, Hi: 37}}}
-	truth, _ := tbl.Execute(q)
+	truth, _ := tbl.Execute(context.Background(), q)
 	est, err := apa.Answer(q)
 	if err != nil {
 		t.Fatal(err)
@@ -153,17 +154,17 @@ func TestAPAAnswerGeneralQuery(t *testing.T) {
 func TestAPAValidation(t *testing.T) {
 	tbl := testTable(1000, 7)
 	s, _ := sample.NewUniform(tbl, 0.1, 19)
-	if _, err := NewAPA(tbl, s, APAConfig{Measure: "a"}); err == nil {
+	if _, err := NewAPA(context.Background(), tbl, s, APAConfig{Measure: "a"}); err == nil {
 		t.Error("no dims accepted")
 	}
-	if _, err := NewAPA(tbl, s, APAConfig{Measure: "nope", Dims: []string{"c1"}}); err == nil {
+	if _, err := NewAPA(context.Background(), tbl, s, APAConfig{Measure: "nope", Dims: []string{"c1"}}); err == nil {
 		t.Error("bad measure accepted")
 	}
 	mb, _ := sample.NewMeasureBiased(tbl, "a", 0.1, 21)
-	if _, err := NewAPA(tbl, mb, APAConfig{Measure: "a", Dims: []string{"c1"}}); err == nil {
+	if _, err := NewAPA(context.Background(), tbl, mb, APAConfig{Measure: "a", Dims: []string{"c1"}}); err == nil {
 		t.Error("non-uniform sample accepted")
 	}
-	apa, err := NewAPA(tbl, s, APAConfig{Measure: "a", Dims: []string{"c1"}, Resamples: 5})
+	apa, err := NewAPA(context.Background(), tbl, s, APAConfig{Measure: "a", Dims: []string{"c1"}, Resamples: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,7 +55,7 @@ func TestAnswerSumAccuracy(t *testing.T) {
 	p := buildProcessor(t, tbl, []string{"c1"}, 20)
 	q := engine.Query{Func: engine.Sum, Col: "a",
 		Ranges: []engine.Range{{Col: "c1", Lo: 13, Hi: 67}}}
-	truth, _ := tbl.Execute(q)
+	truth, _ := tbl.Execute(context.Background(), q)
 	ans, err := p.Answer(q)
 	if err != nil {
 		t.Fatal(err)
@@ -116,7 +116,7 @@ func TestSubsumesAggPre(t *testing.T) {
 	}
 	q := engine.Query{Func: engine.Sum, Col: "a",
 		Ranges: []engine.Range{{Col: "c1", Lo: pts[0] + 1, Hi: pts[2]}}}
-	truth, _ := tbl.Execute(q)
+	truth, _ := tbl.Execute(context.Background(), q)
 	ans, err := p.Answer(q)
 	if err != nil {
 		t.Fatal(err)
@@ -162,7 +162,7 @@ func TestUnbiasedness(t *testing.T) {
 	tmpl := cube.Template{Agg: "a", Dims: []string{"c1"}}
 	q := engine.Query{Func: engine.Sum, Col: "a",
 		Ranges: []engine.Range{{Col: "c1", Lo: 23, Hi: 71}}}
-	truth, _ := tbl.Execute(q)
+	truth, _ := tbl.Execute(context.Background(), q)
 	var m stats.Moments
 	for i := 0; i < 40; i++ {
 		p, _, err := Build(context.Background(), tbl, BuildConfig{
@@ -193,7 +193,7 @@ func TestAnswerCount(t *testing.T) {
 	}
 	q := engine.Query{Func: engine.Count,
 		Ranges: []engine.Range{{Col: "c1", Lo: 20, Hi: 60}}}
-	truth, _ := tbl.Execute(q)
+	truth, _ := tbl.Execute(context.Background(), q)
 	ans, err := p.Answer(q)
 	if err != nil {
 		t.Fatal(err)
@@ -214,7 +214,7 @@ func TestAnswerAvg(t *testing.T) {
 	}
 	q := engine.Query{Func: engine.Avg, Col: "a",
 		Ranges: []engine.Range{{Col: "c1", Lo: 15, Hi: 75}}}
-	truth, _ := tbl.Execute(q)
+	truth, _ := tbl.Execute(context.Background(), q)
 	ans, err := p.Answer(q)
 	if err != nil {
 		t.Fatal(err)
@@ -259,7 +259,7 @@ func TestAnswerGroups(t *testing.T) {
 	q := engine.Query{Func: engine.Sum, Col: "a",
 		Ranges:  []engine.Range{{Col: "c1", Lo: 10, Hi: 80}},
 		GroupBy: []string{"g"}}
-	truthRes, _ := tbl.Execute(q)
+	truthRes, _ := tbl.Execute(context.Background(), q)
 	truth := map[string]float64{}
 	for _, gr := range truthRes.Groups {
 		truth[gr.Key] = gr.Value
@@ -331,7 +331,7 @@ func TestBuild2DAnswers(t *testing.T) {
 		{Col: "c1", Lo: 20, Hi: 70},
 		{Col: "c2", Lo: 5, Hi: 30},
 	}}
-	truth, _ := tbl.Execute(q)
+	truth, _ := tbl.Execute(context.Background(), q)
 	ans, err := p.Answer(q)
 	if err != nil {
 		t.Fatal(err)

@@ -38,7 +38,7 @@ func TestMaintainerKeepsCubeExact(t *testing.T) {
 		t.Errorf("Inserted = %d", m.Inserted())
 	}
 	// The cube's total must equal the grown table's total exactly.
-	truth, _ := tbl.Execute(engine.Query{Func: engine.Sum, Col: "a"})
+	truth, _ := tbl.Execute(context.Background(), engine.Query{Func: engine.Sum, Col: "a"})
 	if got := p.Cube.TotalSum(); math.Abs(got-truth.Value) > 1e-6*math.Abs(truth.Value) {
 		t.Errorf("cube total %v != table total %v after inserts", got, truth.Value)
 	}
@@ -48,7 +48,7 @@ func TestMaintainerKeepsCubeExact(t *testing.T) {
 	// Answers over the grown table remain accurate.
 	q := engine.Query{Func: engine.Sum, Col: "a",
 		Ranges: []engine.Range{{Col: "c1", Lo: 10, Hi: 80}}}
-	qt, _ := tbl.Execute(q)
+	qt, _ := tbl.Execute(context.Background(), q)
 	ans, err := p.Answer(q)
 	if err != nil {
 		t.Fatal(err)
@@ -92,7 +92,7 @@ func TestMaintainerDomainGrowth(t *testing.T) {
 	if pts[len(pts)-1] != 5000 {
 		t.Errorf("last partition point = %v, want extended to 5000", pts[len(pts)-1])
 	}
-	truth, _ := tbl.Execute(engine.Query{Func: engine.Sum, Col: "a"})
+	truth, _ := tbl.Execute(context.Background(), engine.Query{Func: engine.Sum, Col: "a"})
 	if got := p.Cube.TotalSum(); math.Abs(got-truth.Value) > 1e-6 {
 		t.Errorf("cube total %v != %v after domain growth", got, truth.Value)
 	}
@@ -164,7 +164,7 @@ func TestManagerAllocatesAndRoutes(t *testing.T) {
 		t.Errorf("Route(2D query) = %d, want 1", got)
 	}
 	// Answers flow through.
-	truth, _ := tbl.Execute(q2)
+	truth, _ := tbl.Execute(context.Background(), q2)
 	ans, used, err := m.Answer(q2)
 	if err != nil {
 		t.Fatal(err)
@@ -290,7 +290,7 @@ func TestAnswerGroupsFastMatchesSlowPath(t *testing.T) {
 	q := engine.Query{Func: engine.Sum, Col: "a",
 		Ranges:  []engine.Range{{Col: "c1", Lo: 10, Hi: 80}},
 		GroupBy: []string{"g"}}
-	truthRes, _ := tbl.Execute(q)
+	truthRes, _ := tbl.Execute(context.Background(), q)
 	truth := map[string]float64{}
 	for _, gr := range truthRes.Groups {
 		truth[gr.Key] = gr.Value

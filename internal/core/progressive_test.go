@@ -26,7 +26,7 @@ func TestProgressiveShrinkingIntervals(t *testing.T) {
 	}
 	q := engine.Query{Func: engine.Sum, Col: "a",
 		Ranges: []engine.Range{{Col: "c1", Lo: 17, Hi: 73}}}
-	truth, _ := tbl.Execute(q)
+	truth, _ := tbl.Execute(context.Background(), q)
 	answers, err := pg.Trace(context.Background(), q, []int{200, 400, 800, 1600})
 	if err != nil {
 		t.Fatal(err)
@@ -61,7 +61,7 @@ func TestProgressiveExhaustsTable(t *testing.T) {
 	}
 	// With every row sampled, the estimate is exact.
 	q := engine.Query{Func: engine.Sum, Col: "a"}
-	truth, _ := tbl.Execute(q)
+	truth, _ := tbl.Execute(context.Background(), q)
 	ans, err := pg.Answer(q)
 	if err != nil {
 		t.Fatal(err)
@@ -104,7 +104,7 @@ func TestMinMaxThroughProcessor(t *testing.T) {
 	}
 	q := engine.Query{Func: engine.Max, Col: "a",
 		Ranges: []engine.Range{{Col: "c1", Lo: 20, Hi: 60}}}
-	truth, _ := tbl.Execute(q)
+	truth, _ := tbl.Execute(context.Background(), q)
 	ans, err := p.Answer(q)
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -89,14 +90,16 @@ func probeScanCost(tbl *engine.Table) int64 {
 	}
 	lo, hi := col.OrdinalDomain()
 	q := engine.Query{Func: engine.Count, Ranges: []engine.Range{{Col: col.Name, Lo: lo, Hi: (lo + hi) / 2}}}
-	// Warm once, then time a few runs.
-	if _, err := sub.Execute(q); err != nil {
+	// Warm once, then time a few runs. PlanSpace's signature carries no
+	// context, and a probe over at most a few blocks needs none.
+	ctx := context.TODO()
+	if _, err := sub.Execute(ctx, q); err != nil {
 		return 1
 	}
 	const runs = 5
 	start := time.Now()
 	for i := 0; i < runs; i++ {
-		if _, err := sub.Execute(q); err != nil {
+		if _, err := sub.Execute(ctx, q); err != nil {
 			return 1
 		}
 	}

@@ -1,6 +1,7 @@
 package cube
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -186,7 +187,7 @@ func TestBuildAppendsDomainMax(t *testing.T) {
 	if len(c.Points[0]) != 2 {
 		t.Fatalf("points = %v, expected domain max appended", c.Points[0])
 	}
-	truth, _ := tbl.Execute(engine.Query{Func: engine.Sum, Col: "a"})
+	truth, _ := tbl.Execute(context.Background(), engine.Query{Func: engine.Sum, Col: "a"})
 	if math.Abs(c.TotalSum()-truth.Value) > 1e-9 {
 		t.Errorf("TotalSum = %v, want %v", c.TotalSum(), truth.Value)
 	}

@@ -2,6 +2,7 @@ package cube
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"testing"
 
@@ -24,7 +25,7 @@ func TestBuildFullAnswersEverything(t *testing.T) {
 			ranges = append(ranges, engine.Range{Col: d, Lo: lo, Hi: hi})
 		}
 		q := engine.Query{Func: engine.Sum, Col: "a", Ranges: ranges}
-		truth, _ := tbl.Execute(q)
+		truth, _ := tbl.Execute(context.Background(), q)
 		got, ok := c.AnswerExact(q)
 		if !ok {
 			t.Fatalf("full cube failed to answer %v", q)
@@ -43,7 +44,7 @@ func TestAnswerExactPartialDims(t *testing.T) {
 	}
 	// Restrict only the first dimension; the second is unrestricted.
 	q := engine.Query{Func: engine.Sum, Col: "a", Ranges: []engine.Range{{Col: dimName(0), Lo: 3, Hi: 7}}}
-	truth, _ := tbl.Execute(q)
+	truth, _ := tbl.Execute(context.Background(), q)
 	got, ok := c.AnswerExact(q)
 	if !ok {
 		t.Fatal("partial-dim query rejected")
@@ -70,7 +71,7 @@ func TestAnswerExactRejectsMisaligned(t *testing.T) {
 	if !ok {
 		t.Fatal("aligned query rejected")
 	}
-	truth, _ := tbl.Execute(q)
+	truth, _ := tbl.Execute(context.Background(), q)
 	if math.Abs(got-truth.Value) > 1e-6 {
 		t.Errorf("aligned answer = %v, want %v", got, truth.Value)
 	}

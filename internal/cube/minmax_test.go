@@ -1,6 +1,7 @@
 package cube
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -54,7 +55,7 @@ func TestMinMaxAnswerQuery(t *testing.T) {
 	}
 	q := engine.Query{Func: engine.Min, Col: "a",
 		Ranges: []engine.Range{{Col: dimName(0), Lo: 10, Hi: 30}}}
-	truth, _ := tbl.Execute(q)
+	truth, _ := tbl.Execute(context.Background(), q)
 	got, err := idx.Answer(q)
 	if err != nil {
 		t.Fatal(err)
@@ -63,7 +64,7 @@ func TestMinMaxAnswerQuery(t *testing.T) {
 		t.Errorf("MIN = %v, want %v", got, truth.Value)
 	}
 	q.Func = engine.Max
-	truth, _ = tbl.Execute(q)
+	truth, _ = tbl.Execute(context.Background(), q)
 	got, err = idx.Answer(q)
 	if err != nil {
 		t.Fatal(err)
@@ -73,7 +74,7 @@ func TestMinMaxAnswerQuery(t *testing.T) {
 	}
 	// Unrestricted query = global extrema.
 	full := engine.Query{Func: engine.Max, Col: "a"}
-	truth, _ = tbl.Execute(full)
+	truth, _ = tbl.Execute(context.Background(), full)
 	got, err = idx.Answer(full)
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"context"
 	"testing"
 
 	"aqppp/internal/engine"
@@ -102,7 +103,7 @@ func TestTPCDSkewValueDomains(t *testing.T) {
 
 func TestTPCDSkewRareGroup(t *testing.T) {
 	tbl := TPCDSkew(TPCDConfig{Rows: 100000, Seed: 13})
-	res, err := tbl.Execute(engine.Query{Func: Count, GroupBy: []string{"l_returnflag", "l_linestatus"}})
+	res, err := tbl.Execute(context.Background(), engine.Query{Func: Count, GroupBy: []string{"l_returnflag", "l_linestatus"}})
 	if err != nil {
 		t.Fatal(err)
 	}

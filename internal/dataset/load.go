@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"strings"
@@ -8,18 +9,12 @@ import (
 	"aqppp/internal/engine"
 )
 
-// Load resolves the table-source flags the CLIs share: a legacy binary
-// table file, a CSV file (the table is named after the file), or one of
-// the demo generators at the given scale and seed.
-func Load(load, csvPath, demo string, rows int, seed uint64) (*engine.Table, error) {
+// Load resolves the resident table-source flags the CLIs share: a CSV
+// file (the table is named after the file), or one of the demo
+// generators at the given scale and seed. Store containers (-data) are
+// opened by the caller through aqppp.DB.OpenStore.
+func Load(ctx context.Context, csvPath, demo string, rows int, seed uint64) (*engine.Table, error) {
 	switch {
-	case load != "":
-		f, err := os.Open(load)
-		if err != nil {
-			return nil, err
-		}
-		defer func() { _ = f.Close() }() // read-only
-		return engine.ReadBinary(f)
 	case csvPath != "":
 		f, err := os.Open(csvPath)
 		if err != nil {
@@ -31,7 +26,7 @@ func Load(load, csvPath, demo string, rows int, seed uint64) (*engine.Table, err
 			base = base[i+1:]
 		}
 		base = strings.TrimSuffix(base, ".csv")
-		return engine.ReadCSV(base, f)
+		return engine.ReadCSV(ctx, base, f)
 	case demo == "tpcd":
 		return TPCDSkew(TPCDConfig{Rows: rows, Seed: seed}), nil
 	case demo == "bigbench":
@@ -39,6 +34,6 @@ func Load(load, csvPath, demo string, rows int, seed uint64) (*engine.Table, err
 	case demo == "tlctrip":
 		return TLCTrip(TLCTripConfig{Rows: rows, Seed: seed}), nil
 	default:
-		return nil, fmt.Errorf("need one of -load, -csv, or -demo")
+		return nil, fmt.Errorf("need one of -data, -csv, or -demo")
 	}
 }

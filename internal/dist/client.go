@@ -29,9 +29,6 @@ type Config struct {
 	// delay and takes whichever answers first — the tail-latency
 	// tradeoff of doing up to 2x the work.
 	Hedge time.Duration
-	// Workers bounds the coordinator's fan-out pool (<= 0 selects
-	// GOMAXPROCS).
-	Workers int
 	// DegradedApprox opts in to answering approximate queries from
 	// surviving strata when a replica is lost: the answer scales up by
 	// the lost row mass, the interval widens, and the response carries

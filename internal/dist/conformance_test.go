@@ -87,7 +87,7 @@ func TestTargetConformance(t *testing.T) {
 			},
 		}},
 		{name: "sharded", db: sdb, prep: sprep, sig: "|shards=range:k:4", sub: substrate{
-			exact:  func(ctx context.Context, q engine.Query) (engine.Result, error) { return shs.ExecuteContext(ctx, q, 0) },
+			exact:  func(ctx context.Context, q engine.Query) (engine.Result, error) { return shs.Execute(ctx, q, 0) },
 			approx: func(ctx context.Context, q engine.Query) (core.Answer, error) { return shp.Answer(ctx, q, 0) },
 			groups: func(ctx context.Context, q engine.Query) ([]core.GroupAnswer, error) {
 				return shp.AnswerGroups(ctx, q, 0)

@@ -111,7 +111,6 @@ func (c *Coordinator) group(handle string) *shard.Group {
 		Layout:     c.layout,
 		Confidence: c.confidenceFor(handle),
 		Execs:      execs,
-		Workers:    c.cfg.Workers,
 		Observe:    func(k int, d time.Duration) { c.replicas[k].observe(d) },
 		OnPrune:    func(int) { c.pruned.Add(1) },
 	}

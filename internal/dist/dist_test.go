@@ -395,7 +395,7 @@ func TestDistributedTableHasOneTarget(t *testing.T) {
 	if key := p.CacheKey(); strings.Contains(key, "shards=") || !strings.Contains(key, "dist=") {
 		t.Errorf("cache key %q: want the fleet's signature and no shard layout", key)
 	}
-	want, err := tbl.Execute(p.Query)
+	want, err := tbl.Execute(context.Background(), p.Query)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -170,22 +170,22 @@ func TestBackendEquivalence(t *testing.T) {
 		{Func: Avg, Col: "val", GroupBy: []string{"cat", "key"}, Ranges: []Range{{Col: "key", Lo: 10, Hi: 40}}},
 	}
 	for _, q := range queries {
-		want, err := tbl.Execute(q)
+		want, err := tbl.Execute(context.Background(), q)
 		if err != nil {
 			t.Fatalf("%v (resident): %v", q, err)
 		}
-		got, err := bt.Execute(q)
+		got, err := bt.Execute(context.Background(), q)
 		if err != nil {
 			t.Fatalf("%v (backed): %v", q, err)
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%v: backed %+v != resident %+v", q, got, want)
 		}
-		gotP, err := bt.ExecuteParallel(q, 4)
+		gotP, err := bt.ExecuteParallel(context.Background(), q, 4)
 		if err != nil {
 			t.Fatalf("%v (backed parallel): %v", q, err)
 		}
-		wantP, err := tbl.ExecuteParallel(q, 4)
+		wantP, err := tbl.ExecuteParallel(context.Background(), q, 4)
 		if err != nil {
 			t.Fatalf("%v (resident parallel): %v", q, err)
 		}
@@ -242,11 +242,11 @@ func TestBackendPruning(t *testing.T) {
 	// block 0 only. A SUM over that range must touch exactly one key
 	// block and one val block.
 	q := Query{Func: Sum, Col: "val", Ranges: []Range{{Col: "key", Lo: 0, Hi: float64(zoneBlockSize/3 - 10)}}}
-	want, err := tbl.Execute(q)
+	want, err := tbl.Execute(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := bt.Execute(q)
+	got, err := bt.Execute(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func TestBackendPruning(t *testing.T) {
 	// A COUNT over a full-classified range reads no data blocks at all.
 	mb.sources[0].reads.Store(0)
 	cnt := Query{Func: Count, Ranges: []Range{{Col: "key", Lo: -1, Hi: float64(n)}}}
-	if _, err := bt.Execute(cnt); err != nil {
+	if _, err := bt.Execute(context.Background(), cnt); err != nil {
 		t.Fatal(err)
 	}
 	if r := mb.sources[0].reads.Load(); r != 0 {
@@ -289,16 +289,16 @@ func TestBackendErrors(t *testing.T) {
 	}
 	mb.sources[1].failBlock = 1 // val column, second block
 	q := Query{Func: Sum, Col: "val"}
-	if _, err := bt.Execute(q); err == nil || !strings.Contains(err.Error(), "injected failure") {
+	if _, err := bt.Execute(context.Background(), q); err == nil || !strings.Contains(err.Error(), "injected failure") {
 		t.Fatalf("Execute over failing source: got %v, want injected failure", err)
 	}
-	if _, err := bt.ExecuteParallel(q, 3); err == nil {
+	if _, err := bt.ExecuteParallel(context.Background(), q, 3); err == nil {
 		t.Fatal("ExecuteParallel over failing source: want error")
 	}
-	if _, err := bt.ExecutePartialContext(context.Background(), q); err == nil {
+	if _, err := bt.ExecutePartial(context.Background(), q); err == nil {
 		t.Fatal("ExecutePartial over failing source: want error")
 	}
-	if _, err := bt.Execute(Query{Func: Sum, Col: "val", GroupBy: []string{"cat"}}); err == nil {
+	if _, err := bt.Execute(context.Background(), Query{Func: Sum, Col: "val", GroupBy: []string{"cat"}}); err == nil {
 		t.Fatal("group-by over failing source: want error")
 	}
 	if _, err := bt.Filter([]Range{{Col: "val", Lo: 0, Hi: 1}}); err == nil {

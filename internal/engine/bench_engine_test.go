@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"testing"
 
 	"aqppp/internal/stats"
@@ -61,13 +62,13 @@ func BenchmarkEngineFilterShuffled(b *testing.B)  { benchFilter(b, "shuffled") }
 
 func benchExecute(b *testing.B, q Query) {
 	tbl := benchEngineTable(benchRows)
-	if _, err := tbl.Execute(q); err != nil { // warm caches
+	if _, err := tbl.Execute(context.Background(), q); err != nil { // warm caches
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := tbl.Execute(q); err != nil {
+		if _, err := tbl.Execute(context.Background(), q); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -111,13 +112,13 @@ func BenchmarkEngineGroupByFiltered(b *testing.B) {
 func BenchmarkEngineGroupByParallel(b *testing.B) {
 	tbl := benchEngineTable(benchRows)
 	q := Query{Func: Sum, Col: "v", GroupBy: []string{"cat"}}
-	if _, err := tbl.ExecuteParallel(q, 0); err != nil {
+	if _, err := tbl.ExecuteParallel(context.Background(), q, 0); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := tbl.ExecuteParallel(q, 0); err != nil {
+		if _, err := tbl.ExecuteParallel(context.Background(), q, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -127,13 +128,13 @@ func BenchmarkEngineGroupByParallel(b *testing.B) {
 func BenchmarkEngineParallelSum(b *testing.B) {
 	tbl := benchEngineTable(benchRows)
 	q := Query{Func: Sum, Col: "v", Ranges: selectiveRange("shuffled")}
-	if _, err := tbl.ExecuteParallel(q, 0); err != nil {
+	if _, err := tbl.ExecuteParallel(context.Background(), q, 0); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := tbl.ExecuteParallel(q, 0); err != nil {
+		if _, err := tbl.ExecuteParallel(context.Background(), q, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

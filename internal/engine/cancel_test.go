@@ -31,10 +31,10 @@ func TestCancelExecutePreCanceled(t *testing.T) {
 	q := Query{Func: Sum, Col: "v", Ranges: []Range{{Col: "k", Lo: 100, Hi: 900}}}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := tbl.ExecuteContext(ctx, q); !errors.Is(err, context.Canceled) {
+	if _, err := tbl.Execute(ctx, q); !errors.Is(err, context.Canceled) {
 		t.Errorf("ExecuteContext err = %v, want context.Canceled", err)
 	}
-	if _, err := tbl.ExecuteParallelContext(ctx, q, 4); !errors.Is(err, context.Canceled) {
+	if _, err := tbl.ExecuteParallel(ctx, q, 4); !errors.Is(err, context.Canceled) {
 		t.Errorf("ExecuteParallelContext err = %v, want context.Canceled", err)
 	}
 	waitForGoroutines(t, base)
@@ -50,10 +50,10 @@ func TestCancelExecuteGroupByPreCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	q := Query{Func: Sum, Col: "v", GroupBy: []string{"s"}}
-	if _, err := tbl.ExecuteContext(ctx, q); !errors.Is(err, context.Canceled) {
+	if _, err := tbl.Execute(ctx, q); !errors.Is(err, context.Canceled) {
 		t.Errorf("group-by err = %v, want context.Canceled", err)
 	}
-	if _, err := tbl.ExecuteParallelContext(ctx, q, 4); !errors.Is(err, context.Canceled) {
+	if _, err := tbl.ExecuteParallel(ctx, q, 4); !errors.Is(err, context.Canceled) {
 		t.Errorf("parallel group-by err = %v, want context.Canceled", err)
 	}
 }
@@ -67,7 +67,7 @@ func TestCancelExecuteParallelMidFlight(t *testing.T) {
 	tbl := parallelFixture(2_000_000)
 	q := Query{Func: Sum, Col: "v", Ranges: []Range{{Col: "k", Lo: 100, Hi: 900}}}
 	// Warm derived caches so the timed run measures only the scan.
-	if _, err := tbl.ExecuteParallel(q, 4); err != nil {
+	if _, err := tbl.ExecuteParallel(context.Background(), q, 4); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -76,7 +76,7 @@ func TestCancelExecuteParallelMidFlight(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, err := tbl.ExecuteParallelContext(ctx, q, 4)
+	_, err := tbl.ExecuteParallel(ctx, q, 4)
 	elapsed := time.Since(start)
 	if err != nil && !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want nil or context.Canceled", err)
@@ -95,7 +95,7 @@ func TestCancelExecuteParallelMidFlight(t *testing.T) {
 func TestCancelExecuteSerialMidFlight(t *testing.T) {
 	tbl := parallelFixture(2_000_000)
 	q := Query{Func: Sum, Col: "v", Ranges: []Range{{Col: "k", Lo: 100, Hi: 900}}}
-	if _, err := tbl.Execute(q); err != nil {
+	if _, err := tbl.Execute(context.Background(), q); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -103,25 +103,28 @@ func TestCancelExecuteSerialMidFlight(t *testing.T) {
 		time.Sleep(200 * time.Microsecond)
 		cancel()
 	}()
-	if _, err := tbl.ExecuteContext(ctx, q); err != nil && !errors.Is(err, context.Canceled) {
+	if _, err := tbl.Execute(ctx, q); err != nil && !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want nil or context.Canceled", err)
 	}
 }
 
-// TestCancelBackgroundUnaffected: the background-context fast path must
-// not regress plain Execute results (the stop flag stays nil).
+// TestCancelBackgroundUnaffected: a scan under an armed but never
+// canceled watcher returns what the background-context fast path (the
+// stop flag stays nil) returns.
 func TestCancelBackgroundUnaffected(t *testing.T) {
 	tbl := parallelFixture(50000)
 	q := Query{Func: Sum, Col: "v", Ranges: []Range{{Col: "k", Lo: 100, Hi: 900}}}
-	want, err := tbl.Execute(q)
+	want, err := tbl.Execute(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := tbl.ExecuteContext(context.Background(), q)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	got, err := tbl.Execute(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Value != want.Value {
-		t.Errorf("ExecuteContext(Background) = %v, Execute = %v", got.Value, want.Value)
+		t.Errorf("Execute(cancelable) = %v, Execute(Background) = %v", got.Value, want.Value)
 	}
 }

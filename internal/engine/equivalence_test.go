@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -56,11 +57,11 @@ func refExecute(t *Table, q Query) Result {
 		return 0
 	}
 	if len(q.GroupBy) == 0 {
-		var st aggState
+		var st Partial
 		for _, i := range rows {
 			st.add(val(i))
 		}
-		v, err := st.finish(q.Func)
+		v, err := st.Finish(q.Func)
 		if err != nil {
 			panic(err)
 		}
@@ -70,13 +71,13 @@ func refExecute(t *Table, q Query) Result {
 	for j, g := range q.GroupBy {
 		groupCols[j] = t.MustColumn(g)
 	}
-	states := make(map[string]*aggState)
+	states := make(map[string]*Partial)
 	var order []string
 	for _, i := range rows {
 		key := groupKey(groupCols, i)
 		st, ok := states[key]
 		if !ok {
-			st = &aggState{}
+			st = &Partial{}
 			states[key] = st
 			order = append(order, key)
 		}
@@ -85,11 +86,11 @@ func refExecute(t *Table, q Query) Result {
 	out := make([]GroupRow, 0, len(order))
 	for _, key := range order {
 		st := states[key]
-		v, err := st.finish(q.Func)
+		v, err := st.Finish(q.Func)
 		if err != nil {
 			panic(err)
 		}
-		out = append(out, GroupRow{Key: key, Value: v, Rows: int(st.n)})
+		out = append(out, GroupRow{Key: key, Value: v, Rows: int(st.N)})
 	}
 	return Result{Groups: out}
 }
@@ -227,13 +228,13 @@ func TestKernelEquivalenceRandomized(t *testing.T) {
 		for trial := 0; trial < trials; trial++ {
 			q := randomQuery(tbl, r)
 			want := refExecute(tbl, q)
-			got, err := tbl.Execute(q)
+			got, err := tbl.Execute(context.Background(), q)
 			if err != nil {
 				t.Fatalf("n=%d %v: %v", n, q, err)
 			}
 			checkResult(t, q.String()+" serial", q, got, want, serialExact(q.Func))
 			for _, workers := range []int{2, 3, 8} {
-				par, err := tbl.ExecuteParallel(q, workers)
+				par, err := tbl.ExecuteParallel(context.Background(), q, workers)
 				if err != nil {
 					t.Fatalf("n=%d %v workers=%d: %v", n, q, workers, err)
 				}

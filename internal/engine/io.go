@@ -22,15 +22,13 @@ var magic = [4]byte{'A', 'Q', 'P', 'T'}
 
 const formatVersion = 1
 
-// WriteBinary serializes the table to w in a compact little-endian binary
-// format (the on-disk layout a column store would use for samples and
-// cubes).
-//
-// Deprecated: the AQPT stream is the legacy row-batch format, kept for
-// samples embedded in store containers and for old files. New table
-// persistence should use the block-structured store format
-// (internal/store, aqppp.SaveStore); convert old files once with
-// `aqppp-gen -convert`.
+// WriteBinary serializes the table to w as an AQPT stream, a compact
+// little-endian row-batch format. It is not a table file format any
+// more — tables persist as block-structured store containers
+// (internal/store, aqppp.SaveStore) and no command loads an AQPT file
+// as a table source. It stays because internal/store/prep.go embeds
+// each prepared sample in its container as an AQPT stream, and because
+// `aqppp-gen -convert` reads old .tbl files once to migrate them.
 func (t *Table) WriteBinary(w io.Writer) error {
 	if t.Backed() {
 		return fmt.Errorf("engine: table %q is backend-served; persist it with the store format", t.Name)
@@ -60,15 +58,11 @@ func (t *Table) WriteBinary(w io.Writer) error {
 }
 
 // ReadBinary deserializes a table previously written with WriteBinary.
-func ReadBinary(r io.Reader) (*Table, error) {
-	return ReadBinaryContext(context.Background(), r)
-}
-
-// ReadBinaryContext is ReadBinary with cancellation: the reader checks
-// ctx once per row batch (ioBatchRows rows) inside each column, so a
-// canceled context unwinds a large load within one batch. The returned
-// error is ctx.Err() when the cancel landed mid-load.
-func ReadBinaryContext(ctx context.Context, r io.Reader) (*Table, error) {
+// The reader checks ctx once per row batch (ioBatchRows rows) inside
+// each column, so a canceled context unwinds a large load within one
+// batch. The returned error is ctx.Err() when the cancel landed
+// mid-load.
+func ReadBinary(ctx context.Context, r io.Reader) (*Table, error) {
 	br := bufio.NewReader(r)
 	var m [4]byte
 	if _, err := io.ReadFull(br, m[:]); err != nil {
@@ -275,16 +269,11 @@ func (t *Table) WriteCSV(w io.Writer) error {
 // ReadCSV reads a CSV with a header row into a table, inferring column
 // types from the first data row: int64 if it parses as an integer, float64
 // if it parses as a float, else string. An empty file yields an error.
-func ReadCSV(name string, r io.Reader) (*Table, error) {
-	return ReadCSVContext(context.Background(), name, r)
-}
-
-// ReadCSVContext is ReadCSV with cancellation: both the record-reading
-// loop and the per-column parse loops check ctx once per row batch
-// (ioBatchRows rows), so a canceled context unwinds a large load within
-// one batch. The returned error is ctx.Err() when the cancel landed
-// mid-load.
-func ReadCSVContext(ctx context.Context, name string, r io.Reader) (*Table, error) {
+// Both the record-reading loop and the per-column parse loops check ctx
+// once per row batch (ioBatchRows rows), so a canceled context unwinds a
+// large load within one batch. The returned error is ctx.Err() when the
+// cancel landed mid-load.
+func ReadCSV(ctx context.Context, name string, r io.Reader) (*Table, error) {
 	cr := csv.NewReader(r)
 	header, err := cr.Read()
 	if err != nil {

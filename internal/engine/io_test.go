@@ -16,7 +16,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 	if err := tbl.WriteBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadBinary(&buf)
+	got, err := ReadBinary(context.Background(), &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestBinaryRoundTripSpecialFloats(t *testing.T) {
 	if err := tbl.WriteBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadBinary(&buf)
+	got, err := ReadBinary(context.Background(), &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestBinaryRoundTripSpecialFloats(t *testing.T) {
 }
 
 func TestBinaryBadMagic(t *testing.T) {
-	if _, err := ReadBinary(strings.NewReader("XXXXjunk")); err == nil {
+	if _, err := ReadBinary(context.Background(), strings.NewReader("XXXXjunk")); err == nil {
 		t.Error("bad magic accepted")
 	}
 }
@@ -56,7 +56,7 @@ func TestBinaryTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := buf.Bytes()
-	if _, err := ReadBinary(bytes.NewReader(b[:len(b)/2])); err == nil {
+	if _, err := ReadBinary(context.Background(), bytes.NewReader(b[:len(b)/2])); err == nil {
 		t.Error("truncated stream accepted")
 	}
 }
@@ -73,7 +73,7 @@ func TestCSVRoundTrip(t *testing.T) {
 	if err := tbl.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadCSV("sales", &buf)
+	got, err := ReadCSV(context.Background(), "sales", &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestCSVRoundTrip(t *testing.T) {
 
 func TestCSVTypeInference(t *testing.T) {
 	in := "i,f,s\n1,1.5,hello\n2,2.5,world\n"
-	tbl, err := ReadCSV("t", strings.NewReader(in))
+	tbl, err := ReadCSV(context.Background(), "t", strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,13 +93,13 @@ func TestCSVTypeInference(t *testing.T) {
 }
 
 func TestCSVEmptyFails(t *testing.T) {
-	if _, err := ReadCSV("t", strings.NewReader("")); err == nil {
+	if _, err := ReadCSV(context.Background(), "t", strings.NewReader("")); err == nil {
 		t.Error("empty CSV accepted")
 	}
 }
 
 func TestCSVHeaderOnly(t *testing.T) {
-	tbl, err := ReadCSV("t", strings.NewReader("a,b\n"))
+	tbl, err := ReadCSV(context.Background(), "t", strings.NewReader("a,b\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestBinaryContextCanceled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := ReadBinaryContext(ctx, &buf); !errors.Is(err, context.Canceled) {
+	if _, err := ReadBinary(ctx, &buf); !errors.Is(err, context.Canceled) {
 		t.Errorf("ReadBinaryContext with canceled ctx: err = %v, want context.Canceled", err)
 	}
 
@@ -143,7 +143,7 @@ func TestBinaryContextCanceled(t *testing.T) {
 	if err := tbl.WriteBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadBinaryContext(context.Background(), &buf)
+	got, err := ReadBinary(context.Background(), &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,10 +158,10 @@ func TestCSVContextCanceled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := ReadCSVContext(ctx, "t", strings.NewReader(sb.String())); !errors.Is(err, context.Canceled) {
+	if _, err := ReadCSV(ctx, "t", strings.NewReader(sb.String())); !errors.Is(err, context.Canceled) {
 		t.Errorf("ReadCSVContext with canceled ctx: err = %v, want context.Canceled", err)
 	}
-	tbl, err := ReadCSVContext(context.Background(), "t", strings.NewReader(sb.String()))
+	tbl, err := ReadCSV(context.Background(), "t", strings.NewReader(sb.String()))
 	if err != nil {
 		t.Fatal(err)
 	}

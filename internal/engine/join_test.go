@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"testing"
 
 	"aqppp/internal/stats"
@@ -79,7 +80,7 @@ func TestHashJoinFKAggregation(t *testing.T) {
 	// two-table computation.
 	q := Query{Func: Sum, Col: "amount",
 		Ranges: []Range{{Col: "supplier.rating", Lo: 4, Hi: 5}}}
-	res, err := joined.Execute(q)
+	res, err := joined.Execute(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,9 +21,9 @@ import (
 //     materialized at all, so a single-range SUM on clustered data
 //     touches only the measure column.
 //
-// Execute and ExecuteParallel both drive this layer (a parallel worker
-// is just the same block loop over an aligned sub-range), which keeps
-// the two paths trivially consistent.
+// The one scan driver (scan.go) drives this layer: a serial scan is the
+// block loop over [0, n), a parallel worker the same loop over an
+// aligned sub-range.
 
 // ---------------------------------------------------------------------
 // Compare kernels
@@ -119,19 +119,19 @@ func cmpCodes(codes []int32, ranks []int32, rlo, rhi float64, lo, hi int, out []
 // Aggregation kernels
 // ---------------------------------------------------------------------
 
-// aggFamily selects which aggState fields a scalar kernel maintains, so
+// aggFamily selects which Partial fields a scalar kernel maintains, so
 // a SUM never pays for min/max bookkeeping and a COUNT never touches
-// column data. finish reads only the family's fields.
+// column data. Finish reads only the family's fields.
 type aggFamily uint8
 
 const (
-	// famCount maintains n only (COUNT).
+	// famCount maintains N only (COUNT).
 	famCount aggFamily = iota
-	// famSum maintains n and sum (SUM, AVG).
+	// famSum maintains N and Sum (SUM, AVG).
 	famSum
-	// famVar maintains n, sum and sum2 (VAR).
+	// famVar maintains N, Sum and Sum2 (VAR).
 	famVar
-	// famMinMax maintains n, min and max (MIN, MAX).
+	// famMinMax maintains N, Min and Max (MIN, MAX).
 	famMinMax
 )
 
@@ -154,15 +154,15 @@ func familyOf(f AggFunc) aggFamily {
 // to a row-at-a-time loop. The view may be zero only for famCount, which
 // never touches column data. ranks is the aggregate column's rank table
 // for String columns.
-func accView(typ ColType, v BlockBuf, ranks []int32, fam aggFamily, n int, st *aggState) {
+func accView(typ ColType, v BlockBuf, ranks []int32, fam aggFamily, n int, st *Partial) {
 	if n <= 0 {
 		return
 	}
 	switch fam {
 	case famCount:
-		st.n += int64(n)
+		st.N += int64(n)
 	case famSum:
-		s := st.sum
+		s := st.Sum
 		switch typ {
 		case Int64:
 			for _, x := range v.Ints[:n] {
@@ -177,10 +177,10 @@ func accView(typ ColType, v BlockBuf, ranks []int32, fam aggFamily, n int, st *a
 				s += float64(ranks[code])
 			}
 		}
-		st.sum = s
-		st.n += int64(n)
+		st.Sum = s
+		st.N += int64(n)
 	case famVar:
-		s, s2 := st.sum, st.sum2
+		s, s2 := st.Sum, st.Sum2
 		switch typ {
 		case Int64:
 			for _, val := range v.Ints[:n] {
@@ -200,8 +200,8 @@ func accView(typ ColType, v BlockBuf, ranks []int32, fam aggFamily, n int, st *a
 				s2 += x * x
 			}
 		}
-		st.sum, st.sum2 = s, s2
-		st.n += int64(n)
+		st.Sum, st.Sum2 = s, s2
+		st.N += int64(n)
 	case famMinMax:
 		switch typ {
 		case Int64:
@@ -223,16 +223,16 @@ func accView(typ ColType, v BlockBuf, ranks []int32, fam aggFamily, n int, st *a
 // accWordsView folds the view rows selected by words (bit 0 of words[0]
 // = the view's row 0) into st — the kernel for straddling blocks. The
 // view may be zero only for famCount.
-func accWordsView(typ ColType, v BlockBuf, ranks []int32, fam aggFamily, words []uint64, st *aggState) {
+func accWordsView(typ ColType, v BlockBuf, ranks []int32, fam aggFamily, words []uint64, st *Partial) {
 	switch fam {
 	case famCount:
 		n := int64(0)
 		for _, w := range words {
 			n += int64(bits.OnesCount64(w))
 		}
-		st.n += n
+		st.N += n
 	case famSum:
-		s := st.sum
+		s := st.Sum
 		n := int64(0)
 		switch typ {
 		case Int64:
@@ -266,10 +266,10 @@ func accWordsView(typ ColType, v BlockBuf, ranks []int32, fam aggFamily, words [
 				}
 			}
 		}
-		st.sum = s
-		st.n += n
+		st.Sum = s
+		st.N += n
 	case famVar:
-		s, s2 := st.sum, st.sum2
+		s, s2 := st.Sum, st.Sum2
 		n := int64(0)
 		switch typ {
 		case Int64:
@@ -309,8 +309,8 @@ func accWordsView(typ ColType, v BlockBuf, ranks []int32, fam aggFamily, words [
 				}
 			}
 		}
-		st.sum, st.sum2 = s, s2
-		st.n += n
+		st.Sum, st.Sum2 = s, s2
+		st.N += n
 	case famMinMax:
 		switch typ {
 		case Int64:
@@ -342,22 +342,6 @@ func accWordsView(typ ColType, v BlockBuf, ranks []int32, fam aggFamily, words [
 			}
 		}
 	}
-}
-
-// observe updates the min/max family the same way aggState.add does,
-// keeping MIN/MAX bit-identical with the row-at-a-time path.
-func (a *aggState) observe(x float64) {
-	if a.n == 0 {
-		a.min, a.max = x, x
-	} else {
-		if x < a.min {
-			a.min = x
-		}
-		if x > a.max {
-			a.max = x
-		}
-	}
-	a.n++
 }
 
 // ---------------------------------------------------------------------
@@ -494,8 +478,8 @@ func (e *blockExec) run(lo, hi int, full func(blo, bhi int) error, partial func(
 // executor's table. col may be nil only for famCount, which never
 // fetches column data — a COUNT over pruned-or-full blocks reads
 // nothing from a source-backed measure column.
-func scalarOver(e *blockExec, col *Column, fam aggFamily, lo, hi int) (aggState, error) {
-	var st aggState
+func scalarOver(e *blockExec, col *Column, fam aggFamily, lo, hi int) (Partial, error) {
+	var st Partial
 	var buf BlockBuf
 	var ranks []int32
 	if col != nil && col.Type == String {
@@ -504,7 +488,7 @@ func scalarOver(e *blockExec, col *Column, fam aggFamily, lo, hi int) (aggState,
 	err := e.run(lo, hi,
 		func(blo, bhi int) error {
 			if fam == famCount {
-				st.n += int64(bhi - blo)
+				st.N += int64(bhi - blo)
 				return nil
 			}
 			v, err := col.view(blo/zoneBlockSize, &buf)
@@ -556,17 +540,17 @@ const (
 // modes; seen gates the first-touch bookkeeping.
 type groupSlot struct {
 	seen bool
-	st   aggState
+	st   Partial
 }
 
-type mapSlot struct{ st aggState }
+type mapSlot struct{ st Partial }
 
 // aggKind tags the aggregate column's access path, hoisted out of the
 // per-row loops.
 type aggKind uint8
 
 const (
-	aggNone  aggKind = iota // COUNT: contribute 0, matching aggState.add(0)
+	aggNone  aggKind = iota // COUNT: contribute 0, matching Partial.add(0)
 	aggInt                  // Int64 column
 	aggFloat                // Float64 column
 	aggCode                 // String column: rank of the code
@@ -768,7 +752,7 @@ func (g *groupSink) value(i int) float64 {
 // mode renders keys through the row accessors (StringAt), which read the
 // source's block cache for backed columns.
 func (g *groupSink) addRow(i int) {
-	var s *aggState
+	var s *Partial
 	switch g.mode {
 	case gmCodes:
 		gi := int(g.keyView.Codes[i-g.blockBase])
@@ -840,7 +824,7 @@ func (g *groupSink) mergeFrom(o *groupSink) {
 				g.m[key] = sl
 				g.morder = append(g.morder, key)
 			}
-			sl.st.merge(&o.m[key].st)
+			sl.st.Merge(o.m[key].st)
 		}
 	default:
 		for _, gi := range o.order {
@@ -849,7 +833,7 @@ func (g *groupSink) mergeFrom(o *groupSink) {
 				sl.seen = true
 				g.order = append(g.order, gi)
 			}
-			sl.st.merge(&o.slots[gi].st)
+			sl.st.Merge(o.slots[gi].st)
 		}
 	}
 }
@@ -863,21 +847,21 @@ func (g *groupSink) rows() ([]GroupRow, error) {
 		out = make([]GroupRow, 0, len(g.morder))
 		for _, key := range g.morder {
 			sl := g.m[key]
-			v, err := sl.st.finish(g.fun)
+			v, err := sl.st.Finish(g.fun)
 			if err != nil {
 				return nil, err
 			}
-			out = append(out, GroupRow{Key: key, Value: v, Rows: int(sl.st.n)})
+			out = append(out, GroupRow{Key: key, Value: v, Rows: int(sl.st.N)})
 		}
 	default:
 		out = make([]GroupRow, 0, len(g.order))
 		for _, gi := range g.order {
 			sl := &g.slots[gi]
-			v, err := sl.st.finish(g.fun)
+			v, err := sl.st.Finish(g.fun)
 			if err != nil {
 				return nil, err
 			}
-			out = append(out, GroupRow{Key: g.slotKey(gi), Value: v, Rows: int(sl.st.n)})
+			out = append(out, GroupRow{Key: g.slotKey(gi), Value: v, Rows: int(sl.st.N)})
 		}
 	}
 	return out, nil

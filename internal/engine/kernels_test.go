@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -186,7 +187,7 @@ func TestGroupModeResolution(t *testing.T) {
 		}
 	}
 	// The huge-offset direct mode must also render keys exactly.
-	res, err := tbl.Execute(Query{Func: Count, GroupBy: []string{"huge"}})
+	res, err := tbl.Execute(context.Background(), Query{Func: Count, GroupBy: []string{"huge"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +235,7 @@ func TestFilterColdCachesRace(t *testing.T) {
 					return
 				}
 				counts[g] = sel.Count()
-				res, err := tbl.Execute(Query{Func: Sum, Col: "v", Ranges: ranges})
+				res, err := tbl.Execute(context.Background(), Query{Func: Sum, Col: "v", Ranges: ranges})
 				if err != nil {
 					t.Error(err)
 					return

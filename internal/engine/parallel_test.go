@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -21,8 +22,13 @@ func parallelFixture(n int) *Table {
 	)
 }
 
+// TestExecuteParallelMatchesSerial pins the scan driver's two contracts.
+// A one-chunk scan — one worker, or any worker count over a table of at
+// most one zone block — is the serial scan: Results bit-identical to
+// Execute, scalar and GROUP BY. A multi-chunk scan is bit-identical for
+// COUNT/MIN/MAX and agrees to reassociation for SUM/AVG/VAR; its group
+// keys, first-seen order and Rows always match.
 func TestExecuteParallelMatchesSerial(t *testing.T) {
-	tbl := parallelFixture(50000)
 	queries := []Query{
 		{Func: Sum, Col: "v"},
 		{Func: Count},
@@ -32,20 +38,41 @@ func TestExecuteParallelMatchesSerial(t *testing.T) {
 		{Func: Max, Col: "v"},
 		{Func: Sum, Col: "v", Ranges: []Range{{Col: "k", Lo: 100, Hi: 700}}},
 		{Func: Count, Ranges: []Range{{Col: "k", Lo: 5000, Hi: 6000}}}, // empty
+		{Func: Avg, Col: "v", Ranges: []Range{{Col: "k", Lo: 100, Hi: 700}}, GroupBy: []string{"k"}},
+		{Func: Max, Col: "v", GroupBy: []string{"k", "k"}}, // map-mode keys
 	}
-	for _, q := range queries {
-		serial, err := tbl.Execute(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{0, 1, 2, 7} {
-			par, err := tbl.ExecuteParallel(q, workers)
+	for _, rows := range []int{50000, zoneBlockSize} {
+		tbl := parallelFixture(rows)
+		for _, q := range queries {
+			serial, err := tbl.Execute(context.Background(), q)
 			if err != nil {
-				t.Fatalf("%v workers=%d: %v", q, workers, err)
+				t.Fatal(err)
 			}
-			tol := 1e-9 * math.Max(math.Abs(serial.Value), 1)
-			if math.Abs(par.Value-serial.Value) > tol {
-				t.Errorf("%v workers=%d: parallel %v != serial %v", q, workers, par.Value, serial.Value)
+			for _, workers := range []int{0, 1, 2, 7} {
+				par, err := tbl.ExecuteParallel(context.Background(), q, workers)
+				if err != nil {
+					t.Fatalf("rows=%d %v workers=%d: %v", rows, q, workers, err)
+				}
+				exact := workers == 1 || rows <= zoneBlockSize ||
+					q.Func == Count || q.Func == Min || q.Func == Max
+				same := func(got, want float64) bool {
+					if exact {
+						return math.Float64bits(got) == math.Float64bits(want)
+					}
+					return math.Abs(got-want) <= 1e-9*math.Max(math.Abs(want), 1)
+				}
+				if !same(par.Value, serial.Value) {
+					t.Errorf("rows=%d %v workers=%d: parallel %v != serial %v", rows, q, workers, par.Value, serial.Value)
+				}
+				if len(par.Groups) != len(serial.Groups) {
+					t.Fatalf("rows=%d %v workers=%d: %d groups, serial has %d", rows, q, workers, len(par.Groups), len(serial.Groups))
+				}
+				for i, g := range par.Groups {
+					w := serial.Groups[i]
+					if g.Key != w.Key || g.Rows != w.Rows || !same(g.Value, w.Value) {
+						t.Errorf("rows=%d %v workers=%d: group %d = %+v, serial %+v", rows, q, workers, i, g, w)
+					}
+				}
 			}
 		}
 	}
@@ -56,7 +83,7 @@ func TestExecuteParallelGroupByFallsBack(t *testing.T) {
 		NewStringColumn("s", []string{"a", "b", "a"}),
 		NewFloatColumn("v", []float64{1, 2, 3}),
 	)
-	res, err := tbl.ExecuteParallel(Query{Func: Sum, Col: "v", GroupBy: []string{"s"}}, 4)
+	res, err := tbl.ExecuteParallel(context.Background(), Query{Func: Sum, Col: "v", GroupBy: []string{"s"}}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,11 +124,11 @@ func TestExecuteParallelStress(t *testing.T) {
 				NewFloatColumn("v", v),
 				NewStringColumn("region", s),
 			)
-			par, err := tbl.ExecuteParallel(q, workers)
+			par, err := tbl.ExecuteParallel(context.Background(), q, workers)
 			if err != nil {
 				t.Fatalf("iter=%d workers=%d: %v", iter, workers, err)
 			}
-			serial, err := tbl.Execute(q)
+			serial, err := tbl.Execute(context.Background(), q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -116,10 +143,10 @@ func TestExecuteParallelStress(t *testing.T) {
 
 func TestExecuteParallelErrors(t *testing.T) {
 	tbl := parallelFixture(10000)
-	if _, err := tbl.ExecuteParallel(Query{Func: Sum, Col: "nope"}, 4); err == nil {
+	if _, err := tbl.ExecuteParallel(context.Background(), Query{Func: Sum, Col: "nope"}, 4); err == nil {
 		t.Error("bad column accepted")
 	}
-	if _, err := tbl.ExecuteParallel(Query{Func: Sum, Col: "v", Ranges: []Range{{Col: "nope"}}}, 4); err == nil {
+	if _, err := tbl.ExecuteParallel(context.Background(), Query{Func: Sum, Col: "v", Ranges: []Range{{Col: "nope"}}}, 4); err == nil {
 		t.Error("bad range column accepted")
 	}
 }
@@ -129,7 +156,7 @@ func BenchmarkExecuteSerial(b *testing.B) {
 	q := Query{Func: Sum, Col: "v", Ranges: []Range{{Col: "k", Lo: 100, Hi: 900}}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := tbl.Execute(q); err != nil {
+		if _, err := tbl.Execute(context.Background(), q); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -140,7 +167,7 @@ func BenchmarkExecuteParallel(b *testing.B) {
 	q := Query{Func: Sum, Col: "v", Ranges: []Range{{Col: "k", Lo: 100, Hi: 900}}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := tbl.ExecuteParallel(q, 0); err != nil {
+		if _, err := tbl.ExecuteParallel(context.Background(), q, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

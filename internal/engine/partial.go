@@ -1,25 +1,65 @@
 package engine
 
-import "context"
+import (
+	"context"
+	"fmt"
+)
 
-// This file exports mergeable partial aggregates for scatter-gather
-// execution (internal/shard). A coordinator runs the same fused block
-// kernels as Execute on each horizontal partition, ships back one
-// Partial (or one per group), and folds them algebraically: SUM/COUNT
-// add, MIN/MAX fold, AVG and VAR finish from the merged (n, sum, sum2)
-// moments. Because Partial mirrors the serial accumulator exactly, a
-// merge across partitions that preserve row order reproduces the
-// unsharded answer bit-for-bit whenever the additions themselves are
-// exact (integer-valued data), and to reassociation otherwise.
+// This file holds the engine's one aggregate accumulator and the
+// mergeable form of a scan for scatter-gather execution
+// (internal/shard). A coordinator runs the same scan driver as Execute
+// on each horizontal partition, ships back one Partial (or one per
+// group), and folds them algebraically: SUM/COUNT add, MIN/MAX fold,
+// AVG and VAR finish from the merged (n, sum, sum2) moments. Because a
+// Partial is the very accumulator the kernels fold into, a merge across
+// partitions that preserve row order reproduces the unsharded answer
+// bit-for-bit whenever the additions themselves are exact
+// (integer-valued data), and to reassociation otherwise.
 
-// Partial is the exported snapshot of one aggregate accumulator. The
-// zero value is the identity for Merge: N == 0 means "no rows", and
-// Min/Max are only meaningful when N > 0 (matching the engine's
-// internal accumulator semantics).
+// Partial is one aggregate accumulator: the block kernels fold rows
+// into it, chunks and shards Merge it, Finish reads the answer off it,
+// and internal/dist ships its fields on the wire. The zero value is
+// the identity for Merge: N == 0 means "no rows", and Min/Max are only
+// meaningful when N > 0. A scalar kernel maintains only its aggregate
+// family's fields (kernels.go, aggFamily).
 type Partial struct {
 	N         int64
 	Sum, Sum2 float64
 	Min, Max  float64
+}
+
+// add folds one row value into every field (the GROUP BY sinks, which
+// do not specialize by family).
+func (p *Partial) add(x float64) {
+	if p.N == 0 {
+		p.Min, p.Max = x, x
+	} else {
+		if x < p.Min {
+			p.Min = x
+		}
+		if x > p.Max {
+			p.Max = x
+		}
+	}
+	p.N++
+	p.Sum += x
+	p.Sum2 += x * x
+}
+
+// observe folds one row value into N, Min and Max only (the MIN/MAX
+// kernels), the same way add does.
+func (p *Partial) observe(x float64) {
+	if p.N == 0 {
+		p.Min, p.Max = x, x
+	} else {
+		if x < p.Min {
+			p.Min = x
+		}
+		if x > p.Max {
+			p.Max = x
+		}
+	}
+	p.N++
 }
 
 // Merge folds another partial into p. Merging in partition (= row)
@@ -43,20 +83,32 @@ func (p *Partial) Merge(o Partial) {
 	}
 }
 
-// Finish produces the final aggregate value, with the same zero-row
-// semantics as the serial path (SUM/COUNT/AVG/VAR of nothing are 0;
-// MIN/MAX of nothing are 0 too, mirroring aggState).
+// Finish produces the final aggregate value: SUM/COUNT/AVG/VAR of no
+// rows are 0, and so are MIN/MAX of no rows.
 func (p Partial) Finish(f AggFunc) (float64, error) {
-	st := p.state()
-	return st.finish(f)
-}
-
-func (p Partial) state() aggState {
-	return aggState{n: p.N, sum: p.Sum, sum2: p.Sum2, min: p.Min, max: p.Max}
-}
-
-func (a aggState) partial() Partial {
-	return Partial{N: a.n, Sum: a.sum, Sum2: a.sum2, Min: a.min, Max: a.max}
+	switch f {
+	case Sum:
+		return p.Sum, nil
+	case Count:
+		return float64(p.N), nil
+	case Avg:
+		if p.N == 0 {
+			return 0, nil
+		}
+		return p.Sum / float64(p.N), nil
+	case Var:
+		if p.N == 0 {
+			return 0, nil
+		}
+		m := p.Sum / float64(p.N)
+		return p.Sum2/float64(p.N) - m*m, nil
+	case Min:
+		return p.Min, nil
+	case Max:
+		return p.Max, nil
+	default:
+		return 0, fmt.Errorf("engine: unsupported aggregate %v", f)
+	}
 }
 
 // GroupPartial is one group's key and partial accumulator.
@@ -74,48 +126,23 @@ type PartialResult struct {
 
 // ExecutePartial runs the query over the full table but stops short of
 // finishing the aggregate, returning the raw mergeable moments instead.
-func (t *Table) ExecutePartial(q Query) (PartialResult, error) {
-	return t.ExecutePartialContext(context.Background(), q)
+// Cancellation is Execute's.
+func (t *Table) ExecutePartial(ctx context.Context, q Query) (PartialResult, error) {
+	st, g, err := t.scan(ctx, q, 1)
+	if err != nil {
+		return PartialResult{}, err
+	}
+	if g != nil {
+		return PartialResult{Groups: g.partials()}, nil
+	}
+	return PartialResult{Scalar: st}, nil
 }
 
-// ExecutePartialContext is ExecutePartial with cancellation, with the
-// same per-zone-block abort granularity as ExecuteContext.
+// ExecutePartialContext is ExecutePartial.
+//
+// Deprecated: kept for benchmark/trace.go, which pins the name.
 func (t *Table) ExecutePartialContext(ctx context.Context, q Query) (PartialResult, error) {
-	e, err := t.newBlockExec(q.Ranges)
-	if err != nil {
-		return PartialResult{}, err
-	}
-	release := e.watch(ctx)
-	defer release()
-	n := t.NumRows()
-	if len(q.GroupBy) == 0 {
-		var col *Column
-		if q.Func != Count {
-			col, err = t.Column(q.Col)
-			if err != nil {
-				return PartialResult{}, err
-			}
-		}
-		st, err := scalarOver(e, col, familyOf(q.Func), 0, n)
-		if err != nil {
-			return PartialResult{}, err
-		}
-		if err := ctx.Err(); err != nil {
-			return PartialResult{}, err
-		}
-		return PartialResult{Scalar: st.partial()}, nil
-	}
-	g, err := newGroupSink(t, q)
-	if err != nil {
-		return PartialResult{}, err
-	}
-	if err := e.run(0, n, g.addRange, g.addWords); err != nil {
-		return PartialResult{}, err
-	}
-	if err := ctx.Err(); err != nil {
-		return PartialResult{}, err
-	}
-	return PartialResult{Groups: g.partials()}, nil
+	return t.ExecutePartial(ctx, q)
 }
 
 // partials materializes per-group accumulators in first-seen order,
@@ -126,12 +153,12 @@ func (g *groupSink) partials() []GroupPartial {
 	case gmMap:
 		out = make([]GroupPartial, 0, len(g.morder))
 		for _, key := range g.morder {
-			out = append(out, GroupPartial{Key: key, Partial: g.m[key].st.partial()})
+			out = append(out, GroupPartial{Key: key, Partial: g.m[key].st})
 		}
 	default:
 		out = make([]GroupPartial, 0, len(g.order))
 		for _, gi := range g.order {
-			out = append(out, GroupPartial{Key: g.slotKey(gi), Partial: g.slots[gi].st.partial()})
+			out = append(out, GroupPartial{Key: g.slotKey(gi), Partial: g.slots[gi].st})
 		}
 	}
 	return out

@@ -136,57 +136,24 @@ type GroupRow struct {
 
 // Execute runs the query exactly over the full table. This is the "ground
 // truth" path (and the full-scan baseline the paper times DBX on). It is
-// built on the block-at-a-time kernel layer (kernels.go): zone-map block
-// classification feeds fused, type-specialized filter+aggregate kernels,
-// so a single-range scan never materializes a full selection bitset.
-func (t *Table) Execute(q Query) (Result, error) {
-	return t.ExecuteContext(context.Background(), q)
+// the one-chunk case of the scan driver (scan.go) over the block-at-a-time
+// kernel layer (kernels.go): zone-map block classification feeds fused,
+// type-specialized filter+aggregate kernels, so a single-range scan never
+// materializes a full selection bitset.
+//
+// A canceled (or expired) ctx aborts the scan at the next zone block and
+// returns ctx's error. An uncancelable context costs nothing on the
+// block path.
+func (t *Table) Execute(ctx context.Context, q Query) (Result, error) {
+	return t.ExecuteParallel(ctx, q, 1)
 }
 
-// ExecuteContext is Execute with cancellation: a canceled (or expired)
-// ctx aborts the scan at the next zone block and returns ctx's error.
-// An uncancelable context costs nothing on the block path.
+// ExecuteContext is Execute.
+//
+// Deprecated: kept for benchmark/trace.go and benchmark/oracle.go,
+// which pin the name.
 func (t *Table) ExecuteContext(ctx context.Context, q Query) (Result, error) {
-	e, err := t.newBlockExec(q.Ranges)
-	if err != nil {
-		return Result{}, err
-	}
-	release := e.watch(ctx)
-	defer release()
-	n := t.NumRows()
-	if len(q.GroupBy) == 0 {
-		var col *Column
-		if q.Func != Count {
-			col, err = t.Column(q.Col)
-			if err != nil {
-				return Result{}, err
-			}
-		}
-		st, err := scalarOver(e, col, familyOf(q.Func), 0, n)
-		if err != nil {
-			return Result{}, err
-		}
-		if err := ctx.Err(); err != nil {
-			return Result{}, err
-		}
-		v, err := st.finish(q.Func)
-		return Result{Value: v}, err
-	}
-	g, err := newGroupSink(t, q)
-	if err != nil {
-		return Result{}, err
-	}
-	if err := e.run(0, n, g.addRange, g.addWords); err != nil {
-		return Result{}, err
-	}
-	if err := ctx.Err(); err != nil {
-		return Result{}, err
-	}
-	rows, err := g.rows()
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{Groups: rows}, nil
+	return t.Execute(ctx, q)
 }
 
 // GroupKey renders the group-by key for row i, matching the keys produced
@@ -202,53 +169,4 @@ func groupKey(cols []*Column, row int) string {
 		key += g.StringAt(row)
 	}
 	return key
-}
-
-// aggState accumulates one group's running aggregate.
-type aggState struct {
-	n         int64
-	sum, sum2 float64
-	min, max  float64
-}
-
-func (a *aggState) add(x float64) {
-	if a.n == 0 {
-		a.min, a.max = x, x
-	} else {
-		if x < a.min {
-			a.min = x
-		}
-		if x > a.max {
-			a.max = x
-		}
-	}
-	a.n++
-	a.sum += x
-	a.sum2 += x * x
-}
-
-func (a *aggState) finish(f AggFunc) (float64, error) {
-	switch f {
-	case Sum:
-		return a.sum, nil
-	case Count:
-		return float64(a.n), nil
-	case Avg:
-		if a.n == 0 {
-			return 0, nil
-		}
-		return a.sum / float64(a.n), nil
-	case Var:
-		if a.n == 0 {
-			return 0, nil
-		}
-		m := a.sum / float64(a.n)
-		return a.sum2/float64(a.n) - m*m, nil
-	case Min:
-		return a.min, nil
-	case Max:
-		return a.max, nil
-	default:
-		return 0, fmt.Errorf("engine: unsupported aggregate %v", f)
-	}
 }

@@ -1,13 +1,14 @@
 package engine
 
 import (
+	"context"
 	"math"
 	"testing"
 )
 
 func execVal(t *testing.T, tbl *Table, q Query) float64 {
 	t.Helper()
-	res, err := tbl.Execute(q)
+	res, err := tbl.Execute(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func TestExecuteStringRange(t *testing.T) {
 
 func TestExecuteGroupBy(t *testing.T) {
 	tbl := sampleTable(t)
-	res, err := tbl.Execute(Query{Func: Sum, Col: "amount", GroupBy: []string{"region"}})
+	res, err := tbl.Execute(context.Background(), Query{Func: Sum, Col: "amount", GroupBy: []string{"region"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +93,7 @@ func TestExecuteGroupByMultiKeyAndFilter(t *testing.T) {
 		NewFloatColumn("v", []float64{1, 2, 3, 4}),
 		NewIntColumn("k", []int64{1, 2, 3, 4}),
 	)
-	res, err := tbl.Execute(Query{
+	res, err := tbl.Execute(context.Background(), Query{
 		Func: Sum, Col: "v",
 		Ranges:  []Range{{Col: "k", Lo: 2, Hi: 4}},
 		GroupBy: []string{"a", "b"},
@@ -116,13 +117,13 @@ func TestExecuteGroupByMultiKeyAndFilter(t *testing.T) {
 
 func TestExecuteErrors(t *testing.T) {
 	tbl := sampleTable(t)
-	if _, err := tbl.Execute(Query{Func: Sum, Col: "nope"}); err == nil {
+	if _, err := tbl.Execute(context.Background(), Query{Func: Sum, Col: "nope"}); err == nil {
 		t.Error("bad agg column accepted")
 	}
-	if _, err := tbl.Execute(Query{Func: Sum, Col: "amount", Ranges: []Range{{Col: "nope"}}}); err == nil {
+	if _, err := tbl.Execute(context.Background(), Query{Func: Sum, Col: "amount", Ranges: []Range{{Col: "nope"}}}); err == nil {
 		t.Error("bad range column accepted")
 	}
-	if _, err := tbl.Execute(Query{Func: Sum, Col: "amount", GroupBy: []string{"nope"}}); err == nil {
+	if _, err := tbl.Execute(context.Background(), Query{Func: Sum, Col: "amount", GroupBy: []string{"nope"}}); err == nil {
 		t.Error("bad group column accepted")
 	}
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"testing"
 
 	"aqppp/internal/stats"
@@ -150,7 +151,7 @@ func TestZoneMapInvalidatedByAppend(t *testing.T) {
 	n := 3 * zoneBlockSize
 	tbl := zonedTable(n, 4)
 	q := Query{Func: Count, Ranges: []Range{{Col: "clustered", Lo: float64(n), Hi: float64(n + 100)}}}
-	res, err := tbl.Execute(q)
+	res, err := tbl.Execute(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +163,7 @@ func TestZoneMapInvalidatedByAppend(t *testing.T) {
 	if err := tbl.AppendRow(int64(n+5), int64(0), 1.5); err != nil {
 		t.Fatal(err)
 	}
-	res, err = tbl.Execute(q)
+	res, err = tbl.Execute(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}

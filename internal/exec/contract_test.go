@@ -127,7 +127,7 @@ func TestContractExactRung(t *testing.T) {
 		t.Errorf("exact rung: strategy %q hw %v, want exact/0",
 			out.ContractStrategy, out.Answer.Estimate.HalfWidth)
 	}
-	exact, err := tbl.Execute(p.Query)
+	exact, err := tbl.Execute(context.Background(), p.Query)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -108,11 +108,12 @@ func KindOf(err error) Kind {
 	return Internal
 }
 
-// classify wraps a run error with the right kind. parent is the
+// Classify wraps a run error with the right kind. parent is the
 // caller's context, run the (possibly budget-bounded) context the work
-// actually ran under; budgeted says whether the executor imposed its
-// own deadline on top.
-func classify(parent, run context.Context, op string, budgeted bool, err error) error {
+// actually ran under; budgeted says whether a Budget imposed its own
+// deadline on top (see Budget.Bound). The root's progressive stream,
+// the one run loop outside the executor, classifies through it too.
+func Classify(parent, run context.Context, op string, budgeted bool, err error) error {
 	if err == nil {
 		return nil
 	}

@@ -62,11 +62,11 @@ func New() *Executor { return &Executor{} }
 // and one group for GROUP BY approx plans.
 func (ex *Executor) Run(ctx context.Context, p *Plan, b Budget) (Outcome, error) {
 	op := p.Kind.String()
-	run, cancel, budgeted := b.bound(ctx)
+	run, cancel, budgeted := b.Bound(ctx)
 	defer cancel()
 	out, err := ex.dispatch(run, p, b)
 	if err != nil {
-		return Outcome{}, classify(ctx, run, op, budgeted, err)
+		return Outcome{}, Classify(ctx, run, op, budgeted, err)
 	}
 	return out, nil
 }
@@ -75,11 +75,11 @@ func (ex *Executor) Run(ctx context.Context, p *Plan, b Budget) (Outcome, error)
 // partition points, cube build) under the context and budget; a
 // canceled context unwinds at the next climb step.
 func (ex *Executor) Prepare(ctx context.Context, tbl *engine.Table, cfg core.BuildConfig, b Budget) (*core.Processor, core.BuildStats, error) {
-	run, cancel, budgeted := b.bound(ctx)
+	run, cancel, budgeted := b.Bound(ctx)
 	defer cancel()
 	proc, st, err := core.Build(run, tbl, cfg)
 	if err != nil {
-		return nil, st, classify(ctx, run, "prepare", budgeted, err)
+		return nil, st, Classify(ctx, run, "prepare", budgeted, err)
 	}
 	return proc, st, nil
 }
@@ -87,11 +87,11 @@ func (ex *Executor) Prepare(ctx context.Context, tbl *engine.Table, cfg core.Bui
 // PrepareSharded builds per-shard processors (sample + BP-cube slice
 // per shard, in parallel) under the context and budget.
 func (ex *Executor) PrepareSharded(ctx context.Context, s *shard.Sharded, cfg core.BuildConfig, b Budget) (*shard.Prepared, error) {
-	run, cancel, budgeted := b.bound(ctx)
+	run, cancel, budgeted := b.Bound(ctx)
 	defer cancel()
 	sp, err := shard.Prepare(run, s, cfg, 0)
 	if err != nil {
-		return nil, classify(ctx, run, "prepare", budgeted, err)
+		return nil, Classify(ctx, run, "prepare", budgeted, err)
 	}
 	return sp, nil
 }
@@ -99,18 +99,18 @@ func (ex *Executor) PrepareSharded(ctx context.Context, s *shard.Sharded, cfg co
 // PrepareMulti builds a multi-template manager under the context and
 // budget.
 func (ex *Executor) PrepareMulti(ctx context.Context, tbl *engine.Table, cfg core.ManagerConfig, b Budget) (*core.Manager, error) {
-	run, cancel, budgeted := b.bound(ctx)
+	run, cancel, budgeted := b.Bound(ctx)
 	defer cancel()
 	mgr, err := core.BuildManager(run, tbl, cfg)
 	if err != nil {
-		return nil, classify(ctx, run, "prepare", budgeted, err)
+		return nil, Classify(ctx, run, "prepare", budgeted, err)
 	}
 	return mgr, nil
 }
 
-// bound applies the budget's deadline, reporting whether one was
+// Bound applies the budget's deadline, reporting whether one was
 // imposed. The returned cancel is never nil.
-func (b Budget) bound(ctx context.Context) (context.Context, context.CancelFunc, bool) {
+func (b Budget) Bound(ctx context.Context) (context.Context, context.CancelFunc, bool) {
 	if b.Timeout <= 0 {
 		return ctx, func() {}, false
 	}

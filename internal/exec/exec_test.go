@@ -91,7 +91,7 @@ func TestRunExactMatchesEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := tbl.Execute(p.Query)
+	want, err := tbl.Execute(context.Background(), p.Query)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,8 +16,9 @@ import (
 type PlanKind uint8
 
 const (
-	// PlanExact scans the full table (serial by default; Workers > 1
-	// parallelizes with block-aligned chunks).
+	// PlanExact scans the full table through the plan's Target: one
+	// serial pass on a resident table, a scatter-gather over the shards
+	// or the fleet otherwise.
 	PlanExact PlanKind = iota
 	// PlanApprox answers through one Prepared template's AQP++
 	// processor (closed-form intervals).

@@ -60,7 +60,7 @@ func (Resident) Signature() string { return "" }
 // Exact implements Target: a serial scan, bit-identical to
 // Table.Execute.
 func (r Resident) Exact(ctx context.Context, q engine.Query) (engine.Result, error) {
-	return r.Table.ExecuteContext(ctx, q)
+	return r.Table.Execute(ctx, q)
 }
 
 // Approx implements Target.
@@ -104,7 +104,7 @@ func (t Sharded) Signature() string { return "shards=" + t.S.Layout.Signature() 
 
 // Exact implements Target.
 func (t Sharded) Exact(ctx context.Context, q engine.Query) (engine.Result, error) {
-	return t.S.ExecuteContext(ctx, q, 0)
+	return t.S.Execute(ctx, q, 0)
 }
 
 // Approx implements Target.

@@ -99,7 +99,7 @@ func RunAblations(ctx context.Context, sc Scale) (*AblationReport, error) {
 		if err != nil {
 			return nil, err
 		}
-		cmp, err := CompareOnWorkload(tbl, proc, queries)
+		cmp, err := CompareOnWorkload(ctx, tbl, proc, queries)
 		if err != nil {
 			return nil, err
 		}
@@ -174,7 +174,7 @@ func RunAblations(ctx context.Context, sc Scale) (*AblationReport, error) {
 		var errs []float64
 		var selT time.Duration
 		for _, q := range queries2 {
-			truth, err := tbl.Execute(q)
+			truth, err := tbl.Execute(ctx, q)
 			if err != nil {
 				return nil, err
 			}
@@ -205,7 +205,7 @@ func RunAblations(ctx context.Context, sc Scale) (*AblationReport, error) {
 	uniErrs := make([]float64, 0, len(hot))
 	drvErrs := make([]float64, 0, len(hot))
 	for _, q := range hot {
-		truth, err := tbl.Execute(q)
+		truth, err := tbl.Execute(ctx, q)
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"time"
@@ -51,13 +52,13 @@ func (c Comparison) String() string {
 // CompareOnWorkload answers every query with plain AQP (on the
 // processor's sample) and with AQP++, measuring relative error against
 // the exact answer and wall-clock response time.
-func CompareOnWorkload(tbl *engine.Table, proc *core.Processor, queries []engine.Query) (Comparison, error) {
+func CompareOnWorkload(ctx context.Context, tbl *engine.Table, proc *core.Processor, queries []engine.Query) (Comparison, error) {
 	var cmp Comparison
 	var aqpErrs, ppErrs, aqpDevs, ppDevs []float64
 	var aqpTime, ppTime time.Duration
 	preUsed := 0
 	for _, q := range queries {
-		truth, err := tbl.Execute(q)
+		truth, err := tbl.Execute(ctx, q)
 		if err != nil {
 			return cmp, err
 		}

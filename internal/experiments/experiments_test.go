@@ -2,9 +2,13 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"math"
 	"strings"
 	"testing"
+
+	"aqppp/internal/dataset"
+	"aqppp/internal/engine"
 )
 
 // The experiment runners are exercised at Small scale so the suite stays
@@ -312,5 +316,24 @@ func TestAblationsWorkloadDriven(t *testing.T) {
 	}
 	if !strings.Contains(rep.String(), "workload-driven") {
 		t.Error("report missing workload section")
+	}
+}
+
+// TestGroundTruthScanHonorsCancel: the runners' ground-truth scans run
+// under the caller's ctx, so `aqppp-bench -timeout` stops them. Table 1
+// reaches one before anything else consults ctx; CompareOnWorkload, the
+// helper every figure shares, is checked on its own because a runner
+// that builds first returns the builder's cancellation either way. The
+// nil processor is never reached: the scan comes first.
+func TestGroundTruthScanHonorsCancel(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := RunTable1(ctx, Small()); !errors.Is(err, context.Canceled) {
+		t.Errorf("RunTable1 under a canceled ctx: err = %v, want context.Canceled", err)
+	}
+	tbl := dataset.TPCDSkew(dataset.TPCDConfig{Rows: 5000, Seed: 1})
+	q := engine.Query{Func: engine.Sum, Col: "l_extendedprice"}
+	if _, err := CompareOnWorkload(ctx, tbl, nil, []engine.Query{q}); !errors.Is(err, context.Canceled) {
+		t.Errorf("CompareOnWorkload under a canceled ctx: err = %v, want context.Canceled", err)
 	}
 }

@@ -92,7 +92,7 @@ func RunFigure10a(ctx context.Context, sc Scale, ks []int) (*Figure10aReport, er
 		if err != nil {
 			return nil, err
 		}
-		cmp, err := CompareOnWorkload(tbl, proc, queries)
+		cmp, err := CompareOnWorkload(ctx, tbl, proc, queries)
 		if err != nil {
 			return nil, err
 		}
@@ -174,7 +174,7 @@ func RunFigure10b(ctx context.Context, sc Scale) (*Figure10bReport, error) {
 	perGroupAQP := map[string][]float64{}
 	perGroupPP := map[string][]float64{}
 	for _, q := range queries {
-		truthRes, err := tbl.Execute(q)
+		truthRes, err := tbl.Execute(ctx, q)
 		if err != nil {
 			return nil, err
 		}

@@ -75,7 +75,7 @@ func RunFigure11a(ctx context.Context, sc Scale, ks []int) (*Figure11aReport, er
 		if err != nil {
 			return nil, err
 		}
-		cmp, err := CompareOnWorkload(tbl, proc, queries)
+		cmp, err := CompareOnWorkload(ctx, tbl, proc, queries)
 		if err != nil {
 			return nil, err
 		}
@@ -153,7 +153,7 @@ func RunFigure11b(ctx context.Context, sc Scale, maxDims int) (*Figure11bReport,
 		if err != nil {
 			return nil, err
 		}
-		cmp, err := CompareOnWorkload(tbl, proc, queries)
+		cmp, err := CompareOnWorkload(ctx, tbl, proc, queries)
 		if err != nil {
 			return nil, err
 		}

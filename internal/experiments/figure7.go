@@ -98,7 +98,7 @@ func RunFigure7(ctx context.Context, sc Scale, maxDims int) (*Figure7Report, err
 		if err != nil {
 			return nil, err
 		}
-		cmp, err := CompareOnWorkload(tbl, proc, queries)
+		cmp, err := CompareOnWorkload(ctx, tbl, proc, queries)
 		if err != nil {
 			return nil, err
 		}

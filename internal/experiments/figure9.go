@@ -82,7 +82,7 @@ func RunFigure9(ctx context.Context, sc Scale, maxDims int) (*Figure9Report, err
 		if err != nil {
 			return nil, err
 		}
-		cmp, err := CompareOnWorkload(tbl, proc, queries)
+		cmp, err := CompareOnWorkload(ctx, tbl, proc, queries)
 		if err != nil {
 			return nil, err
 		}

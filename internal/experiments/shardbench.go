@@ -57,7 +57,7 @@ func RunShard(ctx context.Context, sc Scale, counts []int) (*ShardReport, error)
 		Func: engine.Sum, Col: "l_extendedprice",
 		Ranges: []engine.Range{{Col: "l_shipdate", Lo: 1200, Hi: 1250}},
 	}
-	oracle, err := tbl.ExecuteContext(ctx, q)
+	oracle, err := tbl.Execute(ctx, q)
 	if err != nil {
 		return nil, err
 	}
@@ -68,7 +68,7 @@ func RunShard(ctx context.Context, sc Scale, counts []int) (*ShardReport, error)
 		if err != nil {
 			return nil, err
 		}
-		res, err := s.ExecuteContext(ctx, q, 0)
+		res, err := s.Execute(ctx, q, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -82,7 +82,7 @@ func RunShard(ctx context.Context, sc Scale, counts []int) (*ShardReport, error)
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			if _, err := s.ExecuteContext(ctx, q, 0); err != nil {
+			if _, err := s.Execute(ctx, q, 0); err != nil {
 				return nil, err
 			}
 			iters++

@@ -101,7 +101,7 @@ func RunTable1(ctx context.Context, sc Scale) (*Table1Report, error) {
 	sampleTime := time.Since(t0)
 
 	// --- AQP ---
-	aqpRow, aqpErrs, err := runAQPRow(tbl, s, queries, "AQP")
+	aqpRow, aqpErrs, err := runAQPRow(ctx, tbl, s, queries, "AQP")
 	if err != nil {
 		return nil, err
 	}
@@ -142,7 +142,7 @@ func RunTable1(ctx context.Context, sc Scale) (*Table1Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	cmp, err := CompareOnWorkload(tbl, proc, queries)
+	cmp, err := CompareOnWorkload(ctx, tbl, proc, queries)
 	if err != nil {
 		return nil, err
 	}
@@ -166,7 +166,7 @@ func RunTable1(ctx context.Context, sc Scale) (*Table1Report, error) {
 		return nil, err
 	}
 	largeTime := time.Since(tL)
-	largeRow, _, err := runAQPRow(tbl, sLarge, queries, "AQP(large)")
+	largeRow, _, err := runAQPRow(ctx, tbl, sLarge, queries, "AQP(large)")
 	if err != nil {
 		return nil, err
 	}
@@ -174,7 +174,7 @@ func RunTable1(ctx context.Context, sc Scale) (*Table1Report, error) {
 	report.Rows = append(report.Rows, largeRow)
 
 	// --- APA+ ---
-	apa, err := baseline.NewAPA(tbl, s, baseline.APAConfig{
+	apa, err := baseline.NewAPA(ctx, tbl, s, baseline.APAConfig{
 		Measure: tmpl.Agg, Dims: tmpl.Dims, FactsPerDim: 16,
 		Resamples: 30, Seed: sc.Seed + 5,
 	})
@@ -184,7 +184,7 @@ func RunTable1(ctx context.Context, sc Scale) (*Table1Report, error) {
 	var apaErrs []float64
 	var apaTime time.Duration
 	for _, q := range queries {
-		truth, err := tbl.Execute(q)
+		truth, err := tbl.Execute(ctx, q)
 		if err != nil {
 			return nil, err
 		}
@@ -207,11 +207,11 @@ func RunTable1(ctx context.Context, sc Scale) (*Table1Report, error) {
 }
 
 // runAQPRow measures plain AQP on a sample.
-func runAQPRow(tbl *engine.Table, s *sample.Sample, queries []engine.Query, name string) (Table1Row, []float64, error) {
+func runAQPRow(ctx context.Context, tbl *engine.Table, s *sample.Sample, queries []engine.Query, name string) (Table1Row, []float64, error) {
 	var errs []float64
 	var total time.Duration
 	for _, q := range queries {
-		truth, err := tbl.Execute(q)
+		truth, err := tbl.Execute(ctx, q)
 		if err != nil {
 			return Table1Row{}, nil, err
 		}

@@ -96,7 +96,7 @@ func RunWaveletStudy(ctx context.Context, sc Scale, budgets []int) (*WaveletRepo
 		}
 		var aqpErrs, wavDevs, ppErrs, ppDevs []float64
 		for _, q := range queries {
-			truth, err := tbl.Execute(q)
+			truth, err := tbl.Execute(ctx, q)
 			if err != nil {
 				return nil, err
 			}

@@ -1,6 +1,7 @@
 package ident
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -208,7 +209,7 @@ func TestDiffVectorExactPreIsZero(t *testing.T) {
 		}
 	}
 	// And pre.Value matches the exact answer.
-	truth, _ := tbl.Execute(q)
+	truth, _ := tbl.Execute(context.Background(), q)
 	if math.Abs(pre.Value(c)-truth.Value) > 1e-9 {
 		t.Errorf("pre value %v != truth %v", pre.Value(c), truth.Value)
 	}

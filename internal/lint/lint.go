@@ -23,18 +23,20 @@
 //     and contexts stored in struct fields
 //   - lock-balance:    a path from Lock()/RLock() to a return without
 //     the matching Unlock (flow-sensitive, over internal/lint/cfg)
-//   - ctx-propagation: a ctx-holding function calling a sibling whose
-//     ...Context variant exists in the same package
 //
-// Six are AST walkers; lock-balance runs a forward dataflow over the
+// Five are AST walkers; lock-balance runs a forward dataflow over the
 // CFG in internal/lint/cfg. Properties this package does NOT own, and
-// who does (DESIGN.md §11 has the evidence per row): copied locks and
-// lost cancel funcs — go vet (copylocks, lostcancel), one step earlier
-// in scripts/check.sh; unsynchronised access to a mutex-guarded field —
-// go test -race; atomic/plain mixing — the typed sync/atomic values the
-// module uses exclusively; loop-variable capture — go 1.22 per-iteration
-// loop variables; unclosed response bodies — internal/dist's roundTrip
-// is the only function that holds a *http.Response.
+// who does (DESIGN.md §11 has the evidence per row): a ctx-holding
+// caller dropping its ctx on the way to a scan or a load — the
+// signatures (every engine/shard operation exists once, ctx first, so
+// the drop cannot be written without typing context.Background());
+// copied locks and lost cancel funcs — go vet (copylocks, lostcancel),
+// one step earlier in scripts/check.sh; unsynchronised access to a
+// mutex-guarded field — go test -race; atomic/plain mixing — the typed
+// sync/atomic values the module uses exclusively; loop-variable capture
+// — go 1.22 per-iteration loop variables; unclosed response bodies —
+// internal/dist's roundTrip is the only function that holds a
+// *http.Response.
 //
 // To add a rule, create a new file implementing Rule and append it in
 // Rules.
@@ -109,7 +111,6 @@ func Rules() []Rule {
 		PanicRule{},
 		CtxFirstRule{},
 		LockBalanceRule{},
-		CtxPropRule{},
 	}
 }
 

@@ -234,6 +234,10 @@ func TestParseAllowlistErrors(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "line 3") || !strings.Contains(err.Error(), "no-such-rule") {
 		t.Errorf("unknown rule: err = %v, want one naming line 3 and the rule", err)
 	}
+	// A deleted rule is an unknown rule: its entries cannot linger.
+	if _, err := ParseAllowlist([]byte("ctx-propagation internal/engine/io.go")); err == nil {
+		t.Error("entry for the deleted ctx-propagation rule accepted")
+	}
 }
 
 // TestRepoIsLintClean runs the full default rule set over the real

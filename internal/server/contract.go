@@ -117,17 +117,11 @@ func (s *Server) handleProgressive(w http.ResponseWriter, r *http.Request, ri *r
 	// Streams are never cached — every round is fresh work — so the
 	// quota applies to each one; the admission slot is held until the
 	// stream ends (a progressive stream is sustained engine work).
-	if !s.allowQuota(w, r, ri) {
-		return
-	}
-	ctx, release, ok := s.admit(w, r, ri, req.TimeoutMS)
+	ctx, release, ok := s.enter(w, r, ri, req.TimeoutMS)
 	if !ok {
 		return
 	}
 	defer release()
-	if h := s.hookGated; h != nil {
-		h(ctx)
-	}
 
 	started := false
 	lastRound := time.Now()

@@ -285,6 +285,23 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, ri *reqInfo, time
 	return aqppp.WithBudget(r.Context(), b), release, true
 }
 
+// enter is the prologue of every request that does fresh engine work
+// on a client's behalf: it pays one quota token, then takes an
+// admission slot (see admit for the returned context and release), then
+// runs the test hook inside the gate. On failure it has written the
+// response. Replica partials call admit directly — they are
+// deliberately not quota'd.
+func (s *Server) enter(w http.ResponseWriter, r *http.Request, ri *reqInfo, timeoutMS int64) (context.Context, func(), bool) {
+	if !s.allowQuota(w, r, ri) {
+		return nil, nil, false
+	}
+	ctx, release, ok := s.admit(w, r, ri, timeoutMS)
+	if ok && s.hookGated != nil {
+		s.hookGated(ctx)
+	}
+	return ctx, release, ok
+}
+
 // answer is the one pipeline behind the three JSON answer endpoints
 // (/v1/query, /v1/approx, /v1/contract), which differ only in how they
 // plan and in the run closure. A cache hit is served in front of the
@@ -301,17 +318,11 @@ func (s *Server) answer(w http.ResponseWriter, r *http.Request, ri *reqInfo, tim
 			return
 		}
 	}
-	if !s.allowQuota(w, r, ri) {
-		return
-	}
-	ctx, release, ok := s.admit(w, r, ri, timeoutMS)
+	ctx, release, ok := s.enter(w, r, ri, timeoutMS)
 	if !ok {
 		return
 	}
 	defer release()
-	if h := s.hookGated; h != nil {
-		h(ctx)
-	}
 	t0 := time.Now()
 	resp, err := run(ctx)
 	if err != nil {
@@ -433,17 +444,11 @@ func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request, ri *reqIn
 	}
 	// Prepares are never cached (they mutate server state), so the quota
 	// applies to every one.
-	if !s.allowQuota(w, r, ri) {
-		return
-	}
-	ctx, release, ok := s.admit(w, r, ri, req.TimeoutMS)
+	ctx, release, ok := s.enter(w, r, ri, req.TimeoutMS)
 	if !ok {
 		return
 	}
 	defer release()
-	if h := s.hookGated; h != nil {
-		h(ctx)
-	}
 	t0 := time.Now()
 	prep, err := s.db.Prepare(ctx, aqppp.PrepareOptions{
 		Table:              req.Table,

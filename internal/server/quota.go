@@ -57,37 +57,8 @@ func NewQuota(rate float64, burst, maxClients int) *Quota {
 // Retry-After hint) and counts a shed. now is a parameter so tests can
 // drive the clock.
 func (q *Quota) Allow(client string, now time.Time) (bool, time.Duration) {
-	if q == nil {
-		return true, 0
-	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	b := q.clients[client]
-	if b == nil {
-		if len(q.clients) >= q.maxClients {
-			q.evictOldestLocked()
-		}
-		b = &tokenBucket{tokens: q.burst, last: now}
-		q.clients[client] = b
-	} else {
-		if el := now.Sub(b.last).Seconds(); el > 0 {
-			b.tokens += el * q.rate
-			if b.tokens > q.burst {
-				b.tokens = q.burst
-			}
-		}
-		b.last = now
-	}
-	if b.tokens >= 1 {
-		b.tokens--
-		return true, 0
-	}
-	q.shed++
-	wait := time.Duration((1 - b.tokens) / q.rate * float64(time.Second))
-	if wait < time.Millisecond {
-		wait = time.Millisecond
-	}
-	return false, wait
+	granted, wait := q.AllowN(client, 1, now)
+	return granted > 0, wait
 }
 
 // AllowN takes up to want tokens from client's bucket, returning how

@@ -131,7 +131,7 @@ func TestAnswerVsSingleStratum(t *testing.T) {
 		{Func: engine.Sum, Col: "v", Ranges: []engine.Range{{Col: "c", Lo: 5, Hi: 40}}},
 		{Func: engine.Count, Col: "", Ranges: []engine.Range{{Col: "c", Lo: 10, Hi: 30}}},
 	} {
-		truth, err := tbl.Execute(q)
+		truth, err := tbl.Execute(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,7 +167,7 @@ func TestAnswerAvg(t *testing.T) {
 	p := buildPrepared(t, s, approxConfig())
 	q := engine.Query{Func: engine.Avg, Col: "v",
 		Ranges: []engine.Range{{Col: "c", Lo: 5, Hi: 45}}}
-	truth, err := tbl.Execute(q)
+	truth, err := tbl.Execute(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestAnswerMinMax(t *testing.T) {
 	for _, f := range []engine.AggFunc{engine.Min, engine.Max} {
 		q := engine.Query{Func: f, Col: "v",
 			Ranges: []engine.Range{{Col: "c", Lo: 10, Hi: 35}}}
-		truth, err := tbl.Execute(q)
+		truth, err := tbl.Execute(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -215,7 +215,7 @@ func TestAnswerGroups(t *testing.T) {
 	p := buildPrepared(t, s, approxConfig())
 	q := engine.Query{Func: engine.Sum, Col: "v", GroupBy: []string{"g"},
 		Ranges: []engine.Range{{Col: "c", Lo: 0, Hi: 45}}}
-	truth, err := tbl.Execute(q)
+	truth, err := tbl.Execute(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +304,7 @@ func TestBootstrapMerge(t *testing.T) {
 	}
 
 	// Coverage sanity against the exact answer.
-	truth, err := tbl.Execute(q)
+	truth, err := tbl.Execute(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +340,7 @@ func TestPruningTightensCI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	truth, err := tbl.Execute(q)
+	truth, err := tbl.Execute(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -81,13 +82,13 @@ func benchShardQuery() engine.Query {
 func benchShardSum(b *testing.B, layout Layout) {
 	s := benchSharded(b, layout)
 	q := benchShardQuery()
-	if _, err := s.Execute(q, 0); err != nil { // warm zone maps
+	if _, err := s.Execute(context.Background(), q, 0); err != nil { // warm zone maps
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Execute(q, 0); err != nil {
+		if _, err := s.Execute(context.Background(), q, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -125,13 +126,13 @@ func BenchmarkShardGroupBy4(b *testing.B) {
 	s := benchSharded(b, Layout{Strategy: ByRange, Column: "shuffled", N: 4})
 	q := benchShardQuery()
 	q.GroupBy = []string{"bucket"}
-	if _, err := s.Execute(q, 0); err != nil {
+	if _, err := s.Execute(context.Background(), q, 0); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Execute(q, 0); err != nil {
+		if _, err := s.Execute(context.Background(), q, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

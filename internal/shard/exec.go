@@ -9,14 +9,9 @@ import (
 )
 
 // Execute runs an exact query scatter-gather across the shards with the
-// given fan-out (<= 0 selects GOMAXPROCS).
-func (s *Sharded) Execute(q engine.Query, workers int) (engine.Result, error) {
-	return s.ExecuteContext(context.Background(), q, workers)
-}
-
-// ExecuteContext is Execute with cancellation: each shard scan polls
-// the context once per zone block (the engine's standard granularity),
-// and the pool stops launching new shards once the context dies.
+// given fan-out (<= 0 selects GOMAXPROCS). Each shard scan polls the
+// context once per zone block (the engine's standard granularity), and
+// the pool stops launching new shards once the context dies.
 //
 // Merge semantics: scalar partials fold in shard-index order (SUM/COUNT
 // add, MIN/MAX fold, AVG/VAR finish from merged moments), so results
@@ -26,7 +21,7 @@ func (s *Sharded) Execute(q engine.Query, workers int) (engine.Result, error) {
 // returned sorted by group key — rows are redistributed across shards,
 // so the serial first-seen order is not reconstructible; sorting makes
 // the sharded order deterministic and layout-independent.
-func (s *Sharded) ExecuteContext(ctx context.Context, q engine.Query, workers int) (engine.Result, error) {
+func (s *Sharded) Execute(ctx context.Context, q engine.Query, workers int) (engine.Result, error) {
 	// Validate the query against the schema up front, so a query that
 	// prunes every shard still reports unknown columns exactly like the
 	// unsharded path would.
@@ -34,6 +29,13 @@ func (s *Sharded) ExecuteContext(ctx context.Context, q engine.Query, workers in
 		return engine.Result{}, err
 	}
 	return s.group(nil, 0, workers).Exact(ctx, q)
+}
+
+// ExecuteContext is Execute.
+//
+// Deprecated: kept for benchmark/trace.go, which pins the name.
+func (s *Sharded) ExecuteContext(ctx context.Context, q engine.Query, workers int) (engine.Result, error) {
+	return s.Execute(ctx, q, workers)
 }
 
 // group builds the fan-out/merge engine over the in-process shards.

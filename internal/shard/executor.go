@@ -62,7 +62,7 @@ func (e Local) Info() ExecutorInfo {
 
 // ExactPartial implements Executor.
 func (e Local) ExactPartial(ctx context.Context, q engine.Query) (engine.PartialResult, error) {
-	return e.Shard.Table.ExecutePartialContext(ctx, q)
+	return e.Shard.Table.ExecutePartial(ctx, q)
 }
 
 // ApproxAnswer implements Executor (local answers are cube + sample

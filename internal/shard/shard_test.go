@@ -3,7 +3,9 @@ package shard
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -158,11 +160,11 @@ func TestRangePruning(t *testing.T) {
 	// Pruned shards cannot change the answer: the pruned result must be
 	// bit-identical to the unsharded scan.
 	q := engine.Query{Func: engine.Sum, Col: "v", Ranges: narrow}
-	want, err := tbl.Execute(q)
+	want, err := tbl.Execute(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.Execute(q, 2)
+	got, err := s.Execute(context.Background(), q, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +215,7 @@ func TestExactEquivalenceRandomized(t *testing.T) {
 
 	for trial := 0; trial < 60; trial++ {
 		q := randQuery()
-		want, err := tbl.Execute(q)
+		want, err := tbl.Execute(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -224,7 +226,7 @@ func TestExactEquivalenceRandomized(t *testing.T) {
 
 		for i, s := range sharded {
 			workers := 1 + trial%4
-			got, err := s.Execute(q, workers)
+			got, err := s.Execute(context.Background(), q, workers)
 			if err != nil {
 				t.Fatalf("%v / %v: %v", layouts[i], q, err)
 			}
@@ -257,11 +259,11 @@ func TestExactEquivalenceFloat(t *testing.T) {
 		{Func: engine.Avg, Col: "v", Ranges: []engine.Range{{Col: "k", Lo: 100, Hi: 800}}},
 		{Func: engine.Var, Col: "v"},
 	} {
-		want, err := tbl.Execute(q)
+		want, err := tbl.Execute(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := s.Execute(q, 3)
+		got, err := s.Execute(context.Background(), q, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -272,8 +274,8 @@ func TestExactEquivalenceFloat(t *testing.T) {
 	// MIN/MAX stay bit-exact even for floats (folding, not summing).
 	for _, f := range []engine.AggFunc{engine.Min, engine.Max} {
 		q := engine.Query{Func: f, Col: "v"}
-		want, _ := tbl.Execute(q)
-		got, err := s.Execute(q, 2)
+		want, _ := tbl.Execute(context.Background(), q)
+		got, err := s.Execute(context.Background(), q, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -289,16 +291,16 @@ func TestExecuteValidates(t *testing.T) {
 	// Unknown columns fail even when the ranges would prune every shard.
 	q := engine.Query{Func: engine.Sum, Col: "nope",
 		Ranges: []engine.Range{{Col: "k", Lo: -100, Hi: -50}}}
-	if _, err := s.Execute(q, 1); err == nil {
+	if _, err := s.Execute(context.Background(), q, 1); err == nil {
 		t.Error("unknown measure column did not fail")
 	}
 	q = engine.Query{Func: engine.Sum, Col: "v",
 		Ranges: []engine.Range{{Col: "nope", Lo: 0, Hi: 1}}}
-	if _, err := s.Execute(q, 1); err == nil {
+	if _, err := s.Execute(context.Background(), q, 1); err == nil {
 		t.Error("unknown range column did not fail")
 	}
 	q = engine.Query{Func: engine.Sum, Col: "v", GroupBy: []string{"nope"}}
-	if _, err := s.Execute(q, 1); err == nil {
+	if _, err := s.Execute(context.Background(), q, 1); err == nil {
 		t.Error("unknown group column did not fail")
 	}
 }
@@ -308,7 +310,7 @@ func TestExecuteContextCancel(t *testing.T) {
 	s := mustPartition(t, tbl, Layout{Strategy: ByRange, Column: "k", N: 4})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := s.ExecuteContext(ctx, engine.Query{Func: engine.Sum, Col: "v"}, 2)
+	_, err := s.Execute(ctx, engine.Query{Func: engine.Sum, Col: "v"}, 2)
 	if err == nil {
 		t.Fatal("canceled context did not fail")
 	}
@@ -319,7 +321,7 @@ func TestSnapshot(t *testing.T) {
 	s := mustPartition(t, tbl, Layout{Strategy: ByRange, Column: "k", N: 4})
 	q := engine.Query{Func: engine.Sum, Col: "v",
 		Ranges: []engine.Range{{Col: "k", Lo: 0, Hi: 100}}}
-	if _, err := s.Execute(q, 2); err != nil {
+	if _, err := s.Execute(context.Background(), q, 2); err != nil {
 		t.Fatal(err)
 	}
 	snap := s.Snapshot()
@@ -373,7 +375,7 @@ func TestConcurrentScanCounters(t *testing.T) {
 				go func() {
 					defer wg.Done()
 					for i := 0; i < rounds; i++ {
-						if _, err := s.ExecuteContext(context.Background(), q, 2); err != nil {
+						if _, err := s.Execute(context.Background(), q, 2); err != nil {
 							t.Error(err)
 						}
 					}
@@ -420,5 +422,28 @@ func TestShardNames(t *testing.T) {
 		if sh.Table.Name != want {
 			t.Errorf("shard %d table name %q, want %q", h, sh.Table.Name, want)
 		}
+	}
+}
+
+// TestShardedSurface is internal/engine's TestEngineSurface for the one
+// scan entry point this package adds: Sharded.Execute exists once, ctx
+// first. ExecuteContext is a one-line deprecated forward the frozen
+// benchmark/trace.go calls.
+func TestShardedSurface(t *testing.T) {
+	typ := reflect.TypeOf(&Sharded{})
+	ctxType := reflect.TypeOf((*context.Context)(nil)).Elem()
+	var got []string
+	for i := 0; i < typ.NumMethod(); i++ {
+		m := typ.Method(i)
+		if !strings.HasPrefix(m.Name, "Execute") {
+			continue
+		}
+		got = append(got, m.Name)
+		if m.Type.NumIn() < 2 || m.Type.In(1) != ctxType {
+			t.Errorf("%s does not take a context.Context first", m.Name)
+		}
+	}
+	if want := []string{"Execute", "ExecuteContext"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("Sharded.Execute* = %v, want %v", got, want)
 	}
 }

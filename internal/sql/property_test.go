@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -49,7 +50,7 @@ func TestRandomStatementsAgreeWithDirectQueries(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", stmt, err)
 		}
-		got, err := tbl.Execute(q)
+		got, err := tbl.Execute(context.Background(), q)
 		if err != nil {
 			t.Fatalf("%s: %v", stmt, err)
 		}
@@ -73,7 +74,7 @@ func TestRandomStatementsAgreeWithDirectQueries(t *testing.T) {
 		if agg.fn == engine.Count {
 			direct.Col = ""
 		}
-		want, err := tbl.Execute(direct)
+		want, err := tbl.Execute(context.Background(), direct)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -22,7 +23,7 @@ func mustExec(t *testing.T, stmt string) float64 {
 	if err != nil {
 		t.Fatalf("%s: %v", stmt, err)
 	}
-	res, err := tbl.Execute(q)
+	res, err := tbl.Execute(context.Background(), q)
 	if err != nil {
 		t.Fatalf("%s: %v", stmt, err)
 	}
@@ -78,7 +79,7 @@ func TestGroupByCompile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := tbl.Execute(q)
+	res, err := tbl.Execute(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +103,7 @@ func TestStringEscapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _ := tbl.Execute(q)
+	res, _ := tbl.Execute(context.Background(), q)
 	if res.Value != 1 {
 		t.Errorf("escaped string matched %v", res.Value)
 	}
@@ -117,7 +118,7 @@ func TestNegativeNumbers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _ := tbl.Execute(q)
+	res, _ := tbl.Execute(context.Background(), q)
 	if res.Value != 6 {
 		t.Errorf("negative bounds sum = %v", res.Value)
 	}

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"sync"
@@ -109,7 +110,7 @@ func BenchmarkStoreScanMemory(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := tbl.Execute(benchFullSum); err != nil {
+		if _, err := tbl.Execute(context.Background(), benchFullSum); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -125,13 +126,13 @@ func BenchmarkStoreScanWarm(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer s.Close()
-	if _, err := s.Table().Execute(benchFullSum); err != nil { // fault everything in
+	if _, err := s.Table().Execute(context.Background(), benchFullSum); err != nil { // fault everything in
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Table().Execute(benchFullSum); err != nil {
+		if _, err := s.Table().Execute(context.Background(), benchFullSum); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -150,7 +151,7 @@ func BenchmarkStoreScanCold(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Table().Execute(benchFullSum); err != nil {
+		if _, err := s.Table().Execute(context.Background(), benchFullSum); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -169,7 +170,7 @@ func BenchmarkStorePrunedScan(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Table().Execute(benchSelective); err != nil {
+		if _, err := s.Table().Execute(context.Background(), benchSelective); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -187,7 +188,7 @@ func BenchmarkStoreScanNoMmap(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Table().Execute(benchFullSum); err != nil {
+		if _, err := s.Table().Execute(context.Background(), benchFullSum); err != nil {
 			b.Fatal(err)
 		}
 	}

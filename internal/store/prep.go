@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 
 	"aqppp/internal/cube"
@@ -219,7 +220,9 @@ func decodeSample(r *byteReader) (*sample.Sample, error) {
 		}
 	}
 	rest := blob[br.pos:]
-	if s.Table, err = engine.ReadBinary(bytes.NewReader(rest)); err != nil {
+	// The bytes are already in memory and store.Open's signature carries
+	// no context to cancel the decode with.
+	if s.Table, err = engine.ReadBinary(context.TODO(), bytes.NewReader(rest)); err != nil {
 		return nil, err
 	}
 	return s, nil

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -86,11 +87,11 @@ func assertTableEquivalent(t *testing.T, resident, backed *engine.Table) {
 		t.Fatalf("NumRows = %d, want %d", got, want)
 	}
 	for _, q := range equivalenceQueries() {
-		want, err := resident.Execute(q)
+		want, err := resident.Execute(context.Background(), q)
 		if err != nil {
 			t.Fatalf("%+v (resident): %v", q, err)
 		}
-		got, err := backed.Execute(q)
+		got, err := backed.Execute(context.Background(), q)
 		if err != nil {
 			t.Fatalf("%+v (backed): %v", q, err)
 		}
@@ -179,11 +180,11 @@ func TestPruningViaCache(t *testing.T) {
 	// key = row/3: keys [0, 1355] live entirely in block 0.
 	q := engine.Query{Func: engine.Sum, Col: "val",
 		Ranges: []engine.Range{{Col: "key", Lo: 0, Hi: float64(blockRows/3 - 10)}}}
-	want, err := tbl.Execute(q)
+	want, err := tbl.Execute(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.Table().Execute(q)
+	got, err := s.Table().Execute(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +197,7 @@ func TestPruningViaCache(t *testing.T) {
 	}
 	// The same scan again is all cache hits: zero new disk reads.
 	before := s.CacheStats().Misses
-	if _, err := s.Table().Execute(q); err != nil {
+	if _, err := s.Table().Execute(context.Background(), q); err != nil {
 		t.Fatal(err)
 	}
 	after := s.CacheStats()
@@ -218,9 +219,9 @@ func TestCacheEviction(t *testing.T) {
 	capBytes := int64(3 * (blockRows*8 + cacheEntryOverhead))
 	s := openTemp(t, writeTemp(t, tbl, nil), Options{CacheBytes: capBytes})
 	q := engine.Query{Func: engine.Sum, Col: "val", Ranges: []engine.Range{{Col: "rnd", Lo: -2e6, Hi: 2e6}}}
-	want, _ := tbl.Execute(q)
+	want, _ := tbl.Execute(context.Background(), q)
 	for i := 0; i < 3; i++ {
-		got, err := s.Table().Execute(q)
+		got, err := s.Table().Execute(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -258,7 +259,7 @@ func TestClosedStore(t *testing.T) {
 	s := openTemp(t, writeTemp(t, tbl, nil), Options{})
 	// Fault val + rnd blocks in, then close.
 	warm := engine.Query{Func: engine.Sum, Col: "val", Ranges: []engine.Range{{Col: "rnd", Lo: -2e6, Hi: 2e6}}}
-	want, err := s.Table().Execute(warm)
+	want, err := s.Table().Execute(context.Background(), warm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +267,7 @@ func TestClosedStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Cached blocks own their memory: the warm query still answers.
-	got, err := s.Table().Execute(warm)
+	got, err := s.Table().Execute(context.Background(), warm)
 	if err != nil {
 		t.Fatalf("cached query after close: %v", err)
 	}
@@ -274,7 +275,7 @@ func TestClosedStore(t *testing.T) {
 		t.Fatalf("cached answer drifted after close: %g != %g", got.Value, want.Value)
 	}
 	// An uncached column faults and must fail cleanly.
-	if _, err := s.Table().Execute(engine.Query{Func: engine.Sum, Col: "key"}); err == nil || !strings.Contains(err.Error(), "closed") {
+	if _, err := s.Table().Execute(context.Background(), engine.Query{Func: engine.Sum, Col: "key"}); err == nil || !strings.Contains(err.Error(), "closed") {
 		t.Fatalf("cold query after close: got %v, want ErrClosed", err)
 	}
 	if err := s.Close(); err != nil {
@@ -295,7 +296,7 @@ func TestConcurrentScansAndClose(t *testing.T) {
 	queries := equivalenceQueries()
 	want := make([]engine.Result, len(queries))
 	for i, q := range queries {
-		want[i], _ = tbl.Execute(q)
+		want[i], _ = tbl.Execute(context.Background(), q)
 	}
 	churn := int64(3 * (blockRows*8 + cacheEntryOverhead)) // 3 blocks against a 24-block working set
 	for _, tc := range []struct {
@@ -320,7 +321,7 @@ func TestConcurrentScansAndClose(t *testing.T) {
 							close(underway)
 						}
 						k := (w + i) % len(queries)
-						got, err := s.Table().Execute(queries[k])
+						got, err := s.Table().Execute(context.Background(), queries[k])
 						switch {
 						case errors.Is(err, ErrClosed):
 						case err != nil:
@@ -548,7 +549,7 @@ func TestCorruption(t *testing.T) {
 		if err := os.Truncate(p3, 64); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.Table().Execute(engine.Query{Func: engine.Sum, Col: "val"}); err == nil {
+		if _, err := s.Table().Execute(context.Background(), engine.Query{Func: engine.Sum, Col: "val"}); err == nil {
 			t.Fatal("scan over truncated file succeeded")
 		}
 	})

@@ -2,7 +2,6 @@ package aqppp
 
 import (
 	"context"
-	"errors"
 	"math"
 
 	"aqppp/internal/core"
@@ -121,11 +120,7 @@ func (p *Prepared) QueryProgressive(ctx context.Context, statement string, opts 
 	if maxRounds <= 0 {
 		maxRounds = 64
 	}
-	run, cancel, budgeted := ctx, context.CancelFunc(func() {}), false
-	if b := p.db.budgetFor(ctx); b.Timeout > 0 {
-		run, cancel = context.WithTimeout(ctx, b.Timeout)
-		budgeted = true
-	}
+	run, cancel, budgeted := p.db.budgetFor(ctx).Bound(ctx)
 	defer cancel()
 
 	sum := ProgressiveSummary{Confidence: conf, HalfWidth: math.Inf(1)}
@@ -135,13 +130,13 @@ func (p *Prepared) QueryProgressive(ctx context.Context, statement string, opts 
 				sum.Reason = ProgressiveBudgetExhausted
 				return sum, nil
 			}
-			return ProgressiveSummary{}, classifyProgressive(ctx, budgeted, err)
+			return ProgressiveSummary{}, exec.Classify(ctx, run, "progressive", budgeted, err)
 		}
 		before := prog.SampleSize()
 		got := prog.Step(step)
 		ans, err := prog.Answer(q)
 		if err != nil {
-			return ProgressiveSummary{}, classifyProgressive(ctx, budgeted, err)
+			return ProgressiveSummary{}, exec.Classify(ctx, run, "progressive", budgeted, err)
 		}
 		// Non-widening: keep the tightest (value, interval) pair seen.
 		if ans.Estimate.HalfWidth < sum.HalfWidth {
@@ -178,23 +173,4 @@ func (p *Prepared) QueryProgressive(ctx context.Context, statement string, opts 
 // benchmark PR may edit it.
 func (p *Prepared) QueryProgressiveBudget(ctx context.Context, statement string, opts ProgressiveOptions, b Budget, yield func(ProgressiveRound) error) (ProgressiveSummary, error) {
 	return p.QueryProgressive(WithBudget(ctx, b), statement, opts, yield)
-}
-
-// classifyProgressive maps a streaming failure onto the unified
-// taxonomy the same way the executor's classify does.
-func classifyProgressive(parent context.Context, budgeted bool, err error) error {
-	var e *exec.Error
-	if errors.As(err, &e) {
-		return err
-	}
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		if parent.Err() == nil && budgeted {
-			return &exec.Error{Kind: exec.BudgetExceeded, Op: "progressive", Err: err}
-		}
-		return &exec.Error{Kind: exec.Canceled, Op: "progressive", Err: err}
-	}
-	if errors.Is(err, core.ErrUnsupported) {
-		return &exec.Error{Kind: exec.Unsupported, Op: "progressive", Err: err}
-	}
-	return &exec.Error{Kind: exec.Internal, Op: "progressive", Err: err}
 }

@@ -9,8 +9,12 @@
 #   go vet      — copied locks (copylocks) and lost context cancel funcs
 #                 (lostcancel); aqppp-lint no longer checks either.
 #   aqppp-lint  — determinism, float-eq, dropped-error, panic, ctx-first,
-#                 ctx-propagation, lock-balance (the only static check of
-#                 the Lock()s not followed by a defer Unlock).
+#                 lock-balance (the only static check of the Lock()s not
+#                 followed by a defer Unlock).
+#   go build    — a held ctx reaching the scan or load it starts: every
+#                 engine/shard operation exists once, ctx first, so the
+#                 signature owns what ctx-propagation used to
+#                 (TestEngineSurface, TestShardedSurface pin the names).
 #   go test -race — unsynchronised access to mutex-guarded fields, on the
 #                 interleavings the per-type concurrent tests produce.
 # The typed sync/atomic values and go 1.22 loop variables need no step.
