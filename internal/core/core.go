@@ -163,39 +163,7 @@ func (p *Processor) answerSum(q engine.Query, c *cube.BPCube, cubeAgg string) (A
 	if err != nil {
 		return Answer{}, err
 	}
-	vals, err := ident.DiffVector(p.Sample, c, q, sel.Pre)
-	if err != nil {
-		return Answer{}, err
-	}
-	diff := aqp.SumOfValues(p.Sample, vals, conf)
-	pre := sel.Pre
-	// Identification scored candidates on a small subsample; guard the
-	// final answer by re-checking the chosen pre against φ on the full
-	// sample (error(q, P) minimizes over P⁺, and φ ∈ P⁺ — a noisy
-	// subsample must not leave us worse than plain AQP).
-	if !pre.IsPhi() {
-		phiVals, err := aqp.ConditionVector(p.Sample, q)
-		if err != nil {
-			return Answer{}, err
-		}
-		phiEst := aqp.SumOfValues(p.Sample, phiVals, conf)
-		if phiEst.HalfWidth < diff.HalfWidth {
-			pre = ident.Pre{Phi: true}
-			diff = phiEst
-		}
-	}
-	preVal := pre.Value(c)
-	return Answer{
-		Estimate: aqp.Estimate{
-			Value:      preVal + diff.Value,
-			HalfWidth:  diff.HalfWidth,
-			Confidence: conf,
-			SampleRows: diff.SampleRows,
-		},
-		Pre:        pre,
-		PreValue:   preVal,
-		Candidates: sel.Considered,
-	}, nil
+	return p.answerWithPre(q, c, sel.Pre, sel.Considered)
 }
 
 // answerAvg answers AVG as the ratio of an AQP++ SUM and an AQP++ COUNT.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"aqppp/internal/aqp"
+	"aqppp/internal/cube"
 	"aqppp/internal/engine"
 	"aqppp/internal/ident"
 )
@@ -85,7 +86,7 @@ func (p *Processor) AnswerGroupsFast(ctx context.Context, q engine.Query) ([]Gro
 		if !pre.IsPhi() && len(groupDims) > 0 {
 			pre = pinPreToGroup(p, pre, groupDims, ords)
 		}
-		ans, err := p.answerWithPre(gq, pre, sel.Considered)
+		ans, err := p.answerWithPre(gq, p.Cube, pre, sel.Considered)
 		if err != nil {
 			return nil, err
 		}
@@ -123,10 +124,14 @@ func pinPreToGroup(p *Processor, pre ident.Pre, groupDims []dimBinding, ords []f
 	return out
 }
 
-// answerWithPre evaluates one pre on the full sample with the φ-guard.
-func (p *Processor) answerWithPre(q engine.Query, pre ident.Pre, considered int) (Answer, error) {
+// answerWithPre evaluates one pre of cube c on the full sample: the diff
+// estimate plus pre(D). Identification scored candidates on a small
+// subsample, so the chosen pre is re-checked against φ on the full
+// sample (error(q, P) minimizes over P⁺, and φ ∈ P⁺ — a noisy subsample
+// must not leave us worse than plain AQP).
+func (p *Processor) answerWithPre(q engine.Query, c *cube.BPCube, pre ident.Pre, considered int) (Answer, error) {
 	conf := p.confidence()
-	vals, err := ident.DiffVector(p.Sample, p.Cube, q, pre)
+	vals, err := ident.DiffVector(p.Sample, c, q, pre)
 	if err != nil {
 		return Answer{}, err
 	}
@@ -142,10 +147,7 @@ func (p *Processor) answerWithPre(q engine.Query, pre ident.Pre, considered int)
 			diff = phiEst
 		}
 	}
-	preVal := 0.0
-	if !pre.IsPhi() {
-		preVal = pre.Value(p.Cube)
-	}
+	preVal := pre.Value(c)
 	return Answer{
 		Estimate: aqp.Estimate{
 			Value:      preVal + diff.Value,

@@ -39,6 +39,17 @@ type Config struct {
 	Client *http.Client
 }
 
+// requestIDKey is the context key of the client request's id.
+type requestIDKey struct{}
+
+// WithRequestID returns a context under which every partial request
+// carries id as X-Request-Id — first attempt, retry and hedge alike —
+// so a replica's log line and error body name the coordinator request
+// they served and one id follows a query across processes.
+func WithRequestID(ctx context.Context, id string) context.Context {
+	return context.WithValue(ctx, requestIDKey{}, id)
+}
+
 // maxPartialBody bounds a partial response read (defensive; real
 // responses are a few KB plus group rows).
 const maxPartialBody = 16 << 20
@@ -199,6 +210,9 @@ func (c *Coordinator) attempt(ctx context.Context, r *replica, op string, body [
 		return nil, false, &exec.Error{Kind: exec.Internal, Op: op, Err: err}
 	}
 	req.Header.Set("Content-Type", "application/json")
+	if id, ok := ctx.Value(requestIDKey{}).(string); ok {
+		req.Header.Set("X-Request-Id", id)
+	}
 	status, header, data, err := roundTrip(c.httpClient(), req, maxPartialBody)
 	if err != nil {
 		if ctx.Err() != nil {

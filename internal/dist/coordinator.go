@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -15,17 +14,9 @@ import (
 	"aqppp/internal/stats"
 )
 
-// Latency histogram domain: log10(µs) over [1µs, 1s), 24 buckets —
-// the serving layer's scheme, so per-replica histograms line up with
-// request histograms in /metrics.
-const (
-	latLogMin  = 0.0
-	latLogMax  = 6.0
-	latBuckets = 24
-)
-
 // replica is the coordinator's view of one peer: its identity from the
-// handshake plus per-replica traffic counters.
+// handshake plus per-replica traffic counters and the wall time of each
+// partial the shard.Group ran against it (retries and hedges included).
 type replica struct {
 	url   string
 	ident ShardIdentity
@@ -37,20 +28,7 @@ type replica struct {
 	shed     atomic.Uint64
 	healthy  atomic.Bool
 
-	mu      sync.Mutex
-	sumUS   float64
-	latency *stats.Histogram
-}
-
-func (r *replica) observe(d time.Duration) {
-	us := d.Seconds() * 1e6
-	if us < 1 {
-		us = 1
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.sumUS += us
-	r.latency.Add(math.Log10(us))
+	latency stats.LatencyHistogram
 }
 
 // Coordinator implements the shard fan-out contract over the network:
@@ -111,7 +89,7 @@ func (c *Coordinator) group(handle string) *shard.Group {
 		Layout:     c.layout,
 		Confidence: c.confidenceFor(handle),
 		Execs:      execs,
-		Observe:    func(k int, d time.Duration) { c.replicas[k].observe(d) },
+		Observe:    func(k int, d time.Duration) { c.replicas[k].latency.Observe(d) },
 		OnPrune:    func(int) { c.pruned.Add(1) },
 	}
 	if c.cfg.DegradedApprox {
@@ -280,10 +258,8 @@ type ReplicaSnapshot struct {
 	Failures uint64 `json:"failures"`
 	Hedges   uint64 `json:"hedges"`
 	Shed     uint64 `json:"shed"`
-	// Latency holds the replica's request-latency bucket counts
-	// (log10-µs, the serving layer's scheme); LatencySumUS the total.
-	Latency      []int64 `json:"-"`
-	LatencySumUS float64 `json:"-"`
+	// Latency is the replica's round-trip histogram; /metrics renders it.
+	Latency stats.LatencySnapshot `json:"-"`
 }
 
 // Snapshot is the fleet's point-in-time topology and traffic view.
@@ -308,16 +284,12 @@ func (c *Coordinator) Snapshot() Snapshot {
 		Handles:  c.handles,
 	}
 	for _, r := range c.replicas {
-		r.mu.Lock()
-		counts := append([]int64(nil), r.latency.Counts...)
-		sumUS := r.sumUS
-		r.mu.Unlock()
 		snap.Replicas = append(snap.Replicas, ReplicaSnapshot{
 			URL: r.url, Index: r.ident.Index, Rows: r.ident.Rows,
 			Healthy:  r.healthy.Load(),
 			Requests: r.requests.Load(), Retries: r.retries.Load(),
 			Failures: r.failures.Load(), Hedges: r.hedges.Load(),
-			Shed: r.shed.Load(), Latency: counts, LatencySumUS: sumUS,
+			Shed: r.shed.Load(), Latency: r.latency.Snapshot(),
 		})
 	}
 	return snap

@@ -11,7 +11,6 @@ import (
 
 	"aqppp/internal/engine"
 	"aqppp/internal/shard"
-	"aqppp/internal/stats"
 )
 
 // dialRetryEvery paces handshake retries while a peer is still coming
@@ -112,8 +111,7 @@ func assemble(peers []string, hellos []HelloResponse, cfg Config) (*Coordinator,
 			return nil, fmt.Errorf("dist: peer %s claims shard %d outside layout of %d", peers[i], h.Shard.Index, layout.N)
 		}
 		seen[h.Shard.Index] = peers[i]
-		r := &replica{url: peers[i], ident: h.Shard,
-			latency: stats.NewHistogram(latLogMin, latLogMax, latBuckets)}
+		r := &replica{url: peers[i], ident: h.Shard}
 		r.healthy.Store(true)
 		replicas = append(replicas, r)
 	}

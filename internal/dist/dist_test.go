@@ -544,6 +544,53 @@ func TestDistRetryAfterPropagation(t *testing.T) {
 	}
 }
 
+// TestDistRequestIDPropagates follows one id across processes: the id
+// the coordinator's server minted for the client's request arrives as
+// X-Request-Id on every partial it causes — first attempt, hedge and
+// retry alike.
+func TestDistRequestIDPropagates(t *testing.T) {
+	tbl := fleetTable(400, 7)
+	var mu sync.Mutex
+	var seen []string
+	ts := fakeReplica(t, tbl, func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		seen = append(seen, r.Header.Get("X-Request-Id"))
+		mu.Unlock()
+		time.Sleep(50 * time.Millisecond) // long enough for the hedge to launch
+		w.WriteHeader(http.StatusInternalServerError)
+		_, _ = io.WriteString(w, `{"error":{"kind":"internal","message":"boom"}}`)
+	})
+	coord := dialOne(t, ts.URL, dist.Config{Retries: 1, Backoff: time.Millisecond, Hedge: 2 * time.Millisecond})
+	ddb, _ := coordDB(t, coord)
+
+	srv := server.New(ddb, server.Config{Coordinator: coord})
+	req := httptest.NewRequest(http.MethodPost, "/v1/query",
+		strings.NewReader(`{"sql":"SELECT COUNT(*) FROM demo"}`))
+	w := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(w, req)
+	if w.Code != http.StatusServiceUnavailable {
+		t.Fatalf("status = %d, want 503 (body %s)", w.Code, w.Body.String())
+	}
+	id := w.Header().Get("X-Request-Id")
+	if id == "" {
+		t.Fatal("coordinator response carries no X-Request-Id")
+	}
+	rp := coord.Snapshot().Replicas[0]
+	if rp.Retries < 1 || rp.Hedges < 1 {
+		t.Fatalf("replica saw %d retries and %d hedges; the test needs both", rp.Retries, rp.Hedges)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if uint64(len(seen)) != rp.Requests || len(seen) < 3 {
+		t.Errorf("replica handled %d partials, coordinator counted %d attempts (want >= 3)", len(seen), rp.Requests)
+	}
+	for i, got := range seen {
+		if got != id {
+			t.Errorf("partial %d carried X-Request-Id %q, want the coordinator request's %q", i, got, id)
+		}
+	}
+}
+
 // TestDistStatuszAndMetrics checks the coordinator's observability
 // surface: /statusz renders the fleet topology and /metrics the
 // per-replica counter families.

@@ -134,15 +134,16 @@ func (c *Cache) removeLocked(el *list.Element) {
 	c.bytes -= e.size
 }
 
-// CacheStats is a point-in-time snapshot of the cache counters.
+// CacheStats is a point-in-time snapshot of the cache counters, and the
+// response cache's /statusz entry.
 type CacheStats struct {
-	Hits          int64
-	Misses        int64
-	Evictions     int64
-	Invalidations int64
-	Entries       int
-	Bytes         int64
-	MaxBytes      int64
+	Hits          int64 `json:"hits"`
+	Misses        int64 `json:"misses"`
+	Evictions     int64 `json:"evictions"`
+	Invalidations int64 `json:"invalidations"`
+	Entries       int   `json:"entries"`
+	Bytes         int64 `json:"bytes"`
+	MaxBytes      int64 `json:"max_bytes"`
 }
 
 // Stats snapshots the counters. A nil cache reports zeros.

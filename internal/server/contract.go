@@ -135,7 +135,7 @@ func (s *Server) handleProgressive(w http.ResponseWriter, r *http.Request, ri *r
 			started = true
 		}
 		now := time.Now()
-		s.met.observeProgressiveRound(float64(now.Sub(lastRound)) / float64(time.Microsecond))
+		s.met.progRounds.Observe(now.Sub(lastRound))
 		lastRound = now
 		return sseEvent(w, "round", ProgressiveRoundJSON{
 			Round:      round.Round,
@@ -158,9 +158,7 @@ func (s *Server) handleProgressive(w http.ResponseWriter, r *http.Request, ri *r
 		// (a mid-stream disconnect lands here as "canceled") and tell
 		// any still-listening client what happened in-band.
 		s.met.observeKind(kind.String())
-		_ = sseEvent(w, "error", ErrorBody{Error: ErrorDetail{
-			Kind: kind.String(), Message: err.Error(), RequestID: ri.id,
-		}})
+		_ = sseEvent(w, "error", ErrorBody{Error: ri.errorDetail(kind.String(), err.Error())})
 		return
 	}
 	if sum.Met {

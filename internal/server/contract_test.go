@@ -114,12 +114,12 @@ func TestServerContractEndpoint(t *testing.T) {
 		t.Error("tighter contract served from the looser contract's cache entry")
 	}
 
-	met, infeasible, _, _ := srv.met.contractSnapshot()
-	if met < 2 {
-		t.Errorf("contract met counter = %d, want >= 2", met)
+	cs := orZero(srv.status().Contract)
+	if cs.MetTotal < 2 {
+		t.Errorf("contract met counter = %d, want >= 2", cs.MetTotal)
 	}
-	if infeasible != 0 {
-		t.Errorf("contract infeasible counter = %d, want 0", infeasible)
+	if cs.InfeasibleTotal != 0 {
+		t.Errorf("contract infeasible counter = %d, want 0", cs.InfeasibleTotal)
 	}
 
 	// statusz exposes the contract block.
@@ -181,7 +181,7 @@ func TestServerContractInfeasible(t *testing.T) {
 	if abs <= 0 {
 		t.Errorf("tightest_achievable.abs = %v, want positive guidance", abs)
 	}
-	if _, infeasible, _, _ := srv.met.contractSnapshot(); infeasible < 1 {
+	if infeasible := orZero(srv.status().Contract).InfeasibleTotal; infeasible < 1 {
 		t.Errorf("infeasible counter = %d, want >= 1", infeasible)
 	}
 
@@ -262,8 +262,8 @@ func TestServerProgressiveSSE(t *testing.T) {
 	if id, _ := last.data["request_id"].(string); id == "" {
 		t.Error("done event missing request_id")
 	}
-	if met, _, _, prog := srv.met.contractSnapshot(); met < 1 || prog < int64(rounds) {
-		t.Errorf("contract metrics after stream: met %d rounds %d, want >= 1 / >= %d", met, prog, rounds)
+	if cs := orZero(srv.status().Contract); cs.MetTotal < 1 || cs.ProgressiveRounds < int64(rounds) {
+		t.Errorf("contract metrics after stream: met %d rounds %d, want >= 1 / >= %d", cs.MetTotal, cs.ProgressiveRounds, rounds)
 	}
 }
 
@@ -301,5 +301,5 @@ func TestServerProgressiveDisconnect(t *testing.T) {
 	_ = resp.Body.Close()
 
 	waitFor(t, 5*time.Second, func() bool { return srv.Gate().InFlight() == 0 })
-	waitFor(t, 2*time.Second, func() bool { return srv.met.kindCount("canceled") >= 1 })
+	waitFor(t, 2*time.Second, func() bool { return srv.status().ErrorKinds["canceled"] >= 1 })
 }

@@ -8,19 +8,27 @@ import (
 	"math"
 	"net"
 	"net/http"
-	"sort"
 	"strconv"
 	"time"
 
 	"aqppp"
+	"aqppp/internal/dist"
 	"aqppp/internal/exec"
 )
 
-// reqInfo travels with one request through the handler chain.
+// reqInfo travels with one request through the handler chain. parent
+// is the X-Request-Id the caller sent, if any: a coordinator sends its
+// own request's id with every partial (see admit), so a replica's log
+// line and error bodies name the query they belong to.
 type reqInfo struct {
-	id       string
-	endpoint string
-	start    time.Time
+	id, parent string
+	endpoint   string
+	start      time.Time
+}
+
+// errorDetail starts an error body for this request.
+func (ri *reqInfo) errorDetail(kind, msg string) ErrorDetail {
+	return ErrorDetail{Kind: kind, Message: msg, RequestID: ri.id, ParentRequestID: ri.parent}
 }
 
 // statusWriter records the status code written so the access log and
@@ -74,7 +82,7 @@ func (s *Server) routes() {
 // access log and per-endpoint metrics on completion.
 func (s *Server) instrument(endpoint string, h func(http.ResponseWriter, *http.Request, *reqInfo)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		ri := &reqInfo{id: s.nextRequestID(), endpoint: endpoint, start: time.Now()}
+		ri := &reqInfo{id: s.nextRequestID(), parent: r.Header.Get("X-Request-Id"), endpoint: endpoint, start: time.Now()}
 		sw := &statusWriter{ResponseWriter: w}
 		sw.Header().Set("X-Request-Id", ri.id)
 		h(sw, r, ri)
@@ -82,8 +90,8 @@ func (s *Server) instrument(endpoint string, h func(http.ResponseWriter, *http.R
 			sw.status = http.StatusOK
 		}
 		d := time.Since(ri.start)
-		s.met.observe(endpoint, sw.status, float64(d)/float64(time.Microsecond))
-		s.logAccess(ri.id, r.Method, r.URL.Path, sw.status, d)
+		s.met.observe(endpoint, sw.status, d)
+		s.logAccess(ri, r.Method, r.URL.Path, sw.status, d)
 	}
 }
 
@@ -105,11 +113,7 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 func (s *Server) writeError(w http.ResponseWriter, ri *reqInfo, err error) {
 	kind := aqppp.ErrorKindOf(err)
 	s.met.observeKind(kind.String())
-	detail := ErrorDetail{
-		Kind:      kind.String(),
-		Message:   err.Error(),
-		RequestID: ri.id,
-	}
+	detail := ri.errorDetail(kind.String(), err.Error())
 	// A contract the planner (or the run-time ladder) could not meet
 	// reports how close it could get, so the client knows how much to
 	// loosen instead of binary-searching by resubmission. An infinite
@@ -135,9 +139,7 @@ func (s *Server) writeError(w http.ResponseWriter, ri *reqInfo, err error) {
 // writeServerError emits a server-level (non-taxonomy) error kind.
 func (s *Server) writeServerError(w http.ResponseWriter, ri *reqInfo, status int, kind, msg string) {
 	s.met.observeKind(kind)
-	s.writeJSON(w, status, ErrorBody{Error: ErrorDetail{
-		Kind: kind, Message: msg, RequestID: ri.id,
-	}})
+	s.writeJSON(w, status, ErrorBody{Error: ri.errorDetail(kind, msg)})
 }
 
 // setRetryAfter writes a backoff hint both ways: the Retry-After header
@@ -157,7 +159,7 @@ func setRetryAfter(w http.ResponseWriter, detail *ErrorDetail, wait time.Duratio
 // rejection.
 func (s *Server) writeShed(w http.ResponseWriter, ri *reqInfo, kind, msg string, wait time.Duration) {
 	s.met.observeKind(kind)
-	detail := ErrorDetail{Kind: kind, Message: msg, RequestID: ri.id}
+	detail := ri.errorDetail(kind, msg)
 	setRetryAfter(w, &detail, wait)
 	s.writeJSON(w, http.StatusTooManyRequests, ErrorBody{Error: detail})
 }
@@ -252,7 +254,8 @@ func (s *Server) requestDeadline(ri *reqInfo, timeoutMS int64) time.Time {
 
 // admit runs one request through the admission gate. On success the
 // caller holds a slot, must call release, and runs its work under the
-// returned context: the request's context carrying the request's
+// returned context: the request's context carrying the request's id
+// (which a coordinator forwards to its replicas) and the request's
 // Budget — the server-wide resample and scratch caps, and as Timeout
 // the time left until the request deadline (queue wait already spent).
 // The context itself carries no deadline, so an overrun classifies as
@@ -268,10 +271,7 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, ri *reqInfo, time
 		} else {
 			// The client went away while queued; 499 keeps the log and
 			// metrics honest even though nobody reads the response.
-			s.met.observeKind(aqppp.ErrCanceled.String())
-			s.writeJSON(w, statusClientClosedRequest, ErrorBody{Error: ErrorDetail{
-				Kind: aqppp.ErrCanceled.String(), Message: err.Error(), RequestID: ri.id,
-			}})
+			s.writeServerError(w, ri, statusClientClosedRequest, aqppp.ErrCanceled.String(), err.Error())
 		}
 		return nil, nil, false
 	}
@@ -282,7 +282,7 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, ri *reqInfo, time
 			b.Timeout = time.Millisecond
 		}
 	}
-	return aqppp.WithBudget(r.Context(), b), release, true
+	return dist.WithRequestID(aqppp.WithBudget(r.Context(), b), ri.id), release, true
 }
 
 // enter is the prologue of every request that does fresh engine work
@@ -514,62 +514,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleStatusz reports uptime, admission-control state, and
-// per-endpoint latency histograms.
+// per-endpoint latency histograms: the status snapshot as JSON.
 func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request, ri *reqInfo) {
-	eps, kinds := s.met.snapshot()
-	resp := StatuszResponse{
-		UptimeSeconds:  time.Since(s.start).Seconds(),
-		Ready:          s.ready.Load(),
-		Draining:       s.draining.Load(),
-		InFlight:       s.gate.InFlight(),
-		Queued:         s.gate.Queued(),
-		ServedTotal:    s.gate.Served(),
-		ShedTotal:      s.gate.Shed(),
-		QueuedTotal:    s.gate.QueuedTotal(),
-		Limit:          s.gate.Limit(),
-		Tables:         sortedTables(s.db),
-		Prepared:       s.preparedNames(),
-		QuotaShedTotal: s.quota.Shed(),
-		QuotaClients:   s.quota.Clients(),
-		ErrorKinds:     kinds,
-		Endpoints:      eps,
-		Shards:         s.db.ShardSnapshots(),
-		Stores:         s.db.StoreSnapshots(),
-	}
-	if met, infeasible, escalated, rounds := s.met.contractSnapshot(); met+infeasible+escalated+rounds > 0 {
-		resp.Contract = &ContractStatusJSON{
-			MetTotal:          met,
-			InfeasibleTotal:   infeasible,
-			EscalatedTotal:    escalated,
-			ProgressiveRounds: rounds,
-		}
-	}
-	if s.cfg.Coordinator != nil {
-		snap := s.cfg.Coordinator.Snapshot()
-		resp.Dist = &snap
-	}
-	if s.cfg.QuotaLease != nil {
-		snap := s.cfg.QuotaLease.Snapshot()
-		resp.QuotaLease = &snap
-	}
-	if s.cache != nil {
-		cs := s.cache.Stats()
-		resp.Cache = &CacheStatusJSON{
-			Hits:          cs.Hits,
-			Misses:        cs.Misses,
-			Evictions:     cs.Evictions,
-			Invalidations: cs.Invalidations,
-			Entries:       cs.Entries,
-			Bytes:         cs.Bytes,
-			MaxBytes:      cs.MaxBytes,
-		}
-	}
-	s.writeJSON(w, http.StatusOK, resp)
-}
-
-// sortedTables lists the DB's tables in stable order.
-func sortedTables(db *aqppp.DB) []string {
-	names := db.TableNames()
-	sort.Strings(names)
-	return names
+	s.writeJSON(w, http.StatusOK, s.status())
 }

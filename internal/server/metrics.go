@@ -3,38 +3,144 @@ package server
 import (
 	"bytes"
 	"fmt"
-	"math"
 	"net/http"
 	"sort"
-	"strconv"
 	"strings"
-	"time"
+
+	"aqppp/internal/dist"
+	"aqppp/internal/shard"
+	"aqppp/internal/stats"
+	"aqppp/internal/store"
 )
 
-// This file is the Prometheus text-format (version 0.0.4) encoder for
-// GET /metrics, hand-rolled on the stdlib: each family gets its # HELP
-// and # TYPE line followed by its series, label values are escaped, and
-// the latency histograms re-render the same log10(µs) buckets /statusz
-// reports as cumulative le-bound buckets in seconds. /statusz stays the
-// JSON surface for humans and tests; /metrics is the scrape surface.
+// This file is the Prometheus text-format (version 0.0.4) encoding of
+// the status snapshot (see Server.status): /statusz marshals the
+// snapshot as JSON for humans and tests, /metrics renders the same
+// value through promFamilies, the ordered table of every family the
+// scrape can carry. Adding a metric is adding a field to the snapshot
+// and a row to the table.
 
-// promEscape escapes a label value per the text-format rules.
-func promEscape(s string) string {
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(s)
+// promFamily is one row of the scrape: a family's metadata and how its
+// series read off the snapshot.
+type promFamily struct {
+	name, typ, help string
+	// when, if set, gates the family on a section of the snapshot being
+	// present (a coordinator, sharded tables, ...).
+	when   func(*StatuszResponse) bool
+	series promSeries
 }
 
-// promHead writes one family's HELP and TYPE lines.
-func promHead(b *bytes.Buffer, name, typ, help string) {
-	fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+// promSeries emits one family's samples off the snapshot: a rendered
+// label list ("" for none) and a value — an integer or a float64, or for
+// a histogram family a stats.LatencySnapshot.
+type promSeries func(st *StatuszResponse, emit func(labels string, v any))
+
+// promEscaper escapes a label value per the text-format rules.
+var promEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
+// promLabel renders one label pair.
+func promLabel(name, value string) string {
+	return name + `="` + promEscaper.Replace(value) + `"`
 }
 
-// promFloat renders a sample value (integers stay integral).
-func promFloat(v float64) string {
-	return strconv.FormatFloat(v, 'g', -1, 64)
+// promSample writes one series; %v renders an integer or a float64 the
+// way the format wants (integers integral, floats shortest round-trip,
+// +Inf).
+func promSample(b *bytes.Buffer, name, labels string, v any) {
+	if labels != "" {
+		labels = "{" + labels + "}"
+	}
+	fmt.Fprintf(b, "%s%s %v\n", name, labels, v)
 }
 
-// boolGauge renders a bool as a 0/1 gauge sample.
+// promHistogram writes one latency histogram as cumulative le buckets in
+// seconds plus _sum and _count. The format's last bucket has no upper
+// bound (stats.LatencyBucketBoundsUS), so it is the +Inf bucket.
+func promHistogram(b *bytes.Buffer, name, labels string, snap stats.LatencySnapshot) {
+	prefix := labels
+	if prefix != "" {
+		prefix += ","
+	}
+	var cum int64
+	for i, n := range snap.Counts {
+		cum += n
+		_, ltUS := stats.LatencyBucketBoundsUS(i)
+		promSample(b, name+"_bucket", fmt.Sprintf(`%sle="%v"`, prefix, ltUS/1e6), cum)
+	}
+	promSample(b, name+"_sum", labels, snap.Sum.Seconds())
+	promSample(b, name+"_count", labels, snap.Count)
+}
+
+// sortedKeys lists a map's keys in order, so the scrape is
+// deterministic run to run. (HTTP status codes are all three digits, so
+// they sort the same as text and as numbers.)
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// scalar is the series of an unlabelled one-sample family.
+func scalar(read func(*StatuszResponse) any) promSeries {
+	return func(st *StatuszResponse, emit func(string, any)) { emit("", read(st)) }
+}
+
+// fleet is the series of a one-sample family labelled with the
+// coordinator's table.
+func fleet(read func(*dist.Snapshot) any) promSeries {
+	return func(st *StatuszResponse, emit func(string, any)) {
+		emit(promLabel("table", st.Dist.Table), read(st.Dist))
+	}
+}
+
+// perReplica is the series of a family with one sample per replica.
+func perReplica(read func(dist.ReplicaSnapshot) any) promSeries {
+	return func(st *StatuszResponse, emit func(string, any)) {
+		for _, rp := range st.Dist.Replicas {
+			emit(promLabel("replica", rp.URL), read(rp))
+		}
+	}
+}
+
+// perStore is the series of a family with one sample per store-backed
+// table.
+func perStore(read func(store.Snapshot) any) promSeries {
+	return func(st *StatuszResponse, emit func(string, any)) {
+		for _, sn := range st.Stores {
+			emit(promLabel("table", sn.Table), read(sn))
+		}
+	}
+}
+
+// perShard is the series of a family with one sample per shard of every
+// sharded table.
+func perShard(read func(shard.ShardInfo) any) promSeries {
+	return func(st *StatuszResponse, emit func(string, any)) {
+		for _, sn := range st.Shards {
+			for _, sh := range sn.Shards {
+				emit(promLabel("table", sn.Table)+fmt.Sprintf(`,shard="%d"`, sh.Index), read(sh))
+			}
+		}
+	}
+}
+
+// orZero reads a block /statusz omits while it is empty (the cache, the
+// contract counters); /metrics reports those as zeros.
+func orZero[T any](p *T) (v T) {
+	if p != nil {
+		v = *p
+	}
+	return v
+}
+
+func hasShards(st *StatuszResponse) bool { return len(st.Shards) > 0 }
+func hasFleet(st *StatuszResponse) bool  { return st.Dist != nil }
+func hasLease(st *StatuszResponse) bool  { return st.QuotaLease != nil }
+func hasStores(st *StatuszResponse) bool { return len(st.Stores) > 0 }
+
 func boolGauge(v bool) int {
 	if v {
 		return 1
@@ -42,315 +148,113 @@ func boolGauge(v bool) int {
 	return 0
 }
 
-// promEndpoint is one endpoint's metrics snapshot in deterministic
-// (sorted) order for rendering.
-type promEndpoint struct {
-	name     string
-	requests int64
-	sumUS    float64
-	statuses []promStatus
-	buckets  []int64 // raw per-bucket counts over log10(µs)
-}
-
-// promStatus is one (status code, count) pair.
-type promStatus struct {
-	code  int
-	count int64
-}
-
-// promKind is one (error kind, count) pair.
-type promKind struct {
-	name  string
-	count int64
-}
-
-// promSnapshot renders the registry into sorted slices so the text
-// output is deterministic run to run.
-func (m *metrics) promSnapshot() (eps []promEndpoint, kinds []promKind) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	names := make([]string, 0, len(m.endpoints))
-	for name := range m.endpoints {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		em := m.endpoints[name]
-		pe := promEndpoint{
-			name:     name,
-			requests: em.requests,
-			sumUS:    em.sumUS,
-			buckets:  append([]int64(nil), em.latency.Counts...),
-		}
-		codes := make([]int, 0, len(em.statuses))
-		for code := range em.statuses {
-			codes = append(codes, code)
-		}
-		sort.Ints(codes)
-		for _, code := range codes {
-			pe.statuses = append(pe.statuses, promStatus{code: code, count: em.statuses[code]})
-		}
-		eps = append(eps, pe)
-	}
-	kindNames := make([]string, 0, len(m.kinds))
-	for k := range m.kinds {
-		kindNames = append(kindNames, k)
-	}
-	sort.Strings(kindNames)
-	for _, k := range kindNames {
-		kinds = append(kinds, promKind{name: k, count: m.kinds[k]})
-	}
-	return eps, kinds
-}
-
-// renderMetrics encodes the whole serving surface as Prometheus text.
-func (s *Server) renderMetrics() []byte {
-	var b bytes.Buffer
-
-	promHead(&b, "aqppp_uptime_seconds", "gauge", "Seconds since the server started.")
-	fmt.Fprintf(&b, "aqppp_uptime_seconds %s\n", promFloat(time.Since(s.start).Seconds()))
-
-	promHead(&b, "aqppp_ready", "gauge", "1 while the server accepts new work, 0 once draining.")
-	ready := 0
-	if s.ready.Load() {
-		ready = 1
-	}
-	fmt.Fprintf(&b, "aqppp_ready %d\n", ready)
+// promFamilies is the scrape, in order. Every latency histogram shares
+// stats.LatencyHistogram's buckets, so they line up on one dashboard.
+var promFamilies = []promFamily{
+	{"aqppp_uptime_seconds", "gauge", "Seconds since the server started.", nil, scalar(func(st *StatuszResponse) any { return st.UptimeSeconds })},
+	{"aqppp_ready", "gauge", "1 while the server accepts new work, 0 once draining.", nil, scalar(func(st *StatuszResponse) any { return boolGauge(st.Ready) })},
 
 	// Admission gate.
-	promHead(&b, "aqppp_gate_in_flight", "gauge", "Requests currently holding an admission slot.")
-	fmt.Fprintf(&b, "aqppp_gate_in_flight %d\n", s.gate.InFlight())
-	promHead(&b, "aqppp_gate_queued", "gauge", "Requests currently waiting for an admission slot.")
-	fmt.Fprintf(&b, "aqppp_gate_queued %d\n", s.gate.Queued())
-	promHead(&b, "aqppp_gate_limit", "gauge", "Concurrency limit of the admission gate.")
-	fmt.Fprintf(&b, "aqppp_gate_limit %d\n", s.gate.Limit())
-	promHead(&b, "aqppp_gate_served_total", "counter", "Requests that completed gated work.")
-	fmt.Fprintf(&b, "aqppp_gate_served_total %d\n", s.gate.Served())
-	promHead(&b, "aqppp_gate_shed_total", "counter", "Requests shed by the admission gate (capacity or deadline).")
-	fmt.Fprintf(&b, "aqppp_gate_shed_total %d\n", s.gate.Shed())
-	promHead(&b, "aqppp_gate_queued_total", "counter", "Requests that waited in the admission queue.")
-	fmt.Fprintf(&b, "aqppp_gate_queued_total %d\n", s.gate.QueuedTotal())
+	{"aqppp_gate_in_flight", "gauge", "Requests currently holding an admission slot.", nil, scalar(func(st *StatuszResponse) any { return st.InFlight })},
+	{"aqppp_gate_queued", "gauge", "Requests currently waiting for an admission slot.", nil, scalar(func(st *StatuszResponse) any { return st.Queued })},
+	{"aqppp_gate_limit", "gauge", "Concurrency limit of the admission gate.", nil, scalar(func(st *StatuszResponse) any { return st.Limit })},
+	{"aqppp_gate_served_total", "counter", "Requests that completed gated work.", nil, scalar(func(st *StatuszResponse) any { return st.ServedTotal })},
+	{"aqppp_gate_shed_total", "counter", "Requests shed by the admission gate (capacity or deadline).", nil, scalar(func(st *StatuszResponse) any { return st.ShedTotal })},
+	{"aqppp_gate_queued_total", "counter", "Requests that waited in the admission queue.", nil, scalar(func(st *StatuszResponse) any { return st.QueuedTotal })},
 
 	// Response cache.
-	cs := s.cache.Stats()
-	promHead(&b, "aqppp_cache_hits_total", "counter", "Response cache hits (served without touching the gate).")
-	fmt.Fprintf(&b, "aqppp_cache_hits_total %d\n", cs.Hits)
-	promHead(&b, "aqppp_cache_misses_total", "counter", "Response cache misses.")
-	fmt.Fprintf(&b, "aqppp_cache_misses_total %d\n", cs.Misses)
-	promHead(&b, "aqppp_cache_evictions_total", "counter", "Response cache entries evicted by size or TTL.")
-	fmt.Fprintf(&b, "aqppp_cache_evictions_total %d\n", cs.Evictions)
-	promHead(&b, "aqppp_cache_invalidations_total", "counter", "Response cache entries dropped on a table-generation mismatch.")
-	fmt.Fprintf(&b, "aqppp_cache_invalidations_total %d\n", cs.Invalidations)
-	promHead(&b, "aqppp_cache_entries", "gauge", "Response cache resident entries.")
-	fmt.Fprintf(&b, "aqppp_cache_entries %d\n", cs.Entries)
-	promHead(&b, "aqppp_cache_bytes", "gauge", "Response cache resident bytes (accounting estimate).")
-	fmt.Fprintf(&b, "aqppp_cache_bytes %d\n", cs.Bytes)
+	{"aqppp_cache_hits_total", "counter", "Response cache hits (served without touching the gate).", nil, scalar(func(st *StatuszResponse) any { return orZero(st.Cache).Hits })},
+	{"aqppp_cache_misses_total", "counter", "Response cache misses.", nil, scalar(func(st *StatuszResponse) any { return orZero(st.Cache).Misses })},
+	{"aqppp_cache_evictions_total", "counter", "Response cache entries evicted by size or TTL.", nil, scalar(func(st *StatuszResponse) any { return orZero(st.Cache).Evictions })},
+	{"aqppp_cache_invalidations_total", "counter", "Response cache entries dropped on a table-generation mismatch.", nil, scalar(func(st *StatuszResponse) any { return orZero(st.Cache).Invalidations })},
+	{"aqppp_cache_entries", "gauge", "Response cache resident entries.", nil, scalar(func(st *StatuszResponse) any { return orZero(st.Cache).Entries })},
+	{"aqppp_cache_bytes", "gauge", "Response cache resident bytes (accounting estimate).", nil, scalar(func(st *StatuszResponse) any { return orZero(st.Cache).Bytes })},
 
 	// Per-client quota.
-	promHead(&b, "aqppp_quota_shed_total", "counter", "Requests shed for exceeding a per-client quota.")
-	fmt.Fprintf(&b, "aqppp_quota_shed_total %d\n", s.quota.Shed())
-	promHead(&b, "aqppp_quota_clients", "gauge", "Client token buckets currently tracked.")
-	fmt.Fprintf(&b, "aqppp_quota_clients %d\n", s.quota.Clients())
+	{"aqppp_quota_shed_total", "counter", "Requests shed for exceeding a per-client quota.", nil, scalar(func(st *StatuszResponse) any { return st.QuotaShedTotal })},
+	{"aqppp_quota_clients", "gauge", "Client token buckets currently tracked.", nil, scalar(func(st *StatuszResponse) any { return st.QuotaClients })},
 
-	// Contract serving: outcome counters plus the per-round latency
-	// histogram of the progressive SSE stream.
-	s.met.mu.Lock()
-	cMet, cInf, cEsc := s.met.contractMet, s.met.contractInfeasible, s.met.contractEscalated
-	progBuckets := append([]int64(nil), s.met.progRounds.Counts...)
-	progSumUS, progCount := s.met.progSumUS, s.met.progCount
-	s.met.mu.Unlock()
-	promHead(&b, "aqppp_contract_met_total", "counter", "Contract queries answered within their error bound.")
-	fmt.Fprintf(&b, "aqppp_contract_met_total %d\n", cMet)
-	promHead(&b, "aqppp_contract_infeasible_total", "counter", "Contract queries rejected as infeasible (422).")
-	fmt.Fprintf(&b, "aqppp_contract_infeasible_total %d\n", cInf)
-	promHead(&b, "aqppp_contract_escalated_total", "counter", "Contract queries that needed a costlier rung than planned.")
-	fmt.Fprintf(&b, "aqppp_contract_escalated_total %d\n", cEsc)
+	// Contract serving.
+	{"aqppp_contract_met_total", "counter", "Contract queries answered within their error bound.", nil, scalar(func(st *StatuszResponse) any { return orZero(st.Contract).MetTotal })},
+	{"aqppp_contract_infeasible_total", "counter", "Contract queries rejected as infeasible (422).", nil, scalar(func(st *StatuszResponse) any { return orZero(st.Contract).InfeasibleTotal })},
+	{"aqppp_contract_escalated_total", "counter", "Contract queries that needed a costlier rung than planned.", nil, scalar(func(st *StatuszResponse) any { return orZero(st.Contract).EscalatedTotal })},
 
-	eps, kinds := s.met.promSnapshot()
-
-	// Error kinds.
-	promHead(&b, "aqppp_errors_total", "counter", "Errors by taxonomy kind.")
-	for _, k := range kinds {
-		fmt.Fprintf(&b, "aqppp_errors_total{kind=\"%s\"} %d\n", promEscape(k.name), k.count)
-	}
-
-	// Per-endpoint request counters.
-	promHead(&b, "aqppp_http_requests_total", "counter", "HTTP requests by endpoint and status code.")
-	for _, ep := range eps {
-		for _, st := range ep.statuses {
-			fmt.Fprintf(&b, "aqppp_http_requests_total{endpoint=\"%s\",status=\"%d\"} %d\n",
-				promEscape(ep.name), st.code, st.count)
-		}
-	}
-
-	// Latency histograms. The registry buckets log10(latency µs) with
-	// fixed width; bucket i covers [10^(min+i·w), 10^(min+(i+1)·w)) µs,
-	// so the le bound after bucket i is 10^(min+(i+1)·w)/1e6 seconds.
-	// The final bucket is the registry's clamp bucket (it absorbs
-	// everything ≥ its lower bound), so it folds into +Inf rather than
-	// pretending to have a finite upper bound.
-	promHead(&b, "aqppp_http_request_duration_seconds", "histogram", "Request wall time by endpoint (log-scale buckets, 1µs–1s).")
-	width := (latLogMax - latLogMin) / float64(latBuckets)
-	for _, ep := range eps {
-		name := promEscape(ep.name)
-		var cum int64
-		for i := 0; i < latBuckets-1; i++ {
-			cum += ep.buckets[i]
-			le := math.Pow(10, latLogMin+float64(i+1)*width) / 1e6
-			fmt.Fprintf(&b, "aqppp_http_request_duration_seconds_bucket{endpoint=\"%s\",le=\"%s\"} %d\n",
-				name, promFloat(le), cum)
-		}
-		fmt.Fprintf(&b, "aqppp_http_request_duration_seconds_bucket{endpoint=\"%s\",le=\"+Inf\"} %d\n",
-			name, ep.requests)
-		fmt.Fprintf(&b, "aqppp_http_request_duration_seconds_sum{endpoint=\"%s\"} %s\n",
-			name, promFloat(ep.sumUS/1e6))
-		fmt.Fprintf(&b, "aqppp_http_request_duration_seconds_count{endpoint=\"%s\"} %d\n",
-			name, ep.requests)
-	}
-
-	// Progressive streaming: per-round wall time (same log-scale
-	// buckets as the request histogram, so dashboards line up).
-	promHead(&b, "aqppp_progressive_round_duration_seconds", "histogram", "Progressive stream per-round wall time (log-scale buckets, 1µs–1s).")
-	{
-		var cum int64
-		for i := 0; i < latBuckets-1; i++ {
-			cum += progBuckets[i]
-			le := math.Pow(10, latLogMin+float64(i+1)*width) / 1e6
-			fmt.Fprintf(&b, "aqppp_progressive_round_duration_seconds_bucket{le=\"%s\"} %d\n",
-				promFloat(le), cum)
-		}
-		fmt.Fprintf(&b, "aqppp_progressive_round_duration_seconds_bucket{le=\"+Inf\"} %d\n", progCount)
-		fmt.Fprintf(&b, "aqppp_progressive_round_duration_seconds_sum %s\n", promFloat(progSumUS/1e6))
-		fmt.Fprintf(&b, "aqppp_progressive_round_duration_seconds_count %d\n", progCount)
-	}
-
-	// Sharded tables: layout gauges, pruning counters, and per-shard
-	// scan-latency histograms (same log-scale buckets as the request
-	// histogram, so the two line up on one dashboard).
-	snaps := s.db.ShardSnapshots()
-	if len(snaps) > 0 {
-		promHead(&b, "aqppp_shard_rows", "gauge", "Rows resident in each shard of a sharded table.")
-		for _, sn := range snaps {
-			for _, sh := range sn.Shards {
-				fmt.Fprintf(&b, "aqppp_shard_rows{table=\"%s\",shard=\"%d\"} %d\n",
-					promEscape(sn.Table), sh.Index, sh.Rows)
+	// Errors and per-endpoint traffic.
+	{"aqppp_errors_total", "counter", "Errors by taxonomy kind.", nil,
+		func(st *StatuszResponse, emit func(string, any)) {
+			for _, kind := range sortedKeys(st.ErrorKinds) {
+				emit(promLabel("kind", kind), st.ErrorKinds[kind])
 			}
-		}
-		promHead(&b, "aqppp_shards_pruned_total", "counter", "Shard scans skipped by range-bound pruning.")
-		for _, sn := range snaps {
-			fmt.Fprintf(&b, "aqppp_shards_pruned_total{table=\"%s\"} %d\n", promEscape(sn.Table), sn.Pruned)
-		}
-		promHead(&b, "aqppp_shard_scan_duration_seconds", "histogram", "Per-shard sub-plan scan time (log-scale buckets, 1µs–1s).")
-		for _, sn := range snaps {
-			table := promEscape(sn.Table)
-			for _, sh := range sn.Shards {
-				var cum int64
-				for i := 0; i < latBuckets-1; i++ {
-					cum += sh.Latency[i]
-					le := math.Pow(10, latLogMin+float64(i+1)*width) / 1e6
-					fmt.Fprintf(&b, "aqppp_shard_scan_duration_seconds_bucket{table=\"%s\",shard=\"%d\",le=\"%s\"} %d\n",
-						table, sh.Index, promFloat(le), cum)
+		}},
+	{"aqppp_http_requests_total", "counter", "HTTP requests by endpoint and status code.", nil,
+		func(st *StatuszResponse, emit func(string, any)) {
+			for _, ep := range sortedKeys(st.Endpoints) {
+				statuses := st.Endpoints[ep].Statuses
+				for _, code := range sortedKeys(statuses) {
+					emit(promLabel("endpoint", ep)+","+promLabel("status", code), statuses[code])
 				}
-				fmt.Fprintf(&b, "aqppp_shard_scan_duration_seconds_bucket{table=\"%s\",shard=\"%d\",le=\"+Inf\"} %d\n",
-					table, sh.Index, sh.Scans)
-				fmt.Fprintf(&b, "aqppp_shard_scan_duration_seconds_sum{table=\"%s\",shard=\"%d\"} %s\n",
-					table, sh.Index, promFloat(sh.LatencySumUS/1e6))
-				fmt.Fprintf(&b, "aqppp_shard_scan_duration_seconds_count{table=\"%s\",shard=\"%d\"} %d\n",
-					table, sh.Index, sh.Scans)
 			}
-		}
-	}
+		}},
+	{"aqppp_http_request_duration_seconds", "histogram", "Request wall time by endpoint (log-scale buckets, 1µs–1s).", nil,
+		func(st *StatuszResponse, emit func(string, any)) {
+			for _, ep := range sortedKeys(st.Endpoints) {
+				emit(promLabel("endpoint", ep), st.Endpoints[ep].Latency)
+			}
+		}},
+	{"aqppp_progressive_round_duration_seconds", "histogram", "Progressive stream per-round wall time (log-scale buckets, 1µs–1s).", nil, scalar(func(st *StatuszResponse) any { return st.ProgressiveRounds })},
 
-	// Distributed fleet (coordinator only): topology, per-replica
-	// request/retry/failure/hedge/shed counters and request-latency
-	// histograms (same log-scale buckets as everything else).
-	if c := s.cfg.Coordinator; c != nil {
-		sn := c.Snapshot()
-		promHead(&b, "aqppp_dist_topology_generation", "gauge", "Fleet topology generation folded into distributed cache keys.")
-		fmt.Fprintf(&b, "aqppp_dist_topology_generation{table=\"%s\"} %d\n", promEscape(sn.Table), sn.TopoGen)
-		promHead(&b, "aqppp_dist_pruned_total", "counter", "Replica requests skipped by range-bound pruning.")
-		fmt.Fprintf(&b, "aqppp_dist_pruned_total{table=\"%s\"} %d\n", promEscape(sn.Table), sn.Pruned)
-		promHead(&b, "aqppp_dist_degraded_total", "counter", "Distributed answers served degraded from surviving strata.")
-		fmt.Fprintf(&b, "aqppp_dist_degraded_total{table=\"%s\"} %d\n", promEscape(sn.Table), sn.Degraded)
-		promHead(&b, "aqppp_replica_healthy", "gauge", "1 while the replica's last partial round trip succeeded.")
-		for _, rp := range sn.Replicas {
-			fmt.Fprintf(&b, "aqppp_replica_healthy{replica=\"%s\"} %d\n", promEscape(rp.URL), boolGauge(rp.Healthy))
-		}
-		promHead(&b, "aqppp_replica_requests_total", "counter", "Partial-request attempts per replica.")
-		for _, rp := range sn.Replicas {
-			fmt.Fprintf(&b, "aqppp_replica_requests_total{replica=\"%s\"} %d\n", promEscape(rp.URL), rp.Requests)
-		}
-		promHead(&b, "aqppp_replica_retries_total", "counter", "Partial-request retries per replica.")
-		for _, rp := range sn.Replicas {
-			fmt.Fprintf(&b, "aqppp_replica_retries_total{replica=\"%s\"} %d\n", promEscape(rp.URL), rp.Retries)
-		}
-		promHead(&b, "aqppp_replica_failures_total", "counter", "Partial requests that exhausted every attempt per replica.")
-		for _, rp := range sn.Replicas {
-			fmt.Fprintf(&b, "aqppp_replica_failures_total{replica=\"%s\"} %d\n", promEscape(rp.URL), rp.Failures)
-		}
-		promHead(&b, "aqppp_replica_hedges_total", "counter", "Hedged duplicate attempts launched per replica.")
-		for _, rp := range sn.Replicas {
-			fmt.Fprintf(&b, "aqppp_replica_hedges_total{replica=\"%s\"} %d\n", promEscape(rp.URL), rp.Hedges)
-		}
-		promHead(&b, "aqppp_replica_shed_total", "counter", "Partial requests the replica shed with 429 per replica.")
-		for _, rp := range sn.Replicas {
-			fmt.Fprintf(&b, "aqppp_replica_shed_total{replica=\"%s\"} %d\n", promEscape(rp.URL), rp.Shed)
-		}
-		promHead(&b, "aqppp_replica_request_duration_seconds", "histogram", "Successful partial round-trip time per replica (log-scale buckets, 1µs–1s).")
-		for _, rp := range sn.Replicas {
-			name := promEscape(rp.URL)
-			var cum, total int64
-			for _, n := range rp.Latency {
-				total += n
+	// Sharded tables: layout gauges, pruning counters, per-shard scans.
+	{"aqppp_shard_rows", "gauge", "Rows resident in each shard of a sharded table.", hasShards, perShard(func(sh shard.ShardInfo) any { return sh.Rows })},
+	{"aqppp_shards_pruned_total", "counter", "Shard scans skipped by range-bound pruning.", hasShards,
+		func(st *StatuszResponse, emit func(string, any)) {
+			for _, sn := range st.Shards {
+				emit(promLabel("table", sn.Table), sn.Pruned)
 			}
-			for i := 0; i < latBuckets-1; i++ {
-				cum += rp.Latency[i]
-				le := math.Pow(10, latLogMin+float64(i+1)*width) / 1e6
-				fmt.Fprintf(&b, "aqppp_replica_request_duration_seconds_bucket{replica=\"%s\",le=\"%s\"} %d\n",
-					name, promFloat(le), cum)
-			}
-			fmt.Fprintf(&b, "aqppp_replica_request_duration_seconds_bucket{replica=\"%s\",le=\"+Inf\"} %d\n", name, total)
-			fmt.Fprintf(&b, "aqppp_replica_request_duration_seconds_sum{replica=\"%s\"} %s\n", name, promFloat(rp.LatencySumUS/1e6))
-			fmt.Fprintf(&b, "aqppp_replica_request_duration_seconds_count{replica=\"%s\"} %d\n", name, total)
-		}
-	}
+		}},
+	{"aqppp_shard_scan_duration_seconds", "histogram", "Per-shard sub-plan scan time (log-scale buckets, 1µs–1s).", hasShards, perShard(func(sh shard.ShardInfo) any { return sh.Latency })},
+
+	// Distributed fleet (coordinator only): topology and per-replica
+	// traffic.
+	{"aqppp_dist_topology_generation", "gauge", "Fleet topology generation folded into distributed cache keys.", hasFleet, fleet(func(sn *dist.Snapshot) any { return sn.TopoGen })},
+	{"aqppp_dist_pruned_total", "counter", "Replica requests skipped by range-bound pruning.", hasFleet, fleet(func(sn *dist.Snapshot) any { return sn.Pruned })},
+	{"aqppp_dist_degraded_total", "counter", "Distributed answers served degraded from surviving strata.", hasFleet, fleet(func(sn *dist.Snapshot) any { return sn.Degraded })},
+	{"aqppp_replica_healthy", "gauge", "1 while the replica's last partial round trip succeeded.", hasFleet, perReplica(func(rp dist.ReplicaSnapshot) any { return boolGauge(rp.Healthy) })},
+	{"aqppp_replica_requests_total", "counter", "Partial-request attempts per replica.", hasFleet, perReplica(func(rp dist.ReplicaSnapshot) any { return rp.Requests })},
+	{"aqppp_replica_retries_total", "counter", "Partial-request retries per replica.", hasFleet, perReplica(func(rp dist.ReplicaSnapshot) any { return rp.Retries })},
+	{"aqppp_replica_failures_total", "counter", "Partial requests that exhausted every attempt per replica.", hasFleet, perReplica(func(rp dist.ReplicaSnapshot) any { return rp.Failures })},
+	{"aqppp_replica_hedges_total", "counter", "Hedged duplicate attempts launched per replica.", hasFleet, perReplica(func(rp dist.ReplicaSnapshot) any { return rp.Hedges })},
+	{"aqppp_replica_shed_total", "counter", "Partial requests the replica shed with 429 per replica.", hasFleet, perReplica(func(rp dist.ReplicaSnapshot) any { return rp.Shed })},
+	{"aqppp_replica_request_duration_seconds", "histogram", "Successful partial round-trip time per replica (log-scale buckets, 1µs–1s).", hasFleet, perReplica(func(rp dist.ReplicaSnapshot) any { return rp.Latency })},
 
 	// Shared-quota lease client (replica side of fleet quota).
-	if ql := s.cfg.QuotaLease; ql != nil {
-		sn := ql.Snapshot()
-		promHead(&b, "aqppp_quota_lease_calls_total", "counter", "Lease round trips to the quota authority.")
-		fmt.Fprintf(&b, "aqppp_quota_lease_calls_total %d\n", sn.LeaseCalls)
-		promHead(&b, "aqppp_quota_lease_denied_total", "counter", "Requests denied because the authority granted zero tokens.")
-		fmt.Fprintf(&b, "aqppp_quota_lease_denied_total %d\n", sn.Denied)
-		promHead(&b, "aqppp_quota_lease_failopen_total", "counter", "Requests admitted because the quota authority was unreachable.")
-		fmt.Fprintf(&b, "aqppp_quota_lease_failopen_total %d\n", sn.FailOpen)
-	}
+	{"aqppp_quota_lease_calls_total", "counter", "Lease round trips to the quota authority.", hasLease, scalar(func(st *StatuszResponse) any { return st.QuotaLease.LeaseCalls })},
+	{"aqppp_quota_lease_denied_total", "counter", "Requests denied because the authority granted zero tokens.", hasLease, scalar(func(st *StatuszResponse) any { return st.QuotaLease.Denied })},
+	{"aqppp_quota_lease_failopen_total", "counter", "Requests admitted because the quota authority was unreachable.", hasLease, scalar(func(st *StatuszResponse) any { return st.QuotaLease.FailOpen })},
 
-	// Disk-backed stores: block-cache counters and resident bytes per
-	// table. A miss is one disk read + decode; blocks the zone maps
-	// prune appear in neither counter.
-	stores := s.db.StoreSnapshots()
-	if len(stores) > 0 {
-		promHead(&b, "aqppp_store_cache_hits_total", "counter", "Store block-cache hits by table.")
-		for _, sn := range stores {
-			fmt.Fprintf(&b, "aqppp_store_cache_hits_total{table=\"%s\"} %d\n", promEscape(sn.Table), sn.Cache.Hits)
+	// Disk-backed stores. A miss is one disk read + decode; blocks the
+	// zone maps prune appear in neither counter.
+	{"aqppp_store_cache_hits_total", "counter", "Store block-cache hits by table.", hasStores, perStore(func(sn store.Snapshot) any { return sn.Cache.Hits })},
+	{"aqppp_store_cache_misses_total", "counter", "Store block-cache misses (each one disk read + decode) by table.", hasStores, perStore(func(sn store.Snapshot) any { return sn.Cache.Misses })},
+	{"aqppp_store_cache_evictions_total", "counter", "Store block-cache evictions by table.", hasStores, perStore(func(sn store.Snapshot) any { return sn.Cache.Evictions })},
+	{"aqppp_store_cache_resident_bytes", "gauge", "Decoded blocks resident in the store cache by table.", hasStores, perStore(func(sn store.Snapshot) any { return sn.Cache.ResidentBytes })},
+	{"aqppp_store_file_bytes", "gauge", "Store container size on disk by table.", hasStores, perStore(func(sn store.Snapshot) any { return sn.FileBytes })},
+}
+
+// renderMetrics encodes a status snapshot as Prometheus text.
+func renderMetrics(st *StatuszResponse) []byte {
+	var b bytes.Buffer
+	for _, f := range promFamilies {
+		if f.when != nil && !f.when(st) {
+			continue
 		}
-		promHead(&b, "aqppp_store_cache_misses_total", "counter", "Store block-cache misses (each one disk read + decode) by table.")
-		for _, sn := range stores {
-			fmt.Fprintf(&b, "aqppp_store_cache_misses_total{table=\"%s\"} %d\n", promEscape(sn.Table), sn.Cache.Misses)
-		}
-		promHead(&b, "aqppp_store_cache_evictions_total", "counter", "Store block-cache evictions by table.")
-		for _, sn := range stores {
-			fmt.Fprintf(&b, "aqppp_store_cache_evictions_total{table=\"%s\"} %d\n", promEscape(sn.Table), sn.Cache.Evictions)
-		}
-		promHead(&b, "aqppp_store_cache_resident_bytes", "gauge", "Decoded blocks resident in the store cache by table.")
-		for _, sn := range stores {
-			fmt.Fprintf(&b, "aqppp_store_cache_resident_bytes{table=\"%s\"} %d\n", promEscape(sn.Table), sn.Cache.ResidentBytes)
-		}
-		promHead(&b, "aqppp_store_file_bytes", "gauge", "Store container size on disk by table.")
-		for _, sn := range stores {
-			fmt.Fprintf(&b, "aqppp_store_file_bytes{table=\"%s\"} %d\n", promEscape(sn.Table), sn.FileBytes)
-		}
+		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.typ)
+		f.series(st, func(labels string, v any) {
+			if snap, ok := v.(stats.LatencySnapshot); ok {
+				promHistogram(&b, f.name, labels, snap)
+			} else {
+				promSample(&b, f.name, labels, v)
+			}
+		})
 	}
 	return b.Bytes()
 }
@@ -358,5 +262,5 @@ func (s *Server) renderMetrics() []byte {
 // handleMetrics answers GET /metrics with the Prometheus text format.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request, ri *reqInfo) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_, _ = w.Write(s.renderMetrics())
+	_, _ = w.Write(renderMetrics(s.status()))
 }

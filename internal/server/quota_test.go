@@ -244,7 +244,7 @@ func TestServerQuotaFairness(t *testing.T) {
 	if got := srv.quota.Shed(); int(got) != hogSheds {
 		t.Errorf("quota sheds = %d, want %d", got, hogSheds)
 	}
-	if got := srv.met.kindCount("quota-exceeded"); int(got) != hogSheds {
+	if got := srv.status().ErrorKinds["quota-exceeded"]; int(got) != hogSheds {
 		t.Errorf("quota-exceeded kind count = %d, want %d", got, hogSheds)
 	}
 }

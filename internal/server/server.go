@@ -291,8 +291,9 @@ func (s *Server) nextRequestID() string {
 }
 
 // logAccess writes one access-log line: timestamp, request ID, method,
-// path, status, and wall time.
-func (s *Server) logAccess(id, method, path string, status int, d time.Duration) {
+// path, status, and wall time, then parent=<id> when the caller sent
+// its own request's ID.
+func (s *Server) logAccess(ri *reqInfo, method, path string, status int, d time.Duration) {
 	if s.cfg.AccessLog == nil {
 		return
 	}
@@ -300,6 +301,10 @@ func (s *Server) logAccess(id, method, path string, status int, d time.Duration)
 	defer s.logMu.Unlock()
 	// An access-log write failing must never fail the request; the
 	// error is deliberately dropped.
-	_, _ = fmt.Fprintf(s.cfg.AccessLog, "%s %s %s %s %d %.3fms\n",
-		time.Now().UTC().Format(time.RFC3339Nano), id, method, path, status, toMS(d))
+	parent := ""
+	if ri.parent != "" {
+		parent = " parent=" + ri.parent
+	}
+	_, _ = fmt.Fprintf(s.cfg.AccessLog, "%s %s %s %s %d %.3fms%s\n",
+		time.Now().UTC().Format(time.RFC3339Nano), ri.id, method, path, status, toMS(d), parent)
 }

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -377,8 +379,12 @@ func TestServerAdmissionUnderLoad(t *testing.T) {
 			defer wg.Done()
 			<-start
 			t0 := time.Now()
+			// A statement per client: a repeated one is served from the
+			// cache, in front of the gate, as soon as its first answer
+			// lands, and on a slow runner that left too few arrivals to
+			// overflow the gate.
 			status, body, hdr := postJSON(t, c, base+"/v1/query", QueryRequest{
-				SQL: "SELECT SUM(v) FROM demo WHERE k BETWEEN 10 AND 400", TimeoutMS: 10_000,
+				SQL: fmt.Sprintf("SELECT SUM(v) FROM demo WHERE k BETWEEN 10 AND %d", 400+i), TimeoutMS: 10_000,
 			})
 			results <- outcome{
 				status:     status,
@@ -489,7 +495,7 @@ func TestServerClientDisconnectCancelsEngine(t *testing.T) {
 	// loaded single-core box, not the minute-plus the full schedule
 	// would take.
 	waitFor(t, 20*time.Second, func() bool { return srv.Gate().InFlight() == 0 })
-	waitFor(t, 2*time.Second, func() bool { return srv.met.kindCount("canceled") >= 1 })
+	waitFor(t, 2*time.Second, func() bool { return srv.status().ErrorKinds["canceled"] >= 1 })
 }
 
 // TestServerGracefulDrain: Shutdown flips /readyz to 503 while the
@@ -675,5 +681,42 @@ func TestPartialRunsUnderBudget(t *testing.T) {
 	}
 	if el := time.Since(start); el > 10*time.Second {
 		t.Errorf("refusals took %v: the deadline and the cap must stop the resampling", el)
+	}
+}
+
+// TestParentRequestID pins the receiving half of cross-process request
+// IDs: a caller's X-Request-Id (a coordinator sends its own request's ID
+// with every partial) comes back as parent_request_id in the error body
+// and as parent=<id> on the access-log line, next to this server's own
+// ID; a request without the header has neither.
+func TestParentRequestID(t *testing.T) {
+	var log bytes.Buffer
+	srv := New(newTestDB(t, 100), Config{AccessLog: &log, Replica: &ReplicaRole{Table: "demo"}})
+	partial := func(parent string) (ErrorDetail, string) {
+		t.Helper()
+		log.Reset()
+		req := httptest.NewRequest(http.MethodPost, "/v1/partial", bytes.NewReader([]byte(`{"v":0}`)))
+		if parent != "" {
+			req.Header.Set("X-Request-Id", parent)
+		}
+		w := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(w, req)
+		var body ErrorBody
+		if err := json.Unmarshal(w.Body.Bytes(), &body); err != nil || w.Code != http.StatusBadRequest {
+			t.Fatalf("stale-version partial = %d %s (%v), want a 400 error body", w.Code, w.Body.String(), err)
+		}
+		return body.Error, log.String()
+	}
+
+	detail, line := partial("coord-000007")
+	if detail.ParentRequestID != "coord-000007" || detail.RequestID == "" || detail.RequestID == detail.ParentRequestID {
+		t.Errorf("error body ids = own %q parent %q, want a fresh id and parent coord-000007", detail.RequestID, detail.ParentRequestID)
+	}
+	if !strings.Contains(line, " "+detail.RequestID+" ") || !strings.HasSuffix(line, " parent=coord-000007\n") {
+		t.Errorf("access log line %q lacks the request's own id or its parent", line)
+	}
+	detail, line = partial("")
+	if detail.ParentRequestID != "" || strings.Contains(line, "parent=") {
+		t.Errorf("headerless request reports a parent: body %+v, log %q", detail, line)
 	}
 }

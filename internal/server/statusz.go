@@ -1,10 +1,12 @@
 package server
 
 import (
+	"maps"
 	"math"
 	"sort"
 	"strconv"
 	"sync"
+	"time"
 
 	"aqppp/internal/dist"
 	"aqppp/internal/shard"
@@ -12,24 +14,11 @@ import (
 	"aqppp/internal/store"
 )
 
-// Latency histograms bucket log10(latency in µs) so one fixed-width
-// stats.Histogram spans 1µs to 1s at quarter-decade resolution —
-// interactive-latency SLOs live in the 1ms–1s decades, and the log
-// scale keeps both a 50µs cache hit and a 800ms cold scan resolvable.
-const (
-	latLogMin  = 0.0 // 10^0 µs = 1µs
-	latLogMax  = 6.0 // 10^6 µs = 1s
-	latBuckets = 24
-)
-
-// endpointMetrics aggregates one endpoint's traffic.
+// endpointMetrics aggregates one endpoint's traffic; the request count
+// is the latency histogram's.
 type endpointMetrics struct {
-	requests int64
 	statuses map[int]int64
-	latency  *stats.Histogram // over log10(µs)
-	// sumUS accumulates total latency so the Prometheus histogram can
-	// emit its _sum series (the JSON histogram does not need it).
-	sumUS float64
+	latency  stats.LatencyHistogram
 }
 
 // metrics is the server's status registry: per-endpoint latency
@@ -39,47 +28,33 @@ type metrics struct {
 	mu        sync.Mutex
 	endpoints map[string]*endpointMetrics
 	kinds     map[string]int64
-	// Contract-serving counters: contracts answered within their bound,
-	// contracts rejected as infeasible (plan-time or after the ladder
-	// ran dry), and contracts that needed a costlier rung than planned.
-	contractMet        int64
-	contractInfeasible int64
-	contractEscalated  int64
-	// progRounds buckets progressive per-round wall time on the same
-	// log10(µs) scale as the request histograms; progSumUS/progCount
-	// feed the Prometheus _sum/_count series.
-	progRounds *stats.Histogram
-	progSumUS  float64
-	progCount  int64
+	// contract counts contracts answered within their bound, rejected
+	// as infeasible (plan-time or after the ladder ran dry), and
+	// escalated to a costlier rung than planned. Its ProgressiveRounds
+	// is filled at read time from progRounds, which times every round a
+	// progressive stream sends (handlers observe into it directly).
+	contract   ContractStatusJSON
+	progRounds stats.LatencyHistogram
 }
 
 func newMetrics() *metrics {
 	return &metrics{
-		endpoints:  make(map[string]*endpointMetrics),
-		kinds:      make(map[string]int64),
-		progRounds: stats.NewHistogram(latLogMin, latLogMax, latBuckets),
+		endpoints: make(map[string]*endpointMetrics),
+		kinds:     make(map[string]int64),
 	}
 }
 
 // observe records one completed request.
-func (m *metrics) observe(endpoint string, status int, latencyUS float64) {
+func (m *metrics) observe(endpoint string, status int, d time.Duration) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	em := m.endpoints[endpoint]
 	if em == nil {
-		em = &endpointMetrics{
-			statuses: make(map[int]int64),
-			latency:  stats.NewHistogram(latLogMin, latLogMax, latBuckets),
-		}
+		em = &endpointMetrics{statuses: make(map[int]int64)}
 		m.endpoints[endpoint] = em
 	}
-	em.requests++
 	em.statuses[status]++
-	if latencyUS < 1 {
-		latencyUS = 1
-	}
-	em.sumUS += latencyUS
-	em.latency.Add(math.Log10(latencyUS))
+	em.latency.Observe(d)
 }
 
 // observeKind counts one error by taxonomy kind ("canceled", ...).
@@ -94,46 +69,22 @@ func (m *metrics) observeContract(met, escalated bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if met {
-		m.contractMet++
+		m.contract.MetTotal++
 	} else {
-		m.contractInfeasible++
+		m.contract.InfeasibleTotal++
 	}
 	if escalated {
-		m.contractEscalated++
+		m.contract.EscalatedTotal++
 	}
-}
-
-// observeProgressiveRound records one streamed round's wall time.
-func (m *metrics) observeProgressiveRound(latencyUS float64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if latencyUS < 1 {
-		latencyUS = 1
-	}
-	m.progSumUS += latencyUS
-	m.progCount++
-	m.progRounds.Add(math.Log10(latencyUS))
-}
-
-// contractSnapshot reads the contract counters.
-func (m *metrics) contractSnapshot() (met, infeasible, escalated, rounds int64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.contractMet, m.contractInfeasible, m.contractEscalated, m.progCount
-}
-
-// kindCount reads one kind's counter.
-func (m *metrics) kindCount(kind string) int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.kinds[kind]
 }
 
 // LatencyBucketJSON is one histogram bucket on the wire: requests with
-// GeUS <= latency < LtUS microseconds.
+// GeUS <= latency < LtUS microseconds. The last bucket of the format
+// (ge_us 562341.33) absorbs every slower request, so it has no upper
+// bound and LtUS is omitted on it.
 type LatencyBucketJSON struct {
 	GeUS  float64 `json:"ge_us"`
-	LtUS  float64 `json:"lt_us"`
+	LtUS  float64 `json:"lt_us,omitempty"`
 	Count int64   `json:"count"`
 }
 
@@ -146,17 +97,8 @@ type EndpointJSON struct {
 	// LatencyUS is the latency histogram; zero-count buckets are
 	// omitted.
 	LatencyUS []LatencyBucketJSON `json:"latency_us"`
-}
-
-// CacheStatusJSON is the response cache's statusz entry.
-type CacheStatusJSON struct {
-	Hits          int64 `json:"hits"`
-	Misses        int64 `json:"misses"`
-	Evictions     int64 `json:"evictions"`
-	Invalidations int64 `json:"invalidations"`
-	Entries       int   `json:"entries"`
-	Bytes         int64 `json:"bytes"`
-	MaxBytes      int64 `json:"max_bytes"`
+	// Latency is the same histogram whole, with its sum, for /metrics.
+	Latency stats.LatencySnapshot `json:"-"`
 }
 
 // ContractStatusJSON is the contract-serving statusz entry.
@@ -173,25 +115,28 @@ type ContractStatusJSON struct {
 // distinct QuotaShedTotal — the two answer different operational
 // questions ("server full" vs "client hot").
 type StatuszResponse struct {
-	UptimeSeconds  float64          `json:"uptime_seconds"`
-	Ready          bool             `json:"ready"`
-	Draining       bool             `json:"draining"`
-	InFlight       int64            `json:"in_flight"`
-	Queued         int64            `json:"queued"`
-	ServedTotal    int64            `json:"served_total"`
-	ShedTotal      int64            `json:"shed_total"`
-	QueuedTotal    int64            `json:"queued_total"`
-	Limit          int              `json:"concurrency_limit"`
-	Tables         []string         `json:"tables"`
-	Prepared       []string         `json:"prepared"`
-	Cache          *CacheStatusJSON `json:"cache,omitempty"`
-	QuotaShedTotal int64            `json:"quota_shed_total"`
-	QuotaClients   int              `json:"quota_clients"`
+	UptimeSeconds  float64     `json:"uptime_seconds"`
+	Ready          bool        `json:"ready"`
+	Draining       bool        `json:"draining"`
+	InFlight       int64       `json:"in_flight"`
+	Queued         int64       `json:"queued"`
+	ServedTotal    int64       `json:"served_total"`
+	ShedTotal      int64       `json:"shed_total"`
+	QueuedTotal    int64       `json:"queued_total"`
+	Limit          int         `json:"concurrency_limit"`
+	Tables         []string    `json:"tables"`
+	Prepared       []string    `json:"prepared"`
+	Cache          *CacheStats `json:"cache,omitempty"`
+	QuotaShedTotal int64       `json:"quota_shed_total"`
+	QuotaClients   int         `json:"quota_clients"`
 	// Contract reports contract/progressive serving counters (absent
 	// until the first contract or progressive request).
-	Contract   *ContractStatusJSON     `json:"contract,omitempty"`
-	ErrorKinds map[string]int64        `json:"error_kinds,omitempty"`
-	Endpoints  map[string]EndpointJSON `json:"endpoints"`
+	Contract *ContractStatusJSON `json:"contract,omitempty"`
+	// ProgressiveRounds is the per-round wall time of progressive
+	// streams, for /metrics (Contract.ProgressiveRounds is its count).
+	ProgressiveRounds stats.LatencySnapshot   `json:"-"`
+	ErrorKinds        map[string]int64        `json:"error_kinds,omitempty"`
+	Endpoints         map[string]EndpointJSON `json:"endpoints"`
 	// Shards lists each sharded table's layout and per-shard scan
 	// counters (absent when no table is sharded).
 	Shards []shard.Snapshot `json:"shards,omitempty"`
@@ -206,41 +151,78 @@ type StatuszResponse struct {
 	QuotaLease *dist.LeaseSnapshot `json:"quota_lease,omitempty"`
 }
 
-// snapshot renders the registry for /statusz.
-func (m *metrics) snapshot() (map[string]EndpointJSON, map[string]int64) {
+// fill reads the registry into st under one lock.
+func (m *metrics) fill(st *StatuszResponse) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	eps := make(map[string]EndpointJSON, len(m.endpoints))
+	st.Endpoints = make(map[string]EndpointJSON, len(m.endpoints))
 	for name, em := range m.endpoints {
+		lat := em.latency.Snapshot()
 		ej := EndpointJSON{
-			Requests: em.requests,
+			Requests: lat.Count,
 			Statuses: make(map[string]int64, len(em.statuses)),
+			Latency:  lat,
 		}
-		codes := make([]int, 0, len(em.statuses))
-		for code := range em.statuses {
-			codes = append(codes, code)
+		for code, n := range em.statuses {
+			ej.Statuses[strconv.Itoa(code)] = n
 		}
-		sort.Ints(codes)
-		for _, code := range codes {
-			ej.Statuses[strconv.Itoa(code)] = em.statuses[code]
-		}
-		width := (latLogMax - latLogMin) / float64(latBuckets)
-		for b, count := range em.latency.Counts {
+		for b, count := range lat.Counts {
 			if count == 0 {
 				continue
 			}
-			lo := latLogMin + float64(b)*width
-			ej.LatencyUS = append(ej.LatencyUS, LatencyBucketJSON{
-				GeUS:  math.Round(math.Pow(10, lo)*100) / 100,
-				LtUS:  math.Round(math.Pow(10, lo+width)*100) / 100,
-				Count: count,
-			})
+			ge, lt := stats.LatencyBucketBoundsUS(b)
+			bucket := LatencyBucketJSON{GeUS: math.Round(ge*100) / 100, Count: count}
+			if !math.IsInf(lt, 1) {
+				bucket.LtUS = math.Round(lt*100) / 100
+			}
+			ej.LatencyUS = append(ej.LatencyUS, bucket)
 		}
-		eps[name] = ej
+		st.Endpoints[name] = ej
 	}
-	kinds := make(map[string]int64, len(m.kinds))
-	for k, v := range m.kinds {
-		kinds[k] = v
+	st.ErrorKinds = maps.Clone(m.kinds)
+	st.ProgressiveRounds = m.progRounds.Snapshot()
+	contract := m.contract
+	contract.ProgressiveRounds = st.ProgressiveRounds.Count
+	if contract != (ContractStatusJSON{}) {
+		st.Contract = &contract
 	}
-	return eps, kinds
+}
+
+// status reads the server's whole observable state once. /statusz is
+// its JSON encoding and /metrics its Prometheus one, so the two
+// surfaces report the same counters by construction.
+func (s *Server) status() *StatuszResponse {
+	tables := s.db.TableNames()
+	sort.Strings(tables)
+	st := &StatuszResponse{
+		UptimeSeconds:  time.Since(s.start).Seconds(),
+		Ready:          s.ready.Load(),
+		Draining:       s.draining.Load(),
+		InFlight:       s.gate.InFlight(),
+		Queued:         s.gate.Queued(),
+		ServedTotal:    s.gate.Served(),
+		ShedTotal:      s.gate.Shed(),
+		QueuedTotal:    s.gate.QueuedTotal(),
+		Limit:          s.gate.Limit(),
+		Tables:         tables,
+		Prepared:       s.preparedNames(),
+		QuotaShedTotal: s.quota.Shed(),
+		QuotaClients:   s.quota.Clients(),
+		Shards:         s.db.ShardSnapshots(),
+		Stores:         s.db.StoreSnapshots(),
+	}
+	s.met.fill(st)
+	if s.cfg.Coordinator != nil {
+		snap := s.cfg.Coordinator.Snapshot()
+		st.Dist = &snap
+	}
+	if s.cfg.QuotaLease != nil {
+		snap := s.cfg.QuotaLease.Snapshot()
+		st.QuotaLease = &snap
+	}
+	if s.cache != nil {
+		cs := s.cache.Stats()
+		st.Cache = &cs
+	}
+	return st
 }

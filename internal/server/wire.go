@@ -213,6 +213,9 @@ type ErrorDetail struct {
 	Kind      string `json:"kind"`
 	Message   string `json:"message"`
 	RequestID string `json:"request_id"`
+	// ParentRequestID echoes the X-Request-Id the caller sent: on a
+	// replica, the coordinator request this partial was serving.
+	ParentRequestID string `json:"parent_request_id,omitempty"`
 	// RetryAfterMS accompanies kind "overloaded", "quota-exceeded", and
 	// "unavailable" failures whose cause was a shedding replica; it
 	// mirrors the Retry-After header at millisecond resolution.

@@ -79,24 +79,6 @@ type Shard struct {
 	Lo, Hi float64
 }
 
-// shardObs is one shard's scan observability: how many sub-plans ran
-// against it and their latency distribution (log10 microseconds, the
-// same bucketing the serving layer's request histogram uses).
-type shardObs struct {
-	mu      sync.Mutex
-	scans   uint64
-	sumUS   float64
-	latency *stats.Histogram
-}
-
-// Latency histogram domain: log10(µs) from 1µs to 1s, 24 buckets —
-// matching the serving layer so the two histograms line up in /metrics.
-const (
-	latLogMin  = 0.0
-	latLogMax  = 6.0
-	latBuckets = 24
-)
-
 // Sharded is a partitioned table: the coordinator-side handle that
 // executes queries scatter-gather across its shards.
 type Sharded struct {
@@ -105,7 +87,8 @@ type Sharded struct {
 	Layout Layout
 	Shards []*Shard
 
-	obs    []shardObs
+	// scans[h] times every sub-plan run against shard h.
+	scans  []stats.LatencyHistogram
 	pruned atomic.Uint64
 }
 
@@ -151,7 +134,7 @@ func Partition(tbl *engine.Table, layout Layout) (*Sharded, error) {
 	default:
 		return nil, fmt.Errorf("shard: unknown strategy %v", layout.Strategy)
 	}
-	s := &Sharded{Name: tbl.Name, Layout: layout, obs: make([]shardObs, layout.N)}
+	s := &Sharded{Name: tbl.Name, Layout: layout, scans: make([]stats.LatencyHistogram, layout.N)}
 	for h, span := range spans {
 		st := tbl.Gather(fmt.Sprintf("%s#%d", tbl.Name, h), span)
 		sh := &Shard{Index: h, Table: st, Rows: len(span)}
@@ -171,9 +154,6 @@ func Partition(tbl *engine.Table, layout Layout) (*Sharded, error) {
 		}
 		s.Shards = append(s.Shards, sh)
 	}
-	for h := range s.obs {
-		s.obs[h].latency = stats.NewHistogram(latLogMin, latLogMax, latBuckets)
-	}
 	return s, nil
 }
 
@@ -187,32 +167,17 @@ func mix64(x uint64) uint64 {
 }
 
 // recordScan notes one sub-plan execution against shard h.
-func (s *Sharded) recordScan(h int, d time.Duration) {
-	us := d.Seconds() * 1e6
-	if us < 1 {
-		us = 1
-	}
-	o := &s.obs[h]
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	o.scans++
-	o.sumUS += us
-	o.latency.Add(math.Log10(us))
-}
+func (s *Sharded) recordScan(h int, d time.Duration) { s.scans[h].Observe(d) }
 
-// ShardInfo is one shard's observable state. Latency holds the shard's
-// scan-latency bucket counts (log10-µs buckets over [0, 6), 24
-// buckets, the serving layer's scheme).
+// ShardInfo is one shard's observable state. Latency is the shard's
+// scan-latency histogram (Scans is its count); /metrics renders it.
 type ShardInfo struct {
-	Index   int     `json:"index"`
-	Rows    int     `json:"rows"`
-	Lo      float64 `json:"lo"`
-	Hi      float64 `json:"hi"`
-	Scans   uint64  `json:"scans"`
-	Latency []int64 `json:"-"`
-	// LatencySumUS is the total scan time in microseconds (the _sum
-	// series of the Prometheus histogram rendered from Latency).
-	LatencySumUS float64 `json:"-"`
+	Index   int                   `json:"index"`
+	Rows    int                   `json:"rows"`
+	Lo      float64               `json:"lo"`
+	Hi      float64               `json:"hi"`
+	Scans   uint64                `json:"scans"`
+	Latency stats.LatencySnapshot `json:"-"`
 }
 
 // Snapshot is a point-in-time view of a sharded table's layout and
@@ -234,14 +199,10 @@ func (s *Sharded) Snapshot() Snapshot {
 		Pruned:   s.pruned.Load(),
 	}
 	for i, sh := range s.Shards {
-		o := &s.obs[i]
-		o.mu.Lock()
-		counts := append([]int64(nil), o.latency.Counts...)
-		scans, sumUS := o.scans, o.sumUS
-		o.mu.Unlock()
+		lat := s.scans[i].Snapshot()
 		snap.Shards = append(snap.Shards, ShardInfo{
 			Index: sh.Index, Rows: sh.Rows, Lo: sh.Lo, Hi: sh.Hi,
-			Scans: scans, Latency: counts, LatencySumUS: sumUS,
+			Scans: uint64(lat.Count), Latency: lat,
 		})
 	}
 	return snap

@@ -1,71 +1,81 @@
 package stats
 
 import (
-	"fmt"
 	"math"
-	"strings"
+	"sync/atomic"
+	"time"
 )
 
-// Histogram is a fixed-width bucket histogram over [Min, Max). Values
-// outside the range are clamped into the first/last bucket. It is used by
-// the dataset generators' self-checks and the experiment reports.
-type Histogram struct {
-	Min, Max float64
-	Counts   []int64
-	total    int64
+// The latency-histogram format, owned here and nowhere else: buckets
+// are fixed-width over log10(latency in µs) on [0, 6), so 24 of them
+// span 1µs to 1s at quarter-decade resolution — interactive-latency
+// SLOs live in the 1ms–1s decades, and the log scale keeps both a 50µs
+// cache hit and an 800ms cold scan resolvable. Observations under 1µs
+// clamp to 1µs; the last bucket absorbs everything at or above its
+// lower bound, so it has no upper bound.
+const (
+	latLogMax = 6.0 // 10^6 µs = 1s
+
+	// LatencyBuckets is the number of buckets in every LatencyHistogram.
+	LatencyBuckets = 24
+)
+
+// LatencyHistogram records wall times in the format above. It is the
+// one recorder behind every latency series the serving stack exports
+// (requests per endpoint, progressive rounds, per-shard scans,
+// per-replica round trips), so /statusz and /metrics can never
+// disagree with a layer about a bucket's bounds. The zero value is
+// ready to use; Observe neither locks nor allocates, and all methods
+// are safe for concurrent use.
+type LatencyHistogram struct {
+	counts [LatencyBuckets]atomic.Int64
+	sumNS  atomic.Int64
 }
 
-// NewHistogram creates a histogram with the given number of buckets
-// spanning [min, max). It panics if buckets <= 0 or max <= min.
-func NewHistogram(min, max float64, buckets int) *Histogram {
-	if buckets <= 0 {
-		panic("stats: NewHistogram needs at least one bucket")
+// Observe records one wall time.
+func (h *LatencyHistogram) Observe(d time.Duration) {
+	if d < time.Microsecond {
+		d = time.Microsecond
 	}
-	if max <= min {
-		panic("stats: NewHistogram needs max > min")
+	us := float64(d) / float64(time.Microsecond)
+	b := int(LatencyBuckets * math.Log10(us) / latLogMax)
+	if b >= LatencyBuckets {
+		b = LatencyBuckets - 1
 	}
-	return &Histogram{Min: min, Max: max, Counts: make([]int64, buckets)}
+	h.counts[b].Add(1)
+	h.sumNS.Add(int64(d))
 }
 
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	b := int(float64(len(h.Counts)) * (x - h.Min) / (h.Max - h.Min))
-	if b < 0 {
-		b = 0
-	}
-	if b >= len(h.Counts) {
-		b = len(h.Counts) - 1
-	}
-	h.Counts[b]++
-	h.total++
+// LatencySnapshot is a point-in-time copy of a LatencyHistogram:
+// per-bucket counts, their total, and the summed wall time (each
+// observation clamped to at least 1µs, as bucketed).
+type LatencySnapshot struct {
+	Counts [LatencyBuckets]int64
+	Count  int64
+	Sum    time.Duration
 }
 
-// Total returns the number of recorded observations.
-func (h *Histogram) Total() int64 { return h.total }
-
-// Fraction returns the share of observations in bucket b.
-func (h *Histogram) Fraction(b int) float64 {
-	if h.total == 0 {
-		return 0
+// Snapshot copies the histogram out. Count is the total of Counts by
+// construction; under concurrent Observes, Sum may run one observation
+// ahead of or behind them.
+func (h *LatencyHistogram) Snapshot() LatencySnapshot {
+	var s LatencySnapshot
+	for i := range h.counts {
+		s.Counts[i] = h.counts[i].Load()
+		s.Count += s.Counts[i]
 	}
-	return float64(h.Counts[b]) / float64(h.total)
+	s.Sum = time.Duration(h.sumNS.Load())
+	return s
 }
 
-// String renders a compact ASCII bar chart, one line per bucket.
-func (h *Histogram) String() string {
-	var sb strings.Builder
-	maxC := int64(1)
-	for _, c := range h.Counts {
-		if c > maxC {
-			maxC = c
-		}
+// LatencyBucketBoundsUS returns bucket i's bounds in microseconds: it
+// holds observations with geUS <= latency < ltUS. The last bucket is
+// the clamp bucket and reports ltUS = +Inf.
+func LatencyBucketBoundsUS(i int) (geUS, ltUS float64) {
+	const width = latLogMax / LatencyBuckets
+	geUS, ltUS = math.Pow(10, float64(i)*width), math.Inf(1)
+	if i < LatencyBuckets-1 {
+		ltUS = math.Pow(10, float64(i+1)*width)
 	}
-	width := (h.Max - h.Min) / float64(len(h.Counts))
-	for i, c := range h.Counts {
-		bar := int(math.Round(40 * float64(c) / float64(maxC)))
-		fmt.Fprintf(&sb, "[%10.2f, %10.2f) %8d %s\n",
-			h.Min+float64(i)*width, h.Min+float64(i+1)*width, c,
-			strings.Repeat("#", bar))
-	}
-	return sb.String()
+	return geUS, ltUS
 }

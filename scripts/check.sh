@@ -22,23 +22,7 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-# now prints the epoch second. `date +%s` is a GNU/BSD extension (POSIX
-# date has no %s), so dash/minimal-sh environments need the awk route:
-# srand() with no argument seeds from the clock and returns the previous
-# seed, so calling it twice yields the current epoch portably.
-now() {
-    awk 'BEGIN { srand(); print srand() }'
-}
-
-# step/step_done bracket every gate stage with a uniform wall-clock
-# line, so a CI log diff immediately shows which stage regressed.
-step() {
-    echo "==> $1"
-    step_started=$(now)
-}
-step_done() {
-    echo "    wall-clock: $(( $(now) - step_started ))s"
-}
+. scripts/steps.sh
 
 step "go build ./..."
 go build ./...
@@ -113,33 +97,12 @@ else
 fi
 
 # One iteration per benchmark: catches fixture/kernel-path panics without
-# turning the gate into a perf run. The output feeds benchguard below so
-# the recorded baselines (BENCH_*.json) are parsed and name-checked on
-# every gate run; actual regression comparison happens in CI and nightly
-# where repetitions make medians meaningful.
-bench_out=$(mktemp)
-trap 'rm -f "$bench_out"' EXIT
-
-step "engine bench smoke (benchtime 1x)"
-go test -run '^$' -bench BenchmarkEngine -benchtime 1x ./internal/engine | tee "$bench_out"
-step_done
-
-step "store bench smoke (benchtime 1x)"
-go test -run '^$' -bench BenchmarkStore -benchtime 1x ./internal/store | tee -a "$bench_out"
-step_done
-
-step "shard bench smoke (benchtime 1x, one sharded config)"
-go test -run '^$' -bench 'BenchmarkShardSumShuffled4$' -benchtime 1x ./internal/shard | tee -a "$bench_out"
-step_done
-
-step "contract bench smoke (benchtime 1x)"
-go test -run '^$' -bench BenchmarkContract -benchtime 1x ./internal/contract | tee -a "$bench_out"
-step_done
-
-step "benchguard baselines (report-only at 1x)"
-go run ./scripts/benchguard.go \
-    -baseline BENCH_engine.json,BENCH_shard.json,BENCH_store.json,BENCH_contract.json \
-    -tolerance 10 "$bench_out"
-step_done
+# turning the gate into a perf run. The output feeds benchguard so the
+# recorded baselines (BENCH_*.json) are parsed and name-checked on every
+# gate run (report-only: at 1x the tolerance is only there to keep the
+# report short); actual regression comparison happens in CI and nightly,
+# where repetitions make medians meaningful. The shard suite runs one
+# sharded config.
+scripts/bench.sh 1x 1 -shard-bench 'BenchmarkShardSumShuffled4$' -tolerance 10
 
 echo "==> all checks passed"
