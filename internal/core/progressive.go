@@ -43,9 +43,12 @@ func NewProgressive(tbl *engine.Table, c *cube.BPCube, confidence float64, seed 
 		perm: r.Perm(n),
 	}
 	// An empty table with the source schema holds the growing sample.
+	// String columns share the source dictionary, as Column.Gather does:
+	// a query's bounds are ranks in the table's dictionary, so the
+	// sample's codes must mean the same thing.
 	cols := make([]*engine.Column, len(tbl.Columns))
 	for i, src := range tbl.Columns {
-		cols[i] = &engine.Column{Name: src.Name, Type: src.Type}
+		cols[i] = &engine.Column{Name: src.Name, Type: src.Type, Dict: src.Dict}
 	}
 	st, err := engine.NewTable(tbl.Name+"_prog", cols...)
 	if err != nil {
@@ -59,14 +62,14 @@ func NewProgressive(tbl *engine.Table, c *cube.BPCube, confidence float64, seed 
 // exhausted) and returns the new sample size.
 func (p *Progressive) Step(addRows int) int {
 	n := len(p.perm)
-	for i := 0; i < addRows && p.taken < n; i++ {
-		row := p.perm[p.taken]
-		for j, src := range p.tbl.Columns {
-			p.sample.Table.Columns[j].AppendFrom(src, row)
-		}
-		p.sample.InvP = append(p.sample.InvP, float64(n))
-		p.taken++
+	rows := p.perm[p.taken : p.taken+min(max(addRows, 0), n-p.taken)]
+	for j, src := range p.tbl.Columns {
+		p.sample.Table.Columns[j].AppendGather(src, rows)
 	}
+	for range rows {
+		p.sample.InvP = append(p.sample.InvP, float64(n))
+	}
+	p.taken += len(rows)
 	return p.taken
 }
 

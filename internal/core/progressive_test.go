@@ -2,11 +2,14 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 
 	"aqppp/internal/cube"
 	"aqppp/internal/engine"
+	"aqppp/internal/sample"
+	"aqppp/internal/stats"
 )
 
 func TestProgressiveShrinkingIntervals(t *testing.T) {
@@ -120,5 +123,70 @@ func TestMinMaxThroughProcessor(t *testing.T) {
 		Ranges: []engine.Range{{Col: "c2", Lo: 1, Hi: 5}}}
 	if _, err := p.Answer(q2); err == nil {
 		t.Error("uncovered MIN accepted")
+	}
+}
+
+// TestProgressiveMatchesGatheredPrefix: the growing sample is the same
+// sample Gather builds over the same row prefix, so every round answers
+// exactly as a Processor over that prefix does — for an int, a float and
+// a string predicate. The string one is the repro: the growing sample
+// used to re-intern strings into its own dictionary, so its ranks were
+// ranks among the strings seen so far while the query's bounds are ranks
+// in the table's dictionary, and a high-cardinality range answered 0 ± 0.
+func TestProgressiveMatchesGatheredPrefix(t *testing.T) {
+	const n, keys = 60000, 15000
+	r := stats.NewRNG(91)
+	ci := make([]int64, n)
+	cf := make([]float64, n)
+	cs := make([]string, n)
+	m := make([]float64, n)
+	for i := 0; i < n; i++ {
+		ci[i] = int64(r.Intn(1000))
+		cf[i] = r.Float64() * 1000
+		cs[i] = fmt.Sprintf("key%05d", r.Intn(keys))
+		m[i] = 1
+	}
+	tbl := engine.MustNewTable("t",
+		engine.NewIntColumn("ci", ci), engine.NewFloatColumn("cf", cf),
+		engine.NewStringColumn("cs", cs), engine.NewFloatColumn("m", m))
+	queries := []engine.Query{
+		{Func: engine.Sum, Col: "m", Ranges: []engine.Range{{Col: "ci", Lo: 200, Hi: 700}}},
+		{Func: engine.Sum, Col: "m", Ranges: []engine.Range{{Col: "cf", Lo: 123.5, Hi: 612.25}}},
+		// The upper half of the keys by rank: about n/2 rows.
+		{Func: engine.Sum, Col: "m", Ranges: []engine.Range{{Col: "cs", Lo: keys / 2, Hi: keys - 1}}},
+	}
+	pg, err := NewProgressive(tbl, nil, 0.95, 92)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 1; round <= 4; round++ {
+		size := pg.Step(3000)
+		prefix := pg.perm[:size]
+		invP := make([]float64, size)
+		for i := range invP {
+			invP[i] = n
+		}
+		ref := &Processor{Confidence: 0.95, Sample: &sample.Sample{
+			Kind: sample.Uniform, Table: tbl.Gather("prefix", prefix), SourceRows: n, InvP: invP,
+		}}
+		for _, q := range queries {
+			got, err := pg.Answer(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := ref.Answer(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !stats.ExactEqual(got.Estimate.Value, want.Estimate.Value) ||
+				!stats.ExactEqual(got.Estimate.HalfWidth, want.Estimate.HalfWidth) {
+				t.Errorf("round %d %v: progressive %v ± %v, gathered prefix %v ± %v", round, q,
+					got.Estimate.Value, got.Estimate.HalfWidth, want.Estimate.Value, want.Estimate.HalfWidth)
+			}
+			if got.Estimate.Value <= 0 || got.Estimate.HalfWidth <= 0 {
+				t.Errorf("round %d %v: answered %v ± %v on a selection of about half the rows",
+					round, q, got.Estimate.Value, got.Estimate.HalfWidth)
+			}
+		}
 	}
 }

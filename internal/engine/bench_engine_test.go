@@ -42,9 +42,7 @@ func selectiveRange(col string) []Range {
 	return []Range{{Col: col, Lo: benchRows / 2, Hi: benchRows/2 + benchRows/50}}
 }
 
-func benchFilter(b *testing.B, col string) {
-	tbl := benchEngineTable(benchRows)
-	rng := selectiveRange(col)
+func benchFilter(b *testing.B, tbl *Table, rng []Range) {
 	if _, err := tbl.Filter(rng); err != nil { // warm zone maps
 		b.Fatal(err)
 	}
@@ -57,8 +55,37 @@ func benchFilter(b *testing.B, col string) {
 	}
 }
 
-func BenchmarkEngineFilterClustered(b *testing.B) { benchFilter(b, "clustered") }
-func BenchmarkEngineFilterShuffled(b *testing.B)  { benchFilter(b, "shuffled") }
+func BenchmarkEngineFilterClustered(b *testing.B) {
+	benchFilter(b, benchEngineTable(benchRows), selectiveRange("clustered"))
+}
+
+func BenchmarkEngineFilterShuffled(b *testing.B) {
+	benchFilter(b, benchEngineTable(benchRows), selectiveRange("shuffled"))
+}
+
+// BenchmarkEngineFilterShuffledBySelectivity filters an int and a float
+// column, both in random order so every block straddles, at ~1 %, ~50 %
+// and ~99 % selectivity. A branch-free compare kernel costs the same at
+// all three; a kernel that sets its bit under a data-dependent branch
+// peaks at 50 %, where the branch is a coin flip.
+func BenchmarkEngineFilterShuffledBySelectivity(b *testing.B) {
+	tbl := benchEngineTable(benchRows)
+	for _, bc := range []struct {
+		name string
+		rng  Range
+	}{
+		// shuffled is uniform on [0, benchRows).
+		{"int-1pct", Range{Col: "shuffled", Lo: 0, Hi: benchRows / 100}},
+		{"int-50pct", Range{Col: "shuffled", Lo: 0, Hi: benchRows / 2}},
+		{"int-99pct", Range{Col: "shuffled", Lo: 0, Hi: benchRows / 100 * 99}},
+		// v is N(0, 100²): |v| <= 100·z covers 2Φ(z)−1 of the rows.
+		{"float-1pct", Range{Col: "v", Lo: -1.253, Hi: 1.253}},
+		{"float-50pct", Range{Col: "v", Lo: -67.45, Hi: 67.45}},
+		{"float-99pct", Range{Col: "v", Lo: -257.6, Hi: 257.6}},
+	} {
+		b.Run(bc.name, func(b *testing.B) { benchFilter(b, tbl, []Range{bc.rng}) })
+	}
+}
 
 func benchExecute(b *testing.B, q Query) {
 	tbl := benchEngineTable(benchRows)

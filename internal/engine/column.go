@@ -10,6 +10,8 @@ package engine
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -221,7 +223,8 @@ func (c *Column) StringAt(row int) string {
 }
 
 // OrdinalDomain returns the inclusive [min, max] ordinal range present in
-// the column, or (0, -1) for an empty column.
+// the column, or (0, -1) for an empty column. NaN rows, which match no
+// range, are not part of it.
 func (c *Column) OrdinalDomain() (float64, float64) {
 	if c.hasDom {
 		return c.domLo, c.domHi
@@ -233,14 +236,19 @@ func (c *Column) OrdinalDomain() (float64, float64) {
 	if c.Type == String {
 		return 0, float64(len(c.Dict) - 1)
 	}
+	lo, hi := math.Inf(1), math.Inf(-1)
 	if c.src != nil {
 		// Source-backed columns answer from the persisted per-block zone
 		// summaries — exact per-block min/max of the same ordinals the
 		// resident scan below would visit — so plan-time domain queries
-		// (SQL unbounded range sides) fault no block data.
+		// (SQL unbounded range sides) fault no block data. A block that
+		// holds a NaN reports min = NaN and so hides its true minimum:
+		// the domain then opens downward rather than guess.
 		mins, maxs := c.src.BlockZones()
-		lo, hi := mins[0], maxs[0]
-		for b := 1; b < len(mins); b++ {
+		for b := range mins {
+			if math.IsNaN(mins[b]) {
+				lo = math.Inf(-1)
+			}
 			if mins[b] < lo {
 				lo = mins[b]
 			}
@@ -250,9 +258,8 @@ func (c *Column) OrdinalDomain() (float64, float64) {
 		}
 		return lo, hi
 	}
-	lo, hi := c.Ordinal(0), c.Ordinal(0)
-	for i := 1; i < n; i++ {
-		v := c.Ordinal(i)
+	for i := 0; i < n; i++ {
+		v := c.Ordinal(i) // a NaN fails both comparisons
 		if v < lo {
 			lo = v
 		}
@@ -266,26 +273,36 @@ func (c *Column) OrdinalDomain() (float64, float64) {
 // Gather returns a new column containing the rows of c at the given
 // indices, in order. Dictionary columns share the dictionary.
 func (c *Column) Gather(idx []int) *Column {
-	out := &Column{Name: c.Name, Type: c.Type}
+	out := &Column{Name: c.Name, Type: c.Type, Dict: c.Dict}
+	out.AppendGather(c, idx)
+	return out
+}
+
+// AppendGather appends the rows of src (a column of the same type) at
+// the given indices, in order: Gather into a column that already holds
+// rows. A String column must share src's dictionary — codes are copied,
+// not re-interned, so ranks keep meaning what they mean in src.
+func (c *Column) AppendGather(src *Column, idx []int) {
+	if c.Type != src.Type {
+		panic("engine: AppendGather type mismatch")
+	}
 	switch c.Type {
 	case Int64:
-		out.Ints = make([]int64, len(idx))
-		for i, r := range idx {
-			out.Ints[i] = c.intAt(r)
+		c.Ints = slices.Grow(c.Ints, len(idx))
+		for _, r := range idx {
+			c.Ints = append(c.Ints, src.intAt(r))
 		}
 	case Float64:
-		out.Floats = make([]float64, len(idx))
-		for i, r := range idx {
-			out.Floats[i] = c.floatAt(r)
+		c.Floats = slices.Grow(c.Floats, len(idx))
+		for _, r := range idx {
+			c.Floats = append(c.Floats, src.floatAt(r))
 		}
 	default:
-		out.Dict = c.Dict
-		out.Codes = make([]int32, len(idx))
-		for i, r := range idx {
-			out.Codes[i] = c.codeAt(r)
+		c.Codes = slices.Grow(c.Codes, len(idx))
+		for _, r := range idx {
+			c.Codes = append(c.Codes, src.codeAt(r))
 		}
 	}
-	return out
 }
 
 // AppendFrom appends row r of src (a column of the same type) to c.

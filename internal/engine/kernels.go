@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"math"
 	"math/bits"
 	"strconv"
 	"sync"
@@ -29,89 +30,155 @@ import (
 // Compare kernels
 // ---------------------------------------------------------------------
 
-// cmpView evaluates rlo <= ord(row) <= rhi for the n rows of one block
-// view and writes the resulting selection words into out: bit 0 of
-// out[0] is the view's row 0 (block-local). Bits beyond n stay zero.
-// With and=false the words are stored (out's previous contents are
-// ignored); with and=true they are intersected into out. ranks is the
-// column's rank table for String columns (nil otherwise).
-func cmpView(typ ColType, v BlockBuf, ranks []int32, rlo, rhi float64, n int, out []uint64, and bool) {
-	switch typ {
+// cmpRange is one Range compiled against its column, once per query, so
+// the per-row test runs in the column's own domain: Float64 keeps the
+// float bounds; Int64 values and String ranks are tested against the
+// exact integer interval [ilo, ihi] that float64() maps into
+// [Lo, Hi], with one unsigned subtract-and-compare,
+// uint64(v)-base <= width (base = ilo, width = ihi-ilo).
+//
+// The obligation is that the compiled test selects exactly the rows
+// Lo <= Ordinal(row) && Ordinal(row) <= Hi selects, for every value and
+// every bound — beyond ±2^53 where float64(v) rounds, at ±Inf, and with
+// NaN or inverted bounds (no cmpRange at all: see compileRange).
+// TestCmpKernelsMatchOrdinal and FuzzCmpKernels hold the kernels to it.
+type cmpRange struct {
+	typ         ColType
+	flo, fhi    float64
+	base, width uint64
+	ranks       []int32 // String: code → rank
+}
+
+// compileRange translates r for column c. It builds c's rank table if
+// cold, so compiled ranges are read-only afterwards. ok is false when no
+// value of the column can match: an empty range has no compiled form
+// (the integer test always admits base itself), so the caller answers
+// "no rows" without touching a block and never reaches cmp.
+func compileRange(c *Column, r Range) (k cmpRange, ok bool) {
+	if !(r.Lo <= r.Hi) { // also a NaN bound
+		return cmpRange{}, false
+	}
+	k = cmpRange{typ: c.Type, flo: r.Lo, fhi: r.Hi}
+	if c.Type == Float64 {
+		return k, true
+	}
+	if c.Type == String {
+		k.ranks = c.ranks()
+	}
+	// float64() is monotone on int64, so the preimage of [Lo, Hi] is an
+	// interval: from the first v with float64(v) >= Lo to the last one
+	// before the first v with float64(v) > Hi. Lo <= Hi does not make it
+	// non-empty: both bounds can sit above 2^63, below -2^63, or between
+	// two neighbouring float64(v).
+	ilo, found := firstInt64(func(v int64) bool { return float64(v) >= r.Lo })
+	if !found {
+		return cmpRange{}, false
+	}
+	ihi := int64(math.MaxInt64)
+	if above, found := firstInt64(func(v int64) bool { return float64(v) > r.Hi }); found {
+		if above <= ilo {
+			return cmpRange{}, false
+		}
+		ihi = above - 1
+	}
+	k.base, k.width = uint64(ilo), uint64(ihi)-uint64(ilo)
+	return k, true
+}
+
+// firstInt64 returns the smallest int64 satisfying pred, which must be
+// monotone (false up to some point, true from it on); ok is false when
+// pred holds nowhere.
+func firstInt64(pred func(int64) bool) (v int64, ok bool) {
+	lo, hi := int64(math.MinInt64), int64(math.MaxInt64)
+	if !pred(hi) {
+		return 0, false
+	}
+	for lo < hi {
+		mid := lo + int64((uint64(hi)-uint64(lo))/2) // hi-lo overflows int64
+		if pred(mid) {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo, true
+}
+
+// cmp evaluates the range over the n rows of one block view and writes
+// the selection words into out: bit 0 of out[0] is the view's row 0
+// (block-local). Bits beyond n stay zero. With and=false the words are
+// stored (out's previous contents are ignored); with and=true they are
+// intersected into out.
+func (k *cmpRange) cmp(v BlockBuf, n int, out []uint64, and bool) {
+	switch k.typ {
 	case Int64:
-		cmpInt64(v.Ints, rlo, rhi, 0, n, out, and)
+		cmpInt64(v.Ints[:n], k.base, k.width, out, and)
 	case Float64:
-		cmpFloat64(v.Floats, rlo, rhi, 0, n, out, and)
+		cmpFloat64(v.Floats[:n], k.flo, k.fhi, out, and)
 	default:
-		cmpCodes(v.Codes, ranks, rlo, rhi, 0, n, out, and)
+		cmpCodes(v.Codes[:n], k.ranks, k.base, k.width, out, and)
 	}
 }
 
-func cmpInt64(vals []int64, rlo, rhi float64, lo, hi int, out []uint64, and bool) {
-	wi := 0
-	for i := lo; i < hi; wi++ {
-		end := i + 64
-		if end > hi {
-			end = hi
+// The three kernels share one shape, chosen so the inner loop has no
+// data-dependent branch (cost per row is flat in selectivity): each row
+// yields one bit — the borrow of an unsigned subtract, or a SETcc — that
+// is shifted in from the top with constant shifts, so after k rows the
+// word's top k bits hold rows 0..k-1 in order and one final shift by
+// 64-k (zero for a full word) right-aligns them and clears the tail.
+
+func cmpInt64(vals []int64, base, width uint64, out []uint64, and bool) {
+	for wi := 0; len(vals) > 0; wi++ {
+		k := min(len(vals), 64)
+		var miss uint64
+		for _, v := range vals[:k] {
+			_, b := bits.Sub64(width, uint64(v)-base, 0) // b = 1 iff v is outside
+			miss = miss>>1 | b<<63
 		}
-		var w uint64
-		// Ranging over the word's subslice keeps the inner loop free of
-		// bounds checks; float64(v) matches the row-at-a-time semantics
-		// exactly, including values beyond 2^53 that round on conversion.
-		for b, v := range vals[i:end] {
-			if f := float64(v); f >= rlo && f <= rhi {
-				w |= 1 << uint(b)
-			}
-		}
-		i = end
-		if and {
-			out[wi] &= w
-		} else {
-			out[wi] = w
-		}
+		putWord(out, wi, ^miss>>uint(64-k), and)
+		vals = vals[k:]
 	}
 }
 
-func cmpFloat64(vals []float64, rlo, rhi float64, lo, hi int, out []uint64, and bool) {
-	wi := 0
-	for i := lo; i < hi; wi++ {
-		end := i + 64
-		if end > hi {
-			end = hi
-		}
+func cmpFloat64(vals []float64, lo, hi float64, out []uint64, and bool) {
+	for wi := 0; len(vals) > 0; wi++ {
+		k := min(len(vals), 64)
 		var w uint64
-		for b, v := range vals[i:end] {
-			if v >= rlo && v <= rhi {
-				w |= 1 << uint(b)
+		for _, v := range vals[:k] {
+			// Two flag-to-register moves and an AND; `v >= lo && v <= hi`
+			// would compile to a branch. A NaN row fails both.
+			var ge, le uint64
+			if v >= lo {
+				ge = 1
 			}
+			if v <= hi {
+				le = 1
+			}
+			w = w>>1 | (ge&le)<<63
 		}
-		i = end
-		if and {
-			out[wi] &= w
-		} else {
-			out[wi] = w
-		}
+		putWord(out, wi, w>>uint(64-k), and)
+		vals = vals[k:]
 	}
 }
 
-func cmpCodes(codes []int32, ranks []int32, rlo, rhi float64, lo, hi int, out []uint64, and bool) {
-	wi := 0
-	for i := lo; i < hi; wi++ {
-		end := i + 64
-		if end > hi {
-			end = hi
+func cmpCodes(codes []int32, ranks []int32, base, width uint64, out []uint64, and bool) {
+	for wi := 0; len(codes) > 0; wi++ {
+		k := min(len(codes), 64)
+		var miss uint64
+		for _, code := range codes[:k] {
+			_, b := bits.Sub64(width, uint64(int64(ranks[code]))-base, 0)
+			miss = miss>>1 | b<<63
 		}
-		var w uint64
-		for b, code := range codes[i:end] {
-			if v := float64(ranks[code]); v >= rlo && v <= rhi {
-				w |= 1 << uint(b)
-			}
-		}
-		i = end
-		if and {
-			out[wi] &= w
-		} else {
-			out[wi] = w
-		}
+		putWord(out, wi, ^miss>>uint(64-k), and)
+		codes = codes[k:]
+	}
+}
+
+func putWord(out []uint64, wi int, w uint64, and bool) {
+	if and {
+		out[wi] &= w
+	} else {
+		out[wi] = w
 	}
 }
 
@@ -356,7 +423,10 @@ type blockExec struct {
 	ranges []Range
 	cols   []*Column
 	zones  []*zoneMap // nil entry: column below the zone threshold
-	ranks  [][]int32  // nil entry: non-string column
+	cmps   []cmpRange // ranges[i] compiled against cols[i]; nil when empty
+	// empty: some range can match no row. Table.scan folds nothing and
+	// never calls run, which has no compiled ranges to run.
+	empty bool
 	// stop, when non-nil, is polled once per zone block; a true load
 	// aborts the run early (cancellation). It is armed by watch before
 	// any worker starts, so concurrent runs only ever read it.
@@ -377,15 +447,15 @@ func (e *blockExec) watch(ctx context.Context) func() {
 	return func() { stop() }
 }
 
-// newBlockExec resolves the query's range columns and warms their
-// derived caches so the block loop (and any parallel workers) only ever
-// read them.
+// newBlockExec resolves the query's range columns, compiles each range
+// against its column and warms the derived caches, so the block loop
+// (and any parallel workers) only ever read them.
 func (t *Table) newBlockExec(ranges []Range) (*blockExec, error) {
 	e := &blockExec{
 		ranges: ranges,
 		cols:   make([]*Column, len(ranges)),
 		zones:  make([]*zoneMap, len(ranges)),
-		ranks:  make([][]int32, len(ranges)),
+		cmps:   make([]cmpRange, len(ranges)),
 	}
 	for i, r := range ranges {
 		c, err := t.Column(r.Col)
@@ -393,13 +463,15 @@ func (t *Table) newBlockExec(ranges []Range) (*blockExec, error) {
 			return nil, err
 		}
 		e.cols[i] = c
-		c.warmOrdinals()
-		if c.Type == String {
-			e.ranks[i] = c.ranks()
-		}
+		k, ok := compileRange(c, r)
+		e.cmps[i] = k
+		e.empty = e.empty || !ok
 		if c.useZones() {
 			e.zones[i] = c.zonesFor()
 		}
+	}
+	if e.empty {
+		e.cmps = nil
 	}
 	return e, nil
 }
@@ -465,7 +537,7 @@ func (e *blockExec) run(lo, hi int, full func(blo, bhi int) error, partial func(
 			if err != nil {
 				return err
 			}
-			cmpView(c.Type, v, e.ranks[i], e.ranges[i].Lo, e.ranges[i].Hi, bhi-blo, sw, k > 0)
+			e.cmps[i].cmp(v, bhi-blo, sw, k > 0)
 		}
 		if err := partial(blo, bhi, sw); err != nil {
 			return err

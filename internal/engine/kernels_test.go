@@ -70,19 +70,26 @@ func TestBitsetClearAllAndWords(t *testing.T) {
 	b.AndWords(make([]uint64, 1))
 }
 
-// cmpBlock dispatches the typed compare kernels over global rows
-// [lo, hi) of a resident column — the shape the production code now
-// reaches through per-block views (cmpView); the test drives the
-// kernels directly over unaligned windows.
+// cmpBlock runs the compiled compare kernel over global rows [lo, hi)
+// of a resident column — the shape the production code reaches through
+// per-block views; the tests drive it directly over unaligned windows.
+// A range that compiles to nothing selects no row, as its callers answer.
 func cmpBlock(c *Column, rlo, rhi float64, lo, hi int, out []uint64, and bool) {
+	k, ok := compileRange(c, Range{Col: c.Name, Lo: rlo, Hi: rhi})
+	if !ok {
+		clear(out[:(hi-lo+63)/64])
+		return
+	}
+	var v BlockBuf
 	switch c.Type {
 	case Int64:
-		cmpInt64(c.Ints, rlo, rhi, lo, hi, out, and)
+		v.Ints = c.Ints[lo:hi]
 	case Float64:
-		cmpFloat64(c.Floats, rlo, rhi, lo, hi, out, and)
+		v.Floats = c.Floats[lo:hi]
 	default:
-		cmpCodes(c.Codes, c.ranks(), rlo, rhi, lo, hi, out, and)
+		v.Codes = c.Codes[lo:hi]
 	}
+	k.cmp(v, hi-lo, out, and)
 }
 
 // TestCmpBlockMatchesOrdinal cross-checks the type-specialized compare

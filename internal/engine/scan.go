@@ -83,9 +83,11 @@ func (t *Table) scan(ctx context.Context, q Query, workers int) (Partial, *group
 		workers = nblocks
 	}
 	var st Partial
-	if workers <= 1 {
+	switch {
+	case e.empty: // no row can match: fold nothing, read no block
+	case workers <= 1:
 		st, err = e.fold(col, fam, g, 0, n)
-	} else {
+	default:
 		st, err = e.foldChunks(col, fam, g, chunkBounds(nblocks, workers, n))
 	}
 	if err == nil {

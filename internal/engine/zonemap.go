@@ -1,5 +1,7 @@
 package engine
 
+import "math"
+
 // Zone maps: per-block [min, max] summaries of a column's ordinals that
 // let range filters skip whole blocks without touching row data — the
 // standard column-store trick (small materialized aggregates / data
@@ -61,27 +63,45 @@ func (c *Column) zonesFor() *zoneMap {
 		rows: n,
 	}
 	for b := 0; b < nb; b++ {
-		lo := b * zoneBlockSize
-		hi := lo + zoneBlockSize
-		if hi > n {
-			hi = n
-		}
-		mn := c.Ordinal(lo)
-		mx := mn
-		for i := lo + 1; i < hi; i++ {
-			v := c.Ordinal(i)
-			if v < mn {
-				mn = v
-			}
-			if v > mx {
-				mx = v
-			}
-		}
-		z.mins[b] = mn
-		z.maxs[b] = mx
+		z.mins[b], z.maxs[b] = c.blockSummary(b*zoneBlockSize, min((b+1)*zoneBlockSize, n))
 	}
 	c.zoneP.Store(z)
 	return z
+}
+
+// blockSummary returns the [min, max] ordinals of rows [lo, hi). NaN
+// rows match no range, so they stay out of both bounds — but a block
+// that holds one reports min = NaN, which no range can classify
+// blockFull (it would select the NaN row wholesale), while max still
+// proves the block disjoint from a range above it.
+func (c *Column) blockSummary(lo, hi int) (mn, mx float64) {
+	mn, mx = math.Inf(1), math.Inf(-1)
+	hasNaN := false
+	for i := lo; i < hi; i++ {
+		v := c.Ordinal(i)
+		if v < mn {
+			mn = v
+		}
+		if v > mx {
+			mx = v
+		}
+		if math.IsNaN(v) {
+			hasNaN = true
+		}
+	}
+	if hasNaN {
+		mn = math.NaN()
+	}
+	return mn, mx
+}
+
+// BlockZones returns the column's per-block [min, max] summaries in the
+// form ColumnSource.BlockZones serves them — the one place they are
+// computed, so a container writer persists exactly what a resident scan
+// classifies with. Callers must not modify the slices.
+func (c *Column) BlockZones() (mins, maxs []float64) {
+	z := c.zonesFor()
+	return z.mins, z.maxs
 }
 
 // useZones reports whether the column is large enough for zone-mapped
@@ -118,26 +138,23 @@ func (z *zoneMap) classify(b int, lo, hi float64) blockClass {
 
 // applyRangeZoned is applyRange with block skipping: skipped blocks are
 // untouched, full blocks are set with word-level stores, and straddling
-// blocks run the type-specialized compare kernel. out must be all-zero
-// on entry (straddling blocks store whole words rather than OR-ing bits).
+// blocks run the compiled compare kernel. out must be all-zero on entry
+// (straddling blocks store whole words rather than OR-ing bits).
 func applyRangeZoned(c *Column, r Range, out *Bitset) error {
-	n := c.Len()
 	if !c.useZones() {
 		applyRange(c, r, out)
 		return nil
 	}
-	z := c.zonesFor()
-	var ranks []int32
-	if c.Type == String {
-		ranks = c.ranks()
+	k, ok := compileRange(c, r)
+	if !ok {
+		return nil
 	}
+	n := c.Len()
+	z := c.zonesFor()
 	var buf BlockBuf
 	for b := range z.mins {
 		lo := b * zoneBlockSize
-		hi := lo + zoneBlockSize
-		if hi > n {
-			hi = n
-		}
+		hi := min(lo+zoneBlockSize, n)
 		switch z.classify(b, r.Lo, r.Hi) {
 		case blockSkip:
 		case blockFull:
@@ -147,7 +164,7 @@ func applyRangeZoned(c *Column, r Range, out *Bitset) error {
 			if err != nil {
 				return err
 			}
-			cmpView(c.Type, v, ranks, r.Lo, r.Hi, hi-lo, out.words[lo>>6:], false)
+			k.cmp(v, hi-lo, out.words[lo>>6:], false)
 		}
 	}
 	return nil
@@ -157,16 +174,7 @@ func applyRangeZoned(c *Column, r Range, out *Bitset) error {
 // out must be all-zero on entry. Only resident columns take this path —
 // source-backed columns always use zones.
 func applyRange(c *Column, r Range, out *Bitset) {
-	n := c.Len()
-	if n == 0 {
-		return
-	}
-	switch c.Type {
-	case Int64:
-		cmpInt64(c.Ints, r.Lo, r.Hi, 0, n, out.words, false)
-	case Float64:
-		cmpFloat64(c.Floats, r.Lo, r.Hi, 0, n, out.words, false)
-	default:
-		cmpCodes(c.Codes, c.ranks(), r.Lo, r.Hi, 0, n, out.words, false)
+	if k, ok := compileRange(c, r); ok {
+		k.cmp(BlockBuf{Ints: c.Ints, Floats: c.Floats, Codes: c.Codes}, c.Len(), out.words, false)
 	}
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"aqppp/internal/stats"
@@ -216,6 +217,79 @@ func BenchmarkFilterShuffled(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := tbl.Filter(rng); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// nanTable is 3 blocks of f[i] = i%100 with NaNs planted away from row 0
+// of their blocks — where a first-row-seeded min/max loop never saw them.
+func nanTable() (*Table, []int) {
+	n := 3 * zoneBlockSize
+	nans := []int{5, zoneBlockSize + 77, n - 1}
+	f := make([]float64, n)
+	for i := range f {
+		f[i] = float64(i % 100)
+	}
+	for _, i := range nans {
+		f[i] = math.NaN()
+	}
+	return MustNewTable("nan", NewFloatColumn("f", f)), nans
+}
+
+// TestNaNNeverMatchesARange: a NaN row's membership must not depend on
+// its block neighbours. A range covering a whole block used to classify
+// it blockFull and select the NaN wholesale (COUNT 12287 for 12286
+// matching rows, and a poisoned SUM), while a straddling range rejected
+// the same row.
+func TestNaNNeverMatchesARange(t *testing.T) {
+	tbl, nans := nanTable()
+	c := tbl.MustColumn("f")
+	for _, rng := range []Range{
+		{Col: "f", Lo: 0, Hi: 1000},                   // covers every block
+		{Col: "f", Lo: 0, Hi: 50},                     // straddles every block
+		{Col: "f", Lo: math.Inf(-1), Hi: math.Inf(1)}, // covers everything a float can be
+	} {
+		want := 0
+		for i := 0; i < tbl.NumRows(); i++ {
+			if v := c.Ordinal(i); rng.Lo <= v && v <= rng.Hi {
+				want++
+			}
+		}
+		sel, err := tbl.Filter([]Range{rng})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sel.Count() != want {
+			t.Errorf("Filter %v: %d rows, want %d", rng, sel.Count(), want)
+		}
+		for _, i := range nans {
+			if sel.Get(i) {
+				t.Errorf("Filter %v selected NaN row %d", rng, i)
+			}
+		}
+		res, err := tbl.Execute(context.Background(), Query{Func: Count, Ranges: []Range{rng}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Value != float64(want) {
+			t.Errorf("COUNT %v = %v, want %d", rng, res.Value, want)
+		}
+		if res, err = tbl.Execute(context.Background(), Query{Func: Sum, Col: "f", Ranges: []Range{rng}}); err != nil {
+			t.Fatal(err)
+		} else if math.IsNaN(res.Value) {
+			t.Errorf("SUM %v is NaN: a NaN row was selected", rng)
+		}
+	}
+}
+
+func TestOrdinalDomainIgnoresNaN(t *testing.T) {
+	for _, vals := range [][]float64{
+		{math.NaN(), 3, -2, 7},
+		{3, math.NaN(), -2, 7},
+		{3, -2, 7, math.NaN()},
+	} {
+		if lo, hi := NewFloatColumn("f", vals).OrdinalDomain(); lo != -2 || hi != 7 {
+			t.Errorf("OrdinalDomain(%v) = [%v, %v], want [-2, 7]", vals, lo, hi)
 		}
 	}
 }

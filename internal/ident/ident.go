@@ -6,6 +6,7 @@ package ident
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"aqppp/internal/aqp"
@@ -302,32 +303,20 @@ func DiffVector(s *sample.Sample, c *cube.BPCube, q engine.Query, pre Pre) ([]fl
 	return qVals, nil
 }
 
-// preMembership returns the bitset of sample rows inside the pre's region.
+// preMembership returns the bitset of sample rows inside the pre's
+// region: per dimension the half-open bracket (loOrd, hiOrd], which on
+// float64 ordinals is the closed range from loOrd's successor — so the
+// whole box is one conjunctive filter on the engine's compare kernels.
 func preMembership(s *sample.Sample, c *cube.BPCube, pre Pre) (*engine.Bitset, error) {
-	n := s.Size()
-	in := engine.NewBitset(n)
-	in.SetAll()
+	box := make([]engine.Range, len(c.Template.Dims))
 	for i, name := range c.Template.Dims {
-		col, err := s.Table.Column(name)
-		if err != nil {
-			return nil, err
+		lo := math.Inf(-1)
+		if pre.Lo[i] >= 0 {
+			lo = math.Nextafter(c.Points[i][pre.Lo[i]], math.Inf(1))
 		}
-		var loOrd float64
-		hasLo := pre.Lo[i] >= 0
-		if hasLo {
-			loOrd = c.Points[i][pre.Lo[i]]
-		}
-		hiOrd := c.Points[i][pre.Hi[i]]
-		cur := engine.NewBitset(n)
-		for row := 0; row < n; row++ {
-			ord := col.Ordinal(row)
-			if ord <= hiOrd && (!hasLo || ord > loOrd) {
-				cur.Set(row)
-			}
-		}
-		in.And(cur)
+		box[i] = engine.Range{Col: name, Lo: lo, Hi: c.Points[i][pre.Hi[i]]}
 	}
-	return in, nil
+	return s.Table.Filter(box)
 }
 
 // Selection is the outcome of aggregate identification.

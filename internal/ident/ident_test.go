@@ -378,3 +378,70 @@ func TestCandidatesCappedHighDims(t *testing.T) {
 		t.Errorf("unlimited %d <= capped %d", len(full), len(cands))
 	}
 }
+
+// preMembershipByRow is the row-at-a-time definition of a pre's region,
+// (loOrd, hiOrd] per dimension — the reference preMembership's one
+// conjunctive filter must reproduce bit for bit.
+func preMembershipByRow(s *sample.Sample, c *cube.BPCube, pre Pre) *engine.Bitset {
+	n := s.Size()
+	in := engine.NewBitset(n)
+	in.SetAll()
+	for i, name := range c.Template.Dims {
+		col := s.Table.MustColumn(name)
+		hasLo := pre.Lo[i] >= 0
+		var loOrd float64
+		if hasLo {
+			loOrd = c.Points[i][pre.Lo[i]]
+		}
+		hiOrd := c.Points[i][pre.Hi[i]]
+		for row := 0; row < n; row++ {
+			if ord := col.Ordinal(row); !(ord <= hiOrd && (!hasLo || ord > loOrd)) {
+				in.Clear(row)
+			}
+		}
+	}
+	return in
+}
+
+func TestPreMembershipMatchesRowLoop(t *testing.T) {
+	r := stats.NewRNG(77)
+	// Above and below the engine's zone-map threshold.
+	for _, n := range []int{500, 3*4096 + 11} {
+		ci := make([]int64, n)
+		cf := make([]float64, n)
+		cs := make([]string, n)
+		for i := 0; i < n; i++ {
+			// Quarter steps land rows exactly on partition points, where
+			// the open lower and closed upper ends differ.
+			ci[i] = int64(r.Intn(120)) - 10
+			cf[i] = float64(r.Intn(400)) / 4
+			cs[i] = fmt.Sprintf("s%03d", r.Intn(150))
+		}
+		cf[n/2] = math.NaN()
+		tbl := engine.MustNewTable("t", engine.NewIntColumn("ci", ci),
+			engine.NewFloatColumn("cf", cf), engine.NewStringColumn("cs", cs))
+		s := &sample.Sample{Kind: sample.Uniform, Table: tbl, SourceRows: n}
+		c := &cube.BPCube{
+			Template: cube.Template{Agg: "", Dims: []string{"ci", "cf", "cs"}},
+			Points:   [][]float64{equalPoints(11, 110), {0, 2.5, 17.25, 50, 99.75, 100}, equalPoints(10, 150)},
+		}
+		for trial := 0; trial < 200; trial++ {
+			pre := Pre{Lo: make([]int, 3), Hi: make([]int, 3)}
+			for i, pts := range c.Points {
+				pre.Lo[i] = r.Intn(len(pts)) - 1
+				pre.Hi[i] = pre.Lo[i] + 1 + r.Intn(len(pts)-1-pre.Lo[i])
+			}
+			got, err := preMembership(s, c, pre)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := preMembershipByRow(s, c, pre)
+			for row := 0; row < n; row++ {
+				if got.Get(row) != want.Get(row) {
+					t.Fatalf("n=%d pre %v row %d (%v, %v, %v): in = %v, want %v", n, pre, row,
+						ci[row], cf[row], cs[row], got.Get(row), want.Get(row))
+				}
+			}
+		}
+	}
+}

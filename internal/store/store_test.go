@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -578,5 +579,56 @@ func TestAtomicWrite(t *testing.T) {
 	}
 	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
 		t.Errorf("tmp file left behind: %v", err)
+	}
+}
+
+// TestNaNNeverMatchesAfterRoundTrip: the container persists the engine's
+// own block summaries, so a NaN row — invisible to a first-row-seeded
+// min/max, which let a covering range classify its block full — matches
+// no range from disk either, whichever block and position it sits in.
+func TestNaNNeverMatchesAfterRoundTrip(t *testing.T) {
+	n := 3 * blockRows
+	nans := []int{5, blockRows, 2*blockRows + 77, n - 1}
+	f := make([]float64, n)
+	for i := range f {
+		f[i] = float64(i % 100)
+	}
+	for _, i := range nans {
+		f[i] = math.NaN()
+	}
+	tbl := engine.MustNewTable("nan", engine.NewFloatColumn("f", f))
+	backed := openTemp(t, writeTemp(t, tbl, nil), Options{}).Table()
+	for _, rng := range []engine.Range{
+		{Col: "f", Lo: 0, Hi: 1000}, // covers every block
+		{Col: "f", Lo: 0, Hi: 50},   // straddles every block
+		{Col: "f", Lo: 100, Hi: 1000},
+	} {
+		want := 0
+		for _, v := range f {
+			if rng.Lo <= v && v <= rng.Hi {
+				want++
+			}
+		}
+		for name, tb := range map[string]*engine.Table{"resident": tbl, "backed": backed} {
+			sel, err := tb.Filter([]engine.Range{rng})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := tb.Execute(context.Background(), engine.Query{Func: engine.Count, Ranges: []engine.Range{rng}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sel.Count() != want || res.Value != float64(want) {
+				t.Errorf("%s %v: Filter %d rows, COUNT %v, want %d", name, rng, sel.Count(), res.Value, want)
+			}
+			for _, i := range nans {
+				if sel.Get(i) {
+					t.Errorf("%s %v selected NaN row %d", name, rng, i)
+				}
+			}
+		}
+	}
+	if lo, hi := backed.MustColumn("f").OrdinalDomain(); !math.IsInf(lo, -1) || hi != 99 {
+		t.Errorf("backed OrdinalDomain = [%v, %v], want [-Inf, 99]", lo, hi)
 	}
 }

@@ -69,8 +69,9 @@ func writeContainer(f *os.File, tbl *engine.Table, preps []Prep) error {
 		cm.name = c.Name
 		cm.typ = c.Type
 		cm.offs = make([]int64, nb+1)
-		cm.mins = make([]float64, nb)
-		cm.maxs = make([]float64, nb)
+		// The engine's own block summaries, so a scan over the reopened
+		// container classifies blocks exactly as the resident scan did.
+		cm.mins, cm.maxs = c.BlockZones()
 		if c.Type == engine.String {
 			cm.dict = c.Dict
 		}
@@ -99,19 +100,6 @@ func writeContainer(f *os.File, tbl *engine.Table, preps []Prep) error {
 				return err
 			}
 			off += int64(scratch.Len())
-			mn := c.Ordinal(lo)
-			mx := mn
-			for i := lo + 1; i < hi; i++ {
-				v := c.Ordinal(i)
-				if v < mn {
-					mn = v
-				}
-				if v > mx {
-					mx = v
-				}
-			}
-			cm.mins[b] = mn
-			cm.maxs[b] = mx
 		}
 		cm.offs[nb] = off
 	}
