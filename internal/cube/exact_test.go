@@ -1,8 +1,10 @@
 package cube
 
 import (
+	"bufio"
 	"bytes"
 	"context"
+	"fmt"
 	"math"
 	"testing"
 
@@ -209,5 +211,76 @@ func TestCubeBinaryCorruption(t *testing.T) {
 	b := buf.Bytes()
 	if _, err := ReadBinary(bytes.NewReader(b[:len(b)-5])); err == nil {
 		t.Error("truncated cube accepted")
+	}
+}
+
+// TestBinaryRefusesOversizedCounts: cube and min/max streams whose
+// counts claim far more entries than follow fail at EOF instead of
+// sizing their slices from the count first, and a cube shape whose cell
+// count overflows int is refused rather than wrapping to a small one.
+func TestBinaryRefusesOversizedCounts(t *testing.T) {
+	// stream writes magic and version, then body, then a few spare bytes.
+	stream := func(mg [4]byte, body func(w *bufio.Writer)) []byte {
+		var b bytes.Buffer
+		w := bufio.NewWriter(&b)
+		w.Write(mg[:])
+		wuv(w, 1)
+		body(w)
+		w.Write(make([]byte, 16))
+		w.Flush()
+		return b.Bytes()
+	}
+	cubeDims := func(w *bufio.Writer) {
+		wstr(w, "a")
+		wuv(w, 1<<40)
+	}
+	cubePoints := func(w *bufio.Writer) {
+		wstr(w, "a")
+		wuv(w, 1)
+		wstr(w, "x")
+		wuv(w, 0) // source rows
+		wuv(w, 1<<40)
+	}
+	// 64 dimensions of two points each: 2^64 cells, which wraps to 0.
+	cubeWide := func(w *bufio.Writer) {
+		wstr(w, "a")
+		wuv(w, 64)
+		for i := 0; i < 64; i++ {
+			wstr(w, fmt.Sprint("d", i))
+		}
+		wuv(w, 0)
+		for i := 0; i < 64; i++ {
+			wuv(w, 2)
+			wf64(w, 0)
+			wf64(w, 1)
+		}
+		wuv(w, 0) // cells
+	}
+	minMaxEntries := func(w *bufio.Writer) {
+		wstr(w, "d")
+		wstr(w, "a")
+		wuv(w, 1<<32)
+	}
+	readCube := func(b []byte) error {
+		_, err := ReadBinary(bytes.NewReader(b))
+		return err
+	}
+	readMinMax := func(b []byte) error {
+		_, err := ReadMinMax(bytes.NewReader(b))
+		return err
+	}
+	for _, tc := range []struct {
+		name string
+		in   []byte
+		read func([]byte) error
+	}{
+		{"cube dims", stream(cubeMagic, cubeDims), readCube},
+		{"cube points", stream(cubeMagic, cubePoints), readCube},
+		{"cube shape overflow", stream(cubeMagic, cubeWide), readCube},
+		{"minmax entries", stream(minMaxMagic, minMaxEntries), readMinMax},
+	} {
+		if err := tc.read(tc.in); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
 	}
 }

@@ -12,6 +12,12 @@ var cubeMagic = [4]byte{'A', 'Q', 'P', 'C'}
 
 const cubeFormatVersion = 1
 
+// maxPrealloc caps the elements a count read from a stream may reserve
+// before any of them has arrived. An honest count up to it gets an exact
+// allocation; a larger one grows by append as values actually arrive,
+// so a corrupt count fails at EOF instead of exhausting memory.
+const maxPrealloc = 1 << 20
+
 // WriteBinary serializes the cube in a compact little-endian format so a
 // precomputed BP-Cube can be stored alongside its sample.
 func (c *BPCube) WriteBinary(w io.Writer) error {
@@ -82,44 +88,43 @@ func ReadBinary(r io.Reader) (*BPCube, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.Template.Dims = make([]string, nd)
-	for i := range c.Template.Dims {
-		if c.Template.Dims[i], err = rstr(br); err != nil {
+	c.Template.Dims = make([]string, 0, min(nd, maxPrealloc))
+	for i := uint64(0); i < nd; i++ {
+		d, err := rstr(br)
+		if err != nil {
 			return nil, err
 		}
+		c.Template.Dims = append(c.Template.Dims, d)
 	}
 	sr, err := binary.ReadUvarint(br)
 	if err != nil {
 		return nil, err
 	}
 	c.SourceRows = int(sr)
-	c.Points = make([][]float64, nd)
-	expectCells := 1
+	c.Points = make([][]float64, len(c.Template.Dims))
+	expectCells := uint64(1)
 	for i := range c.Points {
 		np, err := binary.ReadUvarint(br)
 		if err != nil {
 			return nil, err
 		}
-		c.Points[i] = make([]float64, np)
-		for j := range c.Points[i] {
-			if c.Points[i][j], err = rf64(br); err != nil {
-				return nil, err
-			}
+		if c.Points[i], err = rf64s(br, np); err != nil {
+			return nil, err
 		}
-		expectCells *= int(np)
+		if np != 0 && expectCells > math.MaxInt/np {
+			return nil, fmt.Errorf("cube: shape overflows at dimension %d", i)
+		}
+		expectCells *= np
 	}
 	nc, err := binary.ReadUvarint(br)
 	if err != nil {
 		return nil, err
 	}
-	if int(nc) != expectCells {
+	if nc != expectCells {
 		return nil, fmt.Errorf("cube: %d cells but shape implies %d", nc, expectCells)
 	}
-	c.Cells = make([]float64, nc)
-	for i := range c.Cells {
-		if c.Cells[i], err = rf64(br); err != nil {
-			return nil, err
-		}
+	if c.Cells, err = rf64s(br, nc); err != nil {
+		return nil, err
 	}
 	c.computeStrides()
 	return c, nil
@@ -162,10 +167,22 @@ func rstr(r *bufio.Reader) (string, error) {
 	return string(b), nil
 }
 
-func rf64(r *bufio.Reader) (float64, error) {
-	var buf [8]byte
-	if _, err := io.ReadFull(r, buf[:]); err != nil {
-		return 0, err
+// rf64s reads n floats, reserving at most maxPrealloc of them up front.
+// It reads 512 words per call through one buffer: a buffer per float
+// escapes to the heap through io.Reader, an allocation a value, and a
+// min/max index holds a float pair per table row.
+func rf64s(r *bufio.Reader, n uint64) ([]float64, error) {
+	out := make([]float64, 0, min(n, maxPrealloc))
+	buf := make([]byte, 8*min(n, 512))
+	for left := n; left > 0; {
+		b := buf[:8*min(left, 512)]
+		if _, err := io.ReadFull(r, b); err != nil {
+			return nil, err
+		}
+		for i := 0; i < len(b); i += 8 {
+			out = append(out, math.Float64frombits(binary.LittleEndian.Uint64(b[i:])))
+		}
+		left -= uint64(len(b) / 8)
 	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(buf[:])), nil
+	return out, nil
 }

@@ -74,20 +74,13 @@ func ReadMinMax(r io.Reader) (*MinMaxIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	if n > 1<<32 {
-		return nil, fmt.Errorf("cube: minmax length %d too large", n)
+	ords, err := rf64s(br, n)
+	if err != nil {
+		return nil, err
 	}
-	ords := make([]float64, n)
-	for i := range ords {
-		if ords[i], err = rf64(br); err != nil {
-			return nil, err
-		}
-	}
-	vals := make([]float64, n)
-	for i := range vals {
-		if vals[i], err = rf64(br); err != nil {
-			return nil, err
-		}
+	vals, err := rf64s(br, n)
+	if err != nil {
+		return nil, err
 	}
 	for i := 1; i < len(ords); i++ {
 		if ords[i] < ords[i-1] {

@@ -17,6 +17,12 @@ import (
 // latency story.
 const ioBatchRows = 4096
 
+// maxPrealloc caps the elements a count read from a stream may reserve
+// before any of them has arrived. An honest count up to it gets an exact
+// allocation; a larger one grows by append as values actually arrive,
+// so a corrupt count fails at EOF instead of exhausting memory.
+const maxPrealloc = 1 << 20
+
 // magic identifies the binary table format; version follows it.
 var magic = [4]byte{'A', 'Q', 'P', 'T'}
 
@@ -92,7 +98,7 @@ func ReadBinary(ctx context.Context, r io.Reader) (*Table, error) {
 	}
 	t := &Table{Name: name, byName: make(map[string]int)}
 	for i := uint64(0); i < ncols; i++ {
-		c, err := readColumn(ctx, br, int(nrows))
+		c, err := readColumn(ctx, br, nrows)
 		if err != nil {
 			return nil, fmt.Errorf("engine: read column %d: %w", i, err)
 		}
@@ -147,7 +153,7 @@ func writeColumn(w *bufio.Writer, c *Column) error {
 	return nil
 }
 
-func readColumn(ctx context.Context, r *bufio.Reader, nrows int) (*Column, error) {
+func readColumn(ctx context.Context, r *bufio.Reader, nrows uint64) (*Column, error) {
 	name, err := readString(r)
 	if err != nil {
 		return nil, err
@@ -160,8 +166,8 @@ func readColumn(ctx context.Context, r *bufio.Reader, nrows int) (*Column, error
 	var buf [8]byte
 	switch c.Type {
 	case Int64:
-		c.Ints = make([]int64, nrows)
-		for i := range c.Ints {
+		c.Ints = make([]int64, 0, min(nrows, maxPrealloc))
+		for i := uint64(0); i < nrows; i++ {
 			if i&(ioBatchRows-1) == 0 {
 				if err := ctx.Err(); err != nil {
 					return nil, err
@@ -170,11 +176,11 @@ func readColumn(ctx context.Context, r *bufio.Reader, nrows int) (*Column, error
 			if _, err := io.ReadFull(r, buf[:]); err != nil {
 				return nil, err
 			}
-			c.Ints[i] = int64(binary.LittleEndian.Uint64(buf[:]))
+			c.Ints = append(c.Ints, int64(binary.LittleEndian.Uint64(buf[:])))
 		}
 	case Float64:
-		c.Floats = make([]float64, nrows)
-		for i := range c.Floats {
+		c.Floats = make([]float64, 0, min(nrows, maxPrealloc))
+		for i := uint64(0); i < nrows; i++ {
 			if i&(ioBatchRows-1) == 0 {
 				if err := ctx.Err(); err != nil {
 					return nil, err
@@ -183,21 +189,23 @@ func readColumn(ctx context.Context, r *bufio.Reader, nrows int) (*Column, error
 			if _, err := io.ReadFull(r, buf[:]); err != nil {
 				return nil, err
 			}
-			c.Floats[i] = mathFloat64frombits(binary.LittleEndian.Uint64(buf[:]))
+			c.Floats = append(c.Floats, mathFloat64frombits(binary.LittleEndian.Uint64(buf[:])))
 		}
 	case String:
 		ndict, err := binary.ReadUvarint(r)
 		if err != nil {
 			return nil, err
 		}
-		c.Dict = make([]string, ndict)
-		for i := range c.Dict {
-			if c.Dict[i], err = readString(r); err != nil {
+		c.Dict = make([]string, 0, min(ndict, maxPrealloc))
+		for i := uint64(0); i < ndict; i++ {
+			s, err := readString(r)
+			if err != nil {
 				return nil, err
 			}
+			c.Dict = append(c.Dict, s)
 		}
-		c.Codes = make([]int32, nrows)
-		for i := range c.Codes {
+		c.Codes = make([]int32, 0, min(nrows, maxPrealloc))
+		for i := uint64(0); i < nrows; i++ {
 			if i&(ioBatchRows-1) == 0 {
 				if err := ctx.Err(); err != nil {
 					return nil, err
@@ -206,10 +214,11 @@ func readColumn(ctx context.Context, r *bufio.Reader, nrows int) (*Column, error
 			if _, err := io.ReadFull(r, buf[:4]); err != nil {
 				return nil, err
 			}
-			c.Codes[i] = int32(binary.LittleEndian.Uint32(buf[:4]))
-			if int(c.Codes[i]) >= len(c.Dict) || c.Codes[i] < 0 {
-				return nil, fmt.Errorf("dictionary code %d out of range", c.Codes[i])
+			code := int32(binary.LittleEndian.Uint32(buf[:4]))
+			if code < 0 || int(code) >= len(c.Dict) {
+				return nil, fmt.Errorf("dictionary code %d out of range", code)
 			}
+			c.Codes = append(c.Codes, code)
 		}
 	default:
 		return nil, fmt.Errorf("unknown column type byte %d", tb)

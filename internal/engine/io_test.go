@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"errors"
@@ -58,6 +59,43 @@ func TestBinaryTruncated(t *testing.T) {
 	b := buf.Bytes()
 	if _, err := ReadBinary(context.Background(), bytes.NewReader(b[:len(b)/2])); err == nil {
 		t.Error("truncated stream accepted")
+	}
+}
+
+// TestBinaryRefusesOversizedCounts: a stream whose row or dictionary
+// count claims far more values than follow fails at EOF instead of
+// sizing its slices from the count first (2^40 rows asked for 8 TiB).
+func TestBinaryRefusesOversizedCounts(t *testing.T) {
+	stream := func(nrows uint64, typ ColType, tail ...uint64) []byte {
+		var b bytes.Buffer
+		w := bufio.NewWriter(&b)
+		w.Write(magic[:])
+		writeUvarint(w, formatVersion)
+		writeString(w, "t")
+		writeUvarint(w, 1) // one column
+		writeUvarint(w, nrows)
+		writeString(w, "c")
+		w.WriteByte(byte(typ))
+		for _, v := range tail {
+			writeUvarint(w, v)
+		}
+		w.Write(make([]byte, 16))
+		w.Flush()
+		return b.Bytes()
+	}
+	for _, tc := range []struct {
+		name string
+		in   []byte
+	}{
+		{"int rows", stream(1<<40, Int64)},
+		{"float rows", stream(1<<40, Float64)},
+		{"rows past MaxInt", stream(math.MaxUint64, Int64)},
+		{"dictionary", stream(1, String, 1<<40)},
+		{"codes", stream(1<<40, String, 1, 0)}, // dictionary {""}, then codes
+	} {
+		if _, err := ReadBinary(context.Background(), bytes.NewReader(tc.in)); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
 	}
 }
 

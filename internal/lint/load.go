@@ -154,8 +154,8 @@ type loader struct {
 // parseDir parses the non-test Go files in dir, in directory order.
 // Build constraints (//go:build lines and _GOOS/_GOARCH suffixes) are
 // evaluated for the host platform, so a package split across platform
-// files (e.g. mmap_unix.go / mmap_other.go) type-checks with exactly
-// one side, the same view `go build` takes.
+// files (e.g. benchmark's pin_linux.go / pin_other.go) type-checks with
+// exactly one side, the same view `go build` takes.
 func (l *loader) parseDir(dir string) ([]*ast.File, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {

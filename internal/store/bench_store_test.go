@@ -74,7 +74,7 @@ var benchFullSum = engine.Query{Func: engine.Sum, Col: "v",
 var benchSelective = engine.Query{Func: engine.Sum, Col: "v",
 	Ranges: []engine.Range{{Col: "clustered", Lo: benchStoreRows / 2, Hi: benchStoreRows/2 + benchStoreRows/50}}}
 
-// BenchmarkStoreOpen is the restart cost: map the container, verify
+// BenchmarkStoreOpen is the restart cost: open the container, verify
 // checksums, parse metadata, bind the table. No data blocks.
 func BenchmarkStoreOpen(b *testing.B) {
 	_, path := benchFixture(b)
@@ -139,8 +139,8 @@ func BenchmarkStoreScanWarm(b *testing.B) {
 }
 
 // BenchmarkStoreScanCold bounds the cache to a sliver of the working
-// set, so every pass re-reads and re-decodes nearly every block: the
-// decode-dominated worst case.
+// set, so every pass re-reads nearly every block: the miss-path worst
+// case (raw blocks pread into fresh arrays, delta/dict blocks decoded).
 func BenchmarkStoreScanCold(b *testing.B) {
 	_, path := benchFixture(b)
 	s, err := Open(path, Options{CacheBytes: 1 << 20})
@@ -171,24 +171,6 @@ func BenchmarkStorePrunedScan(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := s.Table().Execute(context.Background(), benchSelective); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkStoreScanNoMmap is the portable-read-path tax: the cold scan
-// again, served by ReadAt instead of the mapping.
-func BenchmarkStoreScanNoMmap(b *testing.B) {
-	_, path := benchFixture(b)
-	s, err := Open(path, Options{CacheBytes: 1 << 20, NoMmap: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer s.Close()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.Table().Execute(context.Background(), benchFullSum); err != nil {
 			b.Fatal(err)
 		}
 	}

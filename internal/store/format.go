@@ -57,6 +57,13 @@ const (
 	// blockRows mirrors the engine's zone block size; the formats are
 	// coupled by design (one data block = one zone block).
 	blockRows = 4096
+
+	// Lower bounds on the meta bytes one element takes, for byteReader.count:
+	// a column is at least a name length, a type byte, a block count and a
+	// first offset; a block-index entry at least a one-byte length plus
+	// its f64 zone min and max.
+	minColumnBytes  = 4
+	blockIndexBytes = 1 + 16
 )
 
 // Block encodings, stored as the first byte of each block's payload.
@@ -128,6 +135,23 @@ func (r *byteReader) varint() (int64, error) {
 	}
 	r.pos += n
 	return v, nil
+}
+
+// count reads an element count and refuses one larger than the
+// remaining bytes could hold at minBytesEach per element, so a corrupt
+// count — even in a CRC-valid section — fails here instead of sizing an
+// allocation the runtime cannot satisfy.
+func (r *byteReader) count(minBytesEach int) (int, error) {
+	at := r.pos
+	n, err := r.uvarint()
+	if err != nil {
+		return 0, err
+	}
+	if n > uint64(r.remaining()/minBytesEach) {
+		return 0, corruptf("count %d at offset %d exceeds what %d remaining bytes hold at %d bytes each",
+			n, at, r.remaining(), minBytesEach)
+	}
+	return int(n), nil
 }
 
 func (r *byteReader) bytes(n int) ([]byte, error) {

@@ -64,12 +64,11 @@ func encodePreps(b *bytes.Buffer, preps []Prep) error {
 
 func decodePreps(data []byte) ([]Prep, error) {
 	r := &byteReader{data: data}
-	n, err := r.uvarint()
+	// A handle is at least a name length, the f64 confidence, four
+	// presence bytes and a min/max count.
+	n, err := r.count(1 + 8 + 4 + 1)
 	if err != nil {
 		return nil, err
-	}
-	if n > 1<<16 {
-		return nil, corruptf("%d prepared handles is implausible", n)
 	}
 	preps := make([]Prep, n)
 	for i := range preps {
@@ -92,12 +91,9 @@ func decodePreps(data []byte) ([]Prep, error) {
 		if p.CountCube, p.CountFull, err = decodeCube(r); err != nil {
 			return nil, fmt.Errorf("store: prep %q count cube: %w", p.Name, err)
 		}
-		nm, err := r.uvarint()
+		nm, err := r.count(1) // a length prefix each
 		if err != nil {
 			return nil, err
-		}
-		if nm > 1<<16 {
-			return nil, corruptf("%d minmax indexes is implausible", nm)
 		}
 		p.MinMax = make([]*cube.MinMaxIndex, nm)
 		for j := range p.MinMax {
@@ -171,7 +167,7 @@ func decodeSample(r *byteReader) (*sample.Sample, error) {
 		return nil, err
 	}
 	s.SourceRows = int(sr)
-	ni, err := br.uvarint()
+	ni, err := br.count(8)
 	if err != nil {
 		return nil, err
 	}
@@ -183,7 +179,7 @@ func decodeSample(r *byteReader) (*sample.Sample, error) {
 			}
 		}
 	}
-	ns, err := br.uvarint()
+	ns, err := br.count(3) // key length + two row counts
 	if err != nil {
 		return nil, err
 	}
@@ -205,7 +201,7 @@ func decodeSample(r *byteReader) (*sample.Sample, error) {
 			st.SampleRows = int(v)
 		}
 	}
-	no, err := br.uvarint()
+	no, err := br.count(1)
 	if err != nil {
 		return nil, err
 	}

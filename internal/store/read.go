@@ -2,11 +2,11 @@ package store
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
-	"math"
 	"os"
-	"sync"
+	"unsafe"
 
 	"aqppp/internal/engine"
 )
@@ -19,9 +19,6 @@ const DefaultCacheBytes = 64 << 20
 type Options struct {
 	// CacheBytes bounds the decoded-block cache (0 = DefaultCacheBytes).
 	CacheBytes int64
-	// NoMmap forces the portable ReadAt path even where mmap works;
-	// platforms without mmap support always take it.
-	NoMmap bool
 }
 
 // colMeta is one column's resident metadata: schema, dictionary, exact
@@ -47,12 +44,7 @@ type colMeta struct {
 type Store struct {
 	path     string
 	fileSize int64
-
-	f    *os.File
-	data []byte // mmap; nil on the portable path
-
-	mu     sync.RWMutex // guards f/data against Close during raw reads
-	closed bool
+	f        *os.File
 
 	name  string
 	rows  int
@@ -63,7 +55,7 @@ type Store struct {
 	cache *blockCache
 }
 
-// Open maps (or opens) the container at path, verifies its checksums,
+// Open opens the container at path, verifies its checksums,
 // parses the metadata and prep sections, and binds an engine table over
 // it. No data blocks are read: opening is metadata-sized work, and the
 // first scan faults only the blocks its zone maps cannot prune.
@@ -94,14 +86,9 @@ func openFile(f *os.File, path string, opts Options) (*Store, error) {
 		cacheBytes = DefaultCacheBytes
 	}
 	s := &Store{path: path, f: f, fileSize: size, cache: newBlockCache(cacheBytes)}
-	if !opts.NoMmap {
-		if data, err := mapFile(f, size); err == nil {
-			s.data = data
-		}
-	}
 
 	var hdr [headerSize]byte
-	if _, err := s.rawRead(hdr[:], 0); err != nil {
+	if err := s.readAt(hdr[:], 0); err != nil {
 		return nil, err
 	}
 	if [4]byte(hdr[:4]) != storeMagic {
@@ -112,7 +99,7 @@ func openFile(f *os.File, path string, opts Options) (*Store, error) {
 	}
 
 	var ftr [footerSize]byte
-	if _, err := s.rawRead(ftr[:], size-footerSize); err != nil {
+	if err := s.readAt(ftr[:], size-footerSize); err != nil {
 		return nil, err
 	}
 	if [4]byte(ftr[44:48]) != storeMagic {
@@ -136,7 +123,7 @@ func openFile(f *os.File, path string, opts Options) (*Store, error) {
 	}
 
 	meta := make([]byte, metaLen)
-	if _, err := s.rawRead(meta, metaOff); err != nil {
+	if err := s.readAt(meta, metaOff); err != nil {
 		return nil, err
 	}
 	if got := checksum(meta); got != metaCRC {
@@ -147,7 +134,7 @@ func openFile(f *os.File, path string, opts Options) (*Store, error) {
 	}
 
 	prep := make([]byte, prepLen)
-	if _, err := s.rawRead(prep, prepOff); err != nil {
+	if err := s.readAt(prep, prepOff); err != nil {
 		return nil, err
 	}
 	if got := checksum(prep); got != prepCRC {
@@ -179,13 +166,16 @@ func (s *Store) parseMeta(meta []byte, metaOff int64) error {
 	if err != nil {
 		return err
 	}
+	// Every column indexes each block in at least blockIndexBytes, so a
+	// row count the rest of the section cannot index is corrupt — and
+	// refusing it here keeps it from sizing the index below.
+	if rows/blockRows > uint64(r.remaining()/blockIndexBytes) {
+		return corruptf("%d rows need more blocks than the %d-byte meta section indexes", rows, len(meta))
+	}
 	s.rows = int(rows)
-	ncols, err := r.uvarint()
+	ncols, err := r.count(minColumnBytes)
 	if err != nil {
 		return err
-	}
-	if ncols > 1<<16 {
-		return corruptf("%d columns is implausible", ncols)
 	}
 	wantNB := (s.rows + blockRows - 1) / blockRows
 	s.cols = make([]colMeta, ncols)
@@ -205,12 +195,9 @@ func (s *Store) parseMeta(meta []byte, metaOff int64) error {
 			return corruptf("column %q has unknown type byte %d", cm.name, tb)
 		}
 		if cm.typ == engine.String {
-			nd, err := r.uvarint()
+			nd, err := r.count(1) // a length byte per string
 			if err != nil {
 				return err
-			}
-			if nd > 1<<31 {
-				return corruptf("column %q dictionary size %d is implausible", cm.name, nd)
 			}
 			cm.dict = make([]string, nd)
 			for j := range cm.dict {
@@ -234,11 +221,11 @@ func (s *Store) parseMeta(meta []byte, metaOff int64) error {
 				}
 			}
 		}
-		nb, err := r.uvarint()
+		nb, err := r.count(blockIndexBytes)
 		if err != nil {
 			return err
 		}
-		if int(nb) != wantNB {
+		if nb != wantNB {
 			return corruptf("column %q has %d blocks in its index but %d rows imply %d",
 				cm.name, nb, s.rows, wantNB)
 		}
@@ -248,7 +235,7 @@ func (s *Store) parseMeta(meta []byte, metaOff int64) error {
 			return err
 		}
 		cm.offs[0] = int64(first)
-		for j := 1; j <= int(nb); j++ {
+		for j := 1; j <= nb; j++ {
 			d, err := r.uvarint()
 			if err != nil {
 				return err
@@ -261,7 +248,7 @@ func (s *Store) parseMeta(meta []byte, metaOff int64) error {
 		}
 		cm.mins = make([]float64, nb)
 		cm.maxs = make([]float64, nb)
-		for j := 0; j < int(nb); j++ {
+		for j := 0; j < nb; j++ {
 			if cm.mins[j], err = r.f64(); err != nil {
 				return err
 			}
@@ -276,42 +263,62 @@ func (s *Store) parseMeta(meta []byte, metaOff int64) error {
 	return nil
 }
 
-// rawRead fills dst from absolute file offset off, from the mapping when
-// present. The RLock holds Close off while raw bytes are in use.
-func (s *Store) rawRead(dst []byte, off int64) (int, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
-		return 0, ErrClosed
-	}
-	if s.data != nil {
-		if off < 0 || off+int64(len(dst)) > int64(len(s.data)) {
-			return 0, corruptf("read [%d, %d) beyond mapped %d bytes", off, off+int64(len(dst)), len(s.data))
-		}
-		return copy(dst, s.data[off:]), nil
-	}
-	return io.ReadFull(io.NewSectionReader(s.f, off, int64(len(dst))), dst)
-}
-
-// Close releases the mapping and file handle. Decoded blocks already in
-// the cache stay valid (they own their slices); subsequent cache misses
-// fail with ErrClosed.
-func (s *Store) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
+// readAt fills dst from absolute file offset off with one pread; it is
+// the store's only way to file bytes. No lock is needed against Close:
+// *os.File keeps the descriptor alive for reads already in flight and
+// fails a read that starts after Close with os.ErrClosed, which maps to
+// ErrClosed. A file truncated under the store reads short: a
+// corrupt-file error, never a fault that kills the process.
+func (s *Store) readAt(dst []byte, off int64) error {
+	_, err := s.f.ReadAt(dst, off)
+	switch {
+	case err == nil:
 		return nil
-	}
-	s.closed = true
-	var err error
-	if s.data != nil {
-		err = unmapFile(s.data)
-		s.data = nil
-	}
-	if cerr := s.f.Close(); err == nil {
-		err = cerr
+	case errors.Is(err, os.ErrClosed):
+		return ErrClosed
+	case err == io.EOF:
+		return corruptf("read [%d, %d) runs past the end of the file", off, off+int64(len(dst)))
 	}
 	return err
+}
+
+// readRaw preads a raw block's payload — plen bytes at off, nrows
+// little-endian 8-byte words — straight into a fresh []T viewed as
+// bytes, so the block lands in the array the cache keeps with no copy
+// and no scratch buffer. A big-endian host swaps each word in place.
+// The array is exactly nrows words: reading the encoding byte into one
+// extra word would save a pread but round a full block's 32 KiB up to
+// a 40 KiB span, so the cache's byte budget would understate what it
+// holds by a quarter.
+func readRaw[T int64 | float64](s *Store, nrows int, off, plen int64) ([]T, error) {
+	if plen != int64(nrows)*8 {
+		return nil, corruptf("%d payload bytes for %d raw words", plen, nrows)
+	}
+	dst := make([]T, nrows)
+	b := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(dst))), 8*nrows)
+	if err := s.readAt(b, off); err != nil {
+		return nil, err
+	}
+	if !hostLittleEndian {
+		for i := 0; i < len(b); i += 8 {
+			binary.NativeEndian.PutUint64(b[i:], binary.LittleEndian.Uint64(b[i:]))
+		}
+	}
+	return dst, nil
+}
+
+// hostLittleEndian decides once whether the file's little-endian words
+// are already in host order.
+var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// Close releases the file handle; calling it again is a no-op. Decoded
+// blocks already in the cache stay valid (they own their slices);
+// subsequent cache misses fail with ErrClosed.
+func (s *Store) Close() error {
+	if err := s.f.Close(); err != nil && !errors.Is(err, os.ErrClosed) {
+		return err
+	}
+	return nil
 }
 
 // Table returns the engine table bound over this store. Scans fault
@@ -323,14 +330,6 @@ func (s *Store) Preps() []Prep { return s.preps }
 
 // Path returns the file the store was opened from.
 func (s *Store) Path() string { return s.path }
-
-// Mmapped reports whether the store serves reads from a memory mapping
-// (false on platforms without mmap or with Options.NoMmap).
-func (s *Store) Mmapped() bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.data != nil
-}
 
 // CacheStats returns the block cache counters.
 func (s *Store) CacheStats() CacheStats { return s.cache.stats() }
@@ -348,13 +347,14 @@ func (s *Store) Snapshot() Snapshot {
 		Cols:      len(s.cols),
 		Blocks:    (s.rows + blockRows - 1) / blockRows,
 		FileBytes: s.fileSize,
-		Mmap:      s.Mmapped(),
 		Preps:     names,
 		Cache:     s.CacheStats(),
 	}
 }
 
-// Snapshot is a point-in-time description of one open store.
+// Snapshot is a point-in-time description of one open store. Mmap is
+// always false (stores read with pread); it stays so the /statusz JSON
+// shape holds.
 type Snapshot struct {
 	Path      string     `json:"path"`
 	Table     string     `json:"table"`
@@ -401,8 +401,8 @@ type colSource struct {
 }
 
 // ReadBlock implements engine.ColumnSource. Cached blocks are returned
-// as shared immutable views (the caller's buf is ignored); misses decode
-// under the read lock so Close cannot unmap mid-decode.
+// as shared immutable views (the caller's buf is ignored); a miss reads
+// into fresh slices that become the cache entry.
 func (cs *colSource) ReadBlock(b int, _ *engine.BlockBuf) (engine.BlockBuf, error) {
 	key := uint64(cs.ci)<<32 | uint64(uint32(b))
 	if v, ok := cs.s.cache.get(key); ok {
@@ -429,8 +429,8 @@ func (cs *colSource) IntBounds() (lo, hi int64, ok bool) {
 	return cm.loBound, cm.hiBound, cm.hasBounds
 }
 
-// decodeBlock reads and decodes block b of column ci into fresh slices
-// (they become shared cache views, so no buffer reuse).
+// decodeBlock reads block b of column ci into fresh slices (they become
+// shared cache views, so no buffer reuse).
 func (s *Store) decodeBlock(ci, b int) (engine.BlockBuf, int64, error) {
 	cm := &s.cols[ci]
 	if b < 0 || b+1 >= len(cm.offs) {
@@ -442,83 +442,82 @@ func (s *Store) decodeBlock(ci, b int) (engine.BlockBuf, int64, error) {
 		hi = s.rows
 	}
 	nrows := hi - lo
-	blen := cm.offs[b+1] - cm.offs[b]
+	off, blen := cm.offs[b], cm.offs[b+1]-cm.offs[b]
 	if blen <= 0 {
 		return engine.BlockBuf{}, 0, corruptf("column %q block %d has length %d", cm.name, b, blen)
 	}
-	raw := make([]byte, blen)
-	if _, err := s.rawRead(raw, cm.offs[b]); err != nil {
+	buf, err := s.readBlock(cm, nrows, off, blen)
+	if err != nil {
 		return engine.BlockBuf{}, 0, fmt.Errorf("store: column %q block %d: %w", cm.name, b, err)
 	}
-	enc, payload := raw[0], raw[1:]
+	return buf, int64(nrows)*8 + cacheEntryOverhead, nil
+}
+
+// readBlock reads the nrows-row block at [off, off+blen). The encoding
+// byte is read on its own and alone decides the path — a varint-delta
+// block can be exactly as long as a raw one. A raw payload is pread
+// straight into the array the cache keeps; varint-delta and dictionary
+// blocks (a few KB) are read whole, then decoded.
+func (s *Store) readBlock(cm *colMeta, nrows int, off, blen int64) (engine.BlockBuf, error) {
+	var enc [1]byte
+	if err := s.readAt(enc[:], off); err != nil {
+		return engine.BlockBuf{}, err
+	}
+	off, plen := off+1, blen-1
 	var buf engine.BlockBuf
-	switch cm.typ {
-	case engine.Int64:
+	var err error
+	switch {
+	case cm.typ == engine.Int64 && enc[0] == encRawInt:
+		buf.Ints, err = readRaw[int64](s, nrows, off, plen)
+		return buf, err
+	case cm.typ == engine.Float64 && enc[0] == encRawFloat:
+		buf.Floats, err = readRaw[float64](s, nrows, off, plen)
+		return buf, err
+	case cm.typ == engine.Int64 && enc[0] == encDeltaInt,
+		cm.typ == engine.String && enc[0] == encDictCode:
+		// read whole and decoded below
+	default:
+		return buf, corruptf("encoding %d for %v column", enc[0], cm.typ)
+	}
+	payload := make([]byte, plen)
+	if err := s.readAt(payload, off); err != nil {
+		return buf, err
+	}
+	r := &byteReader{data: payload}
+	if cm.typ == engine.Int64 {
 		vals := make([]int64, nrows)
-		switch enc {
-		case encRawInt:
-			if len(payload) != nrows*8 {
-				return engine.BlockBuf{}, 0, corruptf("column %q block %d: %d payload bytes for %d raw ints",
-					cm.name, b, len(payload), nrows)
-			}
-			for i := range vals {
-				vals[i] = int64(binary.LittleEndian.Uint64(payload[i*8:]))
-			}
-		case encDeltaInt:
-			r := &byteReader{data: payload}
-			v, err := r.varint()
+		v, err := r.varint()
+		if err != nil {
+			return buf, err
+		}
+		vals[0] = v
+		for i := 1; i < nrows; i++ {
+			d, err := r.uvarint()
 			if err != nil {
-				return engine.BlockBuf{}, 0, err
+				return buf, err
 			}
-			vals[0] = v
-			for i := 1; i < nrows; i++ {
-				d, err := r.uvarint()
-				if err != nil {
-					return engine.BlockBuf{}, 0, err
-				}
-				vals[i] = int64(uint64(vals[i-1]) + d)
-			}
-			if r.remaining() != 0 {
-				return engine.BlockBuf{}, 0, corruptf("column %q block %d: %d trailing bytes", cm.name, b, r.remaining())
-			}
-		default:
-			return engine.BlockBuf{}, 0, corruptf("column %q block %d: encoding %d for int column", cm.name, b, enc)
+			vals[i] = int64(uint64(vals[i-1]) + d)
+		}
+		if r.remaining() != 0 {
+			return buf, corruptf("%d trailing bytes", r.remaining())
 		}
 		buf.Ints = vals
-	case engine.Float64:
-		if enc != encRawFloat {
-			return engine.BlockBuf{}, 0, corruptf("column %q block %d: encoding %d for float column", cm.name, b, enc)
-		}
-		if len(payload) != nrows*8 {
-			return engine.BlockBuf{}, 0, corruptf("column %q block %d: %d payload bytes for %d floats",
-				cm.name, b, len(payload), nrows)
-		}
-		vals := make([]float64, nrows)
-		for i := range vals {
-			vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[i*8:]))
-		}
-		buf.Floats = vals
-	default:
-		if enc != encDictCode {
-			return engine.BlockBuf{}, 0, corruptf("column %q block %d: encoding %d for string column", cm.name, b, enc)
-		}
-		r := &byteReader{data: payload}
+	} else {
 		codes := make([]int32, nrows)
 		for i := range codes {
 			v, err := r.uvarint()
 			if err != nil {
-				return engine.BlockBuf{}, 0, err
+				return buf, err
 			}
 			if v >= uint64(len(cm.dict)) {
-				return engine.BlockBuf{}, 0, corruptf("column %q block %d: code %d outside dictionary of %d",
-					cm.name, b, v, len(cm.dict))
+				return buf, corruptf("code %d outside dictionary of %d", v, len(cm.dict))
 			}
 			codes[i] = int32(v)
 		}
 		if r.remaining() != 0 {
-			return engine.BlockBuf{}, 0, corruptf("column %q block %d: %d trailing bytes", cm.name, b, r.remaining())
+			return buf, corruptf("%d trailing bytes", r.remaining())
 		}
 		buf.Codes = codes
 	}
-	return buf, int64(nrows)*8 + cacheEntryOverhead, nil
+	return buf, nil
 }

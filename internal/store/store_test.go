@@ -23,7 +23,7 @@ import (
 // encodings: "key" is clustered (non-decreasing → varint-delta blocks),
 // "rnd" is shuffled with negatives (raw blocks), "val" is float with
 // negatives and exact-binary values, "cat" is a small dictionary.
-func testTable(t *testing.T, name string, n int, seed uint64) *engine.Table {
+func testTable(t testing.TB, name string, n int, seed uint64) *engine.Table {
 	t.Helper()
 	r := stats.NewRNG(seed)
 	keys := make([]int64, n)
@@ -45,7 +45,7 @@ func testTable(t *testing.T, name string, n int, seed uint64) *engine.Table {
 	)
 }
 
-func writeTemp(t *testing.T, tbl *engine.Table, preps []Prep) string {
+func writeTemp(t testing.TB, tbl *engine.Table, preps []Prep) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), tbl.Name+".aqps")
 	if err := Write(path, tbl, preps); err != nil {
@@ -242,14 +242,86 @@ func TestCacheEviction(t *testing.T) {
 	}
 }
 
-// TestNoMmap pins the portable read path: same answers, no mapping.
-func TestNoMmap(t *testing.T) {
-	tbl := testTable(t, "nm", 2*blockRows+7, 6)
-	s := openTemp(t, writeTemp(t, tbl, nil), Options{NoMmap: true})
-	if s.Mmapped() {
-		t.Fatal("NoMmap store reports a mapping")
+// TestBitExactLanding pins the raw path that preads a payload straight
+// into the cached array: float blocks holding NaN payloads, -0, ±Inf and
+// subnormals, and int blocks holding MinInt64/MaxInt64, come back bit
+// for bit — including the short tail block.
+func TestBitExactLanding(t *testing.T) {
+	n := blockRows + 13
+	specials := []float64{
+		math.Float64frombits(0x7ff8000000000001), // quiet NaN, payload 1
+		math.Float64frombits(0xfff0000000000001), // signalling NaN, sign set
+		math.Float64frombits(0x7ff4000000c0ffee),
+		math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
+		math.SmallestNonzeroFloat64, math.Float64frombits(0x800fffffffffffff), // subnormals
 	}
-	assertTableEquivalent(t, tbl, s.Table())
+	ints := []int64{math.MinInt64, math.MaxInt64, -1, 0, math.MinInt64 + 1, math.MaxInt64 - 1}
+	fs := make([]float64, n)
+	is := make([]int64, n)
+	for i := range fs {
+		fs[i] = specials[i%len(specials)]
+		is[i] = ints[i%len(ints)] // unsorted: every block stays raw
+	}
+	// The tail block (13 rows) starts at a different phase of both cycles.
+	tbl := engine.MustNewTable("bits", engine.NewFloatColumn("f", fs), engine.NewIntColumn("i", is))
+	s := openTemp(t, writeTemp(t, tbl, nil), Options{})
+	for b := 0; b*blockRows < n; b++ {
+		fb, err := s.srcs[0].ReadBlock(b, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ib, err := s.srcs[1].ReadBlock(b, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lo := b * blockRows
+		if len(fb.Floats) != min(blockRows, n-lo) || len(ib.Ints) != len(fb.Floats) {
+			t.Fatalf("block %d: %d floats, %d ints", b, len(fb.Floats), len(ib.Ints))
+		}
+		for i, v := range fb.Floats {
+			if got, want := math.Float64bits(v), math.Float64bits(fs[lo+i]); got != want {
+				t.Fatalf("row %d: float bits %016x, want %016x", lo+i, got, want)
+			}
+		}
+		for i, v := range ib.Ints {
+			if v != is[lo+i] {
+				t.Fatalf("row %d: int %d, want %d", lo+i, v, is[lo+i])
+			}
+		}
+	}
+}
+
+// TestDeltaBlockAsLongAsRaw pins that the encoding byte, not the block
+// length, picks the decode path: a varint-delta int block whose deltas
+// are 8 bytes each is exactly 1+8·nrows bytes long, the length of a raw
+// block, and must still decode as deltas.
+func TestDeltaBlockAsLongAsRaw(t *testing.T) {
+	vals := make([]int64, blockRows)
+	for i := range vals {
+		// First value: an 8-byte zigzag varint; each delta: an 8-byte uvarint.
+		vals[i] = 1<<50 + int64(i)<<49
+	}
+	tbl := engine.MustNewTable("dl", engine.NewIntColumn("k", vals))
+	path := writeTemp(t, tbl, nil)
+	s := openTemp(t, path, Options{})
+	cm := &s.cols[0]
+	if got, want := cm.offs[1]-cm.offs[0], int64(1+8*blockRows); got != want {
+		t.Fatalf("block length %d, want %d (fixture drifted)", got, want)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if enc := raw[cm.offs[0]]; enc != encDeltaInt {
+		t.Fatalf("encoding byte %d, want encDeltaInt", enc)
+	}
+	got, err := s.srcs[0].ReadBlock(0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Ints, vals) {
+		t.Fatal("delta block decoded wrong")
+	}
 }
 
 // TestClosedStore pins the post-Close surface: cache-missing scans fail
@@ -284,13 +356,14 @@ func TestClosedStore(t *testing.T) {
 	}
 }
 
-// TestConcurrentScansAndClose is the -race hammer for this package's
-// two mutexes: the block cache's (get/put/evict under concurrent scans,
-// with stats readers beside them) and Store.mu (Close landing while raw
-// reads are in flight). No static rule watches these fields; the race
-// detector does, on the interleavings this test produces. Until Close
-// every answer is bit-identical to the resident table; after it a scan
-// either still answers from cached blocks or fails with ErrClosed.
+// TestConcurrentScansAndClose is the -race hammer for the block cache's
+// mutex (get/put/evict under concurrent scans, with stats readers beside
+// them) and for Close landing while preads are in flight, which only
+// *os.File's descriptor reference count guards. No static rule watches
+// either; the race detector does, on the interleavings this test
+// produces. Until Close every answer is bit-identical to the resident
+// table; after it a scan either still answers correctly (from cached
+// blocks, or from a read that started first) or fails with ErrClosed.
 func TestConcurrentScansAndClose(t *testing.T) {
 	tbl := testTable(t, "cc", 6*blockRows, 9)
 	path := writeTemp(t, tbl, nil)
@@ -304,9 +377,8 @@ func TestConcurrentScansAndClose(t *testing.T) {
 		name string
 		opts Options
 	}{
-		{"mmap, evicting cache", Options{CacheBytes: churn}},
-		{"portable, evicting cache", Options{CacheBytes: churn, NoMmap: true}},
-		{"mmap, default cache", Options{}},
+		{"evicting cache", Options{CacheBytes: churn}},
+		{"default cache", Options{}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := openTemp(t, path, tc.opts)
@@ -330,10 +402,9 @@ func TestConcurrentScansAndClose(t *testing.T) {
 						case !reflect.DeepEqual(got, want[k]):
 							t.Errorf("%+v: backed %+v != resident %+v", queries[k], got, want[k])
 						}
-						if cs := s.CacheStats(); cs.ResidentBytes > cs.CapBytes {
+						if cs := s.Snapshot().Cache; cs.ResidentBytes > cs.CapBytes {
 							t.Errorf("resident %d bytes exceeds cap %d", cs.ResidentBytes, cs.CapBytes)
 						}
-						_ = s.Mmapped()
 					}
 				}(w)
 			}
@@ -534,24 +605,19 @@ func TestCorruption(t *testing.T) {
 	})
 	// Data-block damage is not checksummed, but structural decode checks
 	// still catch truncation-style corruption at fault time, as an error,
-	// not a panic. Shrink block 0 of the delta-coded key column by lying
-	// in its index is CRC-protected; instead verify a valid open then a
-	// failing read after the file is truncated under a NoMmap store.
+	// not a panic. Lying in the block index is CRC-protected; instead
+	// open a valid container with default Options, then truncate it
+	// under the store.
 	t.Run("read-after-truncate", func(t *testing.T) {
 		big := testTable(t, "big", 3*blockRows, 12)
 		p3 := writeTemp(t, big, nil)
-		s, err := Open(p3, Options{NoMmap: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
-		// Truncating the data region under an open store must surface as
-		// a read error on fault, never a panic.
+		s := openTemp(t, p3, Options{})
 		if err := os.Truncate(p3, 64); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.Table().Execute(context.Background(), engine.Query{Func: engine.Sum, Col: "val"}); err == nil {
-			t.Fatal("scan over truncated file succeeded")
+		_, err := s.Table().Execute(context.Background(), engine.Query{Func: engine.Sum, Col: "val"})
+		if err == nil || !strings.Contains(err.Error(), "corrupt") {
+			t.Fatalf("scan over truncated file: %v, want a corrupt-file error", err)
 		}
 	})
 }

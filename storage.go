@@ -11,8 +11,8 @@ import (
 
 // This file is the DB's disk-native persistence surface. SaveStore
 // writes a registered table together with its prepared state (samples,
-// BP-cubes, min/max indexes) into one store container; OpenStore maps
-// the container back, registers a lazily-faulting table over it, and
+// BP-cubes, min/max indexes) into one store container; OpenStore opens
+// the container again, registers a lazily-faulting table over it, and
 // reconstitutes the preparations without rebuilding anything — restart
 // cost is metadata, not sampling or cube scans.
 
