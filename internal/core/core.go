@@ -242,40 +242,18 @@ func (p *Processor) AnswerGroups(ctx context.Context, q engine.Query) ([]GroupAn
 	if len(q.GroupBy) == 0 {
 		return nil, fmt.Errorf("core: AnswerGroups needs GROUP BY")
 	}
-	cols := make([]*engine.Column, len(q.GroupBy))
-	for i, g := range q.GroupBy {
-		c, err := p.Sample.Table.Column(g)
-		if err != nil {
-			return nil, err
-		}
-		cols[i] = c
+	keys, ords, err := p.sampleGroups(q.GroupBy)
+	if err != nil {
+		return nil, err
 	}
-	n := p.Sample.Size()
-	type groupInfo struct {
-		ords []float64
-	}
-	seen := map[string]groupInfo{}
-	var order []string
-	for i := 0; i < n; i++ {
-		key := engine.GroupKey(cols, i)
-		if _, ok := seen[key]; !ok {
-			ords := make([]float64, len(cols))
-			for j, c := range cols {
-				ords[j] = c.Ordinal(i)
-			}
-			seen[key] = groupInfo{ords: ords}
-			order = append(order, key)
-		}
-	}
-	out := make([]GroupAnswer, 0, len(order))
-	for _, key := range order {
+	out := make([]GroupAnswer, 0, len(keys))
+	for gi, key := range keys {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		gi := seen[key]
 		gq := q
 		gq.GroupBy = nil
-		gq.Ranges = append(append([]engine.Range(nil), q.Ranges...), pinRanges(q.GroupBy, gi.ords)...)
+		gq.Ranges = append(append([]engine.Range(nil), q.Ranges...), pinRanges(q.GroupBy, ords[gi])...)
 		ans, err := p.Answer(gq)
 		if err != nil {
 			return nil, err
@@ -283,6 +261,33 @@ func (p *Processor) AnswerGroups(ctx context.Context, q engine.Query) ([]GroupAn
 		out = append(out, GroupAnswer{Key: key, Answer: ans})
 	}
 	return out, nil
+}
+
+// sampleGroups enumerates the groups the groupBy columns form over the
+// sample, in first-seen row order: each group's key (engine.GroupKey,
+// as Execute renders it) and the ordinals of its group-by columns.
+func (p *Processor) sampleGroups(groupBy []string) (keys []string, ords [][]float64, err error) {
+	cols := make([]*engine.Column, len(groupBy))
+	for i, g := range groupBy {
+		if cols[i], err = p.Sample.Table.Column(g); err != nil {
+			return nil, nil, err
+		}
+	}
+	seen := map[string]bool{}
+	for i, n := 0, p.Sample.Size(); i < n; i++ {
+		key := engine.GroupKey(cols, i)
+		if seen[key] {
+			continue
+		}
+		seen[key] = true
+		o := make([]float64, len(cols))
+		for j, c := range cols {
+			o[j] = c.Ordinal(i)
+		}
+		keys = append(keys, key)
+		ords = append(ords, o)
+	}
+	return keys, ords, nil
 }
 
 // pinRanges builds equality ranges pinning each group column to one

@@ -39,14 +39,6 @@ func (p *Processor) AnswerGroupsFast(ctx context.Context, q engine.Query) ([]Gro
 		return nil, err
 	}
 
-	cols := make([]*engine.Column, len(q.GroupBy))
-	for i, g := range q.GroupBy {
-		c, err := p.Sample.Table.Column(g)
-		if err != nil {
-			return nil, err
-		}
-		cols[i] = c
-	}
 	// Which cube dimensions are group-by columns? A slice (not a map)
 	// keeps the pinning order deterministic.
 	var groupDims []dimBinding
@@ -58,33 +50,22 @@ func (p *Processor) AnswerGroupsFast(ctx context.Context, q engine.Query) ([]Gro
 		}
 	}
 
-	n := p.Sample.Size()
-	seen := map[string][]float64{}
-	var order []string
-	for i := 0; i < n; i++ {
-		key := engine.GroupKey(cols, i)
-		if _, ok := seen[key]; !ok {
-			ords := make([]float64, len(cols))
-			for j, c := range cols {
-				ords[j] = c.Ordinal(i)
-			}
-			seen[key] = ords
-			order = append(order, key)
-		}
+	keys, ords, err := p.sampleGroups(q.GroupBy)
+	if err != nil {
+		return nil, err
 	}
 
-	out := make([]GroupAnswer, 0, len(order))
-	for _, key := range order {
+	out := make([]GroupAnswer, 0, len(keys))
+	for gi, key := range keys {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		ords := seen[key]
 		gq := scalar
-		gq.Ranges = append(append([]engine.Range(nil), scalar.Ranges...), pinRanges(q.GroupBy, ords)...)
+		gq.Ranges = append(append([]engine.Range(nil), scalar.Ranges...), pinRanges(q.GroupBy, ords[gi])...)
 
 		pre := sel.Pre
 		if !pre.IsPhi() && len(groupDims) > 0 {
-			pre = pinPreToGroup(p, pre, groupDims, ords)
+			pre = pinPreToGroup(p, pre, groupDims, ords[gi])
 		}
 		ans, err := p.answerWithPre(gq, p.Cube, pre, sel.Considered)
 		if err != nil {

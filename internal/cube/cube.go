@@ -197,15 +197,7 @@ func Build(tbl *engine.Table, tmpl Template, points [][]float64) (*BPCube, error
 
 // prefixAxis accumulates running sums along one axis of the dense array.
 func (c *BPCube) prefixAxis(axis int) {
-	c.prefixAxisInto(c.Cells, axis)
-}
-
-// prefixAxisInto runs the axis prefix pass over an arbitrary grid with
-// this cube's shape. Taking the slice as a parameter lets callers (e.g.
-// Buffered.Compact) prefix a scratch grid without temporarily swapping
-// it into c.Cells, which would expose a half-built cube to concurrent
-// readers and corrupt the cube if the pass ever panicked midway.
-func (c *BPCube) prefixAxisInto(cells []float64, axis int) {
+	cells := c.Cells
 	k := len(c.Points[axis])
 	stride := c.strides[axis]
 	// Iterate all "lines" along the axis: the flat array decomposes into

@@ -147,7 +147,7 @@ func backendTestTable(t *testing.T, n int) *Table {
 
 // TestBackendEquivalence pins every answer path over an OpenBackend
 // table bit-identical to the resident oracle: scalar aggregates, filtered
-// scans, group-by in all three modes, parallel execution, partials.
+// scans, group-by in all three modes, partials.
 func TestBackendEquivalence(t *testing.T) {
 	n := 5*zoneBlockSize + 123
 	tbl := backendTestTable(t, n)
@@ -181,16 +181,16 @@ func TestBackendEquivalence(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%v: backed %+v != resident %+v", q, got, want)
 		}
-		gotP, err := bt.ExecuteParallel(context.Background(), q, 4)
+		gotP, err := bt.ExecutePartial(context.Background(), q)
 		if err != nil {
-			t.Fatalf("%v (backed parallel): %v", q, err)
+			t.Fatalf("%v (backed partial): %v", q, err)
 		}
-		wantP, err := tbl.ExecuteParallel(context.Background(), q, 4)
+		wantP, err := tbl.ExecutePartial(context.Background(), q)
 		if err != nil {
-			t.Fatalf("%v (resident parallel): %v", q, err)
+			t.Fatalf("%v (resident partial): %v", q, err)
 		}
 		if !reflect.DeepEqual(gotP, wantP) {
-			t.Errorf("%v parallel: backed %+v != resident %+v", q, gotP, wantP)
+			t.Errorf("%v partial: backed %+v != resident %+v", q, gotP, wantP)
 		}
 	}
 	// Filter bitsets must agree too (the 2-bitset zoned path).
@@ -291,9 +291,6 @@ func TestBackendErrors(t *testing.T) {
 	q := Query{Func: Sum, Col: "val"}
 	if _, err := bt.Execute(context.Background(), q); err == nil || !strings.Contains(err.Error(), "injected failure") {
 		t.Fatalf("Execute over failing source: got %v, want injected failure", err)
-	}
-	if _, err := bt.ExecuteParallel(context.Background(), q, 3); err == nil {
-		t.Fatal("ExecuteParallel over failing source: want error")
 	}
 	if _, err := bt.ExecutePartial(context.Background(), q); err == nil {
 		t.Fatal("ExecutePartial over failing source: want error")

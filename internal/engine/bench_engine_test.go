@@ -135,34 +135,3 @@ func BenchmarkEngineGroupByFiltered(b *testing.B) {
 		GroupBy: []string{"cat"},
 	})
 }
-
-func BenchmarkEngineGroupByParallel(b *testing.B) {
-	tbl := benchEngineTable(benchRows)
-	q := Query{Func: Sum, Col: "v", GroupBy: []string{"cat"}}
-	if _, err := tbl.ExecuteParallel(context.Background(), q, 0); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := tbl.ExecuteParallel(context.Background(), q, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkEngineParallelSum measures the parallel scalar path end to end.
-func BenchmarkEngineParallelSum(b *testing.B) {
-	tbl := benchEngineTable(benchRows)
-	q := Query{Func: Sum, Col: "v", Ranges: selectiveRange("shuffled")}
-	if _, err := tbl.ExecuteParallel(context.Background(), q, 0); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := tbl.ExecuteParallel(context.Background(), q, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -85,33 +85,11 @@ func (b *Bitset) And(o *Bitset) {
 	}
 }
 
-// AndWords intersects a raw word slice into b in place. The slice must
-// have exactly b's word count; block kernels use it to merge per-range
-// selections without wrapping scratch buffers in a Bitset.
-func (b *Bitset) AndWords(words []uint64) {
-	if len(words) != len(b.words) {
-		panic("engine: Bitset word-count mismatch in AndWords")
-	}
-	for i := range b.words {
-		b.words[i] &= words[i]
-	}
-}
-
 // Words exposes the backing word slice (bit i of word w is row w*64+i).
 // It is the block-at-a-time read path: hot loops iterate words and peel
-// set bits with bits.TrailingZeros64 instead of paying a closure call
-// per row through ForEach. Callers must treat the slice as read-only.
+// set bits with bits.TrailingZeros64, one word at a time. Callers must
+// treat the slice as read-only.
 func (b *Bitset) Words() []uint64 { return b.words }
-
-// Or unions o into b in place. The two bitsets must have equal length.
-func (b *Bitset) Or(o *Bitset) {
-	if b.n != o.n {
-		panic("engine: Bitset length mismatch in Or")
-	}
-	for i := range b.words {
-		b.words[i] |= o.words[i]
-	}
-}
 
 // Count returns the number of selected rows.
 func (b *Bitset) Count() int {
@@ -120,17 +98,6 @@ func (b *Bitset) Count() int {
 		c += bits.OnesCount64(w)
 	}
 	return c
-}
-
-// ForEach calls f with each selected row index in ascending order.
-func (b *Bitset) ForEach(f func(i int)) {
-	for wi, w := range b.words {
-		base := wi << 6
-		for w != 0 {
-			f(base + bits.TrailingZeros64(w))
-			w &= w - 1
-		}
-	}
 }
 
 // Clone returns an independent copy.

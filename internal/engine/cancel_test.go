@@ -6,7 +6,26 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"aqppp/internal/stats"
 )
+
+// scanFixture is an n-row table with an int key k uniform on [1, 1000]
+// and a normal float measure v: big enough at 2M rows that a scan
+// cannot finish before a cancel 200µs in.
+func scanFixture(n int) *Table {
+	r := stats.NewRNG(31)
+	k := make([]int64, n)
+	v := make([]float64, n)
+	for i := 0; i < n; i++ {
+		k[i] = int64(r.Intn(1000) + 1)
+		v[i] = r.NormFloat64() * 100
+	}
+	return MustNewTable("p",
+		NewIntColumn("k", k),
+		NewFloatColumn("v", v),
+	)
+}
 
 // waitForGoroutines retries until the live goroutine count falls back
 // to at most base+slack. context.AfterFunc fires its callback on a
@@ -24,18 +43,18 @@ func waitForGoroutines(t *testing.T, base int) {
 }
 
 // TestCancelExecutePreCanceled: an already-canceled context fails both
-// scan paths with context.Canceled and leaks no goroutines.
+// scan entry points with context.Canceled and leaks no goroutines.
 func TestCancelExecutePreCanceled(t *testing.T) {
 	base := runtime.NumGoroutine()
-	tbl := parallelFixture(20000)
+	tbl := scanFixture(20000)
 	q := Query{Func: Sum, Col: "v", Ranges: []Range{{Col: "k", Lo: 100, Hi: 900}}}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := tbl.Execute(ctx, q); !errors.Is(err, context.Canceled) {
-		t.Errorf("ExecuteContext err = %v, want context.Canceled", err)
+		t.Errorf("Execute err = %v, want context.Canceled", err)
 	}
-	if _, err := tbl.ExecuteParallel(ctx, q, 4); !errors.Is(err, context.Canceled) {
-		t.Errorf("ExecuteParallelContext err = %v, want context.Canceled", err)
+	if _, err := tbl.ExecutePartial(ctx, q); !errors.Is(err, context.Canceled) {
+		t.Errorf("ExecutePartial err = %v, want context.Canceled", err)
 	}
 	waitForGoroutines(t, base)
 }
@@ -53,21 +72,21 @@ func TestCancelExecuteGroupByPreCanceled(t *testing.T) {
 	if _, err := tbl.Execute(ctx, q); !errors.Is(err, context.Canceled) {
 		t.Errorf("group-by err = %v, want context.Canceled", err)
 	}
-	if _, err := tbl.ExecuteParallel(ctx, q, 4); !errors.Is(err, context.Canceled) {
-		t.Errorf("parallel group-by err = %v, want context.Canceled", err)
+	if _, err := tbl.ExecutePartial(ctx, q); !errors.Is(err, context.Canceled) {
+		t.Errorf("partial group-by err = %v, want context.Canceled", err)
 	}
 }
 
-// TestCancelExecuteParallelMidFlight cancels while workers are scanning
-// a table large enough that the scan cannot finish first, and checks
-// the call unwinds promptly (the per-block stop flag, not the full
-// scan) without leaking worker goroutines.
-func TestCancelExecuteParallelMidFlight(t *testing.T) {
+// TestCancelExecuteSerialMidFlight cancels while a scan is running over
+// a table large enough that it cannot finish first, and checks the call
+// unwinds promptly (the per-block stop flag, not the full scan) without
+// leaking the ctx watcher's goroutine.
+func TestCancelExecuteSerialMidFlight(t *testing.T) {
 	base := runtime.NumGoroutine()
-	tbl := parallelFixture(2_000_000)
+	tbl := scanFixture(2_000_000)
 	q := Query{Func: Sum, Col: "v", Ranges: []Range{{Col: "k", Lo: 100, Hi: 900}}}
 	// Warm derived caches so the timed run measures only the scan.
-	if _, err := tbl.ExecuteParallel(context.Background(), q, 4); err != nil {
+	if _, err := tbl.Execute(context.Background(), q); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -76,7 +95,7 @@ func TestCancelExecuteParallelMidFlight(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, err := tbl.ExecuteParallel(ctx, q, 4)
+	_, err := tbl.Execute(ctx, q)
 	elapsed := time.Since(start)
 	if err != nil && !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want nil or context.Canceled", err)
@@ -91,28 +110,11 @@ func TestCancelExecuteParallelMidFlight(t *testing.T) {
 	waitForGoroutines(t, base)
 }
 
-// TestCancelExecuteSerialMidFlight does the same for the serial path.
-func TestCancelExecuteSerialMidFlight(t *testing.T) {
-	tbl := parallelFixture(2_000_000)
-	q := Query{Func: Sum, Col: "v", Ranges: []Range{{Col: "k", Lo: 100, Hi: 900}}}
-	if _, err := tbl.Execute(context.Background(), q); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(200 * time.Microsecond)
-		cancel()
-	}()
-	if _, err := tbl.Execute(ctx, q); err != nil && !errors.Is(err, context.Canceled) {
-		t.Errorf("err = %v, want nil or context.Canceled", err)
-	}
-}
-
 // TestCancelBackgroundUnaffected: a scan under an armed but never
 // canceled watcher returns what the background-context fast path (the
 // stop flag stays nil) returns.
 func TestCancelBackgroundUnaffected(t *testing.T) {
-	tbl := parallelFixture(50000)
+	tbl := scanFixture(50000)
 	q := Query{Func: Sum, Col: "v", Ranges: []Range{{Col: "k", Lo: 100, Hi: 900}}}
 	want, err := tbl.Execute(context.Background(), q)
 	if err != nil {

@@ -181,9 +181,8 @@ func (c *Column) ranks() []int32 {
 }
 
 // warmOrdinals forces the lazy rank cache so that subsequent Ordinal
-// calls hit the published snapshot. Lazy builds are race-safe either
-// way; warming before fanning out just keeps workers from serializing
-// on the build mutex.
+// calls hit the published snapshot. zonesFor calls it before taking
+// lazyMu, because an Ordinal call under the lock would re-enter it.
 func (c *Column) warmOrdinals() {
 	if c.Type == String {
 		c.ranks()

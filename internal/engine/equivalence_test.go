@@ -8,19 +8,16 @@ import (
 	"aqppp/internal/stats"
 )
 
-// This file cross-checks the kernel layer end to end: Execute (serial
-// kernels), ExecuteParallel (chunked kernels) and Filter are compared
-// against a deliberately naive row-at-a-time reference over randomized
-// tables, queries and group-by clauses. Guarantees verified:
+// This file cross-checks the kernel layer end to end: Execute and Filter
+// are compared against a deliberately naive row-at-a-time reference over
+// randomized tables, queries and group-by clauses. Guarantees verified:
 //
 //   - Execute is bit-identical to the reference for SUM/COUNT/MIN/MAX
 //     (same additions in the same order) and within ApproxEqual
 //     tolerance for AVG/VAR;
-//   - ExecuteParallel is bit-identical for COUNT/MIN/MAX and within
-//     ApproxEqual tolerance for SUM/AVG/VAR (worker merges re-associate
-//     float additions across chunk boundaries);
 //   - group-by results match on keys, first-seen order and row counts
-//     exactly, with per-group values compared as above.
+//     exactly, with per-group values compared as above;
+//   - Filter selects exactly the rows the reference selects.
 
 // refSelect returns the matching rows via per-row Ordinal tests.
 func refSelect(t *Table, ranges []Range) []int {
@@ -173,13 +170,9 @@ func randomQuery(t *Table, r *stats.RNG) Query {
 	return q
 }
 
-// exactFuncs are bit-identical on the serial path; the rest are subject
-// to floating-point reassociation tolerances.
+// serialExact: these aggregates are bit-identical to the reference; the
+// rest are compared within floating-point tolerances.
 func serialExact(f AggFunc) bool { return f == Sum || f == Count || f == Min || f == Max }
-
-// parallelExact: worker merges re-associate sums, so only the
-// order-independent aggregates stay bit-identical across chunkings.
-func parallelExact(f AggFunc) bool { return f == Count || f == Min || f == Max }
 
 func checkValue(t *testing.T, ctx string, got, want float64, exact bool) {
 	t.Helper()
@@ -233,13 +226,6 @@ func TestKernelEquivalenceRandomized(t *testing.T) {
 				t.Fatalf("n=%d %v: %v", n, q, err)
 			}
 			checkResult(t, q.String()+" serial", q, got, want, serialExact(q.Func))
-			for _, workers := range []int{2, 3, 8} {
-				par, err := tbl.ExecuteParallel(context.Background(), q, workers)
-				if err != nil {
-					t.Fatalf("n=%d %v workers=%d: %v", n, q, workers, err)
-				}
-				checkResult(t, q.String()+" parallel", q, par, want, parallelExact(q.Func))
-			}
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/bits"
 	"strconv"
-	"sync"
 	"sync/atomic"
 )
 
@@ -22,9 +21,8 @@ import (
 //     materialized at all, so a single-range SUM on clustered data
 //     touches only the measure column.
 //
-// The one scan driver (scan.go) drives this layer: a serial scan is the
-// block loop over [0, n), a parallel worker the same loop over an
-// aligned sub-range.
+// The one scan driver (scan.go) drives this layer: one block loop over
+// [0, n).
 
 // ---------------------------------------------------------------------
 // Compare kernels
@@ -217,8 +215,8 @@ func familyOf(f AggFunc) aggFamily {
 
 // accView folds the n rows of one block view into st — the fused kernel
 // for blocks that passed every range wholesale. Accumulation is in row
-// order with a single accumulator, so serial results stay bit-identical
-// to a row-at-a-time loop. The view may be zero only for famCount, which
+// order with a single accumulator, so results stay bit-identical to a
+// row-at-a-time loop. The view may be zero only for famCount, which
 // never touches column data. ranks is the aggregate column's rank table
 // for String columns.
 func accView(typ ColType, v BlockBuf, ranks []int32, fam aggFamily, n int, st *Partial) {
@@ -416,9 +414,8 @@ func accWordsView(typ ColType, v BlockBuf, ranks []int32, fam aggFamily, words [
 // ---------------------------------------------------------------------
 
 // blockExec drives block-at-a-time evaluation of a conjunction of
-// ranges. It is built once per query (resolving columns, zone maps and
-// rank tables up front) and is safe for concurrent run calls over
-// disjoint row ranges — parallel workers share one executor.
+// ranges. It is built once per query, resolving columns, zone maps and
+// rank tables up front.
 type blockExec struct {
 	ranges []Range
 	cols   []*Column
@@ -429,7 +426,7 @@ type blockExec struct {
 	empty bool
 	// stop, when non-nil, is polled once per zone block; a true load
 	// aborts the run early (cancellation). It is armed by watch before
-	// any worker starts, so concurrent runs only ever read it.
+	// the run starts; only ctx's AfterFunc callback stores to it.
 	stop *atomic.Bool
 }
 
@@ -449,7 +446,7 @@ func (e *blockExec) watch(ctx context.Context) func() {
 
 // newBlockExec resolves the query's range columns, compiles each range
 // against its column and warms the derived caches, so the block loop
-// (and any parallel workers) only ever read them.
+// only ever reads them.
 func (t *Table) newBlockExec(ranges []Range) (*blockExec, error) {
 	e := &blockExec{
 		ranges: ranges,
@@ -483,8 +480,7 @@ func (t *Table) newBlockExec(ranges []Range) (*blockExec, error) {
 // being row blo). Blocks the zone maps prove empty are skipped without
 // touching row data — for source-backed columns they are never even
 // read from the source. A callback or block-read error aborts the run
-// and is returned; concurrent runs over disjoint row ranges stay safe
-// because the per-run read buffers live on this frame.
+// and is returned.
 func (e *blockExec) run(lo, hi int, full func(blo, bhi int) error, partial func(blo, bhi int, words []uint64) error) error {
 	var scratch [blockWords]uint64
 	straddle := make([]int, 0, len(e.ranges))
@@ -628,8 +624,8 @@ const (
 	aggCode                 // String column: rank of the code
 )
 
-// groupSink accumulates per-group aggregates. One sink per worker; a
-// prototype resolves the mode once and cloneEmpty stamps out workers.
+// groupSink accumulates per-group aggregates, one sink per GROUP BY
+// scan; newGroupSink resolves the key strategy once per query.
 // The row loops run block-at-a-time: setBlock fetches the aggregate and
 // key columns' views for the current zone block (a subslice for resident
 // columns, a cache read for source-backed ones), and addRow indexes them
@@ -652,8 +648,7 @@ type groupSink struct {
 	dict    []string
 	base    int64
 	slots   []groupSlot
-	order   []int32      // first-seen slot indices
-	buf     *sinkBuffers // non-nil on pooled clones; returned by release
+	order   []int32 // first-seen slot indices
 
 	// blockBase is the global row index of the current views' block
 	// start, set by setBlock.
@@ -692,7 +687,6 @@ func newGroupSink(t *Table, q Query) (*groupSink, error) {
 			return nil, err
 		}
 		g.cols[i] = c
-		c.warmOrdinals() // map-mode keys and parallel workers read ranks
 	}
 	if len(g.cols) == 1 {
 		switch c := g.cols[0]; c.Type {
@@ -742,67 +736,6 @@ func (g *groupSink) setBlock(b int) error {
 	}
 	g.blockBase = b * zoneBlockSize
 	return nil
-}
-
-// sinkBuffers is the recyclable part of a direct-mode worker sink: the
-// slot table and first-seen order list. Pooled entries keep an all-zero
-// slot invariant — release resets exactly the slots its order list
-// touched — so cloneEmpty can hand a pooled table out without an O(domain)
-// clear. This is the allocation that used to dominate the GroupByString
-// parallel profile (one fresh slot table per worker per query).
-type sinkBuffers struct {
-	slots []groupSlot
-	order []int32
-}
-
-var sinkPool = sync.Pool{New: func() any { return new(sinkBuffers) }}
-
-// cloneEmpty returns a sink with the same resolved strategy and no
-// accumulated state; parallel workers each get one. Direct-mode clones
-// draw their slot tables from sinkPool; callers hand them back with
-// release once merged.
-func (g *groupSink) cloneEmpty() *groupSink {
-	c := *g
-	c.order = nil
-	c.morder = nil
-	c.buf = nil
-	// Views and decode buffers are per-worker state: sharing them would
-	// race when a source decodes into the buffer.
-	c.aggView, c.aggBuf = BlockBuf{}, BlockBuf{}
-	c.keyView, c.keyBuf = BlockBuf{}, BlockBuf{}
-	if g.slots != nil {
-		b := sinkPool.Get().(*sinkBuffers)
-		if cap(b.slots) < len(g.slots) {
-			b.slots = make([]groupSlot, len(g.slots))
-		}
-		c.buf = b
-		c.slots = b.slots[:len(g.slots)]
-		c.order = b.order[:0]
-	}
-	if g.m != nil {
-		c.m = make(map[string]*mapSlot)
-	}
-	return &c
-}
-
-// release re-zeroes the slots this clone touched (keeping the pool's
-// all-zero invariant at cost proportional to groups seen, not domain
-// size) and returns the buffers to the pool. The sink must not be used
-// afterwards. No-op for map-mode or prototype sinks.
-func (g *groupSink) release() {
-	b := g.buf
-	if b == nil {
-		return
-	}
-	for _, gi := range g.order {
-		g.slots[gi] = groupSlot{}
-	}
-	b.slots = g.slots
-	b.order = g.order[:0]
-	g.buf = nil
-	g.slots = nil
-	g.order = nil
-	sinkPool.Put(b)
 }
 
 // value returns the aggregate contribution of global row i, read from
@@ -880,34 +813,6 @@ func (g *groupSink) addWords(blo, _ int, words []uint64) error {
 		}
 	}
 	return nil
-}
-
-// mergeFrom folds another sink of the same strategy into g, appending
-// groups g has not seen in o's first-seen order. Merging chunked
-// workers in row order therefore reproduces the serial first-seen group
-// order exactly, and never iterates a map (determinism).
-func (g *groupSink) mergeFrom(o *groupSink) {
-	switch g.mode {
-	case gmMap:
-		for _, key := range o.morder {
-			sl, ok := g.m[key]
-			if !ok {
-				sl = &mapSlot{}
-				g.m[key] = sl
-				g.morder = append(g.morder, key)
-			}
-			sl.st.Merge(o.m[key].st)
-		}
-	default:
-		for _, gi := range o.order {
-			sl := &g.slots[gi]
-			if !sl.seen {
-				sl.seen = true
-				g.order = append(g.order, gi)
-			}
-			sl.st.Merge(o.slots[gi].st)
-		}
-	}
 }
 
 // rows materializes the result in first-seen order, rendering direct-

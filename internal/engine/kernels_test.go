@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -53,21 +54,11 @@ func TestBitsetClearAllAndWords(t *testing.T) {
 	if b.Count() != 0 {
 		t.Fatalf("ClearAll left %d bits", b.Count())
 	}
-	b.SetRange(0, 130)
-	mask := make([]uint64, len(b.Words()))
-	mask[0] = 0xF0
-	mask[2] = ^uint64(0)
-	b.AndWords(mask)
-	// 4 bits from word 0, plus rows 128..129 from word 2.
-	if b.Count() != 6 {
-		t.Errorf("AndWords count = %d, want 6", b.Count())
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("mismatched AndWords did not panic")
+	for i, w := range b.Words() {
+		if w != 0 {
+			t.Errorf("ClearAll left word %d = %#x", i, w)
 		}
-	}()
-	b.AndWords(make([]uint64, 1))
+	}
 }
 
 // cmpBlock runs the compiled compare kernel over global rows [lo, hi)
@@ -205,9 +196,12 @@ func TestGroupModeResolution(t *testing.T) {
 }
 
 // TestFilterColdCachesRace hammers a freshly built table with concurrent
-// Filter/Execute calls so the zone maps and string rank tables are built
-// lazily under contention. Run under -race this fails if the lazy builds
-// are unguarded (the hazard class the PR 1 ranks race belonged to).
+// Filter/Execute calls, the load a server puts on one table, so the zone
+// maps and string rank tables are built lazily under contention. Run
+// under -race this fails if the lazy builds are unguarded. The queries
+// reach the string column three ways: a range over it (compiled against
+// its ranks), a GROUP BY on it (dictionary-code slots) and a SUM over it
+// (the measure's ranks).
 func TestFilterColdCachesRace(t *testing.T) {
 	const n = 3*zoneBlockSize + 100
 	r := stats.NewRNG(23)
@@ -220,43 +214,103 @@ func TestFilterColdCachesRace(t *testing.T) {
 		strs[i] = pool[r.Intn(len(pool))]
 		vals[i] = r.Float64()
 	}
+	keys := Range{Col: "k", Lo: 100, Hi: float64(n) - 100}
+	queries := []Query{
+		{Func: Sum, Col: "v", Ranges: []Range{keys, {Col: "s", Lo: 1, Hi: 2}}},
+		{Func: Sum, Col: "v", Ranges: []Range{keys}, GroupBy: []string{"s"}},
+		{Func: Sum, Col: "s", Ranges: []Range{keys}},
+	}
 	for iter := 0; iter < 3; iter++ {
-		// A fresh table per iteration: zone maps and rank tables start
-		// cold, so every goroutine below races to build them.
-		tbl := MustNewTable("cold",
-			NewIntColumn("k", ints),
-			NewStringColumn("s", strs),
-			NewFloatColumn("v", vals),
-		)
-		ranges := []Range{{Col: "k", Lo: 100, Hi: float64(n) - 100}, {Col: "s", Lo: 1, Hi: 2}}
-		var wg sync.WaitGroup
-		counts := make([]int, 8)
-		sums := make([]float64, 8)
-		for g := 0; g < 8; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				sel, err := tbl.Filter(ranges)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				counts[g] = sel.Count()
-				res, err := tbl.Execute(context.Background(), Query{Func: Sum, Col: "v", Ranges: ranges})
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				sums[g] = res.Value
-			}(g)
-		}
-		wg.Wait()
-		for g := 1; g < 8; g++ {
-			if counts[g] != counts[0] {
-				t.Fatalf("goroutine %d count %d != %d", g, counts[g], counts[0])
+		for _, q := range queries {
+			// A fresh table per query: zone maps and rank tables start
+			// cold, so every goroutine below races to build them.
+			tbl := MustNewTable("cold",
+				NewIntColumn("k", ints),
+				NewStringColumn("s", strs),
+				NewFloatColumn("v", vals),
+			)
+			var wg sync.WaitGroup
+			counts := make([]int, 8)
+			results := make([]Result, 8)
+			for g := 0; g < 8; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					sel, err := tbl.Filter(q.Ranges)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					counts[g] = sel.Count()
+					if results[g], err = tbl.Execute(context.Background(), q); err != nil {
+						t.Error(err)
+					}
+				}(g)
 			}
-			if !stats.ExactEqual(sums[g], sums[0]) {
-				t.Fatalf("goroutine %d sum %v != %v", g, sums[g], sums[0])
+			wg.Wait()
+			for g := 1; g < 8; g++ {
+				if counts[g] != counts[0] {
+					t.Fatalf("%v: goroutine %d count %d != %d", q, g, counts[g], counts[0])
+				}
+				checkResult(t, fmt.Sprintf("%v goroutine %d", q, g), q, results[g], results[0], true)
+			}
+		}
+	}
+}
+
+// TestExecuteParallelStress runs Execute from several concurrent callers
+// on fresh tables, so the string rank cache is cold when they fan out and
+// every run races to warm it, across varying caller counts. Run under
+// `go test -race -count=N` to shake out scheduling-dependent races; each
+// caller's result must also be bit-identical to a lone Execute on a
+// separate table.
+func TestExecuteParallelStress(t *testing.T) {
+	const n = 8192
+	r := stats.NewRNG(97)
+	regions := []string{"east", "west", "north", "south", "center"}
+	for iter := 0; iter < 2; iter++ {
+		k := make([]int64, n)
+		v := make([]float64, n)
+		s := make([]string, n)
+		for i := 0; i < n; i++ {
+			k[i] = int64(r.Intn(1000))
+			v[i] = r.NormFloat64() * 10
+			s[i] = regions[r.Intn(len(regions))]
+		}
+		build := func() *Table {
+			return MustNewTable("stress",
+				NewIntColumn("k", k),
+				NewFloatColumn("v", v),
+				NewStringColumn("region", s),
+			)
+		}
+		q := Query{Func: Sum, Col: "v", Ranges: []Range{
+			{Col: "k", Lo: 100, Hi: 900},
+			{Col: "region", Lo: 1, Hi: 3}, // string ranges go through the ranks
+		}}
+		serial, err := build().Execute(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, callers := range []int{2, 3, 5, 8, 16} {
+			// A fresh table per run, queried concurrently FIRST: a lone
+			// query first would warm the cache and mask an unguarded build.
+			tbl := build()
+			results := make([]Result, callers)
+			var wg sync.WaitGroup
+			for g := 0; g < callers; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					var err error
+					if results[g], err = tbl.Execute(context.Background(), q); err != nil {
+						t.Error(err)
+					}
+				}(g)
+			}
+			wg.Wait()
+			for g, res := range results {
+				checkResult(t, fmt.Sprintf("iter=%d callers=%d caller %d", iter, callers, g), q, res, serial, true)
 			}
 		}
 	}

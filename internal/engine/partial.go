@@ -17,7 +17,7 @@ import (
 // (integer-valued data), and to reassociation otherwise.
 
 // Partial is one aggregate accumulator: the block kernels fold rows
-// into it, chunks and shards Merge it, Finish reads the answer off it,
+// into it, shards Merge it, Finish reads the answer off it,
 // and internal/dist ships its fields on the wire. The zero value is
 // the identity for Merge: N == 0 means "no rows", and Min/Max are only
 // meaningful when N > 0. A scalar kernel maintains only its aggregate
@@ -128,7 +128,7 @@ type PartialResult struct {
 // finishing the aggregate, returning the raw mergeable moments instead.
 // Cancellation is Execute's.
 func (t *Table) ExecutePartial(ctx context.Context, q Query) (PartialResult, error) {
-	st, g, err := t.scan(ctx, q, 1)
+	st, g, err := t.scan(ctx, q)
 	if err != nil {
 		return PartialResult{}, err
 	}

@@ -135,9 +135,9 @@ type GroupRow struct {
 }
 
 // Execute runs the query exactly over the full table. This is the "ground
-// truth" path (and the full-scan baseline the paper times DBX on). It is
-// the one-chunk case of the scan driver (scan.go) over the block-at-a-time
-// kernel layer (kernels.go): zone-map block classification feeds fused,
+// truth" path (and the full-scan baseline the paper times DBX on). It
+// runs the one scan driver (scan.go) over the block-at-a-time kernel
+// layer (kernels.go): zone-map block classification feeds fused,
 // type-specialized filter+aggregate kernels, so a single-range scan never
 // materializes a full selection bitset.
 //
@@ -145,7 +145,22 @@ type GroupRow struct {
 // returns ctx's error. An uncancelable context costs nothing on the
 // block path.
 func (t *Table) Execute(ctx context.Context, q Query) (Result, error) {
-	return t.ExecuteParallel(ctx, q, 1)
+	st, g, err := t.scan(ctx, q)
+	if err != nil {
+		return Result{}, err
+	}
+	if g != nil {
+		rows, err := g.rows()
+		if err != nil {
+			return Result{}, err
+		}
+		return Result{Groups: rows}, nil
+	}
+	v, err := st.Finish(q.Func)
+	if err != nil {
+		return Result{}, err
+	}
+	return Result{Value: v}, nil
 }
 
 // ExecuteContext is Execute.

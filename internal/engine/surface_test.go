@@ -20,7 +20,7 @@ import (
 // the frozen benchmark/ module calls; they go with a benchmark PR.
 func TestEngineSurface(t *testing.T) {
 	want := []string{
-		"(*Table).Execute", "(*Table).ExecuteParallel", "(*Table).ExecutePartial",
+		"(*Table).Execute", "(*Table).ExecutePartial",
 		"ReadBinary", "ReadCSV",
 		"(*Table).ExecuteContext", "(*Table).ExecutePartialContext",
 	}

@@ -168,8 +168,7 @@ func CoversOutlier(tbl *engine.Table, q engine.Query, measure string, threshold 
 	if err != nil {
 		return false, err
 	}
-	// Word iteration also buys an early exit the ForEach closure could
-	// not express: stop at the first outlier.
+	// Word iteration allows an early exit: stop at the first outlier.
 	for wi, w := range sel.Words() {
 		base := wi << 6
 		for w != 0 {
