@@ -62,29 +62,99 @@ func (e Estimate) High() float64 { return e.Value + e.HalfWidth }
 //   - stratified: Σ_h (N_h/n_h)·Σ_{i∈h} v_i with variance
 //     Σ_h N_h²·Var_h(v)/n_h.
 func SumOfValues(s *sample.Sample, vals []float64, confidence float64) Estimate {
-	if len(vals) != s.Size() {
-		panic(fmt.Sprintf("aqp: %d values for %d sample rows", len(vals), s.Size()))
+	var out [1]Estimate
+	SumsOfValues(s, [][]float64{vals}, confidence, out[:])
+	return out[0]
+}
+
+// Lanes is how many vectors SumsOfValues folds in one pass over the rows.
+const Lanes = 4
+
+// SumsOfValues is SumOfValues for several vectors over one sample:
+// out[j] is SumOfValues(s, vals[j], confidence), bit for bit. Uniform
+// and measure-biased samples fold up to Lanes vectors per pass over the
+// rows (see welford), so scoring many vectors — identification's
+// candidates, or a pre and the φ-guard — costs about what scoring one
+// does. out must hold len(vals) estimates.
+func SumsOfValues(s *sample.Sample, vals [][]float64, confidence float64, out []Estimate) {
+	n := s.Size()
+	if len(out) < len(vals) {
+		panic(fmt.Sprintf("aqp: %d estimates for %d value vectors", len(out), len(vals)))
+	}
+	for _, v := range vals {
+		if len(v) != n {
+			panic(fmt.Sprintf("aqp: %d values for %d sample rows", len(v), n))
+		}
 	}
 	lambda := stats.ZScore(confidence)
-	switch s.Kind {
-	case sample.Stratified:
-		return stratifiedSum(s, vals, confidence, lambda)
-	default:
-		n := len(vals)
-		if n == 0 {
-			return Estimate{Confidence: confidence}
+	if s.Kind == sample.Stratified {
+		for j, v := range vals {
+			out[j] = stratifiedSum(s, v, confidence, lambda)
 		}
-		var m stats.Moments
-		for i, v := range vals {
-			m.Add(v * s.InvP[i])
+		return
+	}
+	if n == 0 {
+		for j := range vals {
+			out[j] = Estimate{Confidence: confidence}
 		}
-		return Estimate{
-			Value:      m.Mean(),
-			HalfWidth:  lambda * math.Sqrt(m.Variance()/float64(n)),
-			Confidence: confidence,
-			SampleRows: n,
+		return
+	}
+	for j := 0; j < len(vals); j += Lanes {
+		lanes := vals[j:min(j+Lanes, len(vals))]
+		mean, m2 := welford(s.InvP[:n], lanes)
+		for l := range lanes {
+			out[j+l] = Estimate{
+				Value:      mean[l],
+				HalfWidth:  lambda * math.Sqrt(m2[l]/float64(n)/float64(n)),
+				Confidence: confidence,
+				SampleRows: n,
+			}
 		}
 	}
+}
+
+// welford runs stats.Moments.Add's mean/M2 recurrence over the
+// pseudo-values x = v·invP[i] of one to Lanes vectors in a single loop
+// over the rows. Each lane performs exactly Moments.Add's operations in
+// its order (d := x − mean; mean += d/k; m2 += d·(x − mean)), so its
+// mean and m2 are bit-identical to a Moments fed the same x — the
+// speedup is only that the lanes' dependency chains, each waiting on a
+// divide per row, are independent and overlap in the pipeline. Lanes
+// beyond len(vals) repeat vals[0]; their results are ignored.
+func welford(invP []float64, vals [][]float64) (mean, m2 [Lanes]float64) {
+	n := len(invP)
+	v0 := vals[0][:n]
+	v1, v2, v3 := v0, v0, v0
+	if len(vals) > 1 {
+		v1 = vals[1][:n]
+	}
+	if len(vals) > 2 {
+		v2 = vals[2][:n]
+	}
+	if len(vals) > 3 {
+		v3 = vals[3][:n]
+	}
+	var a0, a1, a2, a3, q0, q1, q2, q3 float64
+	for i, w := range invP {
+		k := float64(i + 1)
+		x0 := v0[i] * w
+		d0 := x0 - a0
+		a0 += d0 / k
+		q0 += d0 * (x0 - a0)
+		x1 := v1[i] * w
+		d1 := x1 - a1
+		a1 += d1 / k
+		q1 += d1 * (x1 - a1)
+		x2 := v2[i] * w
+		d2 := x2 - a2
+		a2 += d2 / k
+		q2 += d2 * (x2 - a2)
+		x3 := v3[i] * w
+		d3 := x3 - a3
+		a3 += d3 / k
+		q3 += d3 * (x3 - a3)
+	}
+	return [Lanes]float64{a0, a1, a2, a3}, [Lanes]float64{q0, q1, q2, q3}
 }
 
 func stratifiedSum(s *sample.Sample, vals []float64, confidence, lambda float64) Estimate {
@@ -187,8 +257,9 @@ func EstimateAvg(s *sample.Sample, q engine.Query, confidence float64) (Estimate
 	if err != nil {
 		return Estimate{}, err
 	}
-	sumEst := SumOfValues(s, sumVals, confidence)
-	cntEst := SumOfValues(s, cntVals, confidence)
+	var ests [2]Estimate
+	SumsOfValues(s, [][]float64{sumVals, cntVals}, confidence, ests[:])
+	sumEst, cntEst := ests[0], ests[1]
 	if cntEst.Value == 0 {
 		return Estimate{Confidence: confidence, SampleRows: s.Size()}, nil
 	}
@@ -295,8 +366,9 @@ func estimateForGroup(s *sample.Sample, q engine.Query, keys []string, key strin
 				sv[i], cv[i] = 0, 0
 			}
 		}
-		se := SumOfValues(s, sv, confidence)
-		ce := SumOfValues(s, cv, confidence)
+		var ests [2]Estimate
+		SumsOfValues(s, [][]float64{sv, cv}, confidence, ests[:])
+		se, ce := ests[0], ests[1]
 		if ce.Value == 0 {
 			return Estimate{Confidence: confidence}, nil
 		}

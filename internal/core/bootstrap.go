@@ -77,7 +77,7 @@ func (p *Processor) AnswerBootstrap(ctx context.Context, q engine.Query, resampl
 	if !pre.IsPhi() {
 		preVal = pre.Value(c)
 	}
-	vals, err := p.diffOrCond(q, c, pre)
+	vals, err := ident.DiffVector(p.Sample, c, q, pre)
 	if err != nil {
 		return Answer{}, err
 	}

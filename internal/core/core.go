@@ -94,9 +94,11 @@ func (p *Processor) Answer(q engine.Query) (Answer, error) {
 	}
 	switch q.Func {
 	case engine.Sum:
-		return p.answerSum(q, p.Cube, q.Col)
+		ans, _, err := p.answerSum(q, p.Cube, q.Col)
+		return ans, err
 	case engine.Count:
-		return p.answerSum(q, p.countCube(), "")
+		ans, _, err := p.answerSum(q, p.countCube(), "")
+		return ans, err
 	case engine.Avg:
 		return p.answerAvg(q)
 	case engine.Min, engine.Max:
@@ -148,20 +150,23 @@ func (p *Processor) countCube() *cube.BPCube {
 }
 
 // answerSum runs the SUM/COUNT pipeline against the given cube. cubeAgg
-// is the aggregate column the cube must match ("" for COUNT).
-func (p *Processor) answerSum(q engine.Query, c *cube.BPCube, cubeAgg string) (Answer, error) {
+// is the aggregate column the cube must match ("" for COUNT). It also
+// returns the per-sample-row vector the estimate was computed from (the
+// answered pre's diff vector), which AVG's interval reuses.
+func (p *Processor) answerSum(q engine.Query, c *cube.BPCube, cubeAgg string) (Answer, []float64, error) {
 	conf := p.confidence()
 	if c == nil || c.Template.Agg != cubeAgg {
 		// No usable cube: plain AQP (pre = φ).
-		est, err := aqp.EstimateSum(p.Sample, q, conf)
+		vals, err := aqp.ConditionVector(p.Sample, q)
 		if err != nil {
-			return Answer{}, err
+			return Answer{}, nil, err
 		}
-		return Answer{Estimate: est, Pre: ident.Pre{Phi: true}, Candidates: 1}, nil
+		est := aqp.SumOfValues(p.Sample, vals, conf)
+		return Answer{Estimate: est, Pre: ident.Pre{Phi: true}, Candidates: 1}, vals, nil
 	}
 	sel, err := ident.SelectBest(c, q, p.subsample(), conf)
 	if err != nil {
-		return Answer{}, err
+		return Answer{}, nil, err
 	}
 	return p.answerWithPre(q, c, sel.Pre, sel.Considered)
 }
@@ -176,11 +181,11 @@ func (p *Processor) answerAvg(q engine.Query) (Answer, error) {
 	sumQ.Func = engine.Sum
 	cntQ := q
 	cntQ.Func = engine.Count
-	sumAns, err := p.answerSum(sumQ, p.Cube, q.Col)
+	sumAns, sumVals, err := p.answerSum(sumQ, p.Cube, q.Col)
 	if err != nil {
 		return Answer{}, err
 	}
-	cntAns, err := p.answerSum(cntQ, p.countCube(), "")
+	cntAns, cntVals, err := p.answerSum(cntQ, p.countCube(), "")
 	if err != nil {
 		return Answer{}, err
 	}
@@ -192,18 +197,10 @@ func (p *Processor) answerAvg(q engine.Query) (Answer, error) {
 	}
 	r := sumAns.Estimate.Value / cntAns.Estimate.Value
 	// Residual diff vector: (a_i − R̂)·(cond_q − cond_pre) terms from the
-	// two pipelines.
-	sumVals, err := p.diffOrCond(sumQ, p.Cube, sumAns.Pre)
-	if err != nil {
-		return Answer{}, err
-	}
-	cntVals, err := p.diffOrCond(cntQ, p.countCube(), cntAns.Pre)
-	if err != nil {
-		return Answer{}, err
-	}
-	resid := make([]float64, len(sumVals))
+	// two pipelines' vectors, built in place of the SUM one.
+	resid := sumVals
 	for i := range resid {
-		resid[i] = sumVals[i] - r*cntVals[i]
+		resid[i] -= r * cntVals[i]
 	}
 	re := aqp.SumOfValues(p.Sample, resid, conf)
 	return Answer{
@@ -217,15 +214,6 @@ func (p *Processor) answerAvg(q engine.Query) (Answer, error) {
 		PreValue:   sumAns.PreValue,
 		Candidates: sumAns.Candidates + cntAns.Candidates,
 	}, nil
-}
-
-// diffOrCond returns the diff vector for the pre chosen earlier, falling
-// back to the plain condition vector when no cube backs the pre.
-func (p *Processor) diffOrCond(q engine.Query, c *cube.BPCube, pre ident.Pre) ([]float64, error) {
-	if c == nil || pre.IsPhi() {
-		return aqp.ConditionVector(p.Sample, q)
-	}
-	return ident.DiffVector(p.Sample, c, q, pre)
 }
 
 // AnswerGroups answers a group-by query (Appendix C): each group observed

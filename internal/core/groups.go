@@ -67,7 +67,7 @@ func (p *Processor) AnswerGroupsFast(ctx context.Context, q engine.Query) ([]Gro
 		if !pre.IsPhi() && len(groupDims) > 0 {
 			pre = pinPreToGroup(p, pre, groupDims, ords[gi])
 		}
-		ans, err := p.answerWithPre(gq, p.Cube, pre, sel.Considered)
+		ans, _, err := p.answerWithPre(gq, p.Cube, pre, sel.Considered)
 		if err != nil {
 			return nil, err
 		}
@@ -109,23 +109,32 @@ func pinPreToGroup(p *Processor, pre ident.Pre, groupDims []dimBinding, ords []f
 // estimate plus pre(D). Identification scored candidates on a small
 // subsample, so the chosen pre is re-checked against φ on the full
 // sample (error(q, P) minimizes over P⁺, and φ ∈ P⁺ — a noisy subsample
-// must not leave us worse than plain AQP).
-func (p *Processor) answerWithPre(q engine.Query, c *cube.BPCube, pre ident.Pre, considered int) (Answer, error) {
+// must not leave us worse than plain AQP). The query's condition vector
+// is built once: it is φ's vector, and the pre's is derived from a copy
+// of it, so both estimates come from one two-lane pass. It also returns
+// the vector of the pre it answered with.
+func (p *Processor) answerWithPre(q engine.Query, c *cube.BPCube, pre ident.Pre, considered int) (Answer, []float64, error) {
 	conf := p.confidence()
-	vals, err := ident.DiffVector(p.Sample, c, q, pre)
+	phiVals, err := aqp.ConditionVector(p.Sample, q)
 	if err != nil {
-		return Answer{}, err
+		return Answer{}, nil, err
 	}
-	diff := aqp.SumOfValues(p.Sample, vals, conf)
-	if !pre.IsPhi() {
-		phiVals, err := aqp.ConditionVector(p.Sample, q)
-		if err != nil {
-			return Answer{}, err
+	vals := phiVals
+	var diff aqp.Estimate
+	if pre.IsPhi() {
+		diff = aqp.SumOfValues(p.Sample, phiVals, conf)
+	} else {
+		vals = append([]float64(nil), phiVals...)
+		if err := ident.SubtractPre(p.Sample, c, q, pre, vals); err != nil {
+			return Answer{}, nil, err
 		}
-		phiEst := aqp.SumOfValues(p.Sample, phiVals, conf)
-		if phiEst.HalfWidth < diff.HalfWidth {
+		var ests [2]aqp.Estimate
+		aqp.SumsOfValues(p.Sample, [][]float64{vals, phiVals}, conf, ests[:])
+		diff = ests[0]
+		if phiEst := ests[1]; phiEst.HalfWidth < diff.HalfWidth {
 			pre = ident.Pre{Phi: true}
 			diff = phiEst
+			vals = phiVals
 		}
 	}
 	preVal := pre.Value(c)
@@ -139,5 +148,5 @@ func (p *Processor) answerWithPre(q engine.Query, c *cube.BPCube, pre ident.Pre,
 		Pre:        pre,
 		PreValue:   preVal,
 		Candidates: considered,
-	}, nil
+	}, vals, nil
 }

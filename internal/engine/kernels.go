@@ -68,12 +68,12 @@ func compileRange(c *Column, r Range) (k cmpRange, ok bool) {
 	// before the first v with float64(v) > Hi. Lo <= Hi does not make it
 	// non-empty: both bounds can sit above 2^63, below -2^63, or between
 	// two neighbouring float64(v).
-	ilo, found := firstInt64(func(v int64) bool { return float64(v) >= r.Lo })
+	ilo, found := firstAtLeast(r.Lo)
 	if !found {
 		return cmpRange{}, false
 	}
 	ihi := int64(math.MaxInt64)
-	if above, found := firstInt64(func(v int64) bool { return float64(v) > r.Hi }); found {
+	if above, found := firstAbove(r.Hi); found {
 		if above <= ilo {
 			return cmpRange{}, false
 		}
@@ -81,6 +81,44 @@ func compileRange(c *Column, r Range) (k cmpRange, ok bool) {
 	}
 	k.base, k.width = uint64(ilo), uint64(ihi)-uint64(ilo)
 	return k, true
+}
+
+// exactInts is 2^53: every integer of magnitude up to it is a float64,
+// so float64(v) is exact there and math.Ceil/Floor find the preimage
+// bounds directly.
+const exactInts = 1 << 53
+
+// firstAtLeast returns the smallest int64 v with float64(v) >= x; ok is
+// false when there is none. On (-2^53, 2^53] that is ⌈x⌉, whose
+// predecessor is exact and below x. At -2^53 itself it is not:
+// -2^53-1 rounds up to -2^53, so bounds outside the exact band (except
+// ±Inf) take the bisection.
+func firstAtLeast(x float64) (v int64, ok bool) {
+	switch {
+	case x > -exactInts && x <= exactInts:
+		return int64(math.Ceil(x)), true
+	case math.IsInf(x, -1):
+		return math.MinInt64, true
+	case math.IsInf(x, 1):
+		return 0, false
+	}
+	return firstInt64(func(v int64) bool { return float64(v) >= x })
+}
+
+// firstAbove returns the smallest int64 v with float64(v) > x; ok is
+// false when there is none. On [-2^53, 2^53) that is ⌊x⌋+1, which is
+// exact and above x; at 2^53, 2^53+1 rounds down to 2^53, so bounds
+// outside the band (except ±Inf) take the bisection.
+func firstAbove(x float64) (v int64, ok bool) {
+	switch {
+	case x >= -exactInts && x < exactInts:
+		return int64(math.Floor(x)) + 1, true
+	case math.IsInf(x, -1):
+		return math.MinInt64, true
+	case math.IsInf(x, 1):
+		return 0, false
+	}
+	return firstInt64(func(v int64) bool { return float64(v) > x })
 }
 
 // firstInt64 returns the smallest int64 satisfying pred, which must be

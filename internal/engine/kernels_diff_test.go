@@ -135,6 +135,78 @@ func TestCmpKernelsMatchOrdinal(t *testing.T) {
 	}
 }
 
+// compileRangeBisect is compileRange's integer preimage computed the
+// original way, two 64-step bisections over all of int64 — the oracle
+// the closed form must reproduce.
+func compileRangeBisect(lo, hi float64) (base, width uint64, ok bool) {
+	if !(lo <= hi) {
+		return 0, 0, false
+	}
+	ilo, found := firstInt64(func(v int64) bool { return float64(v) >= lo })
+	if !found {
+		return 0, 0, false
+	}
+	ihi := int64(math.MaxInt64)
+	if above, found := firstInt64(func(v int64) bool { return float64(v) > hi }); found {
+		if above <= ilo {
+			return 0, 0, false
+		}
+		ihi = above - 1
+	}
+	return uint64(ilo), uint64(ihi) - uint64(ilo), true
+}
+
+func TestCompileRangeClosedFormMatchesBisection(t *testing.T) {
+	col := NewIntColumn("i", []int64{0})
+	check := func(lo, hi float64) {
+		t.Helper()
+		wantBase, wantWidth, wantOK := compileRangeBisect(lo, hi)
+		k, ok := compileRange(col, Range{Col: "i", Lo: lo, Hi: hi})
+		if ok != wantOK || (ok && (k.base != wantBase || k.width != wantWidth)) {
+			t.Fatalf("[%v, %v]: (base, width, ok) = (%d, %d, %v), want (%d, %d, %v)",
+				lo, hi, int64(k.base), k.width, ok, int64(wantBase), wantWidth, wantOK)
+		}
+	}
+	bounds := append([]float64(nil), hostileFloats...)
+	for _, v := range hostileInts {
+		bounds = append(bounds, float64(v))
+	}
+	// The band edges the closed form switches on, their neighbours, and
+	// half-integers and subnormals around zero.
+	for _, x := range []float64{two53, two53 - 1, two53 + 2, 1 << 54, 1<<54 + 4} {
+		bounds = append(bounds, x, -x, math.Nextafter(x, 0), -math.Nextafter(x, 0),
+			math.Nextafter(x, math.Inf(1)), -math.Nextafter(x, math.Inf(1)))
+	}
+	bounds = append(bounds, 1.5, -1.5, 2.5, -2.5, 1e15+0.5, -1e15-0.5,
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 0x1p-1022, -0x1p-1022)
+	for _, lo := range bounds {
+		for _, hi := range bounds {
+			check(lo, hi)
+		}
+	}
+	r := stats.NewRNG(0x5eed)
+	for trial := 0; trial < 20000; trial++ {
+		var lo, hi float64
+		switch trial % 4 {
+		case 0: // anywhere in float64
+			lo, hi = math.Float64frombits(r.Uint64()), math.Float64frombits(r.Uint64())
+		case 1: // around the ±2^53 band edges
+			lo = float64(two53 + int64(r.Intn(9)) - 4)
+			hi = float64(two53 + int64(r.Intn(9)) - 4)
+			if r.Intn(2) == 0 {
+				lo, hi = -hi, -lo
+			}
+		case 2: // int64 values, exact or rounded
+			lo, hi = float64(int64(r.Uint64())), float64(int64(r.Uint64()))
+		default: // small fractional bounds
+			lo = r.Float64()*200 - 100
+			hi = lo + r.Float64()*3
+		}
+		check(lo, hi)
+		check(hi, lo)
+	}
+}
+
 // FuzzCmpKernels lets the fuzzer pick the bounds, the row count and the
 // data seed. The seed corpus runs under plain `go test`; the nightly
 // workflow fuzzes it for minutes.

@@ -7,6 +7,7 @@ package ident
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"strings"
 
 	"aqppp/internal/aqp"
@@ -42,18 +43,6 @@ func (p Pre) String() string {
 		fmt.Fprintf(&sb, "(%d:%d]", p.Lo[i], p.Hi[i])
 	}
 	sb.WriteString("]")
-	return sb.String()
-}
-
-// key returns a canonical form for deduplication.
-func (p Pre) key() string {
-	if p.Phi {
-		return "phi"
-	}
-	var sb strings.Builder
-	for i := range p.Lo {
-		fmt.Fprintf(&sb, "%d:%d;", p.Lo[i], p.Hi[i])
-	}
 	return sb.String()
 }
 
@@ -139,19 +128,16 @@ func CandidatesCapped(c *cube.BPCube, q engine.Query, maxCandidates int) ([]Pre,
 		}
 	}
 
+	// Each dimension's left and right choices are duplicate-free
+	// (dedupInts, or one choice each after collapseToBudget), so the
+	// cross product below yields every candidate once.
 	out := []Pre{{Phi: true}}
-	seen := map[string]bool{"phi": true}
 	lo := make([]int, d)
 	hi := make([]int, d)
 	var rec func(i int)
 	rec = func(i int) {
 		if i == d {
-			p := Pre{Lo: append([]int(nil), lo...), Hi: append([]int(nil), hi...)}
-			k := p.key()
-			if !seen[k] {
-				seen[k] = true
-				out = append(out, p)
-			}
+			out = append(out, Pre{Lo: append([]int(nil), lo...), Hi: append([]int(nil), hi...)})
 			return
 		}
 		for _, u := range left[i].cands {
@@ -273,50 +259,80 @@ func absf(x float64) float64 {
 // a_i · (cond_q(i) − cond_pre(i)), the vector whose estimated population
 // total is q(D) − pre(D) (Equation 4). COUNT templates use a_i = 1.
 func DiffVector(s *sample.Sample, c *cube.BPCube, q engine.Query, pre Pre) ([]float64, error) {
-	qVals, err := aqp.ConditionVector(s, q)
+	vals, err := aqp.ConditionVector(s, q)
 	if err != nil {
 		return nil, err
 	}
+	if err := SubtractPre(s, c, q, pre, vals); err != nil {
+		return nil, err
+	}
+	return vals, nil
+}
+
+// SubtractPre turns q's condition vector on s (aqp.ConditionVector) into
+// pre's diff vector in place, subtracting a_i from every row inside the
+// pre's region; φ leaves vals as they are. Callers that also need the φ
+// vector — the φ-guard — build it once and derive the pre's from a copy.
+func SubtractPre(s *sample.Sample, c *cube.BPCube, q engine.Query, pre Pre, vals []float64) error {
 	if pre.IsPhi() {
-		return qVals, nil
+		return nil
 	}
-	inPre, err := preMembership(s, c, pre)
+	if len(vals) != s.Size() {
+		return fmt.Errorf("ident: %d values for %d sample rows", len(vals), s.Size())
+	}
+	in, err := preMembership(s, c, pre)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	var col *engine.Column
-	if q.Func != engine.Count {
-		col, err = s.Table.Column(q.Col)
-		if err != nil {
-			return nil, err
-		}
+	col, err := measureColumn(s, q)
+	if err != nil {
+		return err
 	}
-	for i := range qVals {
-		if inPre.Get(i) {
+	for wi, w := range in.Words() {
+		base := wi << 6
+		for w != 0 {
+			i := base + bits.TrailingZeros64(w)
+			w &= w - 1
 			if col != nil {
-				qVals[i] -= col.Float(i)
+				vals[i] -= col.Float(i)
 			} else {
-				qVals[i] -= 1
+				vals[i] -= 1
 			}
 		}
 	}
-	return qVals, nil
+	return nil
+}
+
+// measureColumn returns the column a_i is read from, or nil for COUNT
+// (a_i = 1).
+func measureColumn(s *sample.Sample, q engine.Query) (*engine.Column, error) {
+	if q.Func == engine.Count {
+		return nil, nil
+	}
+	return s.Table.Column(q.Col)
 }
 
 // preMembership returns the bitset of sample rows inside the pre's
-// region: per dimension the half-open bracket (loOrd, hiOrd], which on
-// float64 ordinals is the closed range from loOrd's successor — so the
-// whole box is one conjunctive filter on the engine's compare kernels.
+// region, the conjunction of its per-dimension brackets — so the whole
+// box is one conjunctive filter on the engine's compare kernels.
 func preMembership(s *sample.Sample, c *cube.BPCube, pre Pre) (*engine.Bitset, error) {
 	box := make([]engine.Range, len(c.Template.Dims))
-	for i, name := range c.Template.Dims {
-		lo := math.Inf(-1)
-		if pre.Lo[i] >= 0 {
-			lo = math.Nextafter(c.Points[i][pre.Lo[i]], math.Inf(1))
-		}
-		box[i] = engine.Range{Col: name, Lo: lo, Hi: c.Points[i][pre.Hi[i]]}
+	for i := range box {
+		box[i] = bracketRange(c, i, pre.Lo[i], pre.Hi[i])
 	}
 	return s.Table.Filter(box)
+}
+
+// bracketRange is dimension dim's half-open region
+// (Points[u], Points[v]] (u = -1: from the start) as an inclusive
+// Range: on float64 ordinals the open end is the closed range from its
+// successor.
+func bracketRange(c *cube.BPCube, dim, u, v int) engine.Range {
+	lo := math.Inf(-1)
+	if u >= 0 {
+		lo = math.Nextafter(c.Points[dim][u], math.Inf(1))
+	}
+	return engine.Range{Col: c.Template.Dims[dim], Lo: lo, Hi: c.Points[dim][v]}
 }
 
 // Selection is the outcome of aggregate identification.
@@ -331,29 +347,25 @@ type Selection struct {
 
 // SelectBest scores every P⁻ candidate on the subsample sub — estimating
 // error(q, pre) as the CI half-width of the diff estimator (§5.2) — and
-// returns the argmin. The subsample should be much smaller than the full
-// sample (the paper uses rate ≤ 1/4^d) so identification stays cheaper
-// than answering.
+// returns the argmin (the first candidate reaching it, in Candidates
+// order). The subsample should be much smaller than the full sample (the
+// paper uses rate ≤ 1/4^d) so identification stays cheaper than
+// answering.
 func SelectBest(c *cube.BPCube, q engine.Query, sub *sample.Sample, confidence float64) (Selection, error) {
 	cands, err := Candidates(c, q)
 	if err != nil {
 		return Selection{}, err
 	}
-	best := Selection{Considered: len(cands)}
-	first := true
+	sc, err := newScorer(c, q, sub, confidence)
+	if err != nil {
+		return Selection{}, err
+	}
 	for _, pre := range cands {
-		vals, err := DiffVector(sub, c, q, pre)
-		if err != nil {
+		if err := sc.add(pre); err != nil {
 			return Selection{}, err
 		}
-		est := aqp.SumOfValues(sub, vals, confidence)
-		if first || est.HalfWidth < best.SubsampleError {
-			first = false
-			best.Pre = pre
-			best.SubsampleError = est.HalfWidth
-		}
 	}
-	return best, nil
+	return sc.result()
 }
 
 // BruteForceBest scores every aggregate in P⁺ — every (u, v) index pair
@@ -361,33 +373,20 @@ func SelectBest(c *cube.BPCube, q engine.Query, sub *sample.Sample, confidence f
 // exponentially more expensive than SelectBest and exists to validate the
 // P⁻ reduction (Lemma 3) in tests and ablation benchmarks.
 func BruteForceBest(c *cube.BPCube, q engine.Query, sub *sample.Sample, confidence float64) (Selection, error) {
+	sc, err := newScorer(c, q, sub, confidence)
+	if err != nil {
+		return Selection{}, err
+	}
+	if err := sc.add(Pre{Phi: true}); err != nil {
+		return Selection{}, err
+	}
 	d := c.Dims()
 	lo := make([]int, d)
 	hi := make([]int, d)
-	best := Selection{}
-	first := true
-	count := 0
-	score := func(p Pre) error {
-		count++
-		vals, err := DiffVector(sub, c, q, p)
-		if err != nil {
-			return err
-		}
-		est := aqp.SumOfValues(sub, vals, confidence)
-		if first || est.HalfWidth < best.SubsampleError {
-			first = false
-			best.Pre = p
-			best.SubsampleError = est.HalfWidth
-		}
-		return nil
-	}
-	if err := score(Pre{Phi: true}); err != nil {
-		return Selection{}, err
-	}
 	var rec func(i int) error
 	rec = func(i int) error {
 		if i == d {
-			return score(Pre{Lo: append([]int(nil), lo...), Hi: append([]int(nil), hi...)})
+			return sc.add(Pre{Lo: append([]int(nil), lo...), Hi: append([]int(nil), hi...)})
 		}
 		k := len(c.Points[i])
 		for u := -1; u < k; u++ {
@@ -403,6 +402,144 @@ func BruteForceBest(c *cube.BPCube, q engine.Query, sub *sample.Sample, confiden
 	if err := rec(0); err != nil {
 		return Selection{}, err
 	}
-	best.Considered = count
-	return best, nil
+	return sc.result()
+}
+
+// scorer estimates error(q, pre) on one subsample for a stream of
+// candidates. Everything candidates share is computed once: the query's
+// condition vector (φ's own vector), a_i per row, and the row set of
+// each distinct per-dimension bracket (P⁻ has at most four per
+// dimension). A candidate's region is the AND of its d bracket sets, and
+// its diff vector is the condition vector minus a_i on that region
+// (SubtractPre's arithmetic); candidates are scored aqp.Lanes at a time.
+type scorer struct {
+	c    *cube.BPCube
+	sub  *sample.Sample
+	conf float64
+
+	cond     []float64 // a_i·1[q(i)]: φ's vector, and every candidate's start
+	meas     []float64 // a_i (1 for COUNT)
+	brackets map[bracketKey]*engine.Bitset
+	inside   []uint64 // scratch: the candidate's bracket AND
+
+	batch []Pre
+	bufs  [aqp.Lanes][]float64 // diff vectors, reused by every batch
+
+	best   Selection
+	scored int
+}
+
+type bracketKey struct{ dim, u, v int }
+
+func newScorer(c *cube.BPCube, q engine.Query, sub *sample.Sample, conf float64) (*scorer, error) {
+	cond, err := aqp.ConditionVector(sub, q)
+	if err != nil {
+		return nil, err
+	}
+	col, err := measureColumn(sub, q)
+	if err != nil {
+		return nil, err
+	}
+	meas := make([]float64, len(cond))
+	for i := range meas {
+		if col != nil {
+			meas[i] = col.Float(i)
+		} else {
+			meas[i] = 1
+		}
+	}
+	return &scorer{
+		c: c, sub: sub, conf: conf,
+		cond:     cond,
+		meas:     meas,
+		brackets: make(map[bracketKey]*engine.Bitset),
+		inside:   make([]uint64, (len(cond)+63)/64),
+		batch:    make([]Pre, 0, aqp.Lanes),
+	}, nil
+}
+
+// add queues one candidate, scoring the batch once it is full.
+func (sc *scorer) add(p Pre) error {
+	sc.batch = append(sc.batch, p)
+	if len(sc.batch) == aqp.Lanes {
+		return sc.flush()
+	}
+	return nil
+}
+
+// flush scores the queued candidates in one SumsOfValues pass and keeps
+// the first strict minimum in the order they were added.
+func (sc *scorer) flush() error {
+	var vecs [aqp.Lanes][]float64
+	for j, p := range sc.batch {
+		if p.IsPhi() {
+			vecs[j] = sc.cond
+			continue
+		}
+		if sc.bufs[j] == nil {
+			sc.bufs[j] = make([]float64, len(sc.cond))
+		}
+		vals := sc.bufs[j]
+		copy(vals, sc.cond)
+		region, err := sc.region(p)
+		if err != nil {
+			return err
+		}
+		for wi, w := range region {
+			base := wi << 6
+			for w != 0 {
+				i := base + bits.TrailingZeros64(w)
+				w &= w - 1
+				vals[i] -= sc.meas[i]
+			}
+		}
+		vecs[j] = vals
+	}
+	var ests [aqp.Lanes]aqp.Estimate
+	n := len(sc.batch)
+	aqp.SumsOfValues(sc.sub, vecs[:n], sc.conf, ests[:n])
+	for j, p := range sc.batch {
+		if hw := ests[j].HalfWidth; sc.scored == 0 || hw < sc.best.SubsampleError {
+			sc.best.Pre = p
+			sc.best.SubsampleError = hw
+		}
+		sc.scored++
+	}
+	sc.batch = sc.batch[:0]
+	return nil
+}
+
+// region returns the selection words of the rows inside p: the AND of
+// its per-dimension bracket sets, in scratch reused across candidates.
+func (sc *scorer) region(p Pre) ([]uint64, error) {
+	for dim := range p.Lo {
+		k := bracketKey{dim, p.Lo[dim], p.Hi[dim]}
+		b, ok := sc.brackets[k]
+		if !ok {
+			var err error
+			if b, err = sc.sub.Table.Filter([]engine.Range{bracketRange(sc.c, dim, k.u, k.v)}); err != nil {
+				return nil, err
+			}
+			sc.brackets[k] = b
+		}
+		if dim == 0 {
+			copy(sc.inside, b.Words())
+			continue
+		}
+		for i, w := range b.Words() {
+			sc.inside[i] &= w
+		}
+	}
+	return sc.inside, nil
+}
+
+// result scores any partial batch and returns the selection.
+func (sc *scorer) result() (Selection, error) {
+	if len(sc.batch) > 0 {
+		if err := sc.flush(); err != nil {
+			return Selection{}, err
+		}
+	}
+	sc.best.Considered = sc.scored
+	return sc.best, nil
 }

@@ -379,6 +379,90 @@ func TestCandidatesCappedHighDims(t *testing.T) {
 	}
 }
 
+// TestCandidatesUnique pins what lets CandidatesCapped skip
+// deduplication: per dimension the left and right choices are distinct,
+// so the cross product never repeats a candidate. φ appears once, first;
+// no (Lo, Hi) repeats; and the candidates are the full cross product of
+// their per-dimension (lo, hi) choices — which, without a cap, are the
+// bracket pairs u < v of Equation 7.
+func TestCandidatesUnique(t *testing.T) {
+	r := stats.NewRNG(0xca4d)
+	tbl := equivalenceTable(2000, r)
+	for trial := 0; trial < 200; trial++ {
+		d := 1 + trial%4
+		c := randomCube(t, tbl, d, "a", r)
+		q := randomQuery(c, engine.Sum, r)
+		for _, budget := range []int{0, DefaultMaxCandidates, 1, 2, 3, 5, 16} {
+			cands, err := CandidatesCapped(c, q, budget)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !cands[0].IsPhi() {
+				t.Fatalf("%v budget %d: first candidate %v, want φ", q, budget, cands[0])
+			}
+			seen := map[string]bool{}
+			choices := make([]map[[2]int]bool, d)
+			for i := range choices {
+				choices[i] = map[[2]int]bool{}
+			}
+			for _, p := range cands[1:] {
+				if p.IsPhi() {
+					t.Fatalf("%v budget %d: φ repeated", q, budget)
+				}
+				if k := p.String(); seen[k] {
+					t.Fatalf("%v budget %d: %v repeated", q, budget, p)
+				} else {
+					seen[k] = true
+				}
+				for i := range choices {
+					choices[i][[2]int{p.Lo[i], p.Hi[i]}] = true
+				}
+			}
+			product := 1
+			for _, ch := range choices {
+				product *= len(ch)
+			}
+			if len(cands) > 1 && len(cands)-1 != product {
+				t.Fatalf("%v budget %d: %d candidates, want the %d-element cross product of per-dimension choices",
+					q, budget, len(cands)-1, product)
+			}
+			if budget > 0 && len(cands)-1 > budget {
+				t.Fatalf("%v budget %d: %d candidates", q, budget, len(cands)-1)
+			}
+			if budget != 0 {
+				continue
+			}
+			// Uncapped, each dimension's choices are Equation 7's brackets.
+			want := 1
+			for i, name := range c.Template.Dims {
+				left, right := []int{-1}, []int{len(c.Points[i]) - 1}
+				for _, rg := range q.Ranges {
+					if rg.Col == name {
+						lLo, lHi := c.BracketLeft(i, rg.Lo)
+						rLo, rHi := c.BracketRight(i, rg.Hi)
+						left, right = []int{lLo, lHi}, []int{rLo, rHi}
+					}
+				}
+				pairs := map[[2]int]bool{}
+				for _, u := range left {
+					for _, v := range right {
+						if u < v {
+							pairs[[2]int{u, v}] = true
+						}
+					}
+				}
+				want *= len(pairs)
+				if len(cands) > 1 && len(pairs) != len(choices[i]) {
+					t.Fatalf("%v dim %s: choices %v, want %v", q, name, choices[i], pairs)
+				}
+			}
+			if len(cands)-1 != want {
+				t.Fatalf("%v: %d candidates, want %d", q, len(cands)-1, want)
+			}
+		}
+	}
+}
+
 // preMembershipByRow is the row-at-a-time definition of a pre's region,
 // (loOrd, hiOrd] per dimension — the reference preMembership's one
 // conjunctive filter must reproduce bit for bit.
