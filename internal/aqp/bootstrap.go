@@ -3,6 +3,7 @@ package aqp
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"aqppp/internal/engine"
 	"aqppp/internal/sample"
@@ -42,8 +43,7 @@ func Bootstrap(ctx context.Context, s *sample.Sample, q engine.Query, confidence
 		for i := range idx {
 			idx[i] = r.Intn(n)
 		}
-		rs := ResampleRows(s, idx)
-		v, err := plugInEstimate(ctx, rs, q)
+		v, err := plugInEstimate(ctx, resampleRows(s, q, idx), q)
 		if err != nil {
 			return Estimate{}, err
 		}
@@ -82,13 +82,28 @@ func plugInEstimate(ctx context.Context, s *sample.Sample, q engine.Query) (floa
 	}
 }
 
-// ResampleRows builds a with-replacement resample of s at the given
-// sample row indices, carrying weights and stratum labels along. It backs
-// the bootstrap paths here and in internal/core.
-func ResampleRows(s *sample.Sample, idx []int) *sample.Sample {
+// resampleRows builds Bootstrap's with-replacement resample of s at the
+// given sample row indices, carrying weights and stratum labels along.
+// Its table holds only the sample columns q reads — the aggregate column
+// and the range columns, or the first column when q reads none, so the
+// resample keeps its row count.
+func resampleRows(s *sample.Sample, q engine.Query, idx []int) *sample.Sample {
+	names := []string{q.Col}
+	for _, r := range q.Ranges {
+		names = append(names, r.Col)
+	}
+	var cols []*engine.Column
+	for i, name := range names {
+		if c, err := s.Table.Column(name); err == nil && !slices.Contains(names[:i], name) {
+			cols = append(cols, c.Gather(idx))
+		}
+	}
+	if len(cols) == 0 && s.Table.NumCols() > 0 {
+		cols = append(cols, s.Table.Columns[0].Gather(idx))
+	}
 	out := &sample.Sample{
 		Kind:       s.Kind,
-		Table:      s.Table.Gather(s.Table.Name+"_boot", idx),
+		Table:      engine.MustNewTable(s.Table.Name+"_boot", cols...),
 		SourceRows: s.SourceRows,
 	}
 	if s.InvP != nil {

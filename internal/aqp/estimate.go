@@ -157,6 +157,80 @@ func welford(invP []float64, vals [][]float64) (mean, m2 [Lanes]float64) {
 	return [Lanes]float64{a0, a1, a2, a3}, [Lanes]float64{q0, q1, q2, q3}
 }
 
+// PseudoValues sets xs[i] = vals[i]·InvP[i], the pseudo-value welford
+// folds for sample row i, with welford's operands in welford's order.
+// s must be uniform or measure-biased, and xs must hold len(vals) values.
+func PseudoValues(s *sample.Sample, vals, xs []float64) {
+	xs = xs[:len(vals)]
+	for i, w := range s.InvP[:len(vals)] {
+		xs[i] = vals[i] * w
+	}
+}
+
+// ResampledMeans is the bootstrap's replicate kernel for uniform and
+// measure-biased samples. Lane l folds xs[idx[l][0]], xs[idx[l][1]], …
+// through welford's mean recurrence (d := x − mean; mean += d/k), so
+// mean[l] is bit-identical to SumOfValues(…).Value over the
+// with-replacement resample of the rows at idx[l]: xs holds the
+// pseudo-values (PseudoValues), the resample's pseudo-values are xs
+// read at idx[l], and its Value is welford's mean, which never reads m2.
+// Nothing is gathered. idx holds one to Lanes index vectors of equal
+// length; lanes beyond len(idx) repeat idx[0] and are ignored, and as
+// in welford the lanes' divide chains overlap in the pipeline.
+func ResampledMeans(xs []float64, idx [][]int) (mean [Lanes]float64) {
+	i0 := idx[0]
+	n := len(i0)
+	i1, i2, i3 := i0, i0, i0
+	if len(idx) > 1 {
+		i1 = idx[1][:n]
+	}
+	if len(idx) > 2 {
+		i2 = idx[2][:n]
+	}
+	if len(idx) > 3 {
+		i3 = idx[3][:n]
+	}
+	var a0, a1, a2, a3 float64
+	for i, j := range i0 {
+		k := float64(i + 1)
+		d0 := xs[j] - a0
+		a0 += d0 / k
+		d1 := xs[i1[i]] - a1
+		a1 += d1 / k
+		d2 := xs[i2[i]] - a2
+		a2 += d2 / k
+		d3 := xs[i3[i]] - a3
+		a3 += d3 / k
+	}
+	return [Lanes]float64{a0, a1, a2, a3}
+}
+
+// ResampledStratifiedSum is stratifiedSum's Value over the
+// with-replacement resample of s's rows at idx, read straight off vals
+// and s.StratumOf: each draw adds vals[j] to its stratum's sum in draw
+// order, and each drawn stratum adds N_h/n_h times its sum in stratum
+// order — the operations stratifiedSum performs on the gathered
+// resample, so the result is bit-identical to its Value. sums and counts
+// are scratch of len(s.Strata) and are overwritten.
+func ResampledStratifiedSum(s *sample.Sample, vals []float64, idx []int, sums []float64, counts []int64) float64 {
+	clear(sums)
+	clear(counts)
+	for _, j := range idx {
+		h := s.StratumOf[j]
+		sums[h] += vals[j]
+		counts[h]++
+	}
+	est := 0.0
+	for h, st := range s.Strata {
+		if counts[h] == 0 {
+			continue
+		}
+		scale := float64(st.SourceRows) / float64(counts[h])
+		est += scale * sums[h]
+	}
+	return est
+}
+
 func stratifiedSum(s *sample.Sample, vals []float64, confidence, lambda float64) Estimate {
 	perStratum := make([]stats.Moments, len(s.Strata))
 	for i, v := range vals {

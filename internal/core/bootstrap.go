@@ -7,6 +7,7 @@ import (
 	"aqppp/internal/aqp"
 	"aqppp/internal/engine"
 	"aqppp/internal/ident"
+	"aqppp/internal/sample"
 	"aqppp/internal/stats"
 )
 
@@ -14,30 +15,35 @@ import (
 // non-positive resample count.
 const DefaultResamples = 200
 
-// BootstrapScratch holds the per-resample buffers the bootstrap loop
-// reuses: the with-replacement index vector and the replicate value
-// vector. The exec layer pools these across queries (sync.Pool) and
+// BootstrapScratch holds the buffers the bootstrap loop reuses: the
+// sample's pseudo-value vector and one with-replacement index vector per
+// lane. The exec layer pools these across queries (sync.Pool) and
 // enforces the budget's scratch cap against BootstrapScratchBytes.
 type BootstrapScratch struct {
-	Idx  []int
-	Vals []float64
+	Xs  []float64
+	Idx [aqp.Lanes][]int
 }
 
 // Grow ensures capacity for an n-row sample.
 func (sc *BootstrapScratch) Grow(n int) {
-	if cap(sc.Idx) < n {
-		sc.Idx = make([]int, n)
+	sc.Xs = grown(sc.Xs, n)
+	for l := range sc.Idx {
+		sc.Idx[l] = grown(sc.Idx[l], n)
 	}
-	if cap(sc.Vals) < n {
-		sc.Vals = make([]float64, n)
+}
+
+func grown[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	sc.Idx = sc.Idx[:n]
-	sc.Vals = sc.Vals[:n]
+	return s[:n]
 }
 
 // BootstrapScratchBytes is the scratch footprint of a bootstrap run
-// over an n-row sample: 8 bytes per index plus 8 per replicate value.
-func BootstrapScratchBytes(n int) int64 { return int64(n) * 16 }
+// over an n-row sample: 8 bytes per pseudo-value plus 8 per index in
+// each of the aqp.Lanes index vectors. It is all the replicate loop
+// allocates besides the replicate values themselves.
+func BootstrapScratchBytes(n int) int64 { return int64(n) * 8 * (1 + aqp.Lanes) }
 
 // AnswerBootstrap answers a SUM/COUNT query with an empirical bootstrap
 // confidence interval instead of the closed form (§4.2.2): after
@@ -47,10 +53,16 @@ func BootstrapScratchBytes(n int) int64 { return int64(n) * 16 }
 // paper prescribes for aggregates without closed-form intervals; for SUM
 // it doubles as a cross-check of the CLT interval (see the tests).
 //
-// ctx is checked once per resample, so a canceled caller unwinds within
-// one replicate. scratch may be nil (buffers are then allocated); a
-// non-nil scratch is grown to the sample size and reused across all
-// replicates.
+// A replicate is never gathered: it draws its n row indices and reads
+// its value off the diff vector at those rows, aqp.Lanes replicates per
+// pass (aqp.ResampledMeans, or aqp.ResampledStratifiedSum on a
+// stratified sample). Each value is bit-identical to SumOfValues over
+// the gathered resample.
+//
+// ctx is checked once per batch of aqp.Lanes replicates, so a canceled
+// caller unwinds within one batch. scratch may be nil (buffers are then
+// allocated); a non-nil scratch is grown to the sample size and reused
+// across all replicates.
 func (p *Processor) AnswerBootstrap(ctx context.Context, q engine.Query, resamples int, seed uint64, scratch *BootstrapScratch) (Answer, error) {
 	if q.Func != engine.Sum && q.Func != engine.Count {
 		return Answer{}, fmt.Errorf("core: AnswerBootstrap supports SUM/COUNT, got %v: %w", q.Func, ErrUnsupported)
@@ -92,21 +104,38 @@ func (p *Processor) AnswerBootstrap(ctx context.Context, q engine.Query, resampl
 		scratch = &BootstrapScratch{}
 	}
 	scratch.Grow(n)
-	idx, rvals := scratch.Idx, scratch.Vals
+	var sums []float64
+	var counts []int64
+	stratified := p.Sample.Kind == sample.Stratified
+	if stratified {
+		sums = make([]float64, len(p.Sample.Strata))
+		counts = make([]int64, len(p.Sample.Strata))
+	} else {
+		aqp.PseudoValues(p.Sample, vals, scratch.Xs)
+	}
 	reps := make([]float64, 0, resamples)
-	for rep := 0; rep < resamples; rep++ {
+	for rep := 0; rep < resamples; rep += aqp.Lanes {
 		if err := ctx.Err(); err != nil {
 			return Answer{}, err
 		}
-		for i := range idx {
-			idx[i] = r.Intn(n)
+		// Draw the batch's replicates in replicate order, so every
+		// replicate sees the RNG exactly where a one-at-a-time loop would.
+		lanes := scratch.Idx[:min(aqp.Lanes, resamples-rep)]
+		for _, idx := range lanes {
+			for i := range idx {
+				idx[i] = r.Intn(n)
+			}
 		}
-		rs := aqp.ResampleRows(p.Sample, idx)
-		for i, j := range idx {
-			rvals[i] = vals[j]
+		if stratified {
+			for _, idx := range lanes {
+				reps = append(reps, preVal+aqp.ResampledStratifiedSum(p.Sample, vals, idx, sums, counts))
+			}
+			continue
 		}
-		est := aqp.SumOfValues(rs, rvals, conf)
-		reps = append(reps, preVal+est.Value)
+		means := aqp.ResampledMeans(scratch.Xs, lanes)
+		for _, m := range means[:len(lanes)] {
+			reps = append(reps, preVal+m)
+		}
 	}
 	alpha := (1 - conf) / 2
 	lo := stats.Quantile(reps, alpha)

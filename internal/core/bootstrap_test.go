@@ -1,0 +1,141 @@
+package core
+
+import (
+	"context"
+	"errors"
+	"runtime"
+	"sync"
+	"testing"
+
+	"aqppp/internal/aqp"
+	"aqppp/internal/cube"
+	"aqppp/internal/dataset"
+	"aqppp/internal/engine"
+	"aqppp/internal/stats"
+)
+
+// cancelAfter is a context whose Err reports Canceled from its k-th
+// call on, counting every call.
+type cancelAfter struct {
+	context.Context
+	k, calls int
+}
+
+func (c *cancelAfter) Err() error {
+	c.calls++
+	if c.calls >= c.k {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestAnswerBootstrapCancelWithinBatch: a context canceled mid-run
+// stops the replicate loop at its next check, which comes once per
+// batch of aqp.Lanes replicates.
+func TestAnswerBootstrapCancelWithinBatch(t *testing.T) {
+	tbl := testTable(4000, 52)
+	p := buildProcessor(t, tbl, []string{"c1"}, 20)
+	q := engine.Query{Func: engine.Sum, Col: "a", Ranges: []engine.Range{{Col: "c1", Lo: 10, Hi: 60}}}
+	for _, k := range []int{1, 2, 7} {
+		ctx := &cancelAfter{Context: context.Background(), k: k}
+		if _, err := p.AnswerBootstrap(ctx, q, 200, 1, nil); !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancel at check %d: err = %v, want context.Canceled", k, err)
+		}
+		if ctx.calls != k {
+			t.Errorf("cancel at check %d: the loop checked %d times", k, ctx.calls)
+		}
+	}
+	// Uncanceled, the loop checks once per batch: ⌈200/Lanes⌉ times.
+	ctx := &cancelAfter{Context: context.Background(), k: 1 << 30}
+	if _, err := p.AnswerBootstrap(ctx, q, 200, 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	if want := (200 + aqp.Lanes - 1) / aqp.Lanes; ctx.calls != want {
+		t.Errorf("200 replicates checked ctx %d times, want %d", ctx.calls, want)
+	}
+}
+
+// allocatedBytes returns the heap bytes one call of f allocates,
+// averaged over runs calls.
+func allocatedBytes(runs int, f func()) float64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// TestAnswerBootstrapScratchBudget pins what a bootstrap allocates.
+// With a pre-grown scratch the replicate loop allocates nothing per
+// replicate: 200 replicates cost the same allocations as 4, and only
+// the replicate values (reps plus stats.Quantile's two sorted copies)
+// in bytes. Without one, the call allocates BootstrapScratchBytes(n)
+// more — the footprint the exec budget charges — up to size-class
+// rounding.
+func TestAnswerBootstrapScratchBudget(t *testing.T) {
+	tbl := testTable(30000, 53)
+	p := buildProcessor(t, tbl, []string{"c1", "c2"}, 40)
+	n := p.Sample.Size()
+	q := engine.Query{Func: engine.Sum, Col: "a", Ranges: []engine.Range{{Col: "c1", Lo: 13, Hi: 67}}}
+	ctx := context.Background()
+	sc := &BootstrapScratch{}
+	sc.Grow(n)
+	run := func(resamples int, sc *BootstrapScratch) func() {
+		return func() {
+			if _, err := p.AnswerBootstrap(ctx, q, resamples, 5, sc); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if few, many := testing.AllocsPerRun(10, run(4, sc)), testing.AllocsPerRun(10, run(200, sc)); few != many {
+		t.Errorf("allocations: %v at 4 replicates, %v at 200", few, many)
+	}
+	few, many := allocatedBytes(10, run(4, sc)), allocatedBytes(10, run(200, sc))
+	if extra, limit := many-few, float64(3*8*(200-4)+1024); extra > limit {
+		t.Errorf("196 more replicates allocated %.0f bytes, want ≤ %.0f", extra, limit)
+	}
+	budget := float64(BootstrapScratchBytes(n))
+	unpooled := allocatedBytes(10, run(200, nil)) - many
+	if unpooled < budget || unpooled > 1.1*budget {
+		t.Errorf("nil scratch allocated %.0f bytes more than a pre-grown one, BootstrapScratchBytes(%d) = %.0f", unpooled, n, budget)
+	}
+}
+
+// The microbenchmark fixture is the benchmark harness's resident
+// handle: TPCD-Skew at 300k rows, a 1 % sample, a 5,000-cell cube over
+// l_shipdate × l_suppkey.
+var (
+	bootBenchOnce sync.Once
+	bootBenchProc *Processor
+)
+
+// BenchmarkAnswerBootstrap is one 50-replicate bootstrap answer over the
+// 3,000-row sample, with the pooled scratch the exec layer passes.
+//
+//	go test -run '^$' -bench BenchmarkAnswerBootstrap -benchmem ./internal/core
+func BenchmarkAnswerBootstrap(b *testing.B) {
+	bootBenchOnce.Do(func() {
+		tbl := dataset.TPCDSkew(dataset.TPCDConfig{Rows: 300_000, Seed: 1})
+		p, _, err := Build(context.Background(), tbl, BuildConfig{
+			Template:   cube.Template{Agg: "l_extendedprice", Dims: []string{"l_shipdate", "l_suppkey"}},
+			SampleRate: 0.01, CellBudget: 5000, Seed: 1,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		bootBenchProc = p
+	})
+	q := engine.Query{Func: engine.Sum, Col: "l_extendedprice", Ranges: []engine.Range{
+		{Col: "l_shipdate", Lo: 300, Hi: 1800}, {Col: "l_suppkey", Lo: 20, Hi: 4000}}}
+	sc := &BootstrapScratch{}
+	r := stats.NewRNG(9)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := bootBenchProc.AnswerBootstrap(context.Background(), q, 50, r.Uint64(), sc); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

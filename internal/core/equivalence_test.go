@@ -329,6 +329,184 @@ func randomProcessorQuery(p *Processor, r *stats.RNG) engine.Query {
 	return q
 }
 
+// oracleResampleRows is the bootstrap's resample as it was before the
+// replicate kernel: every sample column gathered at idx, with weights
+// and stratum labels carried along.
+func oracleResampleRows(s *sample.Sample, idx []int) *sample.Sample {
+	out := &sample.Sample{
+		Kind:       s.Kind,
+		Table:      s.Table.Gather(s.Table.Name+"_boot", idx),
+		SourceRows: s.SourceRows,
+	}
+	if s.InvP != nil {
+		out.InvP = make([]float64, len(idx))
+		for i, j := range idx {
+			out.InvP[i] = s.InvP[j]
+		}
+	}
+	if s.Strata != nil {
+		out.Strata = make([]sample.Stratum, len(s.Strata))
+		copy(out.Strata, s.Strata)
+		for i := range out.Strata {
+			out.Strata[i].SampleRows = 0
+		}
+		out.StratumOf = make([]int, len(idx))
+		for i, j := range idx {
+			si := s.StratumOf[j]
+			out.StratumOf[i] = si
+			out.Strata[si].SampleRows++
+		}
+	}
+	return out
+}
+
+// oracleAnswerBootstrap is AnswerBootstrap before the replicate kernel:
+// each replicate draws its indices, gathers the resample, and estimates
+// it with SumOfValues.
+func oracleAnswerBootstrap(p *Processor, q engine.Query, resamples int, seed uint64) (Answer, error) {
+	conf := p.confidence()
+	c := p.Cube
+	if q.Func == engine.Count {
+		c = p.countCube()
+	}
+	pre := ident.Pre{Phi: true}
+	considered := 1
+	if c != nil {
+		sel, err := ident.SelectBest(c, q, p.subsample(), conf)
+		if err != nil {
+			return Answer{}, err
+		}
+		pre = sel.Pre
+		considered = sel.Considered
+	}
+	var preVal float64
+	if !pre.IsPhi() {
+		preVal = pre.Value(c)
+	}
+	vals, err := ident.DiffVector(p.Sample, c, q, pre)
+	if err != nil {
+		return Answer{}, err
+	}
+	point := preVal + aqp.SumOfValues(p.Sample, vals, conf).Value
+	if resamples <= 0 {
+		resamples = DefaultResamples
+	}
+	r := stats.NewRNG(seed)
+	n := p.Sample.Size()
+	idx := make([]int, n)
+	rvals := make([]float64, n)
+	reps := make([]float64, 0, resamples)
+	for rep := 0; rep < resamples; rep++ {
+		for i := range idx {
+			idx[i] = r.Intn(n)
+		}
+		rs := oracleResampleRows(p.Sample, idx)
+		for i, j := range idx {
+			rvals[i] = vals[j]
+		}
+		reps = append(reps, preVal+aqp.SumOfValues(rs, rvals, conf).Value)
+	}
+	alpha := (1 - conf) / 2
+	lo := stats.Quantile(reps, alpha)
+	hi := stats.Quantile(reps, 1-alpha)
+	return Answer{
+		Estimate:   aqp.Estimate{Value: point, HalfWidth: (hi - lo) / 2, Confidence: conf, SampleRows: n},
+		Pre:        pre,
+		PreValue:   preVal,
+		Candidates: considered,
+	}, nil
+}
+
+// resizedSample draws an n-row with-replacement resample of s: a sample
+// of any size, including 0, with s's kind, weights and strata.
+func resizedSample(s *sample.Sample, n int, r *stats.RNG) *sample.Sample {
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = r.Intn(s.Size())
+	}
+	return oracleResampleRows(s, idx)
+}
+
+// poisonMeasures overwrites about 1 % of the sample rows' measures (at
+// least one row) with NaN or ±Inf.
+func poisonMeasures(s *sample.Sample, r *stats.RNG) {
+	bad := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
+	for _, col := range []string{"a", "b"} {
+		vals := s.Table.MustColumn(col).Floats
+		for k := 0; len(vals) > 0 && k < max(1, len(vals)/100); k++ {
+			vals[r.Intn(len(vals))] = bad[r.Intn(len(bad))]
+		}
+	}
+}
+
+// TestAnswerBootstrapEquivalenceRandomized holds AnswerBootstrap to the
+// gather-per-replicate loop above: every Estimate bit-identical (any two
+// NaNs match), over SUM and COUNT, all three samplers, sample sizes
+// 0, 1, 2, 65 and 3000, replicate counts that hit every lane tail, an
+// identified pre and φ, NaN and ±Inf measures, and nil, fresh and
+// reused (larger, stale) scratch.
+func TestAnswerBootstrapEquivalenceRandomized(t *testing.T) {
+	r := stats.NewRNG(0xb007)
+	tbl := equivalenceProcessorTable(3000, r)
+	ctx := context.Background()
+	reused := &BootstrapScratch{}
+	var identified, nonFinite, spread int
+	for _, kind := range []sample.Kind{sample.Uniform, sample.MeasureBiased, sample.Stratified} {
+		for _, n := range []int{0, 1, 2, 65, 3000} {
+			for _, resamples := range []int{1, 2, 3, 4, 5, 7, 8, 50, 200} {
+				for trial := 0; trial < 3; trial++ {
+					p := randomProcessor(t, tbl, kind, r)
+					q := randomProcessorQuery(p, r)
+					q.Func = []engine.AggFunc{engine.Sum, engine.Count}[r.Intn(2)]
+					p.Sample, p.Sub = resizedSample(p.Sample, n, r), nil
+					if r.Intn(3) == 0 {
+						poisonMeasures(p.Sample, r)
+					}
+					if n > 0 && r.Intn(2) == 0 {
+						p.Sub = p.Sample.Subsample(0.3, r.Uint64())
+					}
+					if r.Intn(4) == 0 {
+						p.Cube, p.CountCube = nil, nil
+					}
+					var sc *BootstrapScratch
+					switch r.Intn(3) {
+					case 1:
+						sc = &BootstrapScratch{}
+					case 2:
+						sc = reused
+					}
+					seed := r.Uint64()
+					got, err := p.AnswerBootstrap(ctx, q, resamples, seed, sc)
+					if err != nil {
+						t.Fatalf("%v n=%d R=%d %v: %v", kind, n, resamples, q, err)
+					}
+					want, err := oracleAnswerBootstrap(p, q, resamples, seed)
+					if err != nil {
+						t.Fatalf("%v n=%d R=%d %v: oracle: %v", kind, n, resamples, q, err)
+					}
+					if !sameAnswer(got, want) {
+						t.Fatalf("%v n=%d R=%d %v: AnswerBootstrap = %+v, oracle %+v", kind, n, resamples, q, got, want)
+					}
+					hw := got.Estimate.HalfWidth
+					switch {
+					case math.IsNaN(hw) || math.IsInf(hw, 0):
+						nonFinite++
+					case hw > 0:
+						spread++
+					}
+					if !got.Pre.IsPhi() {
+						identified++
+					}
+				}
+			}
+		}
+	}
+	// The draws must reach the cases the test names, not only 0 ± 0.
+	if identified < 30 || nonFinite < 10 || spread < 80 {
+		t.Errorf("coverage: %d identified pres, %d non-finite and %d positive half-widths", identified, nonFinite, spread)
+	}
+}
+
 // TestAnswerEquivalenceRandomized holds Answer (SUM, COUNT, AVG),
 // AnswerGroups and AnswerGroupsFast to the pre-rewrite pipeline above:
 // every Estimate, Pre, PreValue and candidate count identical, over all

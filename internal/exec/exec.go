@@ -16,14 +16,14 @@ import (
 type Budget struct {
 	// Timeout bounds wall time; the executor derives a deadline context
 	// and a query that overruns unwinds at the next cancellation check
-	// (one block chunk, climb step, or resample).
+	// (one block chunk, climb step, or batch of resamples).
 	Timeout time.Duration
 	// MaxResamples caps bootstrap replicate counts. A plan requesting
 	// more is rejected before any work runs.
 	MaxResamples int
 	// MaxScratchBytes caps the per-query scratch memory the executor
-	// hands to the bootstrap path (index + replicate buffers, reused
-	// across queries through a sync.Pool).
+	// hands to the bootstrap path (pseudo-value and lane index buffers,
+	// reused across queries through a sync.Pool).
 	MaxScratchBytes int64
 }
 
@@ -58,8 +58,8 @@ func New() *Executor { return &Executor{} }
 
 // Run executes a Plan under the context and budget, returning a
 // classified error on any failure. Cancellation granularity is one
-// zone-block chunk for exact scans, one resample for bootstrap plans,
-// and one group for GROUP BY approx plans.
+// zone-block chunk for exact scans, one batch of aqp.Lanes resamples
+// for bootstrap plans, and one group for GROUP BY approx plans.
 func (ex *Executor) Run(ctx context.Context, p *Plan, b Budget) (Outcome, error) {
 	op := p.Kind.String()
 	run, cancel, budgeted := b.Bound(ctx)
@@ -156,9 +156,8 @@ func (ex *Executor) dispatch(ctx context.Context, p *Plan, b Budget) (Outcome, e
 		if resamples <= 0 {
 			resamples = core.DefaultResamples
 		}
-		if b.MaxResamples > 0 && resamples > b.MaxResamples {
-			return Outcome{}, &Error{Kind: BudgetExceeded, Op: "bootstrap",
-				Err: fmt.Errorf("%d resamples exceed the budget's cap of %d", resamples, b.MaxResamples)}
+		if err := b.CheckResamples(resamples); err != nil {
+			return Outcome{}, err
 		}
 		ans, partial, err := bootstrap(ctx, p.Target, p.Query, resamples, p.Seed, b)
 		if err != nil {
@@ -185,10 +184,29 @@ func (ex *Executor) dispatch(ctx context.Context, p *Plan, b Budget) (Outcome, e
 // bootstrap runs t's bootstrap under the budget's scratch cap, charged
 // against the rows t resamples in this process before any work starts.
 func bootstrap(ctx context.Context, t Target, q engine.Query, resamples int, seed uint64, b Budget) (core.Answer, bool, error) {
-	need := core.BootstrapScratchBytes(t.ScratchRows())
-	if b.MaxScratchBytes > 0 && need > b.MaxScratchBytes {
-		return core.Answer{}, false, &Error{Kind: BudgetExceeded, Op: "bootstrap",
-			Err: fmt.Errorf("bootstrap needs %d scratch bytes, budget caps at %d", need, b.MaxScratchBytes)}
+	if err := b.CheckScratch(t.ScratchRows()); err != nil {
+		return core.Answer{}, false, err
 	}
 	return t.Bootstrap(ctx, q, resamples, seed)
+}
+
+// CheckResamples refuses, with kind BudgetExceeded, a bootstrap of more
+// replicates than the budget's MaxResamples.
+func (b Budget) CheckResamples(resamples int) error {
+	if b.MaxResamples > 0 && resamples > b.MaxResamples {
+		return &Error{Kind: BudgetExceeded, Op: "bootstrap",
+			Err: fmt.Errorf("%d resamples exceed the budget's cap of %d", resamples, b.MaxResamples)}
+	}
+	return nil
+}
+
+// CheckScratch refuses, with kind BudgetExceeded, a bootstrap over rows
+// sample rows whose scratch (core.BootstrapScratchBytes) exceeds the
+// budget's MaxScratchBytes.
+func (b Budget) CheckScratch(rows int) error {
+	if need := core.BootstrapScratchBytes(rows); b.MaxScratchBytes > 0 && need > b.MaxScratchBytes {
+		return &Error{Kind: BudgetExceeded, Op: "bootstrap",
+			Err: fmt.Errorf("bootstrap needs %d scratch bytes, budget caps at %d", need, b.MaxScratchBytes)}
+	}
+	return nil
 }

@@ -143,7 +143,19 @@ func TestBudgetScratchCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	need := core.BootstrapScratchBytes(proc.Sample.Size())
+	// The cap is charged what the pooled scratch holds for this sample:
+	// its pseudo-value vector and one index vector per lane.
+	n := proc.Sample.Size()
+	need := core.BootstrapScratchBytes(n)
+	var sc core.BootstrapScratch
+	sc.Grow(n)
+	held := 8 * len(sc.Xs)
+	for _, idx := range sc.Idx {
+		held += 8 * len(idx)
+	}
+	if int64(held) != need {
+		t.Errorf("BootstrapScratchBytes(%d) = %d, the grown scratch holds %d", n, need, held)
+	}
 	_, err = New().Run(context.Background(), p, Budget{MaxScratchBytes: need - 1})
 	if KindOf(err) != BudgetExceeded {
 		t.Errorf("kind = %v, want BudgetExceeded (err: %v)", KindOf(err), err)

@@ -50,7 +50,7 @@ type Resident struct {
 	Proc  *core.Processor
 }
 
-// scratchPool reuses bootstrap index and replicate buffers across
+// scratchPool reuses bootstrap pseudo-value and index buffers across
 // resident bootstrap queries.
 var scratchPool sync.Pool // *core.BootstrapScratch
 

@@ -138,17 +138,21 @@ func (s *Server) handlePartial(w http.ResponseWriter, r *http.Request, ri *reqIn
 			fmt.Sprintf("unknown partial mode %q", preq.Mode))
 		return
 	}
-	// The replicate cap, with the kind and status /v1/approx answers an
-	// over-cap request with: the coordinator enforces its own cap, but
-	// this endpoint is reachable directly.
-	if limit := s.cfg.MaxResamples; preq.Mode == dist.ModeBootstrap && limit > 0 {
+	// The replicate and scratch caps, with the kind and status /v1/approx
+	// answers an over-cap request with: the coordinator enforces its own
+	// caps, but this endpoint is reachable directly.
+	if preq.Mode == dist.ModeBootstrap {
+		b := exec.Budget{MaxResamples: s.cfg.MaxResamples, MaxScratchBytes: s.cfg.MaxScratchBytes}
 		n := preq.Resamples
 		if n <= 0 {
 			n = core.DefaultResamples
 		}
-		if n > limit {
-			s.writeError(w, ri, &exec.Error{Kind: exec.BudgetExceeded, Op: "bootstrap",
-				Err: fmt.Errorf("%d resamples exceed the budget's cap of %d", n, limit)})
+		err := b.CheckResamples(n)
+		if err == nil {
+			err = b.CheckScratch(local.Proc.Sample.Size())
+		}
+		if err != nil {
+			s.writeError(w, ri, err)
 			return
 		}
 	}
