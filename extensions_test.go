@@ -5,6 +5,8 @@ import (
 	"math"
 	"testing"
 	"time"
+
+	"aqppp/internal/dataset"
 )
 
 func TestPreparedInsertMaintains(t *testing.T) {
@@ -62,6 +64,55 @@ func TestQueryBootstrap(t *testing.T) {
 	}
 	if _, err := prep.QueryBootstrap(context.Background(), "SELECT AVG(v) FROM demo", 10); err == nil {
 		t.Error("AVG accepted by QueryBootstrap")
+	}
+}
+
+// TestBootstrapSumOfAnotherColumn is the CLI session
+//
+//	aqppp-cli -demo tpcd -rows 120000 -dims l_quantity,l_discount \
+//	    -agg l_extendedprice -k 2000 -seed 7 -max-rel-error 2
+//
+// answering SUM(l_quantity), a column the cube does not aggregate, on
+// the contract's bootstrap rung. The bootstrap used to anchor it on the
+// SUM(l_extendedprice) cube and answered 359,563,951.80 ± 0 against a
+// truth of 316,831.
+func TestBootstrapSumOfAnotherColumn(t *testing.T) {
+	ctx := context.Background()
+	tbl, err := dataset.Load(ctx, "", "tpcd", 120000, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := NewDB()
+	if err := db.Register(tbl); err != nil {
+		t.Fatal(err)
+	}
+	prep, err := db.Prepare(ctx, PrepareOptions{
+		Table: "lineitem", Aggregate: "l_extendedprice", Dimensions: []string{"l_quantity", "l_discount"},
+		SampleRate: 0.01, CellBudget: 2000, Seed: 7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stmt := "SELECT SUM(l_quantity) FROM lineitem WHERE l_quantity BETWEEN 44 AND 46"
+	truth, err := db.Exact(ctx, stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := prep.QueryWithContract(ctx, stmt, Contract{MaxRelError: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Strategy != "bootstrap" {
+		t.Fatalf("strategy %q, want the bootstrap rung the repro reached", res.Strategy)
+	}
+	boot, err := prep.QueryBootstrap(ctx, stmt, 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []Result{res.Result, boot} {
+		if r.HalfWidth <= 0 || math.Abs(r.Value-truth.Value) > 0.25*truth.Value {
+			t.Errorf("SUM(l_quantity) = %v ± %v, truth %v", r.Value, r.HalfWidth, truth.Value)
+		}
 	}
 }
 

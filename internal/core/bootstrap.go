@@ -47,11 +47,13 @@ func BootstrapScratchBytes(n int) int64 { return int64(n) * 8 * (1 + aqp.Lanes) 
 
 // AnswerBootstrap answers a SUM/COUNT query with an empirical bootstrap
 // confidence interval instead of the closed form (§4.2.2): after
-// identifying the pre as usual, it resamples the sample, recomputes
-// pre(D) + (q̂(S_i) − prê(S_i)) per replicate, and reads the percentile
-// interval off the replicate distribution. This is the general path the
-// paper prescribes for aggregates without closed-form intervals; for SUM
-// it doubles as a cross-check of the CLT interval (see the tests).
+// identifying the pre as Answer does (on the cube that anchors q; none
+// when the cube aggregates another column), it resamples the sample,
+// recomputes pre(D) + (q̂(S_i) − prê(S_i)) per replicate, and reads the
+// percentile interval off the replicate distribution. This is the
+// general path the paper prescribes for aggregates without closed-form
+// intervals; for SUM it doubles as a cross-check of the CLT interval
+// (see the tests).
 //
 // A replicate is never gathered: it draws its n row indices and reads
 // its value off the diff vector at those rows, aqp.Lanes replicates per
@@ -71,10 +73,7 @@ func (p *Processor) AnswerBootstrap(ctx context.Context, q engine.Query, resampl
 		return Answer{}, fmt.Errorf("core: AnswerBootstrap does not handle GROUP BY: %w", ErrUnsupported)
 	}
 	conf := p.confidence()
-	c := p.Cube
-	if q.Func == engine.Count {
-		c = p.countCube()
-	}
+	c := p.cubeFor(q)
 	pre := ident.Pre{Phi: true}
 	considered := 1
 	if c != nil {

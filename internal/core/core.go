@@ -93,11 +93,8 @@ func (p *Processor) Answer(q engine.Query) (Answer, error) {
 		return Answer{}, fmt.Errorf("core: use AnswerGroups for GROUP BY queries")
 	}
 	switch q.Func {
-	case engine.Sum:
-		ans, _, err := p.answerSum(q, p.Cube, q.Col)
-		return ans, err
-	case engine.Count:
-		ans, _, err := p.answerSum(q, p.countCube(), "")
+	case engine.Sum, engine.Count:
+		ans, _, err := p.answerSum(q)
 		return ans, err
 	case engine.Avg:
 		return p.answerAvg(q)
@@ -149,13 +146,27 @@ func (p *Processor) countCube() *cube.BPCube {
 	return nil
 }
 
-// answerSum runs the SUM/COUNT pipeline against the given cube. cubeAgg
-// is the aggregate column the cube must match ("" for COUNT). It also
-// returns the per-sample-row vector the estimate was computed from (the
-// answered pre's diff vector), which AVG's interval reuses.
-func (p *Processor) answerSum(q engine.Query, c *cube.BPCube, cubeAgg string) (Answer, []float64, error) {
+// cubeFor returns the cube that can anchor a SUM or COUNT query: the SUM
+// cube when it aggregates q's column, the COUNT cube for COUNT, or nil
+// when neither matches (plain AQP, pre = φ).
+func (p *Processor) cubeFor(q engine.Query) *cube.BPCube {
+	c, agg := p.Cube, q.Col
+	if q.Func == engine.Count {
+		c, agg = p.countCube(), ""
+	}
+	if c == nil || c.Template.Agg != agg {
+		return nil
+	}
+	return c
+}
+
+// answerSum runs the SUM/COUNT pipeline against the cube that anchors q.
+// It also returns the per-sample-row vector the estimate was computed
+// from (the answered pre's diff vector), which AVG's interval reuses.
+func (p *Processor) answerSum(q engine.Query) (Answer, []float64, error) {
 	conf := p.confidence()
-	if c == nil || c.Template.Agg != cubeAgg {
+	c := p.cubeFor(q)
+	if c == nil {
 		// No usable cube: plain AQP (pre = φ).
 		vals, err := aqp.ConditionVector(p.Sample, q)
 		if err != nil {
@@ -181,11 +192,11 @@ func (p *Processor) answerAvg(q engine.Query) (Answer, error) {
 	sumQ.Func = engine.Sum
 	cntQ := q
 	cntQ.Func = engine.Count
-	sumAns, sumVals, err := p.answerSum(sumQ, p.Cube, q.Col)
+	sumAns, sumVals, err := p.answerSum(sumQ)
 	if err != nil {
 		return Answer{}, err
 	}
-	cntAns, cntVals, err := p.answerSum(cntQ, p.countCube(), "")
+	cntAns, cntVals, err := p.answerSum(cntQ)
 	if err != nil {
 		return Answer{}, err
 	}

@@ -365,10 +365,7 @@ func oracleResampleRows(s *sample.Sample, idx []int) *sample.Sample {
 // it with SumOfValues.
 func oracleAnswerBootstrap(p *Processor, q engine.Query, resamples int, seed uint64) (Answer, error) {
 	conf := p.confidence()
-	c := p.Cube
-	if q.Func == engine.Count {
-		c = p.countCube()
-	}
+	c := p.cubeFor(q)
 	pre := ident.Pre{Phi: true}
 	considered := 1
 	if c != nil {

@@ -258,6 +258,38 @@ func TestAnswerBootstrapRejects(t *testing.T) {
 	}
 }
 
+// TestAnswerBootstrapOtherAggregateIsPlainAQP: a SUM over a column the
+// cube does not aggregate has no cube anchor, as in Answer — the
+// bootstrap answers it exactly as a processor without the cube does.
+// It used to identify a pre on the cube and add the cube aggregate's
+// pre(D) to a sum of another column.
+func TestAnswerBootstrapOtherAggregateIsPlainAQP(t *testing.T) {
+	tbl := testTable(20000, 74)
+	p := buildProcessor(t, tbl, []string{"c1"}, 20)
+	plain := &Processor{Sample: p.Sample, Sub: p.Sub, Confidence: p.Confidence}
+	q := engine.Query{Func: engine.Sum, Col: "c2",
+		Ranges: []engine.Range{{Col: "c1", Lo: 20, Hi: 70}}}
+	got, err := p.AnswerBootstrap(context.Background(), q, 100, 5, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := plain.AnswerBootstrap(context.Background(), q, 100, 5, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Pre.IsPhi() || got.PreValue != 0 || got.Estimate != want.Estimate {
+		t.Errorf("SUM(c2) on a SUM(a) cube: %+v (pre %v, pre(D) %v), plain AQP %+v",
+			got.Estimate, got.Pre, got.PreValue, want.Estimate)
+	}
+	closed, err := p.Answer(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !stats.ExactEqual(got.Estimate.Value, closed.Estimate.Value) {
+		t.Errorf("bootstrap point %v, Answer %v", got.Estimate.Value, closed.Estimate.Value)
+	}
+}
+
 func TestAnswerBootstrapDeterministic(t *testing.T) {
 	tbl := testTable(5000, 73)
 	p := buildProcessor(t, tbl, []string{"c1"}, 10)

@@ -4,6 +4,9 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"os"
+	"slices"
+	"strconv"
 	"testing"
 
 	"aqppp/internal/cube"
@@ -126,6 +129,165 @@ func TestMinMaxThroughProcessor(t *testing.T) {
 	}
 }
 
+// forwardShuffle is the dense forward Fisher–Yates shuffle the stream's
+// sampler must reproduce draw for draw: the first k positions of a
+// permutation of [0, n) under seed.
+func forwardShuffle(n, k int, seed uint64) []int {
+	r := stats.NewRNG(seed)
+	perm := make([]int, n)
+	for i := range perm {
+		perm[i] = i
+	}
+	for i := 0; i < k; i++ {
+		j := i + r.Intn(n-i)
+		perm[i], perm[j] = perm[j], perm[i]
+	}
+	return perm[:k]
+}
+
+// TestProgressivePrefixIsForwardShuffle: however a stream's steps are
+// sized, its prefix is the dense forward shuffle's under the same seed —
+// so a seed fixes the stream, and the prefix holds no row twice.
+func TestProgressivePrefixIsForwardShuffle(t *testing.T) {
+	const n = 5000
+	tbl := testTable(n, 93)
+	for _, steps := range [][]int{{n}, {1, 1, 1, 2, 3, 4000}, {700, 0, 1300, 2999}, {64, 64, 64, 64, 1000, 1}} {
+		for _, seed := range []uint64{0, 1, 94} {
+			pg, err := NewProgressive(tbl, nil, 0.95, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, k := range steps {
+				pg.Step(k)
+			}
+			want := forwardShuffle(n, pg.SampleSize(), seed)
+			if !slices.Equal(pg.prefix, want) {
+				t.Fatalf("steps %v seed %d: prefix differs from the dense forward shuffle", steps, seed)
+			}
+			seen := make([]bool, n)
+			for _, row := range pg.prefix {
+				if row < 0 || row >= n || seen[row] {
+					t.Fatalf("steps %v seed %d: row %d out of range or drawn twice", steps, seed, row)
+				}
+				seen[row] = true
+			}
+		}
+	}
+}
+
+// TestProgressiveStepPastEndIsPermutation: stepping past the table
+// draws every row exactly once and leaves no displaced entry behind.
+func TestProgressiveStepPastEndIsPermutation(t *testing.T) {
+	const n = 40000
+	tbl := testTable(n, 95)
+	pg, err := NewProgressive(tbl, nil, 0.95, 96)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pg.Step(7919)
+	if _, err := pg.Answer(engine.Query{Func: engine.Count}); err != nil {
+		t.Fatal(err)
+	}
+	for pg.Step(7919) < n {
+	}
+	if got := pg.Step(1); got != n {
+		t.Fatalf("exhausted stream grew to %d", got)
+	}
+	sorted := slices.Clone(pg.prefix)
+	slices.Sort(sorted)
+	for i, row := range sorted {
+		if row != i {
+			t.Fatalf("prefix is not a permutation of [0, %d): sorted[%d] = %d", n, i, row)
+		}
+	}
+	if pg.displaced.live != 0 {
+		t.Errorf("%d displaced entries left after the last position", pg.displaced.live)
+	}
+	if pg.sample.Size() != n {
+		t.Errorf("sample holds %d rows, want %d", pg.sample.Size(), n)
+	}
+}
+
+// TestProgressivePrefixUniform: over many seeds, the number of streams
+// whose first k rows include a given row is Binomial(streams, k/n) for
+// every row; each count must lie inside a 5σ band (about one false alarm
+// in 1.7 million rows). AQPPP_UNIFORMITY_STREAMS raises the stream count
+// (the nightly run does).
+func TestProgressivePrefixUniform(t *testing.T) {
+	const n, k = 97, 13
+	streams := 20000
+	if s, err := strconv.Atoi(os.Getenv("AQPPP_UNIFORMITY_STREAMS")); err == nil && s > 0 {
+		streams = s
+	}
+	tbl := testTable(n, 97)
+	counts := make([]int, n)
+	for seed := 0; seed < streams; seed++ {
+		pg, err := NewProgressive(tbl, nil, 0.95, uint64(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pg.Step(k)
+		for _, row := range pg.prefix {
+			counts[row]++
+		}
+	}
+	p := float64(k) / n
+	mean := float64(streams) * p
+	band := 5 * math.Sqrt(mean*(1-p))
+	for row, c := range counts {
+		if math.Abs(float64(c)-mean) > band {
+			t.Errorf("row %d in %d of %d first-%d prefixes, want %.0f ± %.0f", row, c, streams, k, mean, band)
+		}
+	}
+}
+
+// TestProgressiveGathersOnlyReadColumns: the sample holds the columns
+// the answered queries read — the measure, the range columns, the cube's
+// dimensions when the cube anchors the query — each over the whole
+// prefix; a query that reads none keeps one column for the row count.
+func TestProgressiveGathersOnlyReadColumns(t *testing.T) {
+	tbl := testTable(6000, 98)
+	built, _, err := Build(context.Background(), tbl, BuildConfig{
+		Template:   cube.Template{Agg: "a", Dims: []string{"c1"}},
+		SampleRate: 0.05, CellBudget: 10, Seed: 99,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		cube *cube.BPCube
+		q    engine.Query
+		want []string
+	}{
+		// COUNT(*) with no range and no cube reads nothing.
+		{nil, engine.Query{Func: engine.Count}, []string{"c1"}},
+		// SUM(c2) is not the cube's aggregate: no cube dimensions.
+		{built.Cube, engine.Query{Func: engine.Sum, Col: "c2"}, []string{"c2"}},
+		{built.Cube, engine.Query{Func: engine.Sum, Col: "a",
+			Ranges: []engine.Range{{Col: "c2", Lo: 3, Hi: 30}}}, []string{"a", "c2", "c1"}},
+	}
+	for _, s := range cases {
+		pg, err := NewProgressive(tbl, s.cube, 0.95, 100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for round := 0; round < 3; round++ {
+			pg.Step(500)
+			if _, err := pg.Answer(s.q); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := pg.sample.Table.ColumnNames(); !slices.Equal(got, s.want) {
+			t.Errorf("%v: sample columns %v, want %v", s.q, got, s.want)
+		}
+		for _, col := range pg.sample.Table.Columns {
+			if col.Len() != pg.SampleSize() {
+				t.Errorf("%v: column %s holds %d rows, sample %d", s.q, col.Name, col.Len(), pg.SampleSize())
+			}
+		}
+	}
+}
+
 // TestProgressiveMatchesGatheredPrefix: the growing sample is the same
 // sample Gather builds over the same row prefix, so every round answers
 // exactly as a Processor over that prefix does — for an int, a float and
@@ -161,7 +323,7 @@ func TestProgressiveMatchesGatheredPrefix(t *testing.T) {
 	}
 	for round := 1; round <= 4; round++ {
 		size := pg.Step(3000)
-		prefix := pg.perm[:size]
+		prefix := pg.prefix[:size]
 		invP := make([]float64, size)
 		for i := range invP {
 			invP[i] = n

@@ -287,21 +287,29 @@ func (c *Column) AppendGather(src *Column, idx []int) {
 	}
 	switch c.Type {
 	case Int64:
-		c.Ints = slices.Grow(c.Ints, len(idx))
-		for _, r := range idx {
-			c.Ints = append(c.Ints, src.intAt(r))
-		}
+		c.Ints = appendGather(c.Ints, src.Ints, src.src == nil, src.intAt, idx)
 	case Float64:
-		c.Floats = slices.Grow(c.Floats, len(idx))
-		for _, r := range idx {
-			c.Floats = append(c.Floats, src.floatAt(r))
-		}
+		c.Floats = appendGather(c.Floats, src.Floats, src.src == nil, src.floatAt, idx)
 	default:
-		c.Codes = slices.Grow(c.Codes, len(idx))
-		for _, r := range idx {
-			c.Codes = append(c.Codes, src.codeAt(r))
-		}
+		c.Codes = appendGather(c.Codes, src.Codes, src.src == nil, src.codeAt, idx)
 	}
+}
+
+// appendGather appends the values at idx to dst: straight from data
+// when the source column is resident, so the loads of a random gather
+// overlap, and through at (one row at a time) when it is source-backed.
+func appendGather[T any](dst, data []T, resident bool, at func(int) T, idx []int) []T {
+	dst = slices.Grow(dst, len(idx))
+	if resident {
+		for _, r := range idx {
+			dst = append(dst, data[r])
+		}
+		return dst
+	}
+	for _, r := range idx {
+		dst = append(dst, at(r))
+	}
+	return dst
 }
 
 // AppendFrom appends row r of src (a column of the same type) to c.

@@ -43,30 +43,34 @@ func TestParseBasic(t *testing.T) {
 	}
 }
 
+// endToEndCases are statements over testTable with their exact
+// answers; FuzzParseSQL seeds its corpus with them and with the two
+// error lists below.
+var endToEndCases = []struct {
+	stmt string
+	want float64
+}{
+	{"SELECT SUM(amount) FROM sales", 210},
+	{"SELECT COUNT(*) FROM sales", 6},
+	{"SELECT AVG(amount) FROM sales", 35},
+	{"SELECT MIN(amount) FROM sales", 10},
+	{"SELECT MAX(amount) FROM sales", 60},
+	{"SELECT SUM(amount) FROM sales WHERE id BETWEEN 2 AND 4", 90},
+	{"SELECT SUM(amount) FROM sales WHERE id >= 5", 110},
+	{"SELECT SUM(amount) FROM sales WHERE id > 5", 60},
+	{"SELECT SUM(amount) FROM sales WHERE id <= 2", 30},
+	{"SELECT SUM(amount) FROM sales WHERE id < 2", 10},
+	{"SELECT SUM(amount) FROM sales WHERE id = 3", 30},
+	{"SELECT SUM(amount) FROM sales WHERE id >= 2 AND id <= 3", 50},
+	{"SELECT SUM(amount) FROM sales WHERE region = 'west'", 40},
+	{"SELECT SUM(amount) FROM sales WHERE region = 'nowhere'", 0},
+	{"SELECT SUM(amount) FROM sales WHERE amount > 35 AND id < 6", 90},
+	{"SELECT COUNT(amount) FROM sales WHERE region >= 'south'", 3},
+	{"SELECT SUM(amount) FROM sales WHERE amount BETWEEN 15 AND 45", 90},
+}
+
 func TestEndToEndQueries(t *testing.T) {
-	cases := []struct {
-		stmt string
-		want float64
-	}{
-		{"SELECT SUM(amount) FROM sales", 210},
-		{"SELECT COUNT(*) FROM sales", 6},
-		{"SELECT AVG(amount) FROM sales", 35},
-		{"SELECT MIN(amount) FROM sales", 10},
-		{"SELECT MAX(amount) FROM sales", 60},
-		{"SELECT SUM(amount) FROM sales WHERE id BETWEEN 2 AND 4", 90},
-		{"SELECT SUM(amount) FROM sales WHERE id >= 5", 110},
-		{"SELECT SUM(amount) FROM sales WHERE id > 5", 60},
-		{"SELECT SUM(amount) FROM sales WHERE id <= 2", 30},
-		{"SELECT SUM(amount) FROM sales WHERE id < 2", 10},
-		{"SELECT SUM(amount) FROM sales WHERE id = 3", 30},
-		{"SELECT SUM(amount) FROM sales WHERE id >= 2 AND id <= 3", 50},
-		{"SELECT SUM(amount) FROM sales WHERE region = 'west'", 40},
-		{"SELECT SUM(amount) FROM sales WHERE region = 'nowhere'", 0},
-		{"SELECT SUM(amount) FROM sales WHERE amount > 35 AND id < 6", 90},
-		{"SELECT COUNT(amount) FROM sales WHERE region >= 'south'", 3},
-		{"SELECT SUM(amount) FROM sales WHERE amount BETWEEN 15 AND 45", 90},
-	}
-	for _, c := range cases {
+	for _, c := range endToEndCases {
 		if got := mustExec(t, c.stmt); math.Abs(got-c.want) > 1e-9 {
 			t.Errorf("%s = %v, want %v", c.stmt, got, c.want)
 		}
@@ -124,42 +128,47 @@ func TestNegativeNumbers(t *testing.T) {
 	}
 }
 
+// badParses are statements Parse must refuse.
+var badParses = []string{
+	"",
+	"SELECT",
+	"SELECT FOO(a) FROM t",
+	"SELECT SUM(*) FROM t",
+	"SELECT SUM(a FROM t",
+	"SELECT SUM(a) WHERE x = 1",
+	"SELECT SUM(a) FROM t WHERE",
+	"SELECT SUM(a) FROM t WHERE x",
+	"SELECT SUM(a) FROM t WHERE x ** 1",
+	"SELECT SUM(a) FROM t WHERE x BETWEEN 1",
+	"SELECT SUM(a) FROM t WHERE x BETWEEN 1 OR 2",
+	"SELECT SUM(a) FROM t GROUP",
+	"SELECT SUM(a) FROM t GROUP BY",
+	"SELECT SUM(a) FROM t trailing junk",
+	"SELECT SUM(a) FROM t WHERE s = 'unterminated",
+}
+
 func TestParseErrors(t *testing.T) {
-	bad := []string{
-		"",
-		"SELECT",
-		"SELECT FOO(a) FROM t",
-		"SELECT SUM(*) FROM t",
-		"SELECT SUM(a FROM t",
-		"SELECT SUM(a) WHERE x = 1",
-		"SELECT SUM(a) FROM t WHERE",
-		"SELECT SUM(a) FROM t WHERE x",
-		"SELECT SUM(a) FROM t WHERE x ** 1",
-		"SELECT SUM(a) FROM t WHERE x BETWEEN 1",
-		"SELECT SUM(a) FROM t WHERE x BETWEEN 1 OR 2",
-		"SELECT SUM(a) FROM t GROUP",
-		"SELECT SUM(a) FROM t GROUP BY",
-		"SELECT SUM(a) FROM t trailing junk",
-		"SELECT SUM(a) FROM t WHERE s = 'unterminated",
-	}
-	for _, stmt := range bad {
+	for _, stmt := range badParses {
 		if _, err := Parse(stmt); err == nil {
 			t.Errorf("accepted: %s", stmt)
 		}
 	}
 }
 
+// badCompiles are statements that parse but Compile must refuse
+// against testTable.
+var badCompiles = []string{
+	"SELECT SUM(nope) FROM sales",
+	"SELECT SUM(amount) FROM wrongtable",
+	"SELECT SUM(amount) FROM sales WHERE nope = 1",
+	"SELECT SUM(amount) FROM sales WHERE region = 5",
+	"SELECT SUM(amount) FROM sales WHERE id = 'x'",
+	"SELECT SUM(amount) FROM sales GROUP BY nope",
+}
+
 func TestCompileErrors(t *testing.T) {
 	tbl := testTable()
-	bad := []string{
-		"SELECT SUM(nope) FROM sales",
-		"SELECT SUM(amount) FROM wrongtable",
-		"SELECT SUM(amount) FROM sales WHERE nope = 1",
-		"SELECT SUM(amount) FROM sales WHERE region = 5",
-		"SELECT SUM(amount) FROM sales WHERE id = 'x'",
-		"SELECT SUM(amount) FROM sales GROUP BY nope",
-	}
-	for _, stmt := range bad {
+	for _, stmt := range badCompiles {
 		st, err := Parse(stmt)
 		if err != nil {
 			t.Fatalf("parse failed unexpectedly: %s: %v", stmt, err)
