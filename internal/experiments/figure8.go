@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 
-	"aqppp/internal/dataset"
 	"aqppp/internal/precompute"
 	"aqppp/internal/sample"
 )
@@ -63,14 +62,8 @@ func traceString(tr []float64) string {
 // generator correlates with price — with k1 = k2 = k per dimension
 // (paper: 200, scaled by sc.K/10 here, min 25).
 func RunFigure8(ctx context.Context, sc Scale) (*Figure8Report, error) {
-	k := sc.K / 10
-	if k < 25 {
-		k = 25
-	}
-	if k > 200 {
-		k = 200
-	}
-	tbl := dataset.TPCDSkew(dataset.TPCDConfig{Rows: sc.TPCDRows, Seed: sc.Seed})
+	k := min(max(sc.K/10, 25), 200)
+	tbl := tpcd(sc)
 	s, err := sample.NewUniform(tbl, sc.SampleRate, sc.Seed+2)
 	if err != nil {
 		return nil, err
@@ -85,23 +78,15 @@ func RunFigure8(ctx context.Context, sc Scale) (*Figure8Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		global, err := precompute.HillClimb(ctx, v, init, precompute.ClimbConfig{
-			Mode: precompute.Global, MaxIterations: 100,
-		})
-		if err != nil {
-			return nil, err
+		var traces [2][]float64 // global, local
+		for i, mode := range []precompute.AdjustMode{precompute.Global, precompute.Local} {
+			climb, err := precompute.HillClimb(ctx, v, init, precompute.ClimbConfig{Mode: mode, MaxIterations: 100})
+			if err != nil {
+				return nil, err
+			}
+			traces[i] = climb.Trace
 		}
-		local, err := precompute.HillClimb(ctx, v, init, precompute.ClimbConfig{
-			Mode: precompute.Local, MaxIterations: 100,
-		})
-		if err != nil {
-			return nil, err
-		}
-		report.Dims = append(report.Dims, Figure8Dim{
-			Dim:         dim,
-			GlobalTrace: global.Trace,
-			LocalTrace:  local.Trace,
-		})
+		report.Dims = append(report.Dims, Figure8Dim{Dim: dim, GlobalTrace: traces[0], LocalTrace: traces[1]})
 	}
 	return report, nil
 }
