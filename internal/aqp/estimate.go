@@ -1,7 +1,7 @@
 // Package aqp implements sampling-based approximate query processing
 // (Equation 3 of the paper): point estimates and confidence intervals for
 // SUM, COUNT and AVG over uniform, measure-biased and stratified samples,
-// plus bootstrap intervals for aggregates without a closed form.
+// plus the gather-free replicate kernels of the SUM/COUNT bootstrap.
 //
 // The central primitive is SumOfValues: an unbiased estimate of a
 // population total Σ_D v from per-sample-row contributions v_i. Both plain
@@ -352,7 +352,7 @@ func EstimateAvg(s *sample.Sample, q engine.Query, confidence float64) (Estimate
 }
 
 // EstimateQuery answers SUM, COUNT or AVG queries; other aggregates need
-// the bootstrap (Bootstrap) or exact processing.
+// exact processing.
 func EstimateQuery(s *sample.Sample, q engine.Query, confidence float64) (Estimate, error) {
 	switch q.Func {
 	case engine.Sum, engine.Count:
@@ -360,7 +360,7 @@ func EstimateQuery(s *sample.Sample, q engine.Query, confidence float64) (Estima
 	case engine.Avg:
 		return EstimateAvg(s, q, confidence)
 	default:
-		return Estimate{}, fmt.Errorf("aqp: no closed-form estimator for %v; use Bootstrap", q.Func)
+		return Estimate{}, fmt.Errorf("aqp: no closed-form estimator for %v", q.Func)
 	}
 }
 

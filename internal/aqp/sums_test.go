@@ -149,3 +149,70 @@ func TestSumsOfValuesShortOutPanics(t *testing.T) {
 	}()
 	SumsOfValues(s, [][]float64{v, v}, 0.95, make([]Estimate, 1))
 }
+
+// gatherAll is a with-replacement resample gathered in full: every
+// sample column at idx, with weights and stratum labels carried along.
+func gatherAll(s *sample.Sample, idx []int) *sample.Sample {
+	out := &sample.Sample{Kind: s.Kind, Table: s.Table.Gather(s.Table.Name+"_boot", idx), SourceRows: s.SourceRows}
+	if s.InvP != nil {
+		out.InvP = make([]float64, len(idx))
+		for i, j := range idx {
+			out.InvP[i] = s.InvP[j]
+		}
+	}
+	if s.Strata != nil {
+		out.Strata = append([]sample.Stratum(nil), s.Strata...)
+		for i := range out.Strata {
+			out.Strata[i].SampleRows = 0
+		}
+		out.StratumOf = make([]int, len(idx))
+		for i, j := range idx {
+			out.StratumOf[i] = s.StratumOf[j]
+			out.Strata[s.StratumOf[j]].SampleRows++
+		}
+	}
+	return out
+}
+
+// TestResampledKernelsEquivalence holds the bootstrap's gather-free
+// replicate kernels to SumOfValues over the gathered resample: every
+// lane of ResampledMeans for one to Lanes index vectors, and
+// ResampledStratifiedSum, bit for bit on hostile values.
+func TestResampledKernelsEquivalence(t *testing.T) {
+	r := stats.NewRNG(0xb0b)
+	for _, kind := range []sample.Kind{sample.Uniform, sample.MeasureBiased, sample.Stratified} {
+		for _, n := range []int{0, 1, 2, 63, 64, 65, 3000} {
+			s := equivalenceSample(kind, n, r)
+			for lanes := 1; lanes <= Lanes; lanes++ {
+				vals := equivalenceValues(n, r)
+				idx := make([][]int, lanes)
+				for l := range idx {
+					idx[l] = make([]int, n)
+					for i := range idx[l] {
+						idx[l][i] = r.Intn(n)
+					}
+				}
+				var got [Lanes]float64
+				if kind == sample.Stratified {
+					sums, counts := make([]float64, len(s.Strata)), make([]int64, len(s.Strata))
+					for l, ix := range idx {
+						got[l] = ResampledStratifiedSum(s, vals, ix, sums, counts)
+					}
+				} else {
+					xs := make([]float64, n)
+					PseudoValues(s, vals, xs)
+					got = ResampledMeans(xs, idx)
+				}
+				for l, ix := range idx {
+					rvals := make([]float64, n)
+					for i, j := range ix {
+						rvals[i] = vals[j]
+					}
+					if want := SumOfValues(gatherAll(s, ix), rvals, 0.95).Value; !sameBits(got[l], want) {
+						t.Fatalf("%v n=%d lanes=%d lane %d: %v, gathered SumOfValues %v", kind, n, lanes, l, got[l], want)
+					}
+				}
+			}
+		}
+	}
+}

@@ -1,7 +1,7 @@
 // Package stats provides the statistical substrate for the AQP++
 // reproduction: a deterministic random number generator, heavy-tailed
 // generators (Zipf), normal quantiles for confidence intervals, moment
-// accumulators, covariance, and bootstrap resampling.
+// accumulators, covariance, sample quantiles, and the latency histogram.
 //
 // Everything in this package is deterministic given a seed so that the
 // experiment harness is reproducible run-to-run.
