@@ -24,9 +24,9 @@ import (
 func main() {
 	tbl := dataset.TPCDSkew(dataset.TPCDConfig{Rows: 300000, Seed: 21})
 
-	// Stratify on the group-by attributes with a 100-row floor per
-	// stratum: small groups get fully sampled.
-	s, err := sample.NewStratified(tbl, []string{"l_returnflag", "l_linestatus"}, 0.01, 100, 23)
+	// Stratify on the group-by attributes with a 300-row floor per
+	// stratum: groups no larger than the floor get fully sampled.
+	s, err := sample.NewStratified(tbl, []string{"l_returnflag", "l_linestatus"}, 0.01, 300, 23)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -71,13 +71,14 @@ func main() {
 		truth[g.Key] = g.Value
 	}
 
-	plain, err := aqp.EstimateGroups(s, q, 0.95)
+	// Plain AQP on the same sample is the processor with no cube (pre = φ).
+	plain, err := (&core.Processor{Sample: s, Confidence: 0.95}).AnswerGroups(ctx, q)
 	if err != nil {
 		log.Fatal(err)
 	}
 	plainBy := map[string]aqp.Estimate{}
 	for _, g := range plain {
-		plainBy[g.Key] = g.Est
+		plainBy[g.Key] = g.Answer.Estimate
 	}
 
 	groups, err := proc.AnswerGroups(ctx, q)

@@ -13,7 +13,7 @@ import (
 	"log"
 
 	"aqppp"
-	"aqppp/internal/aqp"
+	"aqppp/internal/core"
 	"aqppp/internal/dataset"
 	"aqppp/internal/sql"
 )
@@ -53,6 +53,8 @@ func main() {
 			"SELECT SUM(l_extendedprice) FROM lineitem WHERE l_orderkey BETWEEN 1 AND 80 AND l_quantity BETWEEN 10 AND 40"},
 	}
 
+	// Plain AQP on the same sample is the processor with no cube (pre = φ).
+	plainAQP := &core.Processor{Sample: prep.Sample(), Confidence: 0.95}
 	for _, step := range exploration {
 		exact, err := db.Exact(ctx, step.stmt)
 		if err != nil {
@@ -62,10 +64,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		plain, err := aqp.EstimateQuery(prep.Sample(), q, 0.95)
+		ans, err := plainAQP.Answer(q)
 		if err != nil {
 			log.Fatal(err)
 		}
+		plain := ans.Estimate
 		approx, err := prep.Query(ctx, step.stmt)
 		if err != nil {
 			log.Fatal(err)

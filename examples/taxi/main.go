@@ -12,7 +12,7 @@ import (
 	"time"
 
 	"aqppp"
-	"aqppp/internal/aqp"
+	"aqppp/internal/core"
 	"aqppp/internal/dataset"
 	"aqppp/internal/sql"
 )
@@ -53,6 +53,8 @@ func main() {
 		"SELECT SUM(Distance) FROM tlctrip WHERE Pickup_Date BETWEEN 2000 AND 2100 AND Fare_Amt BETWEEN 5 AND 20",
 	}
 
+	// Plain AQP on the same sample is the processor with no cube (pre = φ).
+	plainAQP := &core.Processor{Sample: prep.Sample(), Confidence: 0.95}
 	fmt.Printf("%-4s %12s %22s %22s %9s\n", "#", "exact", "AQP (same sample)", "AQP++", "gain")
 	for i, stmt := range dashboard {
 		exact, err := db.Exact(ctx, stmt)
@@ -63,10 +65,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		plain, err := aqp.EstimateQuery(prep.Sample(), q, 0.95)
+		ans, err := plainAQP.Answer(q)
 		if err != nil {
 			log.Fatal(err)
 		}
+		plain := ans.Estimate
 		t0 := time.Now()
 		approx, err := prep.Query(ctx, stmt)
 		if err != nil {

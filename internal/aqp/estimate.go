@@ -1,13 +1,16 @@
-// Package aqp implements sampling-based approximate query processing
-// (Equation 3 of the paper): point estimates and confidence intervals for
-// SUM, COUNT and AVG over uniform, measure-biased and stratified samples,
-// plus the gather-free replicate kernels of the SUM/COUNT bootstrap.
+// Package aqp implements the sampling primitives of approximate query
+// processing (Equation 3 of the paper): point estimates and confidence
+// intervals for totals and ratios over uniform, measure-biased and
+// stratified samples, plus the gather-free replicate kernels of the
+// SUM/COUNT bootstrap.
 //
 // The central primitive is SumOfValues: an unbiased estimate of a
 // population total Σ_D v from per-sample-row contributions v_i. Both plain
 // AQP (v_i = a_i·cond(i)) and AQP++ (v_i = a_i·(cond_q(i) − cond_pre(i)))
 // are built on it, which is exactly how the paper frames the connection
-// (Equation 4 treats Equation 3 as a black box).
+// (Equation 4 treats Equation 3 as a black box). Ratio turns a SUM and a
+// COUNT total into AVG. core.Processor answers queries; its cube-less
+// case is plain AQP, which EstimateQuery spells out with the primitives.
 package aqp
 
 import (
@@ -264,7 +267,8 @@ func stratifiedSum(s *sample.Sample, vals []float64, confidence, lambda float64)
 
 // ConditionVector returns per-sample-row contributions a_i·1[cond(i)] for
 // the query's aggregate column and range conditions. COUNT queries use
-// a_i = 1. Group-by clauses are rejected here; use EstimateGroups.
+// a_i = 1. Group-by clauses are rejected here; core.Processor's
+// AnswerGroups pins each group with equality ranges instead.
 func ConditionVector(s *sample.Sample, q engine.Query) ([]float64, error) {
 	if len(q.GroupBy) > 0 {
 		return nil, fmt.Errorf("aqp: ConditionVector does not handle GROUP BY")
@@ -298,165 +302,58 @@ func ConditionVector(s *sample.Sample, q engine.Query) ([]float64, error) {
 	return vals, nil
 }
 
-// EstimateSum answers a SUM or COUNT query with a CLT confidence interval
-// (plain AQP, Equation 3).
-func EstimateSum(s *sample.Sample, q engine.Query, confidence float64) (Estimate, error) {
-	if q.Func != engine.Sum && q.Func != engine.Count {
-		return Estimate{}, fmt.Errorf("aqp: EstimateSum supports SUM/COUNT, got %v", q.Func)
+// Ratio estimates AVG as the ratio of a SUM total and a COUNT total,
+// given the per-sample-row vectors each was estimated from, with a
+// delta-method (linearization) interval: the variance of R̂ = sum/count
+// is approximated by the variance of the residual total
+// Σ w·(sumVals − R̂·cntVals) divided by count². The residual is built in
+// place of sumVals. A zero count yields a zero estimate.
+func Ratio(s *sample.Sample, sum, count float64, sumVals, cntVals []float64, confidence float64) Estimate {
+	if count == 0 {
+		return Estimate{Confidence: confidence, SampleRows: s.Size()}
 	}
-	vals, err := ConditionVector(s, q)
-	if err != nil {
-		return Estimate{}, err
+	r := sum / count
+	for i := range sumVals {
+		sumVals[i] -= r * cntVals[i]
 	}
-	return SumOfValues(s, vals, confidence), nil
-}
-
-// EstimateAvg answers an AVG query as the ratio of a SUM and a COUNT
-// estimate, with a delta-method (linearization) confidence interval: the
-// variance of R̂ = Â/t̂ is approximated by the variance of the residual
-// total Σ w·(a − R̂)·cond divided by t̂².
-func EstimateAvg(s *sample.Sample, q engine.Query, confidence float64) (Estimate, error) {
-	if q.Func != engine.Avg {
-		return Estimate{}, fmt.Errorf("aqp: EstimateAvg needs AVG, got %v", q.Func)
-	}
-	sumQ := q
-	sumQ.Func = engine.Sum
-	cntQ := q
-	cntQ.Func = engine.Count
-	sumVals, err := ConditionVector(s, sumQ)
-	if err != nil {
-		return Estimate{}, err
-	}
-	cntVals, err := ConditionVector(s, cntQ)
-	if err != nil {
-		return Estimate{}, err
-	}
-	var ests [2]Estimate
-	SumsOfValues(s, [][]float64{sumVals, cntVals}, confidence, ests[:])
-	sumEst, cntEst := ests[0], ests[1]
-	if cntEst.Value == 0 {
-		return Estimate{Confidence: confidence, SampleRows: s.Size()}, nil
-	}
-	r := sumEst.Value / cntEst.Value
-	resid := make([]float64, len(sumVals))
-	for i := range resid {
-		resid[i] = sumVals[i] - r*cntVals[i]
-	}
-	residEst := SumOfValues(s, resid, confidence)
+	re := SumOfValues(s, sumVals, confidence)
 	return Estimate{
 		Value:      r,
-		HalfWidth:  residEst.HalfWidth / math.Abs(cntEst.Value),
+		HalfWidth:  re.HalfWidth / math.Abs(count),
 		Confidence: confidence,
 		SampleRows: s.Size(),
-	}, nil
+	}
 }
 
-// EstimateQuery answers SUM, COUNT or AVG queries; other aggregates need
-// exact processing.
+// EstimateQuery answers a SUM, COUNT or AVG query by plain AQP
+// (Equation 3). It is core.Processor with no cube (pre = φ) written with
+// this package's primitives alone, and answers bit for bit what that
+// processor does: SUM and COUNT estimate the condition vector's total,
+// and AVG is the Ratio of the two. Other aggregates need exact
+// processing.
 func EstimateQuery(s *sample.Sample, q engine.Query, confidence float64) (Estimate, error) {
-	switch q.Func {
-	case engine.Sum, engine.Count:
-		return EstimateSum(s, q, confidence)
-	case engine.Avg:
-		return EstimateAvg(s, q, confidence)
-	default:
-		return Estimate{}, fmt.Errorf("aqp: no closed-form estimator for %v", q.Func)
-	}
-}
-
-// GroupEstimate is one group's estimate.
-type GroupEstimate struct {
-	Key string
-	Est Estimate
-}
-
-// EstimateGroups answers a group-by SUM/COUNT/AVG query, producing one
-// estimate per group observed in the sample. With a stratified sample
-// whose strata align with the group-by columns, each group's estimate uses
-// exactly its stratum (the paper's §7.4 setting).
-func EstimateGroups(s *sample.Sample, q engine.Query, confidence float64) ([]GroupEstimate, error) {
-	if len(q.GroupBy) == 0 {
-		return nil, fmt.Errorf("aqp: EstimateGroups needs GROUP BY")
-	}
-	cols := make([]*engine.Column, len(q.GroupBy))
-	for i, g := range q.GroupBy {
-		c, err := s.Table.Column(g)
-		if err != nil {
-			return nil, err
-		}
-		cols[i] = c
-	}
-	scalar := q
-	scalar.GroupBy = nil
-	keys := make([]string, s.Size())
-	seen := make(map[string]bool)
-	var order []string
-	for i := 0; i < s.Size(); i++ {
-		keys[i] = engine.GroupKey(cols, i)
-		if !seen[keys[i]] {
-			seen[keys[i]] = true
-			order = append(order, keys[i])
-		}
-	}
-	out := make([]GroupEstimate, 0, len(order))
-	for _, key := range order {
-		gq := scalar
-		est, err := estimateForGroup(s, gq, keys, key, confidence)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, GroupEstimate{Key: key, Est: est})
-	}
-	return out, nil
-}
-
-func estimateForGroup(s *sample.Sample, q engine.Query, keys []string, key string, confidence float64) (Estimate, error) {
 	switch q.Func {
 	case engine.Sum, engine.Count:
 		vals, err := ConditionVector(s, q)
 		if err != nil {
 			return Estimate{}, err
 		}
-		for i := range vals {
-			if keys[i] != key {
-				vals[i] = 0
-			}
-		}
 		return SumOfValues(s, vals, confidence), nil
 	case engine.Avg:
 		sumQ, cntQ := q, q
-		sumQ.Func = engine.Sum
-		cntQ.Func = engine.Count
-		sv, err := ConditionVector(s, sumQ)
+		sumQ.Func, cntQ.Func = engine.Sum, engine.Count
+		sumVals, err := ConditionVector(s, sumQ)
 		if err != nil {
 			return Estimate{}, err
 		}
-		cv, err := ConditionVector(s, cntQ)
+		cntVals, err := ConditionVector(s, cntQ)
 		if err != nil {
 			return Estimate{}, err
-		}
-		for i := range sv {
-			if keys[i] != key {
-				sv[i], cv[i] = 0, 0
-			}
 		}
 		var ests [2]Estimate
-		SumsOfValues(s, [][]float64{sv, cv}, confidence, ests[:])
-		se, ce := ests[0], ests[1]
-		if ce.Value == 0 {
-			return Estimate{Confidence: confidence}, nil
-		}
-		r := se.Value / ce.Value
-		resid := make([]float64, len(sv))
-		for i := range resid {
-			resid[i] = sv[i] - r*cv[i]
-		}
-		re := SumOfValues(s, resid, confidence)
-		return Estimate{
-			Value: r, HalfWidth: re.HalfWidth / math.Abs(ce.Value),
-			Confidence: confidence, SampleRows: s.Size(),
-		}, nil
+		SumsOfValues(s, [][]float64{sumVals, cntVals}, confidence, ests[:])
+		return Ratio(s, ests[0].Value, ests[1].Value, sumVals, cntVals, confidence), nil
 	default:
-		return Estimate{}, fmt.Errorf("aqp: unsupported group aggregate %v", q.Func)
+		return Estimate{}, fmt.Errorf("aqp: no closed-form estimator for %v", q.Func)
 	}
 }

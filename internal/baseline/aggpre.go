@@ -1,45 +1,15 @@
 package baseline
 
 import (
-	"fmt"
-
 	"aqppp/internal/cube"
 	"aqppp/internal/engine"
 )
 
-// AggPre is the pure aggregate-precomputation baseline: the complete
-// P-Cube, answering exactly and instantly but at preprocessing cost
-// proportional to ∏|dom(C_i)| (Table 1's ">10 TB / >1 day" row at paper
-// scale).
-type AggPre struct {
-	Cube *cube.BPCube
-}
-
-// NewAggPre builds the full P-Cube for the template.
-func NewAggPre(tbl *engine.Table, tmpl cube.Template) (*AggPre, error) {
-	c, err := cube.BuildFull(tbl, tmpl)
-	if err != nil {
-		return nil, err
-	}
-	return &AggPre{Cube: c}, nil
-}
-
-// Answer returns the exact answer from the cube. Queries the cube cannot
-// express (wrong aggregate, unknown dimension) are errors.
-func (a *AggPre) Answer(q engine.Query) (float64, error) {
-	v, ok := a.Cube.AnswerExact(q)
-	if !ok {
-		return 0, fmt.Errorf("baseline: P-Cube cannot answer %v", q)
-	}
-	return v, nil
-}
-
-// SizeBytes reports the cube's storage footprint.
-func (a *AggPre) SizeBytes() int64 { return a.Cube.SizeBytes() }
-
 // FullCubeCells returns the number of cells a complete P-Cube holds for
-// the template without building it: ∏ distinct(C_i). The paper uses this
-// to report AggPre's (prohibitive) cost at scale.
+// the template without building it: ∏ distinct(C_i). AggPre is that cube,
+// answering every range exactly at preprocessing cost proportional to
+// its size; the paper reports its (prohibitive) cost at scale this way
+// (Table 1's ">10 TB / >1 day" row).
 func FullCubeCells(tbl *engine.Table, tmpl cube.Template) (int64, error) {
 	total := int64(1)
 	for _, d := range tmpl.Dims {

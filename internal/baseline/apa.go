@@ -1,7 +1,9 @@
 // Package baseline implements the comparison systems of the paper's
-// evaluation: plain AQP, exact AggPre over the full P-Cube, and APA+
-// [Jin et al., ICDE 2006], which combines a sample with a small set of
-// exact 1-dimensional statistics ("facts") by reweighting the sample.
+// evaluation that AQP++ does not subsume: APA+ [Jin et al., ICDE 2006],
+// which combines a sample with a small set of exact 1-dimensional
+// statistics ("facts") by reweighting the sample, and the size of exact
+// AggPre's full P-Cube. Plain AQP and AggPre themselves are AQP++ at its
+// two ends (pre = φ, pre = q): core.Processor answers both.
 package baseline
 
 import (

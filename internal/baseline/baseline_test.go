@@ -28,43 +28,6 @@ func testTable(n int, seed uint64) *engine.Table {
 	)
 }
 
-func TestAggPreExact(t *testing.T) {
-	tbl := testTable(5000, 1)
-	ap, err := NewAggPre(tbl, cube.Template{Agg: "a", Dims: []string{"c1", "c2"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := stats.NewRNG(3)
-	for trial := 0; trial < 30; trial++ {
-		lo1 := float64(r.Intn(40) + 1)
-		hi1 := lo1 + float64(r.Intn(10))
-		lo2 := float64(r.Intn(15) + 1)
-		hi2 := lo2 + float64(r.Intn(5))
-		q := engine.Query{Func: engine.Sum, Col: "a", Ranges: []engine.Range{
-			{Col: "c1", Lo: lo1, Hi: hi1}, {Col: "c2", Lo: lo2, Hi: hi2},
-		}}
-		truth, _ := tbl.Execute(context.Background(), q)
-		got, err := ap.Answer(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(got-truth.Value) > 1e-6 {
-			t.Fatalf("AggPre = %v, want %v", got, truth.Value)
-		}
-	}
-	if ap.SizeBytes() <= 0 {
-		t.Error("SizeBytes = 0")
-	}
-}
-
-func TestAggPreRejectsWrongAggregate(t *testing.T) {
-	tbl := testTable(500, 2)
-	ap, _ := NewAggPre(tbl, cube.Template{Agg: "a", Dims: []string{"c1"}})
-	if _, err := ap.Answer(engine.Query{Func: engine.Avg, Col: "a"}); err == nil {
-		t.Error("AVG accepted")
-	}
-}
-
 func TestFullCubeCells(t *testing.T) {
 	tbl := testTable(5000, 3)
 	cells, err := FullCubeCells(tbl, cube.Template{Agg: "a", Dims: []string{"c1", "c2"}})

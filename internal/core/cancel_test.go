@@ -24,8 +24,9 @@ func TestCancelBuild(t *testing.T) {
 	}
 }
 
-// TestCancelAnswerPaths: the per-group, per-resample and per-round
-// loops all honor a pre-canceled context.
+// TestCancelAnswerPaths: the per-group and per-resample loops and the
+// manager build all honor a pre-canceled context. The progressive
+// per-round check lives in Prepared.QueryProgressive (root cancel_test).
 func TestCancelAnswerPaths(t *testing.T) {
 	tbl := testTable(4000, 52)
 	p, _, err := Build(context.Background(), tbl, BuildConfig{
@@ -47,14 +48,6 @@ func TestCancelAnswerPaths(t *testing.T) {
 	q := engine.Query{Func: engine.Sum, Col: "a"}
 	if _, err := p.AnswerBootstrap(ctx, q, 50, 1, nil); !errors.Is(err, context.Canceled) {
 		t.Errorf("AnswerBootstrap err = %v, want context.Canceled", err)
-	}
-
-	pg, err := NewProgressive(tbl, p.Cube, 0.95, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pg.Trace(ctx, q, []int{100, 100}); !errors.Is(err, context.Canceled) {
-		t.Errorf("Trace err = %v, want context.Canceled", err)
 	}
 
 	if _, err := BuildManager(ctx, tbl, ManagerConfig{

@@ -13,7 +13,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 
 	"aqppp/internal/aqp"
 	"aqppp/internal/cube"
@@ -200,27 +199,14 @@ func (p *Processor) answerAvg(q engine.Query) (Answer, error) {
 	if err != nil {
 		return Answer{}, err
 	}
+	// The residual is built from the two pipelines' diff vectors:
+	// (a_i − R̂)·(cond_q − cond_pre) terms.
+	est := aqp.Ratio(p.Sample, sumAns.Estimate.Value, cntAns.Estimate.Value, sumVals, cntVals, conf)
 	if cntAns.Estimate.Value == 0 {
-		return Answer{
-			Estimate: aqp.Estimate{Confidence: conf, SampleRows: p.Sample.Size()},
-			Pre:      sumAns.Pre,
-		}, nil
+		return Answer{Estimate: est, Pre: sumAns.Pre}, nil
 	}
-	r := sumAns.Estimate.Value / cntAns.Estimate.Value
-	// Residual diff vector: (a_i − R̂)·(cond_q − cond_pre) terms from the
-	// two pipelines' vectors, built in place of the SUM one.
-	resid := sumVals
-	for i := range resid {
-		resid[i] -= r * cntVals[i]
-	}
-	re := aqp.SumOfValues(p.Sample, resid, conf)
 	return Answer{
-		Estimate: aqp.Estimate{
-			Value:      r,
-			HalfWidth:  re.HalfWidth / math.Abs(cntAns.Estimate.Value),
-			Confidence: conf,
-			SampleRows: p.Sample.Size(),
-		},
+		Estimate:   est,
 		Pre:        sumAns.Pre,
 		PreValue:   sumAns.PreValue,
 		Candidates: sumAns.Candidates + cntAns.Candidates,

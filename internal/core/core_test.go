@@ -84,7 +84,7 @@ func TestAQPPlusPlusBeatsAQP(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		plain, err := aqp.EstimateSum(p.Sample, q, 0.95)
+		plain, err := aqp.EstimateQuery(p.Sample, q, 0.95)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,7 +146,7 @@ func TestSubsumesAQP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, _ := aqp.EstimateSum(s, q, 0.95)
+	plain, _ := aqp.EstimateQuery(s, q, 0.95)
 	if ans.Estimate != plain {
 		t.Errorf("no-cube answer %+v != AQP %+v", ans.Estimate, plain)
 	}
@@ -370,5 +370,65 @@ func TestPrebuiltSampleReused(t *testing.T) {
 	}
 	if p.Sample != s {
 		t.Error("prebuilt sample not reused")
+	}
+}
+
+func TestStratifiedBeatsUniformOnSmallGroups(t *testing.T) {
+	// The reason stratified sampling exists: group estimates for rare
+	// strata are far better than a uniform sample's.
+	r := stats.NewRNG(50)
+	n := 30000
+	keys := make([]int64, n)
+	vals := make([]float64, n)
+	grp := make([]string, n)
+	for i := 0; i < n; i++ {
+		keys[i] = int64(r.Intn(1000) + 1)
+		vals[i] = 100 + 10*r.NormFloat64()
+		if i%200 == 0 {
+			grp[i] = "rare"
+		} else {
+			grp[i] = "common"
+		}
+	}
+	tbl := engine.MustNewTable("t",
+		engine.NewIntColumn("k", keys),
+		engine.NewFloatColumn("v", vals),
+		engine.NewStringColumn("g", grp),
+	)
+	q := engine.Query{Func: engine.Sum, Col: "v", GroupBy: []string{"g"},
+		Ranges: []engine.Range{{Col: "k", Lo: 1, Hi: 1000}}}
+	truthRes, _ := tbl.Execute(context.Background(), q)
+	truth := map[string]float64{}
+	for _, g := range truthRes.Groups {
+		truth[g.Key] = g.Value
+	}
+	var uniErr, strErr stats.Moments
+	for i := 0; i < 10; i++ {
+		su, err := sample.NewUniform(tbl, 0.01, uint64(6000+i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ss, err := sample.NewStratified(tbl, []string{"g"}, 0.01, 100, uint64(7000+i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pair := range []struct {
+			s   *sample.Sample
+			acc *stats.Moments
+		}{{su, &uniErr}, {ss, &strErr}} {
+			groups, err := (&Processor{Sample: pair.s}).AnswerGroups(context.Background(), q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, ga := range groups {
+				if ga.Key == "rare" {
+					pair.acc.Add(math.Abs(ga.Answer.Estimate.Value-truth["rare"]) / truth["rare"])
+				}
+			}
+		}
+	}
+	if strErr.Mean() >= uniErr.Mean() {
+		t.Errorf("stratified rare-group error %v not better than uniform %v",
+			strErr.Mean(), uniErr.Mean())
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -234,25 +233,4 @@ func (p *Progressive) add(src *engine.Column) error {
 	}
 	p.src = append(p.src, src)
 	return nil
-}
-
-// Trace answers the query at each step of the given schedule and returns
-// the successive estimates — the classic online-aggregation progress
-// curve. ctx is checked once per round, so a canceled caller unwinds
-// between rounds with ctx's error and the rounds completed so far are
-// discarded.
-func (p *Progressive) Trace(ctx context.Context, q engine.Query, steps []int) ([]Answer, error) {
-	var out []Answer
-	for _, add := range steps {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		p.Step(add)
-		ans, err := p.Answer(q)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, ans)
-	}
-	return out, nil
 }

@@ -33,12 +33,14 @@ func TestProgressiveShrinkingIntervals(t *testing.T) {
 	q := engine.Query{Func: engine.Sum, Col: "a",
 		Ranges: []engine.Range{{Col: "c1", Lo: 17, Hi: 73}}}
 	truth, _ := tbl.Execute(context.Background(), q)
-	answers, err := pg.Trace(context.Background(), q, []int{200, 400, 800, 1600})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(answers) != 4 {
-		t.Fatalf("trace = %d answers", len(answers))
+	var answers []Answer
+	for _, add := range []int{200, 400, 800, 1600} {
+		pg.Step(add)
+		ans, err := pg.Answer(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		answers = append(answers, ans)
 	}
 	// Intervals shrink roughly as 1/√n: require strict overall decrease.
 	first := answers[0].Estimate.HalfWidth

@@ -35,7 +35,7 @@ func TestAnswerNeverWorseThanAQP(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		plain, err := aqp.EstimateSum(p.Sample, q, 0.95)
+		plain, err := aqp.EstimateQuery(p.Sample, q, 0.95)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
-// Package cube implements aggregate precomputation: the prefix cube
-// (P-Cube) and blocked prefix cube (BP-Cube) of Ho et al. [34] that the
-// paper builds its AggPre side on.
+// Package cube implements aggregate precomputation: the blocked prefix
+// cube (BP-Cube) of Ho et al. [34] that the paper builds its AggPre side
+// on. The complete P-Cube is the BP-Cube whose partition points are every
+// distinct value; only its cell count is ever needed (Table 1).
 //
 // A BP-Cube over a template [SUM(A), C1..Cd] stores, for every grid point
 // (t_1,...,t_d) drawn from per-dimension partition-point lists, the exact
@@ -12,8 +13,6 @@ package cube
 import (
 	"fmt"
 	"sort"
-
-	"aqppp/internal/stats"
 
 	"aqppp/internal/engine"
 )
@@ -53,10 +52,6 @@ type BPCube struct {
 	Cells []float64
 	// SourceRows is the number of rows the cube was built over.
 	SourceRows int
-	// Full records that the cube is a complete P-Cube (every distinct
-	// ordinal is a partition point), which lets AnswerExact resolve
-	// arbitrary endpoints: no data value can hide between points.
-	Full bool
 	// strides caches the row-major strides for cell addressing.
 	strides []int
 }
@@ -263,17 +258,6 @@ func (c *BPCube) RangeSum(lo, hi []int) float64 {
 		total += sign * c.PrefixSum(corner)
 	}
 	return total
-}
-
-// PointIndex returns the index of the partition point exactly equal to
-// ord on the given dimension, or (-1, false).
-func (c *BPCube) PointIndex(dim int, ord float64) (int, bool) {
-	p := c.Points[dim]
-	j := sort.SearchFloat64s(p, ord)
-	if j < len(p) && stats.ExactEqual(p[j], ord) {
-		return j, true
-	}
-	return -1, false
 }
 
 // BracketLeft returns the candidate partition-point indices for a query's

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strings"
 
-	"aqppp/internal/aqp"
 	"aqppp/internal/core"
 	"aqppp/internal/cube"
 	"aqppp/internal/sample"
@@ -78,6 +77,8 @@ func RunFigure10b(ctx context.Context, sc Scale) (*Figure10bReport, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Plain AQP is the same processor with no cube (pre = φ).
+	plain := &core.Processor{Sample: s, Confidence: 0.95}
 	perGroupAQP := map[string][]float64{}
 	perGroupPP := map[string][]float64{}
 	for _, q := range queries {
@@ -89,22 +90,18 @@ func RunFigure10b(ctx context.Context, sc Scale) (*Figure10bReport, error) {
 		for _, g := range truthRes.Groups {
 			truth[g.Key] = g.Value
 		}
-		aqpGroups, err := aqp.EstimateGroups(s, q, 0.95)
-		if err != nil {
-			return nil, err
-		}
-		for _, ge := range aqpGroups {
-			if tv, ok := truth[ge.Key]; ok {
-				perGroupAQP[ge.Key] = append(perGroupAQP[ge.Key], clampErr(ge.Est.RelativeError(tv)))
+		for _, sys := range []struct {
+			p   *core.Processor
+			out map[string][]float64
+		}{{plain, perGroupAQP}, {proc, perGroupPP}} {
+			groups, err := sys.p.AnswerGroups(ctx, q)
+			if err != nil {
+				return nil, err
 			}
-		}
-		ppGroups, err := proc.AnswerGroups(ctx, q)
-		if err != nil {
-			return nil, err
-		}
-		for _, ga := range ppGroups {
-			if tv, ok := truth[ga.Key]; ok {
-				perGroupPP[ga.Key] = append(perGroupPP[ga.Key], clampErr(ga.Answer.Estimate.RelativeError(tv)))
+			for _, ga := range groups {
+				if tv, ok := truth[ga.Key]; ok {
+					sys.out[ga.Key] = append(sys.out[ga.Key], clampErr(ga.Answer.Estimate.RelativeError(tv)))
+				}
 			}
 		}
 	}

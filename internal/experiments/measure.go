@@ -16,9 +16,9 @@ import (
 // system answers one query approximately; measure times and scores it.
 type system func(engine.Query) (aqp.Estimate, error)
 
-// aqpOn is plain AQP (pre = φ) on sample s.
+// aqpOn is plain AQP on sample s: a processor with no cube (pre = φ).
 func aqpOn(s *sample.Sample) system {
-	return func(q engine.Query) (aqp.Estimate, error) { return aqp.EstimateQuery(s, q, 0.95) }
+	return aqpppOn(&core.Processor{Sample: s, Confidence: 0.95})
 }
 
 // aqpppOn is AQP++ through processor p.

@@ -13,7 +13,7 @@ import (
 	"time"
 
 	"aqppp"
-	"aqppp/internal/aqp"
+	"aqppp/internal/core"
 	"aqppp/internal/engine"
 	"aqppp/internal/sql"
 )
@@ -232,13 +232,15 @@ func (s *Session) runAQP(w io.Writer, stmt string) error {
 	if err != nil {
 		return err
 	}
+	// Plain AQP is the processor with no cube (pre = φ).
+	plain := &core.Processor{Sample: s.Prepared.Sample(), Confidence: 0.95}
 	t0 := time.Now()
-	est, err := aqp.EstimateQuery(s.Prepared.Sample(), q, 0.95)
+	ans, err := plain.Answer(q)
 	el := time.Since(t0)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "  %14.2f ± %.2f (95%% CI, plain AQP)  [%v]\n", est.Value, est.HalfWidth, el.Round(time.Microsecond))
+	fmt.Fprintf(w, "  %14.2f ± %.2f (95%% CI, plain AQP)  [%v]\n", ans.Estimate.Value, ans.Estimate.HalfWidth, el.Round(time.Microsecond))
 	return nil
 }
 

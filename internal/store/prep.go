@@ -20,9 +20,7 @@ type Prep struct {
 	Sample     *sample.Sample
 	Sub        *sample.Sample
 	Cube       *cube.BPCube
-	CubeFull   bool
 	CountCube  *cube.BPCube
-	CountFull  bool
 	MinMax     []*cube.MinMaxIndex
 	Confidence float64
 }
@@ -43,10 +41,10 @@ func encodePreps(b *bytes.Buffer, preps []Prep) error {
 		if err := encodeSample(b, p.Sub); err != nil {
 			return fmt.Errorf("store: prep %q subsample: %w", p.Name, err)
 		}
-		if err := encodeCube(b, p.Cube, p.CubeFull); err != nil {
+		if err := encodeCube(b, p.Cube); err != nil {
 			return fmt.Errorf("store: prep %q cube: %w", p.Name, err)
 		}
-		if err := encodeCube(b, p.CountCube, p.CountFull); err != nil {
+		if err := encodeCube(b, p.CountCube); err != nil {
 			return fmt.Errorf("store: prep %q count cube: %w", p.Name, err)
 		}
 		puv(b, uint64(len(p.MinMax)))
@@ -85,10 +83,10 @@ func decodePreps(data []byte) ([]Prep, error) {
 		if p.Sub, err = decodeSample(r); err != nil {
 			return nil, fmt.Errorf("store: prep %q subsample: %w", p.Name, err)
 		}
-		if p.Cube, p.CubeFull, err = decodeCube(r); err != nil {
+		if p.Cube, err = decodeCube(r); err != nil {
 			return nil, fmt.Errorf("store: prep %q cube: %w", p.Name, err)
 		}
-		if p.CountCube, p.CountFull, err = decodeCube(r); err != nil {
+		if p.CountCube, err = decodeCube(r); err != nil {
 			return nil, fmt.Errorf("store: prep %q count cube: %w", p.Name, err)
 		}
 		nm, err := r.count(1) // a length prefix each
@@ -224,20 +222,17 @@ func decodeSample(r *byteReader) (*sample.Sample, error) {
 	return s, nil
 }
 
-// encodeCube writes a nil-able cube plus its Full flag (the cube stream
-// itself does not carry it).
-func encodeCube(b *bytes.Buffer, c *cube.BPCube, full bool) error {
+// encodeCube writes a nil-able cube. Its blob starts with a reserved
+// byte, written 0: it once flagged a complete P-Cube, which nothing
+// builds any more, and readers ignore it.
+func encodeCube(b *bytes.Buffer, c *cube.BPCube) error {
 	if c == nil {
 		b.WriteByte(0)
 		return nil
 	}
 	b.WriteByte(1)
 	var blob bytes.Buffer
-	if full {
-		blob.WriteByte(1)
-	} else {
-		blob.WriteByte(0)
-	}
+	blob.WriteByte(0)
 	if err := c.WriteBinary(&blob); err != nil {
 		return err
 	}
@@ -246,28 +241,22 @@ func encodeCube(b *bytes.Buffer, c *cube.BPCube, full bool) error {
 	return nil
 }
 
-func decodeCube(r *byteReader) (*cube.BPCube, bool, error) {
+func decodeCube(r *byteReader) (*cube.BPCube, error) {
 	present, err := r.byteVal()
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	if present == 0 {
-		return nil, false, nil
+		return nil, nil
 	}
 	blob, err := lengthPrefixed(r)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	if len(blob) < 1 {
-		return nil, false, corruptf("empty cube blob")
+		return nil, corruptf("empty cube blob")
 	}
-	full := blob[0] != 0
-	c, err := cube.ReadBinary(bytes.NewReader(blob[1:]))
-	if err != nil {
-		return nil, false, err
-	}
-	c.Full = full
-	return c, full, nil
+	return cube.ReadBinary(bytes.NewReader(blob[1:])) // blob[0] is reserved
 }
 
 func lengthPrefixed(r *byteReader) ([]byte, error) {

@@ -60,12 +60,6 @@ func (db *DB) SaveStore(path, table string, preps ...NamedPrep) error {
 			MinMax:     p.proc.MinMax,
 			Confidence: p.proc.Confidence,
 		}
-		if p.proc.Cube != nil {
-			sps[i].CubeFull = p.proc.Cube.Full
-		}
-		if p.proc.CountCube != nil {
-			sps[i].CountFull = p.proc.CountCube.Full
-		}
 	}
 	return store.Write(path, tbl, sps)
 }
