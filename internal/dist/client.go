@@ -127,6 +127,9 @@ func (c *Coordinator) postPartial(ctx context.Context, r *replica, preq *Partial
 		attempts++
 		resp, retryable, err := c.attemptHedged(ctx, r, op, body)
 		if err == nil {
+			if err := shapeError(r, preq, resp); err != nil {
+				return nil, &exec.Error{Kind: exec.Internal, Op: op, Err: err}
+			}
 			r.healthy.Store(true)
 			return resp, nil
 		}
@@ -148,6 +151,27 @@ func (c *Coordinator) postPartial(ctx context.Context, r *replica, preq *Partial
 		return nil, lastErr
 	}
 	return nil, lastErr
+}
+
+// shapeError reports why a replica's well-formed response does not
+// answer preq: it names another mode or shard than was asked, or an
+// exact response's payload does not fit the query (a scalar query with
+// no Scalar, a GROUP BY query with one). Such a partial is refused, not
+// merged: a missing Scalar would decode as a zero partial and the
+// stratum's rows would silently count as 0.
+func shapeError(r *replica, preq *PartialRequest, pr *PartialResponse) error {
+	grouped := len(preq.Query.GroupBy) > 0
+	switch {
+	case pr.Mode != preq.Mode:
+		return fmt.Errorf("replica %s answered mode %q for a %q partial", r.url, pr.Mode, preq.Mode)
+	case pr.Shard != r.ident.Index:
+		return fmt.Errorf("replica %s answered as shard %d, not %d", r.url, pr.Shard, r.ident.Index)
+	case preq.Mode == ModeExact && !grouped && pr.Scalar == nil:
+		return fmt.Errorf("replica %s returned no scalar for a scalar exact partial", r.url)
+	case preq.Mode == ModeExact && grouped && pr.Scalar != nil:
+		return fmt.Errorf("replica %s returned a scalar for a GROUP BY exact partial", r.url)
+	}
+	return nil
 }
 
 // attemptHedged runs one attempt, racing a duplicate launched after

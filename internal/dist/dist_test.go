@@ -544,6 +544,51 @@ func TestDistRetryAfterPropagation(t *testing.T) {
 	}
 }
 
+// TestDistRefusesMisshapenPartials: a replica whose 200 response does
+// not answer the request it was sent (another mode or shard, a scalar
+// exact partial with no scalar, a GROUP BY exact partial carrying one)
+// fails the query with kind Internal; no merged number comes back.
+func TestDistRefusesMisshapenPartials(t *testing.T) {
+	tbl := fleetTable(400, 7)
+	scalar := &dist.WirePartial{N: 5, SumBits: math.Float64bits(250)}
+	scalarQ := engine.Query{Func: engine.Count}
+	groupQ := engine.Query{Func: engine.Sum, Col: "v", GroupBy: []string{"tier"}}
+	for _, tc := range []struct {
+		name string
+		q    engine.Query
+		lie  func(*dist.PartialResponse)
+	}{
+		{"wrong mode", scalarQ, func(pr *dist.PartialResponse) { pr.Mode, pr.Scalar = dist.ModeApprox, scalar }},
+		{"wrong shard", scalarQ, func(pr *dist.PartialResponse) { pr.Shard, pr.Scalar = 1, scalar }},
+		{"scalar without scalar", scalarQ, func(*dist.PartialResponse) {}},
+		{"group by with scalar", groupQ, func(pr *dist.PartialResponse) {
+			pr.Scalar = scalar
+			pr.Groups = []dist.WireGroupPartial{{Key: "gold", Partial: *scalar}}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ts := fakeReplica(t, tbl, func(w http.ResponseWriter, r *http.Request) {
+				var preq dist.PartialRequest
+				if err := json.NewDecoder(r.Body).Decode(&preq); err != nil {
+					t.Error(err)
+				}
+				pr := dist.PartialResponse{V: dist.WireVersion, Shard: 0, Mode: preq.Mode}
+				tc.lie(&pr)
+				w.Header().Set("Content-Type", "application/json")
+				_ = json.NewEncoder(w).Encode(pr)
+			})
+			coord := dialOne(t, ts.URL, dist.Config{Retries: 2, Backoff: time.Millisecond})
+			res, err := coord.Target("").Exact(context.Background(), tc.q)
+			if err == nil || aqppp.ErrorKindOf(err) != aqppp.ErrInternal {
+				t.Fatalf("err = %v (kind %v), want kind %v", err, aqppp.ErrorKindOf(err), aqppp.ErrInternal)
+			}
+			if res.Value != 0 || len(res.Groups) != 0 {
+				t.Errorf("refused partial still returned %+v", res)
+			}
+		})
+	}
+}
+
 // TestDistRequestIDPropagates follows one id across processes: the id
 // the coordinator's server minted for the client's request arrives as
 // X-Request-Id on every partial it causes — first attempt, hedge and
