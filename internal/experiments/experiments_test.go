@@ -159,7 +159,8 @@ func gain(p sweepPoint) float64 {
 
 // TestShapesSmall asserts the paper's headline shapes as inequalities at
 // Small scale over three seeds, so a change to an estimator or interval
-// cannot silently cost the reproduction a figure. APA+ ≤ AQP and
+// cannot silently cost the reproduction a figure: Table 1 and Figures 7,
+// 8, 9, 10(a), 10(b), 11(a) and 11(b). APA+ ≤ AQP and
 // AQP(large) against AQP++ are not asserted: seed 43 breaks both at this
 // scale.
 func TestShapesSmall(t *testing.T) {
@@ -195,6 +196,38 @@ func TestShapesSmall(t *testing.T) {
 				t.Errorf("Q3 gains %.2fx", q3)
 			}
 		}},
+		// Figure 7: AQP++ is never worse than AQP, and the gain decays
+		// with dimensions: AQP++ at d = 1 beats AQP++ at the largest d.
+		{"figure7", func(t *testing.T, o Options) {
+			rep, err := runSweep(ctx, sweeps["figure7"], o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range rep.points {
+				if p.aqppp.mdnErr() > p.aqp.mdnErr() {
+					t.Errorf("d=%d: AQP++ %.2f%% above AQP's %.2f%%", p.x, 100*p.aqppp.mdnErr(), 100*p.aqp.mdnErr())
+				}
+			}
+			first, last := rep.points[0], rep.points[len(rep.points)-1]
+			if first.aqppp.mdnErr() >= last.aqppp.mdnErr() {
+				t.Errorf("AQP++ at d=1 %.2f%% not below d=%d's %.2f%%",
+					100*first.aqppp.mdnErr(), last.x, 100*last.aqppp.mdnErr())
+			}
+		}},
+		// Figure 8: on both dimensions the global climb ends below the
+		// equal partition it starts from, and no worse than the local one.
+		{"figure8", func(t *testing.T, o Options) {
+			rep, err := RunFigure8(ctx, o.Scale)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, d := range rep.Dims {
+				g, l := d.GlobalTrace, d.LocalTrace
+				if final := g[len(g)-1]; final >= g[0] || final > l[len(l)-1] {
+					t.Errorf("%s: global ends at %.4g from %.4g; local ends at %.4g", d.Dim, final, g[0], l[len(l)-1])
+				}
+			}
+		}},
 		// Figure 10(a): the largest cube beats the smallest, and AQP.
 		{"figure10a", func(t *testing.T, o Options) {
 			rep, err := runSweep(ctx, sweeps["figure10a"], o)
@@ -208,6 +241,52 @@ func TestShapesSmall(t *testing.T) {
 			}
 			if last.aqppp.mdnErr() >= last.aqp.mdnErr() {
 				t.Errorf("AQP++ at k=%d %.2f%% not below AQP's %.2f%%", last.x, 100*last.aqppp.mdnErr(), 100*last.aqp.mdnErr())
+			}
+		}},
+		// Figure 10(b): AQP++ is no worse than AQP on any group and
+		// strictly better on one; a fully sampled group is exact for both.
+		{"figure10b", func(t *testing.T, o Options) {
+			rep, err := RunFigure10b(ctx, o.Scale)
+			if err != nil {
+				t.Fatal(err)
+			}
+			better, full := false, false
+			for _, g := range rep.Groups {
+				if g.MdnErrAQPPP > g.MdnErrAQP {
+					t.Errorf("<%s>: AQP++ %.2f%% above AQP's %.2f%%", g.Key, 100*g.MdnErrAQPPP, 100*g.MdnErrAQP)
+				}
+				better = better || g.MdnErrAQPPP < g.MdnErrAQP
+				if g.FullySampled {
+					full = true
+					if g.MdnErrAQP != 0 || g.MdnErrAQPPP != 0 {
+						t.Errorf("fully sampled <%s>: AQP %.2f%%, AQP++ %.2f%%", g.Key, 100*g.MdnErrAQP, 100*g.MdnErrAQPPP)
+					}
+				}
+			}
+			if !better || !full {
+				t.Errorf("a strictly better group: %v; a fully sampled group: %v", better, full)
+			}
+		}},
+		// Figure 11(a): on BigBench, AQP++ at the largest k beats AQP.
+		{"figure11a", func(t *testing.T, o Options) {
+			rep, err := runSweep(ctx, sweeps["figure11a"], o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			last := rep.points[len(rep.points)-1]
+			if last.aqppp.mdnErr() >= last.aqp.mdnErr() {
+				t.Errorf("AQP++ at k=%d %.2f%% not below AQP's %.2f%%", last.x, 100*last.aqppp.mdnErr(), 100*last.aqp.mdnErr())
+			}
+		}},
+		// Figure 11(b): on TLCTrip, AQP++ beats AQP at d = 1.
+		{"figure11b", func(t *testing.T, o Options) {
+			o.MaxDims = 1
+			rep, err := runSweep(ctx, sweeps["figure11b"], o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p := rep.points[0]; p.aqppp.mdnErr() >= p.aqp.mdnErr() {
+				t.Errorf("d=1: AQP++ %.2f%% not below AQP's %.2f%%", 100*p.aqppp.mdnErr(), 100*p.aqp.mdnErr())
 			}
 		}},
 	}
