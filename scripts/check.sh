@@ -1,8 +1,9 @@
 #!/bin/sh
 # check.sh — the repo's expanded tier-1 verification gate.
 # Runs: build, gofmt, go vet, aqppp-lint, the race-enabled test suite,
-# the server smokes, and one-iteration bench smokes with the recorded
-# baselines loaded. Exits non-zero on the first failure.
+# every example program, the server smokes, and one-iteration bench
+# smokes with the recorded baselines loaded. Exits non-zero on the first
+# failure.
 #
 # Each static property has one owner, so no step here is redundant and
 # none may be dropped or reordered away:
@@ -49,6 +50,16 @@ step_done
 
 step "go test -race ./..."
 go test -race ./...
+step_done
+
+step "examples (build and run each)"
+# go build ./... compiles examples/*, but only running them shows they
+# still work end to end; each exits non-zero on any failure.
+go build -o .examples_build/ ./examples/...
+for ex in .examples_build/*; do
+    echo "    $ex"
+    "$ex" > /dev/null
+done
 step_done
 
 step "benchmark harness (go -C benchmark vet + test)"
