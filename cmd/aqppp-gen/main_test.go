@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"os"
 	"path/filepath"
 	"testing"
 
@@ -12,23 +11,14 @@ import (
 )
 
 // TestConvertReadsAQPT: -convert is the one reader left for the retired
-// AQPT table format. A .tbl written the way the old -format binary wrote
-// it (Table.WriteBinary) converts to a container that answers like the
-// source table; -format binary itself is now an unknown format.
+// AQPT table format. testdata/legacy.tbl, written the way the old
+// -format binary wrote it from the 500-row TPCD-Skew table at seed 3,
+// converts to a container that answers like the source table; -format
+// binary itself is now an unknown format.
 func TestConvertReadsAQPT(t *testing.T) {
-	tbl := dataset.TPCDSkew(dataset.TPCDConfig{Rows: 10000, Seed: 3})
+	tbl := dataset.TPCDSkew(dataset.TPCDConfig{Rows: 500, Seed: 3})
 	dir := t.TempDir()
-	in, out := filepath.Join(dir, "old.tbl"), filepath.Join(dir, "new.aqps")
-	f, err := os.Create(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tbl.WriteBinary(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
+	in, out := filepath.Join("testdata", "legacy.tbl"), filepath.Join(dir, "new.aqps")
 	if code := runConvert([]string{in, out}); code != 0 {
 		t.Fatalf("runConvert = %d, want 0", code)
 	}
