@@ -1,6 +1,6 @@
 // Command aqppp-gen generates the benchmark datasets and writes them as
-// a store container or CSV. It also converts old AQPT binary tables
-// into store containers.
+// a store container or CSV. It also converts the binary .tbl tables
+// earlier versions wrote into store containers.
 //
 // Usage:
 //
@@ -12,14 +12,13 @@
 // (NYC yellow-taxi style).
 //
 // The store format (.aqps) is what aqppp-serve -data and aqppp-cli
-// -data map lazily. The AQPT row-batch stream earlier versions wrote
+// -data map lazily. The row-batch stream earlier versions wrote
 // (-format binary, .tbl) is no longer a table source anywhere: it has
 // no checksums, no block index, and must be fully materialized to
 // load. -convert migrates such files once.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -36,7 +35,7 @@ func main() {
 	zipf := flag.Float64("zipf", 2, "TPCD-Skew z parameter")
 	format := flag.String("format", "store", "store | csv")
 	out := flag.String("out", "", "output path (csv defaults to stdout; store format requires a path)")
-	convert := flag.Bool("convert", false, "convert an old AQPT binary table to a store container: aqppp-gen -convert <in.tbl> <out.aqps>")
+	convert := flag.Bool("convert", false, "convert an old binary .tbl table to a store container: aqppp-gen -convert <in.tbl> <out.aqps>")
 	flag.Parse()
 
 	if *convert {
@@ -105,7 +104,7 @@ func writeCSV(tbl *engine.Table, out string) error {
 	return f.Close()
 }
 
-// runConvert reads an AQPT binary table and rewrites it as a store
+// runConvert reads a legacy .tbl table and rewrites it as a store
 // container — the one-shot migration off the retired table format.
 func runConvert(args []string) int {
 	if len(args) != 2 {
@@ -113,15 +112,9 @@ func runConvert(args []string) int {
 		return 2
 	}
 	in, outPath := args[0], args[1]
-	f, err := os.Open(in)
+	tbl, err := store.ReadLegacyTable(in)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	tbl, err := engine.ReadBinary(context.Background(), f)
-	f.Close()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "read AQPT table %s: %v\n", in, err)
+		fmt.Fprintf(os.Stderr, "read legacy table %s: %v\n", in, err)
 		return 1
 	}
 	if err := store.Write(outPath, tbl, nil); err != nil {

@@ -12,6 +12,7 @@ package cube
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"aqppp/internal/engine"
@@ -97,6 +98,29 @@ func (c *BPCube) computeStrides() {
 		c.strides[i] = stride
 		stride *= len(c.Points[i])
 	}
+}
+
+// Assemble builds a BP-Cube from persisted parts: the template, the
+// per-dimension partition points, the dense row-major prefix cells and
+// the source row count. The cells must number exactly Πk_i, a product
+// that must not overflow int.
+func Assemble(tmpl Template, points [][]float64, cells []float64, sourceRows int) (*BPCube, error) {
+	if len(points) != len(tmpl.Dims) {
+		return nil, fmt.Errorf("cube: %d point lists for %d dims", len(points), len(tmpl.Dims))
+	}
+	want := 1
+	for i, p := range points {
+		if len(p) != 0 && want > math.MaxInt/len(p) {
+			return nil, fmt.Errorf("cube: shape overflows at dimension %d", i)
+		}
+		want *= len(p)
+	}
+	if len(cells) != want {
+		return nil, fmt.Errorf("cube: %d cells but shape implies %d", len(cells), want)
+	}
+	c := &BPCube{Template: tmpl, Points: points, Cells: cells, SourceRows: sourceRows}
+	c.computeStrides()
+	return c, nil
 }
 
 // cellIndex converts per-dimension indices to the flat cell offset.

@@ -58,10 +58,28 @@ func BuildMinMax(tbl *engine.Table, aggCol, dimCol string) (*MinMaxIndex, error)
 	return newMinMaxFrom(dimCol, aggCol, ords, vals), nil
 }
 
+// MinMaxFromPairs rebuilds an index from the (ordinal, value) pairs
+// Pairs returned: one value per ordinal, ordinals ascending.
+func MinMaxFromPairs(dim, agg string, ords, vals []float64) (*MinMaxIndex, error) {
+	if len(ords) != len(vals) {
+		return nil, fmt.Errorf("cube: %d minmax ordinals for %d values", len(ords), len(vals))
+	}
+	for i := 1; i < len(ords); i++ {
+		if ords[i] < ords[i-1] {
+			return nil, fmt.Errorf("cube: minmax ordinals not sorted at %d", i)
+		}
+	}
+	return newMinMaxFrom(dim, agg, ords, vals), nil
+}
+
+// Pairs returns the index's sorted ordinals and their values, the whole
+// of its persisted state; callers must not modify them.
+func (m *MinMaxIndex) Pairs() (ords, vals []float64) { return m.ords, m.vals }
+
 // newMinMaxFrom assembles an index from already-sorted (ordinal, value)
 // pairs, rebuilding the sparse-table levels. It is the shared tail of
-// BuildMinMax and the binary reader: the levels are derived data, so the
-// serialized form carries only ords and vals.
+// BuildMinMax and MinMaxFromPairs: the levels are derived data, so the
+// persisted form carries only ords and vals.
 func newMinMaxFrom(dim, agg string, ords, vals []float64) *MinMaxIndex {
 	m := &MinMaxIndex{Dim: dim, Agg: agg, ords: ords, vals: vals}
 	nb := len(vals) / minMaxBlock // a trailing partial block is only ever scanned

@@ -117,7 +117,7 @@ func OpenBackend(b Backend) (*Table, error) {
 
 // Backed reports whether any of the table's columns is served by a
 // ColumnSource (i.e. the table came from OpenBackend). Backed tables are
-// immutable and must not be written with WriteBinary.
+// immutable, and the store refuses to persist one again.
 func (t *Table) Backed() bool {
 	for _, c := range t.Columns {
 		if c.src != nil {

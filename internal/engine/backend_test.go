@@ -277,8 +277,8 @@ func TestBackendPruning(t *testing.T) {
 }
 
 // TestBackendErrors pins the failure surface: scan paths return source
-// errors (no panic), and backed tables refuse mutation and legacy
-// serialization.
+// errors (no panic), and backed tables refuse mutation. The store's
+// refusal to persist one again is its TestWriteRefusesBacked.
 func TestBackendErrors(t *testing.T) {
 	n := 3 * zoneBlockSize
 	tbl := backendTestTable(t, n)
@@ -305,11 +305,4 @@ func TestBackendErrors(t *testing.T) {
 	if err := bt.AppendRow(int64(1), 2.0, "x"); err == nil {
 		t.Fatal("AppendRow on backed table: want error")
 	}
-	if err := bt.WriteBinary(discardWriter{}); err == nil {
-		t.Fatal("WriteBinary on backed table: want error")
-	}
 }
-
-type discardWriter struct{}
-
-func (discardWriter) Write(p []byte) (int, error) { return len(p), nil }

@@ -1,6 +1,6 @@
 // Package engine is an in-memory columnar OLAP engine: typed columns,
 // tables, vectorized range predicates, exact aggregation (with group-by),
-// and binary/CSV persistence.
+// and CSV import/export. Tables persist through internal/store.
 //
 // It plays the role of the commercial column-store ("DBX") that the AQP++
 // paper runs on: the AQP++ layers above only need filtered scans, exact

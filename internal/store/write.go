@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"math"
 	"os"
 
 	"aqppp/internal/engine"
@@ -164,17 +163,13 @@ func encodeBlock(b *bytes.Buffer, c *engine.Column, lo, hi int) {
 			return
 		}
 		b.WriteByte(encRawInt)
-		var tmp [8]byte
 		for _, v := range vals {
-			binary.LittleEndian.PutUint64(tmp[:], uint64(v))
-			b.Write(tmp[:])
+			pu64(b, uint64(v))
 		}
 	case engine.Float64:
 		b.WriteByte(encRawFloat)
-		var tmp [8]byte
 		for _, v := range c.Floats[lo:hi] {
-			binary.LittleEndian.PutUint64(tmp[:], math.Float64bits(v))
-			b.Write(tmp[:])
+			pf64(b, v)
 		}
 	default:
 		b.WriteByte(encDictCode)
