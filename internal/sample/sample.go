@@ -117,22 +117,9 @@ func NewUniform(tbl *engine.Table, rate float64, seed uint64) (*Sample, error) {
 }
 
 // pickDistinct returns `size` distinct indices from [0,n) in ascending
-// order, via a partial Fisher-Yates over a lazily materialized index map
-// (O(size) memory).
+// order: the first size positions of a random permutation.
 func pickDistinct(r *stats.RNG, n, size int) []int {
-	swapped := make(map[int]int, size*2)
-	at := func(i int) int {
-		if v, ok := swapped[i]; ok {
-			return v
-		}
-		return i
-	}
-	out := make([]int, size)
-	for i := 0; i < size; i++ {
-		j := i + r.Intn(n-i)
-		out[i] = at(j)
-		swapped[j] = at(i)
-	}
+	out := NewPermutation(n).Draw(r, size, make([]int, 0, size))
 	sort.Ints(out)
 	return out
 }
