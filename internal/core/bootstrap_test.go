@@ -56,8 +56,12 @@ func TestAnswerBootstrapCancelWithinBatch(t *testing.T) {
 }
 
 // allocatedBytes returns the heap bytes one call of f allocates,
-// averaged over runs calls.
+// averaged over runs calls. It measures the way testing.AllocsPerRun
+// does: on one P, after one warm-up call, so neither another
+// goroutine's allocations nor a first call's one-time setup count.
 func allocatedBytes(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {
