@@ -154,11 +154,13 @@ func (c *Coordinator) postPartial(ctx context.Context, r *replica, preq *Partial
 }
 
 // shapeError reports why a replica's well-formed response does not
-// answer preq: it names another mode or shard than was asked, or an
-// exact response's payload does not fit the query (a scalar query with
-// no Scalar, a GROUP BY query with one). Such a partial is refused, not
-// merged: a missing Scalar would decode as a zero partial and the
-// stratum's rows would silently count as 0.
+// answer preq: it names another mode or shard than was asked, an exact
+// response's payload does not fit the query (a scalar query with no
+// Scalar, a GROUP BY query with one), an exact partial counts a
+// negative number of rows, or a GROUP BY response names one key twice.
+// Such a partial is refused, not merged: a missing Scalar would decode
+// as a zero partial and the stratum's rows would silently count as 0,
+// and a repeated key would be merged twice into its group.
 func shapeError(r *replica, preq *PartialRequest, pr *PartialResponse) error {
 	grouped := len(preq.Query.GroupBy) > 0
 	switch {
@@ -170,6 +172,30 @@ func shapeError(r *replica, preq *PartialRequest, pr *PartialResponse) error {
 		return fmt.Errorf("replica %s returned no scalar for a scalar exact partial", r.url)
 	case preq.Mode == ModeExact && grouped && pr.Scalar != nil:
 		return fmt.Errorf("replica %s returned a scalar for a GROUP BY exact partial", r.url)
+	case pr.Scalar != nil && pr.Scalar.N < 0:
+		return fmt.Errorf("replica %s returned a scalar partial over %d rows", r.url, pr.Scalar.N)
+	}
+	seen := make(map[string]bool, len(pr.Groups)+len(pr.AnswerGroups))
+	repeated := func(key string) error {
+		if seen[key] {
+			return fmt.Errorf("replica %s returned group %q twice", r.url, key)
+		}
+		seen[key] = true
+		return nil
+	}
+	for _, g := range pr.Groups {
+		if g.Partial.N < 0 {
+			return fmt.Errorf("replica %s returned group %q over %d rows", r.url, g.Key, g.Partial.N)
+		}
+		if err := repeated(g.Key); err != nil {
+			return err
+		}
+	}
+	clear(seen)
+	for _, g := range pr.AnswerGroups {
+		if err := repeated(g.Key); err != nil {
+			return err
+		}
 	}
 	return nil
 }

@@ -546,24 +546,39 @@ func TestDistRetryAfterPropagation(t *testing.T) {
 
 // TestDistRefusesMisshapenPartials: a replica whose 200 response does
 // not answer the request it was sent (another mode or shard, a scalar
-// exact partial with no scalar, a GROUP BY exact partial carrying one)
-// fails the query with kind Internal; no merged number comes back.
+// exact partial with no scalar, a GROUP BY exact partial carrying one,
+// an exact partial over a negative row count, a GROUP BY partial naming
+// one key twice) fails the query with kind Internal; no merged number
+// comes back.
 func TestDistRefusesMisshapenPartials(t *testing.T) {
 	tbl := fleetTable(400, 7)
 	scalar := &dist.WirePartial{N: 5, SumBits: math.Float64bits(250)}
+	negative := &dist.WirePartial{N: -5, SumBits: math.Float64bits(250)}
+	answer := dist.WireAnswer{ValueBits: math.Float64bits(250), Confidence: 0.95, SampleRows: 5, PrePhi: true}
 	scalarQ := engine.Query{Func: engine.Count}
 	groupQ := engine.Query{Func: engine.Sum, Col: "v", GroupBy: []string{"tier"}}
 	for _, tc := range []struct {
-		name string
-		q    engine.Query
-		lie  func(*dist.PartialResponse)
+		name   string
+		q      engine.Query
+		approx bool // ask for approximate groups instead of an exact answer
+		lie    func(*dist.PartialResponse)
 	}{
-		{"wrong mode", scalarQ, func(pr *dist.PartialResponse) { pr.Mode, pr.Scalar = dist.ModeApprox, scalar }},
-		{"wrong shard", scalarQ, func(pr *dist.PartialResponse) { pr.Shard, pr.Scalar = 1, scalar }},
-		{"scalar without scalar", scalarQ, func(*dist.PartialResponse) {}},
-		{"group by with scalar", groupQ, func(pr *dist.PartialResponse) {
+		{"wrong mode", scalarQ, false, func(pr *dist.PartialResponse) { pr.Mode, pr.Scalar = dist.ModeApprox, scalar }},
+		{"wrong shard", scalarQ, false, func(pr *dist.PartialResponse) { pr.Shard, pr.Scalar = 1, scalar }},
+		{"scalar without scalar", scalarQ, false, func(*dist.PartialResponse) {}},
+		{"group by with scalar", groupQ, false, func(pr *dist.PartialResponse) {
 			pr.Scalar = scalar
 			pr.Groups = []dist.WireGroupPartial{{Key: "gold", Partial: *scalar}}
+		}},
+		{"negative scalar rows", scalarQ, false, func(pr *dist.PartialResponse) { pr.Scalar = negative }},
+		{"negative group rows", groupQ, false, func(pr *dist.PartialResponse) {
+			pr.Groups = []dist.WireGroupPartial{{Key: "gold", Partial: *scalar}, {Key: "silver", Partial: *negative}}
+		}},
+		{"repeated group key", groupQ, false, func(pr *dist.PartialResponse) {
+			pr.Groups = []dist.WireGroupPartial{{Key: "gold", Partial: *scalar}, {Key: "gold", Partial: *scalar}}
+		}},
+		{"repeated answer group key", groupQ, true, func(pr *dist.PartialResponse) {
+			pr.AnswerGroups = []dist.WireGroupAnswer{{Key: "gold", Answer: answer}, {Key: "gold", Answer: answer}}
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -578,12 +593,20 @@ func TestDistRefusesMisshapenPartials(t *testing.T) {
 				_ = json.NewEncoder(w).Encode(pr)
 			})
 			coord := dialOne(t, ts.URL, dist.Config{Retries: 2, Backoff: time.Millisecond})
-			res, err := coord.Target("").Exact(context.Background(), tc.q)
+			var err error
+			var returned bool
+			if tc.approx {
+				groups, _, gerr := coord.Target(fleetHandle).ApproxGroups(context.Background(), tc.q)
+				err, returned = gerr, len(groups) != 0
+			} else {
+				res, eerr := coord.Target("").Exact(context.Background(), tc.q)
+				err, returned = eerr, res.Value != 0 || len(res.Groups) != 0
+			}
 			if err == nil || aqppp.ErrorKindOf(err) != aqppp.ErrInternal {
 				t.Fatalf("err = %v (kind %v), want kind %v", err, aqppp.ErrorKindOf(err), aqppp.ErrInternal)
 			}
-			if res.Value != 0 || len(res.Groups) != 0 {
-				t.Errorf("refused partial still returned %+v", res)
+			if returned {
+				t.Error("refused partial still returned an answer")
 			}
 		})
 	}
