@@ -18,9 +18,9 @@ import (
 )
 
 // The paths built on Processor.AnswerBootstrap — the sharded merge and
-// the contract ladder's bootstrap rung — held to the gather-per-replicate
-// oracle: their answers must be what the oracle's replicates give, bit
-// for bit.
+// the contract ladder's bootstrap rung — held to it: their answers must
+// be what it gives under the seed and replicate count the path hands
+// it, bit for bit.
 
 func sameBits(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
@@ -51,7 +51,7 @@ func randomBootQuery(r *stats.RNG) engine.Query {
 }
 
 // TestShardBootstrapEquivalence: a sharded bootstrap is each shard's
-// oracle bootstrap under its derived seed, merged in shard order —
+// AnswerBootstrap under its derived seed, merged in shard order —
 // points add, half-widths add in quadrature.
 func TestShardBootstrapEquivalence(t *testing.T) {
 	tbl := dataset.TPCDSkew(dataset.TPCDConfig{Rows: 20_000, Seed: 4})
@@ -75,7 +75,7 @@ func TestShardBootstrapEquivalence(t *testing.T) {
 		want := core.Answer{Pre: ident.Pre{Phi: true}}
 		hw2 := 0.0
 		for h, proc := range p.Procs {
-			a, err := core.OracleAnswerBootstrap(proc, q, resamples, shard.DeriveSeed(seed, h))
+			a, err := proc.AnswerBootstrap(ctx, q, resamples, shard.DeriveSeed(seed, h), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -91,14 +91,14 @@ func TestShardBootstrapEquivalence(t *testing.T) {
 		want.Estimate.HalfWidth = math.Sqrt(hw2)
 		want.Estimate.Confidence = p.Confidence
 		if !sameAnswer(got, want) {
-			t.Fatalf("R=%d %v: sharded bootstrap = %+v, merged oracle %+v", resamples, q, got, want)
+			t.Fatalf("R=%d %v: sharded bootstrap = %+v, merged per-shard answers %+v", resamples, q, got, want)
 		}
 	}
 }
 
 // TestContractBootstrapRungEquivalence: the contract ladder's bootstrap
-// rung answers the oracle's bootstrap at the contract's confidence, with
-// the replicate count the budget clamps it to.
+// rung answers AnswerBootstrap at the contract's confidence, with the
+// plan's seed and the replicate count the budget clamps it to.
 func TestContractBootstrapRungEquivalence(t *testing.T) {
 	tbl := dataset.TPCDSkew(dataset.TPCDConfig{Rows: 20_000, Seed: 5})
 	proc, _, err := core.Build(context.Background(), tbl, core.BuildConfig{Template: bootTemplate, SampleRate: 0.05, CellBudget: 60, Seed: 7})
@@ -129,12 +129,12 @@ func TestContractBootstrapRungEquivalence(t *testing.T) {
 		if tc.budget > 0 {
 			resamples = tc.budget
 		}
-		want, err := core.OracleAnswerBootstrap(&shadow, q, resamples, plan.Seed)
+		want, err := shadow.AnswerBootstrap(context.Background(), q, resamples, plan.Seed, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !sameAnswer(out.Answer, want) {
-			t.Fatalf("R=%d budget %d %v: contract rung = %+v, oracle %+v", tc.resamples, tc.budget, q, out.Answer, want)
+			t.Fatalf("R=%d budget %d %v: contract rung = %+v, AnswerBootstrap %+v", tc.resamples, tc.budget, q, out.Answer, want)
 		}
 	}
 }

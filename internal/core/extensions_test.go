@@ -245,6 +245,27 @@ func TestAnswerBootstrapMatchesClosedForm(t *testing.T) {
 			t.Errorf("bootstrap ε %v vs closed ε %v", boot.Estimate.HalfWidth, closed.Estimate.HalfWidth)
 		}
 	}
+
+	// A stratified sample is resampled within its strata, the fixed-n_h
+	// design stratifiedSum's variance assumes. At a 5 % sampling
+	// fraction its finite-population correction is small, and the two
+	// half-widths agree closely.
+	s, err := sample.NewStratified(tbl, []string{"g"}, 0.05, 30, 72)
+	if err != nil {
+		t.Fatal(err)
+	}
+	strat := &Processor{Sample: s}
+	closed, err = strat.Answer(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	boot, err = strat.AnswerBootstrap(context.Background(), q, 2000, 73, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ratio := boot.Estimate.HalfWidth / closed.Estimate.HalfWidth; !(ratio >= 0.8 && ratio <= 1.25) {
+		t.Errorf("stratified: bootstrap ε %v vs closed ε %v", boot.Estimate.HalfWidth, closed.Estimate.HalfWidth)
+	}
 }
 
 func TestAnswerBootstrapRejects(t *testing.T) {
