@@ -146,9 +146,9 @@ func (t fleetTarget) Bootstrap(ctx context.Context, q engine.Query, resamples in
 	return a, t.partial(deg), err
 }
 
-// ScratchRows implements exec.Target: resampling happens on the
+// ScratchBytes implements exec.Target: resampling happens on the
 // replicas, so no scratch is charged here.
-func (fleetTarget) ScratchRows() int { return 0 }
+func (fleetTarget) ScratchBytes() int64 { return 0 }
 
 // partial reports whether an answer was degraded, counting it if so.
 func (t fleetTarget) partial(deg *shard.Degradation) bool {

@@ -149,7 +149,7 @@ func (s *Server) handlePartial(w http.ResponseWriter, r *http.Request, ri *reqIn
 		}
 		err := b.CheckResamples(n)
 		if err == nil {
-			err = b.CheckScratch(local.Proc.Sample.Size())
+			err = b.CheckScratch(core.BootstrapScratchBytes(local.Proc.Sample))
 		}
 		if err != nil {
 			s.writeError(w, ri, err)

@@ -698,7 +698,7 @@ func TestPartialScratchCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	need := core.BootstrapScratchBytes(prep.Processor().Sample.Size())
+	need := core.BootstrapScratchBytes(prep.Processor().Sample)
 	partial := func(limit int64) (int, string) {
 		srv := New(db, Config{
 			MaxScratchBytes: limit,

@@ -77,8 +77,7 @@ func Prepare(ctx context.Context, s *Sharded, cfg core.BuildConfig, workers int)
 	return p, nil
 }
 
-// SampleSize returns the total sample rows across shards (the budget
-// accounting unit for bootstrap scratch).
+// SampleSize returns the total sample rows across shards.
 func (p *Prepared) SampleSize() int {
 	n := 0
 	for _, proc := range p.Procs {
