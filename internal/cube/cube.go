@@ -165,8 +165,11 @@ func Build(tbl *engine.Table, tmpl Template, points [][]float64) (*BPCube, error
 	for i, p := range points {
 		cp := make([]float64, len(p))
 		copy(cp, p)
-		for j := 1; j < len(cp); j++ {
-			if cp[j] <= cp[j-1] {
+		for j, v := range cp {
+			if math.IsNaN(v) {
+				return nil, fmt.Errorf("cube: dim %d point %d is NaN", i, j)
+			}
+			if j > 0 && v <= cp[j-1] {
 				return nil, fmt.Errorf("cube: dim %d points not strictly ascending at %d", i, j)
 			}
 		}
@@ -192,7 +195,7 @@ func Build(tbl *engine.Table, tmpl Template, points [][]float64) (*BPCube, error
 			ord := col.Ordinal(row)
 			j := sort.SearchFloat64s(c.Points[i], ord) // first point >= ord
 			if j == len(c.Points[i]) {
-				ok = false // above the last point (cannot happen after clamping)
+				ok = false // a NaN ordinal, which no range selects
 				break
 			}
 			idx[i] = j

@@ -2,6 +2,8 @@ package cube
 
 import (
 	"testing"
+
+	"aqppp/internal/dataset"
 )
 
 func benchCube(b *testing.B, d, n, k int) (*BPCube, [][]int) {
@@ -79,5 +81,27 @@ func BenchmarkCubeInsert(b *testing.B) {
 		if err := c.Insert(ords, 1); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// minMaxSink keeps the benchmarked build from being optimized away.
+var minMaxSink *MinMaxIndex
+
+// BenchmarkBuildMinMax builds the startup handle's two min/max indexes
+// (l_extendedprice over l_shipdate and over l_suppkey) on a 300k-row
+// TPCD-Skew table.
+func BenchmarkBuildMinMax(b *testing.B) {
+	tbl := dataset.TPCDSkew(dataset.TPCDConfig{Rows: 300000, Seed: 42})
+	for _, dim := range []string{"l_shipdate", "l_suppkey"} {
+		b.Run(dim, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				m, err := BuildMinMax(tbl, "l_extendedprice", dim)
+				if err != nil {
+					b.Fatal(err)
+				}
+				minMaxSink = m
+			}
+		})
 	}
 }

@@ -21,10 +21,12 @@ import (
 type MinMaxIndex struct {
 	// Dim and Agg name the condition and aggregate columns.
 	Dim, Agg string
-	// ords holds the sorted condition ordinals; vals the corresponding
-	// aggregate values.
-	ords []float64
-	vals []float64
+	// ords holds the sorted condition ordinals, NaN ones last; vals the
+	// corresponding aggregate values. ords[:ordered] are the non-NaN
+	// ordinals, the rows a range can select.
+	ords    []float64
+	vals    []float64
+	ordered int
 	// mins[l][b] / maxs[l][b] summarize the 2^l full blocks starting at
 	// block b, i.e. vals[b*minMaxBlock : (b+2^l)*minMaxBlock].
 	mins, maxs [][]float64
@@ -48,28 +50,26 @@ func BuildMinMax(tbl *engine.Table, aggCol, dimCol string) (*MinMaxIndex, error)
 	if err != nil {
 		return nil, err
 	}
-	n := len(idx)
-	ords := make([]float64, n)
-	vals := make([]float64, n)
-	for i, row := range idx {
-		ords[i] = dcol.Ordinal(row)
-		vals[i] = acol.Float(row)
-	}
-	return newMinMaxFrom(dimCol, aggCol, ords, vals), nil
+	return newMinMaxFrom(dimCol, aggCol, dcol.Ordinals(idx), acol.Ordinals(idx)), nil
 }
 
 // MinMaxFromPairs rebuilds an index from the (ordinal, value) pairs
-// Pairs returned: one value per ordinal, ordinals ascending.
+// Pairs returned: one value per ordinal, ordinals ascending, NaN ones
+// only as a trailing run.
 func MinMaxFromPairs(dim, agg string, ords, vals []float64) (*MinMaxIndex, error) {
 	if len(ords) != len(vals) {
 		return nil, fmt.Errorf("cube: %d minmax ordinals for %d values", len(ords), len(vals))
 	}
-	for i := 1; i < len(ords); i++ {
-		if ords[i] < ords[i-1] {
+	m := newMinMaxFrom(dim, agg, ords, vals)
+	for i, v := range ords[:m.ordered] {
+		if math.IsNaN(v) {
+			return nil, fmt.Errorf("cube: minmax ordinal %d is NaN but not in the trailing run", i)
+		}
+		if i > 0 && v < ords[i-1] {
 			return nil, fmt.Errorf("cube: minmax ordinals not sorted at %d", i)
 		}
 	}
-	return newMinMaxFrom(dim, agg, ords, vals), nil
+	return m, nil
 }
 
 // Pairs returns the index's sorted ordinals and their values, the whole
@@ -81,7 +81,11 @@ func (m *MinMaxIndex) Pairs() (ords, vals []float64) { return m.ords, m.vals }
 // BuildMinMax and MinMaxFromPairs: the levels are derived data, so the
 // persisted form carries only ords and vals.
 func newMinMaxFrom(dim, agg string, ords, vals []float64) *MinMaxIndex {
-	m := &MinMaxIndex{Dim: dim, Agg: agg, ords: ords, vals: vals}
+	ordered := len(ords)
+	for ordered > 0 && math.IsNaN(ords[ordered-1]) {
+		ordered--
+	}
+	m := &MinMaxIndex{Dim: dim, Agg: agg, ords: ords, vals: vals, ordered: ordered}
 	nb := len(vals) / minMaxBlock // a trailing partial block is only ever scanned
 	if nb == 0 {
 		return m
@@ -162,14 +166,21 @@ func (m *MinMaxIndex) Max(lo, hi float64) (float64, bool) {
 }
 
 // span converts an inclusive ordinal range into a half-open row span.
+// NaN ordinals match no range, so only the ordered prefix is searched;
+// a NaN bound, like lo > hi, matches no row.
 func (m *MinMaxIndex) span(lo, hi float64) (int, int) {
-	i := sort.SearchFloat64s(m.ords, lo)
-	j := sort.Search(len(m.ords), func(k int) bool { return m.ords[k] > hi })
+	if !(lo <= hi) {
+		return 0, 0
+	}
+	ords := m.ords[:m.ordered]
+	i := sort.SearchFloat64s(ords, lo)
+	j := sort.Search(len(ords), func(k int) bool { return ords[k] > hi })
 	return i, j
 }
 
 // Answer answers MIN/MAX queries whose only restriction (if any) is a
-// range on this index's dimension.
+// range on this index's dimension. An unrestricted query covers every
+// row, NaN-dimension rows included, as a scan would.
 func (m *MinMaxIndex) Answer(q engine.Query) (float64, error) {
 	if q.Func != engine.Min && q.Func != engine.Max {
 		return 0, fmt.Errorf("cube: MinMaxIndex answers MIN/MAX, got %v", q.Func)
@@ -182,12 +193,14 @@ func (m *MinMaxIndex) Answer(q engine.Query) (float64, error) {
 		if r.Col != m.Dim {
 			return 0, fmt.Errorf("cube: index covers dimension %q, query restricts %q", m.Dim, r.Col)
 		}
-		if r.Lo > lo {
-			lo = r.Lo
+		lo, hi = math.Max(lo, r.Lo), math.Min(hi, r.Hi) // a NaN bound stays NaN
+	}
+	if len(q.Ranges) == 0 && len(m.vals) > 0 {
+		mn, mx := m.extrema(0, len(m.vals))
+		if q.Func == engine.Min {
+			return mn, nil
 		}
-		if r.Hi < hi {
-			hi = r.Hi
-		}
+		return mx, nil
 	}
 	var v float64
 	var ok bool

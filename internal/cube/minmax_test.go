@@ -3,6 +3,7 @@ package cube
 import (
 	"context"
 	"math"
+	"sort"
 	"testing"
 
 	"aqppp/internal/engine"
@@ -162,6 +163,96 @@ func TestMinMaxEverySpanAcrossBlocks(t *testing.T) {
 			if gotMin != wantMin || gotMax != wantMax {
 				t.Fatalf("rows [%d, %d]: got min %v max %v, want %v %v", i, j, gotMin, gotMax, wantMin, wantMax)
 			}
+		}
+	}
+}
+
+// TestMinMaxNaNDimensionMatchesScan: a float dimension holding NaN rows
+// (which match no range but belong to an unrestricted query) answers
+// every range, and the unrestricted query, exactly as a scan does; the
+// persisted pairs put the NaN ordinals last.
+func TestMinMaxNaNDimensionMatchesScan(t *testing.T) {
+	const n = 2000
+	r := stats.NewRNG(21)
+	dim, vals := make([]float64, n), make([]float64, n)
+	for i := range dim {
+		dim[i] = math.Floor(r.Float64() * 500)
+		vals[i] = r.Float64()*1000 - 500
+	}
+	for k := 0; k < 21; k++ {
+		dim[r.Intn(n)] = math.NaN()
+	}
+	dim[0], vals[0] = math.NaN(), 1e6 // the global MAX sits on a NaN row
+	tbl := engine.MustNewTable("t", engine.NewFloatColumn("a", vals), engine.NewFloatColumn("c", dim))
+	idx, err := BuildMinMax(tbl, "a", "c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	nans := 0
+	for _, v := range dim {
+		if math.IsNaN(v) {
+			nans++
+		}
+	}
+	ords, _ := idx.Pairs()
+	k := len(ords)
+	for k > 0 && math.IsNaN(ords[k-1]) {
+		k--
+	}
+	if k != n-nans || !sort.Float64sAreSorted(ords[:k]) {
+		t.Fatalf("pairs: %d ordinals before the trailing NaN run (want %d), sorted %v",
+			k, n-nans, sort.Float64sAreSorted(ords[:k]))
+	}
+	ctx := context.Background()
+	check := func(ranges []engine.Range) {
+		t.Helper()
+		count, err := tbl.Execute(ctx, engine.Query{Func: engine.Count, Ranges: ranges})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range []engine.AggFunc{engine.Min, engine.Max} {
+			q := engine.Query{Func: f, Col: "a", Ranges: ranges}
+			got, err := idx.Answer(q)
+			if count.Value == 0 {
+				if err == nil {
+					t.Fatalf("%v over %v: %v for an empty selection", f, ranges, got)
+				}
+				continue
+			}
+			truth, _ := tbl.Execute(ctx, q)
+			if err != nil || got != truth.Value {
+				t.Fatalf("%v over %v = %v (%v), scan %v", f, ranges, got, err, truth.Value)
+			}
+		}
+	}
+	check(nil)
+	check([]engine.Range{{Col: "c", Lo: math.Inf(-1), Hi: math.Inf(1)}})
+	check([]engine.Range{{Col: "c", Lo: math.NaN(), Hi: 10}})
+	check([]engine.Range{{Col: "c", Lo: 10, Hi: math.NaN()}})
+	for trial := 0; trial < 200; trial++ {
+		lo := math.Floor(r.Float64()*520) - 10
+		check([]engine.Range{{Col: "c", Lo: lo, Hi: lo + math.Floor(r.Float64()*100)}})
+	}
+}
+
+// TestMinMaxFromPairsNaN: NaN ordinals are accepted only as the
+// trailing run BuildMinMax writes.
+func TestMinMaxFromPairsNaN(t *testing.T) {
+	nan := math.NaN()
+	for _, tc := range []struct {
+		ords []float64
+		ok   bool
+	}{
+		{[]float64{1, 2, nan, nan}, true},
+		{[]float64{nan, nan}, true},
+		{[]float64{}, true},
+		{[]float64{1, nan, 2}, false},
+		{[]float64{nan, 1}, false},
+		{[]float64{2, 1, nan}, false},
+	} {
+		_, err := MinMaxFromPairs("c", "a", tc.ords, make([]float64, len(tc.ords)))
+		if (err == nil) != tc.ok {
+			t.Errorf("MinMaxFromPairs(%v): err = %v, want ok=%v", tc.ords, err, tc.ok)
 		}
 	}
 }

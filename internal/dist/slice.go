@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"fmt"
 	"math"
 
 	"aqppp/internal/engine"
@@ -9,21 +8,17 @@ import (
 )
 
 // SliceTable carves the shard slice a replica owns out of a full table.
-// It runs the same Partition the in-process path runs — identical row
-// assignment, identical within-shard source order — then renames the
-// slice back to the source table name, because a replica serves its
-// slice as the table: its sample, BP-cube and queries all see one
-// ordinary resident table. The returned identity is what the replica
-// reports in its handshake.
+// It runs the same row assignment the in-process Partition runs —
+// identical rows, identical within-shard source order — but gathers
+// only the replica's own shard, then renames the slice back to the
+// source table name, because a replica serves its slice as the table:
+// its sample, BP-cube and queries all see one ordinary resident table.
+// The returned identity is what the replica reports in its handshake.
 func SliceTable(tbl *engine.Table, layout shard.Layout, index int) (*engine.Table, ShardIdentity, error) {
-	if index < 0 || index >= layout.N {
-		return nil, ShardIdentity{}, fmt.Errorf("dist: shard index %d outside layout of %d", index, layout.N)
-	}
-	s, err := shard.Partition(tbl, layout)
+	sh, err := shard.PartitionOne(tbl, layout, index)
 	if err != nil {
 		return nil, ShardIdentity{}, err
 	}
-	sh := s.Shards[index]
 	slice, err := engine.NewTable(tbl.Name, sh.Table.Columns...)
 	if err != nil {
 		return nil, ShardIdentity{}, err

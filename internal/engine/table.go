@@ -1,9 +1,6 @@
 package engine
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Table is a named collection of equal-length columns.
 type Table struct {
@@ -111,22 +108,15 @@ func (t *Table) Gather(name string, idx []int) *Table {
 
 // SortedIndexByOrdinal returns row indices sorted ascending by the ordinal
 // value of the named column (ties broken by row index, making the order
-// deterministic). The AQP++ precomputation layer uses this to view the
-// aggregation attribute "ordered by C".
+// deterministic; -0 ties +0 and NaN rows come last, see order.go). The
+// AQP++ precomputation layer uses this to view the aggregation attribute
+// "ordered by C".
 func (t *Table) SortedIndexByOrdinal(col string) ([]int, error) {
 	c, err := t.Column(col)
 	if err != nil {
 		return nil, err
 	}
-	n := t.NumRows()
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		return c.Ordinal(idx[a]) < c.Ordinal(idx[b])
-	})
-	return idx, nil
+	return c.sortedIndex(), nil
 }
 
 // Schema describes a table's column names and types; used by persistence

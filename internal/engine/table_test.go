@@ -1,7 +1,12 @@
 package engine
 
 import (
+	"fmt"
+	"math"
+	"slices"
 	"testing"
+
+	"aqppp/internal/stats"
 )
 
 func sampleTable(t *testing.T) *Table {
@@ -119,6 +124,54 @@ func TestSortedIndexByOrdinal(t *testing.T) {
 	}
 	if _, err := tbl.SortedIndexByOrdinal("nope"); err == nil {
 		t.Error("missing column did not error")
+	}
+
+	// The order's edges, spelled out: -0 ties +0 (row order), infinities
+	// at the ends of the numbers, every NaN payload after +Inf in row
+	// order.
+	negZero, negNaN := math.Copysign(0, -1), math.Float64frombits(0xfff8000000000000)
+	edges := MustNewTable("e", NewFloatColumn("f",
+		[]float64{math.NaN(), 1, 0, math.Inf(1), negZero, negNaN, math.Inf(-1)}))
+	idx, err = edges.SortedIndexByOrdinal("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{6, 2, 4, 1, 3, 0, 5}; !slices.Equal(idx, want) {
+		t.Errorf("edge order = %v, want %v", idx, want)
+	}
+
+	// Every column kind, resident and source-backed, at the sizes around
+	// a pass's and a zone block's edges, against the comparator oracle.
+	pool := []float64{negZero, 0, math.Inf(1), math.Inf(-1), math.NaN(), negNaN,
+		math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0x7ff0000000000001),
+		1, -1, 0.5, math.MaxFloat64, -math.SmallestNonzeroFloat64}
+	r := stats.NewRNG(11)
+	for _, n := range []int{0, 1, 2, 65, 4097} {
+		floats, ints, strs := make([]float64, n), make([]int64, n), make([]string, n)
+		for i := 0; i < n; i++ {
+			floats[i] = pool[r.Intn(len(pool))]
+			if r.Intn(2) == 0 {
+				floats[i] = r.Float64()*20 - 10
+			}
+			ints[i] = int64(r.Intn(9)) - 4
+			strs[i] = fmt.Sprintf("s%02d", r.Intn(30))
+		}
+		resident := MustNewTable("r", NewFloatColumn("f", floats), NewIntColumn("i", ints), NewStringColumn("s", strs))
+		backed, err := OpenBackend(newMemBackend(resident))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tb := range []*Table{resident, backed} {
+			for _, c := range tb.Columns {
+				got, err := tb.SortedIndexByOrdinal(c.Name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := ordinalOracle(n, c.Ordinal); !slices.Equal(got, want) {
+					t.Fatalf("%s n=%d %s: order differs from the oracle", tb.Name, n, c.Name)
+				}
+			}
+		}
 	}
 }
 

@@ -13,7 +13,6 @@ package precompute
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"aqppp/internal/engine"
 	"aqppp/internal/sample"
@@ -22,7 +21,9 @@ import (
 
 // View is the 1-D optimizer's working representation: the sample's
 // aggregation values ordered by one condition attribute's ordinals, with
-// prefix sums for O(1) region-variance queries.
+// prefix sums for O(1) region-variance queries. Rows whose C ordinal is
+// NaN match no range, so they hold no position: A and C leave them out,
+// and they count only as zeros in each region's variance.
 //
 // Positions are cut indices in [0, n]: cut i splits rows [0, i) from
 // [i, n). A cut is feasible when it does not split equal C ordinals (the
@@ -31,7 +32,8 @@ import (
 type View struct {
 	// A holds the aggregation values sorted ascending by C.
 	A []float64
-	// C holds the corresponding condition ordinals (ascending).
+	// C holds the corresponding condition ordinals (ascending, never
+	// NaN).
 	C []float64
 	// N is the source table's row count, n is len(A); together with
 	// Lambda they scale region deviations into the paper's query errors
@@ -39,6 +41,7 @@ type View struct {
 	N      int
 	Lambda float64
 
+	rows   int       // sample rows, the NaN-C ones included
 	prefA  []float64 // prefA[i]  = Σ A[0:i]
 	prefA2 []float64 // prefA2[i] = Σ A[0:i]²
 }
@@ -55,29 +58,20 @@ func NewView(s *sample.Sample, aggCol, condCol string, confidence float64) (*Vie
 	if err != nil {
 		return nil, err
 	}
-	var acol *engine.Column
+	v := &View{C: ccol.Ordinals(idx), N: s.SourceRows, Lambda: stats.ZScore(confidence)}
 	if aggCol != "" {
-		acol, err = s.Table.Column(aggCol)
+		acol, err := s.Table.Column(aggCol)
 		if err != nil {
 			return nil, err
 		}
-	}
-	n := len(idx)
-	v := &View{
-		A:      make([]float64, n),
-		C:      make([]float64, n),
-		N:      s.SourceRows,
-		Lambda: stats.ZScore(confidence),
-	}
-	for i, row := range idx {
-		if acol != nil {
-			v.A[i] = acol.Float(row)
-		} else {
+		v.A = acol.Ordinals(idx)
+	} else {
+		v.A = make([]float64, len(idx))
+		for i := range v.A {
 			v.A[i] = 1
 		}
-		v.C[i] = ccol.Ordinal(row)
 	}
-	v.buildPrefix()
+	v.finish()
 	return v, nil
 }
 
@@ -87,11 +81,7 @@ func NewViewFromSlices(a, c []float64, sourceRows int, confidence float64) *View
 	if len(a) != len(c) {
 		panic("precompute: A/C length mismatch")
 	}
-	idx := make([]int, len(a))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(x, y int) bool { return c[idx[x]] < c[idx[y]] })
+	idx := engine.SortedIndexOf(c)
 	v := &View{
 		A:      make([]float64, len(a)),
 		C:      make([]float64, len(c)),
@@ -102,12 +92,19 @@ func NewViewFromSlices(a, c []float64, sourceRows int, confidence float64) *View
 		v.A[i] = a[j]
 		v.C[i] = c[j]
 	}
-	v.buildPrefix()
+	v.finish()
 	return v
 }
 
-func (v *View) buildPrefix() {
-	n := len(v.A)
+// finish drops the trailing run of NaN-C rows the ordinal order leaves,
+// keeping them in the row count, and builds the prefix sums.
+func (v *View) finish() {
+	v.rows = len(v.C)
+	n := v.rows
+	for n > 0 && math.IsNaN(v.C[n-1]) {
+		n--
+	}
+	v.A, v.C = v.A[:n], v.C[:n]
 	v.prefA = make([]float64, n+1)
 	v.prefA2 = make([]float64, n+1)
 	for i, x := range v.A {
@@ -116,14 +113,15 @@ func (v *View) buildPrefix() {
 	}
 }
 
-// Len returns the number of sample rows in the view.
+// Len returns the number of sample rows in the view, which is the last
+// cut position; NaN-C rows are not counted.
 func (v *View) Len() int { return len(v.A) }
 
 // regionDeviation returns sqrt(Var(A·1[rows lo..hi)])) where the variance
-// is over all n rows with zeros outside [lo, hi) — the paper's
+// is over all n sample rows with zeros outside [lo, hi) — the paper's
 // Var(A·cond(C∈L)) — in O(1) via prefix sums.
 func (v *View) regionDeviation(lo, hi int) float64 {
-	n := float64(len(v.A))
+	n := float64(v.rows)
 	if n == 0 || lo >= hi {
 		return 0
 	}
@@ -138,7 +136,7 @@ func (v *View) regionDeviation(lo, hi int) float64 {
 
 // errScale converts a deviation into the paper's ε units: λ·N/√n.
 func (v *View) errScale() float64 {
-	n := float64(len(v.A))
+	n := float64(v.rows)
 	if n == 0 {
 		return 0
 	}

@@ -166,3 +166,43 @@ func TestNewViewFromSlicesPanicsOnMismatch(t *testing.T) {
 	}()
 	NewViewFromSlices([]float64{1}, []float64{1, 2}, 2, 0.95)
 }
+
+// TestViewNaNRowsAreZeros: NaN-C rows take no cut position, yet count
+// in every region's variance as the zeros they are: each deviation and
+// the error scale equal those of a view where each such row is instead
+// a zero above every ordinal.
+func TestViewNaNRowsAreZeros(t *testing.T) {
+	r := stats.NewRNG(9)
+	const n = 500
+	a, c := make([]float64, n), make([]float64, n)
+	za, zc := make([]float64, n), make([]float64, n)
+	nans := 0
+	for i := range a {
+		a[i], c[i] = r.Float64()*10, math.Floor(r.Float64()*50)
+		za[i], zc[i] = a[i], c[i]
+		if r.Intn(10) == 0 {
+			c[i], za[i], zc[i] = math.NaN(), 0, 1000
+			nans++
+		}
+	}
+	v := NewViewFromSlices(a, c, 10*n, 0.95)
+	z := NewViewFromSlices(za, zc, 10*n, 0.95)
+	if nans == 0 || v.Len() != n-nans || z.Len() != n {
+		t.Fatalf("Len = %d with %d NaN rows of %d", v.Len(), nans, n)
+	}
+	for i, x := range v.C {
+		if math.IsNaN(x) || x != z.C[i] || v.A[i] != z.A[i] {
+			t.Fatalf("row %d: view (%v, %v), zero-row view (%v, %v)", i, v.C[i], v.A[i], z.C[i], z.A[i])
+		}
+	}
+	if v.errScale() != z.errScale() {
+		t.Fatalf("errScale %v, zero-row view %v", v.errScale(), z.errScale())
+	}
+	for lo := 0; lo < v.Len(); lo += 7 {
+		for hi := lo + 1; hi <= v.Len(); hi += 11 {
+			if got, want := v.regionDeviation(lo, hi), z.regionDeviation(lo, hi); got != want {
+				t.Fatalf("regionDeviation(%d, %d) = %v, zero-row view %v", lo, hi, got, want)
+			}
+		}
+	}
+}

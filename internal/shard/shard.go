@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -71,7 +70,8 @@ func (l Layout) Signature() string {
 
 // Shard is one horizontal partition: a full-schema engine table holding
 // its rows (in source row order), plus the layout column's observed
-// ordinal bounds for pruning. Lo/Hi are meaningful only when Rows > 0.
+// ordinal bounds over its non-NaN rows, for pruning. Lo/Hi are
+// meaningful only when Rows > 0, and NaN when every row is NaN.
 type Shard struct {
 	Index  int
 	Table  *engine.Table
@@ -98,63 +98,112 @@ type Sharded struct {
 const seedStride = 0x9e3779b97f4a7c15
 
 // Partition splits tbl into layout.N shards. Range layouts order rows
-// by the layout column (ties broken by row index, like the engine's
-// sorted views) and cut the order into N near-equal spans; hash layouts
-// assign each row by a mixed hash of the column's ordinal. Within every
-// shard, rows keep their source order, so per-shard scans fold in the
-// same order the unsharded scan would have folded that subset.
+// by the layout column (ties broken by row index, NaN rows last, like
+// the engine's sorted views) and cut the order into N near-equal spans;
+// hash layouts assign each row by a mixed hash of the column's ordinal.
+// Within every shard, rows keep their source order, so per-shard scans
+// fold in the same order the unsharded scan would have folded that
+// subset.
 func Partition(tbl *engine.Table, layout Layout) (*Sharded, error) {
-	if layout.N < 1 {
-		return nil, fmt.Errorf("shard: layout needs N >= 1 shards, got %d", layout.N)
-	}
-	col, err := tbl.Column(layout.Column)
+	owner, counts, err := assign(tbl, layout)
 	if err != nil {
 		return nil, err
 	}
-	n := tbl.NumRows()
 	spans := make([][]int, layout.N)
+	for h := range spans {
+		spans[h] = make([]int, 0, counts[h])
+	}
+	for row, h := range owner {
+		spans[h] = append(spans[h], row)
+	}
+	s := &Sharded{Name: tbl.Name, Layout: layout, scans: make([]stats.LatencyHistogram, layout.N)}
+	for h, span := range spans {
+		s.Shards = append(s.Shards, gather(tbl, layout.Column, h, span))
+	}
+	return s, nil
+}
+
+// PartitionOne returns shard index of Partition(tbl, layout), gathering
+// only that shard's rows.
+func PartitionOne(tbl *engine.Table, layout Layout, index int) (*Shard, error) {
+	if index < 0 || index >= layout.N {
+		return nil, fmt.Errorf("shard: shard index %d outside layout of %d", index, layout.N)
+	}
+	owner, counts, err := assign(tbl, layout)
+	if err != nil {
+		return nil, err
+	}
+	span := make([]int, 0, counts[index])
+	for row, h := range owner {
+		if h == index {
+			span = append(span, row)
+		}
+	}
+	return gather(tbl, layout.Column, index, span), nil
+}
+
+// assign returns each row's shard under layout and each shard's row
+// count. A range layout gives the row at rank r in the sorted order
+// shard h when h·n/N <= r < (h+1)·n/N.
+func assign(tbl *engine.Table, layout Layout) (owner, counts []int, err error) {
+	if layout.N < 1 {
+		return nil, nil, fmt.Errorf("shard: layout needs N >= 1 shards, got %d", layout.N)
+	}
+	col, err := tbl.Column(layout.Column)
+	if err != nil {
+		return nil, nil, err
+	}
+	n := tbl.NumRows()
+	owner = make([]int, n)
+	counts = make([]int, layout.N)
 	switch layout.Strategy {
 	case ByRange:
 		idx, err := tbl.SortedIndexByOrdinal(layout.Column)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		for h := 0; h < layout.N; h++ {
-			lo := h * n / layout.N
-			hi := (h + 1) * n / layout.N
-			span := append([]int(nil), idx[lo:hi]...)
-			sort.Ints(span) // restore source row order within the shard
-			spans[h] = span
+		for h := range counts {
+			lo, hi := h*n/layout.N, (h+1)*n/layout.N
+			for _, row := range idx[lo:hi] {
+				owner[row] = h
+			}
+			counts[h] = hi - lo
 		}
 	case ByHash:
-		for i := 0; i < n; i++ {
-			h := int(mix64(math.Float64bits(col.Ordinal(i))) % uint64(layout.N))
-			spans[h] = append(spans[h], i)
+		for row := range owner {
+			h := int(mix64(math.Float64bits(col.Ordinal(row))) % uint64(layout.N))
+			owner[row] = h
+			counts[h]++
 		}
 	default:
-		return nil, fmt.Errorf("shard: unknown strategy %v", layout.Strategy)
+		return nil, nil, fmt.Errorf("shard: unknown strategy %v", layout.Strategy)
 	}
-	s := &Sharded{Name: tbl.Name, Layout: layout, scans: make([]stats.LatencyHistogram, layout.N)}
-	for h, span := range spans {
-		st := tbl.Gather(fmt.Sprintf("%s#%d", tbl.Name, h), span)
-		sh := &Shard{Index: h, Table: st, Rows: len(span)}
-		if len(span) > 0 {
-			c := st.MustColumn(layout.Column)
-			lo, hi := c.Ordinal(0), c.Ordinal(0)
-			for i := 1; i < len(span); i++ {
-				v := c.Ordinal(i)
-				if v < lo {
-					lo = v
-				}
-				if v > hi {
-					hi = v
-				}
+	return owner, counts, nil
+}
+
+// gather builds shard h from the source rows in span. NaN matches no
+// range, so NaN rows stay out of the bounds; a shard of NaN rows only
+// keeps NaN bounds, which prune nothing.
+func gather(tbl *engine.Table, column string, h int, span []int) *Shard {
+	st := tbl.Gather(fmt.Sprintf("%s#%d", tbl.Name, h), span)
+	sh := &Shard{Index: h, Table: st, Rows: len(span)}
+	if len(span) > 0 {
+		c := st.MustColumn(column)
+		lo, hi := math.NaN(), math.NaN()
+		for i := range span {
+			switch v := c.Ordinal(i); {
+			case math.IsNaN(v):
+			case math.IsNaN(lo):
+				lo, hi = v, v
+			case v < lo:
+				lo = v
+			case v > hi:
+				hi = v
 			}
-			sh.Lo, sh.Hi = lo, hi
 		}
-		s.Shards = append(s.Shards, sh)
+		sh.Lo, sh.Hi = lo, hi
 	}
-	return s, nil
+	return sh
 }
 
 // mix64 is SplitMix64's finalizer: a cheap, well-distributed 64-bit

@@ -3,7 +3,9 @@ package shard
 import (
 	"context"
 	"fmt"
+	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -127,6 +129,114 @@ func TestPartitionErrors(t *testing.T) {
 	if _, err := Partition(tbl, Layout{Strategy: Strategy(99), Column: "k", N: 2}); err == nil {
 		t.Error("unknown strategy did not fail")
 	}
+	for _, index := range []int{-1, 2} {
+		if _, err := PartitionOne(tbl, Layout{Strategy: ByRange, Column: "k", N: 2}, index); err == nil {
+			t.Errorf("PartitionOne index %d of 2 did not fail", index)
+		}
+	}
+}
+
+// oldSpans is how Partition assigned rows before its one linear pass:
+// range layouts cut the stable comparator order (NaN last) into N spans
+// and sort.Ints each back into source order; hash layouts append rows
+// in source order.
+func oldSpans(col *engine.Column, layout Layout) [][]int {
+	n := col.Len()
+	spans := make([][]int, layout.N)
+	if layout.Strategy == ByHash {
+		for i := 0; i < n; i++ {
+			h := int(mix64(math.Float64bits(col.Ordinal(i))) % uint64(layout.N))
+			spans[h] = append(spans[h], i)
+		}
+		return spans
+	}
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.SliceStable(idx, func(a, b int) bool {
+		x, y := col.Ordinal(idx[a]), col.Ordinal(idx[b])
+		if math.IsNaN(x) || math.IsNaN(y) {
+			return !math.IsNaN(x)
+		}
+		return x < y
+	})
+	for h := range spans {
+		span := append([]int(nil), idx[h*n/layout.N:(h+1)*n/layout.N]...)
+		sort.Ints(span)
+		spans[h] = span
+	}
+	return spans
+}
+
+// TestPartitionMatchesSortedSpans: every shard holds exactly the rows
+// the sort-and-restore assignment gave it, in source order, and its
+// bounds are that assignment's bounds over the non-NaN rows, bit for
+// bit (-0 and +0 included). PartitionOne gathers the same shard alone.
+func TestPartitionMatchesSortedSpans(t *testing.T) {
+	const n = 3001
+	r := stats.NewRNG(40)
+	ids, ks, fs := make([]int64, n), make([]int64, n), make([]float64, n)
+	pool := []float64{math.NaN(), math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1), 2.5}
+	for i := range ids {
+		ids[i], ks[i] = int64(i), int64(r.Intn(40))
+		fs[i] = float64(r.Intn(60)) - 30
+		if r.Intn(10) == 0 {
+			fs[i] = pool[r.Intn(len(pool))]
+		}
+	}
+	fs[0] = math.NaN() // the first source row of whichever shard holds it
+	tbl := engine.MustNewTable("p", engine.NewIntColumn("id", ids),
+		engine.NewIntColumn("k", ks), engine.NewFloatColumn("f", fs))
+	for _, col := range []string{"k", "f"} {
+		for _, strategy := range []Strategy{ByRange, ByHash} {
+			for _, nShards := range []int{1, 2, 3, 7, 64} {
+				layout := Layout{Strategy: strategy, Column: col, N: nShards}
+				spans := oldSpans(tbl.MustColumn(col), layout)
+				s := mustPartition(t, tbl, layout)
+				for h, sh := range s.Shards {
+					if got := sh.Table.MustColumn("id").Ints; sh.Rows != len(spans[h]) || !slices.Equal(got, toInt64(spans[h])) {
+						t.Fatalf("%v shard %d: rows differ from the sorted span", layout, h)
+					}
+					lo, hi := math.NaN(), math.NaN()
+					for _, row := range spans[h] {
+						v := tbl.MustColumn(col).Ordinal(row)
+						if math.IsNaN(v) {
+							continue
+						}
+						if math.IsNaN(lo) {
+							lo, hi = v, v
+						}
+						if v < lo {
+							lo = v
+						}
+						if v > hi {
+							hi = v
+						}
+					}
+					if len(spans[h]) > 0 && (math.Float64bits(sh.Lo) != math.Float64bits(lo) || math.Float64bits(sh.Hi) != math.Float64bits(hi)) {
+						t.Fatalf("%v shard %d: bounds [%v, %v], want [%v, %v]", layout, h, sh.Lo, sh.Hi, lo, hi)
+					}
+					one, err := PartitionOne(tbl, layout, h)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if one.Index != h || one.Rows != sh.Rows || !slices.Equal(one.Table.MustColumn("id").Ints, sh.Table.MustColumn("id").Ints) ||
+						math.Float64bits(one.Lo) != math.Float64bits(sh.Lo) || math.Float64bits(one.Hi) != math.Float64bits(sh.Hi) {
+						t.Fatalf("%v shard %d: PartitionOne differs from Partition", layout, h)
+					}
+				}
+			}
+		}
+	}
+}
+
+func toInt64(rows []int) []int64 {
+	out := make([]int64, len(rows))
+	for i, r := range rows {
+		out[i] = int64(r)
+	}
+	return out
 }
 
 func TestRangePruning(t *testing.T) {
