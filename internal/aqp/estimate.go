@@ -4,12 +4,13 @@
 // stratified samples, plus the support-only replicate kernel of the
 // SUM/COUNT bootstrap (Resampler).
 //
-// The central primitive is SumOfValues: an unbiased estimate of a
-// population total Σ_D v from per-sample-row contributions v_i. Both plain
-// AQP (v_i = a_i·cond(i)) and AQP++ (v_i = a_i·(cond_q(i) − cond_pre(i)))
-// are built on it, which is exactly how the paper frames the connection
-// (Equation 4 treats Equation 3 as a black box). Ratio turns a SUM and a
-// COUNT total into AVG. core.Processor answers queries; its cube-less
+// The central primitive is Estimator.Total: an unbiased estimate of a
+// population total Σ_D v from per-sample-row contributions v_i, given as
+// a Lane of row selections. Both plain AQP (v_i = a_i·cond(i)) and AQP++
+// (v_i = a_i·(cond_q(i) − cond_pre(i))) are built on it, which is
+// exactly how the paper frames the connection (Equation 4 treats
+// Equation 3 as a black box), and it reads only the rows where v_i can
+// be nonzero. Estimator.Ratio turns a SUM and a COUNT total into AVG. core.Processor answers queries; its cube-less
 // case is plain AQP, which EstimateQuery spells out with the primitives.
 package aqp
 
@@ -54,114 +55,252 @@ func (e Estimate) Low() float64 { return e.Value - e.HalfWidth }
 // High returns the interval's upper bound.
 func (e Estimate) High() float64 { return e.Value + e.HalfWidth }
 
-// SumOfValues estimates the population total Σ_D v from the per-sample-row
-// contributions vals (vals[i] belongs to sample row i; rows outside the
-// query's condition contribute 0). It dispatches on the sample's kind:
+// Lane is one per-sample-row vector v whose population total Σ_D v the
+// Estimator estimates, held as two row selections instead of n values:
+// row i contributes v_i = +a_i when it is in Plus but not Minus, −a_i
+// when it is in Minus but not Plus, and 0 otherwise. Plain AQP's
+// a_i·cond(i) is Plus = the condition's rows with no Minus; AQP++'s
+// diff a_i·(cond_q(i) − cond_pre(i)) (Equation 4) adds Minus = the
+// pre's rows. The rows in Plus XOR Minus are the lane's support, the
+// only rows the Estimator reads. Plus and Minus are selection words
+// over the sample rows (engine.Bitset.Words: bit i%64 of word i/64 is
+// row i), at least one word per 64 rows; nil selects no row. Col holds
+// a_i; nil means a_i = 1 (COUNT).
+type Lane struct {
+	Plus, Minus []uint64
+	Col         *engine.Column
+}
+
+// ConditionLane returns q's condition lane on s: Plus holds the sample
+// rows inside q's ranges and Col is q's aggregate column (nil for
+// COUNT). Group-by clauses are rejected here; core.Processor's
+// AnswerGroups pins each group with equality ranges instead.
+func ConditionLane(s *sample.Sample, q engine.Query) (Lane, error) {
+	if len(q.GroupBy) > 0 {
+		return Lane{}, fmt.Errorf("aqp: ConditionLane does not handle GROUP BY")
+	}
+	sel, err := s.Table.Filter(q.Ranges)
+	if err != nil {
+		return Lane{}, err
+	}
+	l := Lane{Plus: sel.Words()}
+	if q.Func != engine.Count {
+		if l.Col, err = s.Table.Column(q.Col); err != nil {
+			return Lane{}, err
+		}
+	}
+	return l, nil
+}
+
+// Estimator estimates lane totals over one sample. It holds what every
+// lane shares — the row count, λ and, on a stratified sample, each
+// stratum's row count n_h, counted once — plus per-stratum scratch, so
+// a lane costs O(support) rows and O(strata) words, not O(n). An
+// Estimator is not safe for concurrent use.
+type Estimator struct {
+	s      *sample.Sample
+	conf   float64
+	lambda float64
+	n      int
+	// Stratified samples only: rows[h] is n_h; sum, mean, m2 and cnt
+	// are per-stratum scratch that every lane overwrites.
+	rows          []int
+	sum, mean, m2 []float64
+	cnt           []int
+}
+
+// NewEstimator prepares the estimates of lanes over s at the given
+// confidence level.
+func NewEstimator(s *sample.Sample, confidence float64) Estimator {
+	e := Estimator{s: s, conf: confidence, lambda: stats.ZScore(confidence), n: s.Size()}
+	if s.Kind == sample.Stratified {
+		h := len(s.Strata)
+		e.rows, e.cnt = make([]int, h), make([]int, h)
+		e.sum, e.mean, e.m2 = make([]float64, h), make([]float64, h), make([]float64, h)
+		for _, st := range s.StratumOf[:e.n] {
+			e.rows[st]++
+		}
+	}
+	return e
+}
+
+// Total estimates the population total Σ_D v of l's values and returns
+// it with the lane's support: how many sample rows are in Plus XOR
+// Minus. It dispatches on the sample's kind:
 //
 //   - uniform / measure-biased: the per-draw pseudo-values x_i = v_i/p_i
 //     are (approximately) i.i.d., so the estimate is mean(x) and the CLT
 //     interval is λ·sqrt(Var(x)/n) — the paper's Example 1 generalized to
-//     unequal probabilities.
+//     unequal probabilities. Only the support S holds a nonzero x, so
+//     mean = Σ_S x / n and n·Var(x) = Σ_S (x − mean)² + (n − |S|)·mean².
 //   - stratified: Σ_h (N_h/n_h)·Σ_{i∈h} v_i with variance
-//     Σ_h N_h²·Var_h(v)/n_h.
-func SumOfValues(s *sample.Sample, vals []float64, confidence float64) Estimate {
-	var out [1]Estimate
-	SumsOfValues(s, [][]float64{vals}, confidence, out[:])
-	return out[0]
+//     Σ_h N_h²·Var_h(v)/n_h·(1 − n_h/N_h), the same sums per stratum.
+func (e *Estimator) Total(l Lane) (Estimate, int) {
+	return e.total(l, Lane{}, 0)
 }
 
-// Lanes is how many vectors SumsOfValues folds in one pass over the rows.
-const Lanes = 4
+// Ratio estimates AVG as the ratio of a SUM total and a COUNT total,
+// given the lanes each was estimated from, with a delta-method
+// (linearization) interval: the variance of R̂ = sum/count is
+// approximated by the variance of the residual total
+// Σ w·(v_sum − R̂·v_count), over the union of the two supports, divided
+// by count². A zero count yields a zero estimate.
+func (e *Estimator) Ratio(sum, count float64, sumLane, countLane Lane) Estimate {
+	if count == 0 {
+		return Estimate{Confidence: e.conf, SampleRows: e.n}
+	}
+	r := sum / count
+	re, _ := e.total(sumLane, countLane, r)
+	return Estimate{
+		Value:      r,
+		HalfWidth:  re.HalfWidth / math.Abs(count),
+		Confidence: e.conf,
+		SampleRows: e.n,
+	}
+}
 
-// SumsOfValues is SumOfValues for several vectors over one sample:
-// out[j] is SumOfValues(s, vals[j], confidence), bit for bit. Uniform
-// and measure-biased samples fold up to Lanes vectors per pass over the
-// rows (see welford), so scoring many vectors — identification's
-// candidates, or a pre and the φ-guard — costs about what scoring one
-// does. out must hold len(vals) estimates.
-func SumsOfValues(s *sample.Sample, vals [][]float64, confidence float64, out []Estimate) {
-	n := s.Size()
-	if len(out) < len(vals) {
-		panic(fmt.Sprintf("aqp: %d estimates for %d value vectors", len(out), len(vals)))
-	}
-	for _, v := range vals {
-		if len(v) != n {
-			panic(fmt.Sprintf("aqp: %d values for %d sample rows", len(v), n))
-		}
-	}
-	lambda := stats.ZScore(confidence)
-	if s.Kind == sample.Stratified {
-		for j, v := range vals {
-			out[j] = stratifiedSum(s, v, confidence, lambda)
-		}
-		return
+// total estimates the total of v_a − r·v_b (Total is b empty), two
+// passes over the support: the sums, then the squared deviations.
+func (e *Estimator) total(a, b Lane, r float64) (Estimate, int) {
+	n := e.n
+	if e.s.Kind == sample.Stratified {
+		return e.stratified(a, b, r)
 	}
 	if n == 0 {
-		for j := range vals {
-			out[j] = Estimate{Confidence: confidence}
-		}
-		return
+		return Estimate{Confidence: e.conf}, 0
 	}
-	for j := 0; j < len(vals); j += Lanes {
-		lanes := vals[j:min(j+Lanes, len(vals))]
-		mean, m2 := welford(s.InvP[:n], lanes)
-		for l := range lanes {
-			out[j+l] = Estimate{
-				Value:      mean[l],
-				HalfWidth:  lambda * math.Sqrt(m2[l]/float64(n)/float64(n)),
-				Confidence: confidence,
-				SampleRows: n,
+	invP := e.s.InvP[:n]
+	sum := 0.0
+	support := walk(n, a, b, r, func(i int, v float64) { sum += v * invP[i] })
+	mean := sum / float64(n)
+	m2 := 0.0
+	walk(n, a, b, r, func(i int, v float64) {
+		d := v*invP[i] - mean
+		m2 += d * d
+	})
+	if support < n {
+		m2 += float64(n-support) * mean * mean
+	}
+	return Estimate{
+		Value:      mean,
+		HalfWidth:  e.lambda * math.Sqrt(m2/float64(n)/float64(n)),
+		Confidence: e.conf,
+		SampleRows: n,
+	}, support
+}
+
+// stratified is total on a stratified sample. Each stratum's sum adds
+// its support rows in row order, so the Value is the in-order sum
+// stratum by stratum.
+func (e *Estimator) stratified(a, b Lane, r float64) (Estimate, int) {
+	of := e.s.StratumOf
+	clear(e.sum)
+	clear(e.m2)
+	clear(e.cnt)
+	support := walk(e.n, a, b, r, func(i int, v float64) {
+		e.sum[of[i]] += v
+		e.cnt[of[i]]++
+	})
+	for h, nh := range e.rows {
+		if nh > 0 {
+			e.mean[h] = e.sum[h] / float64(nh)
+		}
+	}
+	walk(e.n, a, b, r, func(i int, v float64) {
+		d := v - e.mean[of[i]]
+		e.m2[of[i]] += d * d
+	})
+	est, varTotal := 0.0, 0.0
+	for h, st := range e.s.Strata {
+		if e.rows[h] == 0 {
+			continue
+		}
+		nh := float64(e.rows[h])
+		est += float64(st.SourceRows) / nh * e.sum[h]
+		m2 := e.m2[h]
+		if zeros := e.rows[h] - e.cnt[h]; zeros > 0 {
+			m2 += float64(zeros) * e.mean[h] * e.mean[h]
+		}
+		// Finite-population correction when a stratum is fully sampled
+		// drives its variance to zero (the paper's "<N,F>" observation).
+		fpc := max(1-nh/float64(st.SourceRows), 0)
+		varTotal += float64(st.SourceRows) * float64(st.SourceRows) * (m2 / nh) / nh * fpc
+	}
+	return Estimate{
+		Value:      est,
+		HalfWidth:  e.lambda * math.Sqrt(varTotal),
+		Confidence: e.conf,
+		SampleRows: e.n,
+	}, support
+}
+
+// walk calls visit(i, v_a(i) − r·v_b(i)) for every row i < n in the
+// support of a or b, in ascending row order, and returns how many it
+// visited. A row outside b's support takes v_a(i) as it is.
+func walk(n int, a, b Lane, r float64, visit func(i int, v float64)) int {
+	ma, mb := measureOf(a.Col), measureOf(b.Col)
+	visited := 0
+	for wi := 0; wi < (n+63)/64; wi++ {
+		pa, pb := word(a.Plus, wi), word(b.Plus, wi)
+		sa, sb := pa^word(a.Minus, wi), pb^word(b.Minus, wi)
+		base := wi << 6
+		for w := sa | sb; w != 0; w &= w - 1 {
+			bit := w & -w
+			i := base + bits.TrailingZeros64(w)
+			v := 0.0
+			if sa&bit != 0 {
+				if v = ma.at(i); pa&bit == 0 {
+					v = -v
+				}
 			}
+			if sb&bit != 0 {
+				u := mb.at(i)
+				if pb&bit == 0 {
+					u = -u
+				}
+				v -= r * u
+			}
+			visit(i, v)
+			visited++
 		}
 	}
+	return visited
 }
 
-// welford runs stats.Moments.Add's mean/M2 recurrence over the
-// pseudo-values x = v·invP[i] of one to Lanes vectors in a single loop
-// over the rows. Each lane performs exactly Moments.Add's operations in
-// its order (d := x − mean; mean += d/k; m2 += d·(x − mean)), so its
-// mean and m2 are bit-identical to a Moments fed the same x — the
-// speedup is only that the lanes' dependency chains, each waiting on a
-// divide per row, are independent and overlap in the pipeline. Lanes
-// beyond len(vals) repeat vals[0]; their results are ignored.
-func welford(invP []float64, vals [][]float64) (mean, m2 [Lanes]float64) {
-	n := len(invP)
-	v0 := vals[0][:n]
-	v1, v2, v3 := v0, v0, v0
-	if len(vals) > 1 {
-		v1 = vals[1][:n]
+// word returns selection word wi, 0 for a nil selection.
+func word(sel []uint64, wi int) uint64 {
+	if sel == nil {
+		return 0
 	}
-	if len(vals) > 2 {
-		v2 = vals[2][:n]
-	}
-	if len(vals) > 3 {
-		v3 = vals[3][:n]
-	}
-	var a0, a1, a2, a3, q0, q1, q2, q3 float64
-	for i, w := range invP {
-		k := float64(i + 1)
-		x0 := v0[i] * w
-		d0 := x0 - a0
-		a0 += d0 / k
-		q0 += d0 * (x0 - a0)
-		x1 := v1[i] * w
-		d1 := x1 - a1
-		a1 += d1 / k
-		q1 += d1 * (x1 - a1)
-		x2 := v2[i] * w
-		d2 := x2 - a2
-		a2 += d2 / k
-		q2 += d2 * (x2 - a2)
-		x3 := v3[i] * w
-		d3 := x3 - a3
-		a3 += d3 / k
-		q3 += d3 * (x3 - a3)
-	}
-	return [Lanes]float64{a0, a1, a2, a3}, [Lanes]float64{q0, q1, q2, q3}
+	return sel[wi]
 }
 
-// Resampler draws bootstrap replicates of SumOfValues's Value over one
-// value vector. A replicate resamples each stratum's n_h rows with
+// measure reads a lane's a_i: straight from a resident float column's
+// values, through Column.Float otherwise, and 1 with no column (COUNT).
+type measure struct {
+	floats []float64
+	col    *engine.Column
+}
+
+func measureOf(c *engine.Column) measure {
+	if c != nil && c.Type == engine.Float64 && len(c.Floats) == c.Len() {
+		return measure{floats: c.Floats, col: c}
+	}
+	return measure{col: c}
+}
+
+func (m measure) at(i int) float64 {
+	switch {
+	case m.floats != nil:
+		return m.floats[i]
+	case m.col == nil:
+		return 1
+	}
+	return m.col.Float(i)
+}
+
+// Resampler draws bootstrap replicates of Estimator.Total's Value over
+// one lane. A replicate resamples each stratum's n_h rows with
 // replacement (a uniform or measure-biased sample is one stratum of n
 // rows), but only the rows with a nonzero value can move it. Of n_h
 // draws, the number landing on the stratum's s_h nonzero rows is
@@ -179,14 +318,15 @@ type resampleStratum struct {
 	hits stats.Binomial // of the n_h draws, how many land on the support
 }
 
-// NewResampler prepares the replicates of SumOfValues(s, vals, ·).Value.
-// Drawing nonzero row i adds vals[i]·InvP[i]/n on a uniform or
-// measure-biased sample, and vals[i]·N_h/n_h on a stratified one, whose
+// NewResampler prepares the replicates of an Estimator's Total(l).Value
+// on s. Drawing support row i adds v_i·InvP[i]/n on a uniform or
+// measure-biased sample, and v_i·N_h/n_h on a stratified one, whose
 // strata are resampled separately, n_h rows each: the fixed-n_h design
-// stratifiedSum's interval assumes. It allocates 8 bytes per nonzero row
-// and a 56-byte record per stratum (core.BootstrapScratchBytes); s.InvP
-// (or s.StratumOf) must cover vals.
-func NewResampler(s *sample.Sample, vals []float64) Resampler {
+// the stratified interval assumes. A support row whose v_i is 0 adds
+// nothing and is not kept. It allocates 8 bytes per kept row and a
+// 56-byte record per stratum (core.BootstrapScratchBytes).
+func NewResampler(s *sample.Sample, l Lane) Resampler {
+	n := s.Size()
 	stratified := s.Kind == sample.Stratified
 	// Count each stratum's rows and nonzero rows, turn the counts into
 	// write cursors, place the contributions, and keep the strata that
@@ -194,19 +334,25 @@ func NewResampler(s *sample.Sample, vals []float64) Resampler {
 	strata := make([]resampleStratum, 1)
 	if stratified {
 		strata = make([]resampleStratum, len(s.Strata))
+		for _, h := range s.StratumOf[:n] {
+			strata[h].rows++
+		}
+	} else {
+		strata[0].rows = n
+	}
+	stratumOf := func(i int) *resampleStratum {
+		if stratified {
+			return &strata[s.StratumOf[i]]
+		}
+		return &strata[0]
 	}
 	nonzero := 0
-	for i, v := range vals {
-		st := &strata[0]
-		if stratified {
-			st = &strata[s.StratumOf[i]]
-		}
-		st.rows++
+	walk(n, l, Lane{}, 0, func(i int, v float64) {
 		if !stats.ExactEqual(v, 0) {
-			st.end++
+			stratumOf(i).end++
 			nonzero++
 		}
-	}
+	})
 	if nonzero == 0 {
 		return Resampler{}
 	}
@@ -215,23 +361,20 @@ func NewResampler(s *sample.Sample, vals []float64) Resampler {
 		at, strata[h].end = at+strata[h].end, at
 	}
 	support := make([]float64, nonzero)
-	for i, v := range vals {
+	walk(n, l, Lane{}, 0, func(i int, v float64) {
 		if stats.ExactEqual(v, 0) {
-			continue
+			return
 		}
-		var st *resampleStratum
+		st := stratumOf(i)
 		var w float64
 		if stratified {
-			h := s.StratumOf[i]
-			st = &strata[h]
-			w = float64(s.Strata[h].SourceRows) / float64(st.rows)
+			w = float64(s.Strata[s.StratumOf[i]].SourceRows) / float64(st.rows)
 		} else {
-			st = &strata[0]
-			w = s.InvP[i] / float64(len(vals))
+			w = s.InvP[i] / float64(n)
 		}
 		support[st.end] = v * w
 		st.end++
-	}
+	})
 	kept, start := strata[:0], 0
 	for _, st := range strata {
 		if support := st.end - start; support > 0 {
@@ -256,126 +399,32 @@ func (rs Resampler) Replicate(r *stats.RNG) float64 {
 	return est
 }
 
-func stratifiedSum(s *sample.Sample, vals []float64, confidence, lambda float64) Estimate {
-	perStratum := make([]stats.Moments, len(s.Strata))
-	for i, v := range vals {
-		perStratum[s.StratumOf[i]].Add(v)
-	}
-	est := 0.0
-	varTotal := 0.0
-	for h, st := range s.Strata {
-		m := &perStratum[h]
-		if m.Count() == 0 {
-			continue
-		}
-		scale := float64(st.SourceRows) / float64(m.Count())
-		est += scale * m.Sum()
-		// Finite-population correction when a stratum is fully sampled
-		// drives its variance to zero (the paper's "<N,F>" observation).
-		fpc := 1 - float64(m.Count())/float64(st.SourceRows)
-		if fpc < 0 {
-			fpc = 0
-		}
-		nh := float64(m.Count())
-		varTotal += float64(st.SourceRows) * float64(st.SourceRows) * m.Variance() / nh * fpc
-	}
-	return Estimate{
-		Value:      est,
-		HalfWidth:  lambda * math.Sqrt(varTotal),
-		Confidence: confidence,
-		SampleRows: len(vals),
-	}
-}
-
-// ConditionVector returns per-sample-row contributions a_i·1[cond(i)] for
-// the query's aggregate column and range conditions. COUNT queries use
-// a_i = 1. Group-by clauses are rejected here; core.Processor's
-// AnswerGroups pins each group with equality ranges instead.
-func ConditionVector(s *sample.Sample, q engine.Query) ([]float64, error) {
-	if len(q.GroupBy) > 0 {
-		return nil, fmt.Errorf("aqp: ConditionVector does not handle GROUP BY")
-	}
-	sel, err := s.Table.Filter(q.Ranges)
-	if err != nil {
-		return nil, err
-	}
-	vals := make([]float64, s.Size())
-	var col *engine.Column
-	if q.Func != engine.Count {
-		col, err = s.Table.Column(q.Col)
-		if err != nil {
-			return nil, err
-		}
-	}
-	// Iterate the selection word-at-a-time (peeling set bits with
-	// TrailingZeros64) instead of paying a closure call per row.
-	for wi, w := range sel.Words() {
-		base := wi << 6
-		for w != 0 {
-			i := base + bits.TrailingZeros64(w)
-			w &= w - 1
-			if col != nil {
-				vals[i] = col.Float(i)
-			} else {
-				vals[i] = 1
-			}
-		}
-	}
-	return vals, nil
-}
-
-// Ratio estimates AVG as the ratio of a SUM total and a COUNT total,
-// given the per-sample-row vectors each was estimated from, with a
-// delta-method (linearization) interval: the variance of R̂ = sum/count
-// is approximated by the variance of the residual total
-// Σ w·(sumVals − R̂·cntVals) divided by count². The residual is built in
-// place of sumVals. A zero count yields a zero estimate.
-func Ratio(s *sample.Sample, sum, count float64, sumVals, cntVals []float64, confidence float64) Estimate {
-	if count == 0 {
-		return Estimate{Confidence: confidence, SampleRows: s.Size()}
-	}
-	r := sum / count
-	for i := range sumVals {
-		sumVals[i] -= r * cntVals[i]
-	}
-	re := SumOfValues(s, sumVals, confidence)
-	return Estimate{
-		Value:      r,
-		HalfWidth:  re.HalfWidth / math.Abs(count),
-		Confidence: confidence,
-		SampleRows: s.Size(),
-	}
-}
-
 // EstimateQuery answers a SUM, COUNT or AVG query by plain AQP
 // (Equation 3). It is core.Processor with no cube (pre = φ) written with
 // this package's primitives alone, and answers bit for bit what that
-// processor does: SUM and COUNT estimate the condition vector's total,
+// processor does: SUM and COUNT estimate the condition lane's total,
 // and AVG is the Ratio of the two. Other aggregates need exact
 // processing.
 func EstimateQuery(s *sample.Sample, q engine.Query, confidence float64) (Estimate, error) {
 	switch q.Func {
-	case engine.Sum, engine.Count:
-		vals, err := ConditionVector(s, q)
-		if err != nil {
-			return Estimate{}, err
-		}
-		return SumOfValues(s, vals, confidence), nil
-	case engine.Avg:
-		sumQ, cntQ := q, q
-		sumQ.Func, cntQ.Func = engine.Sum, engine.Count
-		sumVals, err := ConditionVector(s, sumQ)
-		if err != nil {
-			return Estimate{}, err
-		}
-		cntVals, err := ConditionVector(s, cntQ)
-		if err != nil {
-			return Estimate{}, err
-		}
-		var ests [2]Estimate
-		SumsOfValues(s, [][]float64{sumVals, cntVals}, confidence, ests[:])
-		return Ratio(s, ests[0].Value, ests[1].Value, sumVals, cntVals, confidence), nil
+	case engine.Sum, engine.Count, engine.Avg:
 	default:
 		return Estimate{}, fmt.Errorf("aqp: no closed-form estimator for %v", q.Func)
 	}
+	sumQ := q
+	if q.Func == engine.Avg {
+		sumQ.Func = engine.Sum
+	}
+	l, err := ConditionLane(s, sumQ)
+	if err != nil {
+		return Estimate{}, err
+	}
+	e := NewEstimator(s, confidence)
+	est, _ := e.Total(l)
+	if q.Func != engine.Avg {
+		return est, nil
+	}
+	cntLane := Lane{Plus: l.Plus}
+	cnt, _ := e.Total(cntLane)
+	return e.Ratio(est.Value, cnt.Value, l, cntLane), nil
 }

@@ -228,29 +228,23 @@ func TestConditionVectorValues(t *testing.T) {
 		engine.NewFloatColumn("v", []float64{10, 20, 30, 40}),
 	)
 	s, _ := sample.NewUniform(tbl, 1.0, 1)
-	vals, err := ConditionVector(s, engine.Query{Func: engine.Sum, Col: "v",
+	l, err := ConditionLane(s, engine.Query{Func: engine.Sum, Col: "v",
 		Ranges: []engine.Range{{Col: "k", Lo: 2, Hi: 3}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The full-rate sample preserves row order (indices sorted).
-	want := []float64{0, 20, 30, 0}
-	for i := range want {
-		if vals[i] != want[i] {
-			t.Errorf("vals[%d] = %v, want %v", i, vals[i], want[i])
-		}
+	// The full-rate sample preserves row order (indices sorted): rows 1
+	// and 2 are selected, a_i is read from v, and nothing is subtracted.
+	if len(l.Plus) != 1 || l.Plus[0] != 0b0110 || l.Minus != nil || l.Col != tbl.MustColumn("v") && l.Col.Floats[1] != 20 {
+		t.Errorf("ConditionLane = %+v", l)
 	}
-}
-
-func TestSumOfValuesLengthPanic(t *testing.T) {
-	tbl := buildTable(100, 14)
-	s, _ := sample.NewUniform(tbl, 0.5, 18)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("length mismatch did not panic")
-		}
-	}()
-	SumOfValues(s, []float64{1, 2}, 0.95)
+	if l.Col == nil || l.Col.Float(1) != 20 || l.Col.Float(2) != 30 {
+		t.Errorf("ConditionLane measure = %+v", l.Col)
+	}
+	cl, err := ConditionLane(s, engine.Query{Func: engine.Count, Ranges: []engine.Range{{Col: "k", Lo: 2, Hi: 3}}})
+	if err != nil || cl.Col != nil || cl.Plus[0] != 0b0110 {
+		t.Errorf("COUNT ConditionLane = %+v, %v", cl, err)
+	}
 }
 
 func TestRelativeError(t *testing.T) {

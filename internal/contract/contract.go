@@ -8,7 +8,7 @@
 //
 // The estimator inverts the CLT half-width formula per aggregate
 // family. For SUM/COUNT over a uniform sample the interval is
-// hw(n) = λ·sqrt(Var(x)/n) (aqp.SumOfValues), so a pilot answer at
+// hw(n) = λ·sqrt(Var(x)/n) (aqp.Estimator.Total), so a pilot answer at
 // n₀ rows predicts hw at any n as hw₀·sqrt(n₀/n) and the smallest
 // sufficient sample is n ≥ n₀·(hw₀/ε)². AVG's delta-method interval
 // carries the same 1/√n scaling through its residual vector, so the

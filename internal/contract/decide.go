@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"aqppp/internal/aqp"
 	"aqppp/internal/core"
 	"aqppp/internal/engine"
 	"aqppp/internal/sample"
@@ -246,19 +245,11 @@ func decideSampling(proc *core.Processor, q engine.Query, c Contract, conf float
 
 // supportOf counts pilot rows inside the query's predicate.
 func supportOf(s *sample.Sample, q engine.Query) (int, error) {
-	cq := q
-	cq.Func = engine.Count
-	vals, err := aqp.ConditionVector(s, cq)
+	sel, err := s.Table.Filter(q.Ranges)
 	if err != nil {
 		return 0, err
 	}
-	n := 0
-	for _, v := range vals {
-		if v != 0 {
-			n++
-		}
-	}
-	return n, nil
+	return sel.Count(), nil
 }
 
 // AnswerAt answers q closed-form on a uniform subset of rows drawn

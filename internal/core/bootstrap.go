@@ -15,6 +15,10 @@ import (
 // non-positive resample count.
 const DefaultResamples = 200
 
+// cancelCheckReplicates is how many bootstrap replicates run between two
+// checks of the context.
+const cancelCheckReplicates = 4
+
 // BootstrapScratch is what AnswerBootstrap's last parameter points to.
 //
 // Deprecated: the bootstrap keeps no reusable buffers, and AnswerBootstrap
@@ -23,7 +27,7 @@ const DefaultResamples = 200
 type BootstrapScratch struct{}
 
 // BootstrapScratchBytes is the most a bootstrap over s allocates besides
-// the diff vector and the replicate values: the aqp.Resampler's
+// the selections of its diff lane and the replicate values: the aqp.Resampler's
 // contribution of each nonzero row (8 bytes, at most one per sample row)
 // and its 56-byte record of each stratum, one on a uniform or
 // measure-biased sample and len(s.Strata) on a stratified one, whose
@@ -48,12 +52,13 @@ func BootstrapScratchBytes(s *sample.Sample) int64 {
 //
 // A replicate resamples n rows with replacement (n_h within each
 // stratum of a stratified sample) but draws only the rows of the diff
-// vector that are nonzero (aqp.Resampler), so it costs O(support), not
-// O(n). The same seed gives the same answer.
+// lane whose value is nonzero (aqp.Resampler), so it costs O(support),
+// not O(n). The same seed gives the same answer. A pre whose pre(D) is
+// not finite is answered as φ, as Answer does.
 //
-// ctx is checked once per batch of aqp.Lanes replicates, so a canceled
-// caller unwinds within one batch, and once more after the percentiles
-// are read. The last parameter is ignored.
+// ctx is checked once per batch of cancelCheckReplicates replicates, so
+// a canceled caller unwinds within one batch, and once more after the
+// percentiles are read. The last parameter is ignored.
 func (p *Processor) AnswerBootstrap(ctx context.Context, q engine.Query, resamples int, seed uint64, _ *BootstrapScratch) (Answer, error) {
 	if q.Func != engine.Sum && q.Func != engine.Count {
 		return Answer{}, fmt.Errorf("core: AnswerBootstrap supports SUM/COUNT, got %v: %w", q.Func, ErrUnsupported)
@@ -75,22 +80,24 @@ func (p *Processor) AnswerBootstrap(ctx context.Context, q engine.Query, resampl
 	}
 	var preVal float64
 	if !pre.IsPhi() {
-		preVal = pre.Value(c)
+		pre, preVal = anchor(c, pre)
 	}
-	vals, err := ident.DiffVector(p.Sample, c, q, pre)
+	lane, err := ident.DiffLane(p.Sample, c, q, pre)
 	if err != nil {
 		return Answer{}, err
 	}
-	point := preVal + aqp.SumOfValues(p.Sample, vals, conf).Value
+	e := aqp.NewEstimator(p.Sample, conf)
+	est, _ := e.Total(lane)
+	point := preVal + est.Value
 
 	if resamples <= 0 {
 		resamples = DefaultResamples
 	}
-	rs := aqp.NewResampler(p.Sample, vals)
+	rs := aqp.NewResampler(p.Sample, lane)
 	r := stats.NewRNG(seed)
 	reps := make([]float64, resamples)
 	for rep := range reps {
-		if rep%aqp.Lanes == 0 {
+		if rep%cancelCheckReplicates == 0 {
 			if err := ctx.Err(); err != nil {
 				return Answer{}, err
 			}

@@ -32,7 +32,8 @@ func (c *cancelAfter) Err() error {
 
 // TestAnswerBootstrapCancelWithinBatch: a context canceled mid-run
 // stops the replicate loop at its next check, which comes once per
-// batch of aqp.Lanes replicates; one more check follows the sort.
+// batch of cancelCheckReplicates replicates; one more check follows
+// the sort.
 func TestAnswerBootstrapCancelWithinBatch(t *testing.T) {
 	tbl := testTable(4000, 52)
 	p := buildProcessor(t, tbl, []string{"c1"}, 20)
@@ -46,13 +47,13 @@ func TestAnswerBootstrapCancelWithinBatch(t *testing.T) {
 			t.Errorf("cancel at check %d: the loop checked %d times", k, ctx.calls)
 		}
 	}
-	// Uncanceled, the loop checks once per batch, ⌈200/Lanes⌉ times,
+	// Uncanceled, the loop checks once per batch, ⌈200/batch⌉ times,
 	// and the sort once.
 	ctx := &cancelAfter{Context: context.Background(), k: 1 << 30}
 	if _, err := p.AnswerBootstrap(ctx, q, 200, 1, nil); err != nil {
 		t.Fatal(err)
 	}
-	if want := (200+aqp.Lanes-1)/aqp.Lanes + 1; ctx.calls != want {
+	if want := (200+cancelCheckReplicates-1)/cancelCheckReplicates + 1; ctx.calls != want {
 		t.Errorf("200 replicates checked ctx %d times, want %d", ctx.calls, want)
 	}
 }
@@ -102,10 +103,9 @@ func TestAnswerBootstrapScratchBudget(t *testing.T) {
 		t.Errorf("196 more replicates allocated %.0f bytes, want ≤ %.0f", extra, limit)
 	}
 
-	ones := make([]float64, n)
-	for i := range ones {
-		ones[i] = 1
-	}
+	all := engine.NewBitset(n)
+	all.SetAll()
+	ones := aqp.Lane{Plus: all.Words()}
 	// A resampler over a sample whose every row is support allocates its
 	// BootstrapScratchBytes, up to size-class rounding: a uniform sample
 	// (one stratum record), one whose every row is its own stratum, and

@@ -93,7 +93,8 @@ func (p *Processor) Answer(q engine.Query) (Answer, error) {
 	}
 	switch q.Func {
 	case engine.Sum, engine.Count:
-		ans, _, err := p.answerSum(q)
+		e := aqp.NewEstimator(p.Sample, p.confidence())
+		ans, _, err := p.answerSum(&e, q)
 		return ans, err
 	case engine.Avg:
 		return p.answerAvg(q)
@@ -159,26 +160,26 @@ func (p *Processor) cubeFor(q engine.Query) *cube.BPCube {
 	return c
 }
 
-// answerSum runs the SUM/COUNT pipeline against the cube that anchors q.
-// It also returns the per-sample-row vector the estimate was computed
-// from (the answered pre's diff vector), which AVG's interval reuses.
-func (p *Processor) answerSum(q engine.Query) (Answer, []float64, error) {
-	conf := p.confidence()
+// answerSum runs the SUM/COUNT pipeline against the cube that anchors q,
+// estimating on e (an Estimator over p.Sample). It also returns the
+// lane the estimate was computed from (the answered pre's diff lane),
+// which AVG's interval reuses.
+func (p *Processor) answerSum(e *aqp.Estimator, q engine.Query) (Answer, aqp.Lane, error) {
 	c := p.cubeFor(q)
 	if c == nil {
 		// No usable cube: plain AQP (pre = φ).
-		vals, err := aqp.ConditionVector(p.Sample, q)
+		l, err := aqp.ConditionLane(p.Sample, q)
 		if err != nil {
-			return Answer{}, nil, err
+			return Answer{}, aqp.Lane{}, err
 		}
-		est := aqp.SumOfValues(p.Sample, vals, conf)
-		return Answer{Estimate: est, Pre: ident.Pre{Phi: true}, Candidates: 1}, vals, nil
+		est, _ := e.Total(l)
+		return Answer{Estimate: est, Pre: ident.Pre{Phi: true}, Candidates: 1}, l, nil
 	}
-	sel, err := ident.SelectBest(c, q, p.subsample(), conf)
+	sel, err := ident.SelectBest(c, q, p.subsample(), p.confidence())
 	if err != nil {
-		return Answer{}, nil, err
+		return Answer{}, aqp.Lane{}, err
 	}
-	return p.answerWithPre(q, c, sel.Pre, sel.Considered)
+	return p.answerWithPre(e, q, c, sel.Pre, sel.Considered)
 }
 
 // answerAvg answers AVG as the ratio of an AQP++ SUM and an AQP++ COUNT.
@@ -186,22 +187,22 @@ func (p *Processor) answerSum(q engine.Query) (Answer, []float64, error) {
 // D̂_s, D̂_c are the two diff estimators (the pre constants carry no
 // variance).
 func (p *Processor) answerAvg(q engine.Query) (Answer, error) {
-	conf := p.confidence()
+	e := aqp.NewEstimator(p.Sample, p.confidence())
 	sumQ := q
 	sumQ.Func = engine.Sum
 	cntQ := q
 	cntQ.Func = engine.Count
-	sumAns, sumVals, err := p.answerSum(sumQ)
+	sumAns, sumLane, err := p.answerSum(&e, sumQ)
 	if err != nil {
 		return Answer{}, err
 	}
-	cntAns, cntVals, err := p.answerSum(cntQ)
+	cntAns, cntLane, err := p.answerSum(&e, cntQ)
 	if err != nil {
 		return Answer{}, err
 	}
-	// The residual is built from the two pipelines' diff vectors:
+	// The residual is built from the two pipelines' diff lanes:
 	// (a_i − R̂)·(cond_q − cond_pre) terms.
-	est := aqp.Ratio(p.Sample, sumAns.Estimate.Value, cntAns.Estimate.Value, sumVals, cntVals, conf)
+	est := e.Ratio(sumAns.Estimate.Value, cntAns.Estimate.Value, sumLane, cntLane)
 	if cntAns.Estimate.Value == 0 {
 		return Answer{Estimate: est, Pre: sumAns.Pre}, nil
 	}

@@ -17,12 +17,12 @@ import (
 	"aqppp/internal/stats"
 )
 
-// The oracle below is the answer pipeline as it was before the φ vector
-// was shared: answerWithPre built the pre's diff vector and the φ
-// vector separately and estimated each with its own SumOfValues, and
-// AVG rebuilt both pipelines' vectors afterwards. Its building blocks
-// (ident.SelectBest, ident.DiffVector, aqp.SumOfValues) are held to
-// their own pre-rewrite oracles in their packages' equivalence tests.
+// The oracle below is the answer pipeline as it was before the φ lane
+// and the estimator were shared: answerWithPre built the pre's diff
+// lane and the φ lane separately and estimated each on its own
+// Estimator, and AVG rebuilt both pipelines' lanes afterwards. Its
+// building blocks (ident.SelectBest, ident.DiffLane, aqp.Estimator) are
+// held to their own oracles in their packages' equivalence tests.
 
 func oracleAnswer(p *Processor, q engine.Query) (Answer, error) {
 	switch q.Func {
@@ -54,17 +54,18 @@ func oracleAnswerSum(p *Processor, q engine.Query, c *cube.BPCube, cubeAgg strin
 
 func oracleAnswerWithPre(p *Processor, q engine.Query, c *cube.BPCube, pre ident.Pre, considered int) (Answer, error) {
 	conf := p.confidence()
-	vals, err := ident.DiffVector(p.Sample, c, q, pre)
+	if v := pre.Value(c); math.IsInf(v, 0) || math.IsNaN(v) {
+		pre = ident.Pre{Phi: true}
+	}
+	diff, err := oracleTotal(p, c, q, pre)
 	if err != nil {
 		return Answer{}, err
 	}
-	diff := aqp.SumOfValues(p.Sample, vals, conf)
 	if !pre.IsPhi() {
-		phiVals, err := aqp.ConditionVector(p.Sample, q)
+		phiEst, err := oracleTotal(p, c, q, ident.Pre{Phi: true})
 		if err != nil {
 			return Answer{}, err
 		}
-		phiEst := aqp.SumOfValues(p.Sample, phiVals, conf)
 		if phiEst.HalfWidth < diff.HalfWidth {
 			pre = ident.Pre{Phi: true}
 			diff = phiEst
@@ -84,11 +85,15 @@ func oracleAnswerWithPre(p *Processor, q engine.Query, c *cube.BPCube, pre ident
 	}, nil
 }
 
-func oracleDiffOrCond(p *Processor, q engine.Query, c *cube.BPCube, pre ident.Pre) ([]float64, error) {
-	if c == nil || pre.IsPhi() {
-		return aqp.ConditionVector(p.Sample, q)
+// oracleTotal estimates pre's diff lane for q on its own Estimator.
+func oracleTotal(p *Processor, c *cube.BPCube, q engine.Query, pre ident.Pre) (aqp.Estimate, error) {
+	l, err := ident.DiffLane(p.Sample, c, q, pre)
+	if err != nil {
+		return aqp.Estimate{}, err
 	}
-	return ident.DiffVector(p.Sample, c, q, pre)
+	e := aqp.NewEstimator(p.Sample, p.confidence())
+	est, _ := e.Total(l)
+	return est, nil
 }
 
 func oracleAnswerAvg(p *Processor, q engine.Query) (Answer, error) {
@@ -109,27 +114,17 @@ func oracleAnswerAvg(p *Processor, q engine.Query) (Answer, error) {
 			Pre:      sumAns.Pre,
 		}, nil
 	}
-	r := sumAns.Estimate.Value / cntAns.Estimate.Value
-	sumVals, err := oracleDiffOrCond(p, sumQ, p.Cube, sumAns.Pre)
+	sumLane, err := ident.DiffLane(p.Sample, p.Cube, sumQ, sumAns.Pre)
 	if err != nil {
 		return Answer{}, err
 	}
-	cntVals, err := oracleDiffOrCond(p, cntQ, p.countCube(), cntAns.Pre)
+	cntLane, err := ident.DiffLane(p.Sample, p.countCube(), cntQ, cntAns.Pre)
 	if err != nil {
 		return Answer{}, err
 	}
-	resid := make([]float64, len(sumVals))
-	for i := range resid {
-		resid[i] = sumVals[i] - r*cntVals[i]
-	}
-	re := aqp.SumOfValues(p.Sample, resid, conf)
+	e := aqp.NewEstimator(p.Sample, conf)
 	return Answer{
-		Estimate: aqp.Estimate{
-			Value:      r,
-			HalfWidth:  re.HalfWidth / math.Abs(cntAns.Estimate.Value),
-			Confidence: conf,
-			SampleRows: p.Sample.Size(),
-		},
+		Estimate:   e.Ratio(sumAns.Estimate.Value, cntAns.Estimate.Value, sumLane, cntLane),
 		Pre:        sumAns.Pre,
 		PreValue:   sumAns.PreValue,
 		Candidates: sumAns.Candidates + cntAns.Candidates,
@@ -364,8 +359,8 @@ func oracleResampleRows(s *sample.Sample, idx []int) *sample.Sample {
 // oracleAnswerBootstrap is AnswerBootstrap as a gather-per-replicate
 // loop: each replicate draws all n rows (a stratified sample's within
 // their strata, n_h each), gathers the drawn rows' diff values and
-// weights, and estimates the resample with SumOfValues. It is the O(n) resample the support-only kernel must
-// match in distribution.
+// weights, and estimates the resample densely. It is the O(n) resample
+// the support-only kernel must match in distribution.
 func oracleAnswerBootstrap(p *Processor, q engine.Query, resamples int, seed uint64) (Answer, error) {
 	conf := p.confidence()
 	c := p.cubeFor(q)
@@ -381,13 +376,18 @@ func oracleAnswerBootstrap(p *Processor, q engine.Query, resamples int, seed uin
 	}
 	var preVal float64
 	if !pre.IsPhi() {
-		preVal = pre.Value(c)
+		if preVal = pre.Value(c); math.IsInf(preVal, 0) || math.IsNaN(preVal) {
+			pre, preVal = ident.Pre{Phi: true}, 0
+		}
 	}
-	vals, err := ident.DiffVector(p.Sample, c, q, pre)
+	lane, err := ident.DiffLane(p.Sample, c, q, pre)
 	if err != nil {
 		return Answer{}, err
 	}
-	point := preVal + aqp.SumOfValues(p.Sample, vals, conf).Value
+	e := aqp.NewEstimator(p.Sample, conf)
+	est, _ := e.Total(lane)
+	point := preVal + est.Value
+	vals := denseLane(lane, p.Sample.Size())
 	if resamples <= 0 {
 		resamples = DefaultResamples
 	}
@@ -416,7 +416,7 @@ func oracleAnswerBootstrap(p *Processor, q engine.Query, resamples int, seed uin
 			}
 			rvals[i] = vals[j]
 		}
-		reps = append(reps, preVal+aqp.SumOfValues(&rs, rvals, conf).Value)
+		reps = append(reps, preVal+denseValue(&rs, rvals))
 	}
 	alpha := (1 - conf) / 2
 	lo := stats.Quantile(reps, alpha)
@@ -427,6 +427,50 @@ func oracleAnswerBootstrap(p *Processor, q engine.Query, resamples int, seed uin
 		PreValue:   preVal,
 		Candidates: considered,
 	}, nil
+}
+
+// denseLane expands a lane into its per-row values: a_i on Plus alone,
+// −a_i on Minus alone, 0 elsewhere.
+func denseLane(l aqp.Lane, n int) []float64 {
+	in := func(sel []uint64, i int) bool { return sel != nil && sel[i>>6]&(1<<(uint(i)&63)) != 0 }
+	vals := make([]float64, n)
+	for i := range vals {
+		a := 1.0
+		if l.Col != nil {
+			a = l.Col.Float(i)
+		}
+		switch plus, minus := in(l.Plus, i), in(l.Minus, i); {
+		case plus && !minus:
+			vals[i] = a
+		case minus && !plus:
+			vals[i] = -a
+		}
+	}
+	return vals
+}
+
+// denseValue is the point estimate of dense values v on s — mean(v·InvP)
+// or Σ_h N_h/n_h·Σ_{i∈h} v_i — summed row by row.
+func denseValue(s *sample.Sample, v []float64) float64 {
+	if s.Kind != sample.Stratified {
+		sum := 0.0
+		for i, x := range v {
+			sum += x * s.InvP[i]
+		}
+		return sum / float64(len(v))
+	}
+	sums, rows := make([]float64, len(s.Strata)), make([]int, len(s.Strata))
+	for i, x := range v {
+		sums[s.StratumOf[i]] += x
+		rows[s.StratumOf[i]]++
+	}
+	est := 0.0
+	for h, st := range s.Strata {
+		if rows[h] > 0 {
+			est += float64(st.SourceRows) / float64(rows[h]) * sums[h]
+		}
+	}
+	return est
 }
 
 // resizedSample draws an n-row with-replacement resample of s: a sample

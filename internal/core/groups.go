@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"aqppp/internal/aqp"
 	"aqppp/internal/cube"
@@ -55,6 +56,7 @@ func (p *Processor) AnswerGroupsFast(ctx context.Context, q engine.Query) ([]Gro
 		return nil, err
 	}
 
+	e := aqp.NewEstimator(p.Sample, conf)
 	out := make([]GroupAnswer, 0, len(keys))
 	for gi, key := range keys {
 		if err := ctx.Err(); err != nil {
@@ -67,7 +69,7 @@ func (p *Processor) AnswerGroupsFast(ctx context.Context, q engine.Query) ([]Gro
 		if !pre.IsPhi() && len(groupDims) > 0 {
 			pre = pinPreToGroup(p, pre, groupDims, ords[gi])
 		}
-		ans, _, err := p.answerWithPre(gq, p.Cube, pre, sel.Considered)
+		ans, _, err := p.answerWithPre(&e, gq, p.Cube, pre, sel.Considered)
 		if err != nil {
 			return nil, err
 		}
@@ -109,44 +111,54 @@ func pinPreToGroup(p *Processor, pre ident.Pre, groupDims []dimBinding, ords []f
 // estimate plus pre(D). Identification scored candidates on a small
 // subsample, so the chosen pre is re-checked against φ on the full
 // sample (error(q, P) minimizes over P⁺, and φ ∈ P⁺ — a noisy subsample
-// must not leave us worse than plain AQP). The query's condition vector
-// is built once: it is φ's vector, and the pre's is derived from a copy
-// of it, so both estimates come from one two-lane pass. It also returns
-// the vector of the pre it answered with.
-func (p *Processor) answerWithPre(q engine.Query, c *cube.BPCube, pre ident.Pre, considered int) (Answer, []float64, error) {
-	conf := p.confidence()
-	phiVals, err := aqp.ConditionVector(p.Sample, q)
+// must not leave us worse than plain AQP). The query's condition lane
+// is φ's lane; the pre's lane adds the pre's rows as Minus, so both
+// estimates read only their supports. A pre whose pre(D) is not finite
+// is answered as φ (see anchor). It also returns the lane of the pre it
+// answered with.
+func (p *Processor) answerWithPre(e *aqp.Estimator, q engine.Query, c *cube.BPCube, pre ident.Pre, considered int) (Answer, aqp.Lane, error) {
+	phi, err := aqp.ConditionLane(p.Sample, q)
 	if err != nil {
-		return Answer{}, nil, err
+		return Answer{}, aqp.Lane{}, err
 	}
-	vals := phiVals
-	var diff aqp.Estimate
-	if pre.IsPhi() {
-		diff = aqp.SumOfValues(p.Sample, phiVals, conf)
-	} else {
-		vals = append([]float64(nil), phiVals...)
-		if err := ident.SubtractPre(p.Sample, c, q, pre, vals); err != nil {
-			return Answer{}, nil, err
+	pre, preVal := anchor(c, pre)
+	lane := phi
+	diff, _ := e.Total(phi)
+	if !pre.IsPhi() {
+		in, err := ident.Membership(p.Sample, c, pre)
+		if err != nil {
+			return Answer{}, aqp.Lane{}, err
 		}
-		var ests [2]aqp.Estimate
-		aqp.SumsOfValues(p.Sample, [][]float64{vals, phiVals}, conf, ests[:])
-		diff = ests[0]
-		if phiEst := ests[1]; phiEst.HalfWidth < diff.HalfWidth {
-			pre = ident.Pre{Phi: true}
+		lane.Minus = in.Words()
+		phiEst := diff
+		if diff, _ = e.Total(lane); phiEst.HalfWidth < diff.HalfWidth {
+			pre, preVal = ident.Pre{Phi: true}, 0
 			diff = phiEst
-			vals = phiVals
+			lane = phi
 		}
 	}
-	preVal := pre.Value(c)
 	return Answer{
 		Estimate: aqp.Estimate{
 			Value:      preVal + diff.Value,
 			HalfWidth:  diff.HalfWidth,
-			Confidence: conf,
+			Confidence: p.confidence(),
 			SampleRows: diff.SampleRows,
 		},
 		Pre:        pre,
 		PreValue:   preVal,
 		Candidates: considered,
-	}, vals, nil
+	}, lane, nil
+}
+
+// anchor returns pre and pre(D), or φ and 0 when pre(D) is not finite.
+// A non-finite pre(D) (a ±Inf or NaN measure inside the pre's cells, or
+// ∞ − ∞ between prefix-cube corners) would meet the same rows in the
+// diff estimate and answer ∞ − ∞ = NaN; plain AQP answers what the
+// exact scan does there, ±Inf where the query holds an infinite row.
+func anchor(c *cube.BPCube, pre ident.Pre) (ident.Pre, float64) {
+	v := pre.Value(c)
+	if math.IsInf(v, 0) || math.IsNaN(v) {
+		return ident.Pre{Phi: true}, 0
+	}
+	return pre, v
 }

@@ -100,22 +100,39 @@ func newMinMaxFrom(dim, agg string, ords, vals []float64) *MinMaxIndex {
 		pmin, pmax := mins, maxs
 		mins, maxs = make([]float64, cnt), make([]float64, cnt)
 		for b := range mins {
-			mins[b] = math.Min(pmin[b], pmin[b+half])
-			maxs[b] = math.Max(pmax[b], pmax[b+half])
+			mins[b] = lesser(pmin[b], pmin[b+half])
+			maxs[b] = greater(pmax[b], pmax[b+half])
 		}
 		m.mins, m.maxs = append(m.mins, mins), append(m.maxs, maxs)
 	}
 	return m
 }
 
-// scanExtrema returns the minimum and maximum of vs (+Inf, -Inf when
-// empty).
+// scanExtrema returns the minimum and maximum of vs. Like the exact
+// scan's MIN and MAX, they skip NaN values, and they are NaN when every
+// value is (or vs is empty).
 func scanExtrema(vs []float64) (lo, hi float64) {
-	lo, hi = math.Inf(1), math.Inf(-1)
+	lo, hi = math.NaN(), math.NaN()
 	for _, v := range vs {
-		lo, hi = math.Min(lo, v), math.Max(hi, v)
+		lo, hi = lesser(lo, v), greater(hi, v)
 	}
 	return lo, hi
+}
+
+// lesser returns the smaller of a and b, or the one that is not NaN.
+func lesser(a, b float64) float64 {
+	if b < a || a != a {
+		return b
+	}
+	return a
+}
+
+// greater returns the larger of a and b, or the one that is not NaN.
+func greater(a, b float64) float64 {
+	if b > a || a != a {
+		return b
+	}
+	return a
 }
 
 // extrema returns the minimum and maximum of vals[i:j], i < j: the full
@@ -129,8 +146,8 @@ func (m *MinMaxIndex) extrema(i, j int) (lo, hi float64) {
 	tlo, thi := scanExtrema(m.vals[bj*minMaxBlock : j])
 	l := bits.Len(uint(bj-bi)) - 1
 	k := bj - 1<<uint(l)
-	lo = math.Min(math.Min(lo, tlo), math.Min(m.mins[l][bi], m.mins[l][k]))
-	hi = math.Max(math.Max(hi, thi), math.Max(m.maxs[l][bi], m.maxs[l][k]))
+	lo = lesser(lesser(lo, tlo), lesser(m.mins[l][bi], m.mins[l][k]))
+	hi = greater(greater(hi, thi), greater(m.maxs[l][bi], m.maxs[l][k]))
 	return lo, hi
 }
 

@@ -256,3 +256,61 @@ func TestMinMaxFromPairsNaN(t *testing.T) {
 		}
 	}
 }
+
+// TestMinMaxNaNMeasureMatchesScan: MIN and MAX skip NaN measure rows in
+// the index as the exact scan does, and answer what the scan answers
+// (NaN) over a span whose every row is NaN. The NaN rows include the
+// table's first row, a whole dimension value (an all-NaN span), and
+// enough scattered rows to land in the sparse table's block summaries.
+func TestMinMaxNaNMeasureMatchesScan(t *testing.T) {
+	const n = 3000
+	r := stats.NewRNG(23)
+	dim, vals := make([]int64, n), make([]float64, n)
+	for i := range dim {
+		dim[i] = int64(r.Intn(300))
+		vals[i] = r.Float64()*1000 - 500
+		if dim[i] == 150 || r.Intn(40) == 0 {
+			vals[i] = math.NaN()
+		}
+	}
+	vals[0] = math.NaN()
+	tbl := engine.MustNewTable("t", engine.NewFloatColumn("a", vals), engine.NewIntColumn("c", dim))
+	idx, err := BuildMinMax(tbl, "a", "c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	same := func(a, b float64) bool { return a == b || (math.IsNaN(a) && math.IsNaN(b)) }
+	allNaN := 0
+	for trial := 0; trial < 400; trial++ {
+		var ranges []engine.Range
+		switch trial {
+		case 0: // unrestricted
+		case 1:
+			ranges = []engine.Range{{Col: "c", Lo: 150, Hi: 150}}
+		default:
+			lo := float64(r.Intn(300))
+			ranges = []engine.Range{{Col: "c", Lo: lo, Hi: lo + float64(r.Intn(120))}}
+		}
+		for _, f := range []engine.AggFunc{engine.Min, engine.Max} {
+			q := engine.Query{Func: f, Col: "a", Ranges: ranges}
+			got, err := idx.Answer(q)
+			if err != nil {
+				t.Fatalf("%v: %v", q, err)
+			}
+			truth, err := tbl.Execute(ctx, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !same(got, truth.Value) {
+				t.Fatalf("%v = %v, scan %v", q, got, truth.Value)
+			}
+			if math.IsNaN(got) {
+				allNaN++
+			}
+		}
+	}
+	if allNaN != 2 {
+		t.Errorf("%d NaN answers, want 2 (the all-NaN span's MIN and MAX)", allNaN)
+	}
+}

@@ -31,33 +31,21 @@ type Partial struct {
 // add folds one row value into every field (the GROUP BY sinks, which
 // do not specialize by family).
 func (p *Partial) add(x float64) {
-	if p.N == 0 {
-		p.Min, p.Max = x, x
-	} else {
-		if x < p.Min {
-			p.Min = x
-		}
-		if x > p.Max {
-			p.Max = x
-		}
-	}
-	p.N++
+	p.observe(x)
 	p.Sum += x
 	p.Sum2 += x * x
 }
 
 // observe folds one row value into N, Min and Max only (the MIN/MAX
-// kernels), the same way add does.
+// kernels). MIN and MAX skip NaN rows: a NaN extreme is replaced by the
+// next row, and a NaN row never replaces a number, so they are NaN
+// only when every row is, whatever the row order.
 func (p *Partial) observe(x float64) {
-	if p.N == 0 {
-		p.Min, p.Max = x, x
-	} else {
-		if x < p.Min {
-			p.Min = x
-		}
-		if x > p.Max {
-			p.Max = x
-		}
+	if p.N == 0 || x < p.Min || p.Min != p.Min {
+		p.Min = x
+	}
+	if p.N == 0 || x > p.Max || p.Max != p.Max {
+		p.Max = x
 	}
 	p.N++
 }
@@ -75,10 +63,10 @@ func (p *Partial) Merge(o Partial) {
 	p.N += o.N
 	p.Sum += o.Sum
 	p.Sum2 += o.Sum2
-	if o.Min < p.Min {
+	if o.Min < p.Min || p.Min != p.Min {
 		p.Min = o.Min
 	}
-	if o.Max > p.Max {
+	if o.Max > p.Max || p.Max != p.Max {
 		p.Max = o.Max
 	}
 }

@@ -160,3 +160,25 @@ func contains(s, sub string) bool {
 	}
 	return false
 }
+
+// TestScanMinMaxSkipsNaNInAnyOrder: the exact scan's MIN and MAX skip a
+// NaN row wherever it falls, first row included, and a merge of
+// partials does the same whichever partial holds it.
+func TestScanMinMaxSkipsNaNInAnyOrder(t *testing.T) {
+	nan := math.NaN()
+	for _, vals := range [][]float64{{nan, 3, 1, 2}, {3, nan, 1, 2}, {3, 1, 2, nan}} {
+		tbl := MustNewTable("t", NewFloatColumn("a", vals))
+		for f, want := range map[AggFunc]float64{Min: 1, Max: 3} {
+			res, err := tbl.Execute(context.Background(), Query{Func: f, Col: "a"})
+			if err != nil || res.Value != want {
+				t.Errorf("%v over %v = %v (%v), want %v", f, vals, res.Value, err, want)
+			}
+		}
+	}
+	var p Partial
+	p.Merge(Partial{N: 1, Min: nan, Max: nan})
+	p.Merge(Partial{N: 2, Min: 1, Max: 3})
+	if p.Min != 1 || p.Max != 3 {
+		t.Errorf("merged partial %+v, want min 1, max 3", p)
+	}
+}

@@ -25,14 +25,18 @@ const blockWords = zoneBlockSize / 64
 type zoneMap struct {
 	mins, maxs []float64
 	rows       int
+	// dictLen is a String column's dictionary length when the map was
+	// built: ranks, and so every block's summary, hold only while it
+	// stays the same.
+	dictLen int
 }
 
 func (c *Column) invalidateZoneMap() { c.zoneP.Store(nil) }
 
-// zonesFor returns the column's zone map, building it if stale. Like
-// ranks, the lazy build is race-safe: concurrent Filter calls on a
-// shared table with a cold zone map serialize the build under lazyMu
-// and read the atomically published result.
+// zonesFor returns the column's zone map, building or extending it if
+// stale. Like ranks, the lazy build is race-safe: concurrent Filter
+// calls on a shared table with a cold zone map serialize the build
+// under lazyMu and read the atomically published result.
 func (c *Column) zonesFor() *zoneMap {
 	n := c.Len()
 	if z := c.zoneP.Load(); z != nil && z.rows == n {
@@ -53,16 +57,29 @@ func (c *Column) zonesFor() *zoneMap {
 	c.warmOrdinals()
 	c.lazyMu.Lock()
 	defer c.lazyMu.Unlock()
-	if z := c.zoneP.Load(); z != nil && z.rows == n {
-		return z
+	old := c.zoneP.Load()
+	if old != nil && old.rows == n {
+		return old
+	}
+	// A column that grew by appends keeps its complete blocks' summaries
+	// and recomputes only its old partial block and the new ones — unless
+	// its dictionary grew, which can re-rank every string.
+	keep := 0
+	if old != nil && old.rows < n && old.dictLen == len(c.Dict) {
+		keep = old.rows / zoneBlockSize
 	}
 	nb := (n + zoneBlockSize - 1) / zoneBlockSize
 	z := &zoneMap{
-		mins: make([]float64, nb),
-		maxs: make([]float64, nb),
-		rows: n,
+		mins:    make([]float64, nb),
+		maxs:    make([]float64, nb),
+		rows:    n,
+		dictLen: len(c.Dict),
 	}
-	for b := 0; b < nb; b++ {
+	if keep > 0 {
+		copy(z.mins, old.mins[:keep])
+		copy(z.maxs, old.maxs[:keep])
+	}
+	for b := keep; b < nb; b++ {
 		z.mins[b], z.maxs[b] = c.blockSummary(b*zoneBlockSize, min((b+1)*zoneBlockSize, n))
 	}
 	c.zoneP.Store(z)

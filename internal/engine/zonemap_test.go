@@ -2,7 +2,9 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"aqppp/internal/stats"
@@ -290,6 +292,51 @@ func TestOrdinalDomainIgnoresNaN(t *testing.T) {
 	} {
 		if lo, hi := NewFloatColumn("f", vals).OrdinalDomain(); lo != -2 || hi != 7 {
 			t.Errorf("OrdinalDomain(%v) = [%v, %v], want [-2, 7]", vals, lo, hi)
+		}
+	}
+}
+
+// TestZoneMapExtendedEqualsFresh grows int, float (with NaN) and string
+// columns by AppendGather steps that end inside, on and across block
+// boundaries, reading the zone map after each step: the extended map
+// must equal a fresh build over the same rows. String columns also grow
+// by AppendFrom with new dictionary entries, which re-rank the strings
+// and must not keep a stale block.
+func TestZoneMapExtendedEqualsFresh(t *testing.T) {
+	r := stats.NewRNG(9)
+	const src = 6 * zoneBlockSize
+	ints, floats, strs := make([]int64, src), make([]float64, src), make([]string, src)
+	for i := range ints {
+		ints[i] = int64(r.Intn(1000))
+		floats[i] = r.NormFloat64()
+		if r.Intn(500) == 0 {
+			floats[i] = math.NaN()
+		}
+		strs[i] = fmt.Sprintf("m%03d", r.Intn(300))
+	}
+	srcs := []*Column{NewIntColumn("i", ints), NewFloatColumn("f", floats), NewStringColumn("s", strs)}
+	for _, from := range srcs {
+		c := &Column{Name: from.Name, Type: from.Type, Dict: from.Dict}
+		for step, grow := range []int{10, zoneBlockSize - 10, 1, 2*zoneBlockSize + 7, zoneBlockSize - 7, 3000} {
+			idx := make([]int, grow)
+			for k := range idx {
+				idx[k] = r.Intn(src)
+			}
+			c.AppendGather(from, idx)
+			if c.Type == String && step == 3 {
+				extra := NewStringColumn("x", []string{"a-new-first", "zz-new-last"})
+				c.AppendFrom(extra, 0)
+				c.AppendFrom(extra, 1)
+			}
+			mins, maxs := c.BlockZones()
+			fresh := &Column{Name: c.Name, Type: c.Type, Ints: c.Ints, Floats: c.Floats, Codes: c.Codes, Dict: c.Dict}
+			wantMins, wantMaxs := fresh.BlockZones()
+			same := func(a, b []float64) bool {
+				return slices.EqualFunc(a, b, func(x, y float64) bool { return x == y || (math.IsNaN(x) && math.IsNaN(y)) })
+			}
+			if !same(mins, wantMins) || !same(maxs, wantMaxs) {
+				t.Fatalf("%s after step %d (%d rows): extended zones differ from a fresh build", c.Name, step, c.Len())
+			}
 		}
 	}
 }

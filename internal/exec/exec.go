@@ -58,8 +58,8 @@ func New() *Executor { return &Executor{} }
 
 // Run executes a Plan under the context and budget, returning a
 // classified error on any failure. Cancellation granularity is one
-// zone-block chunk for exact scans, one batch of aqp.Lanes resamples
-// for bootstrap plans, and one group for GROUP BY approx plans.
+// zone-block chunk for exact scans, one batch of four resamples for
+// bootstrap plans, and one group for GROUP BY approx plans.
 func (ex *Executor) Run(ctx context.Context, p *Plan, b Budget) (Outcome, error) {
 	op := p.Kind.String()
 	run, cancel, budgeted := b.Bound(ctx)

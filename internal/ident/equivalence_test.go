@@ -13,26 +13,11 @@ import (
 	"aqppp/internal/stats"
 )
 
-// oracleDiffVector is DiffVector as it was before candidates were scored
-// together: the query's condition vector, the pre's whole box as one
-// Filter, and a per-row membership test.
+// oracleDiffVector is the diff vector a_i · (cond_q(i) − cond_pre(i))
+// the way it was built before lanes: the query's condition row by row,
+// the pre's whole box as one Filter, and a per-row membership test.
 func oracleDiffVector(s *sample.Sample, c *cube.BPCube, q engine.Query, pre Pre) ([]float64, error) {
-	qVals, err := aqp.ConditionVector(s, q)
-	if err != nil {
-		return nil, err
-	}
-	if pre.IsPhi() {
-		return qVals, nil
-	}
-	box := make([]engine.Range, len(c.Template.Dims))
-	for i, name := range c.Template.Dims {
-		lo := math.Inf(-1)
-		if pre.Lo[i] >= 0 {
-			lo = math.Nextafter(c.Points[i][pre.Lo[i]], math.Inf(1))
-		}
-		box[i] = engine.Range{Col: name, Lo: lo, Hi: c.Points[i][pre.Hi[i]]}
-	}
-	inPre, err := s.Table.Filter(box)
+	cond, err := s.Table.Filter(q.Ranges)
 	if err != nil {
 		return nil, err
 	}
@@ -42,29 +27,87 @@ func oracleDiffVector(s *sample.Sample, c *cube.BPCube, q engine.Query, pre Pre)
 			return nil, err
 		}
 	}
-	for i := range qVals {
-		if inPre.Get(i) {
-			if col != nil {
-				qVals[i] -= col.Float(i)
-			} else {
-				qVals[i] -= 1
-			}
+	a := func(i int) float64 {
+		if col == nil {
+			return 1
+		}
+		return col.Float(i)
+	}
+	vals := make([]float64, s.Size())
+	for i := range vals {
+		if cond.Get(i) {
+			vals[i] = a(i)
 		}
 	}
-	return qVals, nil
+	if pre.IsPhi() {
+		return vals, nil
+	}
+	inPre, err := s.Table.Filter(oracleBox(c, pre))
+	if err != nil {
+		return nil, err
+	}
+	for i := range vals {
+		if inPre.Get(i) {
+			vals[i] -= a(i)
+		}
+	}
+	return vals, nil
+}
+
+// oracleBox is the pre's region as one d-range box.
+func oracleBox(c *cube.BPCube, pre Pre) []engine.Range {
+	box := make([]engine.Range, len(c.Template.Dims))
+	for i, name := range c.Template.Dims {
+		lo := math.Inf(-1)
+		if pre.Lo[i] >= 0 {
+			lo = math.Nextafter(c.Points[i][pre.Lo[i]], math.Inf(1))
+		}
+		box[i] = engine.Range{Col: name, Lo: lo, Hi: c.Points[i][pre.Hi[i]]}
+	}
+	return box
+}
+
+// denseLane expands a lane into its per-row values: a_i on Plus alone,
+// 0 − a_i on Minus alone (what subtracting a_i from an unselected row
+// gives), 0 elsewhere.
+func denseLane(l aqp.Lane, n int) []float64 {
+	in := func(sel []uint64, i int) bool { return sel != nil && sel[i>>6]&(1<<(uint(i)&63)) != 0 }
+	vals := make([]float64, n)
+	for i := range vals {
+		a := 1.0
+		if l.Col != nil {
+			a = l.Col.Float(i)
+		}
+		switch plus, minus := in(l.Plus, i), in(l.Minus, i); {
+		case plus && !minus:
+			vals[i] = a
+		case minus && !plus:
+			vals[i] = 0 - a
+		}
+	}
+	return vals
 }
 
 // oracleBest is the per-candidate scoring loop SelectBest and
-// BruteForceBest used to run: one oracleDiffVector and one SumOfValues
-// per candidate, keeping the first strict minimum.
+// BruteForceBest used to run, on the support kernel: per candidate, a
+// fresh condition lane, the pre's whole box as one Filter for Minus,
+// and a fresh Estimator, keeping the first strict minimum.
 func oracleBest(s *sample.Sample, c *cube.BPCube, q engine.Query, cands []Pre, conf float64) (Selection, error) {
 	best := Selection{Considered: len(cands)}
 	for k, pre := range cands {
-		vals, err := oracleDiffVector(s, c, q, pre)
+		l, err := aqp.ConditionLane(s, q)
 		if err != nil {
 			return Selection{}, err
 		}
-		est := aqp.SumOfValues(s, vals, conf)
+		if !pre.IsPhi() {
+			inPre, err := s.Table.Filter(oracleBox(c, pre))
+			if err != nil {
+				return Selection{}, err
+			}
+			l.Minus = inPre.Words()
+		}
+		e := aqp.NewEstimator(s, conf)
+		est, _ := e.Total(l)
 		if k == 0 || est.HalfWidth < best.SubsampleError {
 			best.Pre = pre
 			best.SubsampleError = est.HalfWidth
@@ -226,7 +269,7 @@ func equivalenceSamples(t *testing.T, tbl *engine.Table, seed uint64) []*sample.
 }
 
 // TestSelectBestEquivalenceRandomized holds SelectBest (shared condition
-// vector, bracket bitsets, batched scoring) and BruteForceBest to the
+// lane and estimator, bracket bitsets) and BruteForceBest to the
 // per-candidate loop they replaced: identical Pre, SubsampleError bits
 // and Considered, over d = 1..3, SUM and COUNT, a string dimension,
 // ranges on a non-cube column, and all three samplers.
@@ -279,8 +322,8 @@ func TestSelectBestEquivalenceRandomized(t *testing.T) {
 	}
 }
 
-// TestDiffVectorEquivalenceRandomized holds DiffVector (ConditionVector
-// followed by SubtractPre) to the oracle on random pres of random cubes.
+// TestDiffVectorEquivalenceRandomized holds DiffLane's values to the
+// row-at-a-time diff vector on random pres of random cubes.
 func TestDiffVectorEquivalenceRandomized(t *testing.T) {
 	r := stats.NewRNG(0xd1ff)
 	tbl := equivalenceTable(3000, r)
@@ -291,10 +334,11 @@ func TestDiffVectorEquivalenceRandomized(t *testing.T) {
 			q := randomQuery(c, f, r)
 			all := allPre(c)
 			pre := all[r.Intn(len(all))]
-			got, err := DiffVector(s, c, q, pre)
+			l, err := DiffLane(s, c, q, pre)
 			if err != nil {
 				t.Fatal(err)
 			}
+			got := denseLane(l, s.Size())
 			want, err := oracleDiffVector(s, c, q, pre)
 			if err != nil {
 				t.Fatal(err)

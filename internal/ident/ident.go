@@ -7,7 +7,6 @@ package ident
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"strings"
 
 	"aqppp/internal/aqp"
@@ -255,67 +254,28 @@ func absf(x float64) float64 {
 	return x
 }
 
-// DiffVector returns per-sample-row contributions
-// a_i · (cond_q(i) − cond_pre(i)), the vector whose estimated population
-// total is q(D) − pre(D) (Equation 4). COUNT templates use a_i = 1.
-func DiffVector(s *sample.Sample, c *cube.BPCube, q engine.Query, pre Pre) ([]float64, error) {
-	vals, err := aqp.ConditionVector(s, q)
+// DiffLane returns the lane whose estimated total is q(D) − pre(D)
+// (Equation 4): q's condition lane (aqp.ConditionLane) with the pre's
+// rows as Minus, so its values are a_i · (cond_q(i) − cond_pre(i)).
+// COUNT templates use a_i = 1. For φ it is the condition lane.
+func DiffLane(s *sample.Sample, c *cube.BPCube, q engine.Query, pre Pre) (aqp.Lane, error) {
+	l, err := aqp.ConditionLane(s, q)
+	if err != nil || pre.IsPhi() {
+		return l, err
+	}
+	in, err := Membership(s, c, pre)
 	if err != nil {
-		return nil, err
+		return aqp.Lane{}, err
 	}
-	if err := SubtractPre(s, c, q, pre, vals); err != nil {
-		return nil, err
-	}
-	return vals, nil
+	l.Minus = in.Words()
+	return l, nil
 }
 
-// SubtractPre turns q's condition vector on s (aqp.ConditionVector) into
-// pre's diff vector in place, subtracting a_i from every row inside the
-// pre's region; φ leaves vals as they are. Callers that also need the φ
-// vector — the φ-guard — build it once and derive the pre's from a copy.
-func SubtractPre(s *sample.Sample, c *cube.BPCube, q engine.Query, pre Pre, vals []float64) error {
-	if pre.IsPhi() {
-		return nil
-	}
-	if len(vals) != s.Size() {
-		return fmt.Errorf("ident: %d values for %d sample rows", len(vals), s.Size())
-	}
-	in, err := preMembership(s, c, pre)
-	if err != nil {
-		return err
-	}
-	col, err := measureColumn(s, q)
-	if err != nil {
-		return err
-	}
-	for wi, w := range in.Words() {
-		base := wi << 6
-		for w != 0 {
-			i := base + bits.TrailingZeros64(w)
-			w &= w - 1
-			if col != nil {
-				vals[i] -= col.Float(i)
-			} else {
-				vals[i] -= 1
-			}
-		}
-	}
-	return nil
-}
-
-// measureColumn returns the column a_i is read from, or nil for COUNT
-// (a_i = 1).
-func measureColumn(s *sample.Sample, q engine.Query) (*engine.Column, error) {
-	if q.Func == engine.Count {
-		return nil, nil
-	}
-	return s.Table.Column(q.Col)
-}
-
-// preMembership returns the bitset of sample rows inside the pre's
-// region, the conjunction of its per-dimension brackets — so the whole
-// box is one conjunctive filter on the engine's compare kernels.
-func preMembership(s *sample.Sample, c *cube.BPCube, pre Pre) (*engine.Bitset, error) {
+// Membership returns the bitset of sample rows inside the pre's region,
+// the conjunction of its per-dimension brackets — so the whole box is
+// one conjunctive filter on the engine's compare kernels. pre must not
+// be φ.
+func Membership(s *sample.Sample, c *cube.BPCube, pre Pre) (*engine.Bitset, error) {
 	box := make([]engine.Range, len(c.Template.Dims))
 	for i := range box {
 		box[i] = bracketRange(c, i, pre.Lo[i], pre.Hi[i])
@@ -365,7 +325,7 @@ func SelectBest(c *cube.BPCube, q engine.Query, sub *sample.Sample, confidence f
 			return Selection{}, err
 		}
 	}
-	return sc.result()
+	return sc.result(), nil
 }
 
 // BruteForceBest scores every aggregate in P⁺ — every (u, v) index pair
@@ -402,28 +362,24 @@ func BruteForceBest(c *cube.BPCube, q engine.Query, sub *sample.Sample, confiden
 	if err := rec(0); err != nil {
 		return Selection{}, err
 	}
-	return sc.result()
+	return sc.result(), nil
 }
 
 // scorer estimates error(q, pre) on one subsample for a stream of
 // candidates. Everything candidates share is computed once: the query's
-// condition vector (φ's own vector), a_i per row, and the row set of
-// each distinct per-dimension bracket (P⁻ has at most four per
-// dimension). A candidate's region is the AND of its d bracket sets, and
-// its diff vector is the condition vector minus a_i on that region
-// (SubtractPre's arithmetic); candidates are scored aqp.Lanes at a time.
+// condition lane (φ's own lane), the estimator, and the row set of each
+// distinct per-dimension bracket (P⁻ has at most four per dimension). A
+// candidate's region is the AND of its d bracket sets, and its diff
+// lane is the condition lane with that region as Minus, so scoring it
+// reads only the rows where the query and the region disagree.
 type scorer struct {
-	c    *cube.BPCube
-	sub  *sample.Sample
-	conf float64
+	c   *cube.BPCube
+	sub *sample.Sample
 
-	cond     []float64 // a_i·1[q(i)]: φ's vector, and every candidate's start
-	meas     []float64 // a_i (1 for COUNT)
+	est      aqp.Estimator
+	cond     aqp.Lane // φ's lane, and every candidate's start
 	brackets map[bracketKey]*engine.Bitset
 	inside   []uint64 // scratch: the candidate's bracket AND
-
-	batch []Pre
-	bufs  [aqp.Lanes][]float64 // diff vectors, reused by every batch
 
 	best   Selection
 	scored int
@@ -432,80 +388,36 @@ type scorer struct {
 type bracketKey struct{ dim, u, v int }
 
 func newScorer(c *cube.BPCube, q engine.Query, sub *sample.Sample, conf float64) (*scorer, error) {
-	cond, err := aqp.ConditionVector(sub, q)
+	cond, err := aqp.ConditionLane(sub, q)
 	if err != nil {
 		return nil, err
-	}
-	col, err := measureColumn(sub, q)
-	if err != nil {
-		return nil, err
-	}
-	meas := make([]float64, len(cond))
-	for i := range meas {
-		if col != nil {
-			meas[i] = col.Float(i)
-		} else {
-			meas[i] = 1
-		}
 	}
 	return &scorer{
-		c: c, sub: sub, conf: conf,
+		c: c, sub: sub,
+		est:      aqp.NewEstimator(sub, conf),
 		cond:     cond,
-		meas:     meas,
 		brackets: make(map[bracketKey]*engine.Bitset),
-		inside:   make([]uint64, (len(cond)+63)/64),
-		batch:    make([]Pre, 0, aqp.Lanes),
+		inside:   make([]uint64, len(cond.Plus)),
 	}, nil
 }
 
-// add queues one candidate, scoring the batch once it is full.
+// add scores one candidate, keeping the first strict minimum in the
+// order candidates arrive.
 func (sc *scorer) add(p Pre) error {
-	sc.batch = append(sc.batch, p)
-	if len(sc.batch) == aqp.Lanes {
-		return sc.flush()
-	}
-	return nil
-}
-
-// flush scores the queued candidates in one SumsOfValues pass and keeps
-// the first strict minimum in the order they were added.
-func (sc *scorer) flush() error {
-	var vecs [aqp.Lanes][]float64
-	for j, p := range sc.batch {
-		if p.IsPhi() {
-			vecs[j] = sc.cond
-			continue
-		}
-		if sc.bufs[j] == nil {
-			sc.bufs[j] = make([]float64, len(sc.cond))
-		}
-		vals := sc.bufs[j]
-		copy(vals, sc.cond)
+	l := sc.cond
+	if !p.IsPhi() {
 		region, err := sc.region(p)
 		if err != nil {
 			return err
 		}
-		for wi, w := range region {
-			base := wi << 6
-			for w != 0 {
-				i := base + bits.TrailingZeros64(w)
-				w &= w - 1
-				vals[i] -= sc.meas[i]
-			}
-		}
-		vecs[j] = vals
+		l.Minus = region
 	}
-	var ests [aqp.Lanes]aqp.Estimate
-	n := len(sc.batch)
-	aqp.SumsOfValues(sc.sub, vecs[:n], sc.conf, ests[:n])
-	for j, p := range sc.batch {
-		if hw := ests[j].HalfWidth; sc.scored == 0 || hw < sc.best.SubsampleError {
-			sc.best.Pre = p
-			sc.best.SubsampleError = hw
-		}
-		sc.scored++
+	est, _ := sc.est.Total(l)
+	if hw := est.HalfWidth; sc.scored == 0 || hw < sc.best.SubsampleError {
+		sc.best.Pre = p
+		sc.best.SubsampleError = hw
 	}
-	sc.batch = sc.batch[:0]
+	sc.scored++
 	return nil
 }
 
@@ -533,13 +445,8 @@ func (sc *scorer) region(p Pre) ([]uint64, error) {
 	return sc.inside, nil
 }
 
-// result scores any partial batch and returns the selection.
-func (sc *scorer) result() (Selection, error) {
-	if len(sc.batch) > 0 {
-		if err := sc.flush(); err != nil {
-			return Selection{}, err
-		}
-	}
+// result returns the selection.
+func (sc *scorer) result() Selection {
 	sc.best.Considered = sc.scored
-	return sc.best, nil
+	return sc.best
 }

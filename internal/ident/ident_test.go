@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"aqppp/internal/aqp"
@@ -177,21 +178,20 @@ func TestDiffVectorPhiEqualsConditionVector(t *testing.T) {
 	s, _ := sample.NewUniform(tbl, 0.2, 9)
 	q := engine.Query{Func: engine.Sum, Col: "a",
 		Ranges: []engine.Range{{Col: "c1", Lo: 15, Hi: 41}}}
-	dv, err := DiffVector(s, c, q, Pre{Phi: true})
+	dl, err := DiffLane(s, c, q, Pre{Phi: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cv, _ := aqp.ConditionVector(s, q)
-	for i := range dv {
-		if dv[i] != cv[i] {
-			t.Fatalf("row %d: diff %v != cond %v", i, dv[i], cv[i])
-		}
+	cl, _ := aqp.ConditionLane(s, q)
+	if !slices.Equal(dl.Plus, cl.Plus) || dl.Minus != nil || dl.Col != cl.Col {
+		t.Fatalf("φ diff lane %+v != condition lane %+v", dl, cl)
 	}
 }
 
 func TestDiffVectorExactPreIsZero(t *testing.T) {
-	// When pre == q exactly (aligned endpoints), the diff vector is all
-	// zeros, so AQP++ answers exactly (the paper's "subsumes AggPre").
+	// When pre == q exactly (aligned endpoints), the diff lane selects
+	// the same rows twice, so its support is empty and AQP++ answers
+	// exactly (the paper's "subsumes AggPre").
 	tbl := buildData(2000, 8)
 	c, _ := cube.Build(tbl, cube.Template{Agg: "a", Dims: []string{"c1"}},
 		[][]float64{equalPoints(10, 100)})
@@ -199,14 +199,13 @@ func TestDiffVectorExactPreIsZero(t *testing.T) {
 	q := engine.Query{Func: engine.Sum, Col: "a",
 		Ranges: []engine.Range{{Col: "c1", Lo: 11, Hi: 40}}}
 	pre := Pre{Lo: []int{0}, Hi: []int{3}}
-	dv, err := DiffVector(s, c, q, pre)
+	dl, err := DiffLane(s, c, q, pre)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, v := range dv {
-		if v != 0 {
-			t.Fatalf("row %d: diff = %v, want 0", i, v)
-		}
+	e := aqp.NewEstimator(s, 0.95)
+	if est, support := e.Total(dl); support != 0 || est.Value != 0 || est.HalfWidth != 0 {
+		t.Fatalf("exact pre: support %d, estimate %+v; want an empty diff", support, est)
 	}
 	// And pre.Value matches the exact answer.
 	truth, _ := tbl.Execute(context.Background(), q)
@@ -255,8 +254,10 @@ func TestSelectBestBeatsPhiOnCoveredQueries(t *testing.T) {
 	if sel.Pre.IsPhi() {
 		t.Error("expected a non-φ selection for a block-covered query")
 	}
-	phiVals, _ := DiffVector(sub, c, q, Pre{Phi: true})
-	phiErr := aqp.SumOfValues(sub, phiVals, 0.95).HalfWidth
+	phiLane, _ := DiffLane(sub, c, q, Pre{Phi: true})
+	e := aqp.NewEstimator(sub, 0.95)
+	phiEst, _ := e.Total(phiLane)
+	phiErr := phiEst.HalfWidth
 	if sel.SubsampleError >= phiErr {
 		t.Errorf("chosen error %v not better than φ's %v", sel.SubsampleError, phiErr)
 	}
@@ -464,7 +465,7 @@ func TestCandidatesUnique(t *testing.T) {
 }
 
 // preMembershipByRow is the row-at-a-time definition of a pre's region,
-// (loOrd, hiOrd] per dimension — the reference preMembership's one
+// (loOrd, hiOrd] per dimension — the reference Membership's one
 // conjunctive filter must reproduce bit for bit.
 func preMembershipByRow(s *sample.Sample, c *cube.BPCube, pre Pre) *engine.Bitset {
 	n := s.Size()
@@ -515,7 +516,7 @@ func TestPreMembershipMatchesRowLoop(t *testing.T) {
 				pre.Lo[i] = r.Intn(len(pts)) - 1
 				pre.Hi[i] = pre.Lo[i] + 1 + r.Intn(len(pts)-1-pre.Lo[i])
 			}
-			got, err := preMembership(s, c, pre)
+			got, err := Membership(s, c, pre)
 			if err != nil {
 				t.Fatal(err)
 			}

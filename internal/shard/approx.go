@@ -100,7 +100,7 @@ func (p *Prepared) group(workers int) *Group {
 // (SUM/COUNT): point estimates add; since shards are disjoint strata
 // with independent samples, variances add too, so the merged half-width
 // is λ·sqrt(Σ_h (hw_h/λ)²) — the per-stratum composition of
-// internal/aqp's stratifiedSum with a shard as the stratum. PreValue
+// internal/aqp's stratified estimate with a shard as the stratum. PreValue
 // adds (each shard anchors its own slice); Pre reports the first
 // shard's non-φ identification for diagnostics.
 func mergeAdditive(answers []core.Answer, conf float64) core.Answer {
