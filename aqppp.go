@@ -73,9 +73,8 @@ type DB struct {
 	// (RegisterDistributed).
 	tables map[string]registered
 	// preps tracks the prepared state built over each table so Drop can
-	// invalidate it: a stale Prepared/MultiPrepared answers with an
-	// ErrUnknownTable-kind error instead of silently serving a table the
-	// DB no longer knows.
+	// invalidate it: a stale Prepared answers with an ErrUnknownTable-kind
+	// error instead of silently serving a table the DB no longer knows.
 	preps map[string][]*prepState
 	// gens counts registration events per table name: Register and Drop
 	// each bump the name's generation, monotonically and forever (the
@@ -179,9 +178,8 @@ func (db *DB) register(e registered) error {
 	return nil
 }
 
-// Drop removes a table and invalidates every Prepared and MultiPrepared
-// built over it: their queries return an Error of kind ErrUnknownTable
-// from then on.
+// Drop removes a table and invalidates every Prepared built over it:
+// their queries return an Error of kind ErrUnknownTable from then on.
 func (db *DB) Drop(name string) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -235,8 +233,8 @@ func (db *DB) lookup(name string) (registered, error) {
 }
 
 // lookupResident is lookup for entry points that build over the
-// table's rows (Prepare, PrepareMulti, Reshard): a distributed table
-// holds none in this process, so they report ErrUnsupported.
+// table's rows (Prepare, Reshard): a distributed table holds none in
+// this process, so they report ErrUnsupported.
 func (db *DB) lookupResident(name, op string) (registered, error) {
 	e, err := db.lookup(name)
 	if err == nil && e.fleet != nil {
@@ -361,15 +359,14 @@ type Prepared struct {
 	tbl    *engine.Table
 	target exec.Target
 	// proc is the target's processor when the sample and cube are
-	// resident, nil over sharded and distributed tables: Insert,
-	// contracts, progressive streams and SaveStore work on the sample
-	// and cube themselves, not on answers.
+	// resident, nil over sharded and distributed tables: contracts,
+	// progressive streams and SaveStore work on the sample and cube
+	// themselves, not on answers.
 	proc *core.Processor
 	conf float64
 	// stats is the preprocessing cost as known at construction.
-	stats      PreprocessingStats
-	maintainer *core.Maintainer
-	state      *prepState
+	stats PreprocessingStats
+	state *prepState
 }
 
 // Prepare builds the sample and BP-Cube for a template (the offline
@@ -428,11 +425,17 @@ func (db *DB) PrepareContext(ctx context.Context, opts PrepareOptions) (*Prepare
 // newResident wraps a built (or, with zero build stats, reloaded)
 // processor over tbl as a Prepared.
 func (db *DB) newResident(tbl *engine.Table, proc *core.Processor, bs core.BuildStats) *Prepared {
+	cells := 0
+	if proc.Cube != nil { // a stored prep may carry no cube
+		cells = proc.Cube.NumCells()
+	}
 	return &Prepared{
 		db: db, tbl: tbl, target: exec.Resident{Table: tbl, Proc: proc}, proc: proc,
 		conf: proc.Confidence,
 		stats: PreprocessingStats{
+			SampleRows:   proc.Sample.Size(),
 			SampleBytes:  bs.SampleBytes,
+			CubeCells:    cells,
 			CubeBytes:    bs.CubeBytes,
 			CubeShape:    bs.Shape,
 			TotalSeconds: bs.TotalTime().Seconds(),
@@ -554,10 +557,6 @@ func toResult(a core.Answer) Result {
 func (p *Prepared) Stats() PreprocessingStats {
 	st := p.stats
 	st.CubeShape = append([]int(nil), st.CubeShape...)
-	if p.proc != nil {
-		// Insert grows the resident sample, so sizes are read live.
-		st.SampleRows, st.CubeCells = p.proc.Sample.Size(), p.proc.Cube.NumCells()
-	}
 	return st
 }
 

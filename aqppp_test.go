@@ -333,7 +333,7 @@ func TestForeignKeyJoinEndToEnd(t *testing.T) {
 	}
 }
 
-// TestPublicSurface pins the exported method sets of the three root
+// TestPublicSurface pins the exported method sets of the two root
 // types, so an X / XContext / XWithBudget sibling cannot grow back
 // unnoticed: every operation that reaches the executor or a reader
 // exists once, takes ctx first, and gets its Budget from the DB default
@@ -343,9 +343,9 @@ func TestPublicSurface(t *testing.T) {
 	golden := map[reflect.Type][]string{
 		reflect.TypeOf(&DB{}): {
 			// The operations.
-			"Exact", "LoadCSV", "OpenStore", "Prepare", "PrepareMulti", "RunExactPlan",
+			"Exact", "LoadCSV", "OpenStore", "Prepare", "RunExactPlan",
 			// Planning and the default budget.
-			"PlanExact", "PlanSpace", "SetDefaultBudget",
+			"PlanExact", "SetDefaultBudget",
 			// Registry, store and stats accessors.
 			"CloseStores", "DistPrepared", "Drop", "Generation", "LookupTable", "LookupTarget",
 			"Register", "RegisterDistributed", "RegisterSharded", "Reshard", "SaveStore",
@@ -360,13 +360,12 @@ func TestPublicSurface(t *testing.T) {
 			"RunContractPlan", "RunPlan",
 			// Planning.
 			"PlanBootstrap", "PlanContract", "PlanQuery",
-			// Maintenance and accessors.
-			"Confidence", "Insert", "Processor", "Sample", "ShardedProcessor", "Stats", "TableName",
+			// Accessors.
+			"Confidence", "Processor", "Sample", "ShardedProcessor", "Stats", "TableName",
 			// Deprecated one-line forward to QueryProgressive: the frozen
 			// benchmark/trace.go calls it; goes with a benchmark PR.
 			"QueryProgressiveBudget",
 		},
-		reflect.TypeOf(&MultiPrepared{}): {"Budgets", "Query"},
 	}
 	for typ, want := range golden {
 		sort.Strings(want)

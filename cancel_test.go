@@ -105,24 +105,14 @@ type budgetedOp struct {
 	run  func(context.Context) error
 }
 
-// budgetedOps builds a DB with one single-template and one
-// multi-template preparation and lists every root operation that runs
-// under a Budget. LoadCSV and OpenStore are the two of the 14
-// operations that are absent: a load never reaches the executor
-// (LoadCSV is cancel-only, OpenStore reads metadata and takes no
-// context).
+// budgetedOps builds a DB with one preparation and lists every root
+// operation that runs under a Budget. LoadCSV and OpenStore are the two
+// of the 12 operations that are absent: a load never reaches the
+// executor (LoadCSV is cancel-only, OpenStore reads metadata and takes
+// no context).
 func budgetedOps(t *testing.T) (*DB, []budgetedOp) {
 	t.Helper()
 	db, prep := contractPrep(t, 5000, 44)
-	multiOpts := MultiPrepareOptions{
-		Table:      "demo",
-		Templates:  []Template{{Aggregate: "v", Dimensions: []string{"k"}}},
-		TotalCells: 100, SampleRate: 0.2,
-	}
-	multi, err := db.PrepareMulti(context.Background(), multiOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
 	const stmt = "SELECT SUM(v) FROM demo WHERE k BETWEEN 50 AND 300"
 	loose := Contract{MaxRelError: 0.5}
 	exactPlan, err := db.PlanExact(stmt)
@@ -144,7 +134,6 @@ func budgetedOps(t *testing.T) (*DB, []budgetedOp) {
 			_, err := db.Prepare(ctx, PrepareOptions{Table: "demo", Aggregate: "v", Dimensions: []string{"k"}, SampleRate: 0.1, CellBudget: 25})
 			return err
 		}},
-		{"DB.PrepareMulti", func(ctx context.Context) error { _, err := db.PrepareMulti(ctx, multiOpts); return err }},
 		{"Prepared.Query", func(ctx context.Context) error { _, err := prep.Query(ctx, stmt); return err }},
 		{"Prepared.QueryStruct", func(ctx context.Context) error { _, err := prep.QueryStruct(ctx, queryPlan.Query); return err }},
 		{"Prepared.QueryBootstrap", func(ctx context.Context) error { _, err := prep.QueryBootstrap(ctx, stmt, 20); return err }},
@@ -155,7 +144,6 @@ func budgetedOps(t *testing.T) (*DB, []budgetedOp) {
 		}},
 		{"Prepared.RunPlan", func(ctx context.Context) error { _, err := prep.RunPlan(ctx, queryPlan); return err }},
 		{"Prepared.RunContractPlan", func(ctx context.Context) error { _, err := prep.RunContractPlan(ctx, contractPlan); return err }},
-		{"MultiPrepared.Query", func(ctx context.Context) error { _, _, err := multi.Query(ctx, stmt); return err }},
 	}
 }
 
@@ -260,22 +248,9 @@ func TestDropInvalidatesPrepared(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	multi, err := db.PrepareMulti(context.Background(), MultiPrepareOptions{
-		Table: "demo",
-		Templates: []Template{
-			{Aggregate: "v", Dimensions: []string{"k"}},
-		},
-		TotalCells: 100, SampleRate: 0.2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	stmt := "SELECT SUM(v) FROM demo"
 	if _, err := prep.Query(context.Background(), stmt); err != nil {
 		t.Fatalf("query before drop: %v", err)
-	}
-	if _, _, err := multi.Query(context.Background(), stmt); err != nil {
-		t.Fatalf("multi query before drop: %v", err)
 	}
 
 	db.Drop("demo")
@@ -285,12 +260,6 @@ func TestDropInvalidatesPrepared(t *testing.T) {
 	}
 	if _, err := prep.QueryBootstrap(context.Background(), stmt, 10); ErrorKindOf(err) != ErrUnknownTable {
 		t.Errorf("QueryBootstrap after drop: kind = %v (err: %v)", ErrorKindOf(err), err)
-	}
-	if err := prep.Insert(int64(1), 1.0, "gold"); ErrorKindOf(err) != ErrUnknownTable {
-		t.Errorf("Insert after drop: kind = %v (err: %v)", ErrorKindOf(err), err)
-	}
-	if _, _, err := multi.Query(context.Background(), stmt); ErrorKindOf(err) != ErrUnknownTable {
-		t.Errorf("multi Query after drop: kind = %v (err: %v)", ErrorKindOf(err), err)
 	}
 	if _, err := db.Exact(context.Background(), stmt); ErrorKindOf(err) != ErrUnknownTable {
 		t.Errorf("Exact after drop: kind = %v (err: %v)", ErrorKindOf(err), err)

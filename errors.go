@@ -12,8 +12,8 @@ type Error = exec.Error
 // ErrorKind classifies an Error.
 type ErrorKind = exec.Kind
 
-// The error taxonomy. Every failure from a DB, Prepared or MultiPrepared
-// entry point carries exactly one of these kinds.
+// The error taxonomy. Every failure from a DB or Prepared entry point
+// carries exactly one of these kinds.
 const (
 	// ErrInternal is an unexpected failure the taxonomy does not model.
 	ErrInternal = exec.Internal

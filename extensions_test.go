@@ -4,39 +4,9 @@ import (
 	"context"
 	"math"
 	"testing"
-	"time"
 
 	"aqppp/internal/dataset"
 )
-
-func TestPreparedInsertMaintains(t *testing.T) {
-	db := NewDB()
-	tbl := demoTable(20000, 20)
-	if err := db.Register(tbl); err != nil {
-		t.Fatal(err)
-	}
-	prep, err := db.Prepare(context.Background(), PrepareOptions{
-		Table: "demo", Aggregate: "v", Dimensions: []string{"k"},
-		SampleRate: 0.05, CellBudget: 20, Seed: 21,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 300; i++ {
-		if err := prep.Insert(int64(i%500+1), 60.0, "gold"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	stmt := "SELECT SUM(v) FROM demo WHERE k BETWEEN 1 AND 500"
-	truth, _ := db.Exact(context.Background(), stmt)
-	res, err := prep.Query(context.Background(), stmt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rel := math.Abs(res.Value-truth.Value) / truth.Value; rel > 0.05 {
-		t.Errorf("post-insert answer off by %v", rel)
-	}
-}
 
 func TestQueryBootstrap(t *testing.T) {
 	db := NewDB()
@@ -113,63 +83,6 @@ func TestBootstrapSumOfAnotherColumn(t *testing.T) {
 		if r.HalfWidth <= 0 || math.Abs(r.Value-truth.Value) > 0.25*truth.Value {
 			t.Errorf("SUM(l_quantity) = %v ± %v, truth %v", r.Value, r.HalfWidth, truth.Value)
 		}
-	}
-}
-
-func TestPrepareMulti(t *testing.T) {
-	db := NewDB()
-	if err := db.Register(demoTable(20000, 24)); err != nil {
-		t.Fatal(err)
-	}
-	multi, err := db.PrepareMulti(context.Background(), MultiPrepareOptions{
-		Table: "demo",
-		Templates: []Template{
-			{Aggregate: "v", Dimensions: []string{"k"}},
-			{Aggregate: "v", Dimensions: []string{"k", "tier"}},
-		},
-		TotalCells: 100, SampleRate: 0.05, Seed: 25,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	budgets := multi.Budgets()
-	if len(budgets) != 2 || budgets[0]+budgets[1] > 100 {
-		t.Errorf("budgets = %v", budgets)
-	}
-	stmt := "SELECT SUM(v) FROM demo WHERE k BETWEEN 40 AND 350"
-	truth, _ := db.Exact(context.Background(), stmt)
-	res, used, err := multi.Query(context.Background(), stmt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if used != 0 {
-		t.Errorf("1-D query routed to template %d", used)
-	}
-	if rel := math.Abs(res.Value-truth.Value) / truth.Value; rel > 0.1 {
-		t.Errorf("multi answer off by %v", rel)
-	}
-	if _, _, err := multi.Query(context.Background(), "garbage"); err == nil {
-		t.Error("bad SQL accepted")
-	}
-}
-
-func TestDBPlanSpace(t *testing.T) {
-	db := NewDB()
-	if err := db.Register(demoTable(30000, 26)); err != nil {
-		t.Fatal(err)
-	}
-	plan, err := db.PlanSpace("demo", 100_000, time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.SampleRows < 1 {
-		t.Errorf("plan = %+v", plan)
-	}
-	if plan.SampleBytes+plan.CubeBytes > 100_000 {
-		t.Errorf("plan exceeds budget: %+v", plan)
-	}
-	if _, err := db.PlanSpace("missing", 1000, time.Second); err == nil {
-		t.Error("missing table accepted")
 	}
 }
 

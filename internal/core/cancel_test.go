@@ -24,9 +24,9 @@ func TestCancelBuild(t *testing.T) {
 	}
 }
 
-// TestCancelAnswerPaths: the per-group and per-resample loops and the
-// manager build all honor a pre-canceled context. The progressive
-// per-round check lives in Prepared.QueryProgressive (root cancel_test).
+// TestCancelAnswerPaths: the per-group and per-resample loops honor a
+// pre-canceled context. The progressive per-round check lives in
+// Prepared.QueryProgressive (root cancel_test).
 func TestCancelAnswerPaths(t *testing.T) {
 	tbl := testTable(4000, 52)
 	p, _, err := Build(context.Background(), tbl, BuildConfig{
@@ -48,12 +48,5 @@ func TestCancelAnswerPaths(t *testing.T) {
 	q := engine.Query{Func: engine.Sum, Col: "a"}
 	if _, err := p.AnswerBootstrap(ctx, q, 50, 1, nil); !errors.Is(err, context.Canceled) {
 		t.Errorf("AnswerBootstrap err = %v, want context.Canceled", err)
-	}
-
-	if _, err := BuildManager(ctx, tbl, ManagerConfig{
-		Templates:  []cube.Template{{Agg: "a", Dims: []string{"c1"}}, {Agg: "a", Dims: []string{"c2"}}},
-		TotalCells: 40, SampleRate: 0.2,
-	}); !errors.Is(err, context.Canceled) {
-		t.Errorf("BuildManager err = %v, want context.Canceled", err)
 	}
 }

@@ -72,18 +72,6 @@ func benchRangeSum(b *testing.B, d int) {
 	}
 }
 
-// BenchmarkCubeInsert measures incremental maintenance cost per row.
-func BenchmarkCubeInsert(b *testing.B) {
-	c, _ := benchCube(b, 2, 20000, 16)
-	ords := []float64{500, 500}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := c.Insert(ords, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // minMaxSink keeps the benchmarked build from being optimized away.
 var minMaxSink *MinMaxIndex
 

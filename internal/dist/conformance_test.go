@@ -201,7 +201,7 @@ func TestTargetConformance(t *testing.T) {
 				t.Errorf("scratch cap reached a fleet that resamples remotely: %v", err)
 			}
 
-			// Contract and multi plans need the resident sample.
+			// Contract plans need the resident sample.
 			cp, err := c.prep.PlanContract(stmt, cont)
 			if c.resident {
 				if err != nil {
@@ -219,21 +219,10 @@ func TestTargetConformance(t *testing.T) {
 			if exec.KindOf(err) != exec.Unsupported {
 				t.Errorf("contract plan: err = %v, want kind %v", err, exec.Unsupported)
 			}
-			for _, kind := range []exec.PlanKind{exec.PlanContract, exec.PlanMulti} {
-				bare := &exec.Plan{Kind: kind, Table: boot.Table, Query: boot.Query, Target: boot.Target, Contract: &cont}
-				if _, err := ex.Run(ctx, bare, exec.Budget{}); exec.KindOf(err) != exec.Unsupported {
-					t.Errorf("%v plan without resident state: err = %v, want kind %v", kind, err, exec.Unsupported)
-				}
+			bare := &exec.Plan{Kind: exec.PlanContract, Table: boot.Table, Query: boot.Query, Target: boot.Target, Contract: &cont}
+			if _, err := ex.Run(ctx, bare, exec.Budget{}); exec.KindOf(err) != exec.Unsupported {
+				t.Errorf("%v plan without resident state: err = %v, want kind %v", bare.Kind, err, exec.Unsupported)
 			}
 		})
-	}
-
-	// A fleet's rows live on its replicas: nothing builds over it here.
-	_, err = fdb.PrepareMulti(context.Background(), aqppp.MultiPrepareOptions{
-		Table: tbl.Name, TotalCells: 64,
-		Templates: []aqppp.Template{{Aggregate: "v", Dimensions: []string{"k"}}},
-	})
-	if aqppp.ErrorKindOf(err) != aqppp.ErrUnsupported {
-		t.Errorf("PrepareMulti over a fleet: err = %v, want kind %v", err, aqppp.ErrUnsupported)
 	}
 }

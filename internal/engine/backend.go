@@ -84,8 +84,7 @@ type Backend interface {
 
 // OpenBackend binds a Backend into a *Table whose columns fault blocks
 // from the backend on demand. The returned table supports the full read
-// surface (Execute, Filter, group-by, joins, row accessors) but is
-// immutable: AppendRow fails. No block data is read here — only
+// surface (Execute, Filter, group-by, joins, row accessors). No block data is read here — only
 // metadata, so opening is O(schema).
 func OpenBackend(b Backend) (*Table, error) {
 	s := b.Schema()

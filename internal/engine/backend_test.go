@@ -301,8 +301,4 @@ func TestBackendErrors(t *testing.T) {
 	if _, err := bt.Filter([]Range{{Col: "val", Lo: 0, Hi: 1}}); err == nil {
 		t.Fatal("Filter over failing source: want error")
 	}
-	mb.sources[1].failBlock = -1
-	if err := bt.AppendRow(int64(1), 2.0, "x"); err == nil {
-		t.Fatal("AppendRow on backed table: want error")
-	}
 }

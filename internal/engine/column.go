@@ -57,8 +57,6 @@ type Column struct {
 	Codes  []int32
 	Dict   []string
 
-	dictIndex map[string]int32
-
 	// src, when non-nil, serves the column's rows block-at-a-time from a
 	// Backend (see backend.go) and the data slices above stay empty;
 	// srcRows is then the row count. Source-backed columns are immutable.
@@ -73,22 +71,16 @@ type Column struct {
 	hasDom       bool
 
 	// The rank table (code → lexicographic rank) and zone map (per-block
-	// min/max) are derived caches, built lazily on first use and rebuilt
-	// after appends. Both are published through atomic pointers with
-	// lazyMu serializing builds, so concurrent readers (Filter/Execute on
-	// a shared table) are race-free even when the caches are cold.
-	// Appends still require external synchronization against readers:
-	// only the caches are concurrency-safe, not the data slices.
+	// min/max) are derived caches, built lazily on first use; the zone
+	// map is extended after AppendGather. Both are published through
+	// atomic pointers with lazyMu serializing builds, so concurrent
+	// readers (Filter/Execute on a shared table) are race-free even when
+	// the caches are cold. AppendGather still requires external
+	// synchronization against readers: only the caches are
+	// concurrency-safe, not the data slices.
 	lazyMu sync.Mutex
-	rankP  atomic.Pointer[rankTable]
+	rankP  atomic.Pointer[[]int32]
 	zoneP  atomic.Pointer[zoneMap]
-}
-
-// rankTable snapshots the code→rank mapping for one dictionary length;
-// a stale snapshot (dictionary grew) is detected by dictLen and rebuilt.
-type rankTable struct {
-	dictLen int
-	rank    []int32
 }
 
 // NewIntColumn creates an Int64 column with the given values.
@@ -112,11 +104,19 @@ func NewFloatColumn(name string, vals []float64) *Column {
 }
 
 // NewStringColumn creates a dictionary-encoded String column from raw
-// values.
+// values. The dictionary is fixed from then on: nothing interns a new
+// value into a built column.
 func NewStringColumn(name string, vals []string) *Column {
-	c := &Column{Name: name, Type: String, dictIndex: make(map[string]int32)}
-	for _, v := range vals {
-		c.appendString(v)
+	c := &Column{Name: name, Type: String, Codes: make([]int32, len(vals))}
+	index := make(map[string]int32)
+	for i, v := range vals {
+		code, ok := index[v]
+		if !ok {
+			code = int32(len(c.Dict))
+			c.Dict = append(c.Dict, v)
+			index[v] = code
+		}
+		c.Codes[i] = code
 	}
 	return c
 }
@@ -136,36 +136,19 @@ func (c *Column) Len() int {
 	}
 }
 
-func (c *Column) appendString(v string) {
-	if c.dictIndex == nil {
-		c.dictIndex = make(map[string]int32, len(c.Dict))
-		for i, s := range c.Dict {
-			c.dictIndex[s] = int32(i)
-		}
-	}
-	code, ok := c.dictIndex[v]
-	if !ok {
-		code = int32(len(c.Dict))
-		c.Dict = append(c.Dict, v)
-		c.dictIndex[v] = code
-		c.rankP.Store(nil) // invalidate rank cache
-	}
-	c.Codes = append(c.Codes, code)
-}
-
-// ranks returns the code→lexicographic-rank table, rebuilding it if the
-// dictionary changed since the last call. Concurrent callers are safe:
-// the build is serialized under lazyMu and published atomically, so two
-// goroutines filtering a cold shared column race neither on the build
-// nor on the publication.
+// ranks returns the code→lexicographic-rank table, built on first use;
+// the dictionary never changes after construction, so neither does the
+// table. Concurrent callers are safe: the build is serialized under
+// lazyMu and published atomically, so two goroutines filtering a cold
+// shared column race neither on the build nor on the publication.
 func (c *Column) ranks() []int32 {
-	if rt := c.rankP.Load(); rt != nil && rt.dictLen == len(c.Dict) {
-		return rt.rank
+	if rt := c.rankP.Load(); rt != nil {
+		return *rt
 	}
 	c.lazyMu.Lock()
 	defer c.lazyMu.Unlock()
-	if rt := c.rankP.Load(); rt != nil && rt.dictLen == len(c.Dict) {
-		return rt.rank
+	if rt := c.rankP.Load(); rt != nil {
+		return *rt
 	}
 	order := make([]int32, len(c.Dict))
 	for i := range order {
@@ -176,7 +159,7 @@ func (c *Column) ranks() []int32 {
 	for r, code := range order {
 		rank[code] = int32(r)
 	}
-	c.rankP.Store(&rankTable{dictLen: len(c.Dict), rank: rank})
+	c.rankP.Store(&rank)
 	return rank
 }
 
@@ -310,19 +293,4 @@ func appendGather[T any](dst, data []T, resident bool, at func(int) T, idx []int
 		dst = append(dst, at(r))
 	}
 	return dst
-}
-
-// AppendFrom appends row r of src (a column of the same type) to c.
-func (c *Column) AppendFrom(src *Column, r int) {
-	if c.Type != src.Type {
-		panic("engine: AppendFrom type mismatch")
-	}
-	switch c.Type {
-	case Int64:
-		c.Ints = append(c.Ints, src.intAt(r))
-	case Float64:
-		c.Floats = append(c.Floats, src.floatAt(r))
-	default:
-		c.appendString(src.Dict[src.codeAt(r)])
-	}
 }

@@ -183,18 +183,3 @@ func TestSizeBytes(t *testing.T) {
 		t.Errorf("SizeBytes = %d, want %d", got, want)
 	}
 }
-
-func TestAppendFrom(t *testing.T) {
-	src := NewStringColumn("s", []string{"b", "a"})
-	dst := NewStringColumn("s", nil)
-	dst.AppendFrom(src, 0)
-	dst.AppendFrom(src, 1)
-	dst.AppendFrom(src, 0)
-	if dst.Len() != 3 || dst.StringAt(0) != "b" || dst.StringAt(1) != "a" || dst.StringAt(2) != "b" {
-		t.Errorf("AppendFrom produced %v / %v", dst.Dict, dst.Codes)
-	}
-	// Ordinals reflect alphabetical ranks in the destination dictionary.
-	if dst.Ordinal(0) != 1 || dst.Ordinal(1) != 0 {
-		t.Errorf("ordinals = %v, %v", dst.Ordinal(0), dst.Ordinal(1))
-	}
-}

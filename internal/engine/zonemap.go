@@ -25,13 +25,7 @@ const blockWords = zoneBlockSize / 64
 type zoneMap struct {
 	mins, maxs []float64
 	rows       int
-	// dictLen is a String column's dictionary length when the map was
-	// built: ranks, and so every block's summary, hold only while it
-	// stays the same.
-	dictLen int
 }
-
-func (c *Column) invalidateZoneMap() { c.zoneP.Store(nil) }
 
 // zonesFor returns the column's zone map, building or extending it if
 // stale. Like ranks, the lazy build is race-safe: concurrent Filter
@@ -61,19 +55,18 @@ func (c *Column) zonesFor() *zoneMap {
 	if old != nil && old.rows == n {
 		return old
 	}
-	// A column that grew by appends keeps its complete blocks' summaries
-	// and recomputes only its old partial block and the new ones — unless
-	// its dictionary grew, which can re-rank every string.
+	// A column that grew by AppendGather keeps its complete blocks'
+	// summaries and recomputes only its old partial block and the new
+	// ones; its dictionary, and so every rank, is unchanged.
 	keep := 0
-	if old != nil && old.rows < n && old.dictLen == len(c.Dict) {
+	if old != nil && old.rows < n {
 		keep = old.rows / zoneBlockSize
 	}
 	nb := (n + zoneBlockSize - 1) / zoneBlockSize
 	z := &zoneMap{
-		mins:    make([]float64, nb),
-		maxs:    make([]float64, nb),
-		rows:    n,
-		dictLen: len(c.Dict),
+		mins: make([]float64, nb),
+		maxs: make([]float64, nb),
+		rows: n,
 	}
 	if keep > 0 {
 		copy(z.mins, old.mins[:keep])

@@ -150,57 +150,6 @@ func TestZoneMapEmptyColumn(t *testing.T) {
 	}
 }
 
-func TestZoneMapInvalidatedByAppend(t *testing.T) {
-	n := 3 * zoneBlockSize
-	tbl := zonedTable(n, 4)
-	q := Query{Func: Count, Ranges: []Range{{Col: "clustered", Lo: float64(n), Hi: float64(n + 100)}}}
-	res, err := tbl.Execute(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Value != 0 {
-		t.Fatalf("rows beyond domain matched: %v", res.Value)
-	}
-	// Append a row landing inside the previously-empty range; the zone
-	// map must pick it up.
-	if err := tbl.AppendRow(int64(n+5), int64(0), 1.5); err != nil {
-		t.Fatal(err)
-	}
-	res, err = tbl.Execute(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Value != 1 {
-		t.Errorf("appended row invisible to zoned filter: %v", res.Value)
-	}
-}
-
-func TestAppendRowValidation(t *testing.T) {
-	tbl := MustNewTable("t",
-		NewIntColumn("i", []int64{1}),
-		NewFloatColumn("f", []float64{1}),
-		NewStringColumn("s", []string{"a"}),
-	)
-	if err := tbl.AppendRow(int64(2), 2.5); err == nil {
-		t.Error("short row accepted")
-	}
-	if err := tbl.AppendRow("x", 2.5, "b"); err == nil {
-		t.Error("wrong type accepted")
-	}
-	if tbl.NumRows() != 1 {
-		t.Fatalf("failed appends mutated the table: %d rows", tbl.NumRows())
-	}
-	if err := tbl.AppendRow(2, 2.5, "b"); err != nil { // plain int accepted
-		t.Fatal(err)
-	}
-	if tbl.NumRows() != 2 {
-		t.Errorf("rows = %d", tbl.NumRows())
-	}
-	if got := tbl.MustColumn("s").StringAt(1); got != "b" {
-		t.Errorf("appended string = %q", got)
-	}
-}
-
 func BenchmarkFilterZonedClustered(b *testing.B) {
 	tbl := zonedTable(200000, 5)
 	rng := []Range{{Col: "clustered", Lo: 50000, Hi: 52000}}
@@ -299,9 +248,7 @@ func TestOrdinalDomainIgnoresNaN(t *testing.T) {
 // TestZoneMapExtendedEqualsFresh grows int, float (with NaN) and string
 // columns by AppendGather steps that end inside, on and across block
 // boundaries, reading the zone map after each step: the extended map
-// must equal a fresh build over the same rows. String columns also grow
-// by AppendFrom with new dictionary entries, which re-rank the strings
-// and must not keep a stale block.
+// must equal a fresh build over the same rows.
 func TestZoneMapExtendedEqualsFresh(t *testing.T) {
 	r := stats.NewRNG(9)
 	const src = 6 * zoneBlockSize
@@ -323,11 +270,6 @@ func TestZoneMapExtendedEqualsFresh(t *testing.T) {
 				idx[k] = r.Intn(src)
 			}
 			c.AppendGather(from, idx)
-			if c.Type == String && step == 3 {
-				extra := NewStringColumn("x", []string{"a-new-first", "zz-new-last"})
-				c.AppendFrom(extra, 0)
-				c.AppendFrom(extra, 1)
-			}
 			mins, maxs := c.BlockZones()
 			fresh := &Column{Name: c.Name, Type: c.Type, Ints: c.Ints, Floats: c.Floats, Codes: c.Codes, Dict: c.Dict}
 			wantMins, wantMaxs := fresh.BlockZones()

@@ -83,8 +83,8 @@ func (k Kind) String() string {
 // produced by a canceled context.
 type Error struct {
 	Kind Kind
-	// Op names the entry point: "exact", "query", "bootstrap", "multi",
-	// "prepare".
+	// Op names the entry point: "exact", "query", "bootstrap",
+	// "contract", "prepare".
 	Op string
 	// Err is the underlying cause (never nil).
 	Err error

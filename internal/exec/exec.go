@@ -31,12 +31,10 @@ type Budget struct {
 type Outcome struct {
 	// Exact holds the PlanExact result.
 	Exact engine.Result
-	// Answer holds the scalar answer for approx/bootstrap/multi plans.
+	// Answer holds the scalar answer for approx/bootstrap/contract plans.
 	Answer core.Answer
 	// Groups holds per-group answers for GROUP BY approx plans.
 	Groups []core.GroupAnswer
-	// Template is the template index a PlanMulti plan routed to.
-	Template int
 	// Partial reports a degraded distributed answer: one or more
 	// replicas were lost, the opt-in policy tolerated it, and the
 	// answer was extrapolated from surviving strata with a widened
@@ -96,18 +94,6 @@ func (ex *Executor) PrepareSharded(ctx context.Context, s *shard.Sharded, cfg co
 	return sp, nil
 }
 
-// PrepareMulti builds a multi-template manager under the context and
-// budget.
-func (ex *Executor) PrepareMulti(ctx context.Context, tbl *engine.Table, cfg core.ManagerConfig, b Budget) (*core.Manager, error) {
-	run, cancel, budgeted := b.Bound(ctx)
-	defer cancel()
-	mgr, err := core.BuildManager(run, tbl, cfg)
-	if err != nil {
-		return nil, Classify(ctx, run, "prepare", budgeted, err)
-	}
-	return mgr, nil
-}
-
 // Bound applies the budget's deadline, reporting whether one was
 // imposed. The returned cancel is never nil.
 func (b Budget) Bound(ctx context.Context) (context.Context, context.CancelFunc, bool) {
@@ -125,10 +111,10 @@ func (ex *Executor) dispatch(ctx context.Context, p *Plan, b Budget) (Outcome, e
 	if err := ctx.Err(); err != nil {
 		return Outcome{}, err
 	}
-	// The contract ladder draws subsamples of a resident processor and
-	// multi-template routing needs its manager; a plan built without
-	// one (over a sharded or distributed target) is refused, not run.
-	if (p.Kind == PlanContract && p.Proc == nil) || (p.Kind == PlanMulti && p.Mgr == nil) {
+	// The contract ladder draws subsamples of a resident processor; a
+	// plan built without one (over a sharded or distributed target) is
+	// refused, not run.
+	if p.Kind == PlanContract && p.Proc == nil {
 		return Outcome{}, &Error{Kind: Unsupported, Op: p.Kind.String(),
 			Err: fmt.Errorf("%v plans need resident prepared state", p.Kind)}
 	}
@@ -167,14 +153,6 @@ func (ex *Executor) dispatch(ctx context.Context, p *Plan, b Budget) (Outcome, e
 
 	case PlanContract:
 		return ex.dispatchContract(ctx, p, b)
-
-	case PlanMulti:
-		t := p.Mgr.Route(p.Query)
-		ans, err := p.Mgr.Processors[t].Answer(p.Query)
-		if err != nil {
-			return Outcome{}, err
-		}
-		return Outcome{Answer: ans, Template: t}, nil
 
 	default:
 		return Outcome{}, &Error{Kind: Unsupported, Op: "run", Err: fmt.Errorf("unknown plan kind %v", p.Kind)}

@@ -26,8 +26,6 @@ const (
 	// PlanBootstrap answers through a processor with an empirical
 	// bootstrap interval.
 	PlanBootstrap
-	// PlanMulti routes the query across a multi-template manager.
-	PlanMulti
 	// PlanContract answers under an a-priori error contract: the
 	// planner's Decision names the cheapest strategy predicted to meet
 	// the bound, and the executor runs the escalation ladder until a
@@ -44,8 +42,6 @@ func (k PlanKind) String() string {
 		return "query"
 	case PlanBootstrap:
 		return "bootstrap"
-	case PlanMulti:
-		return "multi"
 	case PlanContract:
 		return "contract"
 	default:
@@ -68,8 +64,6 @@ type Plan struct {
 	// Proc is the resident processor a PlanContract plan's ladder draws
 	// subsamples from; only a Resident target can supply one.
 	Proc *core.Processor
-	// Mgr answers PlanMulti plans.
-	Mgr *core.Manager
 	// Resamples is the bootstrap replicate count (<= 0 selects the
 	// default of 200); checked against Budget.MaxResamples at run time.
 	Resamples int
@@ -217,17 +211,6 @@ func PlanContractStatement(t Target, tbl *engine.Table, statement string, c cont
 	}
 	return &Plan{Kind: PlanContract, Table: tbl, Query: q, Target: t, Proc: r.Proc,
 		Contract: &c, Decision: d, Seed: seed}, nil
-}
-
-// PlanMultiStatement compiles a statement into a multi-template plan.
-// A manager's templates share one resident sample, so the plan's target
-// is the resident table it was built over.
-func PlanMultiStatement(mgr *core.Manager, tbl *engine.Table, statement string) (*Plan, error) {
-	q, err := CompileStatement(tbl, "multi", statement)
-	if err != nil {
-		return nil, err
-	}
-	return &Plan{Kind: PlanMulti, Table: tbl, Query: q, Target: Resident{Table: tbl}, Mgr: mgr}, nil
 }
 
 // CompileStatement parses and compiles a statement against a single

@@ -159,8 +159,6 @@ func TestCacheKeyGolden(t *testing.T) {
 		{"resident contract", func() (*Plan, error) {
 			return PlanContractStatement(resident, tbl, stmt, contract.Contract{MaxRelError: 0.5, AllowExact: true}, 7)
 		}, "contract|t|SUM(v)" + ranges + "|contract=rel:3fe0000000000000,abs:0,conf:3fee666666666666,exact:1"},
-		{"resident multi", func() (*Plan, error) { return PlanMultiStatement(nil, tbl, stmt) },
-			"multi|t|SUM(v)" + ranges},
 		{"sharded exact", func() (*Plan, error) { return PlanExactStatement(shardedSource, stmt) },
 			"exact|t|SUM(v)" + ranges + "|shards=range:k:4"},
 		{"sharded query", func() (*Plan, error) { return PlanQueryStatement(sharded, tbl, stmt) },

@@ -113,79 +113,3 @@ func DetermineShape(profiles []*Profile, budget int) (ShapeResult, error) {
 	}
 	return ShapeResult{Ks: best, Err: errMax}, nil
 }
-
-// AllocateBudget splits a total cell budget across multiple query
-// templates (Appendix C, "Multiple Query Templates"): binary search on a
-// common error target e, where each template's required budget is the
-// smallest b with errAt(t, b) <= e. errAt must be non-increasing in b.
-func AllocateBudget(errAt []func(budget int) float64, total int) ([]int, error) {
-	t := len(errAt)
-	if t == 0 {
-		return nil, fmt.Errorf("precompute: no templates")
-	}
-	if total < t {
-		return nil, fmt.Errorf("precompute: budget %d below one cell per template", total)
-	}
-	need := func(f func(int) float64, e float64) int {
-		lo, hi := 1, total
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if f(mid) <= e {
-				hi = mid
-			} else {
-				lo = mid + 1
-			}
-		}
-		return lo
-	}
-	hiErr := 0.0
-	for _, f := range errAt {
-		if e := f(1); e > hiErr {
-			hiErr = e
-		}
-	}
-	alloc := make([]int, t)
-	lo, hi := 0.0, hiErr
-	assign := func(e float64) ([]int, bool) {
-		out := make([]int, t)
-		sum := 0
-		for i, f := range errAt {
-			out[i] = need(f, e)
-			sum += out[i]
-			if sum > total {
-				return nil, false
-			}
-		}
-		return out, true
-	}
-	if a, ok := assign(hi); ok {
-		alloc = a
-	} else {
-		for i := range alloc {
-			alloc[i] = total / t
-		}
-		return alloc, nil
-	}
-	for iter := 0; iter < 50; iter++ {
-		mid := (lo + hi) / 2
-		if a, ok := assign(mid); ok {
-			alloc = a
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	// Distribute any remainder evenly.
-	sum := 0
-	for _, b := range alloc {
-		sum += b
-	}
-	if rem := total - sum; rem > 0 {
-		per := rem / t
-		for i := range alloc {
-			alloc[i] += per
-		}
-		alloc[t-1] += rem % t
-	}
-	return alloc, nil
-}

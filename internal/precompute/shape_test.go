@@ -167,44 +167,3 @@ func TestDetermineShapeOnRealViews(t *testing.T) {
 		t.Errorf("noisy dim got fewer points: %v", res.Ks)
 	}
 }
-
-func TestAllocateBudget(t *testing.T) {
-	// Template 0 decays fast, template 1 slowly: 1 should get more.
-	errA := func(b int) float64 { return 10 / math.Sqrt(float64(b)) }
-	errB := func(b int) float64 { return 100 / math.Sqrt(float64(b)) }
-	alloc, err := AllocateBudget([]func(int) float64{errA, errB}, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if alloc[0]+alloc[1] > 1000 {
-		t.Errorf("allocation %v exceeds budget", alloc)
-	}
-	if alloc[1] <= alloc[0] {
-		t.Errorf("allocation %v ignores error profiles", alloc)
-	}
-	// The minimax split solves 10/√a = 100/√b with a+b=1000 → b ≈ 100a.
-	if alloc[1] < 900 {
-		t.Errorf("allocation %v far from minimax (want b≈990)", alloc)
-	}
-}
-
-func TestAllocateBudgetEqualTemplates(t *testing.T) {
-	f := func(b int) float64 { return 10 / math.Sqrt(float64(b)) }
-	alloc, err := AllocateBudget([]func(int) float64{f, f}, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := alloc[0] - alloc[1]; d < -50 || d > 50 {
-		t.Errorf("equal templates got unequal budgets %v", alloc)
-	}
-}
-
-func TestAllocateBudgetValidation(t *testing.T) {
-	if _, err := AllocateBudget(nil, 10); err == nil {
-		t.Error("no templates accepted")
-	}
-	f := func(b int) float64 { return 1 }
-	if _, err := AllocateBudget([]func(int) float64{f, f}, 1); err == nil {
-		t.Error("budget below template count accepted")
-	}
-}

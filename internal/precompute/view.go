@@ -3,8 +3,7 @@
 // the equal-partition scheme (optimal under Theorem 1's assumptions), the
 // hill-climbing refinement that adapts to data distribution and attribute
 // correlation, per-dimension error profiles, the binary-search shape
-// determination for multidimensional cubes (Figure 6), and the budget
-// allocation across multiple query templates (Appendix C).
+// determination for multidimensional cubes (Figure 6).
 //
 // All optimization runs on a sample (the paper's first stage); only the
 // final cube construction scans the full data.

@@ -59,7 +59,7 @@ func (s *Server) handleShardHello(w http.ResponseWriter, r *http.Request, ri *re
 			})
 		}
 	}
-	s.writeJSON(w, http.StatusOK, dist.HelloFor(tbl, role.Ident, handles))
+	s.writeJSON(w, ri, http.StatusOK, dist.HelloFor(tbl, role.Ident, handles))
 }
 
 // handlePartial answers POST /v1/partial: one stratum's share of a
@@ -162,7 +162,7 @@ func (s *Server) handlePartial(w http.ResponseWriter, r *http.Request, ri *reqIn
 		return
 	}
 	resp.ElapsedUS = time.Since(t0).Microseconds()
-	s.writeJSON(w, http.StatusOK, resp)
+	s.writeJSON(w, ri, http.StatusOK, resp)
 }
 
 // answerPartial runs one validated partial request against the stratum
@@ -243,7 +243,7 @@ func (s *Server) handleQuotaLease(w http.ResponseWriter, r *http.Request, ri *re
 	// AllowN on a nil quota grants everything asked: with no quota
 	// configured the fleet fails open exactly like one unquota'd server.
 	granted, wait := s.quota.AllowN(req.Client, req.Want, time.Now())
-	s.writeJSON(w, http.StatusOK, dist.LeaseResponse{
+	s.writeJSON(w, ri, http.StatusOK, dist.LeaseResponse{
 		V:            dist.WireVersion,
 		Granted:      granted,
 		RetryAfterMS: int64(wait / time.Millisecond),

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -8,7 +9,9 @@ import (
 	"math"
 	"net"
 	"net/http"
+	"reflect"
 	"strconv"
+	"strings"
 	"time"
 
 	"aqppp"
@@ -95,13 +98,63 @@ func (s *Server) instrument(endpoint string, h func(http.ResponseWriter, *http.R
 	}
 }
 
-// writeJSON writes a JSON response body. Encode failures past the
-// header cannot be reported to the client; they are deliberately
-// dropped.
-func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
+// writeJSON writes a JSON response body. The body is encoded before
+// the header goes out, so a value JSON cannot carry — an answer whose
+// value or half-width is ±Inf or NaN — becomes a 500 of kind "internal"
+// naming the field, not a 200 with an empty body.
+func (s *Server) writeJSON(w http.ResponseWriter, ri *reqInfo, status int, v any) {
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(v); err != nil {
+		msg := fmt.Sprintf("response not encodable: %v", err)
+		if field, f, ok := nonFinite(reflect.ValueOf(v), ""); ok {
+			msg = fmt.Sprintf("response field %q is %v, which JSON cannot encode", field, f)
+		}
+		s.writeServerError(w, ri, http.StatusInternalServerError, aqppp.ErrInternal.String(), msg)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	// A failed write means the client is gone: nobody is left to tell.
+	_, _ = w.Write(buf.Bytes())
+}
+
+// nonFinite finds the first ±Inf or NaN float in v and names it by its
+// JSON path below prefix ("value", "groups[2].half_width").
+func nonFinite(v reflect.Value, prefix string) (string, float64, bool) {
+	switch v.Kind() {
+	case reflect.Float32, reflect.Float64:
+		if f := v.Float(); math.IsInf(f, 0) || math.IsNaN(f) {
+			return prefix, f, true
+		}
+	case reflect.Pointer, reflect.Interface:
+		if !v.IsNil() {
+			return nonFinite(v.Elem(), prefix)
+		}
+	case reflect.Slice, reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			if field, f, ok := nonFinite(v.Index(i), fmt.Sprintf("%s[%d]", prefix, i)); ok {
+				return field, f, true
+			}
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			sf := v.Type().Field(i)
+			name, _, _ := strings.Cut(sf.Tag.Get("json"), ",")
+			if !sf.IsExported() || name == "-" {
+				continue
+			}
+			if name == "" {
+				name = sf.Name
+			}
+			if prefix != "" {
+				name = prefix + "." + name
+			}
+			if field, f, ok := nonFinite(v.Field(i), name); ok {
+				return field, f, true
+			}
+		}
+	}
+	return "", 0, false
 }
 
 // writeError maps err onto its HTTP status and JSON body, counting the
@@ -133,13 +186,13 @@ func (s *Server) writeError(w http.ResponseWriter, ri *reqInfo, err error) {
 			setRetryAfter(w, &detail, ra)
 		}
 	}
-	s.writeJSON(w, statusForKind(kind), ErrorBody{Error: detail})
+	s.writeJSON(w, ri, statusForKind(kind), ErrorBody{Error: detail})
 }
 
 // writeServerError emits a server-level (non-taxonomy) error kind.
 func (s *Server) writeServerError(w http.ResponseWriter, ri *reqInfo, status int, kind, msg string) {
 	s.met.observeKind(kind)
-	s.writeJSON(w, status, ErrorBody{Error: ri.errorDetail(kind, msg)})
+	s.writeJSON(w, ri, status, ErrorBody{Error: ri.errorDetail(kind, msg)})
 }
 
 // setRetryAfter writes a backoff hint both ways: the Retry-After header
@@ -161,7 +214,7 @@ func (s *Server) writeShed(w http.ResponseWriter, ri *reqInfo, kind, msg string,
 	s.met.observeKind(kind)
 	detail := ri.errorDetail(kind, msg)
 	setRetryAfter(w, &detail, wait)
-	s.writeJSON(w, http.StatusTooManyRequests, ErrorBody{Error: detail})
+	s.writeJSON(w, ri, http.StatusTooManyRequests, ErrorBody{Error: detail})
 }
 
 // clientKey identifies the client for quota accounting: the explicit
@@ -212,7 +265,7 @@ func (s *Server) writeCached(w http.ResponseWriter, ri *reqInfo, resp QueryRespo
 	resp.Cached = true
 	resp.ElapsedMS = toMS(time.Since(ri.start))
 	w.Header().Set("X-Cache", "hit")
-	s.writeJSON(w, http.StatusOK, resp)
+	s.writeJSON(w, ri, http.StatusOK, resp)
 }
 
 // decode reads a JSON body into v, answering 400 (kind "parse") on
@@ -333,7 +386,7 @@ func (s *Server) answer(w http.ResponseWriter, r *http.Request, ri *reqInfo, tim
 	if key != "" && !resp.Partial {
 		s.cache.Put(key, gen, resp)
 	}
-	s.writeJSON(w, http.StatusOK, resp)
+	s.writeJSON(w, ri, http.StatusOK, resp)
 }
 
 // resolvePrepared resolves the named handle an endpoint answers
@@ -472,7 +525,7 @@ func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request, ri *reqIn
 		return
 	}
 	st := prep.Stats()
-	s.writeJSON(w, http.StatusOK, PrepareResponse{
+	s.writeJSON(w, ri, http.StatusOK, PrepareResponse{
 		RequestID:  ri.id,
 		Name:       req.Name,
 		Table:      prep.TableName(),
@@ -516,5 +569,5 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 // handleStatusz reports uptime, admission-control state, and
 // per-endpoint latency histograms: the status snapshot as JSON.
 func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request, ri *reqInfo) {
-	s.writeJSON(w, http.StatusOK, s.status())
+	s.writeJSON(w, ri, http.StatusOK, s.status())
 }

@@ -122,11 +122,6 @@ func TestRegisterShardedEndToEnd(t *testing.T) {
 		t.Errorf("sharded stats = %+v", st)
 	}
 
-	// Incremental maintenance is refused, classified unsupported.
-	if err := prep.Insert(int64(5), 1.0, "gold"); ErrorKindOf(err) != ErrUnsupported {
-		t.Errorf("Insert over sharded prep: %v", err)
-	}
-
 	// The observability surface sees the layout and the scans above.
 	snaps := db.ShardSnapshots()
 	if len(snaps) != 1 || snaps[0].Table != "demo" || len(snaps[0].Shards) != 4 {
