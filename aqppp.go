@@ -49,7 +49,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"sync/atomic"
 
 	"aqppp/internal/core"
 	"aqppp/internal/cube"
@@ -69,22 +68,13 @@ type DB struct {
 	// tables is the one registry: a name resolves to the table its
 	// statements compile against and the target that answers them,
 	// whether the rows are resident (Register, OpenStore), partitioned
-	// in process (RegisterSharded, Reshard) or behind a replica fleet
-	// (RegisterDistributed).
+	// in process (RegisterSharded) or behind a replica fleet
+	// (RegisterDistributed). A registration is permanent: a name maps
+	// to one table and one target for the life of the DB, so nothing
+	// built or cached over it can go stale.
 	tables map[string]registered
-	// preps tracks the prepared state built over each table so Drop can
-	// invalidate it: a stale Prepared answers with an ErrUnknownTable-kind
-	// error instead of silently serving a table the DB no longer knows.
-	preps map[string][]*prepState
-	// gens counts registration events per table name: Register and Drop
-	// each bump the name's generation, monotonically and forever (the
-	// entry survives Drop). A serving-layer cache keys entries on the
-	// generation observed *before* running a query, so an answer computed
-	// against a since-dropped table can never be served once the name is
-	// re-registered — the current generation has moved past the key's.
-	gens map[string]uint64
 	// stores maps table names to the open store container serving them
-	// (see OpenStore); Drop closes and forgets the entry.
+	// (see OpenStore).
 	stores map[string]*store.Store
 	ex     *exec.Executor
 	budget exec.Budget
@@ -100,19 +90,10 @@ type registered struct {
 	fleet Fleet
 }
 
-// prepState is the liveness flag shared between the DB and one
-// preparation; Drop flips it.
-type prepState struct {
-	table   string
-	dropped atomic.Bool
-}
-
 // NewDB returns an empty database.
 func NewDB() *DB {
 	return &DB{
 		tables: make(map[string]registered),
-		preps:  make(map[string][]*prepState),
-		gens:   make(map[string]uint64),
 		stores: make(map[string]*store.Store),
 		ex:     exec.New(),
 	}
@@ -150,18 +131,8 @@ func (db *DB) budgetFor(ctx context.Context) Budget {
 	return db.budget
 }
 
-// track registers a new preparation over table so Drop can invalidate
-// it later.
-func (db *DB) track(table string) *prepState {
-	st := &prepState{table: table}
-	db.mu.Lock()
-	db.preps[table] = append(db.preps[table], st)
-	db.mu.Unlock()
-	return st
-}
-
 // Register adds a table. Registering a second table with the same name is
-// an error (drop and re-register to replace).
+// an error: a registration is permanent.
 func (db *DB) Register(tbl *engine.Table) error {
 	return db.register(registered{tbl: tbl, target: exec.Resident{Table: tbl}})
 }
@@ -174,42 +145,7 @@ func (db *DB) register(e registered) error {
 		return fmt.Errorf("aqppp: table %q already registered", e.tbl.Name)
 	}
 	db.tables[e.tbl.Name] = e
-	db.gens[e.tbl.Name]++
 	return nil
-}
-
-// Drop removes a table and invalidates every Prepared built over it:
-// their queries return an Error of kind ErrUnknownTable from then on.
-func (db *DB) Drop(name string) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if _, ok := db.tables[name]; ok {
-		delete(db.tables, name)
-		db.gens[name]++
-	}
-	if s, ok := db.stores[name]; ok {
-		// The store only served the dropped table; release its mapping.
-		// In-flight scans fail with the store's closed error, the same
-		// outcome as racing any Drop.
-		_ = s.Close()
-		delete(db.stores, name)
-	}
-	for _, st := range db.preps[name] {
-		st.dropped.Store(true)
-	}
-	delete(db.preps, name)
-}
-
-// Generation reports the registration generation of a table name: 0 for
-// a name that was never registered, then +1 on every Register and every
-// Drop of that name (monotone; re-registering never reuses an old
-// value). A response cache keyed on the generation observed before a
-// query ran is therefore immune to Drop/re-Register churn: any entry
-// whose generation is not the current one is stale by construction.
-func (db *DB) Generation(name string) uint64 {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.gens[name]
 }
 
 // Table returns a registered table. The failure carries the
@@ -230,18 +166,6 @@ func (db *DB) lookup(name string) (registered, error) {
 		return registered{}, &exec.Error{Kind: exec.UnknownTable, Op: "table", Err: fmt.Errorf("no table %q", name)}
 	}
 	return e, nil
-}
-
-// lookupResident is lookup for entry points that build over the
-// table's rows (Prepare, Reshard): a distributed table holds none in
-// this process, so they report ErrUnsupported.
-func (db *DB) lookupResident(name, op string) (registered, error) {
-	e, err := db.lookup(name)
-	if err == nil && e.fleet != nil {
-		err = &exec.Error{Kind: exec.Unsupported, Op: op,
-			Err: fmt.Errorf("table %q is distributed: its rows and preparations live on the replicas", name)}
-	}
-	return e, err
 }
 
 // LookupTable resolves a table name.
@@ -366,7 +290,6 @@ type Prepared struct {
 	conf float64
 	// stats is the preprocessing cost as known at construction.
 	stats PreprocessingStats
-	state *prepState
 }
 
 // Prepare builds the sample and BP-Cube for a template (the offline
@@ -375,9 +298,14 @@ type Prepared struct {
 // climber checks ctx once per climb step.
 func (db *DB) Prepare(ctx context.Context, opts PrepareOptions) (*Prepared, error) {
 	b := db.budgetFor(ctx)
-	e, err := db.lookupResident(opts.Table, "prepare")
+	e, err := db.lookup(opts.Table)
 	if err != nil {
 		return nil, err
+	}
+	if e.fleet != nil {
+		// A distributed table holds no rows in this process to build over.
+		return nil, &exec.Error{Kind: exec.Unsupported, Op: "prepare",
+			Err: fmt.Errorf("table %q is distributed: its rows and preparations live on the replicas", opts.Table)}
 	}
 	if opts.SampleRate == 0 {
 		opts.SampleRate = 0.01
@@ -440,22 +368,7 @@ func (db *DB) newResident(tbl *engine.Table, proc *core.Processor, bs core.Build
 			CubeShape:    bs.Shape,
 			TotalSeconds: bs.TotalTime().Seconds(),
 		},
-		state: db.track(tbl.Name),
 	}
-}
-
-// live reports whether the preparation's table is still registered;
-// after DB.Drop it returns an ErrUnknownTable-kind error.
-func (p *Prepared) live(op string) error {
-	if p.state.dropped.Load() {
-		return &exec.Error{Kind: exec.UnknownTable, Op: op, Err: errDropped(p.tbl.Name)}
-	}
-	return nil
-}
-
-// errDropped is the cause carried by stale-preparation errors.
-func errDropped(table string) error {
-	return fmt.Errorf("table %q was dropped; preparation is stale", table)
 }
 
 // Result is an approximate answer with its confidence interval.
@@ -500,23 +413,14 @@ func (p *Prepared) Query(ctx context.Context, statement string) (Result, error) 
 
 // PlanQuery parses and compiles a statement into a closed-form AQP++
 // plan without running it (the plan-once counterpart of Query; see
-// DB.PlanExact). It fails with the unknown-table kind if the
-// preparation was invalidated by DB.Drop.
+// DB.PlanExact).
 func (p *Prepared) PlanQuery(statement string) (*exec.Plan, error) {
-	if err := p.live("query"); err != nil {
-		return nil, err
-	}
 	return exec.PlanQueryStatement(p.target, p.tbl, statement)
 }
 
 // RunPlan executes a plan built by PlanQuery or PlanBootstrap and
-// converts the outcome. The liveness check runs again here, so a
-// preparation dropped between planning and running still refuses to
-// answer.
+// converts the outcome.
 func (p *Prepared) RunPlan(ctx context.Context, plan *exec.Plan) (Result, error) {
-	if err := p.live(plan.Kind.String()); err != nil {
-		return Result{}, err
-	}
 	out, err := p.db.ex.Run(ctx, plan, p.db.budgetFor(ctx))
 	if err != nil {
 		return Result{}, err

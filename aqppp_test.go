@@ -33,6 +33,8 @@ func demoTable(n int, seed uint64) *engine.Table {
 	)
 }
 
+// TestRegisterAndDrop pins registration: a name registers once, and
+// the registration is permanent (the DB has no Drop).
 func TestRegisterAndDrop(t *testing.T) {
 	db := NewDB()
 	tbl := demoTable(100, 1)
@@ -49,52 +51,8 @@ func TestRegisterAndDrop(t *testing.T) {
 	if len(names) != 1 || names[0] != "demo" {
 		t.Errorf("TableNames = %v", names)
 	}
-	db.Drop("demo")
-	if _, err := db.Table("demo"); err == nil {
-		t.Error("dropped table still visible")
-	}
-}
-
-// TestGeneration pins the monotone per-name counter the serving layer's
-// response cache keys on: +1 on every Register and every effective
-// Drop, never reused, untouched by no-op drops and failed registers.
-func TestGeneration(t *testing.T) {
-	db := NewDB()
-	tbl := demoTable(100, 1)
-	if got := db.Generation("demo"); got != 0 {
-		t.Fatalf("unregistered generation = %d, want 0", got)
-	}
-	if err := db.Register(tbl); err != nil {
-		t.Fatal(err)
-	}
-	if got := db.Generation("demo"); got != 1 {
-		t.Fatalf("after register: generation = %d, want 1", got)
-	}
-	// A rejected duplicate registration must not move the counter.
-	if err := db.Register(tbl); err == nil {
-		t.Fatal("duplicate registration accepted")
-	}
-	if got := db.Generation("demo"); got != 1 {
-		t.Errorf("after failed register: generation = %d, want 1", got)
-	}
-	db.Drop("demo")
-	if got := db.Generation("demo"); got != 2 {
-		t.Errorf("after drop: generation = %d, want 2", got)
-	}
-	// Dropping a name that is not registered is a no-op for the counter.
-	db.Drop("demo")
-	if got := db.Generation("demo"); got != 2 {
-		t.Errorf("after no-op drop: generation = %d, want 2", got)
-	}
-	if err := db.Register(demoTable(50, 2)); err != nil {
-		t.Fatal(err)
-	}
-	if got := db.Generation("demo"); got != 3 {
-		t.Errorf("after re-register: generation = %d, want 3 (never reused)", got)
-	}
-	// Generations are per name.
-	if got := db.Generation("other"); got != 0 {
-		t.Errorf("unrelated name generation = %d, want 0", got)
+	if _, err := db.Table("missing"); ErrorKindOf(err) != ErrUnknownTable {
+		t.Errorf("unregistered table: err = %v, want kind %v", err, ErrUnknownTable)
 	}
 }
 
@@ -347,8 +305,8 @@ func TestPublicSurface(t *testing.T) {
 			// Planning and the default budget.
 			"PlanExact", "SetDefaultBudget",
 			// Registry, store and stats accessors.
-			"CloseStores", "DistPrepared", "Drop", "Generation", "LookupTable", "LookupTarget",
-			"Register", "RegisterDistributed", "RegisterSharded", "Reshard", "SaveStore",
+			"CloseStores", "DistPrepared", "LookupTable", "LookupTarget",
+			"Register", "RegisterDistributed", "RegisterSharded", "SaveStore",
 			"ShardSnapshots", "Sharded", "StoreFor", "StoreSnapshots", "Table", "TableNames",
 			// Deprecated one-line forward to Prepare: the frozen
 			// benchmark/trace.go calls it; goes with a benchmark PR.

@@ -232,47 +232,3 @@ func TestBudgetCapsPrecedence(t *testing.T) {
 		}
 	}
 }
-
-// TestDropInvalidatesPrepared: Drop must poison every preparation built
-// over the table — stale handles answer with ErrUnknownTable even after
-// a new table claims the same name.
-func TestDropInvalidatesPrepared(t *testing.T) {
-	db := NewDB()
-	if err := db.Register(demoTable(5000, 45)); err != nil {
-		t.Fatal(err)
-	}
-	prep, err := db.Prepare(context.Background(), PrepareOptions{
-		Table: "demo", Aggregate: "v", Dimensions: []string{"k"},
-		SampleRate: 0.2, CellBudget: 200,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stmt := "SELECT SUM(v) FROM demo"
-	if _, err := prep.Query(context.Background(), stmt); err != nil {
-		t.Fatalf("query before drop: %v", err)
-	}
-
-	db.Drop("demo")
-
-	if _, err := prep.Query(context.Background(), stmt); ErrorKindOf(err) != ErrUnknownTable {
-		t.Errorf("Query after drop: kind = %v, want ErrUnknownTable (err: %v)", ErrorKindOf(err), err)
-	}
-	if _, err := prep.QueryBootstrap(context.Background(), stmt, 10); ErrorKindOf(err) != ErrUnknownTable {
-		t.Errorf("QueryBootstrap after drop: kind = %v (err: %v)", ErrorKindOf(err), err)
-	}
-	if _, err := db.Exact(context.Background(), stmt); ErrorKindOf(err) != ErrUnknownTable {
-		t.Errorf("Exact after drop: kind = %v (err: %v)", ErrorKindOf(err), err)
-	}
-
-	// Re-registering the name must not resurrect the stale handles.
-	if err := db.Register(demoTable(100, 46)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := prep.Query(context.Background(), stmt); ErrorKindOf(err) != ErrUnknownTable {
-		t.Errorf("Query after re-register: kind = %v (err: %v)", ErrorKindOf(err), err)
-	}
-	if _, err := db.Exact(context.Background(), stmt); err != nil {
-		t.Errorf("Exact on the fresh table failed: %v", err)
-	}
-}

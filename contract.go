@@ -51,9 +51,6 @@ func (p *Prepared) QueryWithContract(ctx context.Context, statement string, c Co
 // Contract planning needs the resident sample and cube, so sharded and
 // distributed preparations report ErrUnsupported.
 func (p *Prepared) PlanContract(statement string, c Contract) (*exec.Plan, error) {
-	if err := p.live("contract"); err != nil {
-		return nil, err
-	}
 	return exec.PlanContractStatement(p.target, p.tbl, statement, c, contractSeed)
 }
 
@@ -63,9 +60,6 @@ const contractSeed = 0x5eed
 
 // RunContractPlan executes a plan built by PlanContract.
 func (p *Prepared) RunContractPlan(ctx context.Context, plan *exec.Plan) (ContractResult, error) {
-	if err := p.live("contract"); err != nil {
-		return ContractResult{}, err
-	}
 	out, err := p.db.ex.Run(ctx, plan, p.db.budgetFor(ctx))
 	if err != nil {
 		return ContractResult{}, err

@@ -43,7 +43,6 @@ func (db *DB) DistPrepared(table, handle string, confidence float64, sampleRows 
 	return &Prepared{
 		db: db, tbl: e.tbl, target: e.fleet.Target(handle), conf: confidence,
 		stats: PreprocessingStats{SampleRows: sampleRows},
-		state: db.track(table),
 	}, nil
 }
 

@@ -19,8 +19,7 @@ const (
 	ErrInternal = exec.Internal
 	// ErrParse marks statements that do not parse or compile.
 	ErrParse = exec.Parse
-	// ErrUnknownTable marks statements targeting an unregistered table —
-	// including preparations invalidated by DB.Drop.
+	// ErrUnknownTable marks statements targeting an unregistered table.
 	ErrUnknownTable = exec.UnknownTable
 	// ErrUnsupported marks well-formed requests the engine cannot serve.
 	ErrUnsupported = exec.Unsupported

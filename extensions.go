@@ -26,8 +26,5 @@ func (p *Prepared) QueryBootstrap(ctx context.Context, statement string, resampl
 // DB.PlanExact). The resample seed is fixed, so one statement at one
 // replicate count always builds the same plan — and the same cache key.
 func (p *Prepared) PlanBootstrap(statement string, resamples int) (*exec.Plan, error) {
-	if err := p.live("bootstrap"); err != nil {
-		return nil, err
-	}
 	return exec.PlanBootstrapStatement(p.target, p.tbl, statement, resamples, 0xb007)
 }

@@ -42,9 +42,6 @@ func TestCancelAnswerPaths(t *testing.T) {
 	if _, err := p.AnswerGroups(ctx, gq); !errors.Is(err, context.Canceled) {
 		t.Errorf("AnswerGroups err = %v, want context.Canceled", err)
 	}
-	if _, err := p.AnswerGroupsFast(ctx, gq); !errors.Is(err, context.Canceled) {
-		t.Errorf("AnswerGroupsFast err = %v, want context.Canceled", err)
-	}
 	q := engine.Query{Func: engine.Sum, Col: "a"}
 	if _, err := p.AnswerBootstrap(ctx, q, 50, 1, nil); !errors.Is(err, context.Canceled) {
 		t.Errorf("AnswerBootstrap err = %v, want context.Canceled", err)

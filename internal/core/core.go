@@ -13,6 +13,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 
 	"aqppp/internal/aqp"
 	"aqppp/internal/cube"
@@ -180,6 +181,62 @@ func (p *Processor) answerSum(e *aqp.Estimator, q engine.Query) (Answer, aqp.Lan
 		return Answer{}, aqp.Lane{}, err
 	}
 	return p.answerWithPre(e, q, c, sel.Pre, sel.Considered)
+}
+
+// answerWithPre evaluates one pre of cube c on the full sample: the diff
+// estimate plus pre(D). Identification scored candidates on a small
+// subsample, so the chosen pre is re-checked against φ on the full
+// sample (error(q, P) minimizes over P⁺, and φ ∈ P⁺ — a noisy subsample
+// must not leave us worse than plain AQP). The query's condition lane
+// is φ's lane; the pre's lane adds the pre's rows as Minus, so both
+// estimates read only their supports. A pre whose pre(D) is not finite
+// is answered as φ (see anchor). It also returns the lane of the pre it
+// answered with.
+func (p *Processor) answerWithPre(e *aqp.Estimator, q engine.Query, c *cube.BPCube, pre ident.Pre, considered int) (Answer, aqp.Lane, error) {
+	phi, err := aqp.ConditionLane(p.Sample, q)
+	if err != nil {
+		return Answer{}, aqp.Lane{}, err
+	}
+	pre, preVal := anchor(c, pre)
+	lane := phi
+	diff, _ := e.Total(phi)
+	if !pre.IsPhi() {
+		in, err := ident.Membership(p.Sample, c, pre)
+		if err != nil {
+			return Answer{}, aqp.Lane{}, err
+		}
+		lane.Minus = in.Words()
+		phiEst := diff
+		if diff, _ = e.Total(lane); phiEst.HalfWidth < diff.HalfWidth {
+			pre, preVal = ident.Pre{Phi: true}, 0
+			diff = phiEst
+			lane = phi
+		}
+	}
+	return Answer{
+		Estimate: aqp.Estimate{
+			Value:      preVal + diff.Value,
+			HalfWidth:  diff.HalfWidth,
+			Confidence: p.confidence(),
+			SampleRows: diff.SampleRows,
+		},
+		Pre:        pre,
+		PreValue:   preVal,
+		Candidates: considered,
+	}, lane, nil
+}
+
+// anchor returns pre and pre(D), or φ and 0 when pre(D) is not finite.
+// A non-finite pre(D) (a ±Inf or NaN measure inside the pre's cells, or
+// ∞ − ∞ between prefix-cube corners) would meet the same rows in the
+// diff estimate and answer ∞ − ∞ = NaN; plain AQP answers what the
+// exact scan does there, ±Inf where the query holds an infinite row.
+func anchor(c *cube.BPCube, pre ident.Pre) (ident.Pre, float64) {
+	v := pre.Value(c)
+	if math.IsInf(v, 0) || math.IsNaN(v) {
+		return ident.Pre{Phi: true}, 0
+	}
+	return pre, v
 }
 
 // answerAvg answers AVG as the ratio of an AQP++ SUM and an AQP++ COUNT.

@@ -150,45 +150,6 @@ func oracleAnswerGroups(p *Processor, q engine.Query) ([]GroupAnswer, error) {
 	return out, nil
 }
 
-func oracleAnswerGroupsFast(p *Processor, q engine.Query) ([]GroupAnswer, error) {
-	if p.Cube == nil || q.Func != engine.Sum || p.Cube.Template.Agg != q.Col {
-		return oracleAnswerGroups(p, q)
-	}
-	scalar := q
-	scalar.GroupBy = nil
-	sel, err := ident.SelectBest(p.Cube, scalar, p.subsample(), p.confidence())
-	if err != nil {
-		return nil, err
-	}
-	var groupDims []dimBinding
-	for gi, g := range q.GroupBy {
-		for di, d := range p.Cube.Template.Dims {
-			if d == g {
-				groupDims = append(groupDims, dimBinding{dim: di, col: gi})
-			}
-		}
-	}
-	keys, ords, err := p.sampleGroups(q.GroupBy)
-	if err != nil {
-		return nil, err
-	}
-	var out []GroupAnswer
-	for gi, key := range keys {
-		gq := scalar
-		gq.Ranges = append(slices.Clone(scalar.Ranges), pinRanges(q.GroupBy, ords[gi])...)
-		pre := sel.Pre
-		if !pre.IsPhi() && len(groupDims) > 0 {
-			pre = pinPreToGroup(p, pre, groupDims, ords[gi])
-		}
-		ans, err := oracleAnswerWithPre(p, gq, p.Cube, pre, sel.Considered)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, GroupAnswer{Key: key, Answer: ans})
-	}
-	return out, nil
-}
-
 func sameFloat(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
 }
@@ -617,8 +578,8 @@ func TestAnswerBootstrapEquivalenceRandomized(t *testing.T) {
 	}
 }
 
-// TestAnswerEquivalenceRandomized holds Answer (SUM, COUNT, AVG),
-// AnswerGroups and AnswerGroupsFast to the pre-rewrite pipeline above:
+// TestAnswerEquivalenceRandomized holds Answer (SUM, COUNT, AVG) and
+// AnswerGroups to the pre-rewrite pipeline above:
 // every Estimate, Pre, PreValue and candidate count identical, over all
 // three samplers, with and without a COUNT cube or a subsample, on
 // cube-backed and cube-less measures, grouping by cube dimensions and
@@ -657,18 +618,6 @@ func TestAnswerEquivalenceRandomized(t *testing.T) {
 			}
 			if !sameGroups(groups, wantGroups) {
 				t.Fatalf("%v, %v: AnswerGroups differs from the oracle", kind, gq)
-			}
-			gq.Func, gq.Col = engine.Sum, "a"
-			fast, err := p.AnswerGroupsFast(ctx, gq)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantFast, err := oracleAnswerGroupsFast(p, gq)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !sameGroups(fast, wantFast) {
-				t.Fatalf("%v, %v: AnswerGroupsFast differs from the oracle", kind, gq)
 			}
 		}
 	}

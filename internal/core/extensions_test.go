@@ -5,7 +5,6 @@ import (
 	"math"
 	"testing"
 
-	"aqppp/internal/cube"
 	"aqppp/internal/engine"
 	"aqppp/internal/sample"
 	"aqppp/internal/stats"
@@ -117,73 +116,5 @@ func TestAnswerBootstrapDeterministic(t *testing.T) {
 	}
 	if a.Estimate != b.Estimate {
 		t.Errorf("same seed gave %+v and %+v", a.Estimate, b.Estimate)
-	}
-}
-
-// --- AnswerGroupsFast (Appendix C group-by heuristic) ---
-
-func TestAnswerGroupsFastMatchesSlowPath(t *testing.T) {
-	tbl := testTable(30000, 100)
-	p, _, err := Build(context.Background(), tbl, BuildConfig{
-		Template:   cube.Template{Agg: "a", Dims: []string{"c1", "g"}},
-		SampleRate: 0.1, CellBudget: 40, Seed: 101,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := engine.Query{Func: engine.Sum, Col: "a",
-		Ranges:  []engine.Range{{Col: "c1", Lo: 10, Hi: 80}},
-		GroupBy: []string{"g"}}
-	truthRes, _ := tbl.Execute(context.Background(), q)
-	truth := map[string]float64{}
-	for _, gr := range truthRes.Groups {
-		truth[gr.Key] = gr.Value
-	}
-	slow, err := p.AnswerGroups(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fast, err := p.AnswerGroupsFast(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fast) != len(slow) {
-		t.Fatalf("fast %d groups vs slow %d", len(fast), len(slow))
-	}
-	slowBy := map[string]Answer{}
-	for _, g := range slow {
-		slowBy[g.Key] = g.Answer
-	}
-	for _, g := range fast {
-		want := truth[g.Key]
-		if rel := math.Abs(g.Answer.Estimate.Value-want) / want; rel > 0.15 {
-			t.Errorf("fast group %q off truth by %v", g.Key, rel)
-		}
-		// The heuristic may be somewhat looser than per-group
-		// identification, but not wildly (both are guarded by φ).
-		sw := slowBy[g.Key].Estimate.HalfWidth
-		fw := g.Answer.Estimate.HalfWidth
-		if sw > 0 && fw > sw*3 {
-			t.Errorf("fast group %q ε %v vs slow %v", g.Key, fw, sw)
-		}
-	}
-}
-
-func TestAnswerGroupsFastValidation(t *testing.T) {
-	tbl := testTable(2000, 102)
-	p := buildProcessor(t, tbl, []string{"c1"}, 5)
-	if _, err := p.AnswerGroupsFast(context.Background(), engine.Query{Func: engine.Sum, Col: "a"}); err == nil {
-		t.Error("missing GROUP BY accepted")
-	}
-	// No-cube path falls back to the full machinery.
-	s, _ := sample.NewUniform(tbl, 0.2, 103)
-	noCube := &Processor{Sample: s}
-	q := engine.Query{Func: engine.Sum, Col: "a", GroupBy: []string{"g"}}
-	groups, err := noCube.AnswerGroupsFast(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(groups) != 2 {
-		t.Errorf("fallback groups = %d", len(groups))
 	}
 }

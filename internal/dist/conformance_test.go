@@ -72,7 +72,7 @@ func TestTargetConformance(t *testing.T) {
 		db   *aqppp.DB
 		prep *aqppp.Prepared
 		sub  substrate
-		// resident marks the target contract and multi plans run on.
+		// resident marks the target contract plans run on.
 		resident bool
 		// sig is the target's cache-key suffix on exact plans, and
 		// handle what prepared plans append to it.
@@ -86,7 +86,7 @@ func TestTargetConformance(t *testing.T) {
 				return proc.AnswerBootstrap(ctx, q, n, seed, nil)
 			},
 		}},
-		{name: "sharded", db: sdb, prep: sprep, sig: "|shards=range:k:4", sub: substrate{
+		{name: "sharded", db: sdb, prep: sprep, sub: substrate{
 			exact:  func(ctx context.Context, q engine.Query) (engine.Result, error) { return shs.Execute(ctx, q, 0) },
 			approx: func(ctx context.Context, q engine.Query) (core.Answer, error) { return shp.Answer(ctx, q, 0) },
 			groups: func(ctx context.Context, q engine.Query) ([]core.GroupAnswer, error) {

@@ -365,21 +365,16 @@ func TestDistDegradedApprox(t *testing.T) {
 
 // TestDistributedTableHasOneTarget is the regression test for a silent
 // wrong answer: a name registered with RegisterDistributed resolves to
-// a zero-row schema table, so Reshard used to partition nothing, stack
-// a shard layout on top of the fleet (cache key "…|shards=…|dist=…"),
-// and let Prepare build per-shard processors over no rows that answered
-// every query 0 ± 0 with no error. A name has exactly one target:
-// building anything over a distributed table is ErrUnsupported, and
-// the fleet keeps answering.
+// a zero-row schema table, and building over it once yielded
+// processors over no rows that answered every query 0 ± 0 with no
+// error. A name has exactly one target: building anything over a
+// distributed table is ErrUnsupported, and the fleet keeps answering.
 func TestDistributedTableHasOneTarget(t *testing.T) {
 	tbl := fleetTable(fleetRows, 7)
 	coord, _ := startFleet(t, tbl, 2, dist.Config{Timeout: 10 * time.Second})
 	db, prep := coordDB(t, coord)
 	const stmt = "SELECT SUM(v) FROM demo WHERE k BETWEEN 20 AND 470"
 
-	if err := db.Reshard("demo", aqppp.ShardOptions{Column: "k", Shards: 2}); aqppp.ErrorKindOf(err) != aqppp.ErrUnsupported {
-		t.Errorf("Reshard over a distributed table: err = %v, want kind %v", err, aqppp.ErrUnsupported)
-	}
 	_, err := db.Prepare(context.Background(), aqppp.PrepareOptions{
 		Table: "demo", Aggregate: "v", Dimensions: []string{"k"},
 		SampleRate: fleetRate, CellBudget: fleetBudget, Seed: fleetSeed,
@@ -392,8 +387,8 @@ func TestDistributedTableHasOneTarget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if key := p.CacheKey(); strings.Contains(key, "shards=") || !strings.Contains(key, "dist=") {
-		t.Errorf("cache key %q: want the fleet's signature and no shard layout", key)
+	if key := p.CacheKey(); !strings.Contains(key, "dist=") {
+		t.Errorf("cache key %q: want the fleet's signature", key)
 	}
 	want, err := tbl.Execute(context.Background(), p.Query)
 	if err != nil {
@@ -406,8 +401,8 @@ func TestDistributedTableHasOneTarget(t *testing.T) {
 	if !stats.ApproxEqual(got.Value, want.Value, 1e-12) {
 		t.Errorf("exact over the fleet = %v, want %v", got.Value, want.Value)
 	}
-	// The refused Reshard invalidated nothing: the handle still answers,
-	// with the truth inside a non-degenerate interval.
+	// The refused Prepare left the fleet's handle answering, with the
+	// truth inside a non-degenerate interval.
 	res, err := prep.Query(context.Background(), stmt)
 	if err != nil {
 		t.Fatal(err)

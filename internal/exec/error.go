@@ -33,7 +33,7 @@ const (
 	// unknown columns, malformed literals).
 	Parse
 	// UnknownTable marks statements that target a table the resolver
-	// does not know — including preparations invalidated by DB.Drop.
+	// does not know.
 	UnknownTable
 	// Unsupported marks well-formed requests the engine cannot serve
 	// (e.g. an aggregate outside the plan kind's repertoire).

@@ -123,8 +123,8 @@ func (p *Plan) CacheKey() string {
 		b.WriteString("|contract=")
 		b.WriteString(p.Contract.Key())
 	}
-	// The target folds in last: answers computed under one shard layout
-	// or fleet topology must never serve a plan running under another.
+	// The target folds in last: answers computed under one fleet
+	// topology must never serve a plan running under another.
 	if sig := p.Target.Signature(); sig != "" {
 		b.WriteByte('|')
 		b.WriteString(sig)

@@ -119,7 +119,8 @@ func TestCacheKeyDiscriminatesAnswerPath(t *testing.T) {
 // recorded at the commit before plans moved onto exec.Target: a cache
 // warmed by one build must keep serving the next, so the key is a
 // stable format, not an implementation detail. One plan of every kind
-// per in-process target; the fleet's goldens live in
+// per in-process target; a sharded target folds nothing in, since a
+// name keeps one layout for the life of its registry. The fleet's goldens live in
 // internal/dist/conformance_test.go, next to the fixtures that build
 // fleets (this package cannot import internal/dist).
 func TestCacheKeyGolden(t *testing.T) {
@@ -160,13 +161,13 @@ func TestCacheKeyGolden(t *testing.T) {
 			return PlanContractStatement(resident, tbl, stmt, contract.Contract{MaxRelError: 0.5, AllowExact: true}, 7)
 		}, "contract|t|SUM(v)" + ranges + "|contract=rel:3fe0000000000000,abs:0,conf:3fee666666666666,exact:1"},
 		{"sharded exact", func() (*Plan, error) { return PlanExactStatement(shardedSource, stmt) },
-			"exact|t|SUM(v)" + ranges + "|shards=range:k:4"},
+			"exact|t|SUM(v)" + ranges},
 		{"sharded query", func() (*Plan, error) { return PlanQueryStatement(sharded, tbl, stmt) },
-			"query|t|SUM(v)" + ranges + "|shards=range:k:4"},
+			"query|t|SUM(v)" + ranges},
 		{"sharded groups", func() (*Plan, error) { return PlanQueryStatement(sharded, tbl, gstmt) },
-			groups + "|shards=range:k:4"},
+			groups},
 		{"sharded bootstrap", func() (*Plan, error) { return PlanBootstrapStatement(sharded, tbl, stmt, 100, 0xb007) },
-			"bootstrap|t|SUM(v)" + ranges + "|n=100|seed=45063|shards=range:k:4"},
+			"bootstrap|t|SUM(v)" + ranges + "|n=100|seed=45063"},
 	} {
 		p, err := c.plan()
 		if err != nil {

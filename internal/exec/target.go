@@ -21,10 +21,10 @@ import (
 // Only a fleet sets it, and such answers must never be cached.
 type Target interface {
 	// Signature renders, for cache keys, what distinguishes this
-	// target's answers from another's over the same table: the shard
-	// layout (float merges reassociate and per-shard samples differ
-	// across layouts) or the fleet's layout, topology generation and
-	// handle. A resident target returns "".
+	// target's answers from another's over the same table: the fleet's
+	// layout, topology generation and handle. A registration is
+	// permanent, so an in-process table keeps one target for the life
+	// of its registry, and resident and sharded targets return "".
 	Signature() string
 	// Exact runs an exact query. Exact answers never degrade.
 	Exact(ctx context.Context, q engine.Query) (engine.Result, error)
@@ -91,7 +91,7 @@ type Sharded struct {
 }
 
 // Signature implements Target.
-func (t Sharded) Signature() string { return "shards=" + t.S.Layout.Signature() }
+func (Sharded) Signature() string { return "" }
 
 // Exact implements Target.
 func (t Sharded) Exact(ctx context.Context, q engine.Query) (engine.Result, error) {

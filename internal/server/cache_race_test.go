@@ -3,80 +3,72 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"aqppp"
 	"aqppp/internal/engine"
 )
 
-// churnTable builds a table whose SUM(v) encodes its round: every row
-// carries v = round, so SUM(v) = rows × round and any reader can tell
-// exactly which table version answered it — a torn or stale answer is
-// arithmetically visible.
-func churnTable(rows, round int) *engine.Table {
+// churnTable builds a table with k = v = 1..rows, so SUM(v) over
+// k BETWEEN lo AND hi is (lo+hi)(hi−lo+1)/2 exactly and any reader can
+// tell a wrong or misfiled answer arithmetically.
+func churnTable(rows int) *engine.Table {
+	k := make([]int64, rows)
 	v := make([]float64, rows)
-	for i := range v {
-		v[i] = float64(round)
+	for i := range k {
+		k[i] = int64(i + 1)
+		v[i] = float64(i + 1)
 	}
-	return engine.MustNewTable("churn", engine.NewFloatColumn("v", v))
+	return engine.MustNewTable("churn", engine.NewIntColumn("k", k), engine.NewFloatColumn("v", v))
 }
 
-// TestServerCacheChurnRace is the -race acceptance test for cache
-// invalidation: a writer churns Drop/re-Register with round-stamped
-// tables while readers hammer the same statement (maximizing cache
-// traffic). Correctness bar: no data race, every answer decodes to an
-// exact whole round, and each reader's observed round never moves
-// backward — a cached answer from a dropped table's generation would
-// read as a round regression and fail here.
+// TestServerCacheChurnRace is the -race test for the response cache
+// under concurrent hit, miss and eviction traffic on one table: readers
+// mix one hot statement with a rotation over more distinct statements
+// than the byte bound holds, so entries are put, served and evicted
+// concurrently. Correctness bar: no data race, and every answer — hit
+// or miss — is its own statement's exact sum.
 func TestServerCacheChurnRace(t *testing.T) {
 	const (
-		rows    = 256
-		rounds  = 60
-		readers = 4
+		rows       = 256
+		statements = 16
+		readers    = 4
+		requests   = 100
 	)
 	db := aqppp.NewDB()
-	if err := db.Register(churnTable(rows, 1)); err != nil {
+	if err := db.Register(churnTable(rows)); err != nil {
 		t.Fatal(err)
 	}
-	srv := New(db, Config{MaxConcurrent: 4, MaxQueue: 32})
+	// 1 KiB holds a few ~250-byte entries, so the rotation keeps evicting.
+	srv := New(db, Config{MaxConcurrent: 4, MaxQueue: 32, CacheMaxBytes: 1 << 10})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	var (
-		wg   sync.WaitGroup
-		stop atomic.Bool
-	)
+	bodies := make([][]byte, statements)
+	wants := make([]float64, statements)
+	for i := range bodies {
+		lo, hi := i+1, i+1+8*i
+		bodies[i], _ = json.Marshal(QueryRequest{SQL: fmt.Sprintf("SELECT SUM(v) FROM churn WHERE k BETWEEN %d AND %d", lo, hi)})
+		wants[i] = float64((lo + hi) * (hi - lo + 1) / 2)
+	}
 
-	// Writer: replace the table with the next round's, never reusing a
-	// round number.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer stop.Store(true)
-		for r := 2; r <= rounds; r++ {
-			db.Drop("churn")
-			if err := db.Register(churnTable(rows, r)); err != nil {
-				t.Errorf("register round %d: %v", r, err)
-				return
-			}
-		}
-	}()
-
-	body, _ := json.Marshal(QueryRequest{SQL: "SELECT SUM(v) FROM churn"})
+	var wg sync.WaitGroup
 	for w := 0; w < readers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			c := ts.Client()
-			lastRound := 0
-			for !stop.Load() {
-				resp, err := c.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader(body))
+			for i := 0; i < requests; i++ {
+				s := 0 // every other request is the hot statement
+				if i%2 == 1 {
+					s = (i*7 + w) % statements
+				}
+				resp, err := c.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader(bodies[s]))
 				if err != nil {
 					t.Errorf("reader post: %v", err)
 					return
@@ -87,10 +79,6 @@ func TestServerCacheChurnRace(t *testing.T) {
 					t.Errorf("reader read: %v", err)
 					return
 				}
-				if resp.StatusCode == http.StatusNotFound {
-					// Mid-churn gap between Drop and re-Register.
-					continue
-				}
 				if resp.StatusCode != http.StatusOK {
 					t.Errorf("reader status %d: %s", resp.StatusCode, data)
 					return
@@ -100,42 +88,20 @@ func TestServerCacheChurnRace(t *testing.T) {
 					t.Errorf("reader decode: %v", err)
 					return
 				}
-				round := int(math.Round(qr.Value / rows))
-				if round < 1 || round > rounds || math.Abs(qr.Value-float64(round*rows)) > 0.5 {
-					t.Errorf("torn answer: SUM = %v is not rows×round", qr.Value)
+				if qr.Value != wants[s] {
+					t.Errorf("statement %d answered %v (cached=%v), want %v", s, qr.Value, qr.Cached, wants[s])
 					return
 				}
-				// Tables only move forward; serving an earlier round after
-				// a later one means a poisoned cache entry got out.
-				if round < lastRound {
-					t.Errorf("round moved backward %d -> %d (cached=%v): stale cache entry served",
-						lastRound, round, qr.Cached)
-					return
-				}
-				lastRound = round
 			}
 		}()
 	}
 	wg.Wait()
 
-	// Post-churn the cache must be coherent: the final round's answer,
-	// then a hit for the same.
-	c := ts.Client()
-	for i := 0; i < 2; i++ {
-		resp, err := c.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var qr QueryResponse
-		if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
-			t.Fatal(err)
-		}
-		_ = resp.Body.Close()
-		if got := int(math.Round(qr.Value / rows)); got != rounds {
-			t.Fatalf("post-churn answer %d, want final round %d", got, rounds)
-		}
+	st := srv.cache.Stats()
+	if st.Hits == 0 || st.Misses == 0 || st.Evictions == 0 {
+		t.Errorf("cache stats = %+v: the race must exercise hits, misses and evictions", st)
 	}
-	if st := srv.cache.Stats(); st.Hits == 0 {
-		t.Error("churn race never exercised a cache hit; test lost its teeth")
+	if st.Bytes > st.MaxBytes {
+		t.Errorf("cache holds %d bytes over its %d bound", st.Bytes, st.MaxBytes)
 	}
 }

@@ -60,8 +60,7 @@ func (s *Server) handleContract(w http.ResponseWriter, r *http.Request, ri *reqI
 	}
 	// The plan's own key already carries the contract's bounds, so a
 	// loose and a tight contract over one statement never collide.
-	gen := s.db.Generation(prep.TableName())
-	s.answer(w, r, ri, req.TimeoutMS, plan.CacheKey()+handleKey, gen, func(ctx context.Context) (QueryResponse, error) {
+	s.answer(w, r, ri, req.TimeoutMS, plan.CacheKey()+handleKey, func(ctx context.Context) (QueryResponse, error) {
 		res, err := prep.RunContractPlan(ctx, plan)
 		if err != nil {
 			return QueryResponse{}, infeasible(err)

@@ -26,9 +26,10 @@ func infTable() *engine.Table {
 
 // TestNonFiniteAnswerIsInternalError: JSON cannot carry ±Inf or NaN, so
 // an answer holding one must come back as a 500 of kind "internal" that
-// names the field — fresh and from the cache alike, each counted by
-// kind — never as a 200 whose body failed to encode after the header
-// went out.
+// names the field, each counted by kind — never as a 200 whose body
+// failed to encode after the header went out. Such a response is never
+// cached: a repeat recomputes it rather than replaying the failure as a
+// cache hit.
 func TestNonFiniteAnswerIsInternalError(t *testing.T) {
 	db := aqppp.NewDB()
 	if err := db.Register(infTable()); err != nil {
@@ -55,7 +56,10 @@ func TestNonFiniteAnswerIsInternalError(t *testing.T) {
 		{"approx AVG", "/v1/approx", QueryRequest{Prepared: "h", SQL: "SELECT AVG(v) FROM inf WHERE k BETWEEN 100 AND 400"}},
 	} {
 		for _, round := range []string{"fresh", "repeat"} {
-			status, body, _ := postJSON(t, c, base+c2.path, c2.req)
+			status, body, hdr := postJSON(t, c, base+c2.path, c2.req)
+			if x := hdr.Get("X-Cache"); x != "" {
+				t.Errorf("%s (%s): X-Cache %q, want none", c2.name, round, x)
+			}
 			if status != http.StatusInternalServerError || errKind(body) != aqppp.ErrInternal.String() {
 				t.Errorf("%s (%s): status %d body %v, want 500 kind %q", c2.name, round, status, body, aqppp.ErrInternal)
 				continue
@@ -68,6 +72,9 @@ func TestNonFiniteAnswerIsInternalError(t *testing.T) {
 	}
 	if got := srv.status().ErrorKinds[aqppp.ErrInternal.String()]; got != 6 {
 		t.Errorf("internal errors counted = %d, want 6", got)
+	}
+	if st := srv.cache.Stats(); st.Hits != 0 || st.Entries != 0 {
+		t.Errorf("cache stats = %+v, want 0 hits and 0 entries", st)
 	}
 }
 

@@ -101,8 +101,9 @@ func (s *Server) instrument(endpoint string, h func(http.ResponseWriter, *http.R
 // writeJSON writes a JSON response body. The body is encoded before
 // the header goes out, so a value JSON cannot carry — an answer whose
 // value or half-width is ±Inf or NaN — becomes a 500 of kind "internal"
-// naming the field, not a 200 with an empty body.
-func (s *Server) writeJSON(w http.ResponseWriter, ri *reqInfo, status int, v any) {
+// naming the field, not a 200 with an empty body. It reports whether v
+// encoded.
+func (s *Server) writeJSON(w http.ResponseWriter, ri *reqInfo, status int, v any) bool {
 	var buf bytes.Buffer
 	if err := json.NewEncoder(&buf).Encode(v); err != nil {
 		msg := fmt.Sprintf("response not encodable: %v", err)
@@ -110,12 +111,13 @@ func (s *Server) writeJSON(w http.ResponseWriter, ri *reqInfo, status int, v any
 			msg = fmt.Sprintf("response field %q is %v, which JSON cannot encode", field, f)
 		}
 		s.writeServerError(w, ri, http.StatusInternalServerError, aqppp.ErrInternal.String(), msg)
-		return
+		return false
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	// A failed write means the client is gone: nobody is left to tell.
 	_, _ = w.Write(buf.Bytes())
+	return true
 }
 
 // nonFinite finds the first ±Inf or NaN float in v and names it by its
@@ -364,12 +366,10 @@ func (s *Server) enter(w http.ResponseWriter, r *http.Request, ri *reqInfo, time
 // the answer is partial: a degraded answer reflects which replicas
 // happened to be up, not the data, and must never outlive the outage.
 func (s *Server) answer(w http.ResponseWriter, r *http.Request, ri *reqInfo, timeoutMS int64,
-	key string, gen uint64, run func(context.Context) (QueryResponse, error)) {
-	if key != "" {
-		if resp, hit := s.cache.Get(key, gen); hit {
-			s.writeCached(w, ri, resp)
-			return
-		}
+	key string, run func(context.Context) (QueryResponse, error)) {
+	if resp, hit := s.cache.Get(key, 0); hit {
+		s.writeCached(w, ri, resp)
+		return
 	}
 	ctx, release, ok := s.enter(w, r, ri, timeoutMS)
 	if !ok {
@@ -383,10 +383,12 @@ func (s *Server) answer(w http.ResponseWriter, r *http.Request, ri *reqInfo, tim
 		return
 	}
 	resp.RequestID, resp.ElapsedMS = ri.id, toMS(time.Since(t0))
-	if key != "" && !resp.Partial {
-		s.cache.Put(key, gen, resp)
+	// Only a response that encoded is cached: one JSON cannot carry has
+	// already been answered as a 500, and a repeat must recompute it
+	// rather than replay that failure as a hit.
+	if s.writeJSON(w, ri, http.StatusOK, resp) && !resp.Partial {
+		s.cache.Put(key, 0, resp)
 	}
-	s.writeJSON(w, ri, http.StatusOK, resp)
 }
 
 // resolvePrepared resolves the named handle an endpoint answers
@@ -421,19 +423,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, ri *reqInfo
 		s.writeError(w, ri, err)
 		return
 	}
-	key := plan.CacheKey()
-	// The generation is captured before the query runs: if the table
-	// churns mid-flight, the entry put afterwards can never match a later
-	// Get and is stillborn rather than stale. One window remains — a
-	// churn between the plan resolving its table pointer and this capture
-	// would pair the old table's answer with the new generation — so the
-	// pointer is re-checked after the capture; on a mismatch this request
-	// simply skips the cache (correct answer, just not cached).
-	gen := s.db.Generation(plan.Table.Name)
-	if tbl, ok := s.db.LookupTable(plan.Table.Name); !ok || tbl != plan.Table {
-		key = ""
-	}
-	s.answer(w, r, ri, req.TimeoutMS, key, gen, func(ctx context.Context) (QueryResponse, error) {
+	s.answer(w, r, ri, req.TimeoutMS, plan.CacheKey(), func(ctx context.Context) (QueryResponse, error) {
 		res, err := s.db.RunExactPlan(ctx, plan)
 		if err != nil {
 			return QueryResponse{}, err
@@ -464,12 +454,7 @@ func (s *Server) handleApprox(w http.ResponseWriter, r *http.Request, ri *reqInf
 		s.writeError(w, ri, err)
 		return
 	}
-	// No pointer re-check is needed here (unlike handleQuery): a table
-	// churn before the generation capture poisons the preparation, so
-	// RunPlan's liveness re-check refuses to answer; a churn after the
-	// capture leaves the Put stillborn.
-	gen := s.db.Generation(prep.TableName())
-	s.answer(w, r, ri, req.TimeoutMS, plan.CacheKey()+handleKey, gen, func(ctx context.Context) (QueryResponse, error) {
+	s.answer(w, r, ri, req.TimeoutMS, plan.CacheKey()+handleKey, func(ctx context.Context) (QueryResponse, error) {
 		res, err := prep.RunPlan(ctx, plan)
 		if err != nil {
 			return QueryResponse{}, err

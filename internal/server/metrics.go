@@ -166,7 +166,6 @@ var promFamilies = []promFamily{
 	{"aqppp_cache_hits_total", "counter", "Response cache hits (served without touching the gate).", nil, scalar(func(st *StatuszResponse) any { return orZero(st.Cache).Hits })},
 	{"aqppp_cache_misses_total", "counter", "Response cache misses.", nil, scalar(func(st *StatuszResponse) any { return orZero(st.Cache).Misses })},
 	{"aqppp_cache_evictions_total", "counter", "Response cache entries evicted by size or TTL.", nil, scalar(func(st *StatuszResponse) any { return orZero(st.Cache).Evictions })},
-	{"aqppp_cache_invalidations_total", "counter", "Response cache entries dropped on a table-generation mismatch.", nil, scalar(func(st *StatuszResponse) any { return orZero(st.Cache).Invalidations })},
 	{"aqppp_cache_entries", "gauge", "Response cache resident entries.", nil, scalar(func(st *StatuszResponse) any { return orZero(st.Cache).Entries })},
 	{"aqppp_cache_bytes", "gauge", "Response cache resident bytes (accounting estimate).", nil, scalar(func(st *StatuszResponse) any { return orZero(st.Cache).Bytes })},
 

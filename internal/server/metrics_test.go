@@ -265,7 +265,7 @@ func TestStatuszKeepsExistingFieldsAndGainsCache(t *testing.T) {
 	if !ok {
 		t.Fatal("/statusz missing cache block")
 	}
-	for _, field := range []string{"hits", "misses", "evictions", "invalidations", "entries", "bytes", "max_bytes"} {
+	for _, field := range []string{"hits", "misses", "evictions", "entries", "bytes", "max_bytes"} {
 		if _, ok := cache[field]; !ok {
 			t.Errorf("cache block missing %q", field)
 		}

@@ -50,8 +50,7 @@ type Config struct {
 	// (default 32 MiB; negative disables caching entirely).
 	CacheMaxBytes int64
 	// CacheTTL bounds a cached response's age (default 60s; negative
-	// disables age-based expiry — entries still churn by LRU and are
-	// invalidated by table generation on Drop/re-Register).
+	// disables age-based expiry — entries still churn by LRU).
 	CacheTTL time.Duration
 	// QuotaRate enables per-client fairness: each client sustains this
 	// many cache-missing requests per second (0 disables quotas).

@@ -25,8 +25,7 @@
 //	GET    /metrics            the same counters in Prometheus text format
 //
 // In front of the admission gate sit a response cache (LRU by bytes,
-// TTL, invalidated by table generation and prepared-handle epoch — see
-// cache.go) and a per-client token-bucket quota (quota.go): a repeated
+// TTL, keyed on the plan and the prepared-handle epoch — see cache.go) and a per-client token-bucket quota (quota.go): a repeated
 // query is answered from the cache without consuming gate capacity or
 // quota tokens, and a client hammering distinct queries exhausts its
 // own bucket (429, kind "quota-exceeded") before it can crowd the

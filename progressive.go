@@ -81,9 +81,6 @@ type ProgressiveSummary struct {
 // with reason "budget-exhausted" instead of failing — the rounds
 // already delivered are the answer.
 func (p *Prepared) QueryProgressive(ctx context.Context, statement string, opts ProgressiveOptions, yield func(ProgressiveRound) error) (ProgressiveSummary, error) {
-	if err := p.live("progressive"); err != nil {
-		return ProgressiveSummary{}, err
-	}
 	if p.proc == nil {
 		return ProgressiveSummary{}, p.notResident("progressive", "a progressive stream")
 	}

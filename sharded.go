@@ -1,7 +1,6 @@
 package aqppp
 
 import (
-	"fmt"
 	"sort"
 
 	"aqppp/internal/engine"
@@ -9,8 +8,8 @@ import (
 	"aqppp/internal/shard"
 )
 
-// ShardOptions configures RegisterSharded and Reshard: how a table is
-// partitioned for scatter-gather execution.
+// ShardOptions configures RegisterSharded: how a table is partitioned
+// for scatter-gather execution.
 type ShardOptions struct {
 	// Column is the clustering column rows are partitioned on.
 	Column string
@@ -43,38 +42,6 @@ func (db *DB) RegisterSharded(tbl *engine.Table, opts ShardOptions) error {
 		return err
 	}
 	return db.register(registered{tbl: tbl, target: exec.Sharded{S: s}})
-}
-
-// Reshard repartitions a registered table under a new layout (or shards
-// a table registered unsharded). The table's generation bumps and every
-// preparation built over it is invalidated, exactly like Drop: answers
-// merged under one layout must never mix with plans or cached entries
-// from another. Repartitioning runs outside the lock; if the table is
-// dropped or replaced concurrently, Reshard fails without installing
-// anything. A distributed table has no rows here to repartition, so
-// resharding one is ErrUnsupported.
-func (db *DB) Reshard(name string, opts ShardOptions) error {
-	e, err := db.lookupResident(name, "reshard")
-	if err != nil {
-		return err
-	}
-	s, err := shard.Partition(e.tbl, opts.layout())
-	if err != nil {
-		return err
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if cur, ok := db.tables[name]; !ok || cur.tbl != e.tbl {
-		return &exec.Error{Kind: exec.UnknownTable, Op: "reshard",
-			Err: fmt.Errorf("table %q changed during reshard", name)}
-	}
-	db.tables[name] = registered{tbl: e.tbl, target: exec.Sharded{S: s}}
-	db.gens[name]++
-	for _, st := range db.preps[name] {
-		st.dropped.Store(true)
-	}
-	delete(db.preps, name)
-	return nil
 }
 
 // Sharded reports a table's partitioned form, or nil if the table is
@@ -118,5 +85,5 @@ func (db *DB) newSharded(tbl *engine.Table, t exec.Sharded) *Prepared {
 		st.CubeBytes += bs.CubeBytes
 		st.TotalSeconds += bs.TotalTime().Seconds()
 	}
-	return &Prepared{db: db, tbl: tbl, target: t, conf: t.Prep.Confidence, stats: st, state: db.track(tbl.Name)}
+	return &Prepared{db: db, tbl: tbl, target: t, conf: t.Prep.Confidence, stats: st}
 }

@@ -3,11 +3,7 @@ package aqppp
 import (
 	"context"
 	"math"
-	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"aqppp/internal/exec"
 	"aqppp/internal/stats"
@@ -55,8 +51,9 @@ func TestRegisterShardedEndToEnd(t *testing.T) {
 		t.Errorf("sharded COUNT %v != unsharded %v", gotC.Value, wantC.Value)
 	}
 
-	// Plans over the sharded table carry the layout, and it folds into
-	// the cache key; the unsharded DB's key stays layout-free.
+	// Plans over the sharded table run on the layout. A name keeps its
+	// layout for the life of the DB, so the cache key needs none: it is
+	// the unsharded DB's key.
 	p, err := db.PlanExact(sumStmt)
 	if err != nil {
 		t.Fatal(err)
@@ -64,15 +61,12 @@ func TestRegisterShardedEndToEnd(t *testing.T) {
 	if _, ok := p.Target.(exec.Sharded); !ok {
 		t.Fatalf("sharded plan runs on %T, want exec.Sharded", p.Target)
 	}
-	if !strings.Contains(p.CacheKey(), "shards=range:k:4") {
-		t.Errorf("cache key %q does not carry the layout", p.CacheKey())
-	}
 	pp, err := plain.PlanExact(sumStmt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(pp.CacheKey(), "shards=") {
-		t.Errorf("unsharded cache key %q mentions shards", pp.CacheKey())
+	if p.CacheKey() != pp.CacheKey() {
+		t.Errorf("sharded cache key %q, unsharded %q", p.CacheKey(), pp.CacheKey())
 	}
 
 	// Approximate path: Prepare builds per-shard processors.
@@ -139,151 +133,20 @@ func TestRegisterShardedEndToEnd(t *testing.T) {
 	}
 }
 
-func TestReshardInvalidates(t *testing.T) {
-	tbl := demoTable(3000, 32)
-	db := NewDB()
-	if err := db.Register(tbl); err != nil {
-		t.Fatal(err)
-	}
-	gen0 := db.Generation("demo")
-	prep, err := db.Prepare(context.Background(), racePrepareOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := prep.Query(context.Background(), raceStmt); err != nil {
-		t.Fatal(err)
-	}
-
-	// Reshard: generation bumps, the old preparation is poisoned, plans
-	// switch to the new layout.
-	if err := db.Reshard("demo", shardOpts(3)); err != nil {
-		t.Fatal(err)
-	}
-	if g := db.Generation("demo"); g != gen0+1 {
-		t.Errorf("generation after reshard = %d, want %d", g, gen0+1)
-	}
-	if _, err := prep.Query(context.Background(), raceStmt); ErrorKindOf(err) != ErrUnknownTable {
-		t.Errorf("stale prep after reshard: %v", err)
-	}
-	p, err := db.PlanExact(raceStmt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(p.CacheKey(), "shards=range:k:3") {
-		t.Errorf("post-reshard cache key %q", p.CacheKey())
-	}
-
-	// Re-reshard to a different count: key changes again, fresh preps
-	// keep working.
-	if err := db.Reshard("demo", shardOpts(5)); err != nil {
-		t.Fatal(err)
-	}
-	p2, err := db.PlanExact(raceStmt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.CacheKey() == p2.CacheKey() {
-		t.Error("cache key did not change across layouts")
-	}
-	fresh, err := db.Prepare(context.Background(), racePrepareOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fresh.Query(context.Background(), raceStmt); err != nil {
-		t.Fatal(err)
-	}
-
-	// Drop clears the layout too.
-	db.Drop("demo")
-	if db.Sharded("demo") != nil {
-		t.Error("layout survived Drop")
-	}
-	if err := db.Reshard("demo", shardOpts(2)); ErrorKindOf(err) != ErrUnknownTable {
-		t.Errorf("reshard of dropped table: %v", err)
-	}
-}
-
-// TestShardChurnRace churns RegisterSharded/Drop/Reshard against
-// concurrent sharded queries and preparations under -race: layout
-// changes must behave exactly like Drop-churn — no data race, and every
-// failure is the duplicate-registration complaint or carries the
-// unknown-table kind.
+// TestShardChurnRace registers fresh sharded tables against concurrent
+// Prepare/Query/Exact callers on a fixed sharded table under -race: no
+// data race and no failure, and the fixed table stays sharded.
 func TestShardChurnRace(t *testing.T) {
 	db := NewDB()
-	tbl := demoTable(800, 33)
-	const rounds = 25
-
-	var wg sync.WaitGroup
-	var stop atomic.Bool
-	okErr := func(op string, err error) {
-		if err == nil {
-			return
-		}
-		if strings.Contains(err.Error(), "already registered") {
-			return
-		}
-		if k := ErrorKindOf(err); k != ErrUnknownTable {
-			t.Errorf("%s: kind %v for %v; want unknown-table", op, k, err)
-		}
+	if err := db.RegisterSharded(demoTable(800, 33), shardOpts(3)); err != nil {
+		t.Fatal(err)
 	}
-
-	// Churner: register sharded, flip the layout, drop, repeat.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < rounds; i++ {
-			okErr("register", db.RegisterSharded(tbl, shardOpts(2+i%3)))
-			okErr("reshard", db.Reshard("demo", shardOpts(1+i%4)))
-			time.Sleep(time.Millisecond)
-			db.Drop("demo")
-		}
-		okErr("register", db.RegisterSharded(tbl, shardOpts(3)))
-		stop.Store(true)
-	}()
-
-	// Preparers: build per-shard state and query it mid-churn.
-	for w := 0; w < 2; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for !stop.Load() {
-				prep, err := db.Prepare(context.Background(), racePrepareOptions())
-				if err != nil {
-					okErr("prepare", err)
-					continue
-				}
-				_, err = prep.Query(context.Background(), raceStmt)
-				okErr("prepared query", err)
-			}
-		}()
-	}
-
-	// Exact scatter-gather scanners.
-	for w := 0; w < 2; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for !stop.Load() {
-				_, err := db.Exact(context.Background(), raceStmt)
-				okErr("exact", err)
-			}
-		}()
-	}
-
-	wg.Wait()
-
-	// The registry comes out usable and still sharded.
-	if db.Sharded("demo") == nil {
-		t.Fatal("table not sharded after churn")
-	}
-	if _, err := db.Exact(context.Background(), raceStmt); err != nil {
-		t.Fatalf("exact after churn: %v", err)
-	}
-	prep, err := db.Prepare(context.Background(), racePrepareOptions())
-	if err != nil {
-		t.Fatalf("prepare after churn: %v", err)
-	}
-	if _, err := prep.Query(context.Background(), raceStmt); err != nil {
-		t.Fatalf("query after churn: %v", err)
+	raceRegistry(t, db, 25, func(i int) error {
+		tbl := demoTable(200, uint64(200+i))
+		tbl.Name = raceName(i)
+		return db.RegisterSharded(tbl, shardOpts(1+i%4))
+	})
+	if db.Sharded("demo") == nil || db.Sharded(raceName(0)) == nil {
+		t.Error("table not sharded after the race")
 	}
 }

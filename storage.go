@@ -37,9 +37,6 @@ func (db *DB) SaveStore(path, table string, preps ...NamedPrep) error {
 	sps := make([]store.Prep, len(preps))
 	for i, np := range preps {
 		p := np.Prep
-		if err := p.live("save"); err != nil {
-			return err
-		}
 		if p.proc == nil {
 			return p.notResident("save", "persisting a preparation")
 		}

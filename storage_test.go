@@ -188,8 +188,9 @@ func TestSaveStoreValidation(t *testing.T) {
 	}
 }
 
-// TestStoreDropAndSnapshots pins the registry wiring: Drop closes and
-// forgets the store, StoreSnapshots reports sorted per-table state.
+// TestStoreDropAndSnapshots pins the registry wiring: StoreSnapshots
+// reports sorted per-table state, and CloseStores closes and forgets
+// every store.
 func TestStoreDropAndSnapshots(t *testing.T) {
 	dir := t.TempDir()
 	for _, name := range []string{"beta", "alpha"} {
@@ -204,7 +205,6 @@ func TestStoreDropAndSnapshots(t *testing.T) {
 		}
 	}
 	db := NewDB()
-	defer db.CloseStores()
 	for _, name := range []string{"beta", "alpha"} {
 		if _, err := db.OpenStore(filepath.Join(dir, name+".aqps")); err != nil {
 			t.Fatal(err)
@@ -217,11 +217,13 @@ func TestStoreDropAndSnapshots(t *testing.T) {
 	if snaps[0].Rows != 3000 || snaps[0].FileBytes == 0 {
 		t.Errorf("snapshot content = %+v", snaps[0])
 	}
-	db.Drop("alpha")
-	if _, ok := db.StoreFor("alpha"); ok {
-		t.Error("Drop left the store registered")
+	if err := db.CloseStores(); err != nil {
+		t.Fatal(err)
 	}
-	if got := db.StoreSnapshots(); len(got) != 1 || got[0].Table != "beta" {
-		t.Errorf("after drop: %+v", got)
+	if _, ok := db.StoreFor("alpha"); ok {
+		t.Error("CloseStores left a store registered")
+	}
+	if got := db.StoreSnapshots(); len(got) != 0 {
+		t.Errorf("after CloseStores: %+v", got)
 	}
 }
