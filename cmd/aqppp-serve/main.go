@@ -29,8 +29,8 @@
 // replica, assembles the fleet's schema and shared handles, and
 // answers public queries by fanning partials out over the network —
 // bit-identical to an in-process -shards N run over the same data.
-// Replicas given -quota-authority lease per-client quota tokens from
-// the coordinator so the whole fleet drains one logical bucket.
+// Clients enter through the coordinator, so its -quota-rps bucket is
+// the fleet's one per-client quota.
 //
 // SIGTERM or SIGINT starts a graceful drain: /readyz flips to 503,
 // in-flight queries finish within -drain-timeout, stragglers are
@@ -95,10 +95,8 @@ func run() int {
 	coordinator := flag.Bool("coordinator", false, "serve as fleet coordinator: load nothing, fan queries out over -peers")
 	peers := flag.String("peers", "", "comma-separated replica base URLs for -coordinator (http://host:port,...)")
 	degradedApprox := flag.Bool("degraded-approx", false, "coordinator: answer approximate queries from surviving shards when a replica is lost (partial answers, widened intervals)")
-	quotaAuthority := flag.String("quota-authority", "", "lease per-client quota tokens from this URL's /v1/quota/lease instead of a local bucket")
 	replicaTimeout := flag.Duration("replica-timeout", 5*time.Second, "coordinator: per-attempt timeout for one replica partial")
 	replicaRetries := flag.Int("replica-retries", 2, "coordinator: retries per replica on transient failure")
-	hedge := flag.Duration("hedge", 0, "coordinator: duplicate a slow partial to the same replica after this delay (0 = off)")
 	dialTimeout := flag.Duration("dial-timeout", 30*time.Second, "coordinator: how long to keep retrying the -peers handshake at startup")
 	flag.Parse()
 
@@ -174,7 +172,6 @@ func run() int {
 		dcfg := dist.Config{
 			Timeout:        *replicaTimeout,
 			Retries:        *replicaRetries,
-			Hedge:          *hedge,
 			DegradedApprox: *degradedApprox,
 		}
 		fmt.Fprintf(os.Stderr, "dialing %d replica(s) (handshake timeout %v)...\n", len(urls), *dialTimeout)
@@ -259,10 +256,6 @@ func run() int {
 		QuotaMaxClients: *quotaMaxClients,
 		Replica:         replicaRole,
 		Coordinator:     coord,
-	}
-	if *quotaAuthority != "" {
-		cfg.QuotaLease = dist.NewQuotaLease(*quotaAuthority, 0, nil)
-		fmt.Fprintf(os.Stderr, "leasing per-client quota from %s\n", *quotaAuthority)
 	}
 	if !*quiet {
 		cfg.AccessLog = os.Stderr

@@ -940,7 +940,7 @@ func TestServeFleetSmoke(t *testing.T) {
 		t.Errorf("approx half_width: coordinator %v != oracle %v", gh, wh)
 	}
 
-	// The coordinator's /statusz renders fleet topology.
+	// The coordinator's /statusz renders the fleet's layout and replicas.
 	sresp, err := http.Get(coordBase + "/statusz")
 	if err != nil {
 		t.Fatalf("GET /statusz: %v", err)
@@ -950,7 +950,7 @@ func TestServeFleetSmoke(t *testing.T) {
 	if err != nil || sresp.StatusCode != http.StatusOK {
 		t.Fatalf("/statusz status %d err %v", sresp.StatusCode, err)
 	}
-	for _, needle := range []string{`"dist"`, `"topology_generation"`, `"replicas"`} {
+	for _, needle := range []string{`"dist"`, `"layout":"range:l_orderkey:2"`, `"replicas"`} {
 		if !strings.Contains(string(sdata), needle) {
 			t.Errorf("/statusz missing %s:\n%s", needle, sdata)
 		}

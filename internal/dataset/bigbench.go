@@ -26,7 +26,7 @@ type BigBenchConfig struct {
 func BigBenchUserVisits(cfg BigBenchConfig) *engine.Table {
 	n := cfg.Rows
 	if cfg.IPs == 0 {
-		cfg.IPs = maxInt(n/8, 1)
+		cfg.IPs = max(n/8, 1)
 	}
 	r := stats.NewRNG(cfg.Seed)
 	zIP := stats.NewZipf(cfg.IPs, 1.2)

@@ -40,21 +40,14 @@ func (c *TPCDConfig) fillDefaults() {
 		c.Zipf = 2
 	}
 	if c.Orders == 0 {
-		c.Orders = maxInt(c.Rows/4, 1)
+		c.Orders = max(c.Rows/4, 1)
 	}
 	if c.Parts == 0 {
-		c.Parts = maxInt(c.Rows/5, 1)
+		c.Parts = max(c.Rows/5, 1)
 	}
 	if c.Suppliers == 0 {
-		c.Suppliers = maxInt(c.Rows/40, 1)
+		c.Suppliers = max(c.Rows/40, 1)
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // TPCDSkew generates a lineitem table following the TPCD-Skew benchmark:

@@ -25,10 +25,6 @@ type Config struct {
 	// Backoff is the sleep before the first retry; it doubles per
 	// retry and a retry never sleeps past the request's deadline.
 	Backoff time.Duration
-	// Hedge, when > 0, launches a duplicate first attempt after this
-	// delay and takes whichever answers first — the tail-latency
-	// tradeoff of doing up to 2x the work.
-	Hedge time.Duration
 	// DegradedApprox opts in to answering approximate queries from
 	// surviving strata when a replica is lost: the answer scales up by
 	// the lost row mass, the interval widens, and the response carries
@@ -43,9 +39,9 @@ type Config struct {
 type requestIDKey struct{}
 
 // WithRequestID returns a context under which every partial request
-// carries id as X-Request-Id — first attempt, retry and hedge alike —
-// so a replica's log line and error body name the coordinator request
-// they served and one id follows a query across processes.
+// carries id as X-Request-Id — first attempt and retry alike — so a
+// replica's log line and error body name the coordinator request they
+// served and one id follows a query across processes.
 func WithRequestID(ctx context.Context, id string) context.Context {
 	return context.WithValue(ctx, requestIDKey{}, id)
 }
@@ -94,11 +90,10 @@ func kindFromString(s string) (exec.Kind, bool) {
 }
 
 // postPartial sends one partial request to a replica with per-attempt
-// timeouts, bounded exponential backoff, and (when configured) a
-// hedged first attempt. Retries honor the request's remaining
-// deadline: a retry whose backoff would sleep past it is abandoned and
-// the last failure returned — the coordinator never burns budget the
-// caller cannot use.
+// timeouts and bounded exponential backoff. Retries honor the request's
+// remaining deadline: a retry whose backoff would sleep past it is
+// abandoned and the last failure returned — the coordinator never burns
+// budget the caller cannot use.
 func (c *Coordinator) postPartial(ctx context.Context, r *replica, preq *PartialRequest) (*PartialResponse, error) {
 	op := opForMode(preq.Mode)
 	body, err := json.Marshal(preq)
@@ -125,7 +120,7 @@ func (c *Coordinator) postPartial(ctx context.Context, r *replica, preq *Partial
 			r.retries.Add(1)
 		}
 		attempts++
-		resp, retryable, err := c.attemptHedged(ctx, r, op, body)
+		resp, retryable, err := c.attempt(ctx, r, op, body)
 		if err == nil {
 			if err := shapeError(r, preq, resp); err != nil {
 				return nil, &exec.Error{Kind: exec.Internal, Op: op, Err: err}
@@ -198,51 +193,6 @@ func shapeError(r *replica, preq *PartialRequest, pr *PartialResponse) error {
 		}
 	}
 	return nil
-}
-
-// attemptHedged runs one attempt, racing a duplicate launched after
-// the hedge delay when configured. The first success wins and the
-// loser's context is canceled; if both fail, the last failure is
-// returned.
-func (c *Coordinator) attemptHedged(ctx context.Context, r *replica, op string, body []byte) (*PartialResponse, bool, error) {
-	if c.cfg.Hedge <= 0 {
-		return c.attempt(ctx, r, op, body)
-	}
-	type result struct {
-		resp      *PartialResponse
-		retryable bool
-		err       error
-	}
-	actx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	ch := make(chan result, 2)
-	launch := func() {
-		go func() {
-			resp, retryable, err := c.attempt(actx, r, op, body)
-			ch <- result{resp, retryable, err}
-		}()
-	}
-	launch()
-	launched, got := 1, 0
-	timer := time.NewTimer(c.cfg.Hedge)
-	defer timer.Stop()
-	for {
-		select {
-		case <-timer.C:
-			if launched < 2 {
-				r.hedges.Add(1)
-				launch()
-				launched++
-			}
-		case out := <-ch:
-			got++
-			if out.err == nil || got == launched {
-				return out.resp, out.retryable, out.err
-			}
-			// One attempt failed but the hedge is still in flight:
-			// wait for it rather than retrying from scratch.
-		}
-	}
 }
 
 // attempt is one POST /v1/partial round trip. The bool reports whether

@@ -74,9 +74,6 @@ func TestTargetConformance(t *testing.T) {
 		sub  substrate
 		// resident marks the target contract plans run on.
 		resident bool
-		// sig is the target's cache-key suffix on exact plans, and
-		// handle what prepared plans append to it.
-		sig, handle string
 	}{
 		{name: "resident", db: rdb, prep: rprep, resident: true, sub: substrate{
 			exact:  tbl.ExecuteContext,
@@ -102,7 +99,7 @@ func TestTargetConformance(t *testing.T) {
 				return n
 			},
 		}},
-		{name: "fleet", db: fdb, prep: fprep, sig: "|dist=range:k:2@t1", handle: "|dh=h", sub: substrate{
+		{name: "fleet", db: fdb, prep: fprep, sub: substrate{
 			exact: fleet.Exact,
 			approx: func(ctx context.Context, q engine.Query) (core.Answer, error) {
 				a, _, err := fleet.Approx(ctx, q)
@@ -126,7 +123,7 @@ func TestTargetConformance(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			// Every kind: the executor's outcome is the substrate's
-			// answer, under the parent commit's cache key.
+			// answer, under the same cache key on every target.
 			for _, k := range []struct {
 				kind string
 				plan func() (*exec.Plan, error)
@@ -135,19 +132,19 @@ func TestTargetConformance(t *testing.T) {
 				got  func(exec.Outcome) any
 			}{
 				{"exact", func() (*exec.Plan, error) { return c.db.PlanExact(stmt) },
-					"exact|demo|SUM(v)" + ranges + c.sig,
+					"exact|demo|SUM(v)" + ranges,
 					func(p *exec.Plan) (any, error) { return c.sub.exact(ctx, p.Query) },
 					func(o exec.Outcome) any { return o.Exact }},
 				{"query", func() (*exec.Plan, error) { return c.prep.PlanQuery(stmt) },
-					"query|demo|SUM(v)" + ranges + c.sig + c.handle,
+					"query|demo|SUM(v)" + ranges,
 					func(p *exec.Plan) (any, error) { return c.sub.approx(ctx, p.Query) },
 					func(o exec.Outcome) any { return o.Answer }},
 				{"groups", func() (*exec.Plan, error) { return c.prep.PlanQuery(gstmt) },
-					"query|demo|SUM(v)" + ranges + "|by:tier" + c.sig + c.handle,
+					"query|demo|SUM(v)" + ranges + "|by:tier",
 					func(p *exec.Plan) (any, error) { return c.sub.groups(ctx, p.Query) },
 					func(o exec.Outcome) any { return o.Groups }},
 				{"bootstrap", func() (*exec.Plan, error) { return c.prep.PlanBootstrap(stmt, resamples) },
-					"bootstrap|demo|SUM(v)" + ranges + "|n=100|seed=45063" + c.sig + c.handle,
+					"bootstrap|demo|SUM(v)" + ranges + "|n=100|seed=45063",
 					func(p *exec.Plan) (any, error) { return c.sub.bootstrap(ctx, p.Query, resamples, p.Seed) },
 					func(o exec.Outcome) any { return o.Answer }},
 			} {

@@ -16,7 +16,7 @@ import (
 
 // replica is the coordinator's view of one peer: its identity from the
 // handshake plus per-replica traffic counters and the wall time of each
-// partial the shard.Group ran against it (retries and hedges included).
+// partial the shard.Group ran against it (retries included).
 type replica struct {
 	url   string
 	ident ShardIdentity
@@ -24,7 +24,6 @@ type replica struct {
 	requests atomic.Uint64
 	retries  atomic.Uint64
 	failures atomic.Uint64
-	hedges   atomic.Uint64
 	shed     atomic.Uint64
 	healthy  atomic.Bool
 
@@ -47,10 +46,6 @@ type Coordinator struct {
 	replicas []*replica // ascending by shard index, one per shard
 	handles  []HandleInfo
 
-	// topoGen stamps the topology into plan cache keys; membership or
-	// layout changes bump it, killing every cached answer computed
-	// under the old fleet.
-	topoGen  atomic.Uint64
 	pruned   atomic.Uint64
 	degraded atomic.Uint64
 }
@@ -109,17 +104,6 @@ func (c *Coordinator) Target(handle string) exec.Target {
 type fleetTarget struct {
 	c      *Coordinator
 	handle string
-}
-
-// Signature implements exec.Target: the layout and the topology
-// generation, so cached answers die with the membership that computed
-// them; the handle distinguishes fleets serving several preparations.
-func (t fleetTarget) Signature() string {
-	sig := fmt.Sprintf("dist=%s@t%d", t.c.layout.Signature(), t.c.topoGen.Load())
-	if t.handle != "" {
-		sig += "|dh=" + t.handle
-	}
-	return sig
 }
 
 // Exact implements exec.Target. Exact answers never degrade: a lost
@@ -256,7 +240,6 @@ type ReplicaSnapshot struct {
 	Requests uint64 `json:"requests"`
 	Retries  uint64 `json:"retries"`
 	Failures uint64 `json:"failures"`
-	Hedges   uint64 `json:"hedges"`
 	Shed     uint64 `json:"shed"`
 	// Latency is the replica's round-trip histogram; /metrics renders it.
 	Latency stats.LatencySnapshot `json:"-"`
@@ -266,7 +249,6 @@ type ReplicaSnapshot struct {
 type Snapshot struct {
 	Table    string            `json:"table"`
 	Layout   string            `json:"layout"`
-	TopoGen  uint64            `json:"topology_generation"`
 	Pruned   uint64            `json:"pruned"`
 	Degraded uint64            `json:"degraded"`
 	Handles  []HandleInfo      `json:"handles,omitempty"`
@@ -278,7 +260,6 @@ func (c *Coordinator) Snapshot() Snapshot {
 	snap := Snapshot{
 		Table:    c.table,
 		Layout:   c.layout.Signature(),
-		TopoGen:  c.topoGen.Load(),
 		Pruned:   c.pruned.Load(),
 		Degraded: c.degraded.Load(),
 		Handles:  c.handles,
@@ -288,8 +269,8 @@ func (c *Coordinator) Snapshot() Snapshot {
 			URL: r.url, Index: r.ident.Index, Rows: r.ident.Rows,
 			Healthy:  r.healthy.Load(),
 			Requests: r.requests.Load(), Retries: r.retries.Load(),
-			Failures: r.failures.Load(), Hedges: r.hedges.Load(),
-			Shed: r.shed.Load(), Latency: r.latency.Snapshot(),
+			Failures: r.failures.Load(), Shed: r.shed.Load(),
+			Latency: r.latency.Snapshot(),
 		})
 	}
 	return snap

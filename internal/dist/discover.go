@@ -125,16 +125,14 @@ func assemble(peers []string, hellos []HelloResponse, cfg Config) (*Coordinator,
 	if err != nil {
 		return nil, err
 	}
-	c := &Coordinator{
+	return &Coordinator{
 		cfg:      cfg,
 		table:    first.Table,
 		layout:   layout,
 		schema:   schema,
 		replicas: replicas,
 		handles:  handles,
-	}
-	c.topoGen.Store(1)
-	return c, nil
+	}, nil
 }
 
 func parseStrategy(s string) (shard.Strategy, error) {

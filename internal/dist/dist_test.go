@@ -387,8 +387,18 @@ func TestDistributedTableHasOneTarget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if key := p.CacheKey(); !strings.Contains(key, "dist=") {
-		t.Errorf("cache key %q: want the fleet's signature", key)
+	// A name has one target for the DB's life, so the key names the
+	// statement only: the fleet's exact key is the resident one.
+	rdb := aqppp.NewDB()
+	if err := rdb.Register(tbl); err != nil {
+		t.Fatal(err)
+	}
+	rp, err := rdb.PlanExact(stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if key, want := p.CacheKey(), rp.CacheKey(); key != want {
+		t.Errorf("fleet cache key %q, resident %q", key, want)
 	}
 	want, err := tbl.Execute(context.Background(), p.Query)
 	if err != nil {
@@ -609,8 +619,8 @@ func TestDistRefusesMisshapenPartials(t *testing.T) {
 
 // TestDistRequestIDPropagates follows one id across processes: the id
 // the coordinator's server minted for the client's request arrives as
-// X-Request-Id on every partial it causes — first attempt, hedge and
-// retry alike.
+// X-Request-Id on every partial it causes — first attempt and retry
+// alike.
 func TestDistRequestIDPropagates(t *testing.T) {
 	tbl := fleetTable(400, 7)
 	var mu sync.Mutex
@@ -619,11 +629,10 @@ func TestDistRequestIDPropagates(t *testing.T) {
 		mu.Lock()
 		seen = append(seen, r.Header.Get("X-Request-Id"))
 		mu.Unlock()
-		time.Sleep(50 * time.Millisecond) // long enough for the hedge to launch
 		w.WriteHeader(http.StatusInternalServerError)
 		_, _ = io.WriteString(w, `{"error":{"kind":"internal","message":"boom"}}`)
 	})
-	coord := dialOne(t, ts.URL, dist.Config{Retries: 1, Backoff: time.Millisecond, Hedge: 2 * time.Millisecond})
+	coord := dialOne(t, ts.URL, dist.Config{Retries: 1, Backoff: time.Millisecond})
 	ddb, _ := coordDB(t, coord)
 
 	srv := server.New(ddb, server.Config{Coordinator: coord})
@@ -639,13 +648,13 @@ func TestDistRequestIDPropagates(t *testing.T) {
 		t.Fatal("coordinator response carries no X-Request-Id")
 	}
 	rp := coord.Snapshot().Replicas[0]
-	if rp.Retries < 1 || rp.Hedges < 1 {
-		t.Fatalf("replica saw %d retries and %d hedges; the test needs both", rp.Retries, rp.Hedges)
+	if rp.Retries < 1 {
+		t.Fatalf("replica saw %d retries; the test needs one", rp.Retries)
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if uint64(len(seen)) != rp.Requests || len(seen) < 3 {
-		t.Errorf("replica handled %d partials, coordinator counted %d attempts (want >= 3)", len(seen), rp.Requests)
+	if uint64(len(seen)) != rp.Requests || len(seen) < 2 {
+		t.Errorf("replica handled %d partials, coordinator counted %d attempts (want >= 2)", len(seen), rp.Requests)
 	}
 	for i, got := range seen {
 		if got != id {
@@ -693,8 +702,8 @@ func TestDistStatuszAndMetrics(t *testing.T) {
 	if sz.Dist == nil {
 		t.Fatal("/statusz has no dist section")
 	}
-	if sz.Dist.TopoGen == 0 || len(sz.Dist.Replicas) != 2 {
-		t.Errorf("dist snapshot: topo gen %d, %d replicas", sz.Dist.TopoGen, len(sz.Dist.Replicas))
+	if sz.Dist.Layout != "range:k:2" || len(sz.Dist.Replicas) != 2 {
+		t.Errorf("dist snapshot: layout %q, %d replicas", sz.Dist.Layout, len(sz.Dist.Replicas))
 	}
 	for _, rp := range sz.Dist.Replicas {
 		if !rp.Healthy {
@@ -707,7 +716,7 @@ func TestDistStatuszAndMetrics(t *testing.T) {
 
 	metrics := get("/metrics")
 	for _, family := range []string{
-		"aqppp_dist_topology_generation",
+		"aqppp_dist_pruned_total",
 		"aqppp_replica_requests_total",
 		"aqppp_replica_healthy",
 		"aqppp_replica_request_duration_seconds_bucket",
@@ -715,59 +724,6 @@ func TestDistStatuszAndMetrics(t *testing.T) {
 		if !strings.Contains(metrics, family) {
 			t.Errorf("/metrics missing %s", family)
 		}
-	}
-}
-
-// TestDistQuotaLease drives the token-lease protocol against a real
-// authority: leases batch, cached tokens serve without round trips,
-// exhaustion denies with a retry hint, and a dead authority fails
-// open.
-func TestDistQuotaLease(t *testing.T) {
-	adb := aqppp.NewDB()
-	if err := adb.Register(fleetTable(100, 7)); err != nil {
-		t.Fatal(err)
-	}
-	authority := server.New(adb, server.Config{QuotaRate: 1, QuotaBurst: 3})
-	url := startServer(t, authority)
-
-	ql := dist.NewQuotaLease(url, 2, nil)
-	ctx := context.Background()
-	for i := 0; i < 3; i++ {
-		ok, _, failedOpen := ql.Allow(ctx, "client-a")
-		if !ok || failedOpen {
-			t.Fatalf("allow %d: ok=%v failedOpen=%v", i, ok, failedOpen)
-		}
-	}
-	ok, retryAfter, failedOpen := ql.Allow(ctx, "client-a")
-	if ok || failedOpen {
-		t.Fatalf("over-quota allow: ok=%v failedOpen=%v", ok, failedOpen)
-	}
-	if retryAfter <= 0 {
-		t.Error("denial carried no retry hint")
-	}
-	snap := ql.Snapshot()
-	if snap.LeaseCalls < 2 {
-		t.Errorf("lease calls = %d, want >= 2 (3 tokens in batches of 2)", snap.LeaseCalls)
-	}
-	if snap.Denied == 0 {
-		t.Error("denied counter did not advance")
-	}
-
-	// A second client has its own bucket.
-	if ok, _, _ := ql.Allow(ctx, "client-b"); !ok {
-		t.Error("client-b denied by client-a's exhaustion")
-	}
-
-	// Authority unreachable: quota is load protection, not correctness —
-	// the replica fails open rather than turning an authority outage
-	// into a fleet-wide denial of service.
-	dead := dist.NewQuotaLease("http://127.0.0.1:1", 2, &http.Client{Timeout: time.Second})
-	ok, _, failedOpen = dead.Allow(ctx, "client-a")
-	if !ok || !failedOpen {
-		t.Errorf("dead authority: ok=%v failedOpen=%v, want fail-open", ok, failedOpen)
-	}
-	if dead.Snapshot().FailOpen == 0 {
-		t.Error("fail-open counter did not advance")
 	}
 }
 
@@ -811,42 +767,65 @@ func canned(status int, body io.Reader) func(*http.Request) (*http.Response, err
 	}
 }
 
+// fill is an endless reader of one repeated byte.
+type fill byte
+
+func (f fill) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(f)
+	}
+	return len(p), nil
+}
+
 // TestRoundTripClosesBodyOnce pins the one place the module closes a
 // response body: every exit of dist's round-trip helper — transport
 // error, read error, oversized body, non-200, 200 — closes the body
-// exactly once or never had one, and all three callers (handshake,
-// partial, quota lease) go through it.
+// exactly once or never had one, and both callers (handshake and
+// partial) go through it. Each exit is driven through a partial after a
+// real handshake, both over the counting transport.
 func TestRoundTripClosesBodyOnce(t *testing.T) {
-	granted := `{"v":1,"granted":1}`
+	scalar := `{"v":1,"shard":0,"mode":"exact","scalar":{"n":7}`
 	cases := []struct {
 		name       string
 		next       func(*http.Request) (*http.Response, error)
-		wantBodies int64
-		wantOpen   bool // the lease failed and Allow failed open
+		wantBodies int64 // partial response bodies handed out
+		wantErr    bool  // the partial failed as Unavailable
 	}{
 		{"transport error", func(*http.Request) (*http.Response, error) { return nil, io.ErrUnexpectedEOF }, 0, true},
-		{"read error", canned(http.StatusOK, io.MultiReader(strings.NewReader(`{"v":`), iotest.ErrReader(io.ErrUnexpectedEOF))), 1, true},
-		{"oversized body", canned(http.StatusOK, strings.NewReader(`{"v":1,"granted":1,"pad":"`+strings.Repeat("x", 1<<16)+`"}`)), 1, true},
+		{"read error", canned(http.StatusOK, io.MultiReader(strings.NewReader(scalar[:5]), iotest.ErrReader(io.ErrUnexpectedEOF))), 1, true},
+		{"oversized body", canned(http.StatusOK, io.MultiReader(strings.NewReader(scalar+`,"pad":"`), io.LimitReader(fill('x'), 16<<20), strings.NewReader(`"}`))), 1, true},
 		{"non-200", canned(http.StatusInternalServerError, strings.NewReader(`boom`)), 1, true},
-		{"200", canned(http.StatusOK, strings.NewReader(granted)), 1, false},
+		{"200", canned(http.StatusOK, strings.NewReader(scalar+"}")), 1, false},
 	}
+	ts := fakeReplica(t, fleetTable(400, 7), func(w http.ResponseWriter, _ *http.Request) {
+		t.Error("partial reached the listener; the transport answers partials")
+	})
 	for _, tc := range cases {
-		cc := &closeCounter{next: tc.next}
-		ql := dist.NewQuotaLease("http://authority.invalid", 1, &http.Client{Transport: cc})
-		ok, _, failedOpen := ql.Allow(context.Background(), "c")
-		if !ok || failedOpen != tc.wantOpen {
-			t.Errorf("%s: ok=%v failedOpen=%v, want ok with failedOpen=%v", tc.name, ok, failedOpen, tc.wantOpen)
+		cc := &closeCounter{next: func(req *http.Request) (*http.Response, error) {
+			if req.URL.Path == "/v1/partial" {
+				return tc.next(req)
+			}
+			return http.DefaultTransport.RoundTrip(req)
+		}}
+		coord := dialOne(t, ts.URL, dist.Config{Client: &http.Client{Transport: cc}})
+		res, err := coord.Target("").Exact(context.Background(), engine.Query{Func: engine.Count})
+		if tc.wantErr {
+			if aqppp.ErrorKindOf(err) != aqppp.ErrUnavailable {
+				t.Errorf("%s: err = %v, want kind %v", tc.name, err, aqppp.ErrUnavailable)
+			}
+		} else if err != nil || res.Value != 7 {
+			t.Errorf("%s: count %v, err %v; want 7 and no error", tc.name, res.Value, err)
 		}
-		if b, c := cc.bodies.Load(), cc.closes.Load(); b != tc.wantBodies || c != b {
-			t.Errorf("%s: %d bodies handed out, %d closes; want %d and %d", tc.name, b, c, tc.wantBodies, tc.wantBodies)
+		want := 1 + tc.wantBodies // the handshake's body, then the partial's
+		if b, c := cc.bodies.Load(), cc.closes.Load(); b != want || c != b {
+			t.Errorf("%s: %d bodies handed out, %d closes; want %d and %d", tc.name, b, c, want, want)
 		}
 	}
 
-	// The handshake and the partial round trip, against a real listener:
-	// a 200 handshake, a retryable 500 partial, then a final 400.
-	tbl := fleetTable(400, 7)
+	// The retry path, against a real listener: a 200 handshake, a
+	// retryable 500 partial, then a final 400.
 	var calls atomic.Int64
-	ts := fakeReplica(t, tbl, func(w http.ResponseWriter, _ *http.Request) {
+	ts = fakeReplica(t, fleetTable(400, 7), func(w http.ResponseWriter, _ *http.Request) {
 		if calls.Add(1) == 1 {
 			w.WriteHeader(http.StatusInternalServerError)
 			return
@@ -861,53 +840,6 @@ func TestRoundTripClosesBodyOnce(t *testing.T) {
 	}
 	if b, c := cc.bodies.Load(), cc.closes.Load(); b != 3 || c != 3 {
 		t.Errorf("handshake + 2 partials: %d bodies handed out, %d closes; want 3 and 3", b, c)
-	}
-}
-
-// TestQuotaLeaseConcurrent is the -race hammer for the lease client's
-// token cache (QuotaLease.mu): Allow consumes and refills it from many
-// goroutines while Snapshot reads it. No static rule watches that map;
-// the race detector does, on the interleavings this test produces.
-// Tokens are conserved: every granted token was either spent on an
-// admission or is still cached.
-func TestQuotaLeaseConcurrent(t *testing.T) {
-	for _, tc := range []struct {
-		name             string
-		granted, clients int
-	}{
-		{"batch of 1, nothing cached", 1, 2},
-		{"batch of 3, one hot client", 3, 1},
-		{"batch of 5, several clients", 5, 4},
-	} {
-		body, err := json.Marshal(dist.LeaseResponse{V: dist.WireVersion, Granted: tc.granted})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cc := &closeCounter{next: func(*http.Request) (*http.Response, error) {
-			return &http.Response{StatusCode: http.StatusOK, Header: http.Header{}, Body: io.NopCloser(strings.NewReader(string(body)))}, nil
-		}}
-		ql := dist.NewQuotaLease("http://authority.invalid", tc.granted, &http.Client{Transport: cc})
-		const workers, rounds = 6, 50
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := 0; i < rounds; i++ {
-					if ok, _, failedOpen := ql.Allow(context.Background(), fmt.Sprintf("c%d", (w+i)%tc.clients)); !ok || failedOpen {
-						t.Errorf("%s: ok=%v failedOpen=%v against an authority that always grants", tc.name, ok, failedOpen)
-					}
-					if snap := ql.Snapshot(); snap.CachedClients > tc.clients {
-						t.Errorf("%s: %d cached clients, only %d exist", tc.name, snap.CachedClients, tc.clients)
-					}
-				}
-			}(w)
-		}
-		wg.Wait()
-		snap := ql.Snapshot()
-		if got, want := int(snap.LeaseCalls)*tc.granted, workers*rounds+snap.CachedTokens; got != want {
-			t.Errorf("%s: %d tokens granted, %d spent or cached", tc.name, got, want)
-		}
 	}
 }
 

@@ -4,15 +4,8 @@ import (
 	"fmt"
 	"time"
 
-	"aqppp/internal/aqp"
 	"aqppp/internal/exec"
 )
-
-// aqpEstimate builds an estimate literal (wire decoding constructs
-// many).
-func aqpEstimate(v, hw, conf float64, rows int) aqp.Estimate {
-	return aqp.Estimate{Value: v, HalfWidth: hw, Confidence: conf, SampleRows: rows}
-}
 
 // ReplicaError describes a replica that could not serve a partial
 // request: unreachable, timed out across every attempt, or shedding

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 
+	"aqppp/internal/aqp"
 	"aqppp/internal/core"
 	"aqppp/internal/engine"
 	"aqppp/internal/ident"
@@ -161,23 +162,6 @@ type HelloResponse struct {
 	Handles []HandleInfo   `json:"handles"`
 }
 
-// LeaseRequest is the body of POST /v1/quota/lease: a replica asking
-// the quota authority for a batch of tokens on behalf of one client.
-type LeaseRequest struct {
-	V      int    `json:"v"`
-	Client string `json:"client"`
-	Want   int    `json:"want"`
-}
-
-// LeaseResponse grants min(want, available) tokens; Granted == 0 means
-// the client is over quota and RetryAfterMS hints when one token
-// refills.
-type LeaseResponse struct {
-	V            int   `json:"v"`
-	Granted      int   `json:"granted"`
-	RetryAfterMS int64 `json:"retry_after_ms,omitempty"`
-}
-
 // wireErrorBody mirrors the server's JSON error shape structurally
 // (dist cannot import internal/server — the dependency points the
 // other way).
@@ -264,11 +248,12 @@ func ToWireAnswer(a core.Answer) WireAnswer {
 // FromWireAnswer reconstructs an approximate answer bit-for-bit.
 func FromWireAnswer(w WireAnswer) core.Answer {
 	return core.Answer{
-		Estimate: aqpEstimate(
-			math.Float64frombits(w.ValueBits),
-			math.Float64frombits(w.HwBits),
-			w.Confidence, w.SampleRows,
-		),
+		Estimate: aqp.Estimate{
+			Value:      math.Float64frombits(w.ValueBits),
+			HalfWidth:  math.Float64frombits(w.HwBits),
+			Confidence: w.Confidence,
+			SampleRows: w.SampleRows,
+		},
 		Pre:        ident.Pre{Lo: w.PreLo, Hi: w.PreHi, Phi: w.PrePhi},
 		PreValue:   math.Float64frombits(w.PreValueBits),
 		Candidates: w.Candidates,

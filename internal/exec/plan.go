@@ -86,6 +86,14 @@ type Plan struct {
 // columns keep their order (it determines the group key rendering).
 // The key deliberately excludes the Budget: a budget changes whether a
 // plan completes, never what a completed plan answers.
+//
+// The key also excludes the Target. A table's registration is
+// permanent, so its name fixes where exact plans run, but one table
+// may carry several prepared handles (or, on a fleet, several handles
+// every replica serves), and two handles answer the same approximate
+// statement differently. A caller that caches approximate answers of
+// more than one handle must append the handle's identity to the key,
+// as the server does with "|h=<name>@<epoch>".
 func (p *Plan) CacheKey() string {
 	var b strings.Builder
 	b.WriteString(p.Kind.String())
@@ -122,12 +130,6 @@ func (p *Plan) CacheKey() string {
 	if p.Contract != nil {
 		b.WriteString("|contract=")
 		b.WriteString(p.Contract.Key())
-	}
-	// The target folds in last: answers computed under one fleet
-	// topology must never serve a plan running under another.
-	if sig := p.Target.Signature(); sig != "" {
-		b.WriteByte('|')
-		b.WriteString(sig)
 	}
 	return b.String()
 }

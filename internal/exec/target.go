@@ -20,12 +20,6 @@ import (
 // extrapolated from surviving strata after a tolerated replica loss.
 // Only a fleet sets it, and such answers must never be cached.
 type Target interface {
-	// Signature renders, for cache keys, what distinguishes this
-	// target's answers from another's over the same table: the fleet's
-	// layout, topology generation and handle. A registration is
-	// permanent, so an in-process table keeps one target for the life
-	// of its registry, and resident and sharded targets return "".
-	Signature() string
 	// Exact runs an exact query. Exact answers never degrade.
 	Exact(ctx context.Context, q engine.Query) (engine.Result, error)
 	// Approx answers a scalar approximate query.
@@ -49,9 +43,6 @@ type Resident struct {
 	Table *engine.Table
 	Proc  *core.Processor
 }
-
-// Signature implements Target.
-func (Resident) Signature() string { return "" }
 
 // Exact implements Target: a serial scan, bit-identical to
 // Table.Execute.
@@ -89,9 +80,6 @@ type Sharded struct {
 	S    *shard.Sharded
 	Prep *shard.Prepared
 }
-
-// Signature implements Target.
-func (Sharded) Signature() string { return "" }
 
 // Exact implements Target.
 func (t Sharded) Exact(ctx context.Context, q engine.Query) (engine.Result, error) {

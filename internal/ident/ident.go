@@ -237,21 +237,14 @@ func collapseToBudget(c *cube.BPCube, left, right []bracket, queryLo, queryHi []
 // closest to the query endpoint.
 func nearestChoice(c *cube.BPCube, dim int, cands []int, endpoint float64) int {
 	best := cands[0]
-	bestDist := absf(endpoint - pointOrdinal(c, dim, best))
+	bestDist := math.Abs(endpoint - pointOrdinal(c, dim, best))
 	for _, j := range cands[1:] {
-		if dist := absf(endpoint - pointOrdinal(c, dim, j)); dist < bestDist {
+		if dist := math.Abs(endpoint - pointOrdinal(c, dim, j)); dist < bestDist {
 			best = j
 			bestDist = dist
 		}
 	}
 	return best
-}
-
-func absf(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 // DiffLane returns the lane whose estimated total is q(D) − pre(D)

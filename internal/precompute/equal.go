@@ -1,6 +1,9 @@
 package precompute
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // EqualPartition returns k feasible cut positions approximating the
 // equal-partition scheme P_eq (Theorem 1): cuts at round(j·n/k) for
@@ -40,14 +43,6 @@ func EqualPartition(v *View, k int) ([]int, error) {
 	if !used[n] {
 		cuts = append(cuts, n)
 	}
-	sortInts(cuts)
+	slices.Sort(cuts)
 	return cuts, nil
-}
-
-func sortInts(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // AdjustMode selects the hill-climbing adjustment strategy compared in
@@ -203,7 +204,7 @@ func removalCandidates(v *View, cuts []int, i1, i2 int, mode AdjustMode) []int {
 			want = append(want, hi)
 		}
 	}
-	sortInts(want)
+	slices.Sort(want)
 	out := want[:0]
 	for i, j := range want {
 		if i == 0 || j != want[i-1] {
@@ -265,7 +266,7 @@ func moveCut(cuts []int, j, t int) []int {
 		}
 	}
 	out = append(out, t)
-	sortInts(out)
+	slices.Sort(out)
 	return out
 }
 

@@ -3,6 +3,7 @@ package precompute
 import (
 	"context"
 	"math"
+	"slices"
 	"testing"
 
 	"aqppp/internal/stats"
@@ -307,7 +308,7 @@ func TestMoreCutsNeverIncreaseErrorUp(t *testing.T) {
 		}
 		refined := append([]int(nil), cuts...)
 		refined = append(refined, pos)
-		sortInts(refined)
+		slices.Sort(refined)
 		after := ErrorUp(v, refined)
 		if after > before+1e-9 {
 			t.Fatalf("trial %d: error_up rose from %v to %v after refining", trial, before, after)

@@ -14,18 +14,17 @@ import (
 	"aqppp/internal/shard"
 )
 
-// This file is the server's distributed-execution surface: the three
+// This file is the server's distributed-execution surface: the two
 // internal endpoints a fleet speaks among itself.
 //
-//	GET  /v1/shard        replica handshake: identity, schema, handles
-//	POST /v1/partial      one stratum's share of a distributed query
-//	POST /v1/quota/lease  token-lease authority for shared client quota
+//	GET  /v1/shard    replica handshake: identity, schema, handles
+//	POST /v1/partial  one stratum's share of a distributed query
 //
-// A replica (Config.Replica set) serves the first two; the process
-// holding the client-facing quota serves the third. The coordinator
-// side lives in internal/dist; a coordinator server routes ordinary
+// A replica (Config.Replica set) serves both. The coordinator side
+// lives in internal/dist; a coordinator server routes ordinary
 // /v1/query and /v1/approx requests to it through the aqppp.DB like any
-// other table.
+// other table, and its local per-client quota is the fleet's one
+// quota, since every client request enters there.
 
 // ReplicaRole marks a server as one shard replica: the sliced table it
 // serves as Table, under the identity it reports in its handshake.
@@ -66,8 +65,8 @@ func (s *Server) handleShardHello(w http.ResponseWriter, r *http.Request, ri *re
 // distributed query, behind the same admission gate as client traffic —
 // an overloaded replica sheds partials with 429 + Retry-After, and the
 // coordinator propagates the hint rather than flattening it into a 500.
-// Per-client quota does not apply: the fleet's quota was charged where
-// the client's request entered.
+// Per-client quota does not apply: the fleet's quota was charged at
+// the coordinator, where the client's request entered.
 func (s *Server) handlePartial(w http.ResponseWriter, r *http.Request, ri *reqInfo) {
 	role := s.cfg.Replica
 	if role == nil {
@@ -220,32 +219,4 @@ func (s *Server) writePartialError(ctx context.Context, w http.ResponseWriter, r
 		err = &exec.Error{Kind: exec.Canceled, Op: "partial", Err: err}
 	}
 	s.writeError(w, ri, err)
-}
-
-// handleQuotaLease answers POST /v1/quota/lease: the quota authority
-// grants a replica a batch of tokens on one client's behalf. With no
-// quota configured the authority grants whatever is asked — the fleet
-// then fails open exactly like a single unquota'd server.
-func (s *Server) handleQuotaLease(w http.ResponseWriter, r *http.Request, ri *reqInfo) {
-	var req dist.LeaseRequest
-	if !s.decode(w, r, ri, &req) {
-		return
-	}
-	if req.V != dist.WireVersion {
-		s.writeServerError(w, ri, http.StatusBadRequest, "parse",
-			fmt.Sprintf("request speaks wire v%d, authority v%d", req.V, dist.WireVersion))
-		return
-	}
-	if req.Client == "" {
-		s.writeServerError(w, ri, http.StatusBadRequest, "parse", `missing "client"`)
-		return
-	}
-	// AllowN on a nil quota grants everything asked: with no quota
-	// configured the fleet fails open exactly like one unquota'd server.
-	granted, wait := s.quota.AllowN(req.Client, req.Want, time.Now())
-	s.writeJSON(w, ri, http.StatusOK, dist.LeaseResponse{
-		V:            dist.WireVersion,
-		Granted:      granted,
-		RetryAfterMS: int64(wait / time.Millisecond),
-	})
 }

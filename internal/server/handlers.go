@@ -74,7 +74,6 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("DELETE /v1/prepared/{name}", s.instrument("/v1/prepared", s.handleDropPrepared))
 	s.mux.HandleFunc("GET /v1/shard", s.instrument("/v1/shard", s.handleShardHello))
 	s.mux.HandleFunc("POST /v1/partial", s.instrument("/v1/partial", s.handlePartial))
-	s.mux.HandleFunc("POST /v1/quota/lease", s.instrument("/v1/quota/lease", s.handleQuotaLease))
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
 	s.mux.HandleFunc("GET /statusz", s.instrument("/statusz", s.handleStatusz))
@@ -238,19 +237,7 @@ func clientKey(r *http.Request) string {
 // and dashboards can tell "you are hot" from "the server is full" —
 // and the caller must return.
 func (s *Server) allowQuota(w http.ResponseWriter, r *http.Request, ri *reqInfo) bool {
-	var ok bool
-	var wait time.Duration
-	switch {
-	case s.cfg.QuotaLease != nil:
-		// Fleet mode: admit from leased tokens so every process drains
-		// one logical per-client bucket. An unreachable authority fails
-		// open — quota is load protection, not an availability gate.
-		ok, wait, _ = s.cfg.QuotaLease.Allow(r.Context(), clientKey(r))
-	case s.quota != nil:
-		ok, wait = s.quota.Allow(clientKey(r), time.Now())
-	default:
-		return true
-	}
+	ok, wait := s.quota.Allow(clientKey(r), time.Now())
 	if ok {
 		return true
 	}

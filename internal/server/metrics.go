@@ -138,7 +138,6 @@ func orZero[T any](p *T) (v T) {
 
 func hasShards(st *StatuszResponse) bool { return len(st.Shards) > 0 }
 func hasFleet(st *StatuszResponse) bool  { return st.Dist != nil }
-func hasLease(st *StatuszResponse) bool  { return st.QuotaLease != nil }
 func hasStores(st *StatuszResponse) bool { return len(st.Stores) > 0 }
 
 func boolGauge(v bool) int {
@@ -212,23 +211,16 @@ var promFamilies = []promFamily{
 		}},
 	{"aqppp_shard_scan_duration_seconds", "histogram", "Per-shard sub-plan scan time (log-scale buckets, 1µs–1s).", hasShards, perShard(func(sh shard.ShardInfo) any { return sh.Latency })},
 
-	// Distributed fleet (coordinator only): topology and per-replica
-	// traffic.
-	{"aqppp_dist_topology_generation", "gauge", "Fleet topology generation folded into distributed cache keys.", hasFleet, fleet(func(sn *dist.Snapshot) any { return sn.TopoGen })},
+	// Distributed fleet (coordinator only): pruning, degradation and
+	// per-replica traffic.
 	{"aqppp_dist_pruned_total", "counter", "Replica requests skipped by range-bound pruning.", hasFleet, fleet(func(sn *dist.Snapshot) any { return sn.Pruned })},
 	{"aqppp_dist_degraded_total", "counter", "Distributed answers served degraded from surviving strata.", hasFleet, fleet(func(sn *dist.Snapshot) any { return sn.Degraded })},
 	{"aqppp_replica_healthy", "gauge", "1 while the replica's last partial round trip succeeded.", hasFleet, perReplica(func(rp dist.ReplicaSnapshot) any { return boolGauge(rp.Healthy) })},
 	{"aqppp_replica_requests_total", "counter", "Partial-request attempts per replica.", hasFleet, perReplica(func(rp dist.ReplicaSnapshot) any { return rp.Requests })},
 	{"aqppp_replica_retries_total", "counter", "Partial-request retries per replica.", hasFleet, perReplica(func(rp dist.ReplicaSnapshot) any { return rp.Retries })},
 	{"aqppp_replica_failures_total", "counter", "Partial requests that exhausted every attempt per replica.", hasFleet, perReplica(func(rp dist.ReplicaSnapshot) any { return rp.Failures })},
-	{"aqppp_replica_hedges_total", "counter", "Hedged duplicate attempts launched per replica.", hasFleet, perReplica(func(rp dist.ReplicaSnapshot) any { return rp.Hedges })},
 	{"aqppp_replica_shed_total", "counter", "Partial requests the replica shed with 429 per replica.", hasFleet, perReplica(func(rp dist.ReplicaSnapshot) any { return rp.Shed })},
 	{"aqppp_replica_request_duration_seconds", "histogram", "Successful partial round-trip time per replica (log-scale buckets, 1µs–1s).", hasFleet, perReplica(func(rp dist.ReplicaSnapshot) any { return rp.Latency })},
-
-	// Shared-quota lease client (replica side of fleet quota).
-	{"aqppp_quota_lease_calls_total", "counter", "Lease round trips to the quota authority.", hasLease, scalar(func(st *StatuszResponse) any { return st.QuotaLease.LeaseCalls })},
-	{"aqppp_quota_lease_denied_total", "counter", "Requests denied because the authority granted zero tokens.", hasLease, scalar(func(st *StatuszResponse) any { return st.QuotaLease.Denied })},
-	{"aqppp_quota_lease_failopen_total", "counter", "Requests admitted because the quota authority was unreachable.", hasLease, scalar(func(st *StatuszResponse) any { return st.QuotaLease.FailOpen })},
 
 	// Disk-backed stores. A miss is one disk read + decode; blocks the
 	// zone maps prune appear in neither counter.

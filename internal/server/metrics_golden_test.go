@@ -159,19 +159,18 @@ func TestMetricsGolden(t *testing.T) {
 	})
 }
 
-// TestMetricsGoldenFleet pins the coordinator and quota-lease families,
-// which no single-process server emits, by rendering a hand-built
-// snapshot. The golden file is a real coordinator's scrape (two
-// replicas, lease client configured) with replica URLs normalised.
+// TestMetricsGoldenFleet pins the coordinator families, which no
+// single-process server emits, by rendering a hand-built snapshot. The
+// golden file is a real coordinator's scrape (two replicas) with
+// replica URLs normalised.
 func TestMetricsGoldenFleet(t *testing.T) {
 	var lat stats.LatencyHistogram
 	lat.Observe(3 * time.Millisecond)
 	st := New(aqppp.NewDB(), Config{}).status()
-	st.Dist = &dist.Snapshot{Table: "demo", TopoGen: 1, Replicas: []dist.ReplicaSnapshot{
+	st.Dist = &dist.Snapshot{Table: "demo", Replicas: []dist.ReplicaSnapshot{
 		{URL: "http://r0", Healthy: true, Requests: 1, Latency: lat.Snapshot()},
 		{URL: "http://r1", Index: 1, Healthy: true, Requests: 1, Latency: lat.Snapshot()},
 	}}
-	st.QuotaLease = &dist.LeaseSnapshot{Authority: "http://127.0.0.1:1"}
 	checkGolden(t, "metrics_fleet", string(renderMetrics(st)))
 }
 

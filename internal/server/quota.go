@@ -57,21 +57,8 @@ func NewQuota(rate float64, burst, maxClients int) *Quota {
 // Retry-After hint) and counts a shed. now is a parameter so tests can
 // drive the clock.
 func (q *Quota) Allow(client string, now time.Time) (bool, time.Duration) {
-	granted, wait := q.AllowN(client, 1, now)
-	return granted > 0, wait
-}
-
-// AllowN takes up to want tokens from client's bucket, returning how
-// many it granted (possibly fewer than asked). It backs the quota-lease
-// authority endpoint: a replica leases a batch on a client's behalf and
-// admits from its local cache, so the fleet drains one logical bucket.
-// A zero grant counts as one shed and reports the refill wait.
-func (q *Quota) AllowN(client string, want int, now time.Time) (int, time.Duration) {
 	if q == nil {
-		return want, 0
-	}
-	if want < 1 {
-		want = 1
+		return true, 0
 	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -92,19 +79,15 @@ func (q *Quota) AllowN(client string, want int, now time.Time) (int, time.Durati
 		b.last = now
 	}
 	if b.tokens >= 1 {
-		granted := int(b.tokens)
-		if granted > want {
-			granted = want
-		}
-		b.tokens -= float64(granted)
-		return granted, 0
+		b.tokens--
+		return true, 0
 	}
 	q.shed++
 	wait := time.Duration((1 - b.tokens) / q.rate * float64(time.Second))
 	if wait < time.Millisecond {
 		wait = time.Millisecond
 	}
-	return 0, wait
+	return false, wait
 }
 
 // evictOldestLocked removes the least-recently-seen bucket; callers

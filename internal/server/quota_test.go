@@ -116,20 +116,20 @@ func TestQuotaClientEviction(t *testing.T) {
 }
 
 // TestQuotaConcurrent is the -race hammer for the bucket table
-// (Quota.mu): Allow and AllowN debit it from many goroutines while Shed
-// and Clients read it. No static rule watches those fields; the race
+// (Quota.mu): Allow debits it from many goroutines while Shed and
+// Clients read it. No static rule watches those fields; the race
 // detector does, on the interleavings this test produces. With the
 // clock held still nothing refills, so each client is granted exactly
 // its burst however the debits interleave.
 func TestQuotaConcurrent(t *testing.T) {
 	now := time.Unix(1000, 0)
 	for _, tc := range []struct {
-		name                 string
-		burst, clients, want int
+		name           string
+		burst, clients int
 	}{
-		{"single tokens", 7, 3, 1},
-		{"leases of 4", 10, 2, 4},
-		{"lease wider than the burst", 3, 2, 8},
+		{"one hot client", 7, 1},
+		{"three clients", 7, 3},
+		{"burst below the rounds", 3, 2},
 	} {
 		q := NewQuota(1, tc.burst, 16)
 		granted := make([]atomic.Int64, tc.clients)
@@ -142,14 +142,9 @@ func TestQuotaConcurrent(t *testing.T) {
 				defer wg.Done()
 				for i := 0; i < rounds; i++ {
 					c := (w + i) % tc.clients
-					n := 0
-					if i%2 == 0 {
-						n, _ = q.AllowN(fmt.Sprintf("c%d", c), tc.want, now)
-					} else if ok, _ := q.Allow(fmt.Sprintf("c%d", c), now); ok {
-						n = 1
-					}
-					granted[c].Add(int64(n))
-					if n == 0 {
+					if ok, _ := q.Allow(fmt.Sprintf("c%d", c), now); ok {
+						granted[c].Add(1)
+					} else {
 						sheds.Add(1)
 					}
 					if q.Clients() > tc.clients {
@@ -167,6 +162,40 @@ func TestQuotaConcurrent(t *testing.T) {
 		if q.Shed() != sheds.Load() {
 			t.Errorf("%s: shed counter %d, %d calls were refused", tc.name, q.Shed(), sheds.Load())
 		}
+	}
+}
+
+// TestQuotaNoLeaseDrain pins that no request drains another client's
+// bucket: the server once mounted an unauthenticated token-lease route
+// through which any caller could empty a named client's quota and get
+// its next query shed with 429. The route is gone (404), and the
+// victim's query is answered.
+func TestQuotaNoLeaseDrain(t *testing.T) {
+	srv := New(newTestDB(t, 1000), Config{QuotaRate: 0.01, QuotaBurst: 5})
+	base := startServer(t, srv)
+	c := burstClient()
+
+	req, err := http.NewRequest(http.MethodPost, base+"/v1/quota/lease",
+		bytes.NewReader([]byte(`{"v":1,"client":"B","want":100}`)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("X-Client-Id", "A")
+	resp, err := c.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _ = io.Copy(io.Discard, resp.Body)
+	_ = resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("lease request: status %d, want 404", resp.StatusCode)
+	}
+
+	status, body, _ := postJSONWithHeader(t, c, base+"/v1/query",
+		QueryRequest{SQL: "SELECT COUNT(*) FROM demo"}, "X-Client-Id", "B")
+	if status != http.StatusOK {
+		t.Errorf("victim's query: status %d kind %q, want 200", status, errKind(body))
 	}
 }
 

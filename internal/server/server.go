@@ -72,10 +72,6 @@ type Config struct {
 	// query path needs no flag — distributed tables route through the
 	// DB like any other.
 	Coordinator *dist.Coordinator
-	// QuotaLease, when set, replaces the local per-client quota with
-	// leases from the fleet's quota authority, so N processes drain one
-	// logical bucket (see internal/dist.QuotaLease).
-	QuotaLease *dist.QuotaLease
 }
 
 // Server wraps one *aqppp.DB behind the HTTP API. Create with New,

@@ -305,7 +305,10 @@ func TestServerErrorMapping(t *testing.T) {
 		{"prepare-missing-name", "POST", "/v1/prepare", PrepareRequest{Table: "demo"}, 400, "parse"},
 		{"prepare-unknown-table", "POST", "/v1/prepare", PrepareRequest{Name: "x", Table: "nope", Dimensions: []string{"k"}}, 404, "unknown-table"},
 		{"delete-unknown", "DELETE", "/v1/prepared/ghost", nil, 404, "unknown-prepared"},
-		{"budget-exceeded", "POST", "/v1/approx", QueryRequest{Prepared: "h", SQL: "SELECT SUM(v) FROM demo", Resamples: 2_000_000, TimeoutMS: 40}, 408, "budget-exceeded"},
+		// The range leaves sampled rows in the diff lane, so 2,000,000
+		// replicates take ~0.5 s and overrun 40 ms. Over the whole table
+		// the diff lane is empty and they can finish inside it.
+		{"budget-exceeded", "POST", "/v1/approx", QueryRequest{Prepared: "h", SQL: "SELECT SUM(v) FROM demo WHERE k BETWEEN 10 AND 400", Resamples: 2_000_000, TimeoutMS: 40}, 408, "budget-exceeded"},
 		// A timeout_ms whose nanosecond form overflows time.Duration is
 		// clamped to MaxTimeout, not wrapped into a sub-millisecond bound
 		// (which the 5000 resamples would overrun).
@@ -664,10 +667,14 @@ func TestPartialRunsUnderBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := startServer(t, srv)
+	// The range leaves sampled rows in the diff lane, so 2,000,000
+	// replicates take ~1 s and overrun 40 ms. Over the whole table the
+	// diff lane is empty and they can finish inside it.
+	q := engine.Query{Func: engine.Sum, Col: "v", Ranges: []engine.Range{{Col: "k", Lo: 10, Hi: 400}}}
 	partial := func(resamples int, timeoutMS int64) (int, string) {
 		code, body, _ := postJSON(t, http.DefaultClient, base+"/v1/partial", dist.PartialRequest{
 			V: dist.WireVersion, Mode: dist.ModeBootstrap, Table: "demo", Handle: "h",
-			Query:     dist.ToWireQuery(engine.Query{Func: engine.Sum, Col: "v"}),
+			Query:     dist.ToWireQuery(q),
 			Resamples: resamples, Seed: 1, TimeoutMS: timeoutMS,
 		})
 		return code, errKind(body)

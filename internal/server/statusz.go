@@ -143,12 +143,9 @@ type StatuszResponse struct {
 	// Stores lists each disk-backed table's container and block-cache
 	// counters (absent when no table is store-served).
 	Stores []store.Snapshot `json:"stores,omitempty"`
-	// Dist is the coordinator's fleet view — topology generation,
-	// per-replica health and traffic counters (absent off-coordinator).
+	// Dist is the coordinator's fleet view — layout, per-replica health
+	// and traffic counters (absent off-coordinator).
 	Dist *dist.Snapshot `json:"dist,omitempty"`
-	// QuotaLease is the replica's shared-quota lease state (absent when
-	// quota is local).
-	QuotaLease *dist.LeaseSnapshot `json:"quota_lease,omitempty"`
 }
 
 // fill reads the registry into st under one lock.
@@ -215,10 +212,6 @@ func (s *Server) status() *StatuszResponse {
 	if s.cfg.Coordinator != nil {
 		snap := s.cfg.Coordinator.Snapshot()
 		st.Dist = &snap
-	}
-	if s.cfg.QuotaLease != nil {
-		snap := s.cfg.QuotaLease.Snapshot()
-		st.QuotaLease = &snap
 	}
 	if s.cache != nil {
 		cs := s.cache.Stats()

@@ -18,7 +18,6 @@
 //	DELETE /v1/prepared/{name} forget a prepared handle
 //	GET    /v1/shard           replica handshake (fleet-internal; see dist.go)
 //	POST   /v1/partial         one stratum's distributed partial (fleet-internal)
-//	POST   /v1/quota/lease     shared-quota token lease (fleet-internal)
 //	GET    /healthz            liveness (always 200 while the process serves)
 //	GET    /readyz             readiness (503 once draining)
 //	GET    /statusz            uptime, traffic counters, latency histograms

@@ -61,9 +61,8 @@ type Layout struct {
 	N        int
 }
 
-// Signature renders the layout canonically for cache keys: two plans
-// over different layouts must not share cached answers (float merges
-// reassociate differently across layouts).
+// Signature renders the layout canonically as strategy:column:count,
+// the form /statusz and fleet handshake errors name it by.
 func (l Layout) Signature() string {
 	return fmt.Sprintf("%s:%s:%d", l.Strategy, l.Column, l.N)
 }

@@ -1,6 +1,9 @@
 package stats
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
 func Mean(xs []float64) float64 {
@@ -184,7 +187,7 @@ func Quantile(xs []float64, q float64) float64 {
 	}
 	cp := make([]float64, n)
 	copy(cp, xs)
-	sortFloat64s(cp)
+	slices.Sort(cp)
 	if q <= 0 {
 		return cp[0]
 	}
@@ -199,57 +202,4 @@ func Quantile(xs []float64, q float64) float64 {
 	}
 	frac := pos - float64(lo)
 	return cp[lo]*(1-frac) + cp[hi]*frac
-}
-
-// sortFloat64s is an in-place introsort-free quicksort specialization used
-// to avoid pulling the sort package's interface machinery into hot loops.
-func sortFloat64s(xs []float64) {
-	if len(xs) < 2 {
-		return
-	}
-	// Standard three-way quicksort with insertion-sort leaves.
-	var rec func(lo, hi int)
-	rec = func(lo, hi int) {
-		for hi-lo > 12 {
-			mid := lo + (hi-lo)/2
-			// median-of-three pivot
-			if xs[mid] < xs[lo] {
-				xs[mid], xs[lo] = xs[lo], xs[mid]
-			}
-			if xs[hi] < xs[lo] {
-				xs[hi], xs[lo] = xs[lo], xs[hi]
-			}
-			if xs[hi] < xs[mid] {
-				xs[hi], xs[mid] = xs[mid], xs[hi]
-			}
-			p := xs[mid]
-			i, j := lo, hi
-			for i <= j {
-				for xs[i] < p {
-					i++
-				}
-				for xs[j] > p {
-					j--
-				}
-				if i <= j {
-					xs[i], xs[j] = xs[j], xs[i]
-					i++
-					j--
-				}
-			}
-			if j-lo < hi-i {
-				rec(lo, j)
-				lo = i
-			} else {
-				rec(i, hi)
-				hi = j
-			}
-		}
-		for i := lo + 1; i <= hi; i++ {
-			for j := i; j > lo && xs[j] < xs[j-1]; j-- {
-				xs[j], xs[j-1] = xs[j-1], xs[j]
-			}
-		}
-	}
-	rec(0, len(xs)-1)
 }

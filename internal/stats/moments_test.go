@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -159,20 +160,33 @@ func TestQuantileSortedProperty(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
-}
-
-func TestSortFloat64s(t *testing.T) {
-	r := NewRNG(21)
+	// Quantile agrees with interpolation over a sort.Float64s reference
+	// on finite input with many ties and both signed zeros.
 	for trial := 0; trial < 50; trial++ {
-		n := r.Intn(500) + 1
+		n := r.Intn(300) + 1
 		xs := make([]float64, n)
 		for i := range xs {
-			xs[i] = math.Floor(r.Float64() * 50)
+			switch r.Intn(4) {
+			case 0:
+				xs[i] = math.Copysign(0, -1)
+			case 1:
+				xs[i] = 0
+			default:
+				xs[i] = math.Floor(r.Float64()*40) - 20
+			}
 		}
-		sortFloat64s(xs)
-		for i := 1; i < n; i++ {
-			if xs[i-1] > xs[i] {
-				t.Fatalf("unsorted at %d (trial %d)", i, trial)
+		ref := append([]float64(nil), xs...)
+		sort.Float64s(ref)
+		for _, q := range []float64{0, 0.025, 0.25, 0.5, 0.75, 0.975, 1} {
+			pos := q * float64(n-1)
+			lo, hi := int(math.Floor(pos)), int(math.Ceil(pos))
+			want := ref[lo]
+			if lo != hi {
+				frac := pos - float64(lo)
+				want = ref[lo]*(1-frac) + ref[hi]*frac
+			}
+			if got := Quantile(xs, q); got != want {
+				t.Fatalf("trial %d: Quantile(q=%v) = %v, sort.Float64s reference %v", trial, q, got, want)
 			}
 		}
 	}
