@@ -35,7 +35,7 @@
 // executor and return the unified Error type; classify failures with
 // ErrorKindOf or errors.As.
 //
-// A Budget adds a deadline, a resample cap and a scratch-memory cap.
+// A Budget adds a deadline and a resample cap.
 // Every call runs under the DB-wide default (SetDefaultBudget) unless
 // its context carries one of its own: WithBudget(ctx, b) replaces the
 // default for the calls made with that context, the same way a
@@ -111,7 +111,7 @@ func (db *DB) SetDefaultBudget(b Budget) {
 type budgetKey struct{}
 
 // WithBudget returns a context whose calls run under b instead of the
-// DB-wide default. A Budget is a deadline plus two work caps, scoped to
+// DB-wide default. A Budget is a deadline plus a resample cap, scoped to
 // a request exactly like the deadline a context already carries: a
 // serving layer attaches each request's remaining time here, so an
 // overrun classifies as ErrBudgetExceeded rather than ErrCanceled.
@@ -385,11 +385,6 @@ type Result struct {
 	UsedPrecomputed bool
 	// Pre describes the identified aggregate (for diagnostics).
 	Pre string
-	// Partial reports a degraded distributed answer: one or more
-	// replicas were lost and (under the opt-in degraded policy) the
-	// survivors' strata answered with a widened interval. Never set on
-	// resident or in-process sharded queries.
-	Partial bool
 	// Groups holds per-group results for GROUP BY queries; scalar
 	// queries leave it nil.
 	Groups []GroupResult
@@ -426,15 +421,13 @@ func (p *Prepared) RunPlan(ctx context.Context, plan *exec.Plan) (Result, error)
 		return Result{}, err
 	}
 	if len(plan.Query.GroupBy) > 0 {
-		res := Result{Confidence: p.conf, Partial: out.Partial}
+		res := Result{Confidence: p.conf}
 		for _, g := range out.Groups {
 			res.Groups = append(res.Groups, GroupResult{Key: g.Key, Result: toResult(g.Answer)})
 		}
 		return res, nil
 	}
-	res := toResult(out.Answer)
-	res.Partial = out.Partial
-	return res, nil
+	return toResult(out.Answer), nil
 }
 
 // QueryStruct answers an engine.Query approximately.

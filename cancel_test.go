@@ -186,10 +186,10 @@ func TestBudgetPrecedence(t *testing.T) {
 	}
 }
 
-// TestBudgetCapsPrecedence: the resample and scratch caps follow the
-// same rule, and an over-cap bootstrap is refused before any replicate
-// runs — the refusal is immediate even at a replicate count that would
-// take minutes.
+// TestBudgetCapsPrecedence: the resample cap follows the same rule, and
+// an over-cap bootstrap is refused before any replicate runs — the
+// refusal is immediate even at a replicate count that would take
+// minutes.
 func TestBudgetCapsPrecedence(t *testing.T) {
 	db, prep := contractPrep(t, 5000, 47)
 	bg := context.Background()
@@ -209,26 +209,25 @@ func TestBudgetCapsPrecedence(t *testing.T) {
 			return err
 		}},
 	}
+	capped := Budget{MaxResamples: 10}
 	for _, r := range runs {
-		for _, capped := range []Budget{{MaxResamples: 10}, {MaxScratchBytes: 1}} {
-			start := time.Now()
-			db.SetDefaultBudget(capped)
-			if err := r.run(bg, huge); ErrorKindOf(err) != ErrBudgetExceeded {
-				t.Errorf("%s, default %+v: kind = %v, want ErrBudgetExceeded (err: %v)", r.name, capped, ErrorKindOf(err), err)
-			}
-			if err := r.run(WithBudget(bg, Budget{MaxResamples: 20}), 20); err != nil {
-				t.Errorf("%s, default %+v, ctx budget admitting the call: %v", r.name, capped, err)
-			}
-			db.SetDefaultBudget(Budget{})
-			if err := r.run(WithBudget(bg, capped), huge); ErrorKindOf(err) != ErrBudgetExceeded {
-				t.Errorf("%s, ctx %+v: kind = %v, want ErrBudgetExceeded (err: %v)", r.name, capped, ErrorKindOf(err), err)
-			}
-			if err := r.run(bg, 20); err != nil {
-				t.Errorf("%s: the ctx cap outlived its call: %v", r.name, err)
-			}
-			if el := time.Since(start); el > 10*time.Second {
-				t.Errorf("%s, %+v: over-cap refusals took %v; they must precede the work", r.name, capped, el)
-			}
+		start := time.Now()
+		db.SetDefaultBudget(capped)
+		if err := r.run(bg, huge); ErrorKindOf(err) != ErrBudgetExceeded {
+			t.Errorf("%s, default %+v: kind = %v, want ErrBudgetExceeded (err: %v)", r.name, capped, ErrorKindOf(err), err)
+		}
+		if err := r.run(WithBudget(bg, Budget{MaxResamples: 20}), 20); err != nil {
+			t.Errorf("%s, default %+v, ctx budget admitting the call: %v", r.name, capped, err)
+		}
+		db.SetDefaultBudget(Budget{})
+		if err := r.run(WithBudget(bg, capped), huge); ErrorKindOf(err) != ErrBudgetExceeded {
+			t.Errorf("%s, ctx %+v: kind = %v, want ErrBudgetExceeded (err: %v)", r.name, capped, ErrorKindOf(err), err)
+		}
+		if err := r.run(bg, 20); err != nil {
+			t.Errorf("%s: the ctx cap outlived its call: %v", r.name, err)
+		}
+		if el := time.Since(start); el > 10*time.Second {
+			t.Errorf("%s, %+v: over-cap refusals took %v; they must precede the work", r.name, capped, el)
 		}
 	}
 }

@@ -94,7 +94,6 @@ func run() int {
 	replicaSpec := flag.String("replica", "", "serve as shard replica h/N of the table (e.g. 0/2), keeping only that slice")
 	coordinator := flag.Bool("coordinator", false, "serve as fleet coordinator: load nothing, fan queries out over -peers")
 	peers := flag.String("peers", "", "comma-separated replica base URLs for -coordinator (http://host:port,...)")
-	degradedApprox := flag.Bool("degraded-approx", false, "coordinator: answer approximate queries from surviving shards when a replica is lost (partial answers, widened intervals)")
 	replicaTimeout := flag.Duration("replica-timeout", 5*time.Second, "coordinator: per-attempt timeout for one replica partial")
 	replicaRetries := flag.Int("replica-retries", 2, "coordinator: retries per replica on transient failure")
 	dialTimeout := flag.Duration("dial-timeout", 30*time.Second, "coordinator: how long to keep retrying the -peers handshake at startup")
@@ -169,11 +168,7 @@ func run() int {
 			fmt.Fprintln(os.Stderr, "-coordinator needs -peers with at least one replica URL")
 			return 1
 		}
-		dcfg := dist.Config{
-			Timeout:        *replicaTimeout,
-			Retries:        *replicaRetries,
-			DegradedApprox: *degradedApprox,
-		}
+		dcfg := dist.Config{Timeout: *replicaTimeout, Retries: *replicaRetries}
 		fmt.Fprintf(os.Stderr, "dialing %d replica(s) (handshake timeout %v)...\n", len(urls), *dialTimeout)
 		dctx, dcancel := context.WithTimeout(context.Background(), *dialTimeout)
 		c, err := dist.Dial(dctx, urls, dcfg)

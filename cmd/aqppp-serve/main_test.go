@@ -462,8 +462,9 @@ func TestServeStoreRestartSmoke(t *testing.T) {
 	}
 
 	type queryReq struct {
-		SQL      string `json:"sql,omitempty"`
-		Prepared string `json:"prepared,omitempty"`
+		SQL       string `json:"sql,omitempty"`
+		Prepared  string `json:"prepared,omitempty"`
+		Resamples int    `json:"resamples,omitempty"`
 	}
 	exactStmt := "SELECT SUM(l_extendedprice) FROM lineitem WHERE l_orderkey BETWEEN 100 AND 4000"
 
@@ -785,8 +786,8 @@ func TestServeContractSmoke(t *testing.T) {
 // approximate answers must be bit-identical to the oracle's (the
 // replicas derive the same per-shard prepare seeds and budgets the
 // in-process path uses), /statusz must render the fleet, and killing a
-// replica must turn full-range queries into typed 503 "unavailable"
-// sheds — never silent partial sums. Gated like the other binary
+// replica must turn full-range exact, approximate and bootstrap queries
+// into typed 503 "unavailable" sheds — never silent partial sums. Gated like the other binary
 // smokes behind AQPPP_SERVER_SMOKE=1.
 func TestServeFleetSmoke(t *testing.T) {
 	if os.Getenv("AQPPP_SERVER_SMOKE") == "" {
@@ -888,8 +889,9 @@ func TestServeFleetSmoke(t *testing.T) {
 	)
 
 	type queryReq struct {
-		SQL      string `json:"sql,omitempty"`
-		Prepared string `json:"prepared,omitempty"`
+		SQL       string `json:"sql,omitempty"`
+		Prepared  string `json:"prepared,omitempty"`
+		Resamples int    `json:"resamples,omitempty"`
 	}
 	valueOf := func(body map[string]any, key string) float64 {
 		t.Helper()
@@ -956,20 +958,29 @@ func TestServeFleetSmoke(t *testing.T) {
 		}
 	}
 
-	// Kill one replica outright (no drain). A fresh full-range query
-	// needs its stratum, so the coordinator must shed 503 "unavailable"
-	// rather than return a sum over half the table.
+	// Kill one replica outright (no drain). Fresh full-range queries —
+	// exact, approximate and bootstrap, none asked before the kill, so
+	// no cached answer stands in — need its stratum, so the coordinator
+	// must shed 503 "unavailable" rather than answer over half the table.
 	if err := rep1.Process.Kill(); err != nil {
 		t.Fatal(err)
 	}
 	_ = rep1.Wait()
-	lossStmt := "SELECT SUM(l_extendedprice) FROM lineitem WHERE l_orderkey BETWEEN 1 AND 5000"
-	code, body, _ := post(coordBase, "/v1/query", queryReq{SQL: lossStmt})
-	if code != http.StatusServiceUnavailable {
-		t.Fatalf("exact after replica kill = %d (%v), want 503", code, body)
-	}
-	if k := kindOf(body); k != "unavailable" {
-		t.Errorf("replica-loss kind = %q, want unavailable", k)
+	for _, c := range []struct {
+		path string
+		req  queryReq
+	}{
+		{"/v1/query", queryReq{SQL: "SELECT SUM(l_extendedprice) FROM lineitem WHERE l_orderkey BETWEEN 1 AND 5000"}},
+		{"/v1/approx", queryReq{Prepared: "default", SQL: "SELECT SUM(l_extendedprice) FROM lineitem WHERE l_orderkey BETWEEN 2 AND 4990"}},
+		{"/v1/approx", queryReq{Prepared: "default", SQL: "SELECT COUNT(*) FROM lineitem WHERE l_orderkey BETWEEN 3 AND 4980", Resamples: 50}},
+	} {
+		code, body, _ := post(coordBase, c.path, c.req)
+		if code != http.StatusServiceUnavailable {
+			t.Fatalf("%s %+v after replica kill = %d (%v), want 503", c.path, c.req, code, body)
+		}
+		if k := kindOf(body); k != "unavailable" {
+			t.Errorf("%s %+v: replica-loss kind = %q, want unavailable", c.path, c.req, k)
+		}
 	}
 
 	stop(coordCmd, "coordinator")

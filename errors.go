@@ -28,9 +28,10 @@ const (
 	// ErrBudgetExceeded marks queries rejected or unwound by the
 	// per-query Budget.
 	ErrBudgetExceeded = exec.BudgetExceeded
-	// ErrUnavailable marks distributed queries that lost a required
-	// replica (unreachable, timed out, or shedding) with no degraded
-	// answer permitted. Its wire-stable String form is "unavailable".
+	// ErrUnavailable marks distributed queries that lost a replica the
+	// query needed (unreachable, timed out, or shedding): every stratum
+	// a query does not prune answers or the query fails. Its
+	// wire-stable String form is "unavailable".
 	ErrUnavailable = exec.Unavailable
 	// ErrContractInfeasible marks contract queries whose error bound no
 	// permitted strategy can meet — at plan time (predicted) or after
@@ -50,7 +51,7 @@ const (
 // renaming a kind is a breaking API change.
 func ErrorKindOf(err error) ErrorKind { return exec.KindOf(err) }
 
-// Budget bounds a query or preparation: wall time, bootstrap resamples,
-// and scratch memory. The zero Budget is unlimited. Set a DB-wide
+// Budget bounds a query or preparation: wall time and bootstrap
+// resamples. The zero Budget is unlimited. Set a DB-wide
 // default with DB.SetDefaultBudget.
 type Budget = exec.Budget

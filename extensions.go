@@ -11,8 +11,7 @@ import (
 // A replicate draws only the sample rows that can move it, so its cost
 // follows the query's support, not the sample size. The resampling
 // loop checks ctx once per four replicates; the budget caps the
-// replicate count (MaxResamples) and the worst-case scratch memory,
-// 8 bytes per sample row plus 56 per stratum (MaxScratchBytes).
+// replicate count (MaxResamples).
 func (p *Prepared) QueryBootstrap(ctx context.Context, statement string, resamples int) (Result, error) {
 	plan, err := p.PlanBootstrap(statement, resamples)
 	if err != nil {

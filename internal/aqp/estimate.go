@@ -324,7 +324,7 @@ type resampleStratum struct {
 // strata are resampled separately, n_h rows each: the fixed-n_h design
 // the stratified interval assumes. A support row whose v_i is 0 adds
 // nothing and is not kept. It allocates 8 bytes per kept row and a
-// 56-byte record per stratum (core.BootstrapScratchBytes).
+// 56-byte record per stratum.
 func NewResampler(s *sample.Sample, l Lane) Resampler {
 	n := s.Size()
 	stratified := s.Kind == sample.Stratified

@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"aqppp/internal/aqp"
 	"aqppp/internal/engine"
@@ -172,8 +173,9 @@ func (a *APA) Answer(q engine.Query) (aqp.Estimate, error) {
 		reps = append(reps, v)
 	}
 	alpha := (1 - a.cfg.Confidence) / 2
-	lo := stats.Quantile(reps, alpha)
-	hi := stats.Quantile(reps, 1-alpha)
+	slices.Sort(reps)
+	lo := stats.QuantileSorted(reps, alpha)
+	hi := stats.QuantileSorted(reps, 1-alpha)
 	return aqp.Estimate{
 		Value:      point,
 		HalfWidth:  (hi - lo) / 2,

@@ -3,11 +3,11 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"aqppp/internal/aqp"
 	"aqppp/internal/engine"
 	"aqppp/internal/ident"
-	"aqppp/internal/sample"
 	"aqppp/internal/stats"
 )
 
@@ -25,20 +25,6 @@ const cancelCheckReplicates = 4
 // ignores the parameter. It stays so the frozen benchmark/trace.go, which
 // passes nil, compiles; both go when a benchmark PR may edit that file.
 type BootstrapScratch struct{}
-
-// BootstrapScratchBytes is the most a bootstrap over s allocates besides
-// the selections of its diff lane and the replicate values: the aqp.Resampler's
-// contribution of each nonzero row (8 bytes, at most one per sample row)
-// and its 56-byte record of each stratum, one on a uniform or
-// measure-biased sample and len(s.Strata) on a stratified one, whose
-// strata may outnumber its rows.
-func BootstrapScratchBytes(s *sample.Sample) int64 {
-	strata := 1
-	if s.Kind == sample.Stratified {
-		strata = len(s.Strata)
-	}
-	return 8*int64(s.Size()) + 56*int64(strata)
-}
 
 // AnswerBootstrap answers a SUM/COUNT query with an empirical bootstrap
 // confidence interval instead of the closed form (§4.2.2): after
@@ -105,8 +91,9 @@ func (p *Processor) AnswerBootstrap(ctx context.Context, q engine.Query, resampl
 		reps[rep] = preVal + rs.Replicate(r)
 	}
 	alpha := (1 - conf) / 2
-	lo := stats.Quantile(reps, alpha)
-	hi := stats.Quantile(reps, 1-alpha)
+	slices.Sort(reps)
+	lo := stats.QuantileSorted(reps, alpha)
+	hi := stats.QuantileSorted(reps, 1-alpha)
 	// Sorting the replicates is the one step the loop's checks miss, and
 	// at a large replicate count it outlasts the loop.
 	if err := ctx.Err(); err != nil {

@@ -7,11 +7,9 @@ import (
 	"sync"
 	"testing"
 
-	"aqppp/internal/aqp"
 	"aqppp/internal/cube"
 	"aqppp/internal/dataset"
 	"aqppp/internal/engine"
-	"aqppp/internal/sample"
 	"aqppp/internal/stats"
 )
 
@@ -74,18 +72,13 @@ func allocatedBytes(runs int, f func()) float64 {
 	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }
 
-var resamplerSink aqp.Resampler
-
-// TestAnswerBootstrapScratchBudget pins what a bootstrap allocates. The
-// replicate loop allocates nothing per replicate: 200 replicates cost
-// the same allocations as 4, and only the replicate values (reps plus
-// stats.Quantile's two sorted copies) in bytes. The resampler is the
-// rest, and BootstrapScratchBytes — the footprint the exec budget
-// charges — is what it allocates when every sample row is support.
-func TestAnswerBootstrapScratchBudget(t *testing.T) {
+// TestAnswerBootstrapReplicateAllocs pins what the replicate loop
+// allocates: nothing per replicate, so 200 replicates cost the same
+// allocations as 4, and in bytes only the replicate values themselves
+// (one slice, sorted in place for both percentiles).
+func TestAnswerBootstrapReplicateAllocs(t *testing.T) {
 	tbl := testTable(30000, 53)
 	p := buildProcessor(t, tbl, []string{"c1", "c2"}, 40)
-	n := p.Sample.Size()
 	q := engine.Query{Func: engine.Sum, Col: "a", Ranges: []engine.Range{{Col: "c1", Lo: 13, Hi: 67}}}
 	ctx := context.Background()
 	run := func(resamples int) func() {
@@ -99,40 +92,9 @@ func TestAnswerBootstrapScratchBudget(t *testing.T) {
 		t.Errorf("allocations: %v at 4 replicates, %v at 200", few, many)
 	}
 	few, many := allocatedBytes(10, run(4)), allocatedBytes(10, run(200))
-	if extra, limit := many-few, float64(3*8*(200-4)+1024); extra > limit {
+	if extra, limit := many-few, float64(8*(200-4)+1024); extra > limit {
 		t.Errorf("196 more replicates allocated %.0f bytes, want ≤ %.0f", extra, limit)
 	}
-
-	all := engine.NewBitset(n)
-	all.SetAll()
-	ones := aqp.Lane{Plus: all.Words()}
-	// A resampler over a sample whose every row is support allocates its
-	// BootstrapScratchBytes, up to size-class rounding: a uniform sample
-	// (one stratum record), one whose every row is its own stratum, and
-	// one with three strata per row, two of them empty.
-	oneRow, sparse := stratifiedOnes(p.Sample.Table, n, 1), stratifiedOnes(p.Sample.Table, n, 3)
-	for _, tc := range []struct {
-		name string
-		s    *sample.Sample
-	}{{"uniform", p.Sample}, {"one-row strata", oneRow}, {"three strata per row", sparse}} {
-		budget := float64(BootstrapScratchBytes(tc.s))
-		got := allocatedBytes(10, func() { resamplerSink = aqp.NewResampler(tc.s, ones) })
-		if got < 0.9*budget || got > 1.1*budget {
-			t.Errorf("%s: resampler with full support allocated %.0f bytes, BootstrapScratchBytes = %.0f", tc.name, got, budget)
-		}
-	}
-}
-
-// stratifiedOnes is an n-row stratified sample of tbl with perRow
-// strata per row: row i is stratum perRow·i's only row.
-func stratifiedOnes(tbl *engine.Table, n, perRow int) *sample.Sample {
-	s := &sample.Sample{Kind: sample.Stratified, Table: tbl, SourceRows: 10 * n,
-		Strata: make([]sample.Stratum, perRow*n), StratumOf: make([]int, n)}
-	for i := range s.StratumOf {
-		s.StratumOf[i] = perRow * i
-		s.Strata[perRow*i] = sample.Stratum{SourceRows: 10, SampleRows: 1}
-	}
-	return s
 }
 
 // The microbenchmark fixture is the benchmark harness's resident

@@ -25,11 +25,6 @@ type Config struct {
 	// Backoff is the sleep before the first retry; it doubles per
 	// retry and a retry never sleeps past the request's deadline.
 	Backoff time.Duration
-	// DegradedApprox opts in to answering approximate queries from
-	// surviving strata when a replica is lost: the answer scales up by
-	// the lost row mass, the interval widens, and the response carries
-	// partial:true. Exact queries always fail closed.
-	DegradedApprox bool
 	// Client is the HTTP client (nil uses a default with sane
 	// timeouts).
 	Client *http.Client
@@ -260,9 +255,8 @@ func (c *Coordinator) attempt(ctx context.Context, r *replica, op string, body [
 			return nil, false, &exec.Error{Kind: kind, Op: op, Err: cause}
 		default:
 			// The replica ran out of its share of the deadline or
-			// unwound — the stratum is lost for this query, which the
-			// degrade policy may tolerate. Retrying cannot help inside
-			// the same deadline.
+			// unwound — the stratum is lost for this query, and so is
+			// the query. Retrying cannot help inside the same deadline.
 			return nil, false, unavailable(op, &ReplicaError{Replica: r.url, Shard: r.ident.Index, Attempts: 1, Err: cause})
 		}
 	}

@@ -100,19 +100,10 @@ func TestTargetConformance(t *testing.T) {
 			},
 		}},
 		{name: "fleet", db: fdb, prep: fprep, sub: substrate{
-			exact: fleet.Exact,
-			approx: func(ctx context.Context, q engine.Query) (core.Answer, error) {
-				a, _, err := fleet.Approx(ctx, q)
-				return a, err
-			},
-			groups: func(ctx context.Context, q engine.Query) ([]core.GroupAnswer, error) {
-				g, _, err := fleet.ApproxGroups(ctx, q)
-				return g, err
-			},
-			bootstrap: func(ctx context.Context, q engine.Query, n int, seed uint64) (core.Answer, error) {
-				a, _, err := fleet.Bootstrap(ctx, q, n, seed)
-				return a, err
-			},
+			exact:     fleet.Exact,
+			approx:    fleet.Approx,
+			groups:    fleet.ApproxGroups,
+			bootstrap: fleet.Bootstrap,
 			work: func() (n uint64) {
 				for _, r := range coord.Snapshot().Replicas {
 					n += r.Requests
@@ -166,36 +157,23 @@ func TestTargetConformance(t *testing.T) {
 				if got := k.got(out); !reflect.DeepEqual(got, want) {
 					t.Errorf("%s: executor answered %+v, substrate %+v", k.kind, got, want)
 				}
-				if out.Partial {
-					t.Errorf("%s: healthy target answered partial", k.kind)
-				}
 			}
 
 			// Budgets. The resample cap refuses on every target before a
-			// single stratum runs; the scratch cap binds wherever the
-			// resampling happens in this process, which a fleet's does not.
+			// single stratum runs.
 			boot, err := c.prep.PlanBootstrap(stmt, resamples)
 			if err != nil {
 				t.Fatal(err)
 			}
-			refused := func(what string, b exec.Budget) {
-				t.Helper()
-				var before uint64
-				if c.sub.work != nil {
-					before = c.sub.work()
-				}
-				if _, err := ex.Run(ctx, boot, b); exec.KindOf(err) != exec.BudgetExceeded {
-					t.Errorf("over-cap %s: err = %v, want kind %v", what, err, exec.BudgetExceeded)
-				}
-				if c.sub.work != nil && c.sub.work() != before {
-					t.Errorf("over-cap %s: refused plan still ran %d stratum executions", what, c.sub.work()-before)
-				}
+			var before uint64
+			if c.sub.work != nil {
+				before = c.sub.work()
 			}
-			refused("resamples", exec.Budget{MaxResamples: resamples - 1})
-			if c.name != "fleet" {
-				refused("scratch", exec.Budget{MaxScratchBytes: 1})
-			} else if _, err := ex.Run(ctx, boot, exec.Budget{MaxScratchBytes: 1}); err != nil {
-				t.Errorf("scratch cap reached a fleet that resamples remotely: %v", err)
+			if _, err := ex.Run(ctx, boot, exec.Budget{MaxResamples: resamples - 1}); exec.KindOf(err) != exec.BudgetExceeded {
+				t.Errorf("over-cap resamples: err = %v, want kind %v", err, exec.BudgetExceeded)
+			}
+			if c.sub.work != nil && c.sub.work() != before {
+				t.Errorf("over-cap resamples: refused plan still ran %d stratum executions", c.sub.work()-before)
 			}
 
 			// Contract plans need the resident sample.

@@ -46,8 +46,7 @@ type Coordinator struct {
 	replicas []*replica // ascending by shard index, one per shard
 	handles  []HandleInfo
 
-	pruned   atomic.Uint64
-	degraded atomic.Uint64
+	pruned atomic.Uint64
 }
 
 // Table reports the logical (source) table name the fleet serves.
@@ -80,22 +79,19 @@ func (c *Coordinator) group(handle string) *shard.Group {
 	for i, r := range c.replicas {
 		execs[i] = &remoteExec{c: c, r: r, handle: handle}
 	}
-	g := &shard.Group{
+	return &shard.Group{
 		Layout:     c.layout,
 		Confidence: c.confidenceFor(handle),
 		Execs:      execs,
 		Observe:    func(k int, d time.Duration) { c.replicas[k].latency.Observe(d) },
 		OnPrune:    func(int) { c.pruned.Add(1) },
 	}
-	if c.cfg.DegradedApprox {
-		g.Degrade = func(err error) bool { return exec.KindOf(err) == exec.Unavailable }
-	}
-	return g
 }
 
 // Target returns the fleet as an execution target whose approximate
 // plans answer through the named prepared handle on every active
-// replica; "" names no handle and serves exact plans only.
+// replica. "" names no handle: it serves exact plans, and the replicas
+// refuse an approximate plan through it as an unknown handle.
 func (c *Coordinator) Target(handle string) exec.Target {
 	return fleetTarget{c: c, handle: handle}
 }
@@ -106,40 +102,26 @@ type fleetTarget struct {
 	handle string
 }
 
-// Exact implements exec.Target. Exact answers never degrade: a lost
-// replica is an Unavailable error.
+// Exact implements exec.Target. A lost replica is an Unavailable
+// error, as it is for every plan: each active stratum answers or the
+// query fails.
 func (t fleetTarget) Exact(ctx context.Context, q engine.Query) (engine.Result, error) {
 	return t.c.group("").Exact(ctx, q)
 }
 
 // Approx implements exec.Target.
-func (t fleetTarget) Approx(ctx context.Context, q engine.Query) (core.Answer, bool, error) {
-	a, deg, err := t.c.group(t.handle).Answer(ctx, q)
-	return a, t.partial(deg), err
+func (t fleetTarget) Approx(ctx context.Context, q engine.Query) (core.Answer, error) {
+	return t.c.group(t.handle).Answer(ctx, q)
 }
 
 // ApproxGroups implements exec.Target.
-func (t fleetTarget) ApproxGroups(ctx context.Context, q engine.Query) ([]core.GroupAnswer, bool, error) {
-	groups, deg, err := t.c.group(t.handle).AnswerGroups(ctx, q)
-	return groups, t.partial(deg), err
+func (t fleetTarget) ApproxGroups(ctx context.Context, q engine.Query) ([]core.GroupAnswer, error) {
+	return t.c.group(t.handle).AnswerGroups(ctx, q)
 }
 
 // Bootstrap implements exec.Target with per-replica bootstrap streams.
-func (t fleetTarget) Bootstrap(ctx context.Context, q engine.Query, resamples int, seed uint64) (core.Answer, bool, error) {
-	a, deg, err := t.c.group(t.handle).AnswerBootstrap(ctx, q, resamples, seed)
-	return a, t.partial(deg), err
-}
-
-// ScratchBytes implements exec.Target: resampling happens on the
-// replicas, so no scratch is charged here.
-func (fleetTarget) ScratchBytes() int64 { return 0 }
-
-// partial reports whether an answer was degraded, counting it if so.
-func (t fleetTarget) partial(deg *shard.Degradation) bool {
-	if deg != nil {
-		t.c.degraded.Add(1)
-	}
-	return deg != nil
+func (t fleetTarget) Bootstrap(ctx context.Context, q engine.Query, resamples int, seed uint64) (core.Answer, error) {
+	return t.c.group(t.handle).AnswerBootstrap(ctx, q, resamples, seed)
 }
 
 // remoteExec adapts one replica to shard.Executor: each method is one
@@ -153,11 +135,10 @@ type remoteExec struct {
 // Info implements shard.Executor.
 func (e *remoteExec) Info() shard.ExecutorInfo {
 	return shard.ExecutorInfo{
-		Index:  e.r.ident.Index,
-		Rows:   e.r.ident.Rows,
-		Lo:     math.Float64frombits(e.r.ident.LoBits),
-		Hi:     math.Float64frombits(e.r.ident.HiBits),
-		Approx: e.handle != "",
+		Index: e.r.ident.Index,
+		Rows:  e.r.ident.Rows,
+		Lo:    math.Float64frombits(e.r.ident.LoBits),
+		Hi:    math.Float64frombits(e.r.ident.HiBits),
 	}
 }
 
@@ -250,7 +231,6 @@ type Snapshot struct {
 	Table    string            `json:"table"`
 	Layout   string            `json:"layout"`
 	Pruned   uint64            `json:"pruned"`
-	Degraded uint64            `json:"degraded"`
 	Handles  []HandleInfo      `json:"handles,omitempty"`
 	Replicas []ReplicaSnapshot `json:"replicas"`
 }
@@ -258,11 +238,10 @@ type Snapshot struct {
 // Snapshot captures the fleet state.
 func (c *Coordinator) Snapshot() Snapshot {
 	snap := Snapshot{
-		Table:    c.table,
-		Layout:   c.layout.Signature(),
-		Pruned:   c.pruned.Load(),
-		Degraded: c.degraded.Load(),
-		Handles:  c.handles,
+		Table:   c.table,
+		Layout:  c.layout.Signature(),
+		Pruned:  c.pruned.Load(),
+		Handles: c.handles,
 	}
 	for _, r := range c.replicas {
 		snap.Replicas = append(snap.Replicas, ReplicaSnapshot{

@@ -225,9 +225,6 @@ func TestDistEquivalence(t *testing.T) {
 		if math.Float64bits(got.Confidence) != math.Float64bits(want.Confidence) {
 			t.Errorf("%s: confidence %v != %v", stmt, got.Confidence, want.Confidence)
 		}
-		if got.Partial {
-			t.Errorf("%s: healthy fleet answered partial", stmt)
-		}
 	}
 
 	// Exact and approximate GROUP BY.
@@ -286,80 +283,105 @@ func TestDistEquivalence(t *testing.T) {
 	}
 }
 
-// TestDistReplicaLossFailsClosed kills one replica mid-stream: exact
-// and approximate queries needing its stratum must fail with the typed
-// Unavailable kind, never a silent wrong answer.
+// TestDistReplicaLossFailsClosed kills one replica mid-stream: every
+// plan kind that needs its stratum must fail with the typed Unavailable
+// kind, never a silent wrong answer — among them k BETWEEN 240 AND 500,
+// which survivor extrapolation once answered as 21,619 ± 12,663 against
+// a truth of 262,003. A statement pruned away from the lost stratum
+// still answers, bit-equal to the healthy fleet.
 func TestDistReplicaLossFailsClosed(t *testing.T) {
 	tbl := fleetTable(fleetRows, 7)
 	coord, srvs := startFleet(t, tbl, 2, dist.Config{Timeout: 2 * time.Second, Retries: 1, Backoff: 10 * time.Millisecond})
 	ddb, dprep := coordDB(t, coord)
+	bg := context.Background()
 
-	stmt := "SELECT SUM(v) FROM demo" // full range: no shard can be pruned
-	if _, err := ddb.Exact(context.Background(), stmt); err != nil {
+	const (
+		stmt   = "SELECT SUM(v) FROM demo" // full range: no shard can be pruned
+		pruned = "SELECT SUM(v) FROM demo WHERE k BETWEEN 1 AND 100"
+	)
+	if _, err := ddb.Exact(bg, stmt); err != nil {
 		t.Fatalf("healthy fleet: %v", err)
 	}
+	wantExact, err := ddb.Exact(bg, pruned)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantApprox, err := dprep.Query(bg, pruned)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	ctx, cancel := context.WithTimeout(bg, 5*time.Second)
 	defer cancel()
 	if err := srvs[1].Shutdown(ctx); err != nil {
 		t.Fatal(err)
 	}
 
-	if _, err := ddb.Exact(context.Background(), stmt); aqppp.ErrorKindOf(err) != aqppp.ErrUnavailable {
-		t.Fatalf("exact after replica loss: err = %v, want kind %v", err, aqppp.ErrUnavailable)
+	query := func(s string) func() error {
+		return func() error { _, err := dprep.Query(bg, s); return err }
 	}
-	if _, err := dprep.Query(context.Background(), stmt); aqppp.ErrorKindOf(err) != aqppp.ErrUnavailable {
-		t.Fatalf("approx after replica loss: err = %v, want kind %v", err, aqppp.ErrUnavailable)
+	for _, c := range []struct {
+		name string
+		run  func() error
+	}{
+		{"exact", func() error { _, err := ddb.Exact(bg, stmt); return err }},
+		{"approx", query(stmt)},
+		{"approx k 240..500", query("SELECT SUM(v) FROM demo WHERE k BETWEEN 240 AND 500")},
+		{"avg", query("SELECT AVG(v) FROM demo")},
+		{"group by", query(stmt + " GROUP BY tier")},
+		{"bootstrap", func() error { _, err := dprep.QueryBootstrap(bg, stmt, 100); return err }},
+	} {
+		if err := c.run(); aqppp.ErrorKindOf(err) != aqppp.ErrUnavailable {
+			t.Errorf("%s after replica loss: err = %v, want kind %v", c.name, err, aqppp.ErrUnavailable)
+		}
+	}
+
+	gotExact, err := ddb.Exact(bg, pruned)
+	if err != nil {
+		t.Fatalf("pruned exact after replica loss: %v", err)
+	}
+	if !stats.ExactEqual(gotExact.Value, wantExact.Value) {
+		t.Errorf("pruned exact = %v, healthy %v", gotExact.Value, wantExact.Value)
+	}
+	gotApprox, err := dprep.Query(bg, pruned)
+	if err != nil {
+		t.Fatalf("pruned approx after replica loss: %v", err)
+	}
+	if !stats.ExactEqual(gotApprox.Value, wantApprox.Value) || !stats.ExactEqual(gotApprox.HalfWidth, wantApprox.HalfWidth) ||
+		!stats.ExactEqual(gotApprox.Confidence, wantApprox.Confidence) {
+		t.Errorf("pruned approx = %v ± %v @ %v, healthy %v ± %v @ %v", gotApprox.Value, gotApprox.HalfWidth, gotApprox.Confidence,
+			wantApprox.Value, wantApprox.HalfWidth, wantApprox.Confidence)
 	}
 }
 
-// TestDistDegradedApprox opts in to the degraded policy: after a
-// replica is lost, approximate queries answer from the surviving
-// stratum with a widened interval and Partial set, while exact queries
-// still fail closed.
-func TestDistDegradedApprox(t *testing.T) {
+// TestDistUnboundHandleRefused is the regression test for a silent
+// 0 ± 0: a Prepared over the fleet with no handle bound once skipped
+// every stratum as unable to answer approximately and merged nothing,
+// returning 0 ± 0 at 0.95 with a nil error for every approximate plan
+// kind. The replicas now refuse the handle, so each plan fails.
+func TestDistUnboundHandleRefused(t *testing.T) {
 	tbl := fleetTable(fleetRows, 7)
-	coord, srvs := startFleet(t, tbl, 2, dist.Config{
-		Timeout: 2 * time.Second, Retries: 0, DegradedApprox: true,
-	})
-	ddb, dprep := coordDB(t, coord)
-
-	stmt := "SELECT SUM(v) FROM demo"
-	healthy, err := dprep.Query(context.Background(), stmt)
+	coord, _ := startFleet(t, tbl, 2, dist.Config{Timeout: 10 * time.Second})
+	db, _ := coordDB(t, coord)
+	prep, err := db.DistPrepared(coord.Table(), "", 0.95, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if healthy.Partial {
-		t.Fatal("healthy fleet answered partial")
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := srvs[0].Shutdown(ctx); err != nil {
-		t.Fatal(err)
-	}
-
-	deg, err := dprep.Query(context.Background(), stmt)
-	if err != nil {
-		t.Fatalf("degraded query failed: %v", err)
-	}
-	if !deg.Partial {
-		t.Error("degraded answer is not marked Partial")
-	}
-	if deg.HalfWidth <= healthy.HalfWidth {
-		t.Errorf("degraded half-width %v not wider than healthy %v", deg.HalfWidth, healthy.HalfWidth)
-	}
-	// The extrapolated value stays in the right ballpark (the survivors
-	// scale up by the lost row mass).
-	if deg.Value <= 0 || math.Abs(deg.Value-healthy.Value) > 0.5*math.Abs(healthy.Value) {
-		t.Errorf("degraded value %v too far from healthy %v", deg.Value, healthy.Value)
-	}
-	// Exact never degrades.
-	if _, err := ddb.Exact(context.Background(), stmt); aqppp.ErrorKindOf(err) != aqppp.ErrUnavailable {
-		t.Fatalf("exact under degraded policy: err = %v, want kind %v", err, aqppp.ErrUnavailable)
-	}
-	if coord.Snapshot().Degraded == 0 {
-		t.Error("degraded counter did not advance")
+	bg := context.Background()
+	const stmt = "SELECT SUM(v) FROM demo WHERE k BETWEEN 20 AND 470"
+	for _, c := range []struct {
+		name string
+		run  func() (aqppp.Result, error)
+	}{
+		{"scalar", func() (aqppp.Result, error) { return prep.Query(bg, stmt) }},
+		{"avg", func() (aqppp.Result, error) { return prep.Query(bg, "SELECT AVG(v) FROM demo") }},
+		{"group by", func() (aqppp.Result, error) { return prep.Query(bg, stmt+" GROUP BY tier") }},
+		{"bootstrap", func() (aqppp.Result, error) { return prep.QueryBootstrap(bg, stmt, 100) }},
+	} {
+		res, err := c.run()
+		if aqppp.ErrorKindOf(err) != aqppp.ErrUnknownTable {
+			t.Errorf("%s through no handle: %v ± %v, err = %v; want kind %v", c.name, res.Value, res.HalfWidth, err, aqppp.ErrUnknownTable)
+		}
 	}
 }
 
@@ -601,7 +623,7 @@ func TestDistRefusesMisshapenPartials(t *testing.T) {
 			var err error
 			var returned bool
 			if tc.approx {
-				groups, _, gerr := coord.Target(fleetHandle).ApproxGroups(context.Background(), tc.q)
+				groups, gerr := coord.Target(fleetHandle).ApproxGroups(context.Background(), tc.q)
 				err, returned = gerr, len(groups) != 0
 			} else {
 				res, eerr := coord.Target("").Exact(context.Background(), tc.q)

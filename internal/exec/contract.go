@@ -80,8 +80,7 @@ func (ex *Executor) runRung(ctx context.Context, p *Plan, rung contract.Rung, co
 		}
 		shadow := *p.Proc
 		shadow.Confidence = conf
-		ans, _, err := bootstrap(ctx, Resident{Table: p.Table, Proc: &shadow}, p.Query, resamples, p.Seed, b)
-		return ans, err
+		return shadow.AnswerBootstrap(ctx, p.Query, resamples, p.Seed, nil)
 
 	default: // contract.StrategyExact
 		res, err := p.Target.Exact(ctx, p.Query)

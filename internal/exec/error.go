@@ -9,8 +9,8 @@
 // The shape follows the middleware argument of VerdictDB (one request
 // path for all AQP traffic) and PilotDB (the serving layer, not the
 // caller, owns per-query guarantees): callers get cancellation,
-// deadlines, resample caps and scratch-memory caps without any layer
-// below knowing who is asking.
+// deadlines and resample caps without any layer below knowing who is
+// asking.
 package exec
 
 import (
@@ -42,11 +42,11 @@ const (
 	// canceled or hit the caller's own deadline.
 	Canceled
 	// BudgetExceeded marks queries rejected or unwound by the per-query
-	// Budget: its deadline fired, or a resample/scratch cap was blown.
+	// Budget: its deadline fired, or its resample cap was blown.
 	BudgetExceeded
-	// Unavailable marks distributed queries that lost a required replica:
-	// the replica was unreachable, timed out, or shed the partial request,
-	// and the degraded-answer policy (if any) could not absorb the loss.
+	// Unavailable marks distributed queries that lost a replica they
+	// needed: it was unreachable, timed out, or shed the partial request.
+	// A lost stratum the query does not prune always fails the query.
 	Unavailable
 	// ContractInfeasible marks contract queries no permitted strategy
 	// can provably answer within the contracted error bound; the

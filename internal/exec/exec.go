@@ -21,10 +21,6 @@ type Budget struct {
 	// MaxResamples caps bootstrap replicate counts. A plan requesting
 	// more is rejected before any work runs.
 	MaxResamples int
-	// MaxScratchBytes caps the scratch memory a bootstrap may allocate
-	// in this process: core.BootstrapScratchBytes of the samples it
-	// resamples here, its worst case, charged before it runs.
-	MaxScratchBytes int64
 }
 
 // Outcome is the unified result of running a Plan.
@@ -35,11 +31,6 @@ type Outcome struct {
 	Answer core.Answer
 	// Groups holds per-group answers for GROUP BY approx plans.
 	Groups []core.GroupAnswer
-	// Partial reports a degraded distributed answer: one or more
-	// replicas were lost, the opt-in policy tolerated it, and the
-	// answer was extrapolated from surviving strata with a widened
-	// interval. Partial outcomes must never be cached.
-	Partial bool
 	// ContractStrategy names the ladder rung that answered a
 	// PlanContract plan ("cube", "approx", "bootstrap", "exact");
 	// ContractEscalated reports that the planner's first choice missed
@@ -125,17 +116,17 @@ func (ex *Executor) dispatch(ctx context.Context, p *Plan, b Budget) (Outcome, e
 
 	case PlanApprox:
 		if len(p.Query.GroupBy) > 0 {
-			groups, partial, err := p.Target.ApproxGroups(ctx, p.Query)
+			groups, err := p.Target.ApproxGroups(ctx, p.Query)
 			if err != nil {
 				return Outcome{}, err
 			}
-			return Outcome{Groups: groups, Partial: partial}, nil
+			return Outcome{Groups: groups}, nil
 		}
-		ans, partial, err := p.Target.Approx(ctx, p.Query)
+		ans, err := p.Target.Approx(ctx, p.Query)
 		if err != nil {
 			return Outcome{}, err
 		}
-		return Outcome{Answer: ans, Partial: partial}, nil
+		return Outcome{Answer: ans}, nil
 
 	case PlanBootstrap:
 		resamples := p.Resamples
@@ -145,11 +136,11 @@ func (ex *Executor) dispatch(ctx context.Context, p *Plan, b Budget) (Outcome, e
 		if err := b.CheckResamples(resamples); err != nil {
 			return Outcome{}, err
 		}
-		ans, partial, err := bootstrap(ctx, p.Target, p.Query, resamples, p.Seed, b)
+		ans, err := p.Target.Bootstrap(ctx, p.Query, resamples, p.Seed)
 		if err != nil {
 			return Outcome{}, err
 		}
-		return Outcome{Answer: ans, Partial: partial}, nil
+		return Outcome{Answer: ans}, nil
 
 	case PlanContract:
 		return ex.dispatchContract(ctx, p, b)
@@ -159,32 +150,12 @@ func (ex *Executor) dispatch(ctx context.Context, p *Plan, b Budget) (Outcome, e
 	}
 }
 
-// bootstrap runs t's bootstrap under the budget's scratch cap, charged
-// against what t resamples in this process before any work starts.
-func bootstrap(ctx context.Context, t Target, q engine.Query, resamples int, seed uint64, b Budget) (core.Answer, bool, error) {
-	if err := b.CheckScratch(t.ScratchBytes()); err != nil {
-		return core.Answer{}, false, err
-	}
-	return t.Bootstrap(ctx, q, resamples, seed)
-}
-
 // CheckResamples refuses, with kind BudgetExceeded, a bootstrap of more
 // replicates than the budget's MaxResamples.
 func (b Budget) CheckResamples(resamples int) error {
 	if b.MaxResamples > 0 && resamples > b.MaxResamples {
 		return &Error{Kind: BudgetExceeded, Op: "bootstrap",
 			Err: fmt.Errorf("%d resamples exceed the budget's cap of %d", resamples, b.MaxResamples)}
-	}
-	return nil
-}
-
-// CheckScratch refuses, with kind BudgetExceeded, a bootstrap that needs
-// need scratch bytes (core.BootstrapScratchBytes) when that exceeds the
-// budget's MaxScratchBytes.
-func (b Budget) CheckScratch(need int64) error {
-	if b.MaxScratchBytes > 0 && need > b.MaxScratchBytes {
-		return &Error{Kind: BudgetExceeded, Op: "bootstrap",
-			Err: fmt.Errorf("bootstrap needs %d scratch bytes, budget caps at %d", need, b.MaxScratchBytes)}
 	}
 	return nil
 }

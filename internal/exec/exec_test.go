@@ -136,25 +136,6 @@ func TestBudgetMaxResamples(t *testing.T) {
 	}
 }
 
-func TestBudgetScratchCap(t *testing.T) {
-	tbl := execTable(2000)
-	proc := execProcessor(t, tbl)
-	p, err := PlanBootstrapStatement(Resident{Table: tbl, Proc: proc}, tbl, "SELECT SUM(v) FROM t", 20, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The cap is charged the bootstrap's worst-case scratch for this
-	// sample (core's TestAnswerBootstrapScratchBudget pins that bound).
-	need := core.BootstrapScratchBytes(proc.Sample)
-	_, err = New().Run(context.Background(), p, Budget{MaxScratchBytes: need - 1})
-	if KindOf(err) != BudgetExceeded {
-		t.Errorf("kind = %v, want BudgetExceeded (err: %v)", KindOf(err), err)
-	}
-	if _, err := New().Run(context.Background(), p, Budget{MaxScratchBytes: need}); err != nil {
-		t.Errorf("at-cap run failed: %v", err)
-	}
-}
-
 // TestCancelVsBudgetDeadline pins the taxonomy split: the budget's own
 // deadline reports BudgetExceeded, the caller's cancellation reports
 // Canceled — even when both a budget and a canceled parent are present.

@@ -15,24 +15,15 @@ import (
 // it holds. Resident and Sharded implement it here; a fleet's comes
 // from dist.Coordinator.Target (exec owns the interface so the plan
 // layer reaches replicas without importing the network stack).
-//
-// The bool the approximate methods return reports a degraded answer —
-// extrapolated from surviving strata after a tolerated replica loss.
-// Only a fleet sets it, and such answers must never be cached.
 type Target interface {
-	// Exact runs an exact query. Exact answers never degrade.
+	// Exact runs an exact query.
 	Exact(ctx context.Context, q engine.Query) (engine.Result, error)
 	// Approx answers a scalar approximate query.
-	Approx(ctx context.Context, q engine.Query) (core.Answer, bool, error)
+	Approx(ctx context.Context, q engine.Query) (core.Answer, error)
 	// ApproxGroups answers a GROUP BY approximate query.
-	ApproxGroups(ctx context.Context, q engine.Query) ([]core.GroupAnswer, bool, error)
+	ApproxGroups(ctx context.Context, q engine.Query) ([]core.GroupAnswer, error)
 	// Bootstrap answers SUM/COUNT with an empirical bootstrap interval.
-	Bootstrap(ctx context.Context, q engine.Query, resamples int, seed uint64) (core.Answer, bool, error)
-	// ScratchBytes is the worst-case scratch of a Bootstrap inside this
-	// process (core.BootstrapScratchBytes of the samples it resamples),
-	// what Budget.MaxScratchBytes is charged. A fleet resamples on its
-	// replicas and reports 0.
-	ScratchBytes() int64
+	Bootstrap(ctx context.Context, q engine.Query, resamples int, seed uint64) (core.Answer, error)
 }
 
 // Resident is the single-table target: exact plans scan Table, and
@@ -51,25 +42,19 @@ func (r Resident) Exact(ctx context.Context, q engine.Query) (engine.Result, err
 }
 
 // Approx implements Target.
-func (r Resident) Approx(_ context.Context, q engine.Query) (core.Answer, bool, error) {
-	a, err := r.Proc.Answer(q)
-	return a, false, err
+func (r Resident) Approx(_ context.Context, q engine.Query) (core.Answer, error) {
+	return r.Proc.Answer(q)
 }
 
 // ApproxGroups implements Target.
-func (r Resident) ApproxGroups(ctx context.Context, q engine.Query) ([]core.GroupAnswer, bool, error) {
-	groups, err := r.Proc.AnswerGroups(ctx, q)
-	return groups, false, err
+func (r Resident) ApproxGroups(ctx context.Context, q engine.Query) ([]core.GroupAnswer, error) {
+	return r.Proc.AnswerGroups(ctx, q)
 }
 
 // Bootstrap implements Target.
-func (r Resident) Bootstrap(ctx context.Context, q engine.Query, resamples int, seed uint64) (core.Answer, bool, error) {
-	a, err := r.Proc.AnswerBootstrap(ctx, q, resamples, seed, nil)
-	return a, false, err
+func (r Resident) Bootstrap(ctx context.Context, q engine.Query, resamples int, seed uint64) (core.Answer, error) {
+	return r.Proc.AnswerBootstrap(ctx, q, resamples, seed, nil)
 }
-
-// ScratchBytes implements Target.
-func (r Resident) ScratchBytes() int64 { return core.BootstrapScratchBytes(r.Proc.Sample) }
 
 // Sharded is the in-process scatter-gather target: exact plans fan out
 // over S's partitions, and approximate plans answer from Prep's
@@ -87,32 +72,17 @@ func (t Sharded) Exact(ctx context.Context, q engine.Query) (engine.Result, erro
 }
 
 // Approx implements Target.
-func (t Sharded) Approx(ctx context.Context, q engine.Query) (core.Answer, bool, error) {
-	a, err := t.Prep.Answer(ctx, q, 0)
-	return a, false, err
+func (t Sharded) Approx(ctx context.Context, q engine.Query) (core.Answer, error) {
+	return t.Prep.Answer(ctx, q, 0)
 }
 
 // ApproxGroups implements Target.
-func (t Sharded) ApproxGroups(ctx context.Context, q engine.Query) ([]core.GroupAnswer, bool, error) {
-	groups, err := t.Prep.AnswerGroups(ctx, q, 0)
-	return groups, false, err
+func (t Sharded) ApproxGroups(ctx context.Context, q engine.Query) ([]core.GroupAnswer, error) {
+	return t.Prep.AnswerGroups(ctx, q, 0)
 }
 
 // Bootstrap implements Target: independent seeded streams per shard,
 // CI merge at the end.
-func (t Sharded) Bootstrap(ctx context.Context, q engine.Query, resamples int, seed uint64) (core.Answer, bool, error) {
-	a, err := t.Prep.AnswerBootstrap(ctx, q, resamples, seed, 0)
-	return a, false, err
-}
-
-// ScratchBytes implements Target: the per-shard footprints summed, each
-// charged as the resident path charges its sample.
-func (t Sharded) ScratchBytes() int64 {
-	var need int64
-	for _, proc := range t.Prep.Procs {
-		if proc != nil {
-			need += core.BootstrapScratchBytes(proc.Sample)
-		}
-	}
-	return need
+func (t Sharded) Bootstrap(ctx context.Context, q engine.Query, resamples int, seed uint64) (core.Answer, error) {
+	return t.Prep.AnswerBootstrap(ctx, q, resamples, seed, 0)
 }

@@ -137,20 +137,15 @@ func (s *Server) handlePartial(w http.ResponseWriter, r *http.Request, ri *reqIn
 			fmt.Sprintf("unknown partial mode %q", preq.Mode))
 		return
 	}
-	// The replicate and scratch caps, with the kind and status /v1/approx
-	// answers an over-cap request with: the coordinator enforces its own
-	// caps, but this endpoint is reachable directly.
+	// The replicate cap, with the kind and status /v1/approx answers an
+	// over-cap request with: the coordinator enforces its own cap, but
+	// this endpoint is reachable directly.
 	if preq.Mode == dist.ModeBootstrap {
-		b := exec.Budget{MaxResamples: s.cfg.MaxResamples, MaxScratchBytes: s.cfg.MaxScratchBytes}
 		n := preq.Resamples
 		if n <= 0 {
 			n = core.DefaultResamples
 		}
-		err := b.CheckResamples(n)
-		if err == nil {
-			err = b.CheckScratch(core.BootstrapScratchBytes(local.Proc.Sample))
-		}
-		if err != nil {
+		if err := (exec.Budget{MaxResamples: s.cfg.MaxResamples}).CheckResamples(n); err != nil {
 			s.writeError(w, ri, err)
 			return
 		}

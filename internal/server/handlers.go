@@ -298,8 +298,8 @@ func (s *Server) requestDeadline(ri *reqInfo, timeoutMS int64) time.Time {
 // caller holds a slot, must call release, and runs its work under the
 // returned context: the request's context carrying the request's id
 // (which a coordinator forwards to its replicas) and the request's
-// Budget — the server-wide resample and scratch caps, and as Timeout
-// the time left until the request deadline (queue wait already spent).
+// Budget — the server-wide resample cap, and as Timeout the time left
+// until the request deadline (queue wait already spent).
 // The context itself carries no deadline, so an overrun classifies as
 // budget-exceeded and only a client disconnect as canceled. On failure
 // admit has written the response.
@@ -317,7 +317,7 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, ri *reqInfo, time
 		}
 		return nil, nil, false
 	}
-	b := aqppp.Budget{MaxResamples: s.cfg.MaxResamples, MaxScratchBytes: s.cfg.MaxScratchBytes}
+	b := aqppp.Budget{MaxResamples: s.cfg.MaxResamples}
 	if !deadline.IsZero() {
 		b.Timeout = time.Until(deadline)
 		if b.Timeout < time.Millisecond {
@@ -348,10 +348,8 @@ func (s *Server) enter(w http.ResponseWriter, r *http.Request, ri *reqInfo, time
 // (/v1/query, /v1/approx, /v1/contract), which differ only in how they
 // plan and in the run closure. A cache hit is served in front of the
 // quota and the admission gate; a miss pays a quota token, takes a gate
-// slot, runs under the admitted context and is cached under (key, gen)
-// — unless key is empty (the caller could not vouch for the entry) or
-// the answer is partial: a degraded answer reflects which replicas
-// happened to be up, not the data, and must never outlive the outage.
+// slot, runs under the admitted context and is cached under key —
+// unless key is empty (the caller could not vouch for the entry).
 func (s *Server) answer(w http.ResponseWriter, r *http.Request, ri *reqInfo, timeoutMS int64,
 	key string, run func(context.Context) (QueryResponse, error)) {
 	if resp, hit := s.cache.Get(key, 0); hit {
@@ -373,7 +371,7 @@ func (s *Server) answer(w http.ResponseWriter, r *http.Request, ri *reqInfo, tim
 	// Only a response that encoded is cached: one JSON cannot carry has
 	// already been answered as a 500, and a repeat must recompute it
 	// rather than replay that failure as a hit.
-	if s.writeJSON(w, ri, http.StatusOK, resp) && !resp.Partial {
+	if s.writeJSON(w, ri, http.StatusOK, resp) {
 		s.cache.Put(key, 0, resp)
 	}
 }

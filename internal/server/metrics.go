@@ -211,10 +211,9 @@ var promFamilies = []promFamily{
 		}},
 	{"aqppp_shard_scan_duration_seconds", "histogram", "Per-shard sub-plan scan time (log-scale buckets, 1µs–1s).", hasShards, perShard(func(sh shard.ShardInfo) any { return sh.Latency })},
 
-	// Distributed fleet (coordinator only): pruning, degradation and
+	// Distributed fleet (coordinator only): pruning and
 	// per-replica traffic.
 	{"aqppp_dist_pruned_total", "counter", "Replica requests skipped by range-bound pruning.", hasFleet, fleet(func(sn *dist.Snapshot) any { return sn.Pruned })},
-	{"aqppp_dist_degraded_total", "counter", "Distributed answers served degraded from surviving strata.", hasFleet, fleet(func(sn *dist.Snapshot) any { return sn.Degraded })},
 	{"aqppp_replica_healthy", "gauge", "1 while the replica's last partial round trip succeeded.", hasFleet, perReplica(func(rp dist.ReplicaSnapshot) any { return boolGauge(rp.Healthy) })},
 	{"aqppp_replica_requests_total", "counter", "Partial-request attempts per replica.", hasFleet, perReplica(func(rp dist.ReplicaSnapshot) any { return rp.Requests })},
 	{"aqppp_replica_retries_total", "counter", "Partial-request retries per replica.", hasFleet, perReplica(func(rp dist.ReplicaSnapshot) any { return rp.Retries })},

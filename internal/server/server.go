@@ -36,14 +36,10 @@ type Config struct {
 	// /readyz to 503, so load balancers observe not-ready before the
 	// listener closes (default 0).
 	DrainPause time.Duration
-	// MaxResamples and MaxScratchBytes are folded into every request's
-	// Budget (0 = unlimited), bounding what one bootstrap request can
-	// cost: MaxScratchBytes against the worst-case scratch of the samples
-	// it resamples in this process (core.BootstrapScratchBytes: 8 bytes
-	// per row plus 56 per stratum), on /v1/approx and on a replica's
-	// /v1/partial alike.
-	MaxResamples    int
-	MaxScratchBytes int64
+	// MaxResamples is folded into every request's Budget (0 =
+	// unlimited), bounding the replicates one bootstrap request can ask
+	// for, on /v1/approx and on a replica's /v1/partial alike.
+	MaxResamples int
 	// MaxBodyBytes bounds request bodies (default 1 MiB).
 	MaxBodyBytes int64
 	// CacheMaxBytes bounds the response cache's total entry size

@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"aqppp"
-	"aqppp/internal/core"
 	"aqppp/internal/dist"
 	"aqppp/internal/engine"
 	"aqppp/internal/stats"
@@ -691,53 +690,6 @@ func TestPartialRunsUnderBudget(t *testing.T) {
 	}
 	if el := time.Since(start); el > 10*time.Second {
 		t.Errorf("refusals took %v: the deadline and the cap must stop the resampling", el)
-	}
-}
-
-// TestPartialScratchCap: the server's scratch cap holds on a replica's
-// /v1/partial bootstrap as it does on /v1/approx — charged against the
-// handle's sample rows, refused over the cap with the same kind and
-// status, run at the cap.
-func TestPartialScratchCap(t *testing.T) {
-	db := newTestDB(t, 5000)
-	prep, err := db.Prepare(context.Background(), aqppp.PrepareOptions{
-		Table: "demo", Aggregate: "v", Dimensions: []string{"k"},
-		SampleRate: 0.2, CellBudget: 100, Seed: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	need := core.BootstrapScratchBytes(prep.Processor().Sample)
-	partial := func(limit int64) (int, string) {
-		srv := New(db, Config{
-			MaxScratchBytes: limit,
-			Replica:         &ReplicaRole{Table: "demo", Ident: dist.ShardIdentity{Count: 1}},
-		})
-		if err := srv.RegisterPrepared("h", prep); err != nil {
-			t.Fatal(err)
-		}
-		code, body, _ := postJSON(t, http.DefaultClient, startServer(t, srv)+"/v1/partial", dist.PartialRequest{
-			V: dist.WireVersion, Mode: dist.ModeBootstrap, Table: "demo", Handle: "h",
-			Query:     dist.ToWireQuery(engine.Query{Func: engine.Sum, Col: "v"}),
-			Resamples: 20, Seed: 1,
-		})
-		return code, errKind(body)
-	}
-	if code, kind := partial(need - 1); code != http.StatusRequestTimeout || kind != "budget-exceeded" {
-		t.Errorf("over-cap partial = %d kind %q, want 408 budget-exceeded", code, kind)
-	}
-	if code, kind := partial(need); code != http.StatusOK {
-		t.Errorf("at-cap partial = %d kind %q, want 200", code, kind)
-	}
-	// /v1/approx refuses the same cap with the same kind and status.
-	srv := New(db, Config{MaxScratchBytes: need - 1})
-	if err := srv.RegisterPrepared("h", prep); err != nil {
-		t.Fatal(err)
-	}
-	code, body, _ := postJSON(t, http.DefaultClient, startServer(t, srv)+"/v1/approx",
-		QueryRequest{Prepared: "h", SQL: "SELECT SUM(v) FROM demo", Resamples: 20})
-	if code != http.StatusRequestTimeout || errKind(body) != "budget-exceeded" {
-		t.Errorf("over-cap approx = %d kind %q, want 408 budget-exceeded", code, errKind(body))
 	}
 }
 

@@ -88,11 +88,6 @@ type QueryResponse struct {
 	UsedPrecomputed bool        `json:"used_precomputed,omitempty"`
 	Pre             string      `json:"pre,omitempty"`
 	Groups          []GroupJSON `json:"groups,omitempty"`
-	// Partial marks a degraded distributed answer: a replica was lost
-	// and the surviving strata answered with a widened interval (opt-in
-	// via the coordinator's degraded policy). Partial answers are never
-	// cached.
-	Partial bool `json:"partial,omitempty"`
 	// Cached marks an answer served from the response cache (mirrored in
 	// the X-Cache: hit header); ElapsedMS then measures the lookup, not
 	// the original computation.
@@ -285,7 +280,6 @@ func approxResponse(res aqppp.Result) QueryResponse {
 		Confidence:      &conf,
 		UsedPrecomputed: res.UsedPrecomputed,
 		Pre:             res.Pre,
-		Partial:         res.Partial,
 	}
 	for _, g := range res.Groups {
 		ghw := g.HalfWidth

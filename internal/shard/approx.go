@@ -129,8 +129,7 @@ func mergeAdditive(answers []core.Answer, conf float64) core.Answer {
 // upper bound on the delta-method width since cross-terms are dropped;
 // MIN/MAX fold per-shard exact index answers.
 func (p *Prepared) Answer(ctx context.Context, q engine.Query, workers int) (core.Answer, error) {
-	a, _, err := p.group(workers).Answer(ctx, q)
-	return a, err
+	return p.group(workers).Answer(ctx, q)
 }
 
 // ratioAnswer forms AVG = SUM/COUNT from two merged answers. The
@@ -161,8 +160,7 @@ func ratioAnswer(sumAns, cntAns core.Answer, conf float64) core.Answer {
 // key (rows are redistributed across shards, so a global first-seen
 // order does not exist).
 func (p *Prepared) AnswerGroups(ctx context.Context, q engine.Query, workers int) ([]core.GroupAnswer, error) {
-	groups, _, err := p.group(workers).AnswerGroups(ctx, q)
-	return groups, err
+	return p.group(workers).AnswerGroups(ctx, q)
 }
 
 // mergeGroupAnswers merges per-shard group answers by key (additive
@@ -193,6 +191,5 @@ func mergeGroupAnswers(perShard [][]core.GroupAnswer, conf float64) []core.Group
 // independent variances: hw = sqrt(Σ hw_h²). Points add exactly like
 // the closed-form path.
 func (p *Prepared) AnswerBootstrap(ctx context.Context, q engine.Query, resamples int, seed uint64, workers int) (core.Answer, error) {
-	a, _, err := p.group(workers).AnswerBootstrap(ctx, q, resamples, seed)
-	return a, err
+	return p.group(workers).AnswerBootstrap(ctx, q, resamples, seed)
 }

@@ -86,7 +86,7 @@ func TestMergeFormula(t *testing.T) {
 
 	lambda := stats.ZScore(p.Confidence)
 	var wantValue, varSum float64
-	for _, h := range p.group(0).active(q.Ranges, true) {
+	for _, h := range p.group(0).active(q.Ranges) {
 		a, err := p.Procs[h].Answer(q)
 		if err != nil {
 			t.Fatal(err)
@@ -277,7 +277,7 @@ func TestBootstrapMerge(t *testing.T) {
 	}
 
 	var wantValue, hw2 float64
-	for _, h := range p.group(0).active(q.Ranges, true) {
+	for _, h := range p.group(0).active(q.Ranges) {
 		a, err := p.Procs[h].AnswerBootstrap(context.Background(), q, resamples,
 			seed+uint64(h+1)*seedStride, nil)
 		if err != nil {
@@ -333,7 +333,7 @@ func TestPruningTightensCI(t *testing.T) {
 	p := buildPrepared(t, s, approxConfig())
 	q := engine.Query{Func: engine.Sum, Col: "v",
 		Ranges: []engine.Range{{Col: "k", Lo: 100, Hi: 140}}}
-	if got := len(p.group(0).active(q.Ranges, true)); got >= 8 {
+	if got := len(p.group(0).active(q.Ranges)); got >= 8 {
 		t.Fatalf("selective range kept %d of 8 shards active", got)
 	}
 	ans, err := p.Answer(context.Background(), q, 2)

@@ -18,10 +18,6 @@ type ExecutorInfo struct {
 	Index  int
 	Rows   int
 	Lo, Hi float64
-	// Approx reports whether the stratum can answer approximate
-	// queries — it holds a sample and BP-cube slice, in process or
-	// behind a replica endpoint.
-	Approx bool
 }
 
 // Executor is one shard slice as the fan-out/merge engine sees it. The
@@ -56,7 +52,6 @@ func (e Local) Info() ExecutorInfo {
 	return ExecutorInfo{
 		Index: e.Shard.Index, Rows: e.Shard.Rows,
 		Lo: e.Shard.Lo, Hi: e.Shard.Hi,
-		Approx: e.Proc != nil,
 	}
 }
 
@@ -112,24 +107,15 @@ func PerShardConfig(cfg core.BuildConfig, index, count int) core.BuildConfig {
 	return out
 }
 
-// Degradation reports strata lost to a tolerated failure: an
-// approximate answer was extrapolated from the survivors.
-type Degradation struct {
-	// Lost is the number of active strata that failed.
-	Lost int
-	// LostRows is the row mass of the lost strata.
-	LostRows int
-	// SurvivorRows is the row mass of the surviving active strata the
-	// extrapolation scaled from.
-	SurvivorRows int
-}
-
 // Group is the fan-out/merge engine: a set of Executors forming one
 // logical table, plus the policy knobs the merge shares between the
 // in-process path (Sharded/Prepared) and internal/dist's coordinator.
 // Merge semantics are identical for both: exact partials fold in
 // shard-index order, approximate answers compose per-stratum variances
 // (see mergeAdditive), bootstrap half-widths compose in quadrature.
+// Every active stratum answers or the query fails: an interval holds
+// only over strata whose sample was read, so no merge extrapolates
+// over a lost one.
 type Group struct {
 	Layout     Layout
 	Confidence float64
@@ -142,20 +128,13 @@ type Group struct {
 	// OnPrune, when non-nil, is called with the index of each stratum
 	// skipped by bound pruning.
 	OnPrune func(k int)
-	// Degrade, when non-nil, reports whether an approximate query may
-	// tolerate losing the stratum that failed with err; the merged
-	// answer is then extrapolated from survivors with a widened
-	// interval. Exact queries and MIN/MAX never degrade — a lost
-	// stratum could hold the true extremum or an unbounded exact
-	// contribution.
-	Degrade func(err error) bool
 }
 
 // active returns the Execs indices a query with the given ranges must
 // touch, ascending. Empty strata are skipped outright; under a range
 // layout, strata whose bounds miss a range on the layout column are
 // pruned and reported to OnPrune.
-func (g *Group) active(ranges []engine.Range, needApprox bool) []int {
+func (g *Group) active(ranges []engine.Range) []int {
 	out := make([]int, 0, len(g.Execs))
 	for k, e := range g.Execs {
 		in := e.Info()
@@ -166,9 +145,6 @@ func (g *Group) active(ranges []engine.Range, needApprox bool) []int {
 			if g.OnPrune != nil {
 				g.OnPrune(k)
 			}
-			continue
-		}
-		if needApprox && !in.Approx {
 			continue
 		}
 		out = append(out, k)
@@ -192,59 +168,30 @@ func boundsPruned(lo, hi float64, col string, ranges []engine.Range) bool {
 	return false
 }
 
-// runActive fans fn out over the active strata under the bounded pool,
-// then applies the degrade policy. It returns the positions j (into
-// active) that succeeded and, when failures were tolerated, the
-// Degradation describing the loss. A failure the policy rejects — or
-// any failure when canDegrade is false, or a loss with no surviving
-// row mass to extrapolate from — returns the first error in stratum
-// order, preserving the in-process path's semantics.
-func (g *Group) runActive(ctx context.Context, active []int, canDegrade bool, fn func(j, k int) error) ([]int, *Degradation, error) {
+// collect runs one call per active stratum of q under the bounded pool
+// and returns the results in stratum order, or the first failure in
+// stratum order.
+func collect[T any](ctx context.Context, g *Group, q engine.Query, run func(e Executor) (T, error)) ([]T, error) {
+	active := g.active(q.Ranges)
+	out := make([]T, len(active))
 	errs := make([]error, len(active))
 	forEach(ctx, g.Workers, len(active), func(j int) {
 		k := active[j]
 		t0 := time.Now()
-		errs[j] = fn(j, k)
+		out[j], errs[j] = run(g.Execs[k])
 		if g.Observe != nil {
 			g.Observe(k, time.Since(t0))
 		}
 	})
 	if err := ctx.Err(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	firstErr := func() error {
-		for _, err := range errs {
-			if err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	ok := make([]int, 0, len(active))
-	var deg *Degradation
-	for j, err := range errs {
-		if err == nil {
-			ok = append(ok, j)
-			continue
-		}
-		if !canDegrade || g.Degrade == nil || !g.Degrade(err) {
-			return nil, nil, err
-		}
-		if deg == nil {
-			deg = &Degradation{}
-		}
-		deg.Lost++
-		deg.LostRows += g.Execs[active[j]].Info().Rows
-	}
-	if deg != nil {
-		for _, j := range ok {
-			deg.SurvivorRows += g.Execs[active[j]].Info().Rows
-		}
-		if deg.SurvivorRows == 0 {
-			return nil, nil, firstErr()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
 	}
-	return ok, deg, nil
+	return out, nil
 }
 
 // Exact runs an exact query scatter-gather across the strata and
@@ -252,15 +199,10 @@ func (g *Group) runActive(ctx context.Context, active []int, canDegrade bool, fn
 // COUNT add, MIN/MAX fold, AVG/VAR finish from merged moments), so
 // results are deterministic for a fixed layout and bit-identical to
 // the unsharded scan whenever the additions are exact. Group-by
-// results are sorted by key. Exact queries never degrade: any stratum
-// failure is the query's failure.
+// results are sorted by key.
 func (g *Group) Exact(ctx context.Context, q engine.Query) (engine.Result, error) {
-	active := g.active(q.Ranges, false)
-	partials := make([]engine.PartialResult, len(active))
-	_, _, err := g.runActive(ctx, active, false, func(j, k int) error {
-		var err error
-		partials[j], err = g.Execs[k].ExactPartial(ctx, q)
-		return err
+	partials, err := collect(ctx, g, q, func(e Executor) (engine.PartialResult, error) {
+		return e.ExactPartial(ctx, q)
 	})
 	if err != nil {
 		return engine.Result{}, err
@@ -279,77 +221,42 @@ func (g *Group) Exact(ctx context.Context, q engine.Query) (engine.Result, error
 	return mergeGroups(partials, q.Func)
 }
 
-// collect fans an approximate per-stratum answer function out and
-// returns the surviving answers in stratum order, with any tolerated
-// Degradation.
-func (g *Group) collect(ctx context.Context, q engine.Query, canDegrade bool,
-	run func(ctx context.Context, e Executor) (core.Answer, error)) ([]core.Answer, *Degradation, error) {
-	active := g.active(q.Ranges, true)
-	answers := make([]core.Answer, len(active))
-	ok, deg, err := g.runActive(ctx, active, canDegrade, func(j, k int) error {
-		var err error
-		answers[j], err = run(ctx, g.Execs[k])
-		return err
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	if deg == nil {
-		return answers, nil, nil
-	}
-	kept := make([]core.Answer, 0, len(ok))
-	for _, j := range ok {
-		kept = append(kept, answers[j])
-	}
-	return kept, deg, nil
-}
-
-// degradeAnswer extrapolates a merged answer over lost strata: the
-// survivors' total scales up by the lost-row fraction f (strata are
-// near-equal row spans, so proportional mass is the natural prior),
-// and the half-width widens by the scaled survivor interval plus the
-// entire extrapolated contribution — the extrapolation itself is
-// treated as fully uncertain, so the widened interval still covers the
-// case where the lost stratum contributed nothing at all.
-func degradeAnswer(a core.Answer, d *Degradation) core.Answer {
-	if d == nil || d.LostRows == 0 {
-		return a
-	}
-	f := float64(d.LostRows) / float64(d.SurvivorRows)
-	v := a.Estimate.Value
-	a.Estimate.Value = v * (1 + f)
-	a.Estimate.HalfWidth = a.Estimate.HalfWidth*(1+f) + math.Abs(v)*f
-	return a
-}
-
 // Answer answers a scalar approximate query across the strata. SUM and
 // COUNT merge additively with composed variance; AVG is merged-SUM
 // over merged-COUNT with a conservative ratio interval; MIN/MAX fold
-// per-stratum exact index answers (and never degrade).
-func (g *Group) Answer(ctx context.Context, q engine.Query) (core.Answer, *Degradation, error) {
+// per-stratum exact index answers.
+func (g *Group) Answer(ctx context.Context, q engine.Query) (core.Answer, error) {
 	if len(q.GroupBy) > 0 {
-		return core.Answer{}, nil, fmt.Errorf("shard: use AnswerGroups for GROUP BY queries")
+		return core.Answer{}, fmt.Errorf("shard: use AnswerGroups for GROUP BY queries")
 	}
+	answer := func(e Executor) (core.Answer, error) { return e.ApproxAnswer(ctx, q) }
 	switch q.Func {
 	case engine.Sum, engine.Count:
-		answers, deg, err := g.collect(ctx, q, true, func(ctx context.Context, e Executor) (core.Answer, error) {
-			return e.ApproxAnswer(ctx, q)
-		})
+		answers, err := collect(ctx, g, q, answer)
 		if err != nil {
-			return core.Answer{}, nil, err
+			return core.Answer{}, err
 		}
-		return degradeAnswer(mergeAdditive(answers, g.Confidence), deg), deg, nil
+		return mergeAdditive(answers, g.Confidence), nil
 	case engine.Avg:
-		return g.answerAvg(ctx, q)
-	case engine.Min, engine.Max:
-		answers, _, err := g.collect(ctx, q, false, func(ctx context.Context, e Executor) (core.Answer, error) {
-			return e.ApproxAnswer(ctx, q)
-		})
+		sumQ, cntQ := q, q
+		sumQ.Func = engine.Sum
+		cntQ.Func = engine.Count
+		sumAns, err := g.Answer(ctx, sumQ)
 		if err != nil {
-			return core.Answer{}, nil, err
+			return core.Answer{}, err
+		}
+		cntAns, err := g.Answer(ctx, cntQ)
+		if err != nil {
+			return core.Answer{}, err
+		}
+		return ratioAnswer(sumAns, cntAns, g.Confidence), nil
+	case engine.Min, engine.Max:
+		answers, err := collect(ctx, g, q, answer)
+		if err != nil {
+			return core.Answer{}, err
 		}
 		if len(answers) == 0 {
-			return core.Answer{Estimate: aqpEstimate(0, 0, 1, 0), Pre: ident.Pre{Phi: true}}, nil, nil
+			return core.Answer{Estimate: aqpEstimate(0, 0, 1, 0), Pre: ident.Pre{Phi: true}}, nil
 		}
 		best := answers[0]
 		for _, a := range answers[1:] {
@@ -358,63 +265,40 @@ func (g *Group) Answer(ctx context.Context, q engine.Query) (core.Answer, *Degra
 				best = a
 			}
 		}
-		return best, nil, nil
+		return best, nil
 	default:
-		return core.Answer{}, nil, fmt.Errorf("shard: %w aggregate %v", core.ErrUnsupported, q.Func)
+		return core.Answer{}, fmt.Errorf("shard: %w aggregate %v", core.ErrUnsupported, q.Func)
 	}
-}
-
-func (g *Group) answerAvg(ctx context.Context, q engine.Query) (core.Answer, *Degradation, error) {
-	sumQ, cntQ := q, q
-	sumQ.Func = engine.Sum
-	cntQ.Func = engine.Count
-	sumAns, sumDeg, err := g.Answer(ctx, sumQ)
-	if err != nil {
-		return core.Answer{}, nil, err
-	}
-	cntAns, cntDeg, err := g.Answer(ctx, cntQ)
-	if err != nil {
-		return core.Answer{}, nil, err
-	}
-	deg := sumDeg
-	if deg == nil {
-		deg = cntDeg
-	}
-	return ratioAnswer(sumAns, cntAns, g.Confidence), deg, nil
 }
 
 // AnswerGroups answers a GROUP BY approximate query: each stratum
 // answers the groups its sample observed, and per-key answers merge
 // with the same stratified composition as scalars, sorted by key. AVG
 // groups merge as the ratio of merged SUM and COUNT group answers.
-func (g *Group) AnswerGroups(ctx context.Context, q engine.Query) ([]core.GroupAnswer, *Degradation, error) {
+func (g *Group) AnswerGroups(ctx context.Context, q engine.Query) ([]core.GroupAnswer, error) {
 	if len(q.GroupBy) == 0 {
-		return nil, nil, fmt.Errorf("shard: AnswerGroups needs GROUP BY")
+		return nil, fmt.Errorf("shard: AnswerGroups needs GROUP BY")
 	}
 	switch q.Func {
 	case engine.Sum, engine.Count:
-		perStratum, deg, err := g.collectGroups(ctx, q)
+		perStratum, err := collect(ctx, g, q, func(e Executor) ([]core.GroupAnswer, error) {
+			return e.ApproxGroups(ctx, q)
+		})
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		merged := mergeGroupAnswers(perStratum, g.Confidence)
-		if deg != nil {
-			for i := range merged {
-				merged[i].Answer = degradeAnswer(merged[i].Answer, deg)
-			}
-		}
-		return merged, deg, nil
+		return mergeGroupAnswers(perStratum, g.Confidence), nil
 	case engine.Avg:
 		sumQ, cntQ := q, q
 		sumQ.Func = engine.Sum
 		cntQ.Func = engine.Count
-		sums, sumDeg, err := g.AnswerGroups(ctx, sumQ)
+		sums, err := g.AnswerGroups(ctx, sumQ)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		cnts, cntDeg, err := g.AnswerGroups(ctx, cntQ)
+		cnts, err := g.AnswerGroups(ctx, cntQ)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		byKey := make(map[string]core.Answer, len(cnts))
 		for _, gr := range cnts {
@@ -428,55 +312,30 @@ func (g *Group) AnswerGroups(ctx context.Context, q engine.Query) ([]core.GroupA
 			}
 			out = append(out, core.GroupAnswer{Key: gr.Key, Answer: ratioAnswer(gr.Answer, cnt, g.Confidence)})
 		}
-		deg := sumDeg
-		if deg == nil {
-			deg = cntDeg
-		}
-		return out, deg, nil
+		return out, nil
 	default:
-		return nil, nil, fmt.Errorf("shard: %w GROUP BY aggregate %v", core.ErrUnsupported, q.Func)
+		return nil, fmt.Errorf("shard: %w GROUP BY aggregate %v", core.ErrUnsupported, q.Func)
 	}
-}
-
-func (g *Group) collectGroups(ctx context.Context, q engine.Query) ([][]core.GroupAnswer, *Degradation, error) {
-	active := g.active(q.Ranges, true)
-	perStratum := make([][]core.GroupAnswer, len(active))
-	ok, deg, err := g.runActive(ctx, active, true, func(j, k int) error {
-		var err error
-		perStratum[j], err = g.Execs[k].ApproxGroups(ctx, q)
-		return err
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	if deg == nil {
-		return perStratum, nil, nil
-	}
-	kept := make([][]core.GroupAnswer, 0, len(ok))
-	for _, j := range ok {
-		kept = append(kept, perStratum[j])
-	}
-	return kept, deg, nil
 }
 
 // AnswerBootstrap answers SUM/COUNT with per-stratum empirical
 // bootstrap intervals: every stratum resamples its own sample under an
 // independent stride-derived seed, and the per-stratum percentile
 // half-widths compose in quadrature: hw = sqrt(Σ hw_h²).
-func (g *Group) AnswerBootstrap(ctx context.Context, q engine.Query, resamples int, seed uint64) (core.Answer, *Degradation, error) {
+func (g *Group) AnswerBootstrap(ctx context.Context, q engine.Query, resamples int, seed uint64) (core.Answer, error) {
 	if q.Func != engine.Sum && q.Func != engine.Count {
-		return core.Answer{}, nil, fmt.Errorf("shard: AnswerBootstrap supports SUM/COUNT, got %v: %w", q.Func, core.ErrUnsupported)
+		return core.Answer{}, fmt.Errorf("shard: AnswerBootstrap supports SUM/COUNT, got %v: %w", q.Func, core.ErrUnsupported)
 	}
 	if len(q.GroupBy) > 0 {
-		return core.Answer{}, nil, fmt.Errorf("shard: AnswerBootstrap does not handle GROUP BY: %w", core.ErrUnsupported)
+		return core.Answer{}, fmt.Errorf("shard: AnswerBootstrap does not handle GROUP BY: %w", core.ErrUnsupported)
 	}
-	answers, deg, err := g.collect(ctx, q, true, func(ctx context.Context, e Executor) (core.Answer, error) {
+	answers, err := collect(ctx, g, q, func(e Executor) (core.Answer, error) {
 		return e.ApproxBootstrap(ctx, q, resamples, DeriveSeed(seed, e.Info().Index))
 	})
 	if err != nil {
-		return core.Answer{}, nil, err
+		return core.Answer{}, err
 	}
-	return degradeAnswer(mergeBootstrap(answers, g.Confidence), deg), deg, nil
+	return mergeBootstrap(answers, g.Confidence), nil
 }
 
 // mergeBootstrap composes per-stratum bootstrap answers: points add,

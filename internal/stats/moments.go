@@ -181,25 +181,31 @@ func Median(xs []float64) float64 {
 // Quantile returns the q-th quantile (0 <= q <= 1) of xs using linear
 // interpolation between order statistics. xs is not modified.
 func Quantile(xs []float64, q float64) float64 {
+	cp := slices.Clone(xs)
+	slices.Sort(cp)
+	return QuantileSorted(cp, q)
+}
+
+// QuantileSorted is Quantile over xs already sorted ascending. It
+// neither copies nor sorts, so several quantiles of one slice cost one
+// sort.
+func QuantileSorted(xs []float64, q float64) float64 {
 	n := len(xs)
 	if n == 0 {
 		return 0
 	}
-	cp := make([]float64, n)
-	copy(cp, xs)
-	slices.Sort(cp)
 	if q <= 0 {
-		return cp[0]
+		return xs[0]
 	}
 	if q >= 1 {
-		return cp[n-1]
+		return xs[n-1]
 	}
 	pos := q * float64(n-1)
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
 	if lo == hi {
-		return cp[lo]
+		return xs[lo]
 	}
 	frac := pos - float64(lo)
-	return cp[lo]*(1-frac) + cp[hi]*frac
+	return xs[lo]*(1-frac) + xs[hi]*frac
 }

@@ -160,8 +160,9 @@ func TestQuantileSortedProperty(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
-	// Quantile agrees with interpolation over a sort.Float64s reference
-	// on finite input with many ties and both signed zeros.
+	// Quantile, and QuantileSorted over the sorted input, agree with
+	// interpolation over a sort.Float64s reference on finite input with
+	// many ties and both signed zeros.
 	for trial := 0; trial < 50; trial++ {
 		n := r.Intn(300) + 1
 		xs := make([]float64, n)
@@ -187,6 +188,9 @@ func TestQuantileSortedProperty(t *testing.T) {
 			}
 			if got := Quantile(xs, q); got != want {
 				t.Fatalf("trial %d: Quantile(q=%v) = %v, sort.Float64s reference %v", trial, q, got, want)
+			}
+			if got := QuantileSorted(ref, q); got != want {
+				t.Fatalf("trial %d: QuantileSorted(q=%v) = %v, reference %v", trial, q, got, want)
 			}
 		}
 	}
